@@ -2,8 +2,9 @@
 certify (or refute) consistency for externally supplied representations.
 
 A dynamic risk measure is generated by per-node menus of (kernel, penalty)
-choices.  The two-index evaluators are produced by backward composition, so
-the recursion rho_{r,t} = rho_{r,s}(-rho_{s,t}) holds by construction; the
+choices, stored per time index as flat (choices, nodes) arrays.  The
+two-index evaluators are runs of the one backward-induction helper, so the
+recursion rho_{r,t} = rho_{r,s}(-rho_{s,t}) holds by construction; the
 recursion check and the penalty cocycle check are the executable versions of
 the equivalence between the two characterizations, and the supermartingale
 check covers the zero-penalty reference case.
@@ -11,15 +12,14 @@ check covers the zero-penalty reference case.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, lift
-from .measures import Measure, charged_mask, conditional_expectation
+from .lattice import RandomVariable, ScenarioLattice, _backward, lift
+from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import DualRep, minimal_penalty
 
 __all__ = [
@@ -41,43 +41,46 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OneStepStructure:
-    """Per non-terminal node: a finite menu of (kernel weights, penalty)."""
+    """Per non-terminal node: a finite menu of (kernel weights, penalty).
+    Also stored flat, padded with each node's last choice: per time index k,
+    (m_k, n_{k+1}) ``flat_kernels`` and (m_k, n_k) ``flat_penalties``."""
 
     lattice: ScenarioLattice
     choices: tuple  # per time index < T: tuple per node of ((weights, penalty), ...)
+
+    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
+    flat_penalties: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
         if len(self.choices) != lat.n_times - 1:
             raise ValueError("one choice level per non-terminal time index")
-        cleaned = []
+        kernels, penalties, cleaned = [], [], []
         for k, level in enumerate(self.choices):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one menu per node required")
-            lvl = []
-            for i, menu in enumerate(level):
-                entries = []
-                for w, a in menu:
-                    w = np.asarray(w, dtype=float)
-                    if w.shape != (len(lat.children[k][i]),):
-                        raise ValueError(f"kernel shape mismatch at node ({k},{i})")
-                    a = float(a)
-                    if a < 0:
-                        raise ValueError("one-step penalties must be >= 0 (or +inf)")
-                    entries.append((w / w.sum(), a))
-                if not any(np.isfinite(a) for _, a in entries):
-                    raise ValueError(f"node ({k},{i}) has no finite-penalty choice")
-                lvl.append(tuple(entries))
-            cleaned.append(tuple(lvl))
+            w, pick, size = _menus(lat, k, [[w for w, _ in menu] for menu in level], "menu")
+            a = np.array([a for menu in level for _, a in menu], dtype=float)
+            if not (a >= 0).all():
+                raise ValueError("one-step penalties must be >= 0 (or +inf)")
+            a = a[pick]
+            free = np.isinf(a).all(axis=0)
+            if free.any():
+                raise ValueError(
+                    f"node ({k},{int(np.argmax(free))}) has no finite-penalty choice")
+            kernels.append(w)
+            penalties.append(a)
+            rows, a_node = lat.per_node(k, w), a.T.tolist()
+            cleaned.append(tuple(tuple(zip(rows[i][:n], a_node[i][:n]))
+                                 for i, n in enumerate(size.tolist())))
         object.__setattr__(self, "choices", tuple(cleaned))
+        object.__setattr__(self, "flat_kernels", tuple(kernels))
+        object.__setattr__(self, "flat_penalties", tuple(penalties))
 
     @property
     def normalized(self) -> bool:
         """True iff the minimum penalty at every node is 0."""
-        return all(
-            min(a for _, a in menu) == 0.0
-            for level in self.choices for menu in level
-        )
+        return all(np.all(a.min(axis=0) == 0.0) for a in self.flat_penalties)
 
 
 @dataclass(frozen=True)
@@ -116,19 +119,10 @@ class DynamicRM:
             raise ValueError("need 0 <= s <= t <= terminal")
         if X.t != t:
             raise ValueError(f"X must live at time index {t}")
-        lat = self.lattice
-        g = -X.values
-        for u in range(t - 1, s - 1, -1):
-            nxt = np.empty(lat.n_nodes(u))
-            for i in range(lat.n_nodes(u)):
-                child_vals = g[lat.children[u][i]]
-                nxt[i] = max(
-                    float(np.dot(w, child_vals)) - a
-                    for w, a in self.structure.choices[u][i]
-                    if np.isfinite(a)
-                )
-            g = nxt
-        return RandomVariable(lat, s, g)
+        st = self.structure
+        g = _backward(self.lattice, s, -X.values, st.flat_kernels[s:t],
+                      st.flat_penalties[s:t])
+        return RandomVariable(self.lattice, s, g)
 
     def evaluator(self, s: int, t: int) -> Evaluator:
         return Evaluator(s, t, lambda X: self.rho(s, t, X))
@@ -147,33 +141,34 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096,
     of the chosen one-step penalties along [r, t).  Evaluating the expanded
     representation reproduces the recursion.
     """
-    lat = dyn.lattice
-    nodes = [(u, i) for u in range(r, t) for i in range(lat.n_nodes(u))]
-    sizes = [len(dyn.structure.choices[u][i]) for u, i in nodes]
-    count = int(np.prod(sizes)) if sizes else 1
+    lat, st = dyn.lattice, dyn.structure
+    sizes = [len(menu) for u in range(r, t) for menu in st.choices[u]]
+    count = int(np.prod(sizes))
     if count > cap:
         raise ValueError(f"selection count {count} exceeds cap {cap}")
 
+    # picks[c, n]: the choice of selection c at the n-th node of [r, t), in
+    # the order of itertools.product; nodes outside [r, t) take choice 0
+    picks = np.stack(np.unravel_index(np.arange(count), sizes), axis=-1) if sizes \
+        else np.zeros((1, 0), dtype=int)
+    splits = np.cumsum([lat.n_nodes(u) for u in range(r, t)])[:-1]
+    picks = dict(zip(range(r, t), np.split(picks, splits, axis=1)))
+    kernels = []
+    for u in range(lat.n_times - 1):
+        pick = picks.get(u, np.zeros((count, lat.n_nodes(u)), dtype=int))
+        kernels.append(st.flat_kernels[u][pick[:, lat.parents[u + 1]],
+                                          np.arange(lat.n_nodes(u + 1))])
+    penalties = [st.flat_penalties[u][picks[u], np.arange(lat.n_nodes(u))][:, None, :]
+                 for u in range(r, t)]
+    # expected accumulated penalty along [r, t) under each selection,
+    # all selections at once: acc_u = a + E(acc_{u+1}) is -G_u of the helper
+    # (0.0 - G rather than -G keeps zero penalties free of a negative sign)
+    acc = 0.0 - _backward(lat, r, np.zeros((count, lat.n_nodes(t))),
+                          [w[:, None, :] for w in kernels[r:t]], penalties)
     comps = []
-    for combo in itertools.product(*(range(sz) for sz in sizes)):
-        pick = dict(zip(nodes, combo))
-        kernels = []
-        for u in range(lat.n_times - 1):
-            level = []
-            for i in range(lat.n_nodes(u)):
-                j = pick.get((u, i), 0)
-                level.append(dyn.structure.choices[u][i][j][0])
-            kernels.append(tuple(level))
-        Q = Measure(lat, tuple(kernels))
-        # expected accumulated penalty along [r, t) under the selection
-        acc = np.zeros(lat.n_nodes(t))
-        for u in range(t - 1, r - 1, -1):
-            nxt = np.empty(lat.n_nodes(u))
-            for i in range(lat.n_nodes(u)):
-                w, a = dyn.structure.choices[u][i][pick[(u, i)]]
-                nxt[i] = a + float(np.dot(w, acc[lat.children[u][i]]))
-            acc = nxt
-        comps.append((Q, RandomVariable(lat, r, acc, allow_infinite=True)))
+    for c in range(count):
+        Q = Measure(lat, tuple(lat.per_node(u, w[c]) for u, w in enumerate(kernels)))
+        comps.append((Q, RandomVariable(lat, r, acc[c], allow_infinite=True)))
     return DualRep(r, t, tuple(comps), reference=reference)
 
 
@@ -255,17 +250,14 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
     """
     if not dyn.structure.normalized:
         raise ValueError("the dynamic risk measure must be normalized")
-    lat = dyn.lattice
+    lat, st = dyn.lattice, dyn.structure
     for u in range(lat.n_times - 1):
-        for i in range(lat.n_nodes(u)):
-            ok = any(
-                a == 0.0 and np.max(np.abs(w - P.kernels[u][i])) <= kernel_tol
-                for w, a in dyn.structure.choices[u][i]
+        gap = _kernel_gap(lat, u, st.flat_kernels[u], P.flat_kernels[u])
+        ok = np.any((st.flat_penalties[u] == 0.0) & (gap <= kernel_tol), axis=0)
+        if not np.all(ok):
+            raise ValueError(
+                f"P is not a zero-penalty selection at node ({u},{int(np.argmin(ok))})"
             )
-            if not ok:
-                raise ValueError(
-                    f"P is not a zero-penalty selection at node ({u},{i})"
-                )
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     rhos = {s: dyn.rho(s, T, X) for s in grid}
@@ -278,30 +270,15 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
 
 
 def onestep_to_json(structure: OneStepStructure) -> str:
-    levels = []
-    for k, level in enumerate(structure.choices):
-        nodes = []
-        for menu in level:
-            nodes.append(
-                [{"weights": [float(v) for v in w],
-                  "penalty": "inf" if np.isinf(a) else float(a)} for w, a in menu]
-            )
-        levels.append(nodes)
+    levels = [[[{"weights": w.tolist(), "penalty": "inf" if np.isinf(a) else float(a)}
+                for w, a in menu] for menu in level] for level in structure.choices]
     return json.dumps({"choices": levels}, sort_keys=True)
 
 
 def onestep_from_json(text: str, lattice: ScenarioLattice) -> OneStepStructure:
-    doc = json.loads(text)
-    levels = []
-    for level in doc["choices"]:
-        nodes = []
-        for menu in level:
-            nodes.append(
-                tuple(
-                    (np.asarray(e["weights"], dtype=float),
-                     np.inf if e["penalty"] == "inf" else float(e["penalty"]))
-                    for e in menu
-                )
-            )
-        levels.append(tuple(nodes))
-    return OneStepStructure(lattice, tuple(levels))
+    levels = tuple(
+        tuple(tuple((np.asarray(e["weights"], dtype=float),
+                     np.inf if e["penalty"] == "inf" else float(e["penalty"])) for e in menu)
+              for menu in level)
+        for level in json.loads(text)["choices"])
+    return OneStepStructure(lattice, levels)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .lattice import ScenarioLattice, RandomVariable, uniform_tree
+from .lattice import ScenarioLattice, RandomVariable, build_lattice, uniform_tree
 from .measures import Measure, MeasureFamily
 
 __all__ = [
@@ -56,24 +56,12 @@ def random_lattice(rng: np.random.Generator, max_periods: int = 3,
                    max_branch: int = 3, dim: int = 1) -> ScenarioLattice:
     """Random tree: 2..max_periods periods, 2..max_branch children per node."""
     periods = int(rng.integers(2, max_periods + 1))
-    times = tuple(float(k) for k in range(periods + 1))
-    incs = []
-    n = 1
+    incs, n = [], 1
     for _ in range(periods):
-        level = []
-        for _ in range(n):
-            b = int(rng.integers(2, max_branch + 1))
-            level.append(rng.normal(size=(b, dim)))
-        incs.append(level)
-        n = sum(len(level[i]) for i in range(len(level)))
-    return_lattice = _build(times, incs, dim)
-    return return_lattice
-
-
-def _build(times, incs, dim):
-    from .lattice import build_lattice
-
-    return build_lattice(times, incs, dimension=dim)
+        incs.append([rng.normal(size=(int(rng.integers(2, max_branch + 1)), dim))
+                     for _ in range(n)])
+        n = sum(len(inc) for inc in incs[-1])
+    return build_lattice(tuple(float(k) for k in range(periods + 1)), incs, dimension=dim)
 
 
 def random_measure(lattice: ScenarioLattice, rng: np.random.Generator,

@@ -307,14 +307,12 @@ def band_membership(Q, band: VolatilityBand, dt: float,
     lat = Q.lattice
     for k in range(lat.n_times - 1):
         lo, hi = band.at_step(k)
-        vlo, vhi = lo ** 2 * dt, hi ** 2 * dt
-        for i in range(lat.n_nodes(k)):
-            w = Q.kernels[k][i]
-            inc = lat.increments[k + 1][lat.children[k][i], 0]
-            mean = float(np.dot(w, inc))
-            var = float(np.dot(w, inc ** 2))
-            if abs(mean) > mean_tol or var < vlo - var_tol or var > vhi + var_tol:
-                return False
+        inc, off = lat.increments[k + 1][:, 0], lat.offsets[k][:-1]
+        mean = np.add.reduceat(Q.flat_kernels[k] * inc, off)
+        var = np.add.reduceat(Q.flat_kernels[k] * inc ** 2, off)
+        if np.any((np.abs(mean) > mean_tol) | (var < lo ** 2 * dt - var_tol)
+                  | (var > hi ** 2 * dt + var_tol)):
+            return False
     return True
 
 

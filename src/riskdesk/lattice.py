@@ -47,6 +47,9 @@ class ScenarioLattice:
     parents      -- per time index, int array of parent node indices (root: -1)
     increments   -- per time index, array (n_nodes, d) of increments from the
                     parent (root: zeros)
+
+    Children are contiguous and ordered by parent, so a per-parent sum over a
+    flat time-(k+1) array is one ``np.add.reduceat`` over ``offsets[k][:-1]``.
     """
 
     times: tuple
@@ -57,6 +60,8 @@ class ScenarioLattice:
     # derived, filled in __post_init__
     children: tuple = field(default=None, compare=False)
     values: tuple = field(default=None, compare=False)
+    # per time index k < T: each node's first-child offset, then n_nodes(k + 1)
+    offsets: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
@@ -69,28 +74,32 @@ class ScenarioLattice:
         if len(self.parents[0]) != 1 or self.parents[0][0] != -1:
             raise ValueError("there must be a unique root at time index 0")
 
-        children = []
+        parents = tuple(np.asarray(p, dtype=int) for p in self.parents)
+        object.__setattr__(self, "parents", parents)
+        offsets = []
         for k in range(times.size - 1):
-            n_k = len(self.parents[k])
-            ch = [[] for _ in range(n_k)]
-            for j, p in enumerate(self.parents[k + 1]):
-                if not 0 <= p < n_k:
-                    raise ValueError(f"node ({k + 1},{j}) has invalid parent {p}")
-                ch[p].append(j)
-            for i, c in enumerate(ch):
-                if not c:
-                    raise ValueError(f"non-terminal node ({k},{i}) has no child")
-                # children of consecutive parents must be contiguous and ordered
-                if c != list(range(c[0], c[0] + len(c))):
-                    raise ValueError("children must be contiguous per parent")
-            children.append(tuple(np.array(c, dtype=int) for c in ch))
-        object.__setattr__(self, "children", tuple(children))
+            n_k, par = parents[k].size, parents[k + 1]
+            j = int(np.argmax((par < 0) | (par >= n_k)))
+            if not 0 <= par[j] < n_k:
+                raise ValueError(f"node ({k + 1},{j}) has invalid parent {par[j]}")
+            counts = np.bincount(par, minlength=n_k)
+            if not counts.all():
+                raise ValueError(f"non-terminal node ({k},{int(np.argmin(counts))}) has no child")
+            # children of consecutive parents must be contiguous and ordered
+            if (par[1:] < par[:-1]).any():
+                raise ValueError("children must be contiguous per parent")
+            offsets.append(np.concatenate(([0], np.cumsum(counts))))
+        object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "children", tuple(
+            self.per_node(k, np.arange(parents[k + 1].size)) for k in range(times.size - 1)))
 
         values = [np.zeros((1, self.dimension))]
         for k in range(1, times.size):
             inc = np.asarray(self.increments[k], dtype=float).reshape(-1, self.dimension)
-            par = np.asarray(self.parents[k], dtype=int)
-            values.append(values[k - 1][par] + inc)
+            if inc.shape[0] != parents[k].size:
+                raise ValueError(f"time index {k}: {inc.shape[0]} increment rows "
+                                 f"for {parents[k].size} nodes")
+            values.append(values[k - 1][parents[k]] + inc)
         object.__setattr__(self, "values", tuple(values))
 
     @property
@@ -127,9 +136,13 @@ class ScenarioLattice:
         """Contiguous index range of time-t descendants of node (s, i)."""
         lo, hi = i, i + 1
         for u in range(s, t):
-            lo = int(self.children[u][lo][0])
-            hi = int(self.children[u][hi - 1][-1]) + 1
+            lo, hi = int(self.offsets[u][lo]), int(self.offsets[u][hi])
         return slice(lo, hi)
+
+    def per_node(self, k: int, flat: np.ndarray) -> tuple:
+        """Split a flat time-(k+1) array into one view per time-k parent."""
+        bounds = self.offsets[k].tolist()
+        return tuple(flat[..., a:b] for a, b in zip(bounds[:-1], bounds[1:]))
 
     def path_to_leaf(self, leaf: int):
         """Node indices along the root-to-leaf path, one per time index."""
@@ -200,6 +213,27 @@ class StoppingTime:
     @staticmethod
     def deterministic(lattice: ScenarioLattice, t: int) -> "StoppingTime":
         return StoppingTime(frozenset(lattice.node_refs(t)))
+
+
+def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None):
+    """Backward induction from (..., n_t) ``values`` at t = s + len(weights)
+    down to s: G_u = max_j (sum over children of w_j G_{u+1} - a_j), with
+    per u in s..t-1 weights (..., m_u, n_{u+1}) of m_u choices (1-D: one)
+    and optional penalties (..., m_u, n_u).  Zero-weight children never
+    count, so an infinite value there gives no 0 * inf = NaN."""
+    g = np.asarray(values, dtype=float)
+    for u in range(s + len(weights) - 1, s - 1, -1):
+        w = weights[u - s]
+        if np.isfinite(g).all():
+            terms = w * g[..., None, :]
+        else:
+            with np.errstate(invalid="ignore"):
+                terms = np.where(w > 0, w * g[..., None, :], 0.0)
+        g = np.add.reduceat(terms, lattice.offsets[u][:-1], axis=-1)
+        if penalties is not None:
+            g = g - penalties[u - s]
+        g = g.max(axis=-2)
+    return g
 
 
 def build_lattice(times: Sequence[float], increments, dimension: int = None) -> ScenarioLattice:
@@ -275,17 +309,18 @@ def validate_stopping_time(lattice: ScenarioLattice, stops: Iterable[NodeRef]):
 
     Returns (True, None) or (False, first violating root-to-leaf path).
     """
-    stop_set = {(n.t, n.i) for n in stops}
-    for n in stop_set:
-        t, i = n
-        if not (0 <= t < lattice.n_times and 0 <= i < lattice.n_nodes(t)):
-            return False, [NodeRef(t, i)]
-    for leaf in range(lattice.n_nodes(lattice.terminal)):
-        path = lattice.path_to_leaf(leaf)
-        hits = sum((u, path[u]) in stop_set for u in range(lattice.n_times))
-        if hits != 1:
-            return False, [NodeRef(u, path[u]) for u in range(lattice.n_times)]
-    return True, None
+    masks = [np.zeros(lattice.n_nodes(t), dtype=int) for t in range(lattice.n_times)]
+    for n in stops:
+        if not (0 <= n.t < lattice.n_times and 0 <= n.i < lattice.n_nodes(n.t)):
+            return False, [NodeRef(n.t, n.i)]
+        masks[n.t][n.i] = 1
+    hits = masks[0]  # per node: stops on its root path, itself included
+    for t in range(1, lattice.n_times):
+        hits = hits[lattice.parents[t]] + masks[t]
+    if np.all(hits == 1):
+        return True, None
+    path = lattice.path_to_leaf(int(np.argmax(hits != 1)))
+    return False, [NodeRef(u, path[u]) for u in range(lattice.n_times)]
 
 
 def lattice_to_json(lattice: ScenarioLattice) -> str:

@@ -1,6 +1,9 @@
 """Probability measures on a lattice, conditional expectation and the capacity.
 
-A measure is a collection of one-step kernels, one per non-terminal node.
+A measure is a collection of one-step kernels, one per non-terminal node,
+stored per time index as one flat array over the child nodes; node
+probabilities are a forward product along it and the conditional
+expectation is a run of the one backward-induction helper, ``_backward``.
 A finite ordered family of measures stands in for the (possibly non
 dominated) uncertainty set and defines the capacity
 
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 
 __all__ = [
     "Measure",
@@ -43,48 +46,83 @@ __all__ = [
 _KERNEL_TOL = 1e-12
 
 
-def _clean_kernel(w, n_children: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if w.shape != (n_children,):
-        raise ValueError(f"kernel needs {n_children} weights, got shape {w.shape}")
-    if np.any(w < -_KERNEL_TOL):
+def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
+    """Time-k kernels, in node order, as one checked flat array; kernel e
+    belongs to node ``node_of[e]`` (default: one per node).  Returns it with
+    the start and the sum of every kernel."""
+    off = lattice.offsets[k]
+    sizes = off[1:] - off[:-1]
+    sizes = sizes if node_of is None else sizes[node_of]
+    arrs = [np.asarray(w, dtype=float) for w in kernels]
+    for e, (w, b) in enumerate(zip(arrs, sizes)):
+        if w.shape != (b,):
+            node = e if node_of is None else node_of[e]
+            raise ValueError(f"kernel at node ({k},{node}) needs {b} weights, "
+                             f"got shape {w.shape}")
+    flat = np.concatenate(arrs)
+    if not np.isfinite(flat).all():
+        raise ValueError("kernel weights must be finite")
+    if (flat < -_KERNEL_TOL).any():
         raise ValueError("kernel weights must be non-negative")
-    w = np.clip(w, 0.0, None)
-    s = w.sum()
-    if abs(s - 1.0) > 1e-9:
-        raise ValueError(f"kernel weights sum to {s}, expected 1")
-    return w / s
+    flat = np.maximum(flat, 0.0)
+    starts = np.cumsum(sizes) - sizes
+    return flat, starts, np.add.reduceat(flat, starts)
+
+
+def _menus(lattice: ScenarioLattice, k: int, menus, what: str):
+    """Per-node menus of time-k kernels as one normalized (m, n_{k+1}) array,
+    a shorter menu padded with its last kernel; also returns ``pick`` (row j
+    at node i is kernel pick[j, i] in node order) and the menu sizes."""
+    sizes = np.array([len(menu) for menu in menus], dtype=int)
+    if not sizes.all():
+        raise ValueError(f"empty {what} at node ({k},{int(np.argmin(sizes))})")
+    pick = np.cumsum(sizes) - sizes + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
+    flat, starts, sums = _flat_kernels(lattice, k, [w for menu in menus for w in menu],
+                                       np.repeat(np.arange(sizes.size), sizes))
+    if not (sums > 0).all():
+        raise ValueError("kernel weights must have a positive sum")
+    par = lattice.parents[k + 1]
+    row = pick[:, par]
+    weights = flat[starts[row] + np.arange(par.size) - lattice.offsets[k][par]] / sums[row]
+    return weights, pick, sizes
+
+
+def _kernel_gap(lattice: ScenarioLattice, k: int, a, b) -> np.ndarray:
+    """Per time-k node, the max |a - b| over its children; a and b are flat
+    (..., n_{k+1}) kernel arrays."""
+    return np.maximum.reduceat(np.abs(a - b), lattice.offsets[k][:-1], axis=-1)
 
 
 @dataclass(frozen=True)
 class Measure:
-    """Probability measure given by one kernel per non-terminal node."""
+    """Probability measure given by one kernel per non-terminal node;
+    ``kernels[k][i]`` is a view of the flat ``flat_kernels[k]``."""
 
     lattice: ScenarioLattice
     kernels: tuple  # per time index < T: tuple of weight arrays, one per node
 
     _node_probs: tuple = field(default=None, compare=False)
+    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
         if len(self.kernels) != lat.n_times - 1:
             raise ValueError("one kernel level per non-terminal time index")
-        cleaned = []
+        flats = []
         for k, level in enumerate(self.kernels):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one kernel per node required")
-            cleaned.append(
-                tuple(_clean_kernel(level[i], len(lat.children[k][i]))
-                      for i in range(lat.n_nodes(k)))
-            )
-        object.__setattr__(self, "kernels", tuple(cleaned))
-
+            flat, _, sums = _flat_kernels(lat, k, level)
+            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+            if bad.size:
+                raise ValueError(f"kernel weights sum to {sums[bad[0]]}, expected 1")
+            flats.append(flat / sums[lat.parents[k + 1]])
+        object.__setattr__(self, "flat_kernels", tuple(flats))
+        object.__setattr__(self, "kernels",
+                           tuple(lat.per_node(k, w) for k, w in enumerate(flats)))
         probs = [np.ones(1)]
-        for k in range(lat.n_times - 1):
-            nxt = np.empty(lat.n_nodes(k + 1))
-            for i in range(lat.n_nodes(k)):
-                nxt[lat.children[k][i]] = probs[k][i] * self.kernels[k][i]
-            probs.append(nxt)
+        for k, w in enumerate(flats):
+            probs.append(probs[k][lat.parents[k + 1]] * w)
         object.__setattr__(self, "_node_probs", tuple(probs))
 
     def node_probabilities(self, t: int) -> np.ndarray:
@@ -97,14 +135,10 @@ class Measure:
         """Conditional path probabilities from node (s, i) over its time-t
         descendants, computed from the kernels (defined at null nodes too)."""
         lat = self.lattice
-        probs = np.ones(1)
-        lo = i
+        probs, lo, hi = np.ones(1), i, i + 1
         for u in range(s, t):
-            n_next = []
-            for j, p in enumerate(range(lo, lo + probs.size)):
-                n_next.append(probs[j] * self.kernels[u][p])
-            probs = np.concatenate(n_next) if n_next else probs
-            lo = int(lat.children[u][lo][0])
+            lo, hi, prev = lat.offsets[u][lo], lat.offsets[u][hi], lo
+            probs = probs[lat.parents[u + 1][lo:hi] - prev] * self.flat_kernels[u][lo:hi]
         return probs
 
     def expectation(self, X: RandomVariable) -> float:
@@ -117,25 +151,14 @@ def conditional_expectation(X: RandomVariable, Q: Measure, s: int) -> RandomVari
     Defined from the kernels by backward induction, so the value at Q-null
     nodes is the natural kernel-conditional value (the tower property holds
     exactly up to rounding).  Infinite values propagate for penalty
-    variables: a node is infinite if a kernel-charged descendant is.
+    variables: a node is +inf if a kernel-charged descendant is.
     """
     if Q.lattice is not X.lattice:
         raise ValueError("measure and variable live on different lattices")
     if s > X.t:
         raise ValueError(f"need s <= t, got s={s} > t={X.t}")
-    lat = X.lattice
-    vals = X.values
-    for u in range(X.t - 1, s - 1, -1):
-        nxt = np.empty(lat.n_nodes(u))
-        for i in range(lat.n_nodes(u)):
-            w = Q.kernels[u][i]
-            v = vals[lat.children[u][i]]
-            if np.any(np.isinf(v) & (w > 0)):
-                nxt[i] = np.inf
-            else:
-                nxt[i] = float(np.dot(w[w > 0], v[w > 0]))
-        vals = nxt
-    return RandomVariable(lat, s, vals, allow_infinite=X.allow_infinite)
+    vals = _backward(X.lattice, s, X.values, Q.flat_kernels[s:X.t])
+    return RandomVariable(X.lattice, s, vals, allow_infinite=X.allow_infinite)
 
 
 def charged_mask(Q: Measure, t: int) -> np.ndarray:
@@ -204,17 +227,13 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
     lat = members[0].lattice
     probs = [sum(wi * m.node_probabilities(t) for wi, m in zip(w, members))
              for t in range(lat.n_times)]
-    kernels = []
+    levels = []
     for k in range(lat.n_times - 1):
-        level = []
-        for i in range(lat.n_nodes(k)):
-            ch = lat.children[k][i]
-            if probs[k][i] > 0:
-                level.append(probs[k + 1][ch] / probs[k][i])
-            else:
-                level.append(np.mean([m.kernels[k][i] for m in members], axis=0))
-        kernels.append(tuple(level))
-    return Measure(lat, tuple(kernels))
+        up = probs[k][lat.parents[k + 1]]
+        mean = np.mean([m.flat_kernels[k] for m in members], axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            levels.append(lat.per_node(k, np.where(up > 0, probs[k + 1] / up, mean)))
+    return Measure(lat, tuple(levels))
 
 
 def reference_measure(family: MeasureFamily) -> ReferenceMeasure:
@@ -273,11 +292,8 @@ def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
 
 
 def measure_to_json(Q: Measure) -> str:
-    kernels = []
-    for k in range(Q.lattice.n_times - 1):
-        for i in range(Q.lattice.n_nodes(k)):
-            kernels.append({"node": [k, i],
-                            "weights": [float(v) for v in Q.kernels[k][i]]})
+    kernels = [{"node": [k, i], "weights": w.tolist()}
+               for k, level in enumerate(Q.kernels) for i, w in enumerate(level)]
     return json.dumps({"kernels": kernels}, sort_keys=True)
 
 

@@ -13,7 +13,6 @@ import itertools
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
@@ -44,6 +43,8 @@ def conjugate_box_oracle(rep: DualRep, Q: Measure,
     the limit over growing boxes, reported as +inf when the value keeps
     growing.
     """
+    from scipy.optimize import linprog  # on first use: the heaviest import here
+
     lat = rep.lattice
     s, t = rep.s, rep.t
     out = np.empty(lat.n_nodes(s))

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 
 import json
 import numpy as np
-from scipy.optimize import linprog
 
 from .lattice import RandomVariable, ScenarioLattice, lift
 from .measures import (
@@ -116,6 +115,8 @@ def minimal_penalty(rep: DualRep, Q: Measure,
     descendants; +inf when infeasible.  Components with infinite penalty at
     n are excluded from the program.
     """
+    from scipy.optimize import linprog  # on first use: the heaviest import here
+
     ref = reference if reference is not None else rep.reference
     if ref is not None:
         status = check_restriction(Q, ref, rep.s)

@@ -6,20 +6,23 @@ another's at and after it (density freezing).  A family closed under all
 such pastings is stable; the computable surrogate is the rectangular
 (node-wise kernel set) hull, whose selections are exactly the measures
 reachable by finitely many pastings on small lattices -- verified by
-enumeration in the tests rather than assumed.
+enumeration in the tests rather than assumed.  Kernel sets are stored per
+time index as one flat (kernels, nodes) array, and the robust recursion is
+the one backward-induction helper maximizing over its first axis.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, StoppingTime, validate_stopping_time
-from .measures import Measure
+from .lattice import (RandomVariable, ScenarioLattice, StoppingTime, _backward,
+                      validate_stopping_time)
+from .measures import Measure, _kernel_gap, _menus, charged_mask
 
 __all__ = [
     "RectangularFamily",
@@ -38,47 +41,54 @@ _DEDUP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class RectangularFamily:
-    """Per non-terminal node: a finite, de-duplicated set of kernels."""
+    """Per non-terminal node: a finite, de-duplicated set of kernels.
+    Also stored flat, padded with each node's last kernel: per time index k,
+    (m_k, n_{k+1}) ``flat_kernels``; ``node_kernels`` holds views of its rows."""
 
     lattice: ScenarioLattice
     node_kernels: tuple  # per time index < T: tuple per node of kernel tuples
+
+    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
         if len(self.node_kernels) != lat.n_times - 1:
             raise ValueError("one kernel-set level per non-terminal time index")
-        cleaned = []
+        flats, cleaned = [], []
         for k, level in enumerate(self.node_kernels):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one kernel set per node required")
-            lvl = []
-            for i, kernels in enumerate(level):
-                uniq: List[np.ndarray] = []
-                for w in kernels:
-                    w = np.asarray(w, dtype=float)
-                    w = w / w.sum()
-                    if not any(np.max(np.abs(w - u)) <= _DEDUP_TOL for u in uniq):
-                        uniq.append(w)
-                if not uniq:
-                    raise ValueError(f"empty kernel set at node ({k},{i})")
-                lvl.append(tuple(uniq))
-            cleaned.append(tuple(lvl))
+            w, sizes = _dedup(lat, k, _menus(lat, k, level, "kernel set")[0])
+            flats.append(w)
+            cleaned.append(tuple(tuple(rows[:n]) for rows, n
+                                 in zip(lat.per_node(k, w), sizes.tolist())))
         object.__setattr__(self, "node_kernels", tuple(cleaned))
+        object.__setattr__(self, "flat_kernels", tuple(flats))
+
+
+def _dedup(lat: ScenarioLattice, k: int, w: np.ndarray):
+    """Drop node-wise each kernel row within _DEDUP_TOL of an earlier kept
+    row (so all padding); returns the re-padded kept rows and their counts."""
+    keep = np.zeros((w.shape[0], lat.n_nodes(k)), dtype=bool)
+    keep[0] = True
+    for j in range(1, w.shape[0]):
+        dup = _kernel_gap(lat, k, w[:j], w[j]) <= _DEDUP_TOL
+        keep[j] = ~np.any(keep[:j] & dup, axis=0)
+    counts = keep.sum(axis=0)
+    first = np.argsort(~keep, axis=0, kind="stable")  # kept rows first, in order
+    rows = np.take_along_axis(first, np.minimum(np.arange(counts.max())[:, None],
+                                                counts - 1), axis=0)
+    par = lat.parents[k + 1]
+    return w[rows[:, par], np.arange(par.size)], counts
 
 
 def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
     """Per node: True iff the node is at or after the stopping time."""
-    stop_set = {(n.t, n.i) for n in tau.stops}
-    masks = []
-    prev = None
-    for t in range(lattice.n_times):
-        m = np.zeros(lattice.n_nodes(t), dtype=bool)
-        for i in range(lattice.n_nodes(t)):
-            here = (t, i) in stop_set
-            inherited = prev[lattice.parents[t][i]] if t > 0 else False
-            m[i] = here or inherited
-        masks.append(m)
-        prev = m
+    masks = [np.zeros(lattice.n_nodes(t), dtype=bool) for t in range(lattice.n_times)]
+    for n in tau.stops:
+        masks[n.t][n.i] = True
+    for t in range(1, lattice.n_times):
+        masks[t] |= masks[t - 1][lattice.parents[t]]
     return masks
 
 
@@ -103,24 +113,18 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
                 f"Q is not absolutely continuous w.r.t. P at node ({t},{int(bad[0])})"
             )
     masks = _stopped_mask(lat, tau)
-    kernels = []
-    for k in range(lat.n_times - 1):
-        level = tuple(
-            P.kernels[k][i] if masks[k][i] else Q.kernels[k][i]
-            for i in range(lat.n_nodes(k))
-        )
-        kernels.append(level)
-    return Measure(lat, tuple(kernels))
+    return Measure(lat, tuple(
+        lat.per_node(k, np.where(masks[k][lat.parents[k + 1]],
+                                 P.flat_kernels[k], Q.flat_kernels[k]))
+        for k in range(lat.n_times - 1)))
 
 
 def _same_at_charged(R: Measure, M: Measure, tol: float = 1e-12) -> bool:
     lat = R.lattice
-    for k in range(lat.n_times - 1):
-        probs = R.node_probabilities(k)
-        for i in range(lat.n_nodes(k)):
-            if probs[i] > 0 and np.max(np.abs(R.kernels[k][i] - M.kernels[k][i])) > tol:
-                return False
-    return True
+    return not any(
+        np.any(charged_mask(R, k) & (_kernel_gap(lat, k, R.flat_kernels[k],
+                                                 M.flat_kernels[k]) > tol))
+        for k in range(lat.n_times - 1))
 
 
 def is_stable(measures: Sequence[Measure], taus: Sequence[StoppingTime]):
@@ -148,35 +152,25 @@ def rectangular_hull(measures: Sequence[Measure]) -> RectangularFamily:
     there never enters a charged expectation).
     """
     lat = measures[0].lattice
-    levels = []
-    for k in range(lat.n_times - 1):
-        level = []
-        for i in range(lat.n_nodes(k)):
-            kernels = [Q.kernels[k][i] for Q in measures if Q.charges(k, i)]
-            if not kernels:
-                kernels = [Q.kernels[k][i] for Q in measures]
-            level.append(tuple(kernels))
-        levels.append(tuple(level))
-    return RectangularFamily(lat, tuple(levels))
+
+    def kernel_set(k, i):
+        return ([Q.kernels[k][i] for Q in measures if Q.charges(k, i)]
+                or [Q.kernels[k][i] for Q in measures])
+
+    return RectangularFamily(lat, tuple(tuple(kernel_set(k, i) for i in range(lat.n_nodes(k)))
+                                        for k in range(lat.n_times - 1)))
 
 
 def enumerate_selections(rf: RectangularFamily, cap: int = 4096) -> List[Measure]:
     """All node-wise kernel choices as path-law measures (brute-force oracle)."""
     lat = rf.lattice
-    nodes = [(k, i) for k in range(lat.n_times - 1) for i in range(lat.n_nodes(k))]
-    sizes = [len(rf.node_kernels[k][i]) for k, i in nodes]
-    count = int(np.prod(sizes)) if sizes else 1
+    sets = [kernels for level in rf.node_kernels for kernels in level]
+    count = int(np.prod([len(kernels) for kernels in sets]))
     if count > cap:
         raise ValueError(f"selection count {count} exceeds cap {cap}")
-    out = []
-    for combo in itertools.product(*(range(sz) for sz in sizes)):
-        pick = dict(zip(nodes, combo))
-        kernels = tuple(
-            tuple(rf.node_kernels[k][i][pick[(k, i)]] for i in range(lat.n_nodes(k)))
-            for k in range(lat.n_times - 1)
-        )
-        out.append(Measure(lat, kernels))
-    return out
+    bounds = np.cumsum([0] + [lat.n_nodes(k) for k in range(lat.n_times - 1)])
+    return [Measure(lat, tuple(combo[a:b] for a, b in zip(bounds[:-1], bounds[1:])))
+            for combo in itertools.product(*sets)]
 
 
 def robust_evaluate(rf: RectangularFamily, X: RandomVariable, s: int) -> RandomVariable:
@@ -190,14 +184,7 @@ def robust_evaluate(rf: RectangularFamily, X: RandomVariable, s: int) -> RandomV
     t = X.t
     if s > t:
         raise ValueError("need s <= t")
-    v = -X.values
-    for u in range(t - 1, s - 1, -1):
-        nxt = np.empty(lat.n_nodes(u))
-        for i in range(lat.n_nodes(u)):
-            child_vals = v[lat.children[u][i]]
-            nxt[i] = max(float(np.dot(w, child_vals)) for w in rf.node_kernels[u][i])
-        v = nxt
-    return RandomVariable(lat, s, v)
+    return RandomVariable(lat, s, _backward(lat, s, -X.values, rf.flat_kernels[s:t]))
 
 
 def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[StoppingTime]:
@@ -218,14 +205,8 @@ def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[Stopp
 
 
 def rectangular_to_json(rf: RectangularFamily) -> str:
-    entries = []
-    lat = rf.lattice
-    for k in range(lat.n_times - 1):
-        for i in range(lat.n_nodes(k)):
-            entries.append(
-                {"node": [k, i],
-                 "kernels": [[float(v) for v in w] for w in rf.node_kernels[k][i]]}
-            )
+    entries = [{"node": [k, i], "kernels": [w.tolist() for w in kernels]}
+               for k, level in enumerate(rf.node_kernels) for i, kernels in enumerate(level)]
     return json.dumps({"node_kernels": entries}, sort_keys=True)
 
 

@@ -20,9 +20,10 @@ from riskdesk.fixtures import (
     fix_a_family,
     fix_a_lattice,
     iid_binary_measure,
+    random_lattice,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, coordinate_process, lift
+from riskdesk.lattice import RandomVariable, coordinate_process, lift, uniform_tree
 from riskdesk.measures import Measure
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
 
@@ -35,6 +36,15 @@ def menu_dynamic(root_shift=0.0, lat=None):
     shifted = tuple((w, a + root_shift) for w, a in menu)
     choices = ((shifted,), (menu, menu))
     return lat, build_dynamic(OneStepStructure(lat, choices))
+
+
+def sparse_kernel(rng, b):
+    """Random kernel on b children with some zero weights, never all zero."""
+    w = rng.dirichlet(np.ones(b))
+    w[rng.random(b) < 0.4] = 0.0
+    if not w.any():
+        w[rng.integers(b)] = 1.0
+    return w / w.sum()
 
 
 def zero_penalty_member(lat, p_up):
@@ -98,6 +108,48 @@ def test_expand_dual_penalties():
     # the all-choice-1 selection pays 0.1 at the root plus 0.1 one step later
     biased = zero_penalty_member(lat, 0.6)
     assert minimal_penalty(rep, biased).values[0] == pytest.approx(0.2, abs=1e-9)
+
+
+def test_expand_dual_infinite_penalty_behind_null_branch():
+    # the root never moves up, so node (1,0) is null; its +inf choice must
+    # not turn the root penalty into 0 * inf = NaN
+    lat = uniform_tree([0, 1, 2], [1, -1])
+    fair = np.array([0.5, 0.5])
+    choices = (((((np.array([0.0, 1.0]), 0.0),),),
+               (((fair, 0.0), (np.array([0.75, 0.25]), np.inf)),
+                ((fair, 0.0), (np.array([0.25, 0.75]), 0.25)))))
+    dyn = build_dynamic(OneStepStructure(lat, choices))
+    rep = expand_dual(dyn, 0, 2)
+    assert all(np.isfinite(alpha.values[0]) for _, alpha in rep.components)
+    X = RandomVariable(lat, 2, np.array([1.0, -2.0, 3.0, 0.5]))
+    assert np.array_equal(rm_evaluate(rep, X).values, dyn.rho(0, 2, X).values)
+
+
+def test_rho_matches_expanded_dual_on_ragged_trees():
+    # mixed branching, zero kernel weights and +inf menu choices
+    rng = np.random.default_rng(59)
+    for _ in range(6):
+        lat = random_lattice(rng, max_periods=3, max_branch=3)
+        n_inner = sum(lat.n_nodes(k) for k in range(lat.terminal))
+        split = set(rng.choice(n_inner, size=min(5, n_inner), replace=False).tolist())
+        levels, at = [], 0
+        for k in range(lat.terminal):
+            level = []
+            for ch in lat.children[k]:
+                menu = [(sparse_kernel(rng, len(ch)), float(rng.uniform(0.0, 0.5)))
+                        for _ in range(1 + (at in split) * int(rng.integers(1, 3)))]
+                if len(menu) > 1:
+                    menu.insert(int(rng.integers(len(menu))),
+                                (sparse_kernel(rng, len(ch)), np.inf))
+                level.append(tuple(menu))
+                at += 1
+            levels.append(tuple(level))
+        dyn = build_dynamic(OneStepStructure(lat, tuple(levels)))
+        for t in range(lat.n_times):
+            X = random_rv(lat, t, rng)
+            for s in range(t + 1):
+                via_dual = rm_evaluate(expand_dual(dyn, s, t), X).values
+                assert np.max(np.abs(via_dual - dyn.rho(s, t, X).values)) <= 1e-12
 
 
 def test_cocycle_identity_and_degenerate_split():
@@ -208,6 +260,17 @@ def test_structure_validation():
         OneStepStructure(lat, ((((np.array([0.5, 0.3, 0.2]), 0.0),),), (menu, menu)))
     assert not OneStepStructure(
         lat, ((((np.array([0.5, 0.5]), 0.2),),), (menu, menu))).normalized
+
+
+def test_structure_rejects_negative_weights_and_nan_penalties():
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0),)
+    with pytest.raises(ValueError, match="non-negative"):
+        OneStepStructure(lat, ((((np.array([1.5, -0.5]), 0.0),),), (menu, menu)))
+    with pytest.raises(ValueError, match=">= 0"):
+        OneStepStructure(lat, ((((np.array([0.5, 0.5]), np.nan),),), (menu, menu)))
+    with_inf = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
+    assert np.isinf(OneStepStructure(lat, ((with_inf,), (menu, menu))).choices[0][0][1][1])
 
 
 def test_onestep_json_round_trip():

@@ -12,6 +12,7 @@ from riskdesk.lattice import (
     coordinate_process,
     lattice_from_json,
     lattice_to_json,
+    ScenarioLattice,
     lift,
     uniform_tree,
     validate_stopping_time,
@@ -42,6 +43,31 @@ def test_duplicate_time_points_rejected():
 def test_empty_branching_rejected():
     with pytest.raises(ValueError):
         build_lattice([0.0, 1.0], [[np.zeros((0, 1))]])
+
+
+def test_children_out_of_parent_order_rejected():
+    # each parent's children are contiguous, but parent 1's come first
+    parents = (np.array([-1]), np.array([0, 0]), np.array([1, 1, 0, 0]))
+    incs = (np.zeros((1, 1)), np.ones((2, 1)), np.ones((4, 1)))
+    with pytest.raises(ValueError, match="contiguous"):
+        ScenarioLattice((0.0, 1.0, 2.0), 1, parents, incs)
+
+
+def test_one_increment_row_per_node():
+    # a single row must not be broadcast to every node of the level
+    parents = (np.array([-1]), np.array([0, 0]))
+    with pytest.raises(ValueError, match="1 increment rows for 2 nodes"):
+        ScenarioLattice((0.0, 1.0), 1, parents, (np.zeros((1, 1)), np.ones((1, 1))))
+
+
+def test_offsets_and_children_follow_parents():
+    lat = random_lattice(np.random.default_rng(3), max_periods=3, max_branch=4)
+    for k in range(lat.terminal):
+        off = lat.offsets[k]
+        assert off[-1] == lat.n_nodes(k + 1)
+        for i, ch in enumerate(lat.children[k]):
+            expected = np.flatnonzero(lat.parents[k + 1] == i)
+            assert np.array_equal(ch, expected) and off[i] == expected[0]
 
 
 def test_lift_ancestor_copy():

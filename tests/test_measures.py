@@ -29,6 +29,20 @@ from riskdesk.measures import (
 from riskdesk.stability import all_stopping_times
 
 
+def sparse_kernel(rng, b):
+    """Random kernel on b children with some zero weights, never all zero."""
+    w = rng.dirichlet(np.ones(b))
+    w[rng.random(b) < 0.4] = 0.0
+    if not w.any():
+        w[rng.integers(b)] = 1.0
+    return w / w.sum()
+
+
+def sparse_measure(lat, rng):
+    return Measure(lat, tuple(tuple(sparse_kernel(rng, len(c)) for c in lat.children[k])
+                              for k in range(lat.terminal)))
+
+
 def test_conditional_expectation_martingale():
     lat, q1, _, _ = fix_a_family()
     B2 = coordinate_process(lat, 2)
@@ -58,6 +72,29 @@ def test_tower_property_random():
         direct = conditional_expectation(X, Q, 0)
         towered = conditional_expectation(mid, Q, 0)
         assert np.max(np.abs(direct.values - towered.values)) <= 1e-12
+
+
+def test_conditional_expectation_matches_forward_definition_on_ragged_trees():
+    # E_Q(X | n) = sum over time-T descendants of P(leaf) / P(n) * X(leaf) at
+    # charged n, from the forward node probabilities; X is +inf on every
+    # Q-null leaf, as a penalty may be, and must not leak into charged nodes
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        lat = random_lattice(rng, max_periods=4, max_branch=4)
+        Q = sparse_measure(lat, rng)
+        T = lat.terminal
+        p_T = Q.node_probabilities(T)
+        live = p_T > 0
+        x = np.where(live, rng.normal(size=p_T.size), np.inf)
+        X = RandomVariable(lat, T, x, allow_infinite=True)
+        for s in range(T + 1):
+            p_s = Q.node_probabilities(s)
+            charged = p_s > 0
+            anc = lat.ancestors_of_slice(T, s)
+            forward = np.bincount(anc[live], weights=p_T[live] * x[live],
+                                  minlength=p_s.size)[charged] / p_s[charged]
+            got = conditional_expectation(X, Q, s).values[charged]
+            assert np.max(np.abs(got - forward)) <= 1e-12
 
 
 def test_capacity_fix_a():
@@ -183,3 +220,10 @@ def test_kernel_validation():
     negative = ((np.array([1.5, -0.5]),), tuple(np.array([0.5, 0.5]) for _ in range(2)))
     with pytest.raises(ValueError):
         Measure(lat, negative)
+
+
+def test_non_finite_kernel_rejected():
+    lat = fix_a_lattice()
+    nan = ((np.array([0.5, 0.5]),), (np.array([np.nan, np.nan]), np.array([0.5, 0.5])))
+    with pytest.raises(ValueError, match="finite"):
+        Measure(lat, nan)

@@ -187,3 +187,11 @@ def test_rectangular_family_validation():
          ((np.array([0.5, 0.5]),), (np.array([0.5, 0.5]),))),
     )
     assert len(rf.node_kernels[0][0]) == 1
+
+
+def test_rectangular_family_rejects_negative_kernels():
+    lat = fix_a_lattice()
+    fair = (np.array([0.5, 0.5]),)
+    with pytest.raises(ValueError, match="non-negative"):
+        RectangularFamily(lat, (((np.array([0.5, 0.5]), np.array([1.5, -0.5])),),
+                                (fair, fair)))
