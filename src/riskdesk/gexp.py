@@ -46,7 +46,8 @@ class CFLError(ValueError):
 
 @dataclass(frozen=True)
 class VolatilityBand:
-    """Lower/upper volatility, constant or sampled per time step."""
+    """Lower/upper volatility, constant or sampled once per step of the grid
+    it runs on (``GridSpec.check_cfl`` checks the length)."""
 
     sigma_low: np.ndarray
     sigma_high: np.ndarray
@@ -62,11 +63,8 @@ class VolatilityBand:
         object.__setattr__(self, "sigma_high", hi)
 
     def at_step(self, k: int):
-        lo = self.sigma_low[k % self.sigma_low.size] if self.sigma_low.size > 1 \
-            else self.sigma_low[0]
-        hi = self.sigma_high[k % self.sigma_high.size] if self.sigma_high.size > 1 \
-            else self.sigma_high[0]
-        return float(lo), float(hi)
+        i = k if self.sigma_low.size > 1 else 0
+        return float(self.sigma_low[i]), float(self.sigma_high[i])
 
     @property
     def max_high(self) -> float:
@@ -75,7 +73,8 @@ class VolatilityBand:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform time/space grid for the band recursions."""
+    """Uniform time/space grid for the band recursions; the horizon must be a
+    whole number of time steps."""
 
     dt: float
     h: float
@@ -85,6 +84,8 @@ class GridSpec:
     def __post_init__(self):
         if self.dt <= 0 or self.h <= 0 or self.radius < 1 or self.horizon <= 0:
             raise ValueError("grid parameters must be positive")
+        if abs(self.horizon - self.n_steps * self.dt) > 1e-9:
+            raise ValueError(f"horizon={self.horizon} is not a multiple of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -95,6 +96,9 @@ class GridSpec:
         return np.arange(-self.radius, self.radius + 1) * self.h
 
     def check_cfl(self, band: VolatilityBand):
+        if band.sigma_high.size not in (1, self.n_steps):
+            raise ValueError(f"a per-step band needs {self.n_steps} entries, "
+                             f"got {band.sigma_high.size}")
         bound = self.h ** 2 / band.max_high ** 2
         if self.dt > bound * (1 + 1e-12):
             raise CFLError(

@@ -10,20 +10,24 @@ and compared there with the damped distances
 
 where g_m is 1 up to m-1, decays linearly to 0 at m, and vanishes after.
 The infimum is taken over piecewise-linear time changes with knots at
-monotone matchings of the two jump sequences (identity tail); the result is
-an exact value whenever the optimum aligns jumps and a certified upper
-bound otherwise.  The weighted sum over m yields the half-open-domain
-metric that makes the projection from [0, inf) continuous, in contrast with
-the undamped J1 distance (also provided, for the contrast).
+monotone matchings of the two jump sequences, of unit slope after the last
+knot; the result is an exact value whenever the optimum aligns jumps and a
+certified upper bound otherwise.  Such a time change is linear between
+knots, so its cost is a max over pieces that each depend on two knots only,
+and the best matching is a minimax path through the DAG of jump pairs:
+polynomial in the jump counts, where enumerating matchings is exponential.
+The weighted sum over m yields the half-open-domain metric that makes the
+projection from [0, inf) continuous, in contrast with the undamped J1
+distance (also provided, for the contrast).
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 import json
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -93,7 +97,8 @@ class StepPath:
 
 @dataclass(frozen=True)
 class TimeChange:
-    """Strictly increasing piecewise-linear bijection, identity tail."""
+    """Strictly increasing piecewise-linear bijection of unit slope after
+    its last knot."""
 
     knots: tuple  # of (u, lam(u)) pairs, starting at (0, 0)
 
@@ -166,64 +171,169 @@ def g_damping(u, m: int):
     return out if out.ndim else float(out)
 
 
-def _monotone_matchings(p: int, q: int, allowed) -> List[Tuple[Tuple[int, int], ...]]:
-    """All monotone matchings between index sets of sizes p and q whose pairs
-    are all in ``allowed`` (a set of (i, j))."""
-    out = [()]
-    for k in range(1, min(p, q) + 1):
-        for xi in itertools.combinations(range(p), k):
-            for yj in itertools.combinations(range(q), k):
-                pairs = tuple(zip(xi, yj))
-                if all(pr in allowed for pr in pairs):
-                    out.append(pairs)
-    return out
+def _prepared(x: StepPath, y: StepPath):
+    """Each path as (jump times, value rows) in Python floats; row 0 is the
+    value before the first jump.  A one-dimensional path broadcasts against
+    a d-dimensional one, as numpy would."""
+    dx, dy = x.values.shape[1], y.values.shape[1]
+    if dx != dy and min(dx, dy) != 1:
+        raise ValueError(f"cannot compare paths of dimensions {dx} and {dy}")
+    d = max(dx, dy)
+
+    def rows(p: StepPath):
+        out = [(0.0,) * d] + [tuple(r) for r in p.values.tolist()]
+        return [r * d if len(r) == 1 else r for r in out]
+
+    return (x.times.tolist(), rows(x)), (y.times.tolist(), rows(y))
 
 
-def _lambda_from_pairs(x: StepPath, y: StepPath, pairs) -> Optional[TimeChange]:
-    """Piecewise-linear time change mapping y's matched jump times onto x's."""
-    knots = [(0.0, 0.0)]
-    for i, j in pairs:
-        knots.append((float(y.times[j]), float(x.times[i])))
-    us = [k[0] for k in knots]
-    vs = [k[1] for k in knots]
-    if np.any(np.diff(us) <= 0) or np.any(np.diff(vs) <= 0):
-        return None
-    return TimeChange(tuple(knots))
+def _piece(k0, k1):
+    """The linear piece of a time change between knots k0 = (u0, v0) and
+    k1, or its unit-slope tail after k0 when k1 is None, as
+    (u0, v0, u1, v1, slope, inverse slope)."""
+    u0, v0 = k0
+    if k1 is None:
+        return (u0, v0, np.inf, np.inf, 1.0, 1.0)
+    u1, v1 = k1
+    return (u0, v0, u1, v1, (v1 - v0) / (u1 - u0), (u1 - u0) / (v1 - v0))
 
 
-def _sup_damped_gap(x: StepPath, y: StepPath, lam: TimeChange, m: int) -> float:
-    """Exact sup over u of | g_m(lam(u)) x(lam(u)) - g_m(u) y(u) |.
+# Both maps repeat np.interp's arithmetic and are exact at the knots, so a
+# cost taken piece by piece is, bit for bit, the cost of the whole TimeChange.
+def _lam(pc, u: float) -> float:
+    return pc[3] if u == pc[2] else pc[4] * (u - pc[0]) + pc[1]
 
-    Both terms are affine between breakpoints (path values constant, damping
-    and lam piecewise linear), so the sup is attained at interval endpoints.
+
+def _lam_inv(pc, v: float) -> float:
+    return pc[2] if v == pc[3] else pc[5] * (v - pc[1]) + pc[0]
+
+
+def _deviation(pc, upto: float) -> float:
+    """The piece's share of sup_{[0, upto]} |lam(u) - u|: its end knot and,
+    if it holds upto, the point upto."""
+    u0, _, u1, v1 = pc[:4]
+    dev = abs(v1 - u1) if u1 <= upto else 0.0
+    if u0 <= upto < u1:
+        dev = max(dev, abs(_lam(pc, upto) - upto))
+    return dev
+
+
+def _sup_abs(xv, yv, a: float = 1.0, b: float = 1.0) -> float:
+    return max(abs(a * p - b * q) for p, q in zip(xv, yv))
+
+
+def _damped_gap(X, Y, pc, m: int) -> float:
+    """sup over u in the piece of | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |.
+
+    Between breakpoints (jumps of either path, knots, and where either
+    damping bends) the path values are constant and the damping terms
+    affine, so the sup sits at interval ends, taken with the values inside.
+    Past max(m, lam^-1(m)) both damping terms vanish.
     """
-    end = max(float(m), lam.inverse(float(m)))
-    pts = {0.0, end, float(m - 1), float(m),
-           lam.inverse(float(m - 1)), lam.inverse(float(m))}
-    pts.update(float(u) for u in y.times)
-    pts.update(lam.inverse(float(u)) for u in x.times)
-    pts.update(u for u, _ in lam.knots)
-    pts = sorted(u for u in pts if 0.0 <= u <= end + _MATCH_TOL)
+    (xt, xrows), (yt, yrows) = X, Y
+    u0, v0, u1, v1 = pc[:4]
+    fm = float(m)
+    pts = {u0, u1}  # u1 = inf for the tail, which the cut below drops
+    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, u1)])
+    pts.update(_lam_inv(pc, v) for v in xt[bisect_left(xt, v0):bisect_left(xt, v1)])
+    for c in (fm - 1.0, fm):
+        if u0 <= c <= u1:
+            pts.add(c)
+        if v0 <= c < v1:
+            pts.add(_lam_inv(pc, c))
+    if v1 <= fm:
+        cut = np.inf
+    elif v0 <= fm:
+        cut = max(fm, _lam_inv(pc, fm)) + _MATCH_TOL
+    else:
+        cut = fm + _MATCH_TOL
+    marks = [(b, min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0))
+             for b in sorted(b for b in pts if b <= cut)]
     best = 0.0
-    for b1, b2 in zip(pts, pts[1:]):
-        if b2 - b1 <= 0:
-            continue
+    for (b1, a1, c1), (b2, a2, c2) in zip(marks, marks[1:]):
         mid = 0.5 * (b1 + b2)
-        xv = x.value(lam(mid))
-        yv = y.value(mid)
-        for b in (b1, b2):
-            gap = g_damping(lam(b), m) * xv - g_damping(b, m) * yv
-            best = max(best, float(np.max(np.abs(gap))))
+        xv = xrows[bisect_right(xt, _lam(pc, mid))]
+        yv = yrows[bisect_right(yt, mid)]
+        best = max(best, _sup_abs(xv, yv, a1, c1), _sup_abs(xv, yv, a2, c2))
     return best
 
 
-def dm_distance(x: StepPath, y: StepPath, m: int,
-                max_jumps: int = 10, pair_window: float = 2.0):
+def _plain_gap(X, Y, pc, upto: float, closed: bool) -> float:
+    """sup over u in the piece with u < upto (u <= upto when ``closed``) of
+    | X(lam(u)) - Y(u) |: both paths are constant between breakpoints."""
+    (xt, xrows), (yt, yrows) = X, Y
+    u0, v0, u1, v1 = pc[:4]
+    if u0 > upto:
+        return 0.0
+    end = min(u1, upto)
+    pts = {u0, end}
+    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
+    pts.update(b for b in (_lam_inv(pc, v) for v in
+                           xt[bisect_left(xt, v0):bisect_left(xt, v1)]) if b <= end)
+    pts = sorted(pts)
+    best = 0.0
+    for b1, b2 in zip(pts, pts[1:]):
+        mid = 0.5 * (b1 + b2)
+        best = max(best, _sup_abs(xrows[bisect_right(xt, _lam(pc, mid))],
+                                  yrows[bisect_right(yt, mid)]))
+    if closed and u0 <= upto < u1:
+        best = max(best, _sup_abs(xrows[bisect_right(xt, _lam(pc, upto))],
+                                  yrows[bisect_right(yt, upto)]))
+    return best
+
+
+def _best_matching(X, Y, pairs, cost, end=None):
+    """Least-cost monotone matching of X's and Y's jumps, as a minimax path
+    through the DAG of allowed jump pairs.
+
+    ``pairs`` lists the allowed (i, j) in lexicographic order.  A matching
+    gives the time change with knots (0, 0) and (Y time j, X time i) per
+    pair: linear between knots, then linear to the knot ``end`` or, when
+    ``end`` is None, of unit slope.  Its cost is the max of ``cost(piece)``
+    over its pieces, and each piece depends on its two end knots only, so
+    best(b) = min over predecessors a of max(best(a), cost(a -> b)).  Among
+    the matchings within _MATCH_TOL of the least cost, the one returned is
+    the first in enumeration order: fewest pairs, then lexicographically
+    least X indices, then Y indices.  Returns (its cost, its knots).
+    """
+    xt, yt = X[0], Y[0]
+    nodes = [(-1, -1)] + list(pairs)
+    knots = [(0.0, 0.0)] + [(yt[j], xt[i]) for i, j in pairs]
+    edges = {}  # (a, b) -> cost, in increasing a: a topological order
+    for a, (ia, ja) in enumerate(nodes):
+        for b in range(a + 1, len(nodes)):
+            if nodes[b][0] > ia and nodes[b][1] > ja:
+                edges[a, b] = cost(_piece(knots[a], knots[b]))
+    close = [cost(_piece(k, end)) for k in knots]
+    best = [0.0] + [np.inf] * len(pairs)
+    for (a, b), c in edges.items():
+        best[b] = min(best[b], max(best[a], c))
+    theta = min(map(max, best, close)) + _MATCH_TOL
+    # least (X indices, Y indices) of a completion within theta from each
+    # node, by exactly r more pairs, for r = 0, 1, ... until the origin has one
+    tails = [((), ()) if c <= theta else None for c in close]
+    while tails[0] is None:
+        longer = [None] * len(nodes)
+        for (a, b), c in edges.items():
+            if c <= theta and tails[b] is not None:
+                cand = ((nodes[b][0],) + tails[b][0], (nodes[b][1],) + tails[b][1])
+                if longer[a] is None or cand < longer[a]:
+                    longer[a] = cand
+        tails = longer
+    index = {pair: a for a, pair in enumerate(nodes)}
+    chain = [0] + [index[pair] for pair in zip(*tails[0])]
+    value = max([edges[a, b] for a, b in zip(chain, chain[1:])] + [close[chain[-1]]])
+    return value, [knots[a] for a in chain] + ([end] if end else [])
+
+
+def dm_distance(x: StepPath, y: StepPath, m: int, pair_window: float = 2.0):
     """Damped distance d_m between paths on [0, inf).
 
     Minimizes over piecewise-linear time changes with knots at monotone
-    matchings of the jump sequences; returns (value, witness TimeChange).
-    Symmetric by construction (canonical argument order).
+    matchings of the jumps before m + pair_window, pairing jumps at most
+    pair_window apart; returns (value, witness TimeChange).  The minimum is
+    a minimax path over jump pairs (:func:`_best_matching`), polynomial in
+    the jump counts.  Symmetric by construction (canonical argument order).
     """
     if m < 1:
         raise ValueError("need m >= 1")
@@ -231,24 +341,13 @@ def dm_distance(x: StepPath, y: StepPath, m: int,
         raise ValueError("d_m compares paths on [0, inf); transform first")
     if y.sort_key() < x.sort_key():
         x, y = y, x
+    X, Y = _prepared(x, y)
     window = float(m) + pair_window
-    xi = [i for i, u in enumerate(x.times) if u < window][:max_jumps]
-    yj = [j for j, u in enumerate(y.times) if u < window][:max_jumps]
-    allowed = {
-        (a, b)
-        for a in range(len(xi))
-        for b in range(len(yj))
-        if abs(x.times[xi[a]] - y.times[yj[b]]) <= pair_window
-    }
-    best_val, best_lam = np.inf, None
-    for pairs in _monotone_matchings(len(xi), len(yj), allowed):
-        lam = _lambda_from_pairs(x, y, tuple((xi[a], yj[b]) for a, b in pairs))
-        if lam is None:
-            continue
-        cost = max(lam.sup_deviation(float(m)), _sup_damped_gap(x, y, lam, m))
-        if cost < best_val - _MATCH_TOL:
-            best_val, best_lam = cost, lam
-    return best_val, best_lam
+    pairs = [(i, j) for i, xu in enumerate(X[0]) if xu < window
+             for j, yu in enumerate(Y[0]) if yu < window and abs(xu - yu) <= pair_window]
+    value, knots = _best_matching(
+        X, Y, pairs, lambda pc: max(_deviation(pc, float(m)), _damped_gap(X, Y, pc, m)))
+    return value, TimeChange(tuple(knots))
 
 
 def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
@@ -265,31 +364,18 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
     return total, 2.0 ** (-M)
 
 
-def j1_distance(x: StepPath, y: StepPath, horizon: float,
-                max_jumps: int = 10) -> float:
+def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
     """Undamped J1-style distance on [0, horizon): jump mismatches cannot be
     damped away.  Used for the projection-discontinuity contrast."""
     if y.sort_key() < x.sort_key():
         x, y = y, x
-    xi = [i for i, u in enumerate(x.times) if u < horizon][:max_jumps]
-    yj = [j for j, u in enumerate(y.times) if u < horizon][:max_jumps]
-    allowed = {(a, b) for a in range(len(xi)) for b in range(len(yj))}
-    best = np.inf
-    for pairs in _monotone_matchings(len(xi), len(yj), allowed):
-        lam = _lambda_from_pairs(x, y, tuple((xi[a], yj[b]) for a, b in pairs))
-        if lam is None:
-            continue
-        pts = {0.0, horizon}
-        pts.update(float(u) for u in y.times if u < horizon)
-        pts.update(v for v in (lam.inverse(float(u)) for u in x.times) if v < horizon)
-        pts.update(u for u, _ in lam.knots if u < horizon)
-        pts = sorted(pts)
-        gap = 0.0
-        for b1, b2 in zip(pts, pts[1:]):
-            mid = 0.5 * (b1 + b2)
-            gap = max(gap, float(np.max(np.abs(x.value(lam(mid)) - y.value(mid)))))
-        best = min(best, max(lam.sup_deviation(horizon), gap))
-    return best
+    X, Y = _prepared(x, y)
+    h = float(horizon)
+    pairs = [(i, j) for i, xu in enumerate(X[0]) if xu < h
+             for j, yu in enumerate(Y[0]) if yu < h]
+    value, _ = _best_matching(
+        X, Y, pairs, lambda pc: max(_deviation(pc, h), _plain_gap(X, Y, pc, h, False)))
+    return value
 
 
 @dataclass(frozen=True)
@@ -368,62 +454,32 @@ def concat(head: PLContinuousPath, tail: PLContinuousPath) -> PLContinuousPath:
     return PLContinuousPath(times, values, offset=0.0)
 
 
-def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int,
-                        max_jumps: int = 10):
+def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int):
     """Best jump-matching time change of [0, t) and the two quantities of the
     convergence criterion: sup |gamma - id| and, per m <= m_max, the sup
     deviation of x_n(gamma(u)) from x(u) on [0, t (1 - 1/(1+m))]."""
-    xi = list(range(min(len(x_n.times), max_jumps)))
-    yj = list(range(min(len(x.times), max_jumps)))
-    allowed = {(a, b) for a in range(len(xi)) for b in range(len(yj))}
+    X, Y = _prepared(x_n, x)
+    t = float(t)
+    pairs = [(i, j) for i, v in enumerate(X[0]) if v < t
+             for j, u in enumerate(Y[0]) if u < t]
+
+    def deviation(pieces, m):
+        upto = t * (1.0 - 1.0 / (1.0 + m))
+        return max(_plain_gap(X, Y, pc, upto, True) for pc in pieces)
+
+    # gamma maps x's timeline onto x_n's; it must be a bijection of [0, t),
+    # so it is pinned at (t, t) past the matched knots
     big = t * (1.0 - 1.0 / (1.0 + m_max))
-
-    def deviation(lam: TimeChange, upto: float) -> float:
-        pts = {0.0, upto}
-        pts.update(float(u) for u in x.times if u <= upto)
-        pts.update(v for v in (lam.inverse(float(u)) for u in x_n.times) if v <= upto)
-        pts.update(u for u, _ in lam.knots if u <= upto)
-        pts = sorted(pts)
-        gap = 0.0
-        for b1, b2 in zip(pts, pts[1:]):
-            mid = 0.5 * (b1 + b2)
-            gap = max(gap, float(np.max(np.abs(x_n.value(lam(mid)) - x.value(mid)))))
-        gap = max(gap, float(np.max(np.abs(x_n.value(lam(upto)) - x.value(upto)))))
-        return gap
-
-    best = None
-    best_cost = np.inf
-    for pairs in _monotone_matchings(len(xi), len(yj), allowed):
-        # gamma maps x's timeline onto x_n's; it must be a bijection of
-        # [0, t), so it is pinned at (t, t) past the matched knots
-        knots = [(0.0, 0.0)]
-        ok = True
-        for a, b in pairs:
-            u, v = float(x.times[yj[b]]), float(x_n.times[xi[a]])
-            if u >= t or v >= t:
-                ok = False
-                break
-            knots.append((u, v))
-        if not ok:
-            continue
-        knots.append((t, t))
-        us = [k[0] for k in knots]
-        vs = [k[1] for k in knots]
-        if np.any(np.diff(us) <= 0) or np.any(np.diff(vs) <= 0):
-            continue
-        lam = TimeChange(tuple(knots))
-        cost = max(lam.sup_deviation(big), deviation(lam, big))
-        if cost < best_cost - _MATCH_TOL:
-            best_cost, best = cost, lam
-    report = {
-        "gamma_sup": best.sup_deviation(t * (1 - 1e-12)),
-        "deviations": {
-            m: deviation(best, t * (1.0 - 1.0 / (1.0 + m)))
-            for m in range(1, m_max + 1)
-        },
-        "gamma": best,
+    _, knots = _best_matching(
+        X, Y, pairs, lambda pc: max(_deviation(pc, big), deviation([pc], m_max)),
+        end=(t, t))
+    gamma = TimeChange(tuple(knots))
+    pieces = [_piece(a, b) for a, b in zip(knots, knots[1:])]
+    return {
+        "gamma_sup": gamma.sup_deviation(t * (1 - 1e-12)),
+        "deviations": {m: deviation(pieces, m) for m in range(1, m_max + 1)},
+        "gamma": gamma,
     }
-    return report
 
 
 def path_to_json(x: StepPath) -> str:

@@ -92,6 +92,22 @@ def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
     return masks
 
 
+def _check_stopping_time(lattice: ScenarioLattice, tau: StoppingTime):
+    ok, witness = validate_stopping_time(lattice, tau.stops)
+    if not ok:
+        raise ValueError(f"invalid stopping time, witness path {witness}")
+
+
+def _not_dominated_at(Q: Measure, P: Measure):
+    """First node (t, i) that Q charges and P does not, or None when Q << P."""
+    for t in range(P.lattice.n_times):
+        bad = np.flatnonzero((Q.node_probabilities(t) > 0)
+                             & (P.node_probabilities(t) == 0))
+        if bad.size:
+            return (t, int(bad[0]))
+    return None
+
+
 def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     """Q's kernels strictly before tau, P's kernels at and after tau.
 
@@ -101,17 +117,11 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     lat = P.lattice
     if Q.lattice is not lat:
         raise ValueError("measures live on different lattices")
-    ok, witness = validate_stopping_time(lat, tau.stops)
-    if not ok:
-        raise ValueError(f"invalid stopping time, witness path {witness}")
-    for t in range(lat.n_times):
-        qp = Q.node_probabilities(t)
-        pp = P.node_probabilities(t)
-        bad = np.where((qp > 0) & (pp == 0))[0]
-        if bad.size:
-            raise ValueError(
-                f"Q is not absolutely continuous w.r.t. P at node ({t},{int(bad[0])})"
-            )
+    _check_stopping_time(lat, tau)
+    bad = _not_dominated_at(Q, P)
+    if bad is not None:
+        raise ValueError(
+            f"Q is not absolutely continuous w.r.t. P at node ({bad[0]},{bad[1]})")
     masks = _stopped_mask(lat, tau)
     return Measure(lat, tuple(
         lat.per_node(k, np.where(masks[k][lat.parents[k + 1]],
@@ -132,16 +142,19 @@ def is_stable(measures: Sequence[Measure], taus: Sequence[StoppingTime]):
 
     For every ordered pair (P, Q) with Q << P node-wise and every given
     stopping time, paste(P, Q, tau) must coincide kernel-wise at its charged
-    nodes with some member.  Returns (bool, missing pasted measure or None).
+    nodes with some member; pairs without Q << P are not constrained.
+    Returns (bool, missing pasted measure or None).  An invalid stopping time
+    raises ValueError naming its witness path.
     """
+    for tau in taus if measures else ():
+        _check_stopping_time(measures[0].lattice, tau)
     for P, Q in itertools.product(measures, repeat=2):
-        try:
-            for tau in taus:
-                R = paste(P, Q, tau)
-                if not any(_same_at_charged(R, M) for M in measures):
-                    return False, R
-        except ValueError:
-            continue  # Q not absolutely continuous w.r.t. P: pair not constrained
+        if _not_dominated_at(Q, P) is not None:
+            continue
+        for tau in taus:
+            R = paste(P, Q, tau)
+            if not any(_same_at_charged(R, M) for M in measures):
+                return False, R
     return True, None
 
 

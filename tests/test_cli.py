@@ -140,6 +140,19 @@ def test_gexp_cfl_guard(tmp_path, capsys):
     assert "stability bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid, band, message", [
+    ({"dt": 0.3, "h": 1.0, "radius": 4, "horizon": 1.0},
+     {"sigma_low": 0.1, "sigma_high": 0.2}, "not a multiple of dt"),
+    ({"dt": 0.25, "h": 1.0, "radius": 4, "horizon": 1.0},
+     {"sigma_low": [0.1] * 3, "sigma_high": [0.2] * 3}, "per-step band"),
+])
+def test_gexp_rejects_off_grid_inputs(tmp_path, capsys, grid, band, message):
+    code, out = run(tmp_path, {"task": "gexp", "grid": grid, "band": band})
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_skorokhod_task(tmp_path):
     doc = {"task": "skorokhod", "t": 1.0, "M": 12,
            "paths": [

@@ -84,6 +84,19 @@ def test_cfl_guard():
         bsb_solve(lambda x: x ** 2, BAND, bad)
 
 
+def test_grid_rejects_a_horizon_off_the_time_grid():
+    # dt = 0.3 on horizon 1 would silently price maturity 0.9
+    with pytest.raises(ValueError, match="not a multiple of dt"):
+        GridSpec(dt=0.3, h=1.0, radius=4, horizon=1.0)
+
+
+def test_check_cfl_rejects_a_band_of_the_wrong_length():
+    grid = GridSpec(dt=0.25, h=1.0, radius=4, horizon=1.0)
+    grid.check_cfl(VolatilityBand([0.1] * 4, [0.2] * 4))
+    with pytest.raises(ValueError, match="per-step band needs 4 entries, got 3"):
+        grid.check_cfl(VolatilityBand([0.1] * 3, [0.2] * 3))
+
+
 def test_conditional_gexp_terminal_at_zero():
     payoff = PayoffSpec("terminal", lambda x: x ** 2)
     surf, value = conditional_gexp(payoff, BAND, COARSE, s=0.0)

@@ -19,6 +19,12 @@ from riskdesk.skorokhod import (
     split_concat,
     transform_path,
 )
+from riskdesk.oracles import (
+    dense_timechange_cost,
+    dm_enumeration_oracle,
+    j1_enumeration_oracle,
+    witness_enumeration_oracle,
+)
 
 
 def jump_path(times, values, horizon=None):
@@ -239,3 +245,89 @@ def test_path_json_round_trip():
     empty = jump_path([], np.zeros((0, 1)), horizon=2.0)
     back_empty = path_from_json(path_to_json(empty))
     assert back_empty.times.size == 0 and back_empty.horizon == 2.0
+
+
+# (jumps in x, jumps in y): empty paths, and up to 5 jumps for the oracle
+SIZES = [(0, 0), (0, 4), (1, 5), (2, 3), (3, 3), (4, 2), (5, 5), (4, 4), (5, 3)]
+
+
+def random_path(rng, k, lo, hi, dim, horizon=None):
+    times = np.unique(rng.uniform(lo, hi, k))
+    values = rng.normal(size=(times.size, dim))
+    if rng.uniform() < 0.5:  # whole levels make cost ties common
+        values = np.round(2.0 * values)
+    return StepPath(times, values, horizon=horizon)
+
+
+def canonical(x, y):
+    return (x, y) if x.sort_key() <= y.sort_key() else (y, x)
+
+
+def test_dm_distance_matches_the_enumeration_oracle():
+    rng = np.random.default_rng(17)
+    for case in range(72):
+        k1, k2 = SIZES[case % len(SIZES)]
+        dim = 2 if case % 4 == 0 else 1
+        m = case % 6 + 1
+        # jumps up to time 8 leave some past m + pair_window and some pairs
+        # further apart than pair_window; jumps near m meet the damping ramp
+        lo, hi = (0.05, 8.0) if case % 2 else (max(0.05, m - 1.5), m + 1.0)
+        x = random_path(rng, k1, lo, hi, dim)
+        y = random_path(rng, k2, lo, hi, dim)
+        value, witness = dm_distance(x, y, m)
+        expected, _ = dm_enumeration_oracle(x, y, m)
+        assert abs(value - expected) <= 1e-12
+        assert dm_distance(y, x, m)[0] == value
+        assert dense_timechange_cost(*canonical(x, y), witness, m) <= value + 1e-9
+
+
+def test_j1_distance_matches_the_enumeration_oracle():
+    rng = np.random.default_rng(18)
+    for case in range(36):
+        k1, k2 = SIZES[case % len(SIZES)]
+        dim = 2 if case % 4 == 0 else 1
+        x = random_path(rng, k1, 0.05, 0.95, dim, horizon=1.0)
+        y = random_path(rng, k2, 0.05, 0.95, dim, horizon=1.0)
+        horizon = (0.5, 0.8, 1.0)[case % 3]
+        value = j1_distance(x, y, horizon)
+        assert abs(value - j1_enumeration_oracle(x, y, horizon)) <= 1e-12
+        assert j1_distance(y, x, horizon) == value
+
+
+def test_convergence_witness_matches_the_enumeration_oracle():
+    rng = np.random.default_rng(19)
+    for case in range(36):
+        k1, k2 = SIZES[case % len(SIZES)]
+        dim = 2 if case % 4 == 0 else 1
+        x_n = random_path(rng, k1, 0.05, 0.95, dim, horizon=1.0)
+        x = random_path(rng, k2, 0.05, 0.95, dim, horizon=1.0)
+        m_max = case % 6 + 1
+        report = convergence_witness(x_n, x, 1.0, m_max)
+        expected = witness_enumeration_oracle(x_n, x, 1.0, m_max)
+        assert abs(report["gamma_sup"] - expected["gamma_sup"]) <= 1e-12
+        for m, dev in expected["deviations"].items():
+            assert abs(report["deviations"][m] - dev) <= 1e-12
+
+
+def test_dm_distance_nine_jumps():
+    rng = np.random.default_rng(9)
+    x = random_path(rng, 9, 0.1, 1.9, 1)
+    y = random_path(rng, 9, 0.1, 1.9, 1)
+    value, witness = dm_distance(x, y, 3)
+    assert dm_distance(y, x, 3)[0] == value
+    assert dense_timechange_cost(*canonical(x, y), witness, 3) <= value + 1e-9
+
+
+def test_dm_distance_matches_all_twelve_jumps():
+    # every jump must be aligned, as the levels step by 5; leaving the 11th
+    # and 12th unmatched would misalign them at a cost >= 5.  The last shift
+    # is 0 because the tail after the last knot has unit slope.
+    times = 0.5 * np.arange(1, 13)
+    shifts = np.array([0.01, -0.03, 0.05, -0.02, 0.04, -0.06,
+                       0.07, -0.01, 0.02, -0.05, 0.03, 0.0])
+    levels = 5.0 * np.arange(1, 13)
+    x, y = StepPath(times, levels), StepPath(times + shifts, levels)
+    value, witness = dm_distance(x, y, 8)
+    assert value == pytest.approx(np.max(np.abs(shifts)), abs=1e-12)
+    assert len(witness.knots) == 13
+    assert dense_timechange_cost(*canonical(x, y), witness, 8) <= value + 1e-9

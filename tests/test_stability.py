@@ -4,6 +4,7 @@ import pytest
 from riskdesk.fixtures import (
     fix_a_family,
     fix_a_lattice,
+    iid_binary_measure,
     random_family,
     random_lattice,
     random_rv,
@@ -73,6 +74,25 @@ def test_two_member_family_is_not_stable():
         or not np.allclose(missing.kernels[1][0], Q.kernels[1][0])
         for Q in (q1, q2)
     )
+
+
+def test_is_stable_rejects_an_invalid_stopping_time():
+    lat, q1, q2, _ = fix_a_family()
+    bad = StoppingTime(frozenset({NodeRef(1, 0)}))  # misses the path through (1, 1)
+    for taus in ([bad] + all_stopping_times(lat), all_stopping_times(lat) + [bad]):
+        with pytest.raises(ValueError, match="invalid stopping time, witness path"):
+            is_stable([q1, q2], taus)
+
+
+def test_is_stable_skips_pairs_without_absolute_continuity():
+    lat, q1, _, _ = fix_a_family()
+    sure_up = iid_binary_measure(lat, 1.0)  # q1 is not << sure_up
+    ok, missing = is_stable([sure_up, q1], [StoppingTime.deterministic(lat, 0)])
+    assert ok and missing is None
+    # pasting sure_up into q1 is constrained, and escapes the pair
+    ok, missing = is_stable([sure_up, q1], all_stopping_times(lat))
+    assert not ok
+    assert np.array_equal(missing.kernels[0][0], [1.0, 0.0])
 
 
 def test_hull_selections_are_stable():
