@@ -1,10 +1,11 @@
-"""Uncertain-volatility pricing: trinomial band recursion vs the explicit
-nonlinear PDE scheme, with closed-form cross-checks.
+"""Uncertain-volatility pricing: the band evolution on a grid, checked
+against closed forms and against the robust recursion on a trinomial tree.
 
 The upper price of a convex payoff over all martingale laws with one-step
 volatility in [0.1, 0.2] is the Black-Scholes price at the high volatility;
-concave payoffs price at the low one.  Both code paths share the generator
-g(a) = (hi^2 a+ - lo^2 a-) / 2 and agree to grid accuracy.
+concave payoffs price at the low one.  The grid evolution
+v <- v + dt g(D2 v), g(a) = (hi^2 a+ - lo^2 a-) / 2, is the same sup taken
+node by node on the full trinomial scenario tree.
 """
 
 import numpy as np
@@ -14,13 +15,12 @@ from riskdesk import (
     PayoffSpec,
     VolatilityBand,
     bid_ask,
-    bsb_solve,
     conditional_gexp,
     expectation_under_field,
     random_inband_field,
     robust_lattice_price,
 )
-from riskdesk.oracles import call_upper_value, square_band_values
+from riskdesk.oracles import call_upper_value, square_band_values, trinomial_band_oracle
 
 band = VolatilityBand(0.1, 0.2)
 grid = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=1.0)
@@ -35,10 +35,11 @@ target = call_upper_value(0.2, 1.0)
 bid, ask, _, _ = bid_ask(lambda x: np.maximum(x, 0.0), band, grid)
 print(f"call payoff:   bid {bid:.5f}, ask {ask:.5f} (target {target:.5f})")
 
-# The lattice recursion and the finite-difference scheme agree.
-lat_val, _ = robust_lattice_price(lambda x: np.abs(x), band, grid)
-pde_val, _ = bsb_solve(lambda x: np.abs(x), band, grid)
-print(f"|x| payoff:    lattice {lat_val:.5f}, pde {pde_val:.5f}")
+# The grid evolution and the robust recursion on the 7-step trinomial tree.
+tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)
+grid_val, _ = robust_lattice_price(lambda x: np.abs(x), band, tree_grid)
+tree_val = trinomial_band_oracle(lambda x: np.abs(x), band, tree_grid)
+print(f"|x| payoff, 7 steps: grid {grid_val:.12f}, tree {tree_val:.12f}")
 
 # Conditional values of a two-date cylinder payoff.
 coarse = GridSpec(dt=0.005, h=0.05, radius=40, horizon=1.0)

@@ -76,7 +76,6 @@ from .gexp import (
     VolatilityBand,
     band_membership,
     bid_ask,
-    bsb_solve,
     conditional_gexp,
     expectation_under_field,
     g_function,

@@ -36,7 +36,6 @@ from .gexp import (
     VolatilityBand,
     _evolve,
     bid_ask,
-    bsb_solve,
     expectation_under_field,
     random_inband_field,
     robust_lattice_price,
@@ -56,6 +55,7 @@ from .oracles import (
     conjugate_box_oracle,
     dm_grid_oracle,
     square_band_values,
+    trinomial_band_oracle,
 )
 from .risk import DualRep, minimal_penalty
 from .skorokhod import StepPath, dhat_distance, dm_distance, j1_distance
@@ -271,36 +271,37 @@ def criterion_pasting(seed: int) -> Dict:
 
 
 def criterion_band_pricing(seed: int) -> Dict:
-    """Quantitative band prices on the reference grid, lattice/PDE agreement,
-    structural invariants on random payoffs, and domination of every in-band
-    martingale law between bid and ask."""
+    """Quantitative band prices on the reference grid, bid and ask against
+    the trinomial-tree oracle, structural invariants on random payoffs, and
+    domination of every in-band martingale law between bid and ask."""
     rng = np.random.default_rng(seed)
     band = VolatilityBand(0.1, 0.2)
     grid = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=1.0)
     lo_sq, hi_sq = square_band_values(0.1, 0.2, 1.0)
     call_target = call_upper_value(0.2, 1.0)
 
-    # (violation, tolerance) pairs; the report checks the worst ratio <= 1
-    checks = []
     sq = lambda x: np.asarray(x) ** 2
     call = lambda x: np.maximum(np.asarray(x), 0.0)
-    for payoff, target, tol in ((sq, hi_sq, 2e-3), (call, call_target, 1e-3)):
-        lat_val, _ = robust_lattice_price(payoff, band, grid)
-        pde_val, _ = bsb_solve(payoff, band, grid)
-        checks += [(abs(lat_val - target), tol), (abs(pde_val - target), tol),
-                   (abs(lat_val - pde_val), 1e-3)]
-    bid_lat, _, _, _ = bid_ask(sq, band, grid, method="lattice")
-    bid_pde, _, _, _ = bid_ask(sq, band, grid, method="pde")
-    checks += [(abs(bid_lat - lo_sq), 1e-3), (abs(bid_pde - lo_sq), 1e-3),
-               (abs(bid_lat - bid_pde), 1e-3)]
+    cube = lambda x: np.asarray(x) ** 3
+    bid_sq, ask_sq, _, _ = bid_ask(sq, band, grid)
+    ask_call, _ = robust_lattice_price(call, band, grid)
+    # (violation, tolerance) pairs; the report checks the worst ratio <= 1
+    checks = [(abs(ask_sq - hi_sq), 2e-3), (abs(ask_call - call_target), 1e-3),
+              (abs(bid_sq - lo_sq), 1e-3)]
+
+    tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps
+    for payoff in (sq, call, cube):
+        bid, ask, _, _ = bid_ask(payoff, band, tree_grid)
+        oracle_bid = -trinomial_band_oracle(lambda x: -payoff(x), band, tree_grid)
+        oracle_ask = trinomial_band_oracle(payoff, band, tree_grid)
+        checks += [(abs(bid - oracle_bid), 1e-12), (abs(ask - oracle_ask), 1e-12)]
 
     coarse = GridSpec(dt=0.01, h=0.05, radius=40, horizon=1.0)
     xs = coarse.x
     inv_worst = 0.0
 
     def upper(v):
-        return _evolve(np.asarray(v, dtype=float), band, coarse,
-                       coarse.n_steps, 0, lower=False)
+        return _evolve(np.asarray(v, dtype=float), band, coarse, coarse.n_steps, 0)
 
     for _ in range(100):
         vx = rng.uniform(-1.0, 1.0, xs.size)
@@ -313,11 +314,11 @@ def criterion_band_pricing(seed: int) -> Dict:
         inv_worst = max(inv_worst, float(np.max(ux - upper(shift))))
         k = int(rng.integers(1, coarse.n_steps))
         staged = _evolve(_evolve(np.asarray(vx, dtype=float), band, coarse,
-                                 coarse.n_steps, k, False), band, coarse, k, 0, False)
+                                 coarse.n_steps, k), band, coarse, k, 0)
         inv_worst = max(inv_worst, float(np.max(np.abs(staged - ux))))
 
     dom_worst = 0.0
-    bid_c, ask_c, _, _ = bid_ask(call, band, coarse, method="pde")
+    bid_c, ask_c, _, _ = bid_ask(call, band, coarse)
     for _ in range(20):
         field = random_inband_field(coarse, band, rng)
         ev = expectation_under_field(call, field, coarse)

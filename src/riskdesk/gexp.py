@@ -6,11 +6,11 @@ with one-step variance in a band [lo, hi] reduces, step by step, to
     V <- V + dt * g(second difference),   g(a) = (hi * a+  -  lo * a-) / 2,
 
 because the one-step expectation is linear in the variance choice and the
-sup is attained at a band endpoint.  The same generator drives the explicit
-finite-difference scheme for the nonlinear PDE; the two code paths are kept
-separate and cross-checked.  Bid = -ask(-X), so convex payoffs price at the
-upper volatility and concave ones at the lower (closed-form oracles in the
-tests).
+sup is attained at a band endpoint.  This is also the explicit
+finite-difference scheme for the nonlinear PDE.  One evolution runs it for
+every price here; ``oracles.trinomial_band_oracle`` recomputes it on a
+scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
+volatility and concave ones at the lower (closed-form oracles in the tests).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "CFLError",
     "g_function",
     "robust_lattice_price",
-    "bsb_solve",
     "bid_ask",
     "conditional_gexp",
     "quadratic_variation",
@@ -114,7 +113,6 @@ class PayoffSpec:
     kind: str  # "terminal" | "cylinder"
     fn: Callable
     monitoring_times: tuple = ()
-    lipschitz: float = 1.0
     max_coords: int = 2
 
     def __post_init__(self):
@@ -152,80 +150,52 @@ def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def robust_lattice_price(payoff, band: VolatilityBand, grid: GridSpec,
-                         lower: bool = False):
-    """Backward trinomial recursion over the band; returns (value at (0, 0),
-    full surface of shape (n_steps + 1, n_space)).
+def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
+            k_from: int, k_to: int, surface: np.ndarray = None) -> np.ndarray:
+    """Backward band evolution of a (..., n_space) array from step k_from
+    down to k_to along the last axis, writing the step-k array into
+    ``surface[k]`` when a surface is given.
 
     One step takes, per state, the better of the two band-endpoint kernels
     p_+- = v/(2 h^2), p_0 = 1 - v/h^2 -- the sup over the band is attained
-    there because the expectation is linear in v.
+    there because the expectation is linear in v -- which is the update
+    v + dt g(D2 v).
     """
-    grid.check_cfl(band)
-    x = grid.x
-    v = np.asarray(payoff(x), dtype=float)
-    surface = np.empty((grid.n_steps + 1, x.size))
-    surface[grid.n_steps] = v
-    for k in range(grid.n_steps - 1, -1, -1):
-        lo, hi = band.at_step(k)
-        d2 = _second_difference(v, grid.h)
-        cand_lo = v + 0.5 * lo ** 2 * grid.dt * d2
-        cand_hi = v + 0.5 * hi ** 2 * grid.dt * d2
-        v = np.minimum(cand_lo, cand_hi) if lower else np.maximum(cand_lo, cand_hi)
-        surface[k] = v
-    return float(v[grid.radius]), surface
-
-
-def bsb_solve(payoff, band: VolatilityBand, grid: GridSpec,
-              lower: bool = False):
-    """Explicit finite-difference scheme u(t - dt) = u(t) + dt g(D2 u).
-
-    Same generator as the lattice recursion but written through g directly;
-    returns (value at (0, 0), full surface).
-    """
-    grid.check_cfl(band)
-    x = grid.x
-    u = np.asarray(payoff(x), dtype=float)
-    surface = np.empty((grid.n_steps + 1, x.size))
-    surface[grid.n_steps] = u
-    for k in range(grid.n_steps - 1, -1, -1):
-        lo, hi = band.at_step(k)
-        d2 = _second_difference(u, grid.h)
-        if lower:
-            u = u - grid.dt * g_function(-d2, lo, hi)
-        else:
-            u = u + grid.dt * g_function(d2, lo, hi)
-        surface[k] = u
-    return float(u[grid.radius]), surface
-
-
-def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice"):
-    """(bid, ask) values and surfaces; bid = -ask(-X), bid <= ask node-wise."""
-    solver = robust_lattice_price if method == "lattice" else bsb_solve
-    ask, ask_surface = solver(payoff, band, grid, lower=False)
-    neg_val, neg_surface = solver(lambda x: -np.asarray(payoff(x)), band, grid,
-                                  lower=False)
-    return -neg_val, ask, -neg_surface, ask_surface
-
-
-def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
-            k_from: int, k_to: int, lower: bool) -> np.ndarray:
-    """Backward band evolution of a (..., n_space) array from step k_from
-    down to k_to along the last axis."""
     v = values
     for k in range(k_from - 1, k_to - 1, -1):
         lo, hi = band.at_step(k)
         d2 = _second_difference(v, grid.h)
-        if lower:
-            v = v - grid.dt * g_function(-d2, lo, hi)
-        else:
-            v = v + grid.dt * g_function(d2, lo, hi)
+        v = np.maximum(v + 0.5 * lo ** 2 * grid.dt * d2,
+                       v + 0.5 * hi ** 2 * grid.dt * d2)
+        if surface is not None:
+            surface[k] = v
     return v
 
 
+def robust_lattice_price(payoff, band: VolatilityBand, grid: GridSpec):
+    """Upper band price of a terminal payoff: (value at (0, 0), full surface
+    of shape (n_steps + 1, n_space)).  The lower price is -price(-payoff)."""
+    grid.check_cfl(band)
+    v = np.asarray(payoff(grid.x), dtype=float)
+    surface = np.empty((grid.n_steps + 1, v.size))
+    surface[grid.n_steps] = v
+    v = _evolve(v, band, grid, grid.n_steps, 0, surface)
+    return float(v[grid.radius]), surface
+
+
+def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice"):
+    """(bid, ask) values and surfaces; bid = -ask(-X), bid <= ask node-wise.
+
+    ``method`` is "lattice" or "pde", two names of the same evolution."""
+    if method not in ("lattice", "pde"):
+        raise ValueError(f"method must be 'lattice' or 'pde', got {method!r}")
+    ask, ask_surface = robust_lattice_price(payoff, band, grid)
+    neg, neg_surface = robust_lattice_price(lambda x: -np.asarray(payoff(x)), band, grid)
+    return -neg, ask, -neg_surface, ask_surface
+
+
 def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
-                     s: float, observed: Sequence[float] = (),
-                     lower: bool = False):
+                     s: float, observed: Sequence[float] = ()):
     """Conditional band expectation of a cylinder payoff at time s.
 
     Peels monitoring dates backward: between dates the running coordinate is
@@ -235,12 +205,8 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
     grid as a function of B_s, interpolating callable).
     """
     grid.check_cfl(band)
-    if payoff.kind == "terminal":
-        times = (grid.horizon,)
-        fn = payoff.fn
-    else:
-        times = payoff.monitoring_times
-        fn = payoff.fn
+    times = (grid.horizon,) if payoff.kind == "terminal" else payoff.monitoring_times
+    fn = payoff.fn
     steps = [int(round(u / grid.dt)) for u in times]
     if any(abs(u - k * grid.dt) > 1e-9 for u, k in zip(times, steps)):
         raise ValueError("monitoring times must lie on the time grid")
@@ -262,17 +228,17 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
         surf = np.full(x.size, val)
     elif len(free) == 1:
         terminal = np.asarray(fn(*fixed, x), dtype=float)
-        surf = _evolve(terminal, band, grid, free_steps[0], s_step, lower)
+        surf = _evolve(terminal, band, grid, free_steps[0], s_step)
     elif len(free) == 2:
         k1, k2 = free_steps
         # state augmentation: rows index the frozen first coordinate
         yy, xx = np.meshgrid(x, x, indexing="ij")
         w = np.asarray(fn(*fixed, yy, xx), dtype=float)
-        w = _evolve(w, band, grid, k2, k1, lower)
+        w = _evolve(w, band, grid, k2, k1)
         diag = np.diagonal(w).copy()  # at t1 the running value is the coordinate
-        surf = _evolve(diag, band, grid, k1, s_step, lower)
+        surf = _evolve(diag, band, grid, k1, s_step)
     else:
-        raise ValueError("more than 2 free monitoring dates need the tree fallback")
+        raise ValueError(f"{len(free)} free monitoring dates: at most 2 are supported")
 
     def value(b_s: float) -> float:
         return float(np.interp(b_s, x, surf))

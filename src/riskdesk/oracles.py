@@ -4,8 +4,9 @@ Each oracle recomputes a quantity from its raw definition, avoiding the code
 path under test: the convex conjugate by optimizing over test positions
 directly (growing box), literal grid search on tiny fixtures, dense-sampled
 Skorokhod costs over candidate time changes, Skorokhod distances by
-evaluating every monotone jump matching as one whole time change, and closed
-forms / quadrature for the band prices of standard payoffs.
+evaluating every monotone jump matching as one whole time change, band
+prices by the robust recursion on a trinomial scenario tree, and closed
+forms for the band prices of standard payoffs.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fixtures import trinomial_tree
+from .gexp import GridSpec, VolatilityBand
 from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
 from .measures import Measure
 from .skorokhod import StepPath, TimeChange, g_damping
+from .stability import RectangularFamily, robust_evaluate
 
 __all__ = [
     "conjugate_box_oracle",
@@ -28,7 +32,7 @@ __all__ = [
     "dm_enumeration_oracle",
     "j1_enumeration_oracle",
     "witness_enumeration_oracle",
-    "gauss_hermite_expectation",
+    "trinomial_band_oracle",
     "call_upper_value",
     "square_band_values",
 ]
@@ -284,12 +288,25 @@ def witness_enumeration_oracle(x_n: StepPath, x: StepPath, t: float, m_max: int)
     }
 
 
-def gauss_hermite_expectation(payoff, sigma: float, horizon: float,
-                              n_points: int = 200) -> float:
-    """E f(sigma sqrt(T) Z), Z standard normal, by Gauss-Hermite quadrature."""
-    nodes, weights = np.polynomial.hermite_e.hermegauss(n_points)
-    vals = np.asarray(payoff(sigma * np.sqrt(horizon) * nodes), dtype=float)
-    return float(np.dot(weights, vals) / np.sqrt(2.0 * np.pi))
+def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float:
+    """Upper band price of a terminal payoff by ``robust_evaluate`` on the full
+    trinomial tree of the grid (3^n_steps leaves), each node offering the two
+    band-endpoint kernels p_+- = sigma^2 dt / (2 h^2), p_0 = 1 - sigma^2 dt / h^2.
+    The tree has no boundary, so the grid must have radius >= n_steps."""
+    if grid.radius < grid.n_steps:
+        raise ValueError(f"radius {grid.radius} < {grid.n_steps} steps")
+    grid.check_cfl(band)
+    lat = trinomial_tree(grid.h, grid.n_steps, grid.dt)
+
+    def kernel(sigma):
+        var = sigma ** 2 * grid.dt / grid.h ** 2
+        return np.array([var / 2.0, 1.0 - var, var / 2.0])
+
+    levels = tuple((tuple(kernel(sigma) for sigma in band.at_step(k)),) * lat.n_nodes(k)
+                   for k in range(grid.n_steps))
+    T = lat.terminal
+    X = RandomVariable(lat, T, -np.asarray(payoff(lat.values[T][:, 0]), dtype=float))
+    return float(robust_evaluate(RectangularFamily(lat, levels), X, 0).values[0])
 
 
 def call_upper_value(sigma_high: float, horizon: float) -> float:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from riskdesk.cli import (
@@ -10,6 +11,8 @@ from riskdesk.cli import (
     main,
     validate_config,
 )
+from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
+from riskdesk.oracles import call_upper_value
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -128,6 +131,46 @@ def test_gexp_task(tmp_path):
     assert results["error_estimate"] <= 1e-3
     header = (out / "surface.csv").read_text().splitlines()[0]
     assert header == "t,x,value"
+
+
+@pytest.mark.parametrize("grid", [
+    {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0},
+    {"dt": 1e-3, "h": 0.01, "radius": 100, "horizon": 1.0},
+])
+def test_gexp_error_estimate_tracks_the_closed_form_error(tmp_path, grid):
+    doc = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+           "grid": grid, "payoff": {"kind": "call"}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_OK
+    results = read_report(out)["results"]
+    error = abs(results["ask"] - call_upper_value(0.2, 1.0))
+    assert 0.5 * error <= results["error_estimate"] <= error
+    # refined to h/2 and dt/4 over the same extent
+    fine = GridSpec(grid["dt"] / 4, grid["h"] / 2, 2 * grid["radius"], 1.0)
+    refined, _ = robust_lattice_price(lambda x: np.maximum(x, 0.0),
+                                      VolatilityBand(0.1, 0.2), fine)
+    assert results["error_estimate"] == abs(results["ask"] - refined)
+
+
+def test_gexp_error_estimate_refines_a_per_step_band(tmp_path):
+    grid = {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}
+    estimates = []
+    for band in ({"sigma_low": 0.1, "sigma_high": 0.2},
+                 {"sigma_low": [0.1] * 200, "sigma_high": [0.2] * 200}):
+        code, out = run(tmp_path, {"task": "gexp", "band": band, "grid": grid,
+                                   "payoff": {"kind": "call"}})
+        assert code == EXIT_OK
+        estimates.append(read_report(out)["results"]["error_estimate"])
+    assert estimates[0] == estimates[1] > 0.0
+
+
+def test_gexp_validation_rejects_an_unknown_method(tmp_path, capsys):
+    doc = {"task": "gexp", "method": "fd",
+           "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+           "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--validate-only"]) == EXIT_CONFIG
+    assert "method must be 'lattice' or 'pde', got 'fd'" in capsys.readouterr().err
 
 
 def test_gexp_cfl_guard(tmp_path, capsys):

@@ -9,7 +9,6 @@ from riskdesk.gexp import (
     VolatilityBand,
     band_membership,
     bid_ask,
-    bsb_solve,
     conditional_gexp,
     expectation_under_field,
     g_function,
@@ -19,7 +18,7 @@ from riskdesk.gexp import (
     robust_lattice_price,
 )
 from riskdesk.measures import Measure
-from riskdesk.oracles import call_upper_value, square_band_values
+from riskdesk.oracles import call_upper_value, square_band_values, trinomial_band_oracle
 
 BAND = VolatilityBand(0.1, 0.2)
 FINE = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=1.0)
@@ -48,22 +47,30 @@ def test_call_payoff_prices():
     assert bid == pytest.approx(call_upper_value(0.1, 1.0), abs=1e-3)
 
 
-def test_lattice_and_pde_agree():
-    for payoff in (lambda x: x ** 2, lambda x: np.maximum(x, 0.0),
-                   lambda x: np.abs(x)):
-        lat_val, lat_surf = robust_lattice_price(payoff, BAND, COARSE)
-        pde_val, pde_surf = bsb_solve(payoff, BAND, COARSE)
-        assert abs(lat_val - pde_val) <= 1e-3
-        assert np.max(np.abs(lat_surf - pde_surf)) <= 5e-3
+def test_band_prices_match_the_trinomial_tree_oracle():
+    tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps
+    stepped = VolatilityBand(np.linspace(0.05, 0.15, 7), np.linspace(0.2, 0.22, 7))
+    for band in (BAND, stepped):
+        for payoff in (lambda x: x ** 2, lambda x: np.maximum(x, 0.0),
+                       lambda x: x ** 3, lambda x: np.abs(x - 0.07)):
+            bid, ask, _, _ = bid_ask(payoff, band, tree_grid)
+            assert abs(ask - trinomial_band_oracle(payoff, band, tree_grid)) <= 1e-12
+            assert abs(bid + trinomial_band_oracle(lambda x: -payoff(x), band,
+                                                   tree_grid)) <= 1e-12
+
+
+def test_trinomial_band_oracle_needs_the_grid_to_reach_every_leaf():
+    short = GridSpec(dt=0.05, h=0.05, radius=6, horizon=0.35)
+    with pytest.raises(ValueError, match="radius 6 < 7 steps"):
+        trinomial_band_oracle(lambda x: x ** 2, BAND, short)
 
 
 def test_affine_payoff_exact():
     # zero curvature everywhere, so every band choice gives the same value
     val, surf = robust_lattice_price(lambda x: 2.0 * x + 3.0, BAND, COARSE)
     assert val == 3.0
-    lo_val, _ = robust_lattice_price(lambda x: 2.0 * x + 3.0, BAND, COARSE,
-                                     lower=True)
-    assert lo_val == 3.0
+    neg_val, _ = robust_lattice_price(lambda x: -2.0 * x - 3.0, BAND, COARSE)
+    assert -neg_val == 3.0
     assert np.max(np.abs(surf[0] - surf[-1])) <= 1e-10
 
 
@@ -81,7 +88,18 @@ def test_cfl_guard():
     with pytest.raises(CFLError, match="stability bound"):
         robust_lattice_price(lambda x: x ** 2, BAND, bad)
     with pytest.raises(CFLError):
-        bsb_solve(lambda x: x ** 2, BAND, bad)
+        bid_ask(lambda x: x ** 2, BAND, bad)
+
+
+def test_bid_ask_methods_are_one_evolution_and_a_typo_is_rejected():
+    payoff = lambda x: np.abs(x)
+    lattice = bid_ask(payoff, BAND, COARSE, method="lattice")
+    pde = bid_ask(payoff, BAND, COARSE, method="pde")
+    ask, ask_surf = robust_lattice_price(payoff, BAND, COARSE)
+    assert lattice[1] == pde[1] == ask
+    assert np.array_equal(lattice[3], ask_surf) and np.array_equal(pde[2], lattice[2])
+    with pytest.raises(ValueError, match="method must be 'lattice' or 'pde'"):
+        bid_ask(payoff, BAND, COARSE, method="typo")
 
 
 def test_grid_rejects_a_horizon_off_the_time_grid():
@@ -137,8 +155,14 @@ def test_conditional_gexp_staged_consistency():
     mid, _ = conditional_gexp(cyl, BAND, COARSE, s=0.5)
     direct, _ = conditional_gexp(cyl, BAND, COARSE, s=0.0)
     k_mid = int(round(0.5 / COARSE.dt))
-    assert np.max(np.abs(_evolve(mid, BAND, COARSE, k_mid, 0, False)
-                         - direct)) <= 1e-12
+    assert np.max(np.abs(_evolve(mid, BAND, COARSE, k_mid, 0) - direct)) <= 1e-12
+
+
+def test_conditional_gexp_states_its_date_limit():
+    cyl = PayoffSpec("cylinder", lambda a, b, c: a + b + c,
+                     monitoring_times=(0.25, 0.5, 1.0), max_coords=3)
+    with pytest.raises(ValueError, match="3 free monitoring dates: at most 2"):
+        conditional_gexp(cyl, BAND, COARSE, s=0.0)
 
 
 def test_conditional_gexp_off_grid_times_rejected():
