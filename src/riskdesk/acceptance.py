@@ -171,7 +171,7 @@ def criterion_time_consistency(seed: int) -> Dict:
         T = lat.terminal
         s = int(rng.integers(1, T))
         Xs = [random_rv(lat, t, rng) for t in range(T + 1) for _ in range(100 // (T + 1) + 1)]
-        rec_worst = max(rec_worst, check_recursion(dyn, Xs))
+        rec_worst = max(rec_worst, check_recursion(dyn, Xs)[0])
         rep_rt = expand_dual(dyn, 0, T)
         rep_rs = expand_dual(dyn, 0, s)
         rep_st = expand_dual(dyn, s, T)

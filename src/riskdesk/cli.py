@@ -10,9 +10,9 @@ artifacts into the output directory:
                    kept out of the main report so reports stay byte-identical)
     *.csv          node tables (node_id, time, value) or surfaces (t, x, value)
 
-Exit codes: 0 success, 1 config/schema error, 2 numeric guard (infeasible
-LP where feasibility was required, grid stability bound), 3 check failure
-above tolerance.
+Exit codes: 0 success, 1 config/schema error (a grid that violates the
+stability bound included), 2 numeric guard (infeasible LP where feasibility
+was required), 3 check failure above tolerance.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .acceptance import run_all
-from .dynamics import DynamicRM, OneStepStructure, onestep_from_json
+from .dynamics import DynamicRM, OneStepStructure, check_recursion, onestep_from_json
 from .fixtures import fix_a_lattice, iid_binary_measure, random_rv
-from .gexp import CFLError, GridSpec, VolatilityBand, _evolve, bid_ask
+from .gexp import GridSpec, VolatilityBand, _evolve, bid_ask
 from .lattice import RandomVariable, ScenarioLattice, lattice_from_json
 from .measures import measure_from_json
 from .risk import DualRep, dualrep_from_json, minimal_penalty, rm_evaluate
@@ -49,10 +49,6 @@ class ConfigError(ValueError):
 
 
 class NumericGuard(RuntimeError):
-    pass
-
-
-class CheckFailure(RuntimeError):
     pass
 
 
@@ -200,23 +196,10 @@ def _task_consistency(config, rng):
     dyn = DynamicRM(lat, structure)
     tol = float(config.get("tolerance", 1e-9))
     n = int(config.get("n_positions", 100))
-    T = lat.terminal
-    worst, w_node, w_x = 0.0, None, None
-    for _ in range(n):
-        t = int(rng.integers(1, T + 1))
-        X = random_rv(lat, t, rng)
-        for r in range(t + 1):
-            for s in range(r, t + 1):
-                direct = dyn.rho(r, t, X).values
-                staged = dyn.rho(r, s, -dyn.rho(s, t, X)).values
-                gap = np.abs(direct - staged)
-                node = int(np.argmax(gap))
-                if gap[node] > worst or w_node is None:
-                    worst = float(gap[node])
-                    w_node = [r, node]
-                    w_x = [float(v) for v in X.values]
-    results = {"max_violation": worst, "witness_node": w_node, "witness_X": w_x,
-               "tolerance": tol}
+    Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(n)]
+    worst, (i, r, _, node) = check_recursion(dyn, Xs)
+    results = {"max_violation": worst, "witness_node": [r, node],
+               "witness_X": [float(v) for v in Xs[i].values], "tolerance": tol}
     code = EXIT_OK if worst <= tol else EXIT_CHECK
     return results, {"recursion": worst}, {}, code
 
@@ -264,10 +247,7 @@ def _task_gexp(config, rng):
     else:
         raise ConfigError(f"gexp: unknown payoff kind {kind!r}")
     method = config.get("method", "lattice")
-    try:
-        bid, ask, _, ask_surface = bid_ask(payoff, band, grid, method=method)
-    except CFLError as exc:
-        raise NumericGuard(str(exc))
+    bid, ask, _, ask_surface = bid_ask(payoff, band, grid, method=method)
     results = {
         "bid": bid, "ask": ask, "value": ask, "method": method,
         "grid": {"dt": grid.dt, "h": grid.h, "radius": grid.radius,

@@ -119,10 +119,12 @@ class DynamicRM:
             raise ValueError("need 0 <= s <= t <= terminal")
         if X.t != t:
             raise ValueError(f"X must live at time index {t}")
+        return RandomVariable(self.lattice, s, self._rho(s, t, -X.values))
+
+    def _rho(self, s: int, t: int, g) -> np.ndarray:
+        """The recursion from (..., n_t) values G_t = -X down to G_s."""
         st = self.structure
-        g = _backward(self.lattice, s, -X.values, st.flat_kernels[s:t],
-                      st.flat_penalties[s:t])
-        return RandomVariable(self.lattice, s, g)
+        return _backward(self.lattice, s, g, st.flat_kernels[s:t], st.flat_penalties[s:t])
 
     def evaluator(self, s: int, t: int) -> Evaluator:
         return Evaluator(s, t, lambda X: self.rho(s, t, X))
@@ -203,22 +205,28 @@ def recursion_violation(rho_rt: Evaluator, rho_rs: Evaluator, rho_st: Evaluator,
     return worst
 
 
-def check_recursion(dyn: DynamicRM, Xs: Sequence[RandomVariable]) -> float:
-    """Max recursion violation over all index triples r <= s <= t."""
-    T = dyn.lattice.terminal
-    worst = 0.0
-    for t in range(T + 1):
-        test = [X for X in Xs if X.t == t]
-        if not test:
-            continue
-        for r in range(t + 1):
-            for s in range(r, t + 1):
-                worst = max(
-                    worst,
-                    recursion_violation(dyn.evaluator(r, t), dyn.evaluator(r, s),
-                                        dyn.evaluator(s, t), test),
-                )
-    return worst
+def check_recursion(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
+    """Max recursion violation over all index triples r <= s <= t, and its
+    witness (position index, r, s, node): the first in that order to attain
+    it (None without positions).  The positions of each t run as one stack."""
+    peak, where = np.zeros(len(Xs)), [None] * len(Xs)
+    for t in sorted({X.t for X in Xs}):
+        idx = [i for i, X in enumerate(Xs) if X.t == t]
+        minus_x = -np.stack([Xs[i].values for i in idx])
+        g = [dyn._rho(u, t, minus_x) for u in range(t + 1)]
+        pairs = [(r, s) for r in range(t + 1) for s in range(r, t + 1)]
+        # one column per (r, s, node); rho_{r,s}(-rho_{s,t}(X)) starts from
+        # G_s = rho_{s,t}(X) itself
+        cols = [(r, s, node) for r, s in pairs for node in range(g[r].shape[1])]
+        gap = np.concatenate([np.abs(g[r] - dyn._rho(r, s, g[s])) for r, s in pairs], axis=1)
+        col = np.argmax(gap, axis=1)
+        peak[idx] = gap[np.arange(len(idx)), col]
+        for i, c in zip(idx, col):
+            where[i] = cols[c]
+    if not Xs:
+        return 0.0, None
+    i = int(np.argmax(peak))
+    return float(peak[i]), (i, *where[i])
 
 
 def acceptance_decompose(X: RandomVariable, dyn: DynamicRM, r: int, s: int,
@@ -260,12 +268,20 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
             )
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
-    rhos = {s: dyn.rho(s, T, X) for s in grid}
-    worst = -np.inf
     for a, s in enumerate(grid):
-        for sp in grid[a + 1:]:
-            gap = conditional_expectation(rhos[sp], P, s).values - rhos[s].values
-            worst = max(worst, float(np.max(gap)))
+        if not (grid[a - 1] if a else -1) < s <= T:
+            raise ValueError(f"grid date {s} is not strictly increasing inside [0, {T}]")
+    # one walk down the grid: rho_{s,T} = rho_{s,s_next}(-rho_{s_next,T}), and
+    # E_P(rho_{s',T} | B_s) for every later grid date s' as one stacked array
+    t = grid[-1] if grid else T
+    g = dyn._rho(t, T, -X.values)
+    later = np.empty((0, g.size))
+    worst = -np.inf
+    for s in reversed(grid[:-1]):
+        later = _backward(lat, s, np.vstack([later, g]), P.flat_kernels[s:t])
+        g = dyn._rho(s, t, g)
+        worst = max(worst, float(np.max(later - g)))
+        t = s
     return worst
 
 

@@ -39,6 +39,9 @@ __all__ = [
 ]
 
 
+_MAX_COORDS = 2  # monitoring dates a cylinder payoff may have
+
+
 class CFLError(ValueError):
     """Explicit-scheme stability bound dt * sigma_high^2 <= h^2 violated."""
 
@@ -113,7 +116,6 @@ class PayoffSpec:
     kind: str  # "terminal" | "cylinder"
     fn: Callable
     monitoring_times: tuple = ()
-    max_coords: int = 2
 
     def __post_init__(self):
         if self.kind not in ("terminal", "cylinder"):
@@ -121,11 +123,9 @@ class PayoffSpec:
         if self.kind == "cylinder":
             if not self.monitoring_times:
                 raise ValueError("cylinder payoffs need monitoring times")
-            if len(self.monitoring_times) > self.max_coords:
-                raise ValueError(
-                    f"{len(self.monitoring_times)} monitoring dates exceed the "
-                    f"cap {self.max_coords}"
-                )
+            if len(self.monitoring_times) > _MAX_COORDS:
+                raise ValueError(f"{len(self.monitoring_times)} monitoring dates exceed the "
+                                 f"limit: at most {_MAX_COORDS} are supported")
             if any(b <= a for a, b in zip(self.monitoring_times,
                                           self.monitoring_times[1:])):
                 raise ValueError("monitoring times must be strictly increasing")
@@ -229,7 +229,7 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
     elif len(free) == 1:
         terminal = np.asarray(fn(*fixed, x), dtype=float)
         surf = _evolve(terminal, band, grid, free_steps[0], s_step)
-    elif len(free) == 2:
+    else:  # two free dates, the most a PayoffSpec has
         k1, k2 = free_steps
         # state augmentation: rows index the frozen first coordinate
         yy, xx = np.meshgrid(x, x, indexing="ij")
@@ -237,8 +237,6 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
         w = _evolve(w, band, grid, k2, k1)
         diag = np.diagonal(w).copy()  # at t1 the running value is the coordinate
         surf = _evolve(diag, band, grid, k1, s_step)
-    else:
-        raise ValueError(f"{len(free)} free monitoring dates: at most 2 are supported")
 
     def value(b_s: float) -> float:
         return float(np.interp(b_s, x, surf))

@@ -8,9 +8,12 @@ from riskdesk.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
+    _fix_a_menu_structure,
     main,
     validate_config,
 )
+from riskdesk.dynamics import DynamicRM, check_recursion
+from riskdesk.fixtures import fix_a_lattice, random_rv
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
 from riskdesk.oracles import call_upper_value
 
@@ -107,6 +110,20 @@ def test_consistency_task(tmp_path):
     assert results["witness_node"] is not None and results["witness_X"] is not None
 
 
+def test_consistency_witness_is_the_check_recursion_witness(tmp_path):
+    doc = {"task": "consistency", "seed": 11, "n_positions": 30}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_OK
+    results = read_report(out)["results"]
+    lat = fix_a_lattice()
+    rng = np.random.default_rng(11)
+    Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(30)]
+    worst, (i, r, _, node) = check_recursion(DynamicRM(lat, _fix_a_menu_structure(lat)), Xs)
+    assert results["max_violation"] == worst
+    assert results["witness_node"] == [r, node]
+    assert results["witness_X"] == Xs[i].values.tolist()
+
+
 def test_stability_task_and_hull_repair(tmp_path):
     code, out = run(tmp_path, {"task": "stability"})
     assert code == EXIT_CHECK
@@ -181,6 +198,16 @@ def test_gexp_cfl_guard(tmp_path, capsys):
     # validation already rejects the unstable grid with the bound in the message
     assert main(["--config", cfg, "--validate-only"]) == EXIT_CONFIG
     assert "stability bound" in capsys.readouterr().err
+
+
+def test_gexp_unstable_grid_full_run_exits_1_without_a_report(tmp_path, capsys):
+    doc = {"task": "gexp",
+           "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+           "grid": {"dt": 0.01, "h": 0.01, "radius": 40, "horizon": 1.0}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert "stability bound" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("grid, band, message", [

@@ -21,10 +21,11 @@ from riskdesk.fixtures import (
     fix_a_lattice,
     iid_binary_measure,
     random_lattice,
+    random_measure,
     random_rv,
 )
 from riskdesk.lattice import RandomVariable, coordinate_process, lift, uniform_tree
-from riskdesk.measures import Measure
+from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
 
 
@@ -190,7 +191,110 @@ def test_check_recursion_holds_by_construction():
     lat, dyn = menu_dynamic()
     rng = np.random.default_rng(19)
     Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
-    assert check_recursion(dyn, Xs) <= 1e-12
+    worst, _ = check_recursion(dyn, Xs)
+    assert worst <= 1e-12
+
+
+def random_menu_dynamic(rng, normalized=False):
+    """Ragged random tree with 1-3 sparse kernel choices per node; when
+    normalized, choice 0 is free.  Returns the law of choice 0 as well."""
+    lat = random_lattice(rng, max_periods=4, max_branch=4)
+    levels = []
+    for k in range(lat.terminal):
+        level = []
+        for ch in lat.children[k]:
+            menu = [(sparse_kernel(rng, len(ch)), float(rng.uniform(0.0, 0.5)))
+                    for _ in range(int(rng.integers(1, 4)))]
+            if normalized:
+                menu[0] = (menu[0][0], 0.0)
+            level.append(tuple(menu))
+        levels.append(tuple(level))
+    structure = OneStepStructure(lat, tuple(levels))
+    P = Measure(lat, tuple(tuple(menu[0][0] for menu in level) for level in structure.choices))
+    return lat, build_dynamic(structure), P
+
+
+class BentDynamic(DynamicRM):
+    """Not time consistent: every evaluation is bent by (t - s)^2 * 1e-3 * G^2."""
+
+    def _rho(self, s, t, g):
+        out = super()._rho(s, t, g)
+        return out + 1e-3 * (t - s) ** 2 * out * out
+
+
+def per_position_recursion(dyn, Xs):
+    """Reference: three rho calls per position and index triple; the witness
+    (position index, r, s, node) is the first to attain the max."""
+    worst, witness = 0.0, None
+    for i, X in enumerate(Xs):
+        t = X.t
+        for r in range(t + 1):
+            for s in range(r, t + 1):
+                gap = np.abs(dyn.rho(r, t, X).values
+                             - dyn.rho(r, s, -dyn.rho(s, t, X)).values)
+                node = int(np.argmax(gap))
+                if gap[node] > worst or witness is None:
+                    worst, witness = float(gap[node]), (i, r, s, node)
+    return worst, witness
+
+
+def test_check_recursion_matches_the_per_position_loop():
+    rng = np.random.default_rng(83)
+    for trial in range(40):
+        lat, dyn, _ = random_menu_dynamic(rng)
+        if trial % 2:
+            dyn = BentDynamic(lat, dyn.structure)
+        T = lat.terminal
+        Xs = [random_rv(lat, int(rng.integers(0, T + 1)), rng)
+              for _ in range(int(rng.integers(1, 9)))]
+        Xs += Xs[:2]  # repeated positions tie; the first one is the witness
+        worst, witness = check_recursion(dyn, Xs)
+        assert (worst, witness) == per_position_recursion(dyn, Xs)
+        if trial % 2 and max(X.t for X in Xs) >= 2:
+            assert worst > 0  # the bend breaks the recursion
+    assert check_recursion(dyn, []) == (0.0, None)
+
+
+def pairwise_supermartingale(dyn, X, P, grid):
+    """Reference: one rho per grid date and one conditional expectation per
+    pair of dates."""
+    rhos = {s: dyn.rho(s, X.t, X) for s in grid}
+    worst = -np.inf
+    for a, s in enumerate(grid):
+        for sp in grid[a + 1:]:
+            gap = conditional_expectation(rhos[sp], P, s).values - rhos[s].values
+            worst = max(worst, float(np.max(gap)))
+    return worst
+
+
+def test_supermartingale_check_matches_the_pairwise_passes():
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        lat, dyn, P = random_menu_dynamic(rng, normalized=True)
+        T = lat.terminal
+        for t in (T, T - 1):
+            X = random_rv(lat, t, rng)
+            grids = [sorted(set(g)) for g in
+                     (range(t + 1), [0, t], [1, t], [0, 1], [t - 1], [])]
+            assert supermartingale_check(dyn, X, P) == \
+                pairwise_supermartingale(dyn, X, P, grids[0])
+            # kernel_tol = 1 admits any law, under which a gap over distant
+            # dates can exceed the gaps between neighbouring ones
+            Q = random_measure(lat, rng)
+            for grid in grids:
+                assert supermartingale_check(dyn, X, P, grid) == \
+                    pairwise_supermartingale(dyn, X, P, grid)
+                assert supermartingale_check(dyn, X, Q, grid, kernel_tol=1.0) == \
+                    pairwise_supermartingale(dyn, X, Q, grid)
+
+
+@pytest.mark.parametrize("grid, date", [([0, 2, 1], 1), ([0, 1, 1], 1),
+                                        ([0, 3], 3), ([-1, 2], -1)])
+def test_supermartingale_check_rejects_bad_grids(grid, date):
+    lat, dyn = menu_dynamic()
+    X = coordinate_process(lat, 2)
+    with pytest.raises(ValueError, match=f"grid date {date} is not strictly increasing"):
+        supermartingale_check(dyn, X, zero_penalty_member(lat, 0.5), grid)
 
 
 def test_recursion_violation_for_unstable_family():
