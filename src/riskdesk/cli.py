@@ -173,9 +173,8 @@ def _task_penalty(config, rng):
     alpha = minimal_penalty(rep, Q)
     infeasible = bool(np.any(np.isinf(alpha.values)))
     if config.get("require_feasible", False) and infeasible:
-        raise NumericGuard(
-            "penalty: the query is not representable (LP infeasible) at some node"
-        )
+        raise NumericGuard("penalty: the query is not representable at some node: "
+                           "no mixture of the components reaches it")
     results = {
         "penalty": ["inf" if np.isinf(v) else float(v) for v in alpha.values],
         "infeasible_nodes": int(np.sum(np.isinf(alpha.values))),

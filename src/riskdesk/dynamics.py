@@ -43,13 +43,15 @@ __all__ = [
 class OneStepStructure:
     """Per non-terminal node: a finite menu of (kernel weights, penalty).
     Also stored flat, padded with each node's last choice: per time index k,
-    (m_k, n_{k+1}) ``flat_kernels`` and (m_k, n_k) ``flat_penalties``."""
+    (m_k, n_{k+1}) ``flat_kernels`` and (m_k, n_k) ``flat_penalties``.
+    ``normalized`` is True iff the minimum penalty at every node is 0."""
 
     lattice: ScenarioLattice
     choices: tuple  # per time index < T: tuple per node of ((weights, penalty), ...)
 
     flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
     flat_penalties: tuple = field(default=None, init=False, repr=False, compare=False)
+    normalized: bool = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lat = self.lattice
@@ -76,11 +78,8 @@ class OneStepStructure:
         object.__setattr__(self, "choices", tuple(cleaned))
         object.__setattr__(self, "flat_kernels", tuple(kernels))
         object.__setattr__(self, "flat_penalties", tuple(penalties))
-
-    @property
-    def normalized(self) -> bool:
-        """True iff the minimum penalty at every node is 0."""
-        return all(np.all(a.min(axis=0) == 0.0) for a in self.flat_penalties)
+        object.__setattr__(self, "normalized",
+                           all(bool(np.all(a.min(axis=0) == 0.0)) for a in penalties))
 
 
 @dataclass(frozen=True)

@@ -116,15 +116,6 @@ class ScenarioLattice:
     def node_refs(self, t: int):
         return [NodeRef(t, i) for i in range(self.n_nodes(t))]
 
-    def ancestor(self, t: int, i: int, s: int) -> int:
-        """Index of the time-s ancestor of node (t, i); s <= t."""
-        if not 0 <= s <= t:
-            raise ValueError("need 0 <= s <= t")
-        j = i
-        for u in range(t, s, -1):
-            j = int(self.parents[u][j])
-        return j
-
     def ancestors_of_slice(self, t: int, s: int) -> np.ndarray:
         """Array mapping every time-t node to its time-s ancestor index."""
         idx = np.arange(self.n_nodes(t))

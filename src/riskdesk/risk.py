@@ -8,14 +8,21 @@ of (measure, penalty) components and evaluated node-wise as
 a maximum of affine functions of X.  The minimal penalty of an arbitrary
 measure Q is the convex conjugate of that evaluator: at each time-s node it
 is the cheapest convex-combination cost of writing Q's conditional subtree
-law as a mixture of the components' laws, computed by a small linear
-program (+inf when infeasible).  A brute-force oracle over a growing box
-validates this in the tests.
+law as a mixture of the components' laws (+inf when no mixture reaches it).
+That linear program is solved exactly without a solver: its optimum lies at
+a vertex of a bounded polytope, and every vertex is the basic solution of
+some basis of independent columns, so the node enumerates its bases in one
+batched solve.  Only a node with more than ``_MAX_BASES`` bases goes to a
+HiGHS linear program.  A brute-force oracle over a growing box validates
+this in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 import json
@@ -106,17 +113,26 @@ def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
     return out
 
 
+# One tolerance decides rank, reach, non-negativity and residual of a node's
+# mixture problem; its entries are probabilities, so it is absolute.
+_TOL = 1e-10
+# Above this many bases a node goes to HiGHS: near 1,000 the batched
+# enumeration takes as long as one HiGHS call, about 2.5 ms.
+_MAX_BASES = 1000
+
+
 def minimal_penalty(rep: DualRep, Q: Measure,
                     reference: Optional[Measure] = None) -> RandomVariable:
-    """Convex conjugate of the evaluator at Q, node-wise by linear program.
+    """Convex conjugate of the evaluator at Q, node-wise.
 
     At time-s node n, solves  min sum_k lam_k alpha_k(n)  subject to
     lam in the simplex and  sum_k lam_k q_k(n, .) = q(n, .)  on the time-t
-    descendants; +inf when infeasible.  Components with infinite penalty at
-    n are excluded from the program.
+    descendants; +inf when no such lam exists.  Components with infinite
+    penalty at n are excluded.  The program is solved exactly by basis
+    enumeration (see ``_node_penalty``), or by HiGHS at a node with more
+    than ``_MAX_BASES`` bases; a HiGHS failure other than infeasibility
+    raises ``RuntimeError``.
     """
-    from scipy.optimize import linprog  # on first use: the heaviest import here
-
     ref = reference if reference is not None else rep.reference
     if ref is not None:
         status = check_restriction(Q, ref, rep.s)
@@ -126,22 +142,82 @@ def minimal_penalty(rep: DualRep, Q: Measure,
             )
     lat = rep.lattice
     s, t = rep.s, rep.t
+    laws = np.stack([_subtree_laws(Qk, s, t) for Qk, _ in rep.components])
+    pen = np.stack([alpha.values for _, alpha in rep.components])
+    target = _subtree_laws(Q, s, t)
     out = np.empty(lat.n_nodes(s))
     for n in range(lat.n_nodes(s)):
-        target = Q.conditional_subtree_probs(s, n, t)
-        cols, costs = [], []
-        for Qk, alpha in rep.components:
-            if np.isinf(alpha.values[n]):
-                continue
-            cols.append(Qk.conditional_subtree_probs(s, n, t))
-            costs.append(alpha.values[n])
-        A = np.stack(cols, axis=1)
-        A_eq = np.vstack([A, np.ones((1, A.shape[1]))])
-        b_eq = np.concatenate([target, [1.0]])
-        res = linprog(np.asarray(costs), A_eq=A_eq, b_eq=b_eq,
-                      bounds=[(0, None)] * A.shape[1], method="highs")
-        out[n] = res.fun if res.status == 0 else np.inf
+        sl = lat.descendant_slice(s, n, t)
+        finite = np.isfinite(pen[:, n])
+        cols = laws[finite, sl]
+        M = np.vstack([cols.T, np.ones((1, cols.shape[0]))])
+        out[n] = _node_penalty(M, np.append(target[sl], 1.0), pen[finite, n], (s, n))
     return RandomVariable(lat, s, out, allow_infinite=True)
+
+
+def _subtree_laws(Q: Measure, s: int, t: int) -> np.ndarray:
+    """Per time-t node, Q's conditional path probability from its time-s
+    ancestor; node n's descendants slice out its subtree law."""
+    lat = Q.lattice
+    probs = np.ones(lat.n_nodes(s))
+    for u in range(s, t):
+        probs = probs[lat.parents[u + 1]] * Q.flat_kernels[u]
+    return probs
+
+
+@lru_cache(maxsize=128)
+def _bases(k: int, r: int) -> np.ndarray:
+    """All r-subsets of k columns, one per row, in lexicographic order."""
+    out = np.array(list(combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
+    out.setflags(write=False)
+    return out
+
+
+def _node_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
+    """min c.lam subject to lam >= 0 and M lam = b, whose last row is the
+    simplex constraint; +inf when infeasible.
+
+    With r the numerical rank of M, b must lie in M's column span, and then
+    the optimum is the cheapest non-negative basic solution over all r-column
+    bases.  Each is solved in the r-dimensional span, in one batched solve.
+    """
+    U, sv, _ = np.linalg.svd(M, full_matrices=False)
+    r = int(np.sum(sv > _TOL))
+    if comb(c.size, r) > _MAX_BASES:
+        return _highs_penalty(M, b, c, node)
+    U = U[:, :r]
+    b_r = U.T @ b
+    if np.max(np.abs(U @ b_r - b)) > _TOL:
+        return np.inf
+    bases = _bases(c.size, r)
+    B = (U.T @ M)[:, bases].transpose(1, 0, 2)  # (bases, r, r)
+    # columns of M have norms in [1, sqrt 2], so a basis with |det| > tol has
+    # least singular value above tol / (2r)^((r-1)/2); the rest are singular
+    regular = np.abs(np.linalg.det(B)) > _TOL
+    B, bases = B[regular], bases[regular]
+    # an explicit (..., r, 1) right-hand side: numpy 1 and 2 broadcast a
+    # stacked 2-D one differently
+    lam = np.linalg.solve(B, np.broadcast_to(b_r, (len(B), r))[..., None])[..., 0]
+    resid = np.einsum("icj,cj->ci", M[:, bases], lam) - b
+    keep = (lam >= -_TOL).all(axis=1) & (np.abs(resid) <= _TOL).all(axis=1)
+    if not keep.any():
+        return np.inf
+    lam = np.where(lam[keep] <= _TOL, 0.0, lam[keep])
+    return float(np.min(np.sum(lam * c[bases[keep]], axis=1)))
+
+
+def _highs_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
+    """The node's problem as one HiGHS linear program: +inf when it is
+    infeasible (status 2); any other failure raises."""
+    from scipy.optimize import linprog  # on first use: the heaviest import here
+
+    res = linprog(c, A_eq=M, b_eq=b, bounds=[(0, None)] * c.size, method="highs")
+    if res.status == 2:
+        return np.inf
+    if res.status != 0:
+        raise RuntimeError(f"penalty LP at node {node} failed with status "
+                           f"{res.status}: {res.message}")
+    return res.fun
 
 
 def partition_combine(lattice: ScenarioLattice, s: int,

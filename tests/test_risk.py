@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from math import comb
+
 import numpy as np
 import pytest
 
+from riskdesk import risk
 from riskdesk.fixtures import (
     fix_a_family,
     iid_binary_measure,
@@ -10,6 +16,7 @@ from riskdesk.fixtures import (
 )
 from riskdesk.lattice import RandomVariable, coordinate_process, lift
 from riskdesk.measures import (
+    Measure,
     conditional_expectation,
     mix_measures,
     reference_measure,
@@ -103,6 +110,131 @@ def test_minimal_penalty_against_oracles():
             # a literal grid search can only find feasible lower bounds
             grid = conjugate_grid_oracle(rep, Q, 0, np.linspace(-2, 2, 5))
             assert grid <= lp[0] + 1e-9
+
+
+def _random_rep(rng, n_comp):
+    """Random ragged lattice and n_comp components, component 0 free
+    everywhere; the others are +inf at random time-s nodes, and component 2
+    repeats component 1's law at another price (dependent columns)."""
+    lat = random_lattice(rng, max_periods=3, max_branch=3)
+    s = int(rng.integers(0, lat.terminal))
+    comps = [(random_measure(lat, rng), RandomVariable(lat, s, np.zeros(lat.n_nodes(s))))]
+    for k in range(1, n_comp):
+        Q = comps[1][0] if k == 2 else random_measure(lat, rng)
+        pen = rng.uniform(0.0, 1.0, lat.n_nodes(s))
+        pen[rng.uniform(size=pen.size) < 0.25] = np.inf
+        comps.append((Q, RandomVariable(lat, s, pen, allow_infinite=True)))
+    return lat, DualRep(s, lat.terminal, tuple(comps))
+
+
+def _no_highs(*args):
+    raise AssertionError("a node under the basis cap went to HiGHS")
+
+
+def test_enumeration_matches_highs(monkeypatch):
+    rng = np.random.default_rng(29)
+    for trial in range(60):
+        lat, rep = _random_rep(rng, n_comp=2 + trial % 7)
+        members = [Q for Q, _ in rep.components]
+        weights = rng.dirichlet(np.ones(len(members)))
+        weights[-1] = 0.0  # a face of the simplex
+        queries = [members[0], mix_measures(members, weights / weights.sum()),
+                   mix_measures(members, rng.dirichlet(np.ones(len(members)))),
+                   random_measure(lat, rng)]
+        for Q in queries:
+            with monkeypatch.context() as m:
+                m.setattr(risk, "_highs_penalty", _no_highs)
+                got = minimal_penalty(rep, Q).values
+            with monkeypatch.context() as m:
+                m.setattr(risk, "_MAX_BASES", 0)
+                ref = minimal_penalty(rep, Q).values
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            fin = np.isfinite(ref)
+            assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
+        assert np.all(minimal_penalty(rep, members[0]).values == 0.0)
+
+
+def test_face_of_the_simplex_is_finite():
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        lat = random_lattice(rng, max_periods=2, max_branch=3)
+        members = [random_measure(lat, rng) for _ in range(4)]
+        pens = rng.uniform(0.0, 1.0, 4)
+        rep = DualRep(0, lat.terminal, tuple(
+            (Q, RandomVariable(lat, 0, np.array([a]))) for Q, a in zip(members, pens)))
+        for zero in range(4):
+            w = rng.dirichlet(np.ones(4))
+            w[zero] = 0.0
+            w /= w.sum()
+            alpha = minimal_penalty(rep, mix_measures(members, w)).values[0]
+            assert np.isfinite(alpha) and alpha <= w @ pens + 1e-12
+
+
+def test_query_just_off_the_span_is_inf():
+    lat, q1, q2, _ = fix_a_family()
+    _, rep = sublinear_rep(s=0)
+    mixed = mix_measures([q1, q2], [0.5, 0.5])
+    assert np.all(np.isfinite(minimal_penalty(rep, mixed).values))
+    root, (up, down) = mixed.kernels
+    nudged = Measure(lat, (root, (up + np.array([1e-6, -1e-6]), down)))
+    assert np.all(np.isinf(minimal_penalty(rep, nudged).values))
+
+
+def test_above_the_basis_cap_falls_back_to_highs(monkeypatch):
+    # 16 random laws on the 4 leaves of a binary two-period tree have rank
+    # 4, so the root has C(16, 4) bases
+    rng = np.random.default_rng(37)
+    lat = fix_a_family()[0]
+    members = [random_measure(lat, rng) for _ in range(16)]
+    pens = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 15)])
+    rep = DualRep(0, 2, tuple((Q, RandomVariable(lat, 0, np.array([a])))
+                              for Q, a in zip(members, pens)))
+    assert comb(16, 4) > risk._MAX_BASES
+    calls = []
+    highs = risk._highs_penalty
+    monkeypatch.setattr(risk, "_highs_penalty", lambda *a: calls.append(a) or highs(*a))
+    queries = [members[3], mix_measures(members, rng.dirichlet(np.ones(16))),
+               random_measure(lat, rng), iid_binary_measure(lat, 0.999)]
+    fallback = [minimal_penalty(rep, Q).values for Q in queries]
+    assert len(calls) == len(queries)
+    monkeypatch.setattr(risk, "_MAX_BASES", comb(16, 4))
+    enumerated = [minimal_penalty(rep, Q).values for Q in queries]
+    assert len(calls) == len(queries)
+    for got, ref in zip(enumerated, fallback):
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        fin = np.isfinite(ref)
+        assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
+    assert np.isinf(fallback[-1][0])
+
+
+def test_highs_failure_is_not_infeasibility(monkeypatch):
+    import scipy.optimize
+
+    class Failed:
+        status, message, fun = 4, "numerical difficulties", None
+
+    _, rep = sublinear_rep(s=1)
+    _, q1, _, _ = fix_a_family()
+    monkeypatch.setattr(risk, "_MAX_BASES", 0)
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
+    with pytest.raises(RuntimeError, match=r"node \(1, 0\).*status 4"):
+        minimal_penalty(rep, q1)
+
+
+def test_penalty_under_the_cap_leaves_scipy_optimize_unloaded():
+    code = ("import sys, riskdesk\n"
+            "from riskdesk.fixtures import fix_a_family\n"
+            "from riskdesk.lattice import RandomVariable\n"
+            "lat, q1, q2, _ = fix_a_family()\n"
+            "zero = RandomVariable(lat, 0, [0.0])\n"
+            "rep = riskdesk.DualRep(0, 2, ((q1, zero), (q2, zero)))\n"
+            "assert riskdesk.minimal_penalty(rep, q1).values[0] == 0.0\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(risk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_partition_combine_gluing():
