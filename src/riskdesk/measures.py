@@ -131,14 +131,13 @@ class Measure:
     def charges(self, t: int, i: int) -> bool:
         return self._node_probs[t][i] > 0.0
 
-    def conditional_subtree_probs(self, s: int, i: int, t: int) -> np.ndarray:
-        """Conditional path probabilities from node (s, i) over its time-t
-        descendants, computed from the kernels (defined at null nodes too)."""
-        lat = self.lattice
-        probs, lo, hi = np.ones(1), i, i + 1
+    def subtree_laws(self, s: int, t: int) -> np.ndarray:
+        """Per time-t node, the conditional path probability from its time-s
+        ancestor, computed from the kernels (defined at null nodes too);
+        ``descendant_slice(s, i, t)`` cuts out node (s, i)'s subtree law."""
+        probs = np.ones(self.lattice.n_nodes(s))
         for u in range(s, t):
-            lo, hi, prev = lat.offsets[u][lo], lat.offsets[u][hi], lo
-            probs = probs[lat.parents[u + 1][lo:hi] - prev] * self.flat_kernels[u][lo:hi]
+            probs = probs[self.lattice.parents[u + 1]] * self.flat_kernels[u]
         return probs
 
     def expectation(self, X: RandomVariable) -> float:

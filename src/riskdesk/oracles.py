@@ -56,13 +56,16 @@ def conjugate_box_oracle(rep: DualRep, Q: Measure,
     lat = rep.lattice
     s, t = rep.s, rep.t
     out = np.empty(lat.n_nodes(s))
+    laws = [Qk.subtree_laws(s, t) for Qk, _ in rep.components]
+    target = Q.subtree_laws(s, t)
     for n in range(lat.n_nodes(s)):
-        q = Q.conditional_subtree_probs(s, n, t)
+        sl = lat.descendant_slice(s, n, t)
+        q = target[sl]
         cols, costs = [], []
-        for Qk, alpha in rep.components:
+        for law, (_, alpha) in zip(laws, rep.components):
             if np.isinf(alpha.values[n]):
                 continue
-            cols.append(Qk.conditional_subtree_probs(s, n, t))
+            cols.append(law[sl])
             costs.append(float(alpha.values[n]))
         D = q.size
         # maximize u subject to u <= <q - q_k, Y> + alpha_k, |Y| <= M
@@ -93,10 +96,11 @@ def conjugate_grid_oracle(rep: DualRep, Q: Measure, node: int,
     width = sl.stop - sl.start
     best = -np.inf
     base = np.zeros(lat.n_nodes(t))
+    q = Q.subtree_laws(s, t)[sl]
     for combo in itertools.product(grid, repeat=width):
         base[sl] = combo
         X = RandomVariable(lat, t, base)
-        ce = float(np.dot(Q.conditional_subtree_probs(s, node, t), -np.asarray(combo)))
+        ce = float(np.dot(q, -np.asarray(combo)))
         best = max(best, ce - float(rm_evaluate(rep, X).values[node]))
     return best
 

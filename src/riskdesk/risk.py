@@ -114,7 +114,9 @@ def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
 
 
 # One tolerance decides rank, reach, non-negativity and residual of a node's
-# mixture problem; its entries are probabilities, so it is absolute.
+# mixture problem; its entries are probabilities, so it is absolute.  HiGHS
+# takes it as its primal feasibility tolerance, so both paths draw the same
+# +inf boundary.
 _TOL = 1e-10
 # Above this many bases a node goes to HiGHS: near 1,000 the batched
 # enumeration takes as long as one HiGHS call, about 2.5 ms.
@@ -142,9 +144,9 @@ def minimal_penalty(rep: DualRep, Q: Measure,
             )
     lat = rep.lattice
     s, t = rep.s, rep.t
-    laws = np.stack([_subtree_laws(Qk, s, t) for Qk, _ in rep.components])
+    laws = np.stack([Qk.subtree_laws(s, t) for Qk, _ in rep.components])
     pen = np.stack([alpha.values for _, alpha in rep.components])
-    target = _subtree_laws(Q, s, t)
+    target = Q.subtree_laws(s, t)
     out = np.empty(lat.n_nodes(s))
     for n in range(lat.n_nodes(s)):
         sl = lat.descendant_slice(s, n, t)
@@ -153,16 +155,6 @@ def minimal_penalty(rep: DualRep, Q: Measure,
         M = np.vstack([cols.T, np.ones((1, cols.shape[0]))])
         out[n] = _node_penalty(M, np.append(target[sl], 1.0), pen[finite, n], (s, n))
     return RandomVariable(lat, s, out, allow_infinite=True)
-
-
-def _subtree_laws(Q: Measure, s: int, t: int) -> np.ndarray:
-    """Per time-t node, Q's conditional path probability from its time-s
-    ancestor; node n's descendants slice out its subtree law."""
-    lat = Q.lattice
-    probs = np.ones(lat.n_nodes(s))
-    for u in range(s, t):
-        probs = probs[lat.parents[u + 1]] * Q.flat_kernels[u]
-    return probs
 
 
 @lru_cache(maxsize=128)
@@ -191,9 +183,10 @@ def _node_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
         return np.inf
     bases = _bases(c.size, r)
     B = (U.T @ M)[:, bases].transpose(1, 0, 2)  # (bases, r, r)
-    # columns of M have norms in [1, sqrt 2], so a basis with |det| > tol has
-    # least singular value above tol / (2r)^((r-1)/2); the rest are singular
-    regular = np.abs(np.linalg.det(B)) > _TOL
+    # drop the singular bases, judged against M's own scale: by Cauchy-Binet
+    # the squared determinants of all bases sum to the product of the r
+    # squared singular values, so the best-conditioned basis always stays
+    regular = np.abs(np.linalg.det(B)) > _TOL * np.prod(sv[:r])
     B, bases = B[regular], bases[regular]
     # an explicit (..., r, 1) right-hand side: numpy 1 and 2 broadcast a
     # stacked 2-D one differently
@@ -211,7 +204,8 @@ def _highs_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
     infeasible (status 2); any other failure raises."""
     from scipy.optimize import linprog  # on first use: the heaviest import here
 
-    res = linprog(c, A_eq=M, b_eq=b, bounds=[(0, None)] * c.size, method="highs")
+    res = linprog(c, A_eq=M, b_eq=b, bounds=[(0, None)] * c.size, method="highs",
+                  options={"primal_feasibility_tolerance": _TOL})
     if res.status == 2:
         return np.inf
     if res.status != 0:

@@ -170,14 +170,51 @@ def test_face_of_the_simplex_is_finite():
             assert np.isfinite(alpha) and alpha <= w @ pens + 1e-12
 
 
-def test_query_just_off_the_span_is_inf():
+@pytest.mark.parametrize("nudge", [1e-8, 1e-6])
+@pytest.mark.parametrize("max_bases", [risk._MAX_BASES, 0])
+def test_query_just_off_the_span_is_inf(monkeypatch, nudge, max_bases):
+    # between the pinned tolerance and HiGHS's default feasibility tolerance
+    # of 1e-7 too: enumeration and HiGHS draw the same +inf boundary
+    monkeypatch.setattr(risk, "_MAX_BASES", max_bases)
     lat, q1, q2, _ = fix_a_family()
     _, rep = sublinear_rep(s=0)
     mixed = mix_measures([q1, q2], [0.5, 0.5])
     assert np.all(np.isfinite(minimal_penalty(rep, mixed).values))
     root, (up, down) = mixed.kernels
-    nudged = Measure(lat, (root, (up + np.array([1e-6, -1e-6]), down)))
+    nudged = Measure(lat, (root, (up + np.array([nudge, -nudge]), down)))
     assert np.all(np.isinf(minimal_penalty(rep, nudged).values))
+
+
+def test_near_duplicate_components_match_highs(monkeypatch):
+    # clusters of three laws about 1e-5 apart: the product of the singular
+    # values falls below the tolerance while each of them stays above it
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        lat = random_lattice(rng, max_periods=2, max_branch=3)
+        s = int(rng.integers(0, lat.terminal))
+        members = []
+        for _ in range(2):
+            Q = random_measure(lat, rng)
+            members += [Q] + [mix_measures([Q, random_measure(lat, rng)], [1 - 1e-5, 1e-5])
+                              for _ in range(2)]
+        pens = [np.zeros(lat.n_nodes(s))] + [rng.uniform(0.0, 1.0, lat.n_nodes(s))
+                                             for _ in members[1:]]
+        rep = DualRep(s, lat.terminal, tuple(
+            (Q, RandomVariable(lat, s, a)) for Q, a in zip(members, pens)))
+        queries = [members[0], members[2],
+                   mix_measures(members, rng.dirichlet(np.ones(len(members))))]
+        for Q in queries:
+            with monkeypatch.context() as m:
+                m.setattr(risk, "_highs_penalty", _no_highs)
+                got = minimal_penalty(rep, Q).values
+            with monkeypatch.context() as m:
+                m.setattr(risk, "_MAX_BASES", 0)
+                ref = minimal_penalty(rep, Q).values
+            assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+            # the clusters' conditioning, about 1e5, amplifies the rounding
+            # of both paths
+            assert np.max(np.abs(got - ref)) <= 1e-8
+        assert np.all(minimal_penalty(rep, members[0]).values == 0.0)
 
 
 def test_above_the_basis_cap_falls_back_to_highs(monkeypatch):
