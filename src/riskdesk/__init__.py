@@ -61,7 +61,6 @@ from .dynamics import (
     supermartingale_check,
 )
 from .stability import (
-    RectangularFamily,
     all_stopping_times,
     enumerate_selections,
     is_stable,

@@ -338,11 +338,9 @@ def criterion_supermartingale(seed: int) -> Dict:
     worst = -np.inf
     for _ in range(20):
         lat, dyn = _random_dynamic(rng, normalized=True)
-        kernels = tuple(
-            tuple(dyn.structure.choices[k][i][0][0] for i in range(lat.n_nodes(k)))
-            for k in range(lat.n_times - 1)
-        )
-        P = Measure(lat, kernels)
+        # choice 0 of every menu, a zero-penalty one in a normalized structure
+        P = Measure(lat, tuple(lat.per_node(k, w[0])
+                               for k, w in enumerate(dyn.structure.flat_kernels)))
         for _ in range(50):
             X = random_rv(lat, lat.terminal, rng)
             worst = max(worst, supermartingale_check(dyn, X, P))

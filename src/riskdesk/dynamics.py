@@ -2,7 +2,8 @@
 certify (or refute) consistency for externally supplied representations.
 
 A dynamic risk measure is generated by per-node menus of (kernel, penalty)
-choices, stored per time index as flat (choices, nodes) arrays.  The
+choices, stored per time index as flat (choices, nodes) arrays; with all
+penalties 0, as in a rectangular hull, it is sublinear.  The
 two-index evaluators are runs of the one backward-induction helper, so the
 recursion rho_{r,t} = rho_{r,s}(-rho_{s,t}) holds by construction; the
 recursion check and the penalty cocycle check are the executable versions of
@@ -13,7 +14,8 @@ check covers the zero-penalty reference case.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,45 +41,54 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OneStepStructure:
-    """Per non-terminal node: a finite menu of (kernel weights, penalty).
-    Also stored flat, padded with each node's last choice: per time index k,
-    (m_k, n_{k+1}) ``flat_kernels`` and (m_k, n_k) ``flat_penalties``.
-    ``normalized`` is True iff the minimum penalty at every node is 0."""
+    """Per non-terminal node: a finite menu of (kernel weights, penalty),
+    stored flat, padded with each node's last choice: per time index k,
+    (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
+    menu ``sizes``.  ``normalized`` is True iff every node's least penalty is 0."""
 
     lattice: ScenarioLattice
-    choices: tuple  # per time index < T: tuple per node of ((weights, penalty), ...)
+    choices: InitVar[tuple]  # per time index < T: tuple per node of ((weights, penalty), ...)
 
-    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
-    flat_penalties: tuple = field(default=None, init=False, repr=False, compare=False)
-    normalized: bool = field(default=None, init=False, repr=False, compare=False)
+    flat_kernels: tuple = field(default=None, init=False, repr=False)
+    flat_penalties: tuple = field(default=None, init=False, repr=False)
+    sizes: tuple = field(default=None, init=False, repr=False)
+    normalized: bool = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, choices):
         lat = self.lattice
-        if len(self.choices) != lat.n_times - 1:
+        if len(choices) != lat.n_times - 1:
             raise ValueError("one choice level per non-terminal time index")
-        kernels, penalties, cleaned = [], [], []
-        for k, level in enumerate(self.choices):
+        kernels, penalties, sizes = [], [], []
+        for k, level in enumerate(choices):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one menu per node required")
-            w, pick, size = _menus(lat, k, [[w for w, _ in menu] for menu in level], "menu")
-            a = np.array([a for menu in level for _, a in menu], dtype=float)
+            w, pick, size = _menus(lat, k, [[w for w, _ in menu] for menu in level])
+            kernels.append(w)
+            penalties.append(np.array([a for menu in level for _, a in menu], dtype=float)[pick])
+            sizes.append(size)
+        self._store(kernels, penalties, sizes)
+
+    @classmethod
+    def _from_flat(cls, lattice: ScenarioLattice, kernels, penalties, sizes):
+        """A structure from normalized flat arrays laid out as the stored ones."""
+        st = object.__new__(cls)
+        object.__setattr__(st, "lattice", lattice)
+        st._store(kernels, penalties, sizes)
+        return st
+
+    def _store(self, kernels, penalties, sizes):
+        for k, a in enumerate(penalties):
             if not (a >= 0).all():
                 raise ValueError("one-step penalties must be >= 0 (or +inf)")
-            a = a[pick]
             free = np.isinf(a).all(axis=0)
             if free.any():
                 raise ValueError(
                     f"node ({k},{int(np.argmax(free))}) has no finite-penalty choice")
-            kernels.append(w)
-            penalties.append(a)
-            rows, a_node = lat.per_node(k, w), a.T.tolist()
-            cleaned.append(tuple(tuple(zip(rows[i][:n], a_node[i][:n]))
-                                 for i, n in enumerate(size.tolist())))
-        object.__setattr__(self, "choices", tuple(cleaned))
         object.__setattr__(self, "flat_kernels", tuple(kernels))
         object.__setattr__(self, "flat_penalties", tuple(penalties))
+        object.__setattr__(self, "sizes", tuple(sizes))
         object.__setattr__(self, "normalized",
                            all(bool(np.all(a.min(axis=0) == 0.0)) for a in penalties))
 
@@ -143,8 +154,8 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096,
     representation reproduces the recursion.
     """
     lat, st = dyn.lattice, dyn.structure
-    sizes = [len(menu) for u in range(r, t) for menu in st.choices[u]]
-    count = int(np.prod(sizes))
+    sizes = [int(n) for u in range(r, t) for n in st.sizes[u]]
+    count = prod(sizes)  # exact: an int64 product wraps to 0 past 63 binary nodes
     if count > cap:
         raise ValueError(f"selection count {count} exceeds cap {cap}")
 
@@ -285,8 +296,11 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
 
 
 def onestep_to_json(structure: OneStepStructure) -> str:
+    lat, st = structure.lattice, structure
     levels = [[[{"weights": w.tolist(), "penalty": "inf" if np.isinf(a) else float(a)}
-                for w, a in menu] for menu in level] for level in structure.choices]
+                for w, a in zip(rows[:n], pen[:n])] for rows, pen, n
+               in zip(lat.per_node(k, st.flat_kernels[k]), st.flat_penalties[k].T, st.sizes[k])]
+              for k in range(lat.n_times - 1)]
     return json.dumps({"choices": levels}, sort_keys=True)
 
 

@@ -154,6 +154,8 @@ class RandomVariable:
     allow_infinite: bool = False
 
     def __post_init__(self):
+        if not 0 <= self.t <= self.lattice.terminal:
+            raise ValueError(f"time index {self.t} outside [0, {self.lattice.terminal}]")
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.lattice.n_nodes(self.t),):
             raise ValueError(

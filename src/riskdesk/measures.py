@@ -69,13 +69,13 @@ def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
     return flat, starts, np.add.reduceat(flat, starts)
 
 
-def _menus(lattice: ScenarioLattice, k: int, menus, what: str):
+def _menus(lattice: ScenarioLattice, k: int, menus):
     """Per-node menus of time-k kernels as one normalized (m, n_{k+1}) array,
     a shorter menu padded with its last kernel; also returns ``pick`` (row j
     at node i is kernel pick[j, i] in node order) and the menu sizes."""
     sizes = np.array([len(menu) for menu in menus], dtype=int)
     if not sizes.all():
-        raise ValueError(f"empty {what} at node ({k},{int(np.argmin(sizes))})")
+        raise ValueError(f"empty menu at node ({k},{int(np.argmin(sizes))})")
     pick = np.cumsum(sizes) - sizes + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
     flat, starts, sums = _flat_kernels(lattice, k, [w for menu in menus for w in menu],
                                        np.repeat(np.arange(sizes.size), sizes))
@@ -127,9 +127,6 @@ class Measure:
 
     def node_probabilities(self, t: int) -> np.ndarray:
         return self._node_probs[t]
-
-    def charges(self, t: int, i: int) -> bool:
-        return self._node_probs[t][i] > 0.0
 
     def subtree_laws(self, s: int, t: int) -> np.ndarray:
         """Per time-t node, the conditional path probability from its time-s

@@ -22,7 +22,8 @@ from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
 from .measures import Measure
 from .skorokhod import StepPath, TimeChange, g_damping
-from .stability import RectangularFamily, robust_evaluate
+from .dynamics import OneStepStructure
+from .stability import robust_evaluate
 
 __all__ = [
     "conjugate_box_oracle",
@@ -39,7 +40,7 @@ __all__ = [
 
 
 def conjugate_box_oracle(rep: DualRep, Q: Measure,
-                         boxes: Sequence[float] = (1e3, 1e5, 1e7),
+                         boxes: Sequence[float] = (1e5, 1e7),
                          grow_tol: float = 1.0) -> np.ndarray:
     """Minimal penalty from its definition: per time-s node n,
 
@@ -306,11 +307,11 @@ def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float
         var = sigma ** 2 * grid.dt / grid.h ** 2
         return np.array([var / 2.0, 1.0 - var, var / 2.0])
 
-    levels = tuple((tuple(kernel(sigma) for sigma in band.at_step(k)),) * lat.n_nodes(k)
+    levels = tuple((tuple((kernel(sigma), 0.0) for sigma in band.at_step(k)),) * lat.n_nodes(k)
                    for k in range(grid.n_steps))
     T = lat.terminal
     X = RandomVariable(lat, T, -np.asarray(payoff(lat.values[T][:, 0]), dtype=float))
-    return float(robust_evaluate(RectangularFamily(lat, levels), X, 0).values[0])
+    return float(robust_evaluate(OneStepStructure(lat, levels), X, 0).values[0])
 
 
 def call_upper_value(sigma_high: float, horizon: float) -> float:

@@ -28,12 +28,11 @@ from typing import Optional, Sequence
 import json
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 from .measures import (
     Measure,
     charged_mask,
     check_restriction,
-    conditional_expectation,
     measure_from_json,
     measure_to_json,
 )
@@ -73,6 +72,8 @@ class DualRep:
         if not comps:
             raise ValueError("a dual representation needs at least one component")
         lat = comps[0][0].lattice
+        if self.t > lat.terminal:
+            raise ValueError(f"time index t={self.t} beyond the terminal index {lat.terminal}")
         pen = np.stack([a.values for _, a in comps])
         for Q, a in comps:
             if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
@@ -101,11 +102,12 @@ def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
         raise ValueError(f"X must live at time index {rep.t}, got {X.t}")
     if X.lattice is not rep.lattice:
         raise ValueError("X lives on a different lattice")
-    rows = []
-    for Q, alpha in rep.components:
-        ce = conditional_expectation(-X, Q, rep.s)
-        rows.append(np.where(np.isinf(alpha.values), -np.inf, ce.values - alpha.values))
-    table = np.stack(rows)
+    # every E_{Q_k}(-X | B_s) in one recursion: (K, 1, n) kernels broadcast -X
+    ce = _backward(rep.lattice, rep.s, -X.values,
+                   [np.stack([Q.flat_kernels[u] for Q, _ in rep.components])[:, None, :]
+                    for u in range(rep.s, rep.t)])
+    pen = np.stack([alpha.values for _, alpha in rep.components])
+    table = np.where(np.isinf(pen), -np.inf, ce - pen)
     arg = np.argmax(table, axis=0)  # first max wins
     out = RandomVariable(rep.lattice, rep.s, table[arg, np.arange(table.shape[1])])
     if return_argmax:
@@ -230,6 +232,8 @@ def partition_combine(lattice: ScenarioLattice, s: int,
         if X.t != t or X.lattice is not lattice:
             raise ValueError("pieces must share the lattice and time index")
         for n in nodes:
+            if not 0 <= n < seen.size:
+                raise ValueError(f"time-{s} node {n} outside [0, {seen.size})")
             if seen[n] != -1:
                 raise ValueError(f"time-{s} node {n} covered twice")
             seen[n] = idx

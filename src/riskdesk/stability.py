@@ -6,80 +6,35 @@ another's at and after it (density freezing).  A family closed under all
 such pastings is stable; the computable surrogate is the rectangular
 (node-wise kernel set) hull, whose selections are exactly the measures
 reachable by finitely many pastings on small lattices -- verified by
-enumeration in the tests rather than assumed.  Kernel sets are stored per
-time index as one flat (kernels, nodes) array, and the robust recursion is
-the one backward-induction helper maximizing over its first axis.
+enumeration in the tests rather than assumed.  The hull is a one-step
+structure (``dynamics.OneStepStructure``) whose menus are each node's member
+kernels at penalty 0, so its robust recursion is the sublinear dynamic risk
+measure that structure generates: the zero-penalty case of the convex ones,
+run by the one backward-induction helper.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
 from typing import List, Sequence
 
 import numpy as np
 
 from .lattice import (RandomVariable, ScenarioLattice, StoppingTime, _backward,
                       validate_stopping_time)
-from .measures import Measure, _kernel_gap, _menus, charged_mask
+from .dynamics import OneStepStructure, build_dynamic, expand_dual
+from .measures import Measure, _kernel_gap, charged_mask
 
 __all__ = [
-    "RectangularFamily",
     "paste",
     "is_stable",
     "rectangular_hull",
     "enumerate_selections",
     "robust_evaluate",
     "all_stopping_times",
-    "rectangular_to_json",
-    "rectangular_from_json",
 ]
 
 _DEDUP_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class RectangularFamily:
-    """Per non-terminal node: a finite, de-duplicated set of kernels.
-    Also stored flat, padded with each node's last kernel: per time index k,
-    (m_k, n_{k+1}) ``flat_kernels``; ``node_kernels`` holds views of its rows."""
-
-    lattice: ScenarioLattice
-    node_kernels: tuple  # per time index < T: tuple per node of kernel tuples
-
-    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lat = self.lattice
-        if len(self.node_kernels) != lat.n_times - 1:
-            raise ValueError("one kernel-set level per non-terminal time index")
-        flats, cleaned = [], []
-        for k, level in enumerate(self.node_kernels):
-            if len(level) != lat.n_nodes(k):
-                raise ValueError(f"time index {k}: one kernel set per node required")
-            w, sizes = _dedup(lat, k, _menus(lat, k, level, "kernel set")[0])
-            flats.append(w)
-            cleaned.append(tuple(tuple(rows[:n]) for rows, n
-                                 in zip(lat.per_node(k, w), sizes.tolist())))
-        object.__setattr__(self, "node_kernels", tuple(cleaned))
-        object.__setattr__(self, "flat_kernels", tuple(flats))
-
-
-def _dedup(lat: ScenarioLattice, k: int, w: np.ndarray):
-    """Drop node-wise each kernel row within _DEDUP_TOL of an earlier kept
-    row (so all padding); returns the re-padded kept rows and their counts."""
-    keep = np.zeros((w.shape[0], lat.n_nodes(k)), dtype=bool)
-    keep[0] = True
-    for j in range(1, w.shape[0]):
-        dup = _kernel_gap(lat, k, w[:j], w[j]) <= _DEDUP_TOL
-        keep[j] = ~np.any(keep[:j] & dup, axis=0)
-    counts = keep.sum(axis=0)
-    first = np.argsort(~keep, axis=0, kind="stable")  # kept rows first, in order
-    rows = np.take_along_axis(first, np.minimum(np.arange(counts.max())[:, None],
-                                                counts - 1), axis=0)
-    par = lat.parents[k + 1]
-    return w[rows[:, par], np.arange(par.size)], counts
 
 
 def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
@@ -158,46 +113,54 @@ def is_stable(measures: Sequence[Measure], taus: Sequence[StoppingTime]):
     return True, None
 
 
-def rectangular_hull(measures: Sequence[Measure]) -> RectangularFamily:
-    """Node-wise kernel sets {kernel of Q at n : Q charges n}.
+def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
+    """Node-wise kernel sets {kernel of Q at n : Q charges n}, less any kernel
+    within 1e-12 of an earlier kept one, as a one-step structure at penalty 0.
 
     Falls back to all member kernels at a node no member charges (the value
     there never enters a charged expectation).
     """
     lat = measures[0].lattice
+    kernels, sizes = [], []
+    for k in range(lat.n_times - 1):
+        par = lat.parents[k + 1]
+        w = np.stack([Q.flat_kernels[k] for Q in measures])
+        w = w / np.add.reduceat(w, lat.offsets[k][:-1], axis=-1)[:, par]
+        keep = np.stack([charged_mask(Q, k) for Q in measures])
+        keep |= ~keep.any(axis=0)
+        for j in range(1, len(measures)):
+            dup = _kernel_gap(lat, k, w[:j], w[j]) <= _DEDUP_TOL
+            keep[j] &= ~np.any(keep[:j] & dup, axis=0)
+        size = keep.sum(axis=0)
+        # per node the kept members first, in order, padded with the last
+        first = np.argsort(~keep, axis=0, kind="stable")
+        rows = np.take_along_axis(first, np.minimum(np.arange(size.max())[:, None],
+                                                    size - 1), axis=0)
+        kernels.append(w[rows[:, par], np.arange(par.size)])
+        sizes.append(size)
+    penalties = [np.zeros((w.shape[0], lat.n_nodes(k))) for k, w in enumerate(kernels)]
+    return OneStepStructure._from_flat(lat, kernels, penalties, sizes)
 
-    def kernel_set(k, i):
-        return ([Q.kernels[k][i] for Q in measures if Q.charges(k, i)]
-                or [Q.kernels[k][i] for Q in measures])
 
-    return RectangularFamily(lat, tuple(tuple(kernel_set(k, i) for i in range(lat.n_nodes(k)))
-                                        for k in range(lat.n_times - 1)))
-
-
-def enumerate_selections(rf: RectangularFamily, cap: int = 4096) -> List[Measure]:
+def enumerate_selections(structure: OneStepStructure, cap: int = 4096) -> List[Measure]:
     """All node-wise kernel choices as path-law measures (brute-force oracle)."""
-    lat = rf.lattice
-    sets = [kernels for level in rf.node_kernels for kernels in level]
-    count = int(np.prod([len(kernels) for kernels in sets]))
-    if count > cap:
-        raise ValueError(f"selection count {count} exceeds cap {cap}")
-    bounds = np.cumsum([0] + [lat.n_nodes(k) for k in range(lat.n_times - 1)])
-    return [Measure(lat, tuple(combo[a:b] for a, b in zip(bounds[:-1], bounds[1:])))
-            for combo in itertools.product(*sets)]
+    rep = expand_dual(build_dynamic(structure), 0, structure.lattice.terminal, cap)
+    return [Q for Q, _ in rep.components]
 
 
-def robust_evaluate(rf: RectangularFamily, X: RandomVariable, s: int) -> RandomVariable:
-    """sup over the rectangular family of E(-X | B_s), by backward recursion.
+def robust_evaluate(structure: OneStepStructure, X: RandomVariable, s: int) -> RandomVariable:
+    """sup over the node-wise kernel selections of E(-X | B_s), by backward
+    recursion: the penalties are not read, so this is the zero-penalty rho.
 
     V_t = -X and V_u(n) = max over node-n kernels of <kernel, V_{u+1}>; the
     maximum over selections is attained node-wise, so this equals the
     enumeration oracle exactly.
     """
-    lat = rf.lattice
+    lat = structure.lattice
     t = X.t
     if s > t:
         raise ValueError("need s <= t")
-    return RandomVariable(lat, s, _backward(lat, s, -X.values, rf.flat_kernels[s:t]))
+    return RandomVariable(lat, s, _backward(lat, s, -X.values, structure.flat_kernels[s:t]))
 
 
 def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[StoppingTime]:
@@ -215,21 +178,3 @@ def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[Stopp
         return options
 
     return [StoppingTime(frozenset(nodes)) for nodes in expand(0, 0)]
-
-
-def rectangular_to_json(rf: RectangularFamily) -> str:
-    entries = [{"node": [k, i], "kernels": [w.tolist() for w in kernels]}
-               for k, level in enumerate(rf.node_kernels) for i, kernels in enumerate(level)]
-    return json.dumps({"node_kernels": entries}, sort_keys=True)
-
-
-def rectangular_from_json(text: str, lattice: ScenarioLattice) -> RectangularFamily:
-    doc = json.loads(text)
-    levels = [[None] * lattice.n_nodes(k) for k in range(lattice.n_times - 1)]
-    for entry in doc["node_kernels"]:
-        k, i = entry["node"]
-        levels[k][i] = tuple(np.asarray(w, dtype=float) for w in entry["kernels"])
-    for k, level in enumerate(levels):
-        if any(v is None for v in level):
-            raise ValueError(f"missing kernel set at time index {k}")
-    return RectangularFamily(lattice, tuple(tuple(level) for level in levels))

@@ -98,6 +98,12 @@ def test_expand_dual_enumerates_selections():
                              - dyn.rho(0, 2, X).values)) <= 1e-12
     with pytest.raises(ValueError, match="cap"):
         expand_dual(dyn, 0, 2, cap=4)
+    # 2**127 selections, which an int64 product wraps to 0, under any cap
+    deep = uniform_tree(np.arange(8) / 7, [1.0, -1.0])
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
+    structure = OneStepStructure(deep, tuple((menu,) * deep.n_nodes(k) for k in range(7)))
+    with pytest.raises(ValueError, match=f"count {2 ** 127} exceeds cap 4096"):
+        expand_dual(build_dynamic(structure), 0, 7)
 
 
 def test_expand_dual_penalties():
@@ -210,7 +216,7 @@ def random_menu_dynamic(rng, normalized=False):
             level.append(tuple(menu))
         levels.append(tuple(level))
     structure = OneStepStructure(lat, tuple(levels))
-    P = Measure(lat, tuple(tuple(menu[0][0] for menu in level) for level in structure.choices))
+    P = Measure(lat, tuple(lat.per_node(k, w[0]) for k, w in enumerate(structure.flat_kernels)))
     return lat, build_dynamic(structure), P
 
 
@@ -374,19 +380,35 @@ def test_structure_rejects_negative_weights_and_nan_penalties():
     with pytest.raises(ValueError, match=">= 0"):
         OneStepStructure(lat, ((((np.array([0.5, 0.5]), np.nan),),), (menu, menu)))
     with_inf = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
-    assert np.isinf(OneStepStructure(lat, ((with_inf,), (menu, menu))).choices[0][0][1][1])
+    assert np.isinf(OneStepStructure(lat, ((with_inf,), (menu, menu))).flat_penalties[0][1, 0])
 
 
 def test_onestep_json_round_trip():
-    lat, dyn = menu_dynamic()
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
     inf_menu = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
-    structure = OneStepStructure(lat, ((inf_menu,),
-                                       (dyn.structure.choices[1][0],
-                                        dyn.structure.choices[1][1])))
+    structure = OneStepStructure(lat, ((inf_menu,), (menu, menu)))
     back = onestep_from_json(onestep_to_json(structure), lat)
-    assert np.isinf(back.choices[0][0][1][1])
+    assert np.isinf(back.flat_penalties[0][1, 0])
     B2 = coordinate_process(lat, 2)
     assert np.array_equal(
         DynamicRM(lat, back).rho(0, 2, B2).values,
         DynamicRM(lat, structure).rho(0, 2, B2).values,
     )
+
+
+def test_onestep_json_golden():
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
+    entries = ('{"penalty": 0.0, "weights": [0.5, 0.5]}, '
+               '{"penalty": 0.1, "weights": [0.6, 0.4]}')
+    assert onestep_to_json(OneStepStructure(lat, ((menu,), (menu, menu)))) == (
+        '{"choices": [[[%s]], [[%s], [%s]]]}' % (entries, entries, entries))
+    # a +inf penalty, and a ragged one-choice menu at node (1,1)
+    inf_menu = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
+    ragged = OneStepStructure(lat, ((inf_menu,), (menu, (menu[1],))))
+    assert onestep_to_json(ragged) == (
+        '{"choices": [[[{"penalty": 0.0, "weights": [0.5, 0.5]}, '
+        '{"penalty": "inf", "weights": [1.0, 0.0]}]], [[%s], '
+        '[{"penalty": 0.1, "weights": [0.6, 0.4]}]]]}' % entries)
+    assert [size.tolist() for size in ragged.sizes] == [[2], [2, 1]]

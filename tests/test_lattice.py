@@ -103,6 +103,14 @@ def test_coordinate_process_values():
     assert np.array_equal(coordinate_process(lat, 2).values, [2.0, 0.0, 0.0, -2.0])
 
 
+def test_random_variable_rejects_time_index_out_of_range():
+    lat = fix_a_lattice()
+    with pytest.raises(ValueError, match="time index -1 outside"):
+        RandomVariable(lat, -1, np.zeros(4))
+    with pytest.raises(ValueError, match="time index 3 outside"):
+        RandomVariable(lat, 3, np.zeros(4))
+
+
 def test_stopping_time_validation():
     lat = fix_a_lattice()
     ok, _ = validate_stopping_time(lat, StoppingTime.deterministic(lat, 1).stops)

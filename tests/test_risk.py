@@ -127,6 +127,20 @@ def _random_rep(rng, n_comp):
     return lat, DualRep(s, lat.terminal, tuple(comps))
 
 
+def test_rm_evaluate_matches_per_component_expectations():
+    # reference: one conditional expectation per component, as a loop
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        lat, rep = _random_rep(rng, int(rng.integers(1, 6)))
+        X = random_rv(lat, rep.t, rng)
+        table = np.stack([np.where(np.isinf(a.values), -np.inf,
+                                   conditional_expectation(-X, Q, rep.s).values - a.values)
+                          for Q, a in rep.components])
+        got, arg = rm_evaluate(rep, X, return_argmax=True)
+        assert np.array_equal(arg, np.argmax(table, axis=0))
+        assert np.array_equal(got.values, np.max(table, axis=0))
+
+
 def _no_highs(*args):
     raise AssertionError("a node under the basis cap went to HiGHS")
 
@@ -287,6 +301,15 @@ def test_partition_combine_gluing():
         partition_combine(lat, 1, [(X, [0])])
 
 
+def test_partition_combine_rejects_node_out_of_range():
+    lat, rep = sublinear_rep(s=1)
+    X = RandomVariable(lat, 2, np.array([1.0, 2.0, 3.0, 4.0]))
+    with pytest.raises(ValueError, match="node -1 outside"):
+        partition_combine(lat, 1, [(X, [0, -1])])
+    with pytest.raises(ValueError, match="node 7 outside"):
+        partition_combine(lat, 1, [(X, [0, 1, 7])])
+
+
 def test_partition_combine_preserves_acceptance():
     lat, rep = sublinear_rep(s=1)
     rng = np.random.default_rng(4)
@@ -387,3 +410,23 @@ def test_dualrep_requires_finite_component_per_node():
     inf2 = RandomVariable(lat, 1, np.array([np.inf, 1.0]), allow_infinite=True)
     with pytest.raises(ValueError):
         DualRep(1, 2, ((q1, inf1), (q2, inf2)))
+
+
+def test_dualrep_rejects_t_beyond_terminal():
+    lat, q1, _, _ = fix_a_family()
+    with pytest.raises(ValueError, match="t=5 beyond"):
+        DualRep(0, 5, ((q1, RandomVariable(lat, 0, np.zeros(1))),))
+
+
+def test_box_oracle_solves_two_lps_per_node(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    linprog = scipy.optimize.linprog
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **kw: calls.append(1) or linprog(*a, **kw))
+    lat, q1, q2, _ = fix_a_family()
+    zeros = RandomVariable(lat, 1, np.zeros(2))
+    rep = DualRep(1, 2, ((q1, zeros), (q2, zeros)))
+    assert np.array_equal(conjugate_box_oracle(rep, q1), [0.0, 0.0])
+    assert len(calls) == 2 * lat.n_nodes(1)

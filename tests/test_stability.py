@@ -10,16 +10,19 @@ from riskdesk.fixtures import (
     random_rv,
 )
 from riskdesk.lattice import NodeRef, StoppingTime, coordinate_process
+from riskdesk.dynamics import (
+    OneStepStructure,
+    build_dynamic,
+    onestep_from_json,
+    onestep_to_json,
+)
 from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.stability import (
-    RectangularFamily,
     all_stopping_times,
     enumerate_selections,
     is_stable,
     paste,
-    rectangular_from_json,
     rectangular_hull,
-    rectangular_to_json,
     robust_evaluate,
 )
 
@@ -119,10 +122,33 @@ def test_hull_uncharged_node_fallback():
                          (np.array([0.9, 0.1]), np.array([0.2, 0.8]))))
     rf = rectangular_hull([skew])
     # node (1,1) is skew-null, so the hull falls back to the member kernel
-    assert np.allclose(rf.node_kernels[1][1][0], [0.2, 0.8])
+    assert np.allclose(lat.per_node(1, rf.flat_kernels[1])[1][0], [0.2, 0.8])
     both = rectangular_hull([skew, q1])
-    assert len(both.node_kernels[1][1]) == 1  # only q1 charges it
-    assert np.allclose(both.node_kernels[1][1][0], [0.5, 0.5])
+    assert both.sizes[1][1] == 1  # only q1 charges it
+    assert np.allclose(lat.per_node(1, both.flat_kernels[1])[1][0], [0.5, 0.5])
+    assert np.array_equal(both.flat_penalties[1], np.zeros((2, 2)))
+    # no member charges node (1,1): every member's kernel stays, in order
+    other = Measure(lat, ((np.array([1.0, 0.0]),),
+                          (np.array([0.7, 0.3]), np.array([0.4, 0.6]))))
+    uncharged = rectangular_hull([skew, other])
+    assert uncharged.sizes[1].tolist() == [2, 2]
+    assert np.allclose(lat.per_node(1, uncharged.flat_kernels[1])[1], [[0.2, 0.8], [0.4, 0.6]])
+
+
+def test_hull_is_the_structure_of_its_member_kernels():
+    # the flat hull against the menu constructor fed every member kernel at
+    # 0.0: random members charge every node and never coincide
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        lat = random_lattice(rng, max_periods=3, max_branch=3)
+        members = random_family(lat, rng, int(rng.integers(1, 4))).members
+        hull = rectangular_hull(list(members))
+        menus = OneStepStructure(lat, tuple(
+            tuple(tuple((Q.kernels[k][i], 0.0) for Q in members) for i in range(lat.n_nodes(k)))
+            for k in range(lat.n_times - 1)))
+        for k in range(lat.n_times - 1):
+            assert np.array_equal(hull.flat_kernels[k], menus.flat_kernels[k])
+            assert np.array_equal(hull.sizes[k], menus.sizes[k])
 
 
 def test_enumeration_cap():
@@ -182,36 +208,42 @@ def test_all_stopping_times_fix_a():
         all_stopping_times(lat, cap=3)
 
 
-def test_rectangular_json_round_trip():
+def test_robust_evaluate_is_the_zero_penalty_dynamic():
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        lat = random_lattice(rng, max_periods=3, max_branch=3)
+        hull = rectangular_hull(list(random_family(lat, rng, int(rng.integers(1, 4))).members))
+        assert hull.normalized
+        dyn = build_dynamic(hull)
+        for t in range(lat.n_times):
+            X = random_rv(lat, t, rng)
+            for s in range(t + 1):
+                assert np.array_equal(robust_evaluate(hull, X, s).values,
+                                      dyn.rho(s, t, X).values)
+
+
+def test_hull_json_round_trip():
     lat, q1, q2, _ = fix_a_family()
     rf = rectangular_hull([q1, q2])
-    back = rectangular_from_json(rectangular_to_json(rf), lat)
+    back = onestep_from_json(onestep_to_json(rf), lat)
     for k in range(2):
-        for i in range(lat.n_nodes(k)):
-            assert len(back.node_kernels[k][i]) == len(rf.node_kernels[k][i])
-            for a, b in zip(back.node_kernels[k][i], rf.node_kernels[k][i]):
-                assert np.allclose(a, b)
+        assert np.array_equal(back.sizes[k], rf.sizes[k])
+        assert np.allclose(back.flat_kernels[k], rf.flat_kernels[k])
+        assert np.array_equal(back.flat_penalties[k], rf.flat_penalties[k])
     B2 = coordinate_process(lat, 2)
     assert robust_evaluate(back, -B2, 0).values[0] == pytest.approx(0.4, abs=1e-12)
 
 
-def test_rectangular_family_validation():
+def test_hull_structure_validation():
     lat = fix_a_lattice()
-    with pytest.raises(ValueError, match="empty kernel set"):
-        RectangularFamily(lat, (((),), ((np.array([0.5, 0.5]),),
-                                        (np.array([0.5, 0.5]),))))
-    # near-duplicate kernels collapse
-    rf = RectangularFamily(
-        lat,
-        (((np.array([0.5, 0.5]), np.array([0.5, 0.5 + 1e-15])),),
-         ((np.array([0.5, 0.5]),), (np.array([0.5, 0.5]),))),
-    )
-    assert len(rf.node_kernels[0][0]) == 1
-
-
-def test_rectangular_family_rejects_negative_kernels():
-    lat = fix_a_lattice()
-    fair = (np.array([0.5, 0.5]),)
+    fair = ((np.array([0.5, 0.5]), 0.0),)
+    with pytest.raises(ValueError, match="empty menu"):
+        OneStepStructure(lat, (((),), (fair, fair)))
+    # near-duplicate member kernels collapse
+    near = Measure(lat, ((np.array([0.5, 0.5 + 1e-15]),),
+                         (np.array([0.5, 0.5]), np.array([0.5, 0.5]))))
+    rf = rectangular_hull([iid_binary_measure(lat, 0.5), near])
+    assert [size.tolist() for size in rf.sizes] == [[1], [1, 1]]
     with pytest.raises(ValueError, match="non-negative"):
-        RectangularFamily(lat, (((np.array([0.5, 0.5]), np.array([1.5, -0.5])),),
-                                (fair, fair)))
+        OneStepStructure(lat, ((((np.array([0.5, 0.5]), 0.0),
+                                 (np.array([1.5, -0.5]), 0.0)),), (fair, fair)))
