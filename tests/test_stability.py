@@ -234,7 +234,7 @@ def test_hull_json_round_trip():
     assert robust_evaluate(back, -B2, 0).values[0] == pytest.approx(0.4, abs=1e-12)
 
 
-def test_hull_structure_validation():
+def test_rectangular_family_validation():
     lat = fix_a_lattice()
     fair = ((np.array([0.5, 0.5]), 0.0),)
     with pytest.raises(ValueError, match="empty menu"):
@@ -244,6 +244,11 @@ def test_hull_structure_validation():
                          (np.array([0.5, 0.5]), np.array([0.5, 0.5]))))
     rf = rectangular_hull([iid_binary_measure(lat, 0.5), near])
     assert [size.tolist() for size in rf.sizes] == [[1], [1, 1]]
+
+
+def test_rectangular_family_rejects_negative_kernels():
+    lat = fix_a_lattice()
+    fair = ((np.array([0.5, 0.5]), 0.0),)
     with pytest.raises(ValueError, match="non-negative"):
         OneStepStructure(lat, ((((np.array([0.5, 0.5]), 0.0),
                                  (np.array([1.5, -0.5]), 0.0)),), (fair, fair)))
