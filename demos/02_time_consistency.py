@@ -1,4 +1,4 @@
-"""Dynamic risk measures from one-step menus: recursion, penalty cocycle,
+"""Dynamic risk measures from one-step menus: dual form, penalty cocycle,
 and the acceptance-set decomposition.
 
 A per-node menu of (kernel, penalty) choices generates a time-consistent
@@ -14,8 +14,8 @@ from riskdesk import (
     OneStepStructure,
     acceptance_decompose,
     check_cocycle,
-    check_recursion,
     coordinate_process,
+    dual_form_violation,
     expand_dual,
     fix_a_lattice,
     iid_binary_measure,
@@ -34,11 +34,12 @@ B2 = coordinate_process(lat, 2)
 print("rho_{1,2}(B2):", dyn.rho(1, 2, B2).values)
 print("rho_{0,2}(B2):", dyn.rho(0, 2, B2).values)
 
-# The recursion rho_{r,t} = rho_{r,s}(-rho_{s,t}) holds by construction.
+# The recursion equals its dual form: the max over all expanded kernel
+# selections Q of E_Q(-X) less the accumulated penalty, at every r <= t.
 rng = np.random.default_rng(0)
 Xs = [random_rv(lat, t, rng) for t in (1, 2) for _ in range(10)]
-worst, _ = check_recursion(dyn, Xs)
-print("max recursion violation:", worst)
+worst, _ = dual_form_violation(dyn, Xs)
+print("max dual-form violation:", worst)
 
 # Expanding all selections gives an equivalent dual representation ...
 rep02 = expand_dual(dyn, 0, 2)

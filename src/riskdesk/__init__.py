@@ -50,13 +50,11 @@ from .risk import (
 )
 from .dynamics import (
     DynamicRM,
-    Evaluator,
     OneStepStructure,
     acceptance_decompose,
     build_dynamic,
     check_cocycle,
-    check_recursion,
-    compose,
+    dual_form_violation,
     expand_dual,
     supermartingale_check,
 )

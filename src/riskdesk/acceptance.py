@@ -18,7 +18,7 @@ from .dynamics import (
     OneStepStructure,
     acceptance_decompose,
     check_cocycle,
-    check_recursion,
+    dual_form_violation,
     expand_dual,
     recursion_violation,
     supermartingale_check,
@@ -154,15 +154,16 @@ def _random_dynamic(rng: np.random.Generator, normalized: bool = False):
 
 
 def criterion_time_consistency(seed: int) -> Dict:
-    """Recursion and penalty-cocycle identities hold for generated dynamics,
-    both checks flag deliberate penalty perturbations, and accepted positions
+    """Generated dynamics equal their dual form and satisfy the penalty
+    cocycle, the recursion and cocycle checks flag deliberate penalty
+    perturbations of the expanded representation, and accepted positions
     decompose across an intermediate date.
 
-    Mixed tolerances (1e-9 recursion, 1e-6 cocycle), so the reported
+    Mixed tolerances (1e-9 dual form, 1e-6 cocycle), so the reported
     violation is the worst ratio to its own tolerance, checked against 1.
     """
     rng = np.random.default_rng(seed)
-    rec_worst = 0.0
+    dual_worst = 0.0
     coc_worst = 0.0
     flagged = True
     decomposed = 0
@@ -171,7 +172,7 @@ def criterion_time_consistency(seed: int) -> Dict:
         T = lat.terminal
         s = int(rng.integers(1, T))
         Xs = [random_rv(lat, t, rng) for t in range(T + 1) for _ in range(100 // (T + 1) + 1)]
-        rec_worst = max(rec_worst, check_recursion(dyn, Xs)[0])
+        dual_worst = max(dual_worst, dual_form_violation(dyn, Xs)[0])
         rep_rt = expand_dual(dyn, 0, T)
         rep_rs = expand_dual(dyn, 0, s)
         rep_st = expand_dual(dyn, s, T)
@@ -187,9 +188,7 @@ def criterion_time_consistency(seed: int) -> Dict:
         )
         rep_bad = DualRep(0, T, comps)
         Xt = [random_rv(lat, T, rng) for _ in range(5)]
-        rec_vio = recursion_violation(rep_bad.as_evaluator(),
-                                      rep_rs.as_evaluator(),
-                                      rep_st.as_evaluator(), Xt)
+        rec_vio = recursion_violation(rep_bad, rep_rs, rep_st, Xt)
         Q0 = rep_rt.components[0][0]
         res_bad, bad = check_cocycle(rep_bad, rep_rs, rep_st, Q0)
         coc_vio = float(np.max(np.abs(res_bad.values[~bad]))) if not np.all(bad) else 0.0
@@ -202,11 +201,11 @@ def criterion_time_consistency(seed: int) -> Dict:
             recomposed = Z.values + Y.values
             if np.max(np.abs(recomposed - X.values)) <= 1e-12:
                 decomposed += 1
-    ratio = max(rec_worst / 1e-9, coc_worst / 1e-6)
+    ratio = max(dual_worst / 1e-9, coc_worst / 1e-6)
     if not flagged or decomposed < 50:
         ratio = np.inf
     return _report("time-consistency-equivalence", 1.0, ratio,
-                   recursion_violation=rec_worst, recursion_tolerance=1e-9,
+                   dual_form_violation=dual_worst, dual_form_tolerance=1e-9,
                    cocycle_violation=coc_worst, cocycle_tolerance=1e-6,
                    perturbations_flagged=flagged, decompositions=decomposed)
 

@@ -3,12 +3,12 @@ certify (or refute) consistency for externally supplied representations.
 
 A dynamic risk measure is generated by per-node menus of (kernel, penalty)
 choices, stored per time index as flat (choices, nodes) arrays; with all
-penalties 0, as in a rectangular hull, it is sublinear.  The
-two-index evaluators are runs of the one backward-induction helper, so the
-recursion rho_{r,t} = rho_{r,s}(-rho_{s,t}) holds by construction; the
-recursion check and the penalty cocycle check are the executable versions of
-the equivalence between the two characterizations, and the supermartingale
-check covers the zero-penalty reference case.
+penalties 0, as in a rectangular hull, it is sublinear.  The dual-form check
+compares the node-wise recursion with a different code path, the max over
+all expanded selections of E_Q(-X) less the accumulated penalty; with the
+penalty cocycle check, and the recursion check on external representations,
+it is the executable equivalence between the two characterizations, and the
+supermartingale check covers the zero-penalty reference case.
 """
 
 from __future__ import annotations
@@ -16,23 +16,21 @@ from __future__ import annotations
 import json
 from dataclasses import InitVar, dataclass, field
 from math import prod
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
-from .risk import DualRep, minimal_penalty
+from .risk import DualRep, minimal_penalty, rm_evaluate
 
 __all__ = [
     "OneStepStructure",
     "DynamicRM",
-    "Evaluator",
-    "compose",
     "build_dynamic",
     "expand_dual",
     "check_cocycle",
-    "check_recursion",
+    "dual_form_violation",
     "recursion_violation",
     "acceptance_decompose",
     "supermartingale_check",
@@ -94,29 +92,6 @@ class OneStepStructure:
 
 
 @dataclass(frozen=True)
-class Evaluator:
-    """A conditional evaluator X at t -> rho(X) at r."""
-
-    r: int
-    t: int
-    fn: Callable[[RandomVariable], RandomVariable]
-
-    def __call__(self, X: RandomVariable) -> RandomVariable:
-        if X.t != self.t:
-            raise ValueError(f"evaluator expects time index {self.t}, got {X.t}")
-        return self.fn(X)
-
-
-def compose(rho_rs: Evaluator, rho_st: Evaluator) -> Evaluator:
-    """rho_{r,t} = rho_{r,s} o (-rho_{s,t}); requires matching indices."""
-    if rho_rs.t != rho_st.r:
-        raise ValueError(
-            f"cannot compose: inner starts at {rho_st.r}, outer ends at {rho_rs.t}"
-        )
-    return Evaluator(rho_rs.r, rho_st.t, lambda X: rho_rs(-rho_st(X)))
-
-
-@dataclass(frozen=True)
 class DynamicRM:
     """Dynamic risk measure generated by a one-step structure."""
 
@@ -135,9 +110,6 @@ class DynamicRM:
         """The recursion from (..., n_t) values G_t = -X down to G_s."""
         st = self.structure
         return _backward(self.lattice, s, g, st.flat_kernels[s:t], st.flat_penalties[s:t])
-
-    def evaluator(self, s: int, t: int) -> Evaluator:
-        return Evaluator(s, t, lambda X: self.rho(s, t, X))
 
 
 def build_dynamic(structure: OneStepStructure) -> DynamicRM:
@@ -205,30 +177,34 @@ def check_cocycle(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep, Q: Measure)
     return RandomVariable(lat, r, res, allow_infinite=True), bad
 
 
-def recursion_violation(rho_rt: Evaluator, rho_rs: Evaluator, rho_st: Evaluator,
+def recursion_violation(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep,
                         Xs: Sequence[RandomVariable]) -> float:
-    """Max node-wise |rho_{r,t}(X) - rho_{r,s}(-rho_{s,t}(X))| over a test set."""
-    composed = compose(rho_rs, rho_st)
+    """Max node-wise |rho_{r,t}(X) - rho_{r,s}(-rho_{s,t}(X))| over a test set,
+    each rho evaluated from its dual representation."""
     worst = 0.0
     for X in Xs:
-        worst = max(worst, float(np.max(np.abs(rho_rt(X).values - composed(X).values))))
+        composed = rm_evaluate(rep_rs, -rm_evaluate(rep_st, X)).values
+        worst = max(worst, float(np.max(np.abs(rm_evaluate(rep_rt, X).values - composed))))
     return worst
 
 
-def check_recursion(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
-    """Max recursion violation over all index triples r <= s <= t, and its
-    witness (position index, r, s, node): the first in that order to attain
-    it (None without positions).  The positions of each t run as one stack."""
+def dual_form_violation(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
+    """Max over the positions X at t and all r <= t of the node-wise gap
+    |rho_{r,t}(X) - rm_evaluate(expand_dual(dyn, r, t), X)|, and its witness
+    (position index, r, node): the first in that order to attain it (None
+    without positions).  Expands once per (r, t) pair at the default cap,
+    whose ValueError a larger expansion raises."""
     peak, where = np.zeros(len(Xs)), [None] * len(Xs)
     for t in sorted({X.t for X in Xs}):
         idx = [i for i, X in enumerate(Xs) if X.t == t]
         minus_x = -np.stack([Xs[i].values for i in idx])
-        g = [dyn._rho(u, t, minus_x) for u in range(t + 1)]
-        pairs = [(r, s) for r in range(t + 1) for s in range(r, t + 1)]
-        # one column per (r, s, node); rho_{r,s}(-rho_{s,t}(X)) starts from
-        # G_s = rho_{s,t}(X) itself
-        cols = [(r, s, node) for r, s in pairs for node in range(g[r].shape[1])]
-        gap = np.concatenate([np.abs(g[r] - dyn._rho(r, s, g[s])) for r, s in pairs], axis=1)
+        gaps, cols = [], []
+        for r in range(t + 1):
+            rep = expand_dual(dyn, r, t)
+            dual = np.stack([rm_evaluate(rep, Xs[i]).values for i in idx])
+            gaps.append(np.abs(dyn._rho(r, t, minus_x) - dual))
+            cols += [(r, node) for node in range(dual.shape[1])]
+        gap = np.concatenate(gaps, axis=1)
         col = np.argmax(gap, axis=1)
         peak[idx] = gap[np.arange(len(idx)), col]
         for i, c in zip(idx, col):

@@ -59,6 +59,8 @@ class VolatilityBand:
         hi = np.atleast_1d(np.asarray(self.sigma_high, dtype=float))
         if lo.shape != hi.shape:
             raise ValueError("sigma_low and sigma_high must have the same shape")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError("volatilities must be finite")
         if np.any(lo < 0) or np.any(hi < lo):
             raise ValueError("need 0 <= sigma_low <= sigma_high")
         object.__setattr__(self, "sigma_low", lo)
@@ -213,6 +215,8 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
     s_step = int(round(s / grid.dt))
     if abs(s - s_step * grid.dt) > 1e-9:
         raise ValueError("the conditioning time must lie on the time grid")
+    if not 0 <= s_step <= grid.n_steps:
+        raise ValueError(f"the conditioning time {s} lies outside [0, {grid.horizon}]")
 
     x = grid.x
     n_obs = sum(1 for u in times if u <= s + 1e-12)

@@ -217,8 +217,10 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
     """
     members = list(members)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (len(members),) or np.any(w < 0):
-        raise ValueError("need one non-negative weight per member")
+    if w.shape != (len(members),) or not np.all((w >= 0) & np.isfinite(w)):
+        raise ValueError("need one finite non-negative weight per member")
+    if not w.sum() > 0:
+        raise ValueError("the mixture weights sum to 0")
     w = w / w.sum()
     lat = members[0].lattice
     probs = [sum(wi * m.node_probabilities(t) for wi, m in zip(w, members))

@@ -78,6 +78,8 @@ class DualRep:
         for Q, a in comps:
             if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
                 raise ValueError("components must share the lattice; penalties at time s")
+        if not np.all(pen > -np.inf):
+            raise ValueError("penalties must be real or +inf")
         if np.any(np.all(np.isinf(pen), axis=0)):
             raise ValueError("every time-s node needs a finite-penalty component")
         object.__setattr__(self, "components", comps)
@@ -85,11 +87,6 @@ class DualRep:
     @property
     def lattice(self) -> ScenarioLattice:
         return self.components[0][0].lattice
-
-    def as_evaluator(self):
-        from .dynamics import Evaluator
-
-        return Evaluator(self.s, self.t, lambda X: rm_evaluate(self, X))
 
 
 def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):

@@ -72,6 +72,8 @@ class StepPath:
             values = values.reshape(-1, 1)
         if values.shape[0] != times.size:
             raise ValueError("one value per jump time required")
+        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+            raise ValueError("jump times and values must be finite")
         if times.size and (times[0] <= 0 or np.any(np.diff(times) <= 0)):
             raise ValueError("jump times must be strictly increasing and > 0")
         if self.horizon is not None and times.size and times[-1] >= self.horizon:

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, StoppingTime, _backward,
+from .lattice import (RandomVariable, ScenarioLattice, StoppingTime,
                       validate_stopping_time)
 from .dynamics import OneStepStructure, build_dynamic, expand_dual
 from .measures import Measure, _kernel_gap, charged_mask
@@ -149,18 +149,11 @@ def enumerate_selections(structure: OneStepStructure, cap: int = 4096) -> List[M
 
 
 def robust_evaluate(structure: OneStepStructure, X: RandomVariable, s: int) -> RandomVariable:
-    """sup over the node-wise kernel selections of E(-X | B_s), by backward
-    recursion: the penalties are not read, so this is the zero-penalty rho.
-
-    V_t = -X and V_u(n) = max over node-n kernels of <kernel, V_{u+1}>; the
-    maximum over selections is attained node-wise, so this equals the
-    enumeration oracle exactly.
-    """
-    lat = structure.lattice
-    t = X.t
-    if s > t:
-        raise ValueError("need s <= t")
-    return RandomVariable(lat, s, _backward(lat, s, -X.values, structure.flat_kernels[s:t]))
+    """The dynamic risk measure the structure generates, rho_{s,t}(X) for X at
+    t: on a hull, where every penalty is 0, the sup over the node-wise kernel
+    selections of E(-X | B_s).  The maximum over selections is attained
+    node-wise, so this equals the enumeration oracle exactly."""
+    return build_dynamic(structure).rho(s, X.t, X)
 
 
 def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[StoppingTime]:

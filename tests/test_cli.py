@@ -12,7 +12,7 @@ from riskdesk.cli import (
     main,
     validate_config,
 )
-from riskdesk.dynamics import DynamicRM, check_recursion
+from riskdesk.dynamics import DynamicRM, OneStepStructure, dual_form_violation, onestep_to_json
 from riskdesk.fixtures import fix_a_lattice, random_rv
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
 from riskdesk.oracles import call_upper_value
@@ -110,18 +110,32 @@ def test_consistency_task(tmp_path):
     assert results["witness_node"] is not None and results["witness_X"] is not None
 
 
-def test_consistency_witness_is_the_check_recursion_witness(tmp_path):
+def test_consistency_witness_is_the_dual_form_witness(tmp_path):
     doc = {"task": "consistency", "seed": 11, "n_positions": 30}
     code, out = run(tmp_path, doc)
     assert code == EXIT_OK
-    results = read_report(out)["results"]
+    report = read_report(out)
+    results = report["results"]
     lat = fix_a_lattice()
     rng = np.random.default_rng(11)
     Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(30)]
-    worst, (i, r, _, node) = check_recursion(DynamicRM(lat, _fix_a_menu_structure(lat)), Xs)
-    assert results["max_violation"] == worst
+    worst, (i, r, node) = dual_form_violation(DynamicRM(lat, _fix_a_menu_structure(lat)), Xs)
+    assert results["max_violation"] == worst == report["max_violations"]["dual_form"]
     assert results["witness_node"] == [r, node]
     assert results["witness_X"] == Xs[i].values.tolist()
+
+
+def test_consistency_rejects_a_structure_beyond_the_expansion_cap(tmp_path, capsys):
+    # 17 choices at each of the 3 inner nodes: 17**3 = 4913 selections from 0 to 2
+    lat = fix_a_lattice()
+    menu = tuple((np.array([p, 1.0 - p]), 0.0) for p in np.linspace(0.1, 0.9, 17))
+    structure = tmp_path / "structure.json"
+    structure.write_text(onestep_to_json(OneStepStructure(lat, ((menu,), (menu, menu)))))
+    doc = {"task": "consistency", "structure": {"file": str(structure)}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert "selection count 4913 exceeds cap 4096" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_stability_task_and_hull_repair(tmp_path):

@@ -1,15 +1,15 @@
+from math import prod
+
 import numpy as np
 import pytest
 
 from riskdesk.dynamics import (
     DynamicRM,
-    Evaluator,
     OneStepStructure,
     acceptance_decompose,
     build_dynamic,
     check_cocycle,
-    check_recursion,
-    compose,
+    dual_form_violation,
     expand_dual,
     onestep_from_json,
     onestep_to_json,
@@ -24,7 +24,7 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, coordinate_process, lift, uniform_tree
+from riskdesk.lattice import RandomVariable, _backward, coordinate_process, lift, uniform_tree
 from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
 
@@ -67,17 +67,6 @@ def test_rho_normalized_at_zero():
     zero = RandomVariable(lat, 2, np.zeros(4))
     for s in range(3):
         assert np.all(dyn.rho(s, 2, zero).values == 0.0)
-
-
-def test_compose_matches_recursion():
-    lat, dyn = menu_dynamic()
-    rng = np.random.default_rng(6)
-    composed = compose(dyn.evaluator(0, 1), dyn.evaluator(1, 2))
-    for _ in range(20):
-        X = random_rv(lat, 2, rng)
-        assert np.max(np.abs(composed(X).values - dyn.rho(0, 2, X).values)) <= 1e-12
-    with pytest.raises(ValueError, match="compose"):
-        compose(dyn.evaluator(0, 1), dyn.evaluator(2, 2))
 
 
 def test_lifted_variables_collapse():
@@ -193,14 +182,6 @@ def test_cocycle_detects_root_penalty_shift():
     assert abs(res.values[0]) == pytest.approx(delta, abs=1e-9)
 
 
-def test_check_recursion_holds_by_construction():
-    lat, dyn = menu_dynamic()
-    rng = np.random.default_rng(19)
-    Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
-    worst, _ = check_recursion(dyn, Xs)
-    assert worst <= 1e-12
-
-
 def random_menu_dynamic(rng, normalized=False):
     """Ragged random tree with 1-3 sparse kernel choices per node; when
     normalized, choice 0 is free.  Returns the law of choice 0 as well."""
@@ -228,37 +209,67 @@ class BentDynamic(DynamicRM):
         return out + 1e-3 * (t - s) ** 2 * out * out
 
 
-def per_position_recursion(dyn, Xs):
-    """Reference: three rho calls per position and index triple; the witness
-    (position index, r, s, node) is the first to attain the max."""
+class RaisedPenaltyDynamic(DynamicRM):
+    """The recursion with the root's first menu penalty raised by 0.05; the
+    structure, which expand_dual reads, keeps the original penalty."""
+
+    def _rho(self, s, t, g):
+        st = self.structure
+        penalties = list(st.flat_penalties)
+        penalties[0] = penalties[0] + np.eye(*penalties[0].shape)[:, :1] * 0.05
+        return _backward(self.lattice, s, g, st.flat_kernels[s:t], penalties[s:t])
+
+
+def expandable_dates(dyn, cap=256):
+    """The dates t whose expansion from r = 0, the largest, has at most
+    ``cap`` selections, which keeps the reference loop fast."""
+    sizes = dyn.structure.sizes
+    return [t for t in range(dyn.lattice.n_times)
+            if prod(int(n) for u in range(t) for n in sizes[u]) <= cap]
+
+
+def per_position_dual_form(dyn, Xs):
+    """Reference: one expansion and one rho per position and date r; the
+    witness (position index, r, node) is the first to attain the max."""
     worst, witness = 0.0, None
     for i, X in enumerate(Xs):
-        t = X.t
-        for r in range(t + 1):
-            for s in range(r, t + 1):
-                gap = np.abs(dyn.rho(r, t, X).values
-                             - dyn.rho(r, s, -dyn.rho(s, t, X)).values)
-                node = int(np.argmax(gap))
-                if gap[node] > worst or witness is None:
-                    worst, witness = float(gap[node]), (i, r, s, node)
+        for r in range(X.t + 1):
+            gap = np.abs(dyn.rho(r, X.t, X).values
+                         - rm_evaluate(expand_dual(dyn, r, X.t), X).values)
+            node = int(np.argmax(gap))
+            if gap[node] > worst or witness is None:
+                worst, witness = float(gap[node]), (i, r, node)
     return worst, witness
 
 
-def test_check_recursion_matches_the_per_position_loop():
+def test_dual_form_violation_matches_the_per_position_loop():
     rng = np.random.default_rng(83)
-    for trial in range(40):
+    gaps = []
+    for _ in range(40):
         lat, dyn, _ = random_menu_dynamic(rng)
-        if trial % 2:
-            dyn = BentDynamic(lat, dyn.structure)
-        T = lat.terminal
-        Xs = [random_rv(lat, int(rng.integers(0, T + 1)), rng)
+        dates = expandable_dates(dyn)
+        Xs = [random_rv(lat, int(rng.choice(dates)), rng)
               for _ in range(int(rng.integers(1, 9)))]
         Xs += Xs[:2]  # repeated positions tie; the first one is the witness
-        worst, witness = check_recursion(dyn, Xs)
-        assert (worst, witness) == per_position_recursion(dyn, Xs)
-        if trial % 2 and max(X.t for X in Xs) >= 2:
-            assert worst > 0  # the bend breaks the recursion
-    assert check_recursion(dyn, []) == (0.0, None)
+        worst, witness = dual_form_violation(dyn, Xs)
+        assert (worst, witness) == per_position_dual_form(dyn, Xs)
+        gaps.append(worst)
+    assert max(gaps) <= 1e-12
+    assert max(gaps) > 0.0  # two code paths, not one run twice
+    assert dual_form_violation(dyn, []) == (0.0, None)
+
+
+@pytest.mark.parametrize("kind", [BentDynamic, RaisedPenaltyDynamic])
+def test_dual_form_violation_flags_an_inconsistent_recursion(kind):
+    lat, dyn = menu_dynamic()
+    rng = np.random.default_rng(19)
+    Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
+    assert dual_form_violation(dyn, Xs)[0] <= 1e-12
+    worst, (i, r, node) = dual_form_violation(kind(lat, dyn.structure), Xs)
+    assert worst > 1e-3
+    if kind is RaisedPenaltyDynamic:
+        assert worst == pytest.approx(0.05, abs=1e-12)
+        assert (r, node) == (0, 0)
 
 
 def pairwise_supermartingale(dyn, X, P, grid):
@@ -311,13 +322,8 @@ def test_recursion_violation_for_unstable_family():
         (s, t): DualRep(s, t, ((q1, zeros[s]), (q2, zeros[s])))
         for s, t in ((0, 2), (0, 1), (1, 2))
     }
-    evals = {
-        key: Evaluator(key[0], key[1],
-                       lambda X, rep=rep: rm_evaluate(rep, X))
-        for key, rep in reps.items()
-    }
     X = RandomVariable(lat, 2, np.array([0.0, 1.0, 1.0, 0.0]))
-    viol = recursion_violation(evals[(0, 2)], evals[(0, 1)], evals[(1, 2)], [X])
+    viol = recursion_violation(reps[(0, 2)], reps[(0, 1)], reps[(1, 2)], [X])
     assert viol == pytest.approx(0.04, abs=1e-12)
     assert viol > 0.01
 

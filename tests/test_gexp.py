@@ -171,6 +171,10 @@ def test_conditional_gexp_off_grid_times_rejected():
     term = PayoffSpec("terminal", lambda x: x)
     with pytest.raises(ValueError, match="conditioning time"):
         conditional_gexp(term, BAND, COARSE, s=0.1234)
+    # on the grid but outside [0, horizon]
+    for s in (-0.5, 1.005):
+        with pytest.raises(ValueError, match=r"conditioning time .* outside \[0, 1.0\]"):
+            conditional_gexp(term, BAND, COARSE, s=s)
 
 
 def test_payoff_spec_validation():
@@ -249,6 +253,9 @@ def test_band_validation():
         VolatilityBand(0.3, 0.2)
     with pytest.raises(ValueError):
         VolatilityBand(-0.1, 0.2)
+    for low, high in ((np.nan, 0.2), (0.1, np.inf), ([0.1, np.nan], [0.2, 0.2])):
+        with pytest.raises(ValueError, match="finite"):
+            VolatilityBand(low, high)
     stepped = VolatilityBand([0.1, 0.15], [0.2, 0.25])
     assert stepped.at_step(0) == (0.1, 0.2)
     assert stepped.at_step(1) == (0.15, 0.25)

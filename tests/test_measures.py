@@ -194,6 +194,15 @@ def test_convex_combination_dominated_by_capacity():
         assert R.expectation(absX) <= capacity(X, fam) + 1e-12
 
 
+def test_mix_measures_rejects_bad_weights():
+    _, q1, q2, _ = fix_a_family()
+    with pytest.raises(ValueError, match="sum to 0"):
+        mix_measures([q1, q2], [0.0, 0.0])
+    for w in ([0.5, np.nan], [-0.5, 1.5], [1.0, np.inf], [1.0]):
+        with pytest.raises(ValueError, match="finite non-negative weight"):
+            mix_measures([q1, q2], w)
+
+
 def test_stop_set_probabilities_sum_to_one():
     lat, q1, q2, _ = fix_a_family()
     for tau in all_stopping_times(lat):

@@ -412,6 +412,19 @@ def test_dualrep_requires_finite_component_per_node():
         DualRep(1, 2, ((q1, inf1), (q2, inf2)))
 
 
+def test_dualrep_rejects_nan_and_minus_inf_penalties():
+    lat, q1, q2, _ = fix_a_family()
+    zeros = RandomVariable(lat, 1, np.zeros(2))
+    for bad in (np.nan, -np.inf):
+        pen = RandomVariable(lat, 1, np.array([0.25, bad]), allow_infinite=True)
+        with pytest.raises(ValueError, match="real or \\+inf"):
+            DualRep(1, 2, ((q1, zeros), (q2, pen)))
+    # json.loads reads NaN, so the file format needs the same check
+    text = dualrep_to_json(DualRep(1, 2, ((q1, zeros), (q2, zeros))))
+    with pytest.raises(ValueError, match="real or \\+inf"):
+        dualrep_from_json(text.replace("[0.0, 0.0]", "[0.0, NaN]", 1), lat)
+
+
 def test_dualrep_rejects_t_beyond_terminal():
     lat, q1, _, _ = fix_a_family()
     with pytest.raises(ValueError, match="t=5 beyond"):

@@ -228,6 +228,9 @@ def test_step_path_validation():
         jump_path([1.5], [1.0], horizon=1.0)
     with pytest.raises(ValueError, match="one value per jump"):
         StepPath(np.array([0.5]), np.zeros((2, 1)))
+    for times, values in (([0.5, 0.8], [1.0, np.nan]), ([np.nan], [1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            StepPath(np.array(times), np.array(values))
     x = jump_path([0.5], [2.0])
     assert np.array_equal(x.value(0.2), [0.0])
     assert np.array_equal(x.value(0.5), [2.0])

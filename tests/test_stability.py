@@ -222,6 +222,18 @@ def test_robust_evaluate_is_the_zero_penalty_dynamic():
                                       dyn.rho(s, t, X).values)
 
 
+def test_robust_evaluate_reads_penalties():
+    # the menu {(0.5, 0.5) at 0, (0.6, 0.4) at 0.1}: its zero-penalty hull
+    # would price -B2 at 0.4, the penalties bring it down to 0.2
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
+    structure = OneStepStructure(lat, ((menu,), (menu, menu)))
+    B2 = coordinate_process(lat, 2)
+    got = robust_evaluate(structure, -B2, 0)
+    assert got.values[0] == pytest.approx(0.2, abs=1e-12)
+    assert np.array_equal(got.values, build_dynamic(structure).rho(0, 2, -B2).values)
+
+
 def test_hull_json_round_trip():
     lat, q1, q2, _ = fix_a_family()
     rf = rectangular_hull([q1, q2])
