@@ -32,7 +32,7 @@ print("capacity of B2 (p = 1):", capacity(B2, fam))
 # A single reference measure that charges every node any member charges.
 ref = reference_measure(fam)
 print("reference mixture weights:", ref.weights)
-print("reference root kernel:", ref.measure.kernels[0][0])
+print("reference root kernel:", lat.per_node(0, ref.measure.flat_kernels[0])[0])
 
 # At p = 2 the duality is attained by a closed-form witness.
 lat2, _, _, fam2 = fix_a_family(p=2.0)

@@ -28,7 +28,7 @@ from riskdesk import (
 lat = fix_a_lattice()
 menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
 structure = OneStepStructure(lat, ((menu,), (menu, menu)))
-dyn = DynamicRM(lat, structure)
+dyn = DynamicRM(structure)
 
 B2 = coordinate_process(lat, 2)
 print("rho_{1,2}(B2):", dyn.rho(1, 2, B2).values)

@@ -23,8 +23,8 @@ B2 = coordinate_process(lat, 2)
 # Pasting: Q2's kernels strictly before the stopping time, Q1's after.
 tau = StoppingTime.deterministic(lat, 1)
 R = paste(q1, q2, tau)
-print("pasted root kernel:", R.kernels[0][0])
-print("pasted time-1 kernels:", [k.tolist() for k in R.kernels[1]])
+print("pasted root kernel:", lat.per_node(0, R.flat_kernels[0])[0])
+print("pasted time-1 kernels:", [k.tolist() for k in lat.per_node(1, R.flat_kernels[1])])
 
 # The two-member family escapes under pasting ...
 taus = all_stopping_times(lat)

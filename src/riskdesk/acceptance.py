@@ -138,8 +138,7 @@ def _random_dynamic(rng: np.random.Generator, normalized: bool = False):
     levels = []
     for k in range(lat.n_times - 1):
         level = []
-        for i in range(lat.n_nodes(k)):
-            b = len(lat.children[k][i])
+        for b in np.diff(lat.offsets[k]):
             menu = []
             for j in range(int(rng.integers(1, 3))):
                 w = rng.dirichlet(np.ones(b))
@@ -150,7 +149,7 @@ def _random_dynamic(rng: np.random.Generator, normalized: bool = False):
                 menu[0] = (menu[0][0], 0.0)
             level.append(tuple(menu))
         levels.append(tuple(level))
-    return lat, DynamicRM(lat, OneStepStructure(lat, tuple(levels)))
+    return lat, DynamicRM(OneStepStructure(lat, tuple(levels)))
 
 
 def criterion_time_consistency(seed: int) -> Dict:
@@ -247,9 +246,8 @@ def criterion_pasting(seed: int) -> Dict:
     tau = StoppingTime.deterministic(lat, 1)
     pasted = paste(q1, q2, tau)
     worst = max(
-        float(np.max(np.abs(pasted.kernels[0][0] - np.array([0.6, 0.4])))),
-        max(float(np.max(np.abs(pasted.kernels[1][i] - np.array([0.5, 0.5]))))
-            for i in range(2)),
+        float(np.max(np.abs(pasted.flat_kernels[0] - np.array([0.6, 0.4])))),
+        float(np.max(np.abs(pasted.flat_kernels[1] - 0.5))),
     )
     taus = all_stopping_times(lat)
     pair_stable, _ = is_stable([q1, q2], taus)

@@ -83,8 +83,6 @@ def validate_config(config: Dict) -> List[str]:
             if isinstance(entry, dict) and "file" in entry \
                     and not Path(entry["file"]).exists():
                 diags.append(f"measures: file {entry['file']!r} does not exist")
-    if "p" in config and not (isinstance(config["p"], (int, float)) and config["p"] >= 1):
-        diags.append(f"p must be a number >= 1, got {config['p']!r}")
     for cap_key in ("cap", "n_positions"):
         if cap_key in config and (not isinstance(config[cap_key], int)
                                   or config[cap_key] <= 0):
@@ -192,7 +190,7 @@ def _task_consistency(config, rng):
         structure = onestep_from_json(Path(spec["file"]).read_text(), lat)
     else:
         raise ConfigError("structure must be 'fix-a-menu' or {'file': path}")
-    dyn = DynamicRM(lat, structure)
+    dyn = DynamicRM(structure)
     tol = float(config.get("tolerance", 1e-9))
     n = int(config.get("n_positions", 100))
     Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(n)]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
-from .risk import DualRep, minimal_penalty, rm_evaluate
+from .risk import DualRep, _component_values, minimal_penalty, rm_evaluate
 
 __all__ = [
     "OneStepStructure",
@@ -91,12 +91,16 @@ class OneStepStructure:
                            all(bool(np.all(a.min(axis=0) == 0.0)) for a in penalties))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicRM:
-    """Dynamic risk measure generated by a one-step structure."""
+    """Dynamic risk measure generated by a one-step structure, which is all
+    it stores; its lattice is the structure's.  Compares by identity."""
 
-    lattice: ScenarioLattice
     structure: OneStepStructure
+
+    @property
+    def lattice(self) -> ScenarioLattice:
+        return self.structure.lattice
 
     def rho(self, s: int, t: int, X: RandomVariable) -> RandomVariable:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
@@ -109,15 +113,14 @@ class DynamicRM:
     def _rho(self, s: int, t: int, g) -> np.ndarray:
         """The recursion from (..., n_t) values G_t = -X down to G_s."""
         st = self.structure
-        return _backward(self.lattice, s, g, st.flat_kernels[s:t], st.flat_penalties[s:t])
+        return _backward(st.lattice, s, g, st.flat_kernels[s:t], st.flat_penalties[s:t])
 
 
 def build_dynamic(structure: OneStepStructure) -> DynamicRM:
-    return DynamicRM(structure.lattice, structure)
+    return DynamicRM(structure)
 
 
-def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096,
-                reference: Optional[Measure] = None) -> DualRep:
+def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096) -> DualRep:
     """Enumerate all node-wise kernel selections between r and t as a DualRep.
 
     Each selection induces a path-law measure (nodes outside [r, t) default
@@ -153,7 +156,7 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096,
     for c in range(count):
         Q = Measure(lat, tuple(lat.per_node(u, w[c]) for u, w in enumerate(kernels)))
         comps.append((Q, RandomVariable(lat, r, acc[c], allow_infinite=True)))
-    return DualRep(r, t, tuple(comps), reference=reference)
+    return DualRep(r, t, tuple(comps))
 
 
 def check_cocycle(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep, Q: Measure):
@@ -193,15 +196,16 @@ def dual_form_violation(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
     |rho_{r,t}(X) - rm_evaluate(expand_dual(dyn, r, t), X)|, and its witness
     (position index, r, node): the first in that order to attain it (None
     without positions).  Expands once per (r, t) pair at the default cap,
-    whose ValueError a larger expansion raises."""
+    whose ValueError a larger expansion raises, and runs its positions at once."""
+    if any(X.lattice is not dyn.lattice for X in Xs):
+        raise ValueError("a position lives on a different lattice")
     peak, where = np.zeros(len(Xs)), [None] * len(Xs)
     for t in sorted({X.t for X in Xs}):
         idx = [i for i, X in enumerate(Xs) if X.t == t]
         minus_x = -np.stack([Xs[i].values for i in idx])
         gaps, cols = [], []
         for r in range(t + 1):
-            rep = expand_dual(dyn, r, t)
-            dual = np.stack([rm_evaluate(rep, Xs[i]).values for i in idx])
+            dual = _component_values(expand_dual(dyn, r, t), minus_x).max(axis=-2)
             gaps.append(np.abs(dyn._rho(r, t, minus_x) - dual))
             cols += [(r, node) for node in range(dual.shape[1])]
         gap = np.concatenate(gaps, axis=1)

@@ -70,8 +70,7 @@ def random_measure(lattice: ScenarioLattice, rng: np.random.Generator,
     kernels = []
     for k in range(lattice.n_times - 1):
         level = []
-        for i in range(lattice.n_nodes(k)):
-            b = len(lattice.children[k][i])
+        for b in np.diff(lattice.offsets[k]):
             w = rng.dirichlet(np.ones(b))
             w = (w + min_weight) / (1.0 + b * min_weight)
             level.append(w)

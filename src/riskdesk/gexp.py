@@ -46,7 +46,7 @@ class CFLError(ValueError):
     """Explicit-scheme stability bound dt * sigma_high^2 <= h^2 violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolatilityBand:
     """Lower/upper volatility, constant or sampled once per step of the grid
     it runs on (``GridSpec.check_cfl`` checks the length)."""
@@ -252,8 +252,7 @@ def quadratic_variation(lattice: ScenarioLattice, t: int, coord: int = 0) -> Ran
     """Accumulated squared increments sum (Delta B)^2 along the ancestry."""
     vals = np.zeros(1)
     for u in range(1, t + 1):
-        par = np.asarray(lattice.parents[u], dtype=int)
-        vals = vals[par] + lattice.increments[u][:, coord] ** 2
+        vals = vals[lattice.parents[u]] + lattice.increments[u][:, coord] ** 2
     return RandomVariable(lattice, t, vals)
 
 
@@ -265,7 +264,7 @@ def integration_by_parts_residual(lattice: ScenarioLattice, t: int,
     stoch_int = np.zeros(1)
     level = np.zeros(1)
     for u in range(1, t + 1):
-        par = np.asarray(lattice.parents[u], dtype=int)
+        par = lattice.parents[u]
         stoch_int = stoch_int[par] + level[par] * lattice.increments[u][:, coord]
         level = level[par] + lattice.increments[u][:, coord]
     qv = quadratic_variation(lattice, t, coord).values

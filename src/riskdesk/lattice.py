@@ -38,18 +38,21 @@ class NodeRef:
     i: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioLattice:
     """Finite scenario tree.
 
     times        -- strictly increasing time points t0=0 < ... < tT
     dimension    -- d >= 1, the dimension of the increments
     parents      -- per time index, int array of parent node indices (root: -1)
-    increments   -- per time index, array (n_nodes, d) of increments from the
-                    parent (root: zeros)
+    increments   -- per time index, float array (n_nodes, d) of increments
+                    from the parent (root: zeros)
 
-    Children are contiguous and ordered by parent, so a per-parent sum over a
-    flat time-(k+1) array is one ``np.add.reduceat`` over ``offsets[k][:-1]``.
+    Derived: per time index the (n_nodes, d) path ``values`` and, for k < T,
+    ``offsets[k]``: each node's first-child offset, then n_nodes(k + 1).
+    The children of node (k, i) are ``offsets[k][i]:offsets[k][i + 1]``, so
+    a per-parent sum over a flat time-(k+1) array is one ``np.add.reduceat``
+    over ``offsets[k][:-1]``.  Lattices compare by identity.
     """
 
     times: tuple
@@ -57,27 +60,25 @@ class ScenarioLattice:
     parents: tuple
     increments: tuple
 
-    # derived, filled in __post_init__
-    children: tuple = field(default=None, compare=False)
-    values: tuple = field(default=None, compare=False)
-    # per time index k < T: each node's first-child offset, then n_nodes(k + 1)
-    offsets: tuple = field(default=None, init=False, repr=False, compare=False)
+    values: tuple = field(init=False)
+    offsets: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        if times.size < 2:
+        times = tuple(float(u) for u in self.times)
+        if len(times) < 2:
             raise ValueError("a lattice needs at least 2 time points")
         if np.any(np.diff(times) <= 0):
             raise ValueError("time points must be strictly increasing (no duplicates)")
-        if len(self.parents) != times.size or len(self.increments) != times.size:
+        if len(self.parents) != len(times) or len(self.increments) != len(times):
             raise ValueError("parents/increments must have one entry per time point")
         if len(self.parents[0]) != 1 or self.parents[0][0] != -1:
             raise ValueError("there must be a unique root at time index 0")
+        object.__setattr__(self, "times", times)
 
         parents = tuple(np.asarray(p, dtype=int) for p in self.parents)
         object.__setattr__(self, "parents", parents)
         offsets = []
-        for k in range(times.size - 1):
+        for k in range(len(times) - 1):
             n_k, par = parents[k].size, parents[k + 1]
             j = int(np.argmax((par < 0) | (par >= n_k)))
             if not 0 <= par[j] < n_k:
@@ -90,16 +91,17 @@ class ScenarioLattice:
                 raise ValueError("children must be contiguous per parent")
             offsets.append(np.concatenate(([0], np.cumsum(counts))))
         object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "children", tuple(
-            self.per_node(k, np.arange(parents[k + 1].size)) for k in range(times.size - 1)))
 
+        incs = tuple(np.asarray(inc, dtype=float).reshape(-1, self.dimension)
+                     for inc in self.increments)
         values = [np.zeros((1, self.dimension))]
-        for k in range(1, times.size):
-            inc = np.asarray(self.increments[k], dtype=float).reshape(-1, self.dimension)
-            if inc.shape[0] != parents[k].size:
+        for k, (par, inc) in enumerate(zip(parents, incs)):
+            if inc.shape[0] != par.size:
                 raise ValueError(f"time index {k}: {inc.shape[0]} increment rows "
-                                 f"for {parents[k].size} nodes")
-            values.append(values[k - 1][parents[k]] + inc)
+                                 f"for {par.size} nodes")
+            if k:  # the root sits at 0, whatever its increment
+                values.append(values[k - 1][par] + inc)
+        object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "values", tuple(values))
 
     @property
@@ -120,7 +122,7 @@ class ScenarioLattice:
         """Array mapping every time-t node to its time-s ancestor index."""
         idx = np.arange(self.n_nodes(t))
         for u in range(t, s, -1):
-            idx = np.asarray(self.parents[u], dtype=int)[idx]
+            idx = self.parents[u][idx]
         return idx
 
     def descendant_slice(self, s: int, i: int, t: int) -> slice:
@@ -144,7 +146,7 @@ class ScenarioLattice:
         return list(reversed(idx))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomVariable:
     """Adapted variable: one real value per node at a given time index."""
 

@@ -18,7 +18,7 @@ X = Y at all reference-charged nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -93,23 +93,26 @@ def _kernel_gap(lattice: ScenarioLattice, k: int, a, b) -> np.ndarray:
     return np.maximum.reduceat(np.abs(a - b), lattice.offsets[k][:-1], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Measure:
     """Probability measure given by one kernel per non-terminal node;
-    ``kernels[k][i]`` is a view of the flat ``flat_kernels[k]``."""
+    ``kernels[k][i]`` weighs the children of node (k, i).  Only the
+    normalized ``flat_kernels[k]`` over the time-(k+1) nodes is stored, and
+    ``lattice.per_node(k, flat_kernels[k])`` splits it per node.  Measures
+    compare by identity."""
 
     lattice: ScenarioLattice
-    kernels: tuple  # per time index < T: tuple of weight arrays, one per node
+    kernels: InitVar[tuple]  # per time index < T: tuple of weight arrays, one per node
 
-    _node_probs: tuple = field(default=None, compare=False)
-    flat_kernels: tuple = field(default=None, init=False, repr=False, compare=False)
+    flat_kernels: tuple = field(init=False, repr=False)
+    _node_probs: tuple = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, kernels):
         lat = self.lattice
-        if len(self.kernels) != lat.n_times - 1:
+        if len(kernels) != lat.n_times - 1:
             raise ValueError("one kernel level per non-terminal time index")
         flats = []
-        for k, level in enumerate(self.kernels):
+        for k, level in enumerate(kernels):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one kernel per node required")
             flat, _, sums = _flat_kernels(lat, k, level)
@@ -118,8 +121,6 @@ class Measure:
                 raise ValueError(f"kernel weights sum to {sums[bad[0]]}, expected 1")
             flats.append(flat / sums[lat.parents[k + 1]])
         object.__setattr__(self, "flat_kernels", tuple(flats))
-        object.__setattr__(self, "kernels",
-                           tuple(lat.per_node(k, w) for k, w in enumerate(flats)))
         probs = [np.ones(1)]
         for k, w in enumerate(flats):
             probs.append(probs[k][lat.parents[k + 1]] * w)
@@ -162,7 +163,7 @@ def charged_mask(Q: Measure, t: int) -> np.ndarray:
     return Q.node_probabilities(t) > 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureFamily:
     """Finite ordered family (Q_0, ..., Q_{N-1}) with exponent p >= 1."""
 
@@ -190,7 +191,7 @@ class MeasureFamily:
         return np.inf if self.p == 1 else self.p / (self.p - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReferenceMeasure:
     """Mixture P = sum w_n Q_n with dyadic weights, renormalized."""
 
@@ -242,7 +243,7 @@ def reference_measure(family: MeasureFamily) -> ReferenceMeasure:
     return ReferenceMeasure(mix_measures(family.members, w), w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualWitness:
     g0: RandomVariable
     value: float
@@ -291,7 +292,8 @@ def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
 
 def measure_to_json(Q: Measure) -> str:
     kernels = [{"node": [k, i], "weights": w.tolist()}
-               for k, level in enumerate(Q.kernels) for i, w in enumerate(level)]
+               for k, flat in enumerate(Q.flat_kernels)
+               for i, w in enumerate(Q.lattice.per_node(k, flat))]
     return json.dumps({"kernels": kernels}, sort_keys=True)
 
 

@@ -21,7 +21,7 @@ from .gexp import GridSpec, VolatilityBand
 from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
 from .measures import Measure
-from .skorokhod import StepPath, TimeChange, g_damping
+from .skorokhod import _PAIR_WINDOW, StepPath, TimeChange, g_damping
 from .dynamics import OneStepStructure
 from .stability import robust_evaluate
 
@@ -107,11 +107,8 @@ def conjugate_grid_oracle(rep: DualRep, Q: Measure, node: int,
 
 
 def _values_at(p: StepPath, ts: np.ndarray) -> np.ndarray:
-    d = p.values.shape[1] if p.values.size else 1
-    table = np.vstack([np.zeros((1, d)),
-                       p.values if p.values.size else np.zeros((0, d))])
-    idx = np.searchsorted(p.times, ts, side="right")
-    return table[idx]
+    table = np.vstack([np.zeros((1, p.dimension)), p.values])
+    return table[np.searchsorted(p.times, ts, side="right")]
 
 
 def dense_timechange_cost(x: StepPath, y: StepPath, lam: TimeChange, m: int,
@@ -231,18 +228,17 @@ def _first_best(candidates):
     return best_cost, best
 
 
-def dm_enumeration_oracle(x: StepPath, y: StepPath, m: int,
-                          pair_window: float = 2.0):
+def dm_enumeration_oracle(x: StepPath, y: StepPath, m: int):
     """d_m and its witness by evaluating every monotone matching of the jumps
     (see ``skorokhod.dm_distance``) as one whole time change.  Exponential
     in the jump count: up to about 5 jumps per path."""
     if y.sort_key() < x.sort_key():
         x, y = y, x
-    window = float(m) + pair_window
+    window = float(m) + _PAIR_WINDOW
     xi = [i for i, u in enumerate(x.times) if u < window]
     yj = [j for j, u in enumerate(y.times) if u < window]
     allowed = {(a, b) for a in range(len(xi)) for b in range(len(yj))
-               if abs(x.times[xi[a]] - y.times[yj[b]]) <= pair_window}
+               if abs(x.times[xi[a]] - y.times[yj[b]]) <= _PAIR_WINDOW}
 
     def candidates():
         for pairs in _monotone_matchings(len(xi), len(yj), allowed):

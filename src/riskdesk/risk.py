@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualRep:
     """Conditional risk measure rho_{s,t} as (measure, penalty) components.
 
@@ -99,17 +99,20 @@ def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
         raise ValueError(f"X must live at time index {rep.t}, got {X.t}")
     if X.lattice is not rep.lattice:
         raise ValueError("X lives on a different lattice")
-    # every E_{Q_k}(-X | B_s) in one recursion: (K, 1, n) kernels broadcast -X
-    ce = _backward(rep.lattice, rep.s, -X.values,
+    table = _component_values(rep, -X.values)
+    arg = np.argmax(table, axis=0)  # first max wins
+    out = RandomVariable(rep.lattice, rep.s, table[arg, np.arange(table.shape[1])])
+    return (out, arg) if return_argmax else out
+
+
+def _component_values(rep: DualRep, g) -> np.ndarray:
+    """E_{Q_k}(g | B_s) - alpha_k of (..., n_t) values g at t, per component k
+    and time-s node, in one recursion: (..., K, n_s), -inf at infinite alpha_k."""
+    ce = _backward(rep.lattice, rep.s, g[..., None, :],
                    [np.stack([Q.flat_kernels[u] for Q, _ in rep.components])[:, None, :]
                     for u in range(rep.s, rep.t)])
     pen = np.stack([alpha.values for _, alpha in rep.components])
-    table = np.where(np.isinf(pen), -np.inf, ce - pen)
-    arg = np.argmax(table, axis=0)  # first max wins
-    out = RandomVariable(rep.lattice, rep.s, table[arg, np.arange(table.shape[1])])
-    if return_argmax:
-        return out, arg
-    return out
+    return np.where(np.isinf(pen), -np.inf, ce - pen)
 
 
 # One tolerance decides rank, reach, non-negativity and residual of a node's
@@ -122,8 +125,7 @@ _TOL = 1e-10
 _MAX_BASES = 1000
 
 
-def minimal_penalty(rep: DualRep, Q: Measure,
-                    reference: Optional[Measure] = None) -> RandomVariable:
+def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
     """Convex conjugate of the evaluator at Q, node-wise.
 
     At time-s node n, solves  min sum_k lam_k alpha_k(n)  subject to
@@ -134,9 +136,8 @@ def minimal_penalty(rep: DualRep, Q: Measure,
     than ``_MAX_BASES`` bases; a HiGHS failure other than infeasibility
     raises ``RuntimeError``.
     """
-    ref = reference if reference is not None else rep.reference
-    if ref is not None:
-        status = check_restriction(Q, ref, rep.s)
+    if rep.reference is not None:
+        status = check_restriction(Q, rep.reference, rep.s)
         if status != "equal":
             raise ValueError(
                 f"restriction of Q to B_{rep.s} is {status}, expected equal to the reference"
@@ -289,8 +290,7 @@ def dualrep_to_json(rep: DualRep) -> str:
     return json.dumps({"s": rep.s, "t": rep.t, "components": comps}, sort_keys=True)
 
 
-def dualrep_from_json(text: str, lattice: ScenarioLattice,
-                      reference: Optional[Measure] = None) -> DualRep:
+def dualrep_from_json(text: str, lattice: ScenarioLattice) -> DualRep:
     doc = json.loads(text)
     s, t = int(doc["s"]), int(doc["t"])
     comps = []
@@ -298,4 +298,4 @@ def dualrep_from_json(text: str, lattice: ScenarioLattice,
         Q = measure_from_json(json.dumps(c["measure"]), lattice)
         pen = np.array([np.inf if v == "inf" else float(v) for v in c["penalty"]])
         comps.append((Q, RandomVariable(lattice, s, pen, allow_infinite=True)))
-    return DualRep(s, t, tuple(comps), reference=reference)
+    return DualRep(s, t, tuple(comps))

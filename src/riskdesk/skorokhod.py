@@ -50,9 +50,10 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-12
+_PAIR_WINDOW = 2.0  # how far apart d_m may pair jumps (see dm_distance)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepPath:
     """Cadlag step function: x(0) = 0, jumps at strictly increasing times.
 
@@ -83,14 +84,13 @@ class StepPath:
 
     @property
     def dimension(self) -> int:
-        return self.values.shape[1] if self.values.size else 1
+        return self.values.shape[1]
 
     def value(self, u: float) -> np.ndarray:
         """Right-continuous evaluation; 0 before the first jump."""
-        d = self.values.shape[1] if self.values.size else 1
         k = int(np.searchsorted(self.times, u, side="right")) - 1
         if k < 0:
-            return np.zeros(d)
+            return np.zeros(self.dimension)
         return self.values[k]
 
     def sort_key(self):
@@ -328,12 +328,12 @@ def _best_matching(X, Y, pairs, cost, end=None):
     return value, [knots[a] for a in chain] + ([end] if end else [])
 
 
-def dm_distance(x: StepPath, y: StepPath, m: int, pair_window: float = 2.0):
+def dm_distance(x: StepPath, y: StepPath, m: int):
     """Damped distance d_m between paths on [0, inf).
 
     Minimizes over piecewise-linear time changes with knots at monotone
-    matchings of the jumps before m + pair_window, pairing jumps at most
-    pair_window apart; returns (value, witness TimeChange).  The minimum is
+    matchings of the jumps before m + _PAIR_WINDOW, pairing jumps at most
+    _PAIR_WINDOW apart; returns (value, witness TimeChange).  The minimum is
     a minimax path over jump pairs (:func:`_best_matching`), polynomial in
     the jump counts.  Symmetric by construction (canonical argument order).
     """
@@ -344,9 +344,9 @@ def dm_distance(x: StepPath, y: StepPath, m: int, pair_window: float = 2.0):
     if y.sort_key() < x.sort_key():
         x, y = y, x
     X, Y = _prepared(x, y)
-    window = float(m) + pair_window
+    window = float(m) + _PAIR_WINDOW
     pairs = [(i, j) for i, xu in enumerate(X[0]) if xu < window
-             for j, yu in enumerate(Y[0]) if yu < window and abs(xu - yu) <= pair_window]
+             for j, yu in enumerate(Y[0]) if yu < window and abs(xu - yu) <= _PAIR_WINDOW]
     value, knots = _best_matching(
         X, Y, pairs, lambda pc: max(_deviation(pc, float(m)), _damped_gap(X, Y, pc, m)))
     return value, TimeChange(tuple(knots))
@@ -380,7 +380,7 @@ def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PLContinuousPath:
     """Continuous piecewise-linear path given by knots; constant-slope tail.
 

@@ -163,7 +163,7 @@ def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[Stopp
     def expand(t: int, i: int):
         options = [[NodeRef(t, i)]]
         if t < lattice.terminal:
-            child_sets = [expand(t + 1, int(j)) for j in lattice.children[t][i]]
+            child_sets = [expand(t + 1, j) for j in range(*lattice.offsets[t][i:i + 2])]
             for combo in itertools.product(*child_sets):
                 options.append([n for sub in combo for n in sub])
         if len(options) > cap:

@@ -119,7 +119,7 @@ def test_consistency_witness_is_the_dual_form_witness(tmp_path):
     lat = fix_a_lattice()
     rng = np.random.default_rng(11)
     Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(30)]
-    worst, (i, r, node) = dual_form_violation(DynamicRM(lat, _fix_a_menu_structure(lat)), Xs)
+    worst, (i, r, node) = dual_form_violation(DynamicRM(_fix_a_menu_structure(lat)), Xs)
     assert results["max_violation"] == worst == report["max_violations"]["dual_form"]
     assert results["witness_node"] == [r, node]
     assert results["witness_X"] == Xs[i].values.tolist()

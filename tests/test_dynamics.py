@@ -131,12 +131,12 @@ def test_rho_matches_expanded_dual_on_ragged_trees():
         levels, at = [], 0
         for k in range(lat.terminal):
             level = []
-            for ch in lat.children[k]:
-                menu = [(sparse_kernel(rng, len(ch)), float(rng.uniform(0.0, 0.5)))
+            for b in np.diff(lat.offsets[k]):
+                menu = [(sparse_kernel(rng, b), float(rng.uniform(0.0, 0.5)))
                         for _ in range(1 + (at in split) * int(rng.integers(1, 3)))]
                 if len(menu) > 1:
                     menu.insert(int(rng.integers(len(menu))),
-                                (sparse_kernel(rng, len(ch)), np.inf))
+                                (sparse_kernel(rng, b), np.inf))
                 level.append(tuple(menu))
                 at += 1
             levels.append(tuple(level))
@@ -189,8 +189,8 @@ def random_menu_dynamic(rng, normalized=False):
     levels = []
     for k in range(lat.terminal):
         level = []
-        for ch in lat.children[k]:
-            menu = [(sparse_kernel(rng, len(ch)), float(rng.uniform(0.0, 0.5)))
+        for b in np.diff(lat.offsets[k]):
+            menu = [(sparse_kernel(rng, b), float(rng.uniform(0.0, 0.5)))
                     for _ in range(int(rng.integers(1, 4)))]
             if normalized:
                 menu[0] = (menu[0][0], 0.0)
@@ -257,6 +257,15 @@ def test_dual_form_violation_matches_the_per_position_loop():
     assert max(gaps) <= 1e-12
     assert max(gaps) > 0.0  # two code paths, not one run twice
     assert dual_form_violation(dyn, []) == (0.0, None)
+    with pytest.raises(ValueError, match="different lattice"):
+        dual_form_violation(dyn, [random_rv(fix_a_lattice(), 2, rng)])
+
+
+def test_dynamic_rm_holds_only_its_structure():
+    lat, dyn = menu_dynamic()
+    assert DynamicRM(dyn.structure).lattice is dyn.structure.lattice is lat
+    with pytest.raises(TypeError):
+        DynamicRM(lat, dyn.structure)
 
 
 @pytest.mark.parametrize("kind", [BentDynamic, RaisedPenaltyDynamic])
@@ -265,7 +274,7 @@ def test_dual_form_violation_flags_an_inconsistent_recursion(kind):
     rng = np.random.default_rng(19)
     Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
     assert dual_form_violation(dyn, Xs)[0] <= 1e-12
-    worst, (i, r, node) = dual_form_violation(kind(lat, dyn.structure), Xs)
+    worst, (i, r, node) = dual_form_violation(kind(dyn.structure), Xs)
     assert worst > 1e-3
     if kind is RaisedPenaltyDynamic:
         assert worst == pytest.approx(0.05, abs=1e-12)
@@ -398,8 +407,8 @@ def test_onestep_json_round_trip():
     assert np.isinf(back.flat_penalties[0][1, 0])
     B2 = coordinate_process(lat, 2)
     assert np.array_equal(
-        DynamicRM(lat, back).rho(0, 2, B2).values,
-        DynamicRM(lat, structure).rho(0, 2, B2).values,
+        DynamicRM(back).rho(0, 2, B2).values,
+        DynamicRM(structure).rho(0, 2, B2).values,
     )
 
 

@@ -219,7 +219,7 @@ def test_band_membership():
         for k in range(lat.n_times - 1):
             level = []
             for i in range(lat.n_nodes(k)):
-                inc = lat.increments[k + 1][lat.children[k][i], 0]
+                inc = lat.increments[k + 1][lat.offsets[k][i]:lat.offsets[k][i + 1], 0]
                 level.append(band_kernel(inc, v, h))
             out.append(tuple(level))
         return tuple(out)
@@ -229,7 +229,7 @@ def test_band_membership():
     too_hot = Measure(lat, kernels_for(0.3 ** 2 * dt))
     assert not band_membership(too_hot, band, dt)
     skewed_kernels = list(list(level) for level in kernels_for(0.15 ** 2 * dt))
-    inc0 = lat.increments[1][lat.children[0][0], 0]
+    inc0 = lat.increments[1][:, 0]
     drift = np.where(inc0 > 0, 0.02, np.where(inc0 < 0, -0.02, 0.0))
     skewed_kernels[0][0] = skewed_kernels[0][0] + drift
     skewed = Measure(lat, tuple(tuple(level) for level in skewed_kernels))

@@ -65,9 +65,9 @@ def test_offsets_and_children_follow_parents():
     for k in range(lat.terminal):
         off = lat.offsets[k]
         assert off[-1] == lat.n_nodes(k + 1)
-        for i, ch in enumerate(lat.children[k]):
+        for i in range(lat.n_nodes(k)):
             expected = np.flatnonzero(lat.parents[k + 1] == i)
-            assert np.array_equal(ch, expected) and off[i] == expected[0]
+            assert np.array_equal(np.arange(off[i], off[i + 1]), expected)
 
 
 def test_lift_ancestor_copy():
@@ -134,3 +134,70 @@ def test_lattice_json_round_trip():
     assert set(doc) == {"times", "dimension", "nodes"}
     for t in range(3):
         assert np.array_equal(back.values[t], lat.values[t])
+
+
+def test_derived_lattice_fields_are_not_parameters():
+    parents = (np.array([-1]), np.array([0, 0]))
+    incs = (np.zeros((1, 1)), np.ones((2, 1)))
+    for derived in ("children", "values", "offsets"):
+        with pytest.raises(TypeError):
+            ScenarioLattice((0.0, 1.0), 1, parents, incs, **{derived: None})
+
+
+def test_lattice_stores_the_increments_it_validated():
+    from riskdesk.gexp import quadratic_variation
+
+    # plain lists, and flat rows of a two-dimensional lattice
+    lat = ScenarioLattice([0, 1, 2], 1, ([-1], [0, 0], [0, 1]),
+                          ([0.0], [1.0, -1.0], [0.5, -2.0]))
+    assert lat.times == (0.0, 1.0, 2.0)
+    for k, n in enumerate((1, 2, 2)):
+        assert lat.increments[k].shape == (n, 1) and lat.increments[k].dtype == float
+    assert np.array_equal(quadratic_variation(lat, 2).values, [1.25, 5.0])
+    flat = ScenarioLattice((0.0, 1.0), 2, ([-1], [0, 0]),
+                           (np.zeros(2), np.array([1.0, 2.0, 3.0, -4.0])))
+    assert flat.increments[1].shape == (2, 2)
+    assert np.array_equal(quadratic_variation(flat, 1, coord=1).values, [4.0, 16.0])
+
+
+def _identity_builders():
+    import riskdesk as rd
+
+    lat, q1, q2, fam = rd.fix_a_family(p=2.0)
+    B2 = coordinate_process(lat, 2)
+    zeros = RandomVariable(lat, 0, np.zeros(1))
+    return {
+        "ScenarioLattice": rd.fix_a_lattice,
+        "RandomVariable": lambda: RandomVariable(lat, 1, [1.0, -1.0]),
+        "Measure": lambda: rd.iid_binary_measure(lat, 0.5),
+        "MeasureFamily": lambda: rd.MeasureFamily((q1, q2), p=2.0),
+        "ReferenceMeasure": lambda: rd.reference_measure(fam),
+        "DualWitness": lambda: rd.dual_witness(B2, fam),
+        "DualRep": lambda: rd.DualRep(0, 2, ((q1, zeros), (q2, zeros))),
+        "DynamicRM": lambda: rd.build_dynamic(rd.rectangular_hull([q1, q2])),
+        "VolatilityBand": lambda: rd.VolatilityBand(0.1, 0.2),
+        "StepPath": lambda: rd.StepPath([0.5], [1.0]),
+        "PLContinuousPath": lambda: rd.PLContinuousPath([0.0, 1.0], [0.0, 1.0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_identity_builders()))
+def test_array_holding_objects_compare_by_identity(name):
+    make = _identity_builders()[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert a in [b, a] and a not in [b]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_value_objects_keep_value_equality():
+    from riskdesk.gexp import GridSpec, PayoffSpec
+    from riskdesk.skorokhod import TimeChange
+
+    lat = fix_a_lattice()
+    assert NodeRef(1, 0) == NodeRef(1, 0) and hash(NodeRef(1, 0)) == hash(NodeRef(1, 0))
+    assert StoppingTime.deterministic(lat, 1) == StoppingTime.deterministic(lat, 1)
+    assert GridSpec(0.1, 0.5, 4, 1.0) == GridSpec(0.1, 0.5, 4, 1.0)
+    assert PayoffSpec("terminal", abs) == PayoffSpec("terminal", abs)
+    assert TimeChange(((0, 0), (1, 2))) == TimeChange(((0.0, 0.0), (1.0, 2.0)))

@@ -10,7 +10,7 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, coordinate_process
+from riskdesk.lattice import RandomVariable, build_lattice, coordinate_process
 from riskdesk.measures import (
     Measure,
     MeasureFamily,
@@ -39,7 +39,7 @@ def sparse_kernel(rng, b):
 
 
 def sparse_measure(lat, rng):
-    return Measure(lat, tuple(tuple(sparse_kernel(rng, len(c)) for c in lat.children[k])
+    return Measure(lat, tuple(tuple(sparse_kernel(rng, b) for b in np.diff(lat.offsets[k]))
                               for k in range(lat.terminal)))
 
 
@@ -112,14 +112,14 @@ def test_reference_measure_weights_and_root_kernel():
     ref = reference_measure(fam)
     assert np.allclose(ref.weights, [2.0 / 3.0, 1.0 / 3.0])
     expected_up = (2.0 / 3.0) * 0.5 + (1.0 / 3.0) * 0.6
-    assert ref.measure.kernels[0][0][0] == pytest.approx(expected_up, abs=1e-12)
+    assert ref.measure.flat_kernels[0][0] == pytest.approx(expected_up, abs=1e-12)
 
 
 def test_reference_measure_degenerate_and_three_members():
     lat, q1, q2, _ = fix_a_family()
     single = reference_measure(MeasureFamily((q1,), p=1.0))
     assert np.allclose(single.weights, [1.0])
-    assert np.allclose(single.measure.kernels[0][0], q1.kernels[0][0])
+    assert np.allclose(single.measure.flat_kernels[0], q1.flat_kernels[0])
     q3 = iid_binary_measure(lat, 0.3)
     three = reference_measure(MeasureFamily((q1, q2, q3), p=1.0))
     assert np.allclose(three.weights, [4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0])
@@ -215,8 +215,7 @@ def test_measure_json_round_trip():
     lat, _, q2, fam = fix_a_family()
     back = measure_from_json(measure_to_json(q2), lat)
     for k in range(2):
-        for i in range(lat.n_nodes(k)):
-            assert np.allclose(back.kernels[k][i], q2.kernels[k][i])
+        assert np.allclose(back.flat_kernels[k], q2.flat_kernels[k])
     fam_back = family_from_json(family_to_json(fam), lat)
     assert fam_back.p == fam.p and len(fam_back.members) == 2
 
@@ -236,3 +235,25 @@ def test_non_finite_kernel_rejected():
     nan = ((np.array([0.5, 0.5]),), (np.array([np.nan, np.nan]), np.array([0.5, 0.5])))
     with pytest.raises(ValueError, match="finite"):
         Measure(lat, nan)
+
+
+def test_measure_stores_only_its_flat_kernels():
+    lat = fix_a_lattice()
+    levels = ((np.array([0.5, 0.5]),), (np.array([0.6, 0.4]),) * 2)
+    with pytest.raises(TypeError):
+        Measure(lat, levels, _node_probs=None)
+    Q = Measure(lat, levels)
+    assert not hasattr(Q, "kernels")
+    assert np.array_equal(Q.flat_kernels[1], [0.6, 0.4, 0.6, 0.4])
+
+
+def test_measure_json_golden_on_a_ragged_lattice():
+    lat = build_lattice((0.0, 1.0, 2.0), [[[1.0, 0.0, -1.0]],
+                                          [[2.0], [0.5, -0.5], [1.0, 0.0, -1.0]]],
+                        dimension=1)
+    Q = Measure(lat, (([0.2, 0.3, 0.5],), ([1.0], [0.7, 0.3], [0.1, 0.6, 0.3])))
+    assert measure_to_json(Q) == (
+        '{"kernels": [{"node": [0, 0], "weights": [0.2, 0.3, 0.5]}, '
+        '{"node": [1, 0], "weights": [1.0]}, {"node": [1, 1], "weights": [0.7, 0.3]}, '
+        '{"node": [1, 2], "weights": [0.10000000000000002, 0.6000000000000001, '
+        '0.30000000000000004]}]}')

@@ -194,7 +194,7 @@ def test_query_just_off_the_span_is_inf(monkeypatch, nudge, max_bases):
     _, rep = sublinear_rep(s=0)
     mixed = mix_measures([q1, q2], [0.5, 0.5])
     assert np.all(np.isfinite(minimal_penalty(rep, mixed).values))
-    root, (up, down) = mixed.kernels
+    root, (up, down) = (lat.per_node(k, w) for k, w in enumerate(mixed.flat_kernels))
     nudged = Measure(lat, (root, (up + np.array([nudge, -nudge]), down)))
     assert np.all(np.isinf(minimal_penalty(rep, nudged).values))
 

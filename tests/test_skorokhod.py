@@ -20,6 +20,7 @@ from riskdesk.skorokhod import (
     transform_path,
 )
 from riskdesk.oracles import (
+    _values_at,
     dense_timechange_cost,
     dm_enumeration_oracle,
     j1_enumeration_oracle,
@@ -272,8 +273,8 @@ def test_dm_distance_matches_the_enumeration_oracle():
         k1, k2 = SIZES[case % len(SIZES)]
         dim = 2 if case % 4 == 0 else 1
         m = case % 6 + 1
-        # jumps up to time 8 leave some past m + pair_window and some pairs
-        # further apart than pair_window; jumps near m meet the damping ramp
+        # jumps up to time 8 leave some past m + _PAIR_WINDOW and some pairs
+        # further apart than _PAIR_WINDOW; jumps near m meet the damping ramp
         lo, hi = (0.05, 8.0) if case % 2 else (max(0.05, m - 1.5), m + 1.0)
         x = random_path(rng, k1, lo, hi, dim)
         y = random_path(rng, k2, lo, hi, dim)
@@ -334,3 +335,10 @@ def test_dm_distance_matches_all_twelve_jumps():
     assert value == pytest.approx(np.max(np.abs(shifts)), abs=1e-12)
     assert len(witness.knots) == 13
     assert dense_timechange_cost(*canonical(x, y), witness, 8) <= value + 1e-9
+
+
+def test_empty_step_path_keeps_its_dimension():
+    x = StepPath(np.zeros(0), np.zeros((0, 3)))
+    assert x.dimension == 3
+    assert np.array_equal(x.value(1.0), np.zeros(3))
+    assert np.array_equal(_values_at(x, np.array([0.0, 2.0])), np.zeros((2, 3)))

@@ -32,9 +32,8 @@ def test_paste_hand_kernels():
     tau = StoppingTime.deterministic(lat, 1)
     R = paste(q1, q2, tau)
     # Q2's biased kernel before tau, Q1's fair kernels from tau on
-    assert np.allclose(R.kernels[0][0], [0.6, 0.4])
-    for i in range(2):
-        assert np.allclose(R.kernels[1][i], [0.5, 0.5])
+    assert np.allclose(R.flat_kernels[0], [0.6, 0.4])
+    assert np.allclose(R.flat_kernels[1], [0.5, 0.5, 0.5, 0.5])
 
 
 def test_paste_identity_and_immediate_stop():
@@ -42,11 +41,10 @@ def test_paste_identity_and_immediate_stop():
     for tau in all_stopping_times(lat):
         same = paste(q1, q1, tau)
         for k in range(2):
-            for i in range(lat.n_nodes(k)):
-                assert np.allclose(same.kernels[k][i], q1.kernels[k][i])
+            assert np.allclose(same.flat_kernels[k], q1.flat_kernels[k])
     at_zero = StoppingTime.deterministic(lat, 0)
     R = paste(q1, q2, at_zero)
-    assert np.allclose(R.kernels[0][0], q1.kernels[0][0])
+    assert np.allclose(R.flat_kernels[0], q1.flat_kernels[0])
 
 
 def test_paste_requires_absolute_continuity():
@@ -73,8 +71,8 @@ def test_two_member_family_is_not_stable():
     assert missing is not None
     # the escaping measure mixes the two one-step kernels across time
     assert any(
-        not np.allclose(missing.kernels[0][0], Q.kernels[0][0])
-        or not np.allclose(missing.kernels[1][0], Q.kernels[1][0])
+        not np.allclose(missing.flat_kernels[0], Q.flat_kernels[0])
+        or not np.allclose(missing.flat_kernels[1][:2], Q.flat_kernels[1][:2])
         for Q in (q1, q2)
     )
 
@@ -95,7 +93,7 @@ def test_is_stable_skips_pairs_without_absolute_continuity():
     # pasting sure_up into q1 is constrained, and escapes the pair
     ok, missing = is_stable([sure_up, q1], all_stopping_times(lat))
     assert not ok
-    assert np.array_equal(missing.kernels[0][0], [1.0, 0.0])
+    assert np.array_equal(missing.flat_kernels[0], [1.0, 0.0])
 
 
 def test_hull_selections_are_stable():
@@ -144,7 +142,8 @@ def test_hull_is_the_structure_of_its_member_kernels():
         members = random_family(lat, rng, int(rng.integers(1, 4))).members
         hull = rectangular_hull(list(members))
         menus = OneStepStructure(lat, tuple(
-            tuple(tuple((Q.kernels[k][i], 0.0) for Q in members) for i in range(lat.n_nodes(k)))
+            tuple(tuple((w, 0.0) for w in ws)
+                  for ws in zip(*(lat.per_node(k, Q.flat_kernels[k]) for Q in members)))
             for k in range(lat.n_times - 1)))
         for k in range(lat.n_times - 1):
             assert np.array_equal(hull.flat_kernels[k], menus.flat_kernels[k])
