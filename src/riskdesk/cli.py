@@ -8,7 +8,8 @@ artifacts into the output directory:
                    seed, results, max_violations, tolerances
     run_meta.json  wall-clock runtime and artifact list (non-deterministic,
                    kept out of the main report so reports stay byte-identical)
-    *.csv          node tables (node_id, time, value) or surfaces (t, x, value)
+    *.csv          node tables (node_id, time, value) or surfaces (t, x, value),
+                   each streamed to its file in text chunks
 
 Exit codes: 0 success, 1 config/schema error (a grid that violates the
 stability bound included), 2 numeric guard (infeasible LP where feasibility
@@ -23,7 +24,7 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -140,9 +141,22 @@ def _fix_a_menu_structure(lat: ScenarioLattice) -> OneStepStructure:
     return OneStepStructure(lat, levels)
 
 
-def _node_table(X: RandomVariable) -> List[Tuple]:
-    lat = X.lattice
-    return [(i, lat.times[X.t], float(v)) for i, v in enumerate(X.values)]
+def _node_table(X: RandomVariable) -> Iterator[str]:
+    """CSV text of a node table: one line per node of X's date."""
+    t = X.lattice.times[X.t]
+    yield "node_id,time,value\n"
+    yield "".join(f"{i},{t},{v}\n" for i, v in enumerate(X.values.tolist()))
+
+
+def _surface_table(surface: np.ndarray, grid: GridSpec) -> Iterator[str]:
+    """CSV text of a surface, one chunk per time row.  The x column is
+    formatted once; each row joins its t into a %-template and fills in the
+    values with ``%r``, the ``str`` of a float."""
+    yield "t,x,value\n"
+    cells = [f",{x},%r\n" for x in grid.x.tolist()]
+    for k, row in enumerate(surface):
+        t = str(k * grid.dt)
+        yield (t + t.join(cells)) % tuple(row.tolist())
 
 
 def _task_eval(config, rng):
@@ -154,7 +168,7 @@ def _task_eval(config, rng):
     X = RandomVariable(lat, rep.t, np.asarray(pos["values"], dtype=float))
     rho = rm_evaluate(rep, X)
     results = {"rho": [float(v) for v in rho.values], "s": rep.s, "t": rep.t}
-    tables = {"eval.csv": [("node_id", "time", "value")] + _node_table(rho)}
+    tables = {"eval.csv": _node_table(rho)}
     return results, {}, tables, EXIT_OK
 
 
@@ -177,7 +191,7 @@ def _task_penalty(config, rng):
         "penalty": ["inf" if np.isinf(v) else float(v) for v in alpha.values],
         "infeasible_nodes": int(np.sum(np.isinf(alpha.values))),
     }
-    tables = {"penalty.csv": [("node_id", "time", "value")] + _node_table(alpha)}
+    tables = {"penalty.csv": _node_table(alpha)}
     return results, {}, tables, EXIT_OK
 
 
@@ -254,11 +268,7 @@ def _task_gexp(config, rng):
                  "horizon": grid.horizon},
         "error_estimate": abs(ask - _refined_ask(payoff, band, grid)),
     }
-    rows = [("t", "x", "value")]
-    for k in range(ask_surface.shape[0]):
-        for j, xv in enumerate(grid.x):
-            rows.append((k * grid.dt, float(xv), float(ask_surface[k, j])))
-    return results, {}, {"surface.csv": rows}, EXIT_OK
+    return results, {}, {"surface.csv": _surface_table(ask_surface, grid)}, EXIT_OK
 
 
 def _load_path(entry) -> StepPath:
@@ -337,10 +347,9 @@ def run_experiment(config: Dict, out_dir: str,
     }
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for name, rows in tables.items():
+    for name, chunks in tables.items():  # each table streams its text
         with open(out / name, "w") as fh:
-            for row in rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+            fh.writelines(chunks)
     meta = {"runtime_seconds": time.perf_counter() - start,
             "artifacts": ["report.json"] + sorted(tables)}
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")

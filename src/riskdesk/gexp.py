@@ -7,9 +7,9 @@ with one-step variance in a band [lo, hi] reduces, step by step, to
 
 because the one-step expectation is linear in the variance choice and the
 sup is attained at a band endpoint.  This is also the explicit
-finite-difference scheme for the nonlinear PDE.  One evolution runs it for
-every price here; ``oracles.trinomial_band_oracle`` recomputes it on a
-scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
+finite-difference scheme for the nonlinear PDE.  One evolution, ``_evolve``,
+runs it for every price here, in place on buffers allocated once per call;
+``oracles.trinomial_band_oracle`` recomputes it on a scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
 volatility and concave ones at the lower (closed-form oracles in the tests).
 """
 
@@ -144,33 +144,46 @@ def g_function(a: float, sigma_low: float, sigma_high: float):
     return out if out.ndim else float(out)
 
 
-def _second_difference(v: np.ndarray, h: float) -> np.ndarray:
-    """Discrete curvature on the interior; linear extrapolation boundary
-    (zero curvature at the edges)."""
-    d = np.zeros_like(v)
-    d[..., 1:-1] = (v[..., 2:] + v[..., :-2] - 2.0 * v[..., 1:-1]) / h ** 2
-    return d
+def _second_difference(v: np.ndarray, h: float, out: np.ndarray,
+                       scratch: np.ndarray) -> None:
+    """Discrete curvature (v[j+1] + v[j-1] - 2 v[j]) / h^2 along the last
+    axis, written into the interior of ``out``.  The edges of ``out`` are
+    never written: callers allocate it zeroed once, which is the linear
+    extrapolation boundary (zero curvature at the edges).  ``scratch`` is a
+    buffer of v's shape that the call overwrites."""
+    inner, twice = out[..., 1:-1], scratch[..., 1:-1]
+    np.multiply(v[..., 1:-1], 2.0, out=twice)
+    np.add(v[..., 2:], v[..., :-2], out=inner)
+    np.subtract(inner, twice, out=inner)
+    np.divide(inner, h ** 2, out=inner)
 
 
 def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
             k_from: int, k_to: int, surface: np.ndarray = None) -> np.ndarray:
     """Backward band evolution of a (..., n_space) array from step k_from
     down to k_to along the last axis, writing the step-k array into
-    ``surface[k]`` when a surface is given.
+    ``surface[k]`` when a surface is given.  ``values`` is not modified.
 
     One step takes, per state, the better of the two band-endpoint kernels
     p_+- = v/(2 h^2), p_0 = 1 - v/h^2 -- the sup over the band is attained
     there because the expectation is linear in v -- which is the update
-    v + dt g(D2 v).
+    v + dt g(D2 v) = v + max(c_lo D2 v, c_hi D2 v), c = sigma^2 dt / 2.
+    Rounding is monotone, so this equals max(v + c_lo D2 v, v + c_hi D2 v)
+    bit for bit.  The step runs in place on three buffers allocated once
+    per call: the values, the curvature and one scratch array.
     """
-    v = values
+    v = np.array(values, dtype=float)
+    d2 = np.zeros_like(v)
+    scratch = np.empty_like(v)
     for k in range(k_from - 1, k_to - 1, -1):
         lo, hi = band.at_step(k)
-        d2 = _second_difference(v, grid.h)
-        v = np.maximum(v + 0.5 * lo ** 2 * grid.dt * d2,
-                       v + 0.5 * hi ** 2 * grid.dt * d2)
-        if surface is not None:
-            surface[k] = v
+        _second_difference(v, grid.h, d2, scratch)
+        np.multiply(d2, 0.5 * lo ** 2 * grid.dt, out=scratch)
+        np.multiply(d2, 0.5 * hi ** 2 * grid.dt, out=d2)
+        np.maximum(scratch, d2, out=d2)
+        out = v if surface is None else surface[k]
+        np.add(v, d2, out=out)
+        v = out
     return v
 
 
@@ -193,7 +206,7 @@ def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice
         raise ValueError(f"method must be 'lattice' or 'pde', got {method!r}")
     ask, ask_surface = robust_lattice_price(payoff, band, grid)
     neg, neg_surface = robust_lattice_price(lambda x: -np.asarray(payoff(x)), band, grid)
-    return -neg, ask, -neg_surface, ask_surface
+    return -neg, ask, np.negative(neg_surface, out=neg_surface), ask_surface
 
 
 def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
@@ -239,8 +252,8 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
         yy, xx = np.meshgrid(x, x, indexing="ij")
         w = np.asarray(fn(*fixed, yy, xx), dtype=float)
         w = _evolve(w, band, grid, k2, k1)
-        diag = np.diagonal(w).copy()  # at t1 the running value is the coordinate
-        surf = _evolve(diag, band, grid, k1, s_step)
+        # at t1 the running value is the coordinate
+        surf = _evolve(np.diagonal(w), band, grid, k1, s_step)
 
     def value(b_s: float) -> float:
         return float(np.interp(b_s, x, surf))
@@ -303,10 +316,18 @@ def expectation_under_field(payoff, vfield: np.ndarray, grid: GridSpec) -> float
     variances ``vfield`` (linear backward recursion, no sup)."""
     if vfield.shape != (grid.n_steps, grid.x.size):
         raise ValueError("variance field shape mismatch")
+    if not np.isfinite(vfield).all():
+        raise ValueError("variance field must be finite")
+    if np.min(vfield) < 0:
+        raise ValueError("variance field must be non-negative")
     if np.max(vfield) > grid.h ** 2 * (1 + 1e-12):
         raise CFLError("variance field violates the kernel positivity bound")
-    v = np.asarray(payoff(grid.x), dtype=float)
+    v = np.array(payoff(grid.x), dtype=float)
+    d2 = np.zeros_like(v)
+    step = np.empty_like(v)
     for k in range(grid.n_steps - 1, -1, -1):
-        d2 = _second_difference(v, grid.h)
-        v = v + 0.5 * vfield[k] * d2
+        _second_difference(v, grid.h, d2, step)
+        np.multiply(vfield[k], 0.5, out=step)
+        np.multiply(step, d2, out=step)
+        np.add(v, step, out=v)
     return float(v[grid.radius])

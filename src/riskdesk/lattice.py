@@ -45,8 +45,9 @@ class ScenarioLattice:
     times        -- strictly increasing time points t0=0 < ... < tT
     dimension    -- d >= 1, the dimension of the increments
     parents      -- per time index, int array of parent node indices (root: -1)
-    increments   -- per time index, float array (n_nodes, d) of increments
-                    from the parent (root: zeros)
+    increments   -- per time index, finite float array (n_nodes, d) of
+                    increments from the parent (root: zeros, as paths start
+                    at 0)
 
     Derived: per time index the (n_nodes, d) path ``values`` and, for k < T,
     ``offsets[k]``: each node's first-child offset, then n_nodes(k + 1).
@@ -99,8 +100,12 @@ class ScenarioLattice:
             if inc.shape[0] != par.size:
                 raise ValueError(f"time index {k}: {inc.shape[0]} increment rows "
                                  f"for {par.size} nodes")
-            if k:  # the root sits at 0, whatever its increment
+            if not np.isfinite(inc).all():
+                raise ValueError(f"time index {k}: increments must be finite")
+            if k:
                 values.append(values[k - 1][par] + inc)
+            elif inc.any():  # paths start at 0
+                raise ValueError(f"the root increment must be zero, got {inc[0].tolist()}")
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "values", tuple(values))
 

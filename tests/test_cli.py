@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,14 @@ from riskdesk.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     _fix_a_menu_structure,
+    _node_table,
+    _surface_table,
     main,
     validate_config,
 )
 from riskdesk.dynamics import DynamicRM, OneStepStructure, dual_form_violation, onestep_to_json
 from riskdesk.fixtures import fix_a_lattice, random_rv
+from riskdesk.lattice import RandomVariable
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
 from riskdesk.oracles import call_upper_value
 
@@ -270,3 +275,42 @@ def test_seed_override_changes_digest_inputs_not(tmp_path):
     assert code == EXIT_OK
     report = read_report(out)
     assert report["seed"] == 123
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+@pytest.mark.parametrize("config, table, digest", [
+    ("gexp.json", "surface.csv",
+     "9da869fe2534801921a2ffb7c0f8b7156d2bedac12378481412849d2d4f87edf"),
+    ("eval.json", "eval.csv",
+     "e48b325df741253e578143c1ae15a1b1e20cea65999b3ce74147d8f4e851f280"),
+    ("penalty.json", "penalty.csv",
+     "1774c5a76d8b13799ba0c0763ab730a92ddb6db59cc72ebd04ede04a3d47390d"),
+])
+def test_demo_config_tables_are_golden(tmp_path, config, table, digest):
+    # digests of the tables written cell by cell, before tables were streamed
+    out = tmp_path / "out"
+    assert main(["--config", str(CONFIGS / config), "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256((out / table).read_bytes()).hexdigest() == digest
+
+
+def cell_by_cell(rows):
+    return "".join(",".join(str(v) for v in row) + "\n" for row in rows)
+
+
+def test_streamed_tables_match_the_cell_by_cell_text():
+    lat = fix_a_lattice()
+    X = RandomVariable(lat, 2, [np.inf, 0.1, -0.0, 1e-20], allow_infinite=True)
+    expected = cell_by_cell([("node_id", "time", "value")]
+                            + [(i, 2.0, float(v)) for i, v in enumerate(X.values)])
+    assert "".join(_node_table(X)) == expected
+    assert "0,2.0,inf\n" in expected
+
+    grid = GridSpec(0.25, 0.1, 3, 1.0)
+    surface = np.random.default_rng(4).normal(size=(5, 7)) ** 9
+    surface[1, 2], surface[3, 0] = -0.0, np.inf
+    expected = cell_by_cell([("t", "x", "value")] + [
+        (k * grid.dt, float(x), float(surface[k, j]))
+        for k in range(5) for j, x in enumerate(grid.x)])
+    assert "".join(_surface_table(surface, grid)) == expected

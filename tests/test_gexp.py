@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskdesk import gexp
 from riskdesk.fixtures import fix_a_lattice, random_lattice, trinomial_tree
 from riskdesk.gexp import (
     CFLError,
@@ -13,6 +14,7 @@ from riskdesk.gexp import (
     expectation_under_field,
     g_function,
     integration_by_parts_residual,
+    _evolve,
     quadratic_variation,
     random_inband_field,
     robust_lattice_price,
@@ -149,8 +151,6 @@ def test_conditional_gexp_two_dates():
 
 def test_conditional_gexp_staged_consistency():
     # evaluating at s = 0.5 and then evolving to 0 matches direct evaluation
-    from riskdesk.gexp import _evolve
-
     cyl = PayoffSpec("cylinder", lambda b: b ** 2, monitoring_times=(1.0,))
     mid, _ = conditional_gexp(cyl, BAND, COARSE, s=0.5)
     direct, _ = conditional_gexp(cyl, BAND, COARSE, s=0.0)
@@ -248,6 +248,21 @@ def test_field_expectations_dominated():
         expectation_under_field(payoff, vfield[:-1], COARSE)
 
 
+def test_field_rejects_non_finite_and_negative_variances():
+    payoff = lambda x: np.abs(x)
+    shape = (COARSE.n_steps, COARSE.x.size)
+    all_nan = np.full(shape, np.nan)  # passes a max-based bound, prices at nan
+    one_inf = np.full(shape, 1e-4)
+    one_inf[3, 7] = np.inf
+    for bad in (all_nan, one_inf):
+        with pytest.raises(ValueError, match="variance field must be finite"):
+            expectation_under_field(payoff, bad, COARSE)
+    negative = np.full(shape, 1e-4)
+    negative[0, 40] = -1e-6  # would make a kernel weight negative
+    with pytest.raises(ValueError, match="variance field must be non-negative"):
+        expectation_under_field(payoff, negative, COARSE)
+
+
 def test_band_validation():
     with pytest.raises(ValueError):
         VolatilityBand(0.3, 0.2)
@@ -260,3 +275,106 @@ def test_band_validation():
     assert stepped.at_step(0) == (0.1, 0.2)
     assert stepped.at_step(1) == (0.15, 0.25)
     assert stepped.max_high == 0.25
+
+
+# The band step as a fresh array per operation: the reference that the
+# in-place step must reproduce bit for bit.
+
+def reference_second_difference(v, h):
+    d = np.zeros_like(v)
+    d[..., 1:-1] = (v[..., 2:] + v[..., :-2] - 2.0 * v[..., 1:-1]) / h ** 2
+    return d
+
+
+def reference_evolve(values, band, grid, k_from, k_to, surface=None):
+    v = values
+    for k in range(k_from - 1, k_to - 1, -1):
+        lo, hi = band.at_step(k)
+        d2 = reference_second_difference(v, grid.h)
+        v = np.maximum(v + 0.5 * lo ** 2 * grid.dt * d2,
+                       v + 0.5 * hi ** 2 * grid.dt * d2)
+        if surface is not None:
+            surface[k] = v
+    return v
+
+
+def reference_price(payoff, band, grid):
+    v = np.asarray(payoff(grid.x), dtype=float)
+    surface = np.empty((grid.n_steps + 1, v.size))
+    surface[grid.n_steps] = v
+    v = reference_evolve(v, band, grid, grid.n_steps, 0, surface)
+    return float(v[grid.radius]), surface
+
+
+def reference_bid_ask(payoff, band, grid):
+    ask, ask_surface = reference_price(payoff, band, grid)
+    neg, neg_surface = reference_price(lambda x: -np.asarray(payoff(x)), band, grid)
+    return -neg, ask, -neg_surface, ask_surface
+
+
+def reference_field(payoff, vfield, grid):
+    v = np.asarray(payoff(grid.x), dtype=float)
+    for k in range(grid.n_steps - 1, -1, -1):
+        v = v + 0.5 * vfield[k] * reference_second_difference(v, grid.h)
+    return float(v[grid.radius])
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))  # signed zeros too
+
+
+STEPPED = VolatilityBand(np.linspace(0.05, 0.15, COARSE.n_steps),
+                         np.linspace(0.2, 0.25, COARSE.n_steps))
+PAYOFFS = {
+    "square": lambda x: np.asarray(x) ** 2,
+    "call": lambda x: np.maximum(np.asarray(x), 0.0),
+    "-call": lambda x: -np.maximum(np.asarray(x), 0.0),  # -0.0 left of the strike
+    "sin": lambda x: np.sin(7.0 * np.asarray(x)),
+}
+
+
+@pytest.mark.parametrize("band", [BAND, STEPPED], ids=["constant", "per-step"])
+@pytest.mark.parametrize("name", PAYOFFS)
+def test_band_step_is_bit_identical_to_the_reference(band, name):
+    payoff = PAYOFFS[name]
+    x = COARSE.x
+    # 1-D and 2-D grids, with and without a surface; the input stays untouched
+    for values in (np.asarray(payoff(x), dtype=float),
+                   np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float)):
+        given = values.copy()
+        surface = np.empty((COARSE.n_steps + 1,) + values.shape)
+        expected_surface = np.empty_like(surface)
+        assert_same_bits(_evolve(values, band, COARSE, COARSE.n_steps, 3, surface),
+                         reference_evolve(values, band, COARSE, COARSE.n_steps, 3,
+                                          expected_surface))
+        assert_same_bits(surface[3:-1], expected_surface[3:-1])
+        assert_same_bits(_evolve(values, band, COARSE, 150, 20),
+                         reference_evolve(values, band, COARSE, 150, 20))
+        assert_same_bits(values, given)
+
+    for got, expected in zip(bid_ask(payoff, band, COARSE),
+                             reference_bid_ask(payoff, band, COARSE)):
+        assert_same_bits(got, expected)
+
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        vfield = random_inband_field(COARSE, band, rng)
+        assert_same_bits(expectation_under_field(payoff, vfield, COARSE),
+                         reference_field(payoff, vfield, COARSE))
+
+
+@pytest.mark.parametrize("band", [BAND, STEPPED], ids=["constant", "per-step"])
+def test_conditional_gexp_is_bit_identical_to_the_reference(band, monkeypatch):
+    specs = [
+        (PayoffSpec("terminal", PAYOFFS["sin"]), 0.25, ()),
+        (PayoffSpec("cylinder", lambda a, b: np.sin(3.0 * a) * (b - a) ** 2,
+                    monitoring_times=(0.4, 1.0)), 0.0, ()),
+        (PayoffSpec("cylinder", lambda a, b: -np.maximum(b - a, 0.0),
+                    monitoring_times=(0.4, 1.0)), 0.5, (0.1,)),
+    ]
+    got = [conditional_gexp(spec, band, COARSE, s, obs)[0] for spec, s, obs in specs]
+    monkeypatch.setattr(gexp, "_evolve", reference_evolve)
+    for surf, (spec, s, obs) in zip(got, specs):
+        assert_same_bits(surf, conditional_gexp(spec, band, COARSE, s, obs)[0])

@@ -60,6 +60,24 @@ def test_one_increment_row_per_node():
         ScenarioLattice((0.0, 1.0), 1, parents, (np.zeros((1, 1)), np.ones((1, 1))))
 
 
+def test_root_increment_must_be_zero():
+    # paths start at 0: a root increment would be stored and never used
+    with pytest.raises(ValueError, match=r"root increment must be zero, got \[5.0\]"):
+        ScenarioLattice((0.0, 1.0), 1, ([-1], [0, 0]), ([5.0], [1.0, -1.0]))
+    doc = lattice_to_json(ScenarioLattice((0.0, 1.0), 1, ([-1], [0, 0]),
+                                          ([0.0], [1.0, -1.0])))
+    with pytest.raises(ValueError, match="root increment must be zero"):
+        lattice_from_json(doc.replace('"increment": [0.0]', '"increment": [5.0]', 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_increments_must_be_finite(bad):
+    with pytest.raises(ValueError, match="time index 1: increments must be finite"):
+        ScenarioLattice((0.0, 1.0), 1, ([-1], [0, 0]), ([0.0], [1.0, bad]))
+    with pytest.raises(ValueError, match="time index 0: increments must be finite"):
+        ScenarioLattice((0.0, 1.0), 1, ([-1], [0, 0]), ([bad], [1.0, -1.0]))
+
+
 def test_offsets_and_children_follow_parents():
     lat = random_lattice(np.random.default_rng(3), max_periods=3, max_branch=4)
     for k in range(lat.terminal):
