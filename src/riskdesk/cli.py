@@ -347,7 +347,7 @@ def run_experiment(config: Dict, out_dir: str,
     }
     (out / "report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n")
-    for name, chunks in tables.items():  # each table streams its text
+    for name, chunks in tables.items():
         with open(out / name, "w") as fh:
             fh.writelines(chunks)
     meta = {"runtime_seconds": time.perf_counter() - start,

@@ -9,8 +9,9 @@ because the one-step expectation is linear in the variance choice and the
 sup is attained at a band endpoint.  This is also the explicit
 finite-difference scheme for the nonlinear PDE.  One evolution, ``_evolve``,
 runs it for every price here, in place on buffers allocated once per call;
-``oracles.trinomial_band_oracle`` recomputes it on a scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
-volatility and concave ones at the lower (closed-form oracles in the tests).
+``oracles.trinomial_band_oracle`` recomputes it on a scenario tree.
+Bid = -ask(-X), so convex payoffs price at the upper volatility and concave
+ones at the lower (closed-form oracles in the tests).
 """
 
 from __future__ import annotations
@@ -169,8 +170,9 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
     there because the expectation is linear in v -- which is the update
     v + dt g(D2 v) = v + max(c_lo D2 v, c_hi D2 v), c = sigma^2 dt / 2.
     Rounding is monotone, so this equals max(v + c_lo D2 v, v + c_hi D2 v)
-    bit for bit.  The step runs in place on three buffers allocated once
-    per call: the values, the curvature and one scratch array.
+    bit for bit.  Each step runs in place, on a copy of ``values`` (or on
+    the surface rows), a curvature buffer and one scratch buffer, all
+    allocated once per call.
     """
     v = np.array(values, dtype=float)
     d2 = np.zeros_like(v)
