@@ -11,9 +11,16 @@ artifacts into the output directory:
     *.csv          node tables (node_id, time, value) or surfaces (t, x, value),
                    each streamed to its file in text chunks
 
+Each task handler parses and checks everything its task reads, then hands
+back a ``run()`` that computes.  ``--validate-only`` runs that same parsing
+and stops, so it exits 1 exactly when a run would stop on a config error
+before computing; the expansion-cap error of ``consistency`` is still found
+only by running.
+
 Exit codes: 0 success, 1 config/schema error (a grid that violates the
-stability bound included), 2 numeric guard (infeasible LP where feasibility
-was required), 3 check failure above tolerance.
+stability bound included, and any input a constructor rejects), 2 numeric
+guard (infeasible LP where feasibility was required), 3 check failure above
+tolerance.
 """
 
 from __future__ import annotations
@@ -39,9 +46,6 @@ from .skorokhod import StepPath, dhat_distance, path_from_json
 from .stability import all_stopping_times, enumerate_selections, is_stable, \
     rectangular_hull
 
-TASKS = ("eval", "penalty", "consistency", "stability", "gexp", "skorokhod",
-         "acceptance-suite")
-
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CHECK = 0, 1, 2, 3
 
 
@@ -62,53 +66,6 @@ def _load_config(path: str) -> Dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}")
-
-
-def validate_config(config: Dict) -> List[str]:
-    """Schema and cross-field diagnostics; empty list means runnable."""
-    diags = []
-    task = config.get("task")
-    if task not in TASKS:
-        diags.append(f"task must be one of {TASKS}, got {task!r}")
-        return diags
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        diags.append(f"seed must be a non-negative integer, got {seed!r}")
-    for key in ("lattice", "dualrep", "structure", "query"):
-        spec = config.get(key)
-        if isinstance(spec, dict) and "file" in spec \
-                and not Path(spec["file"]).exists():
-            diags.append(f"{key}: file {spec['file']!r} does not exist")
-    if isinstance(config.get("measures"), list):
-        for entry in config["measures"]:
-            if isinstance(entry, dict) and "file" in entry \
-                    and not Path(entry["file"]).exists():
-                diags.append(f"measures: file {entry['file']!r} does not exist")
-    for cap_key in ("cap", "n_positions"):
-        if cap_key in config and (not isinstance(config[cap_key], int)
-                                  or config[cap_key] <= 0):
-            diags.append(f"{cap_key} must be a positive integer")
-    if task == "gexp":
-        if config.get("method", "lattice") not in ("lattice", "pde"):
-            diags.append(f"gexp: method must be 'lattice' or 'pde', "
-                         f"got {config['method']!r}")
-        grid = config.get("grid")
-        band = config.get("band")
-        if not isinstance(grid, dict):
-            diags.append("gexp: a grid object {dt, h, radius, horizon} is required")
-        if not isinstance(band, dict):
-            diags.append("gexp: a band object {sigma_low, sigma_high} is required")
-        if isinstance(grid, dict) and isinstance(band, dict):
-            try:
-                g = GridSpec(float(grid["dt"]), float(grid["h"]),
-                             int(grid["radius"]), float(grid["horizon"]))
-                b = VolatilityBand(band["sigma_low"], band["sigma_high"])
-                g.check_cfl(b)
-            except (KeyError, ValueError) as exc:
-                diags.append(f"gexp grid/band: {exc}")
-    if task == "skorokhod" and not isinstance(config.get("paths"), list):
-        diags.append("skorokhod: a list of two path objects is required")
-    return diags
 
 
 def _load_lattice(config: Dict) -> ScenarioLattice:
@@ -159,20 +116,29 @@ def _surface_table(surface: np.ndarray, grid: GridSpec) -> Iterator[str]:
         yield (t + t.join(cells)) % tuple(row.tolist())
 
 
-def _task_eval(config, rng):
+def _integer(value, name: str, least: int) -> int:
+    """value itself when it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _task_eval(config, seed):
     lat = _load_lattice(config)
     rep = _load_dualrep(config, lat)
     pos = config.get("position")
     if pos is None:
         raise ConfigError("eval: a position {values: [...]} is required")
     X = RandomVariable(lat, rep.t, np.asarray(pos["values"], dtype=float))
-    rho = rm_evaluate(rep, X)
-    results = {"rho": [float(v) for v in rho.values], "s": rep.s, "t": rep.t}
-    tables = {"eval.csv": _node_table(rho)}
-    return results, {}, tables, EXIT_OK
+
+    def run():
+        rho = rm_evaluate(rep, X)
+        results = {"rho": [float(v) for v in rho.values], "s": rep.s, "t": rep.t}
+        return results, {}, {"eval.csv": _node_table(rho)}, EXIT_OK
+    return run
 
 
-def _task_penalty(config, rng):
+def _task_penalty(config, seed):
     lat = _load_lattice(config)
     rep = _load_dualrep(config, lat)
     spec = config.get("query")
@@ -182,20 +148,23 @@ def _task_penalty(config, rng):
         Q = measure_from_json(Path(spec["file"]).read_text(), lat)
     else:
         raise ConfigError("penalty: query must be {'iid_up': u} or {'file': path}")
-    alpha = minimal_penalty(rep, Q)
-    infeasible = bool(np.any(np.isinf(alpha.values)))
-    if config.get("require_feasible", False) and infeasible:
-        raise NumericGuard("penalty: the query is not representable at some node: "
-                           "no mixture of the components reaches it")
-    results = {
-        "penalty": ["inf" if np.isinf(v) else float(v) for v in alpha.values],
-        "infeasible_nodes": int(np.sum(np.isinf(alpha.values))),
-    }
-    tables = {"penalty.csv": _node_table(alpha)}
-    return results, {}, tables, EXIT_OK
+    require_feasible = config.get("require_feasible", False)
+
+    def run():
+        alpha = minimal_penalty(rep, Q)
+        infeasible = bool(np.any(np.isinf(alpha.values)))
+        if require_feasible and infeasible:
+            raise NumericGuard("penalty: the query is not representable at some node: "
+                               "no mixture of the components reaches it")
+        results = {
+            "penalty": ["inf" if np.isinf(v) else float(v) for v in alpha.values],
+            "infeasible_nodes": int(np.sum(np.isinf(alpha.values))),
+        }
+        return results, {}, {"penalty.csv": _node_table(alpha)}, EXIT_OK
+    return run
 
 
-def _task_consistency(config, rng):
+def _task_consistency(config, seed):
     lat = _load_lattice(config)
     spec = config.get("structure", "fix-a-menu")
     if spec == "fix-a-menu":
@@ -206,19 +175,24 @@ def _task_consistency(config, rng):
         raise ConfigError("structure must be 'fix-a-menu' or {'file': path}")
     dyn = DynamicRM(structure)
     tol = float(config.get("tolerance", 1e-9))
-    n = int(config.get("n_positions", 100))
-    Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(n)]
-    try:
-        worst, (i, r, node) = dual_form_violation(dyn, Xs)
-    except ValueError as exc:  # an expansion beyond expand_dual's cap
-        raise ConfigError(f"consistency: {exc}")
-    results = {"max_violation": worst, "witness_node": [r, node],
-               "witness_X": [float(v) for v in Xs[i].values], "tolerance": tol}
-    code = EXIT_OK if worst <= tol else EXIT_CHECK
-    return results, {"dual_form": worst}, {}, code
+    n = _integer(config.get("n_positions", 100), "n_positions", 1)
+
+    def run():
+        rng = np.random.default_rng(seed)
+        Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng)
+              for _ in range(n)]
+        try:
+            worst, (i, r, node) = dual_form_violation(dyn, Xs)
+        except ValueError as exc:  # an expansion beyond expand_dual's cap
+            raise ConfigError(f"consistency: {exc}")
+        results = {"max_violation": worst, "witness_node": [r, node],
+                   "witness_X": [float(v) for v in Xs[i].values], "tolerance": tol}
+        code = EXIT_OK if worst <= tol else EXIT_CHECK
+        return results, {"dual_form": worst}, {}, code
+    return run
 
 
-def _task_stability(config, rng):
+def _task_stability(config, seed):
     lat = _load_lattice(config)
     spec = config.get("measures", "fix-a")
     if spec == "fix-a":
@@ -229,11 +203,13 @@ def _task_stability(config, rng):
         raise ConfigError("measures must be 'fix-a' or a list of {'file': path}")
     if config.get("use_hull", False):
         members = enumerate_selections(rectangular_hull(members),
-                                       cap=int(config.get("cap", 4096)))
-    stable, witness = is_stable(members, all_stopping_times(lat))
-    results = {"stable": bool(stable), "members": len(members)}
-    code = EXIT_OK if stable else EXIT_CHECK
-    return results, {}, {}, code
+                                       cap=_integer(config.get("cap", 4096), "cap", 1))
+
+    def run():
+        stable, witness = is_stable(members, all_stopping_times(lat))
+        results = {"stable": bool(stable), "members": len(members)}
+        return results, {}, {}, EXIT_OK if stable else EXIT_CHECK
+    return run
 
 
 def _refined_ask(payoff, band: VolatilityBand, grid: GridSpec) -> float:
@@ -246,29 +222,34 @@ def _refined_ask(payoff, band: VolatilityBand, grid: GridSpec) -> float:
     return float(v[fine.radius])
 
 
-def _task_gexp(config, rng):
+_PAYOFFS = {"square": lambda x: np.asarray(x) ** 2,
+            "call": lambda x: np.maximum(np.asarray(x), 0.0),
+            "abs": lambda x: np.abs(np.asarray(x))}
+
+
+def _task_gexp(config, seed):
     band = VolatilityBand(config["band"]["sigma_low"], config["band"]["sigma_high"])
     g = config["grid"]
-    grid = GridSpec(float(g["dt"]), float(g["h"]), int(g["radius"]),
-                    float(g["horizon"]))
+    grid = GridSpec(float(g["dt"]), float(g["h"]), g["radius"], float(g["horizon"]))
+    grid.check_cfl(band)
     kind = config.get("payoff", {}).get("kind", "square")
-    if kind == "square":
-        payoff = lambda x: np.asarray(x) ** 2
-    elif kind == "call":
-        payoff = lambda x: np.maximum(np.asarray(x), 0.0)
-    elif kind == "abs":
-        payoff = lambda x: np.abs(np.asarray(x))
-    else:
+    if kind not in _PAYOFFS:
         raise ConfigError(f"gexp: unknown payoff kind {kind!r}")
+    payoff = _PAYOFFS[kind]
     method = config.get("method", "lattice")
-    bid, ask, _, ask_surface = bid_ask(payoff, band, grid, method=method)
-    results = {
-        "bid": bid, "ask": ask, "value": ask, "method": method,
-        "grid": {"dt": grid.dt, "h": grid.h, "radius": grid.radius,
-                 "horizon": grid.horizon},
-        "error_estimate": abs(ask - _refined_ask(payoff, band, grid)),
-    }
-    return results, {}, {"surface.csv": _surface_table(ask_surface, grid)}, EXIT_OK
+    if method not in ("lattice", "pde"):
+        raise ConfigError(f"gexp: method must be 'lattice' or 'pde', got {method!r}")
+
+    def run():
+        bid, ask, _, ask_surface = bid_ask(payoff, band, grid, method=method)
+        results = {
+            "bid": bid, "ask": ask, "value": ask, "method": method,
+            "grid": {"dt": grid.dt, "h": grid.h, "radius": grid.radius,
+                     "horizon": grid.horizon},
+            "error_estimate": abs(ask - _refined_ask(payoff, band, grid)),
+        }
+        return results, {}, {"surface.csv": _surface_table(ask_surface, grid)}, EXIT_OK
+    return run
 
 
 def _load_path(entry) -> StepPath:
@@ -277,55 +258,69 @@ def _load_path(entry) -> StepPath:
     return path_from_json(json.dumps(entry))
 
 
-def _task_skorokhod(config, rng):
+def _task_skorokhod(config, seed):
     paths = config.get("paths")
     if not isinstance(paths, list) or len(paths) != 2:
         raise ConfigError("skorokhod: exactly two paths are required")
     x, y = (_load_path(e) for e in paths)
     t = float(config.get("t", x.horizon or 1.0))
-    M = int(config.get("M", 20))
-    value, tail = dhat_distance(x, y, t, M=M)
-    results = {"dhat": value, "tail_bound": tail, "t": t, "M": M}
-    return results, {}, {}, EXIT_OK
+    M = _integer(config.get("M", 20), "M", 1)
+
+    def run():
+        value, tail = dhat_distance(x, y, t, M=M)
+        return {"dhat": value, "tail_bound": tail, "t": t, "M": M}, {}, {}, EXIT_OK
+    return run
 
 
-def _task_acceptance(config, rng, seed):
-    reports = run_all(seed)
-    for rep in reports:
-        status = "PASS" if rep["passed"] else "FAIL"
-        print(f"{status} {rep['name']}: max_violation={rep['max_violation']:.3g} "
-              f"tolerance={rep['tolerance']:.3g}")
-    results = {"criteria": [
-        {k: v for k, v in rep.items() if k != "runtime_seconds"} for rep in reports
-    ]}
-    violations = {rep["name"]: rep["max_violation"] for rep in reports}
-    code = EXIT_OK if all(rep["passed"] for rep in reports) else EXIT_CHECK
-    return results, violations, {}, code
+def _task_acceptance(config, seed):
+    def run():
+        reports = run_all(seed)
+        for rep in reports:
+            status = "PASS" if rep["passed"] else "FAIL"
+            print(f"{status} {rep['name']}: max_violation={rep['max_violation']:.3g} "
+                  f"tolerance={rep['tolerance']:.3g}")
+        results = {"criteria": [
+            {k: v for k, v in rep.items() if k != "runtime_seconds"} for rep in reports
+        ]}
+        violations = {rep["name"]: rep["max_violation"] for rep in reports}
+        code = EXIT_OK if all(rep["passed"] for rep in reports) else EXIT_CHECK
+        return results, violations, {}, code
+    return run
+
+
+TASKS = {"eval": _task_eval, "penalty": _task_penalty,
+         "consistency": _task_consistency, "stability": _task_stability,
+         "gexp": _task_gexp, "skorokhod": _task_skorokhod,
+         "acceptance-suite": _task_acceptance}
+
+
+def _prepare(config: Dict, seed_override: Optional[int] = None):
+    """(task, seed, run) for a config: everything the task reads is parsed
+    and checked here, and any rejected input is raised as a ConfigError."""
+    if not isinstance(config, dict):
+        raise ConfigError("a config must be a JSON object")
+    task = config.get("task")
+    if not isinstance(task, str) or task not in TASKS:
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
+    seed = _integer(config.get("seed", 0) if seed_override is None else seed_override,
+                    "seed", 0)
+    try:
+        return task, seed, TASKS[task](config, seed)
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{task}: missing key {exc}") from exc
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{task}: {exc}") from exc
 
 
 def run_experiment(config: Dict, out_dir: str,
                    seed_override: Optional[int] = None) -> int:
     """Run one task and write report.json / run_meta.json / CSV tables."""
-    diags = validate_config(config)
-    if diags:
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_CONFIG
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
-    rng = np.random.default_rng(seed)
-    task = config["task"]
     start = time.perf_counter()
     try:
-        if task == "acceptance-suite":
-            results, violations, tables, code = _task_acceptance(config, rng, seed)
-        else:
-            handler = {
-                "eval": _task_eval, "penalty": _task_penalty,
-                "consistency": _task_consistency, "stability": _task_stability,
-                "gexp": _task_gexp, "skorokhod": _task_skorokhod,
-            }[task]
-            results, violations, tables, code = handler(config, rng)
+        task, seed, run = _prepare(config, seed_override)
+        results, violations, tables, code = run()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -366,18 +361,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="override the config seed")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--validate-only", action="store_true",
-                        help="check the config and exit without running")
+                        help="parse and check the config as a run would, then exit")
     args = parser.parse_args(argv)
     try:
         config = _load_config(args.config)
+        if args.validate_only:
+            _prepare(config, args.seed)
+            return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.validate_only:
-        diags = validate_config(config)
-        for d in diags:
-            print(f"config error: {d}", file=sys.stderr)
-        return EXIT_OK if not diags else EXIT_CONFIG
     return run_experiment(config, args.out, seed_override=args.seed)
 
 

@@ -87,6 +87,8 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
+        if not isinstance(self.radius, (int, np.integer)):
+            raise ValueError(f"radius must be an integer, got {self.radius!r}")
         if self.dt <= 0 or self.h <= 0 or self.radius < 1 or self.horizon <= 0:
             raise ValueError("grid parameters must be positive")
         if abs(self.horizon - self.n_steps * self.dt) > 1e-9:

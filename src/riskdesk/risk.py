@@ -74,10 +74,10 @@ class DualRep:
         lat = comps[0][0].lattice
         if self.t > lat.terminal:
             raise ValueError(f"time index t={self.t} beyond the terminal index {lat.terminal}")
-        pen = np.stack([a.values for _, a in comps])
         for Q, a in comps:
             if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
                 raise ValueError("components must share the lattice; penalties at time s")
+        pen = np.stack([a.values for _, a in comps])
         if not np.all(pen > -np.inf):
             raise ValueError("penalties must be real or +inf")
         if np.any(np.all(np.isinf(pen), axis=0)):

@@ -14,7 +14,6 @@ from riskdesk.cli import (
     _node_table,
     _surface_table,
     main,
-    validate_config,
 )
 from riskdesk.dynamics import DynamicRM, OneStepStructure, dual_form_violation, onestep_to_json
 from riskdesk.fixtures import fix_a_lattice, random_rv
@@ -67,10 +66,43 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_validate_config_flags_missing_files(tmp_path):
-    diags = validate_config({"task": "penalty",
-                             "dualrep": {"file": str(tmp_path / "missing.json")}})
-    assert any("does not exist" in d for d in diags)
+def test_validate_config_flags_missing_files(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    cfg = write_config(tmp_path, {"task": "penalty", "dualrep": {"file": missing}})
+    assert main(["--config", cfg, "--validate-only"]) == EXIT_CONFIG
+    assert missing in capsys.readouterr().err
+
+
+GEXP = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+        "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
+SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
+                  "jumps": [{"time": 0.3, "value": [1.0]}]}
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ({**GEXP, "payoff": {"kind": "put"}}, ()),
+    ({"task": "eval"}, ()),
+    ({"task": "eval", "position": {"values": [1.0, 2.0, 3.0]}}, ()),
+    ({"task": "eval", "lattice": "fix-b", "position": {"values": [0.0] * 4}}, ()),
+    ({"task": "penalty"}, ()),
+    ({"task": "skorokhod", "paths": [SKOROKHOD_PATH] * 3}, ()),
+    ({"task": "consistency", "structure": "fix-b-menu"}, ()),
+    ({"task": "stability", "measures": "fix-b"}, ()),
+    ({**GEXP, "grid": {**GEXP["grid"], "radius": 40.9}}, ()),
+    ({"task": "skorokhod", "M": 2.7, "paths": [SKOROKHOD_PATH] * 2}, ()),
+    ({"task": "consistency", "seed": True}, ()),
+    ({"task": "consistency"}, ("--seed", "-5")),
+], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
+        "three-paths", "structure-spec", "measures-spec", "radius", "M",
+        "seed-true", "seed-override"])
+def test_validate_only_agrees_with_a_run(tmp_path, capsys, doc, extra):
+    cfg = write_config(tmp_path, doc)
+    assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    code, out = run(tmp_path, doc, extra)
+    assert code == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_eval_task(tmp_path):

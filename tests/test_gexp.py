@@ -110,6 +110,12 @@ def test_grid_rejects_a_horizon_off_the_time_grid():
         GridSpec(dt=0.3, h=1.0, radius=4, horizon=1.0)
 
 
+def test_grid_rejects_a_non_integral_radius():
+    # a radius of 40.5 would build an 82-point grid with no cell at x = 0
+    with pytest.raises(ValueError, match="radius must be an integer, got 40.5"):
+        GridSpec(dt=0.005, h=0.05, radius=40.5, horizon=1.0)
+
+
 def test_check_cfl_rejects_a_band_of_the_wrong_length():
     grid = GridSpec(dt=0.25, h=1.0, radius=4, horizon=1.0)
     grid.check_cfl(VolatilityBand([0.1] * 4, [0.2] * 4))

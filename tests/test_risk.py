@@ -431,6 +431,14 @@ def test_dualrep_rejects_t_beyond_terminal():
         DualRep(0, 5, ((q1, RandomVariable(lat, 0, np.zeros(1))),))
 
 
+def test_dualrep_checks_penalty_dates_before_stacking():
+    lat, q1, q2, _ = fix_a_family()
+    at_0 = RandomVariable(lat, 0, np.zeros(1))
+    at_1 = RandomVariable(lat, 1, np.zeros(2))
+    with pytest.raises(ValueError, match="penalties at time s"):
+        DualRep(0, 2, ((q1, at_0), (q2, at_1)))
+
+
 def test_box_oracle_solves_two_lps_per_node(monkeypatch):
     import scipy.optimize
 
