@@ -123,6 +123,14 @@ def _integer(value, name: str, least: int) -> int:
     return value
 
 
+def _flag(config: Dict, name: str) -> bool:
+    """config[name] when it is a JSON boolean; false when absent."""
+    value = config.get(name, False)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _task_eval(config, seed):
     lat = _load_lattice(config)
     rep = _load_dualrep(config, lat)
@@ -148,7 +156,7 @@ def _task_penalty(config, seed):
         Q = measure_from_json(Path(spec["file"]).read_text(), lat)
     else:
         raise ConfigError("penalty: query must be {'iid_up': u} or {'file': path}")
-    require_feasible = config.get("require_feasible", False)
+    require_feasible = _flag(config, "require_feasible")
 
     def run():
         alpha = minimal_penalty(rep, Q)
@@ -201,7 +209,7 @@ def _task_stability(config, seed):
         members = [measure_from_json(Path(e["file"]).read_text(), lat) for e in spec]
     else:
         raise ConfigError("measures must be 'fix-a' or a list of {'file': path}")
-    if config.get("use_hull", False):
+    if _flag(config, "use_hull"):
         members = enumerate_selections(rectangular_hull(members),
                                        cap=_integer(config.get("cap", 4096), "cap", 1))
 
@@ -232,7 +240,10 @@ def _task_gexp(config, seed):
     g = config["grid"]
     grid = GridSpec(float(g["dt"]), float(g["h"]), g["radius"], float(g["horizon"]))
     grid.check_cfl(band)
-    kind = config.get("payoff", {}).get("kind", "square")
+    payoff = config.get("payoff", {})
+    if not isinstance(payoff, dict):
+        raise ConfigError(f"gexp: payoff must be an object {{'kind': ...}}, got {payoff!r}")
+    kind = payoff.get("kind", "square")
     if kind not in _PAYOFFS:
         raise ConfigError(f"gexp: unknown payoff kind {kind!r}")
     payoff = _PAYOFFS[kind]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
-from .risk import DualRep, _component_values, minimal_penalty, rm_evaluate
+from .risk import DualRep, _component_values, _Stacked, minimal_penalty, rm_evaluate
 
 __all__ = [
     "OneStepStructure",
@@ -125,8 +125,9 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096) -> DualRep:
 
     Each selection induces a path-law measure (nodes outside [r, t) default
     to choice 0) and a penalty variable at time r: the selection-expected sum
-    of the chosen one-step penalties along [r, t).  Evaluating the expanded
-    representation reproduces the recursion.
+    of the chosen one-step penalties along [r, t).  The representation holds
+    the selections' kernels and penalties stacked; a selection's Measure is
+    built when its component is read.  Evaluating it reproduces the recursion.
     """
     lat, st = dyn.lattice, dyn.structure
     sizes = [int(n) for u in range(r, t) for n in st.sizes[u]]
@@ -140,23 +141,22 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096) -> DualRep:
         else np.zeros((1, 0), dtype=int)
     splits = np.cumsum([lat.n_nodes(u) for u in range(r, t)])[:-1]
     picks = dict(zip(range(r, t), np.split(picks, splits, axis=1)))
-    kernels = []
+    chosen, kernels = [], []
     for u in range(lat.n_times - 1):
-        pick = picks.get(u, np.zeros((count, lat.n_nodes(u)), dtype=int))
-        kernels.append(st.flat_kernels[u][pick[:, lat.parents[u + 1]],
-                                          np.arange(lat.n_nodes(u + 1))])
+        par, w = lat.parents[u + 1], st.flat_kernels[u]
+        w = w[picks[u][:, par], np.arange(par.size)] if u in picks else w[0]
+        chosen.append(w)
+        # divided by its sums once more, as building a Measure would
+        sums = np.add.reduceat(w, lat.offsets[u][:-1], axis=-1)
+        kernels.append(np.broadcast_to(w / sums[..., par], (count, par.size)))
     penalties = [st.flat_penalties[u][picks[u], np.arange(lat.n_nodes(u))][:, None, :]
                  for u in range(r, t)]
     # expected accumulated penalty along [r, t) under each selection,
     # all selections at once: acc_u = a + E(acc_{u+1}) is -G_u of the helper
     # (0.0 - G rather than -G keeps zero penalties free of a negative sign)
     acc = 0.0 - _backward(lat, r, np.zeros((count, lat.n_nodes(t))),
-                          [w[:, None, :] for w in kernels[r:t]], penalties)
-    comps = []
-    for c in range(count):
-        Q = Measure(lat, tuple(lat.per_node(u, w[c]) for u, w in enumerate(kernels)))
-        comps.append((Q, RandomVariable(lat, r, acc[c], allow_infinite=True)))
-    return DualRep(r, t, tuple(comps))
+                          [w[:, None, :] for w in chosen[r:t]], penalties)
+    return DualRep(r, t, _Stacked(lat, r, kernels, acc))
 
 
 def check_cocycle(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep, Q: Measure):
@@ -170,14 +170,11 @@ def check_cocycle(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep, Q: Measure)
         raise ValueError("representation indices do not chain as r <= s <= t")
     a_rt = minimal_penalty(rep_rt, Q).values
     a_rs = minimal_penalty(rep_rs, Q).values
-    a_st = minimal_penalty(rep_st, Q)
-    e_st = conditional_expectation(a_st, Q, r).values
+    e_st = conditional_expectation(minimal_penalty(rep_st, Q), Q, r).values
     with np.errstate(invalid="ignore"):
         res = a_rt - a_rs - e_st
     bad = np.isnan(res)
-    res = np.where(bad, 0.0, res)
-    lat = rep_rt.lattice
-    return RandomVariable(lat, r, res, allow_infinite=True), bad
+    return RandomVariable(rep_rt.lattice, r, np.where(bad, 0.0, res), allow_infinite=True), bad
 
 
 def recursion_violation(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep,
@@ -223,17 +220,15 @@ def acceptance_decompose(X: RandomVariable, dyn: DynamicRM, r: int, s: int,
                          t: int, Q: Measure, tol: float = 1e-9):
     """Split an accepted X in A_{r,t}(Q) as Z + Y with Z in A_{r,s}(Q) and
     Y in A_{s,t}; Y = X + lift(rho_{s,t}(X)), Z = -lift(rho_{s,t}(X))."""
-    rho_rt = dyn.rho(r, t, X)
     q_mask = charged_mask(Q, r)
-    if np.any(rho_rt.values[q_mask] > tol):
+    if np.any(dyn.rho(r, t, X).values[q_mask] > tol):
         raise ValueError("X is not accepted between r and t under Q")
-    w = dyn.rho(s, t, X)
-    Y = X + lift(w, t)
-    Z = -lift(w, t)
+    w = lift(dyn.rho(s, t, X), t)
+    Y, Z = X + w, -w
     if np.any(dyn.rho(s, t, Y).values > tol):
         raise AssertionError("decomposition failed: Y not in the (s,t) acceptance set")
-    rho_z = dyn.rho(r, t, Z)  # equals rho_{r,s}(-w) by the recursion
-    if np.any(rho_z.values[q_mask] > tol):
+    # rho_{r,t}(Z) equals rho_{r,s}(-rho_{s,t}(X)) by the recursion
+    if np.any(dyn.rho(r, t, Z).values[q_mask] > tol):
         raise AssertionError("decomposition failed: Z not Q-accepted between r and s")
     return Z, Y
 
@@ -253,9 +248,8 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
         gap = _kernel_gap(lat, u, st.flat_kernels[u], P.flat_kernels[u])
         ok = np.any((st.flat_penalties[u] == 0.0) & (gap <= kernel_tol), axis=0)
         if not np.all(ok):
-            raise ValueError(
-                f"P is not a zero-penalty selection at node ({u},{int(np.argmin(ok))})"
-            )
+            raise ValueError(f"P is not a zero-penalty selection at node "
+                             f"({u},{int(np.argmin(ok))})")
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     for a, s in enumerate(grid):

@@ -50,8 +50,7 @@ def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
     """Time-k kernels, in node order, as one checked flat array; kernel e
     belongs to node ``node_of[e]`` (default: one per node).  Returns it with
     the start and the sum of every kernel."""
-    off = lattice.offsets[k]
-    sizes = off[1:] - off[:-1]
+    sizes = np.diff(lattice.offsets[k])
     sizes = sizes if node_of is None else sizes[node_of]
     arrs = [np.asarray(w, dtype=float) for w in kernels]
     for e, (w, b) in enumerate(zip(arrs, sizes)):
@@ -120,10 +119,21 @@ class Measure:
             if bad.size:
                 raise ValueError(f"kernel weights sum to {sums[bad[0]]}, expected 1")
             flats.append(flat / sums[lat.parents[k + 1]])
+        self._store(flats)
+
+    @classmethod
+    def _from_flat(cls, lattice: ScenarioLattice, flats):
+        """A measure from normalized flat kernels laid out as the stored ones."""
+        Q = object.__new__(cls)
+        object.__setattr__(Q, "lattice", lattice)
+        Q._store(flats)
+        return Q
+
+    def _store(self, flats):
         object.__setattr__(self, "flat_kernels", tuple(flats))
         probs = [np.ones(1)]
         for k, w in enumerate(flats):
-            probs.append(probs[k][lat.parents[k + 1]] * w)
+            probs.append(probs[k][self.lattice.parents[k + 1]] * w)
         object.__setattr__(self, "_node_probs", tuple(probs))
 
     def node_probabilities(self, t: int) -> np.ndarray:
@@ -201,12 +211,9 @@ class ReferenceMeasure:
 
 def capacity(X: RandomVariable, family: MeasureFamily) -> float:
     """c(X) = max_n (E_{Q_n}|X|^p)^{1/p}; X is lifted to the terminal time."""
-    lat = family.lattice
-    XT = lift(X, lat.terminal)
-    absp = np.abs(XT.values) ** family.p
-    best = 0.0
-    for Q in family.members:
-        best = max(best, float(np.sum(Q.node_probabilities(lat.terminal) * absp)))
+    T = family.lattice.terminal
+    absp = np.abs(lift(X, T).values) ** family.p
+    best = max(float(np.sum(Q.node_probabilities(T) * absp)) for Q in family.members)
     return best ** (1.0 / family.p)
 
 
@@ -237,8 +244,7 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
 
 def reference_measure(family: MeasureFamily) -> ReferenceMeasure:
     """P = sum w_n Q_n with w_n proportional to 2^-(n+1), renormalized."""
-    n = len(family.members)
-    w = 0.5 ** (np.arange(n) + 1)
+    w = 0.5 ** (np.arange(len(family.members)) + 1)
     w = w / w.sum()
     return ReferenceMeasure(mix_measures(family.members, w), w)
 
@@ -259,13 +265,10 @@ def dual_witness(X: RandomVariable, family: MeasureFamily) -> DualWitness:
     c = capacity(X, family)
     if c == 0.0:
         raise ValueError("null element: c(X) = 0 admits no dual witness")
-    if family.p == 1:
-        g0 = RandomVariable(X.lattice, X.t, np.ones(X.lattice.n_nodes(X.t)))
-        return DualWitness(g0, c, degenerate=True)
-    ratio = family.p / family.q
-    g0 = RandomVariable(X.lattice, X.t,
-                        np.abs(X.values) ** ratio / c ** (family.p - 1.0))
-    return DualWitness(g0, c, degenerate=False)
+    degenerate = family.p == 1
+    g0 = np.ones(X.values.size) if degenerate \
+        else np.abs(X.values) ** (family.p / family.q) / c ** (family.p - 1.0)
+    return DualWitness(RandomVariable(X.lattice, X.t, g0), c, degenerate=degenerate)
 
 
 def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
@@ -275,19 +278,11 @@ def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
         P = P.measure
     if Q.lattice is not P.lattice:
         raise ValueError("measures live on different lattices")
-    equal, abscont = True, True
-    for t in range(s + 1):
-        q = Q.node_probabilities(t)
-        p = P.node_probabilities(t)
-        if np.any(np.abs(q - p) > tol):
-            equal = False
-        if np.any((q > 0) & (p == 0)):
-            abscont = False
-    if equal:
+    q = np.concatenate([Q.node_probabilities(t) for t in range(s + 1)])
+    p = np.concatenate([P.node_probabilities(t) for t in range(s + 1)])
+    if not np.any(np.abs(q - p) > tol):
         return "equal"
-    if abscont:
-        return "absolutely_continuous"
-    return "neither"
+    return "neither" if np.any((q > 0) & (p == 0)) else "absolutely_continuous"
 
 
 def measure_to_json(Q: Measure) -> str:

@@ -1,7 +1,8 @@
 """Conditional convex risk measures in dual form.
 
-A conditional risk measure between times s and t is stored as a finite list
-of (measure, penalty) components and evaluated node-wise as
+A conditional risk measure between times s and t is a finite set of
+(measure, penalty) components, stored as stacked per-level kernel and
+penalty arrays, and evaluated node-wise as
 
     rho(X)(n) = max_k ( E_{Q_k}(-X | n) - alpha_k(n) ),
 
@@ -11,31 +12,27 @@ is the cheapest convex-combination cost of writing Q's conditional subtree
 law as a mixture of the components' laws (+inf when no mixture reaches it).
 That linear program is solved exactly without a solver: its optimum lies at
 a vertex of a bounded polytope, and every vertex is the basic solution of
-some basis of independent columns, so the node enumerates its bases in one
-batched solve.  Only a node with more than ``_MAX_BASES`` bases goes to a
+some basis of independent columns, so the nodes enumerate their bases in
+batched solves.  Only a node with more than ``_MAX_BASES`` bases goes to a
 HiGHS linear program.  A brute-force oracle over a growing box validates
 this in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import json
 import numpy as np
 
 from .lattice import RandomVariable, ScenarioLattice, _backward, lift
-from .measures import (
-    Measure,
-    charged_mask,
-    check_restriction,
-    measure_from_json,
-    measure_to_json,
-)
+from .measures import (Measure, charged_mask, check_restriction, measure_from_json,
+                       measure_to_json)
 
 __all__ = [
     "DualRep",
@@ -51,42 +48,67 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DualRep:
-    """Conditional risk measure rho_{s,t} as (measure, penalty) components.
-
-    Penalties are time-s variables with values in R union {+inf}; at every
-    time-s node at least one component must be finite.  An optional
-    reference measure carries the restriction discipline for minimal
-    penalties (components themselves are only read through their kernels on
-    [s, t), so their law before s never enters an evaluation).
-    """
+    """Conditional risk measure rho_{s,t} as (measure, penalty) components,
+    stored stacked: per time index u in [s, t) the (K, n_{u+1}) ``kernels``,
+    and the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
+    ``components[k]`` is the k-th (Measure, penalty) pair, built on first
+    read when ``expand_dual`` passes stacked arrays.  An optional reference
+    measure carries the restriction discipline for minimal penalties."""
 
     s: int
     t: int
-    components: tuple  # of (Measure, RandomVariable at s, allow_infinite)
+    components: Sequence  # of (Measure, RandomVariable at s)
     reference: Optional[Measure] = None
 
+    lattice: ScenarioLattice = field(default=None, init=False, repr=False)
+    kernels: tuple = field(default=None, init=False, repr=False)
+    penalties: np.ndarray = field(default=None, init=False, repr=False)
+
     def __post_init__(self):
+        comps = self.components
+        if isinstance(comps, _Stacked):
+            lat, pen, kernels = comps.lattice, comps.penalties, comps.kernels[self.s:self.t]
+        else:
+            comps = tuple(comps)
+            if not comps:
+                raise ValueError("a dual representation needs at least one component")
+            lat = comps[0][0].lattice
+            for Q, a in comps:
+                if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
+                    raise ValueError("components must share the lattice; penalties at time s")
+            pen = np.stack([a.values for _, a in comps])
+            kernels = map(np.stack, zip(*(Q.flat_kernels[self.s:self.t] for Q, _ in comps)))
         if not 0 <= self.s <= self.t:
             raise ValueError("need 0 <= s <= t")
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("a dual representation needs at least one component")
-        lat = comps[0][0].lattice
         if self.t > lat.terminal:
             raise ValueError(f"time index t={self.t} beyond the terminal index {lat.terminal}")
-        for Q, a in comps:
-            if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
-                raise ValueError("components must share the lattice; penalties at time s")
-        pen = np.stack([a.values for _, a in comps])
         if not np.all(pen > -np.inf):
             raise ValueError("penalties must be real or +inf")
         if np.any(np.all(np.isinf(pen), axis=0)):
             raise ValueError("every time-s node needs a finite-penalty component")
-        object.__setattr__(self, "components", comps)
+        for name, value in (("components", comps), ("lattice", lat),
+                            ("kernels", tuple(kernels)), ("penalties", pen)):
+            object.__setattr__(self, name, value)
 
-    @property
-    def lattice(self) -> ScenarioLattice:
-        return self.components[0][0].lattice
+
+class _Stacked(Sequence):
+    """Components as (K, n_{u+1}) normalized kernels at every time index u and
+    (K, n_s) penalties; the k-th (Measure, penalty) pair is built on first read."""
+
+    def __init__(self, lattice: ScenarioLattice, s: int, kernels, penalties):
+        self.lattice, self.s, self.kernels, self.penalties = lattice, s, kernels, penalties
+        self._built = {}  # k -> (Measure, penalty)
+
+    def __len__(self):
+        return len(self.penalties)
+
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        if k not in self._built:
+            self._built[k] = (Measure._from_flat(self.lattice, [w[k] for w in self.kernels]),
+                              RandomVariable(self.lattice, self.s, self.penalties[k],
+                                             allow_infinite=True))
+        return self._built[k]
 
 
 def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
@@ -108,11 +130,8 @@ def rm_evaluate(rep: DualRep, X: RandomVariable, return_argmax: bool = False):
 def _component_values(rep: DualRep, g) -> np.ndarray:
     """E_{Q_k}(g | B_s) - alpha_k of (..., n_t) values g at t, per component k
     and time-s node, in one recursion: (..., K, n_s), -inf at infinite alpha_k."""
-    ce = _backward(rep.lattice, rep.s, g[..., None, :],
-                   [np.stack([Q.flat_kernels[u] for Q, _ in rep.components])[:, None, :]
-                    for u in range(rep.s, rep.t)])
-    pen = np.stack([alpha.values for _, alpha in rep.components])
-    return np.where(np.isinf(pen), -np.inf, ce - pen)
+    ce = _backward(rep.lattice, rep.s, g[..., None, :], [w[:, None, :] for w in rep.kernels])
+    return np.where(np.isinf(rep.penalties), -np.inf, ce - rep.penalties)
 
 
 # One tolerance decides rank, reach, non-negativity and residual of a node's
@@ -123,6 +142,7 @@ _TOL = 1e-10
 # Above this many bases a node goes to HiGHS: near 1,000 the batched
 # enumeration takes as long as one HiGHS call, about 2.5 ms.
 _MAX_BASES = 1000
+_BATCH = 1 << 20  # entries of the basis matrices solved in one batch: 8 MB
 
 
 def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
@@ -131,29 +151,31 @@ def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
     At time-s node n, solves  min sum_k lam_k alpha_k(n)  subject to
     lam in the simplex and  sum_k lam_k q_k(n, .) = q(n, .)  on the time-t
     descendants; +inf when no such lam exists.  Components with infinite
-    penalty at n are excluded.  The program is solved exactly by basis
-    enumeration (see ``_node_penalty``), or by HiGHS at a node with more
-    than ``_MAX_BASES`` bases; a HiGHS failure other than infeasibility
-    raises ``RuntimeError``.
+    penalty at n are excluded.  Nodes with the same subtree width and the
+    same finite components are solved together (see ``_node_penalties``).
     """
     if rep.reference is not None:
         status = check_restriction(Q, rep.reference, rep.s)
         if status != "equal":
-            raise ValueError(
-                f"restriction of Q to B_{rep.s} is {status}, expected equal to the reference"
-            )
-    lat = rep.lattice
-    s, t = rep.s, rep.t
-    laws = np.stack([Qk.subtree_laws(s, t) for Qk, _ in rep.components])
-    pen = np.stack([alpha.values for _, alpha in rep.components])
-    target = Q.subtree_laws(s, t)
-    out = np.empty(lat.n_nodes(s))
+            raise ValueError(f"restriction of Q to B_{rep.s} is {status}, "
+                             "expected equal to the reference")
+    lat, s = rep.lattice, rep.s
+    # every component's subtree laws; node n's time-t leaves are edge[n]:edge[n + 1]
+    laws, edge = np.ones(rep.penalties.shape), np.arange(lat.n_nodes(s) + 1)
+    for u, w in enumerate(rep.kernels, s):
+        laws, edge = laws[:, lat.parents[u + 1]] * w, lat.offsets[u][edge]
+    laws = np.hstack([laws, np.ones((len(laws), 1))])  # column -1: the simplex row
+    target = np.append(Q.subtree_laws(s, rep.t), 1.0)
+    finite = np.isfinite(rep.penalties)
+    groups = {}
     for n in range(lat.n_nodes(s)):
-        sl = lat.descendant_slice(s, n, t)
-        finite = np.isfinite(pen[:, n])
-        cols = laws[finite, sl]
-        M = np.vstack([cols.T, np.ones((1, cols.shape[0]))])
-        out[n] = _node_penalty(M, np.append(target[sl], 1.0), pen[finite, n], (s, n))
+        groups.setdefault((int(edge[n + 1] - edge[n]), finite[:, n].tobytes()), []).append(n)
+    out = np.empty(lat.n_nodes(s))
+    for (width, _), nodes in groups.items():
+        rows = np.c_[edge[nodes, None] + np.arange(width), np.full(len(nodes), -1)]
+        fin = finite[:, nodes[0]]
+        out[nodes] = _node_penalties(laws[fin][:, rows].transpose(1, 2, 0), target[rows],
+                                     rep.penalties[fin][:, nodes].T, [(s, n) for n in nodes])
     return RandomVariable(lat, s, out, allow_infinite=True)
 
 
@@ -165,38 +187,41 @@ def _bases(k: int, r: int) -> np.ndarray:
     return out
 
 
-def _node_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
-    """min c.lam subject to lam >= 0 and M lam = b, whose last row is the
-    simplex constraint; +inf when infeasible.
-
-    With r the numerical rank of M, b must lie in M's column span, and then
-    the optimum is the cheapest non-negative basic solution over all r-column
-    bases.  Each is solved in the r-dimensional span, in one batched solve.
-    """
+def _node_penalties(M: np.ndarray, b: np.ndarray, c: np.ndarray, nodes) -> np.ndarray:
+    """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i (last
+    row: the simplex), +inf when infeasible.  With r the numerical rank of
+    M_i, b_i must lie in M_i's span; the optimum is then the cheapest
+    non-negative basic solution over all r-column bases, solved in the span
+    for all nodes of one rank at once.  Above ``_MAX_BASES`` bases: HiGHS."""
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(sv > _TOL))
-    if comb(c.size, r) > _MAX_BASES:
-        return _highs_penalty(M, b, c, node)
-    U = U[:, :r]
-    b_r = U.T @ b
-    if np.max(np.abs(U @ b_r - b)) > _TOL:
-        return np.inf
-    bases = _bases(c.size, r)
-    B = (U.T @ M)[:, bases].transpose(1, 0, 2)  # (bases, r, r)
-    # drop the singular bases, judged against M's own scale: by Cauchy-Binet
-    # the squared determinants of all bases sum to the product of the r
-    # squared singular values, so the best-conditioned basis always stays
-    regular = np.abs(np.linalg.det(B)) > _TOL * np.prod(sv[:r])
-    B, bases = B[regular], bases[regular]
-    # an explicit (..., r, 1) right-hand side: numpy 1 and 2 broadcast a
-    # stacked 2-D one differently
-    lam = np.linalg.solve(B, np.broadcast_to(b_r, (len(B), r))[..., None])[..., 0]
-    resid = np.einsum("icj,cj->ci", M[:, bases], lam) - b
-    keep = (lam >= -_TOL).all(axis=1) & (np.abs(resid) <= _TOL).all(axis=1)
-    if not keep.any():
-        return np.inf
-    lam = np.where(lam[keep] <= _TOL, 0.0, lam[keep])
-    return float(np.min(np.sum(lam * c[bases[keep]], axis=1)))
+    rank = np.sum(sv > _TOL, axis=1)
+    out = np.full(len(M), np.inf)
+    for r in np.unique(rank).tolist():
+        at = np.flatnonzero(rank == r)
+        if comb(c.shape[1], r) > _MAX_BASES:
+            out[at] = [_highs_penalty(M[i], b[i], c[i], nodes[i]) for i in at]
+            continue
+        bases = _bases(c.shape[1], r)
+        for i in np.array_split(at, -(-at.size * bases.size * r // _BATCH)):
+            Ut = U[i, :, :r].transpose(0, 2, 1)
+            # (..., r, 1) right-hand sides: numpy 1 and 2 broadcast 2-D ones differently
+            b_r = np.matmul(Ut, b[i, :, None])
+            reach = np.abs(np.matmul(U[i, :, :r], b_r)[..., 0] - b[i]).max(axis=1) <= _TOL
+            B = np.matmul(Ut, M[i])[:, :, bases].transpose(0, 2, 1, 3)  # (i, bases, r, r)
+            # drop the singular bases, judged against M's own scale: by Cauchy-
+            # Binet the squared determinants of all bases sum to the product of
+            # the r squared singular values, so the best-conditioned one stays
+            regular = np.abs(np.linalg.det(B)) > _TOL * np.prod(sv[i, :r], axis=1)[:, None]
+            node, basis = np.nonzero(regular & reach[:, None])
+            lam = np.linalg.solve(B[node, basis], b_r[node])[..., 0]
+            cols, node = bases[basis], i[node]
+            resid = np.matmul(np.take_along_axis(M[node], cols[:, None, :], axis=2),
+                              lam[..., None])[..., 0] - b[node]
+            keep = (lam >= -_TOL).all(axis=1) & (np.abs(resid) <= _TOL).all(axis=1)
+            lam = np.where(lam[keep] <= _TOL, 0.0, lam[keep])
+            cost = np.sum(lam * np.take_along_axis(c[node[keep]], cols[keep], axis=1), axis=1)
+            np.minimum.at(out, node[keep], cost)
+    return out
 
 
 def _highs_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
@@ -237,11 +262,8 @@ def partition_combine(lattice: ScenarioLattice, s: int,
             seen[n] = idx
     if np.any(seen == -1):
         raise ValueError("partition does not cover all time-s nodes")
-    anc = lattice.ancestors_of_slice(t, s)
-    vals = np.empty(lattice.n_nodes(t))
-    for idx, (X, _) in enumerate(pieces):
-        mask = seen[anc] == idx
-        vals[mask] = X.values[mask]
+    leaves = np.arange(lattice.n_nodes(t))
+    vals = np.stack([X.values for X, _ in pieces])[seen[lattice.ancestors_of_slice(t, s)], leaves]
     return RandomVariable(lattice, t, vals)
 
 
@@ -253,15 +275,9 @@ def acceptance_check(rep: DualRep, X: RandomVariable,
     (every node when no reference is attached).  With Q, checks only the
     Q-charged time-s nodes.  Returns (overall, per-node booleans).
     """
-    rho = rm_evaluate(rep, X)
-    ok = rho.values <= tol
-    if Q is not None:
-        mask = charged_mask(Q, rep.s)
-    elif rep.reference is not None:
-        mask = charged_mask(rep.reference, rep.s)
-    else:
-        mask = np.ones_like(ok, dtype=bool)
-    return bool(np.all(ok | ~mask)), ok
+    ok = rm_evaluate(rep, X).values <= tol
+    P = rep.reference if Q is None else Q
+    return bool(np.all(ok if P is None else ok[charged_mask(P, rep.s)])), ok
 
 
 def strong_convexity_check(rep: DualRep, X: RandomVariable, Y: RandomVariable,
@@ -273,29 +289,24 @@ def strong_convexity_check(rep: DualRep, X: RandomVariable, Y: RandomVariable,
         raise ValueError("the weight f must live at time s")
     if np.any(f.values < 0) or np.any(f.values > 1):
         raise ValueError("the weight f must take values in [0, 1]")
-    fl = lift(f, rep.t)
-    mixed = RandomVariable(rep.lattice, rep.t,
-                           fl.values * X.values + (1.0 - fl.values) * Y.values)
-    lhs = rm_evaluate(rep, mixed).values
-    rhs = f.values * rm_evaluate(rep, X).values \
-        + (1.0 - f.values) * rm_evaluate(rep, Y).values
-    return float(np.max(lhs - rhs))
+    w = lift(f, rep.t).values
+    lhs = rm_evaluate(rep, RandomVariable(rep.lattice, rep.t, w * X.values + (1.0 - w) * Y.values))
+    rhs = f.values * rm_evaluate(rep, X).values + (1.0 - f.values) * rm_evaluate(rep, Y).values
+    return float(np.max(lhs.values - rhs))
 
 
 def dualrep_to_json(rep: DualRep) -> str:
-    comps = []
-    for Q, alpha in rep.components:
-        pen = ["inf" if np.isinf(v) else float(v) for v in alpha.values]
-        comps.append({"measure": json.loads(measure_to_json(Q)), "penalty": pen})
+    comps = [{"measure": json.loads(measure_to_json(Q)),
+              "penalty": ["inf" if np.isinf(v) else float(v) for v in alpha.values]}
+             for Q, alpha in rep.components]
     return json.dumps({"s": rep.s, "t": rep.t, "components": comps}, sort_keys=True)
 
 
 def dualrep_from_json(text: str, lattice: ScenarioLattice) -> DualRep:
     doc = json.loads(text)
     s, t = int(doc["s"]), int(doc["t"])
-    comps = []
-    for c in doc["components"]:
-        Q = measure_from_json(json.dumps(c["measure"]), lattice)
-        pen = np.array([np.inf if v == "inf" else float(v) for v in c["penalty"]])
-        comps.append((Q, RandomVariable(lattice, s, pen, allow_infinite=True)))
-    return DualRep(s, t, tuple(comps))
+    return DualRep(s, t, tuple(
+        (measure_from_json(json.dumps(c["measure"]), lattice),
+         RandomVariable(lattice, s, [np.inf if v == "inf" else float(v) for v in c["penalty"]],
+                        allow_infinite=True))
+        for c in doc["components"]))

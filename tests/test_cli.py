@@ -92,9 +92,13 @@ SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
     ({"task": "skorokhod", "M": 2.7, "paths": [SKOROKHOD_PATH] * 2}, ()),
     ({"task": "consistency", "seed": True}, ()),
     ({"task": "consistency"}, ("--seed", "-5")),
+    ({**GEXP, "payoff": "call"}, ()),
+    ({"task": "penalty", "query": {"iid_up": 0.9}, "require_feasible": "no"}, ()),
+    ({"task": "stability", "use_hull": 1}, ()),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "M",
-        "seed-true", "seed-override"])
+        "seed-true", "seed-override", "payoff-string", "require-feasible-string",
+        "use-hull-int"])
 def test_validate_only_agrees_with_a_run(tmp_path, capsys, doc, extra):
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG

@@ -1,8 +1,10 @@
+import hashlib
 from math import prod
 
 import numpy as np
 import pytest
 
+from riskdesk.acceptance import _random_dynamic
 from riskdesk.dynamics import (
     DynamicRM,
     OneStepStructure,
@@ -427,3 +429,33 @@ def test_onestep_json_golden():
         '{"penalty": "inf", "weights": [1.0, 0.0]}]], [[%s], '
         '[{"penalty": 0.1, "weights": [0.6, 0.4]}]]]}' % entries)
     assert [size.tolist() for size in ragged.sizes] == [[2], [2, 1]]
+
+
+# sha256 over every component of expand_dual(dyn, r, t), all r <= t, of its
+# kernels, node probabilities and penalties, at acceptance._random_dynamic
+# seeds 0-2: the digests of the expansion that built and validated one
+# Measure per selection
+EXPANSION_DIGESTS = {
+    0: "8be1a68b962f3bb0ed887a7486e171cd89848ac98c29a670f236d1dd91e6758b",
+    1: "556692f2c21956957376eacc66bf110156443cb42660e1e18d84078d872b502b",
+    2: "d295396e5313863b8b6001f8051cd423a9814e3db4c34efab61c02b46405b1f6",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXPANSION_DIGESTS))
+def test_expand_dual_matches_its_golden_digest(seed):
+    lat, dyn = _random_dynamic(np.random.default_rng(seed))
+    digest = hashlib.sha256()
+    for t in range(lat.terminal + 1):
+        for r in range(t + 1):
+            rep = expand_dual(dyn, r, t)
+            for k, (Q, alpha) in enumerate(rep.components):
+                for a in (*Q.flat_kernels,
+                          *(Q.node_probabilities(u) for u in range(lat.n_times)),
+                          alpha.values):
+                    digest.update(np.ascontiguousarray(a, dtype=float).tobytes())
+                # the stacked arrays the evaluators read are the same bits
+                assert all(np.array_equal(w[k], Q.flat_kernels[u])
+                           for u, w in enumerate(rep.kernels, r))
+                assert np.array_equal(rep.penalties[k], alpha.values)
+    assert digest.hexdigest() == EXPANSION_DIGESTS[seed]

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 
 from riskdesk import risk
+from riskdesk.dynamics import OneStepStructure, build_dynamic, expand_dual
 from riskdesk.fixtures import (
     fix_a_family,
+    fix_a_lattice,
     iid_binary_measure,
     random_lattice,
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, coordinate_process, lift
+from riskdesk.lattice import RandomVariable, coordinate_process, lift, uniform_tree
 from riskdesk.measures import (
     Measure,
     conditional_expectation,
@@ -451,3 +453,132 @@ def test_box_oracle_solves_two_lps_per_node(monkeypatch):
     rep = DualRep(1, 2, ((q1, zeros), (q2, zeros)))
     assert np.array_equal(conjugate_box_oracle(rep, q1), [0.0, 0.0])
     assert len(calls) == 2 * lat.n_nodes(1)
+
+
+def _per_node_penalty(rep, Q):
+    """minimal_penalty node by node, one SVD and one basis enumeration per
+    node: the reference for the batched solve."""
+    lat, s, t = rep.lattice, rep.s, rep.t
+    laws = np.stack([Qk.subtree_laws(s, t) for Qk, _ in rep.components])
+    pen = np.stack([alpha.values for _, alpha in rep.components])
+    target = Q.subtree_laws(s, t)
+    out = np.empty(lat.n_nodes(s))
+    for n in range(lat.n_nodes(s)):
+        sl = lat.descendant_slice(s, n, t)
+        finite = np.isfinite(pen[:, n])
+        cols = laws[finite, sl]
+        M = np.vstack([cols.T, np.ones((1, cols.shape[0]))])
+        out[n] = _one_node_penalty(M, np.append(target[sl], 1.0), pen[finite, n], (s, n))
+    return out
+
+
+def _one_node_penalty(M, b, c, node):
+    U, sv, _ = np.linalg.svd(M, full_matrices=False)
+    r = int(np.sum(sv > risk._TOL))
+    if comb(c.size, r) > risk._MAX_BASES:
+        return risk._highs_penalty(M, b, c, node)
+    U = U[:, :r]
+    b_r = U.T @ b
+    if np.max(np.abs(U @ b_r - b)) > risk._TOL:
+        return np.inf
+    bases = risk._bases(c.size, r)
+    B = (U.T @ M)[:, bases].transpose(1, 0, 2)
+    regular = np.abs(np.linalg.det(B)) > risk._TOL * np.prod(sv[:r])
+    B, bases = B[regular], bases[regular]
+    lam = np.linalg.solve(B, np.broadcast_to(b_r, (len(B), r))[..., None])[..., 0]
+    resid = np.einsum("icj,cj->ci", M[:, bases], lam) - b
+    keep = (lam >= -risk._TOL).all(axis=1) & (np.abs(resid) <= risk._TOL).all(axis=1)
+    if not keep.any():
+        return np.inf
+    lam = np.where(lam[keep] <= risk._TOL, 0.0, lam[keep])
+    return float(np.min(np.sum(lam * c[bases[keep]], axis=1)))
+
+
+def _point_mass(lat):
+    """All mass on the first child everywhere: outside the span of laws
+    that charge every leaf, at every node with more than one leaf."""
+    return Measure(lat, tuple(tuple(np.eye(w.size)[0] for w in lat.per_node(k, np.ones(
+        lat.n_nodes(k + 1)))) for k in range(lat.n_times - 1)))
+
+
+def _capped_rep(rng):
+    """Binary three-period tree at s = 1 with 16 components: node 0 has all
+    16 finite, rank 4 and C(16, 4) bases, above the cap; node 1 keeps 6
+    finite components, C(6, 4) bases, under it."""
+    lat = uniform_tree(np.arange(4) / 3, [1.0, -1.0])
+    members = [random_measure(lat, rng) for _ in range(16)]
+    pens = rng.uniform(0.0, 1.0, (16, 2))
+    pens[0] = 0.0
+    pens[6:, 1] = np.inf
+    return lat, DualRep(1, 3, tuple((Q, RandomVariable(lat, 1, a, allow_infinite=True))
+                                    for Q, a in zip(members, pens)))
+
+
+def test_batched_penalty_matches_the_per_node_reference(monkeypatch):
+    rng = np.random.default_rng(53)
+    fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(40)]
+    fixtures += [sublinear_rep(s=0), sublinear_rep(s=1), _capped_rep(rng)]
+    highs = risk._highs_penalty
+    calls = []
+    monkeypatch.setattr(risk, "_highs_penalty", lambda *a: calls.append(a[-1]) or highs(*a))
+    infinite = 0
+    for lat, rep in fixtures:
+        members = [Q for Q, _ in rep.components]
+        queries = [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
+                   random_measure(lat, rng), _point_mass(lat)]
+        for Q in queries:
+            got = minimal_penalty(rep, Q).values
+            ref = _per_node_penalty(rep, Q)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            fin = np.isfinite(ref)
+            assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
+            infinite += int(np.sum(~fin))
+    assert infinite > 0
+    # only the capped node goes to HiGHS, once per query in each path
+    assert calls == [(1, 0)] * 8
+
+
+def test_reading_one_expanded_component_builds_one_measure(monkeypatch):
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
+    dyn = build_dynamic(OneStepStructure(lat, ((menu,), (menu, menu))))
+    built = []
+    from_flat, post_init = Measure._from_flat, Measure.__post_init__
+    monkeypatch.setattr(Measure, "_from_flat",
+                        classmethod(lambda cls, *a: built.append(a) or from_flat(*a)))
+    monkeypatch.setattr(Measure, "__post_init__",
+                        lambda self, k: built.append(k) or post_init(self, k))
+    rep = expand_dual(dyn, 0, 2)
+    assert len(rep.components) == 8 and not built
+    Q, alpha = rep.components[0]
+    assert len(built) == 1
+    assert rep.components[0][0] is Q and rep.components[-8][0] is Q and len(built) == 1
+    assert all(np.array_equal(w, k[0]) for w, k in zip(Q.flat_kernels, rep.kernels))
+    assert np.array_equal(alpha.values, rep.penalties[0])
+    with pytest.raises(IndexError):
+        rep.components[8]
+
+
+# dualrep_to_json of an expanded representation with a +inf penalty, as
+# written when expand_dual built and validated one Measure per selection.
+# The kernel (0.7, 0.4), at the root outside [s, t) and at node (1, 1)
+# inside it, normalizes to weights that sum to 1 - 2**-53, so it pins the
+# second division by the kernel sums that building a Measure applies.
+EXPANDED_JSON = (
+    '{"components": [{"measure": {"kernels": [{"node": [0, 0], "weights": '
+    '[0.6363636363636364, 0.3636363636363637]}, {"node": [1, 0], "weights": [0.5, 0.5]}, '
+    '{"node": [1, 1], "weights": [0.6363636363636364, 0.3636363636363637]}]}, '
+    '"penalty": [0.0, 0.25]}, {"measure": {"kernels": [{"node": [0, 0], "weights": '
+    '[0.6363636363636364, 0.3636363636363637]}, {"node": [1, 0], "weights": [0.6, 0.4]}, '
+    '{"node": [1, 1], "weights": [0.6363636363636364, 0.3636363636363637]}]}, '
+    '"penalty": ["inf", 0.25]}], "s": 1, "t": 2}')
+
+
+def test_expanded_dualrep_json_golden():
+    lat = fix_a_lattice()
+    menus = ((((np.array([0.7, 0.4]), 0.0),),),
+             (((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), np.inf)),
+              ((np.array([0.7, 0.4]), 0.25),)))
+    rep = expand_dual(build_dynamic(OneStepStructure(lat, menus)), 1, 2)
+    assert dualrep_to_json(rep) == EXPANDED_JSON
+    assert dualrep_to_json(dualrep_from_json(EXPANDED_JSON, lat)) == EXPANDED_JSON
