@@ -10,7 +10,6 @@ penalties satisfy the cocycle identity.
 import numpy as np
 
 from riskdesk import (
-    DynamicRM,
     OneStepStructure,
     acceptance_decompose,
     check_cocycle,
@@ -27,8 +26,8 @@ from riskdesk import (
 
 lat = fix_a_lattice()
 menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
-structure = OneStepStructure(lat, ((menu,), (menu, menu)))
-dyn = DynamicRM(structure)
+# the structure is the dynamic risk measure its menus generate
+dyn = OneStepStructure(lat, ((menu,), (menu, menu)))
 
 B2 = coordinate_process(lat, 2)
 print("rho_{1,2}(B2):", dyn.rho(1, 2, B2).values)

@@ -49,7 +49,6 @@ from .risk import (
     strong_convexity_check,
 )
 from .dynamics import (
-    DynamicRM,
     OneStepStructure,
     acceptance_decompose,
     build_dynamic,

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List
 import numpy as np
 
 from .dynamics import (
-    DynamicRM,
     OneStepStructure,
     acceptance_decompose,
     check_cocycle,
@@ -65,7 +64,6 @@ from .stability import (
     is_stable,
     paste,
     rectangular_hull,
-    robust_evaluate,
 )
 
 __all__ = ["run_all", "CRITERIA"]
@@ -149,7 +147,7 @@ def _random_dynamic(rng: np.random.Generator, normalized: bool = False):
                 menu[0] = (menu[0][0], 0.0)
             level.append(tuple(menu))
         levels.append(tuple(level))
-    return lat, DynamicRM(OneStepStructure(lat, tuple(levels)))
+    return lat, OneStepStructure(lat, tuple(levels))
 
 
 def criterion_time_consistency(seed: int) -> Dict:
@@ -223,17 +221,17 @@ def criterion_robust_dp(seed: int) -> Dict:
         rf = rectangular_hull([random_measure(lat, rng)
                                for _ in range(int(rng.integers(1, 3)))])
         X = random_rv(lat, T, rng)
-        direct = robust_evaluate(rf, X, 0).values
+        direct = rf.rho(0, T, X).values
         sels = enumerate_selections(rf, cap=256)
         oracle = np.max(np.stack(
             [conditional_expectation(-X, Q, 0).values for Q in sels]), axis=0)
         worst = max(worst, float(np.max(np.abs(direct - oracle))))
         if T > 1:
-            inner = robust_evaluate(rf, X, 1)
-            two_stage = robust_evaluate(rf, -inner, 0).values
+            inner = rf.rho(1, T, X)
+            two_stage = rf.rho(0, 1, -inner).values
             worst = max(worst, float(np.max(np.abs(direct - two_stage))))
             w = RandomVariable(lat, 1, rng.uniform(0.0, 2.0, lat.n_nodes(1)))
-            scaled = robust_evaluate(rf, lift(w, T) * X, 1).values
+            scaled = rf.rho(1, T, lift(w, T) * X).values
             worst = max(worst, float(np.max(np.abs(scaled - w.values * inner.values))))
     return _report("robust-dp-oracle", 1e-12, worst)
 
@@ -336,8 +334,7 @@ def criterion_supermartingale(seed: int) -> Dict:
     for _ in range(20):
         lat, dyn = _random_dynamic(rng, normalized=True)
         # choice 0 of every menu, a zero-penalty one in a normalized structure
-        P = Measure(lat, tuple(lat.per_node(k, w[0])
-                               for k, w in enumerate(dyn.structure.flat_kernels)))
+        P = Measure(lat, tuple(lat.per_node(k, w[0]) for k, w in enumerate(dyn.flat_kernels)))
         for _ in range(50):
             X = random_rv(lat, lat.terminal, rng)
             worst = max(worst, supermartingale_check(dyn, X, P))

@@ -1,14 +1,16 @@
 """Time-consistent dynamics built from one-step data, and the checks that
 certify (or refute) consistency for externally supplied representations.
 
-A dynamic risk measure is generated by per-node menus of (kernel, penalty)
-choices, stored per time index as flat (choices, nodes) arrays; with all
-penalties 0, as in a rectangular hull, it is sublinear.  The dual-form check
-compares the node-wise recursion with a different code path, the max over
-all expanded selections of E_Q(-X) less the accumulated penalty; with the
-penalty cocycle check, and the recursion check on external representations,
-it is the executable equivalence between the two characterizations, and the
-supermartingale check covers the zero-penalty reference case.
+A dynamic risk measure is determined by its one-step data: per-node menus
+of (kernel, penalty) choices, stored per time index as flat (choices, nodes)
+arrays in a ``OneStepStructure``, whose ``rho`` runs the backward recursion;
+with all penalties 0, as in a rectangular hull, it is sublinear.  The
+dual-form check compares that recursion with a different code path, the max
+over all expanded selections of E_Q(-X) less the accumulated penalty; with
+the penalty cocycle check, and the recursion check on external
+representations, it is the executable equivalence between the two
+characterizations, and the supermartingale check covers the zero-penalty
+reference case.
 """
 
 from __future__ import annotations
@@ -22,11 +24,11 @@ import numpy as np
 
 from .lattice import RandomVariable, ScenarioLattice, _backward, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
-from .risk import DualRep, _component_values, _Stacked, minimal_penalty, rm_evaluate
+from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
+                   rm_evaluate)
 
 __all__ = [
     "OneStepStructure",
-    "DynamicRM",
     "build_dynamic",
     "expand_dual",
     "check_cocycle",
@@ -38,13 +40,16 @@ __all__ = [
     "onestep_from_json",
 ]
 
+_EXPANSION_CAP = 4096  # the most selections expand_dual enumerates unless told otherwise
+
 
 @dataclass(frozen=True, eq=False)
 class OneStepStructure:
     """Per non-terminal node: a finite menu of (kernel weights, penalty),
     stored flat, padded with each node's last choice: per time index k,
     (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
-    menu ``sizes``.  ``normalized`` is True iff every node's least penalty is 0."""
+    menu ``sizes``.  It is the dynamic risk measure these menus generate:
+    ``rho`` runs its recursion.  Compares by identity."""
 
     lattice: ScenarioLattice
     choices: InitVar[tuple]  # per time index < T: tuple per node of ((weights, penalty), ...)
@@ -52,7 +57,6 @@ class OneStepStructure:
     flat_kernels: tuple = field(default=None, init=False, repr=False)
     flat_penalties: tuple = field(default=None, init=False, repr=False)
     sizes: tuple = field(default=None, init=False, repr=False)
-    normalized: bool = field(default=None, init=False, repr=False)
 
     def __post_init__(self, choices):
         lat = self.lattice
@@ -87,20 +91,6 @@ class OneStepStructure:
         object.__setattr__(self, "flat_kernels", tuple(kernels))
         object.__setattr__(self, "flat_penalties", tuple(penalties))
         object.__setattr__(self, "sizes", tuple(sizes))
-        object.__setattr__(self, "normalized",
-                           all(bool(np.all(a.min(axis=0) == 0.0)) for a in penalties))
-
-
-@dataclass(frozen=True, eq=False)
-class DynamicRM:
-    """Dynamic risk measure generated by a one-step structure, which is all
-    it stores; its lattice is the structure's.  Compares by identity."""
-
-    structure: OneStepStructure
-
-    @property
-    def lattice(self) -> ScenarioLattice:
-        return self.structure.lattice
 
     def rho(self, s: int, t: int, X: RandomVariable) -> RandomVariable:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
@@ -112,15 +102,26 @@ class DynamicRM:
 
     def _rho(self, s: int, t: int, g) -> np.ndarray:
         """The recursion from (..., n_t) values G_t = -X down to G_s."""
-        st = self.structure
-        return _backward(st.lattice, s, g, st.flat_kernels[s:t], st.flat_penalties[s:t])
+        return _backward(self.lattice, s, g, self.flat_kernels[s:t], self.flat_penalties[s:t])
 
 
-def build_dynamic(structure: OneStepStructure) -> DynamicRM:
-    return DynamicRM(structure)
+def build_dynamic(structure: OneStepStructure) -> OneStepStructure:
+    """The structure itself, which is its dynamic risk measure.  Kept only
+    because the benchmark calls it; library code uses the structure."""
+    return structure
 
 
-def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096) -> DualRep:
+def _selection_sizes(st: OneStepStructure, r: int, t: int, cap: int):
+    """The menu sizes of the nodes of [r, t) in order, and their product, the
+    number of selections; a count above ``cap`` raises ValueError."""
+    sizes = [int(n) for u in range(r, t) for n in st.sizes[u]]
+    count = prod(sizes)  # exact: an int64 product wraps to 0 past 63 binary nodes
+    if count > cap:
+        raise ValueError(f"selection count {count} exceeds cap {cap}")
+    return sizes, count
+
+
+def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP) -> DualRep:
     """Enumerate all node-wise kernel selections between r and t as a DualRep.
 
     Each selection induces a path-law measure (nodes outside [r, t) default
@@ -129,11 +130,8 @@ def expand_dual(dyn: DynamicRM, r: int, t: int, cap: int = 4096) -> DualRep:
     the selections' kernels and penalties stacked; a selection's Measure is
     built when its component is read.  Evaluating it reproduces the recursion.
     """
-    lat, st = dyn.lattice, dyn.structure
-    sizes = [int(n) for u in range(r, t) for n in st.sizes[u]]
-    count = prod(sizes)  # exact: an int64 product wraps to 0 past 63 binary nodes
-    if count > cap:
-        raise ValueError(f"selection count {count} exceeds cap {cap}")
+    lat = st.lattice
+    sizes, count = _selection_sizes(st, r, t, cap)
 
     # picks[c, n]: the choice of selection c at the n-th node of [r, t), in
     # the order of itertools.product; nodes outside [r, t) take choice 0
@@ -188,13 +186,13 @@ def recursion_violation(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep,
     return worst
 
 
-def dual_form_violation(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
+def dual_form_violation(st: OneStepStructure, Xs: Sequence[RandomVariable]):
     """Max over the positions X at t and all r <= t of the node-wise gap
-    |rho_{r,t}(X) - rm_evaluate(expand_dual(dyn, r, t), X)|, and its witness
+    |rho_{r,t}(X) - rm_evaluate(expand_dual(st, r, t), X)|, and its witness
     (position index, r, node): the first in that order to attain it (None
     without positions).  Expands once per (r, t) pair at the default cap,
     whose ValueError a larger expansion raises, and runs its positions at once."""
-    if any(X.lattice is not dyn.lattice for X in Xs):
+    if any(X.lattice is not st.lattice for X in Xs):
         raise ValueError("a position lives on a different lattice")
     peak, where = np.zeros(len(Xs)), [None] * len(Xs)
     for t in sorted({X.t for X in Xs}):
@@ -202,8 +200,8 @@ def dual_form_violation(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
         minus_x = -np.stack([Xs[i].values for i in idx])
         gaps, cols = [], []
         for r in range(t + 1):
-            dual = _component_values(expand_dual(dyn, r, t), minus_x).max(axis=-2)
-            gaps.append(np.abs(dyn._rho(r, t, minus_x) - dual))
+            dual = _component_values(expand_dual(st, r, t), minus_x).max(axis=-2)
+            gaps.append(np.abs(st._rho(r, t, minus_x) - dual))
             cols += [(r, node) for node in range(dual.shape[1])]
         gap = np.concatenate(gaps, axis=1)
         col = np.argmax(gap, axis=1)
@@ -216,34 +214,33 @@ def dual_form_violation(dyn: DynamicRM, Xs: Sequence[RandomVariable]):
     return float(peak[i]), (i, *where[i])
 
 
-def acceptance_decompose(X: RandomVariable, dyn: DynamicRM, r: int, s: int,
-                         t: int, Q: Measure, tol: float = 1e-9):
+def acceptance_decompose(X: RandomVariable, st: OneStepStructure, r: int, s: int,
+                         t: int, Q: Measure):
     """Split an accepted X in A_{r,t}(Q) as Z + Y with Z in A_{r,s}(Q) and
     Y in A_{s,t}; Y = X + lift(rho_{s,t}(X)), Z = -lift(rho_{s,t}(X))."""
     q_mask = charged_mask(Q, r)
-    if np.any(dyn.rho(r, t, X).values[q_mask] > tol):
+    if np.any(st.rho(r, t, X).values[q_mask] > _ACCEPT_TOL):
         raise ValueError("X is not accepted between r and t under Q")
-    w = lift(dyn.rho(s, t, X), t)
+    w = lift(st.rho(s, t, X), t)
     Y, Z = X + w, -w
-    if np.any(dyn.rho(s, t, Y).values > tol):
+    if np.any(st.rho(s, t, Y).values > _ACCEPT_TOL):
         raise AssertionError("decomposition failed: Y not in the (s,t) acceptance set")
     # rho_{r,t}(Z) equals rho_{r,s}(-rho_{s,t}(X)) by the recursion
-    if np.any(dyn.rho(r, t, Z).values[q_mask] > tol):
+    if np.any(st.rho(r, t, Z).values[q_mask] > _ACCEPT_TOL):
         raise AssertionError("decomposition failed: Z not Q-accepted between r and s")
     return Z, Y
 
 
-def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
+def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
                           s_grid: Optional[Sequence[int]] = None,
                           kernel_tol: float = 1e-9) -> float:
     """Max over s < s' of node-wise E_P(rho_{s',T}(X) | B_s) - rho_{s,T}(X).
 
-    Requires a normalized structure in which P is a zero-penalty selection at
-    every node, the discrete version of a zero total penalty for P.
+    Requires P to be a zero-penalty selection at every node, the discrete
+    version of a zero total penalty for P; penalties are >= 0, so the
+    structure is then normalized.
     """
-    if not dyn.structure.normalized:
-        raise ValueError("the dynamic risk measure must be normalized")
-    lat, st = dyn.lattice, dyn.structure
+    lat = st.lattice
     for u in range(lat.n_times - 1):
         gap = _kernel_gap(lat, u, st.flat_kernels[u], P.flat_kernels[u])
         ok = np.any((st.flat_penalties[u] == 0.0) & (gap <= kernel_tol), axis=0)
@@ -258,12 +255,12 @@ def supermartingale_check(dyn: DynamicRM, X: RandomVariable, P: Measure,
     # one walk down the grid: rho_{s,T} = rho_{s,s_next}(-rho_{s_next,T}), and
     # E_P(rho_{s',T} | B_s) for every later grid date s' as one stacked array
     t = grid[-1] if grid else T
-    g = dyn._rho(t, T, -X.values)
+    g = st._rho(t, T, -X.values)
     later = np.empty((0, g.size))
     worst = -np.inf
     for s in reversed(grid[:-1]):
         later = _backward(lat, s, np.vstack([later, g]), P.flat_kernels[s:t])
-        g = dyn._rho(s, t, g)
+        g = st._rho(s, t, g)
         worst = max(worst, float(np.max(later - g)))
         t = s
     return worst

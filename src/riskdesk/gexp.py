@@ -41,6 +41,8 @@ __all__ = [
 
 
 _MAX_COORDS = 2  # monitoring dates a cylinder payoff may have
+# how far a kernel's one-step mean and variance may stray from 0 and the band
+_MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
 
 
 class CFLError(ValueError):
@@ -288,8 +290,7 @@ def integration_by_parts_residual(lattice: ScenarioLattice, t: int,
     return RandomVariable(lattice, t, b ** 2 - 2.0 * stoch_int - qv)
 
 
-def band_membership(Q, band: VolatilityBand, dt: float,
-                    mean_tol: float = 1e-10, var_tol: float = 1e-12) -> bool:
+def band_membership(Q, band: VolatilityBand, dt: float) -> bool:
     """True iff every kernel of Q has zero mean and one-step variance inside
     [sigma_low^2 dt, sigma_high^2 dt] (martingale measure within the band)."""
     lat = Q.lattice
@@ -298,8 +299,8 @@ def band_membership(Q, band: VolatilityBand, dt: float,
         inc, off = lat.increments[k + 1][:, 0], lat.offsets[k][:-1]
         mean = np.add.reduceat(Q.flat_kernels[k] * inc, off)
         var = np.add.reduceat(Q.flat_kernels[k] * inc ** 2, off)
-        if np.any((np.abs(mean) > mean_tol) | (var < lo ** 2 * dt - var_tol)
-                  | (var > hi ** 2 * dt + var_tol)):
+        if np.any((np.abs(mean) > _MEAN_TOL) | (var < lo ** 2 * dt - _VAR_TOL)
+                  | (var > hi ** 2 * dt + _VAR_TOL)):
             return False
     return True
 

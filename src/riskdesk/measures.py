@@ -39,11 +39,10 @@ __all__ = [
     "check_restriction",
     "measure_to_json",
     "measure_from_json",
-    "family_to_json",
-    "family_from_json",
 ]
 
 _KERNEL_TOL = 1e-12
+_RESTRICTION_TOL = 1e-12  # node-probability gap up to which restrictions are equal
 
 
 def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
@@ -271,7 +270,7 @@ def dual_witness(X: RandomVariable, family: MeasureFamily) -> DualWitness:
     return DualWitness(RandomVariable(X.lattice, X.t, g0), c, degenerate=degenerate)
 
 
-def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
+def check_restriction(Q: Measure, P, s: int) -> str:
     """Compare restrictions to B_s: 'equal', 'absolutely_continuous' or
     'neither'.  P may be a Measure or a ReferenceMeasure."""
     if isinstance(P, ReferenceMeasure):
@@ -280,7 +279,7 @@ def check_restriction(Q: Measure, P, s: int, tol: float = 1e-12) -> str:
         raise ValueError("measures live on different lattices")
     q = np.concatenate([Q.node_probabilities(t) for t in range(s + 1)])
     p = np.concatenate([P.node_probabilities(t) for t in range(s + 1)])
-    if not np.any(np.abs(q - p) > tol):
+    if not np.any(np.abs(q - p) > _RESTRICTION_TOL):
         return "equal"
     return "neither" if np.any((q > 0) & (p == 0)) else "absolutely_continuous"
 
@@ -290,17 +289,6 @@ def measure_to_json(Q: Measure) -> str:
                for k, flat in enumerate(Q.flat_kernels)
                for i, w in enumerate(Q.lattice.per_node(k, flat))]
     return json.dumps({"kernels": kernels}, sort_keys=True)
-
-
-def family_to_json(family: MeasureFamily) -> str:
-    members = [json.loads(measure_to_json(Q)) for Q in family.members]
-    return json.dumps({"members": members, "p": family.p}, sort_keys=True)
-
-
-def family_from_json(text: str, lattice: ScenarioLattice) -> MeasureFamily:
-    doc = json.loads(text)
-    members = tuple(measure_from_json(json.dumps(m), lattice) for m in doc["members"])
-    return MeasureFamily(members, p=float(doc["p"]))
 
 
 def measure_from_json(text: str, lattice: ScenarioLattice) -> Measure:

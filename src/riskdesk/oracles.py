@@ -12,7 +12,7 @@ forms for the band prices of standard payoffs.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .lattice import RandomVariable
 from .measures import Measure
 from .skorokhod import _PAIR_WINDOW, StepPath, TimeChange, g_damping
 from .dynamics import OneStepStructure
-from .stability import robust_evaluate
 
 __all__ = [
     "conjugate_box_oracle",
@@ -38,10 +37,15 @@ __all__ = [
     "square_band_values",
 ]
 
+# growing boxes of the conjugate box oracle, and the growth between the last
+# two box values above which the conjugate counts as +inf
+_BOXES = (1e5, 1e7)
+_GROW_TOL = 1.0
+# sample points of the dense time-change cost
+_N_SAMPLES = 4001
 
-def conjugate_box_oracle(rep: DualRep, Q: Measure,
-                         boxes: Sequence[float] = (1e5, 1e7),
-                         grow_tol: float = 1.0) -> np.ndarray:
+
+def conjugate_box_oracle(rep: DualRep, Q: Measure) -> np.ndarray:
     """Minimal penalty from its definition: per time-s node n,
 
         sup over positions X of  E_Q(-X | n) - rho(X)(n),
@@ -75,14 +79,14 @@ def conjugate_box_oracle(rep: DualRep, Q: Measure,
         c = np.zeros(D + 1)
         c[0] = -1.0
         vals = []
-        for M in boxes:
+        for M in _BOXES:
             bounds = [(None, None)] + [(-M, M)] * D
             res = linprog(c, A_ub=A_ub, b_ub=np.asarray(costs),
                           bounds=bounds, method="highs")
             if res.status != 0:
                 raise RuntimeError(f"box oracle LP failed at node ({s},{n})")
             vals.append(-res.fun)
-        out[n] = np.inf if vals[-1] > vals[-2] + grow_tol else vals[-1]
+        out[n] = np.inf if vals[-1] > vals[-2] + _GROW_TOL else vals[-1]
     return out
 
 
@@ -111,12 +115,11 @@ def _values_at(p: StepPath, ts: np.ndarray) -> np.ndarray:
     return table[np.searchsorted(p.times, ts, side="right")]
 
 
-def dense_timechange_cost(x: StepPath, y: StepPath, lam: TimeChange, m: int,
-                          n_samples: int = 4001) -> float:
+def dense_timechange_cost(x: StepPath, y: StepPath, lam: TimeChange, m: int) -> float:
     """Numeric cost of a candidate time change by dense sampling of both
     suprema (a lower bound on the true sup, used to validate exact values)."""
     end = max(float(m), lam.inverse(float(m))) + 1.0
-    us = np.linspace(0.0, end, n_samples)
+    us = np.linspace(0.0, end, _N_SAMPLES)
     ku = np.array([k[0] for k in lam.knots])
     kv = np.array([k[1] for k in lam.knots])
     lus = np.where(us >= ku[-1], kv[-1] + (us - ku[-1]), np.interp(us, ku, kv))
@@ -127,24 +130,20 @@ def dense_timechange_cost(x: StepPath, y: StepPath, lam: TimeChange, m: int,
     return max(dev, float(np.max(np.abs(diff))))
 
 
-def dm_grid_oracle(x: StepPath, y: StepPath, m: int,
-                   knot_grid: Optional[np.ndarray] = None,
-                   n_samples: int = 4001) -> float:
+def dm_grid_oracle(x: StepPath, y: StepPath, m: int) -> float:
     """Grid search over single-knot and two-knot piecewise-linear time
     changes, each evaluated by dense sampling.  Returns the best cost found,
     an independent upper bound on d_m."""
     jumps = sorted(set(list(x.times) + list(y.times)))
     jumps = [u for u in jumps if u < m + 2]
-    if knot_grid is None:
-        knot_grid = np.array(sorted(set(np.linspace(0.05, float(m) + 1.0, 40))
-                                    | set(jumps)))
-    best = dense_timechange_cost(x, y, TimeChange(((0.0, 0.0),)), m, n_samples)
+    knot_grid = np.array(sorted(set(np.linspace(0.05, float(m) + 1.0, 40)) | set(jumps)))
+    best = dense_timechange_cost(x, y, TimeChange(((0.0, 0.0),)), m)
     for u in jumps:
         for v in knot_grid:
             if v <= 0:
                 continue
             lam = TimeChange(((0.0, 0.0), (float(u), float(v))))
-            best = min(best, dense_timechange_cost(x, y, lam, m, n_samples))
+            best = min(best, dense_timechange_cost(x, y, lam, m))
     for u1, u2 in itertools.combinations(jumps, 2):
         for v1 in knot_grid:
             for v2 in knot_grid:
@@ -152,7 +151,7 @@ def dm_grid_oracle(x: StepPath, y: StepPath, m: int,
                     continue
                 lam = TimeChange(((0.0, 0.0), (float(u1), float(v1)),
                                   (float(u2), float(v2))))
-                best = min(best, dense_timechange_cost(x, y, lam, m, n_samples))
+                best = min(best, dense_timechange_cost(x, y, lam, m))
     return best
 
 
@@ -290,7 +289,7 @@ def witness_enumeration_oracle(x_n: StepPath, x: StepPath, t: float, m_max: int)
 
 
 def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float:
-    """Upper band price of a terminal payoff by ``robust_evaluate`` on the full
+    """Upper band price of a terminal payoff by the robust recursion on the full
     trinomial tree of the grid (3^n_steps leaves), each node offering the two
     band-endpoint kernels p_+- = sigma^2 dt / (2 h^2), p_0 = 1 - sigma^2 dt / h^2.
     The tree has no boundary, so the grid must have radius >= n_steps."""
@@ -307,7 +306,7 @@ def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float
                    for k in range(grid.n_steps))
     T = lat.terminal
     X = RandomVariable(lat, T, -np.asarray(payoff(lat.values[T][:, 0]), dtype=float))
-    return float(robust_evaluate(OneStepStructure(lat, levels), X, 0).values[0])
+    return float(OneStepStructure(lat, levels).rho(0, T, X).values[0])
 
 
 def call_upper_value(sigma_high: float, horizon: float) -> float:

@@ -143,6 +143,7 @@ _TOL = 1e-10
 # enumeration takes as long as one HiGHS call, about 2.5 ms.
 _MAX_BASES = 1000
 _BATCH = 1 << 20  # entries of the basis matrices solved in one batch: 8 MB
+_ACCEPT_TOL = 1e-9  # how far above 0 a risk still counts as accepted
 
 
 def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
@@ -267,15 +268,14 @@ def partition_combine(lattice: ScenarioLattice, s: int,
     return RandomVariable(lattice, t, vals)
 
 
-def acceptance_check(rep: DualRep, X: RandomVariable,
-                     Q: Optional[Measure] = None, tol: float = 1e-9):
+def acceptance_check(rep: DualRep, X: RandomVariable, Q: Optional[Measure] = None):
     """Membership in the acceptance set: rho(X) <= 0 node-wise.
 
     Without Q, checks every node charged by the representation's reference
     (every node when no reference is attached).  With Q, checks only the
     Q-charged time-s nodes.  Returns (overall, per-node booleans).
     """
-    ok = rm_evaluate(rep, X).values <= tol
+    ok = rm_evaluate(rep, X).values <= _ACCEPT_TOL
     P = rep.reference if Q is None else Q
     return bool(np.all(ok if P is None else ok[charged_mask(P, rep.s)])), ok
 

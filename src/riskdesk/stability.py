@@ -8,9 +8,9 @@ such pastings is stable; the computable surrogate is the rectangular
 reachable by finitely many pastings on small lattices -- verified by
 enumeration in the tests rather than assumed.  The hull is a one-step
 structure (``dynamics.OneStepStructure``) whose menus are each node's member
-kernels at penalty 0, so its robust recursion is the sublinear dynamic risk
-measure that structure generates: the zero-penalty case of the convex ones,
-run by the one backward-induction helper.
+kernels at penalty 0, so its robust recursion is the structure's own
+``rho``: the sublinear, zero-penalty case of the convex dynamic risk
+measures, run by the one backward-induction helper.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import (RandomVariable, ScenarioLattice, StoppingTime,
                       validate_stopping_time)
-from .dynamics import OneStepStructure, build_dynamic, expand_dual
+from .dynamics import OneStepStructure, expand_dual
 from .measures import Measure, _kernel_gap, charged_mask
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
     "all_stopping_times",
 ]
 
-_DEDUP_TOL = 1e-12
+_SAME_KERNEL_TOL = 1e-12  # the largest gap between two kernels that count as one
 
 
 def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
@@ -84,11 +84,11 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
         for k in range(lat.n_times - 1)))
 
 
-def _same_at_charged(R: Measure, M: Measure, tol: float = 1e-12) -> bool:
+def _same_at_charged(R: Measure, M: Measure) -> bool:
     lat = R.lattice
     return not any(
         np.any(charged_mask(R, k) & (_kernel_gap(lat, k, R.flat_kernels[k],
-                                                 M.flat_kernels[k]) > tol))
+                                                 M.flat_kernels[k]) > _SAME_KERNEL_TOL))
         for k in range(lat.n_times - 1))
 
 
@@ -129,7 +129,7 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
         keep = np.stack([charged_mask(Q, k) for Q in measures])
         keep |= ~keep.any(axis=0)
         for j in range(1, len(measures)):
-            dup = _kernel_gap(lat, k, w[:j], w[j]) <= _DEDUP_TOL
+            dup = _kernel_gap(lat, k, w[:j], w[j]) <= _SAME_KERNEL_TOL
             keep[j] &= ~np.any(keep[:j] & dup, axis=0)
         size = keep.sum(axis=0)
         # per node the kept members first, in order, padded with the last
@@ -144,16 +144,16 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
 
 def enumerate_selections(structure: OneStepStructure, cap: int = 4096) -> List[Measure]:
     """All node-wise kernel choices as path-law measures (brute-force oracle)."""
-    rep = expand_dual(build_dynamic(structure), 0, structure.lattice.terminal, cap)
+    rep = expand_dual(structure, 0, structure.lattice.terminal, cap)
     return [Q for Q, _ in rep.components]
 
 
 def robust_evaluate(structure: OneStepStructure, X: RandomVariable, s: int) -> RandomVariable:
-    """The dynamic risk measure the structure generates, rho_{s,t}(X) for X at
-    t: on a hull, where every penalty is 0, the sup over the node-wise kernel
-    selections of E(-X | B_s).  The maximum over selections is attained
-    node-wise, so this equals the enumeration oracle exactly."""
-    return build_dynamic(structure).rho(s, X.t, X)
+    """``structure.rho(s, X.t, X)``: on a hull, where every penalty is 0, the
+    sup over the node-wise kernel selections of E(-X | B_s), attained
+    node-wise, so it equals the enumeration oracle exactly.  Kept only because
+    the benchmark calls it; library code calls ``rho``."""
+    return structure.rho(s, X.t, X)
 
 
 def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[StoppingTime]:

@@ -15,11 +15,13 @@ from riskdesk.cli import (
     _surface_table,
     main,
 )
-from riskdesk.dynamics import DynamicRM, OneStepStructure, dual_form_violation, onestep_to_json
-from riskdesk.fixtures import fix_a_lattice, random_rv
-from riskdesk.lattice import RandomVariable
+from riskdesk.dynamics import OneStepStructure, dual_form_violation, onestep_to_json
+from riskdesk.fixtures import fix_a_lattice, iid_binary_measure, random_rv
+from riskdesk.lattice import RandomVariable, lattice_to_json
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
+from riskdesk.measures import measure_to_json
 from riskdesk.oracles import call_upper_value
+from riskdesk.skorokhod import path_from_json, path_to_json
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -73,6 +75,17 @@ def test_validate_config_flags_missing_files(tmp_path, capsys):
     assert missing in capsys.readouterr().err
 
 
+def write_wide_structure(path):
+    """A fix-a menu with 17 choices at each of the 3 inner nodes: 17**3 = 4913
+    selections from 0 to 2, past expand_dual's cap of 4096."""
+    lat = fix_a_lattice()
+    menu = tuple((np.array([p, 1.0 - p]), 0.0) for p in np.linspace(0.1, 0.9, 17))
+    path.write_text(onestep_to_json(OneStepStructure(lat, ((menu,), (menu, menu)))))
+
+
+# a path relative to the working directory, which the test sets to tmp_path
+WIDE_STRUCTURE = "wide-structure.json"
+
 GEXP = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
         "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
 SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
@@ -95,11 +108,14 @@ SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
     ({**GEXP, "payoff": "call"}, ()),
     ({"task": "penalty", "query": {"iid_up": 0.9}, "require_feasible": "no"}, ()),
     ({"task": "stability", "use_hull": 1}, ()),
+    ({"task": "consistency", "structure": {"file": WIDE_STRUCTURE}}, ()),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
-        "use-hull-int"])
-def test_validate_only_agrees_with_a_run(tmp_path, capsys, doc, extra):
+        "use-hull-int", "expansion-cap"])
+def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
+    monkeypatch.chdir(tmp_path)
+    write_wide_structure(tmp_path / WIDE_STRUCTURE)
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
@@ -160,23 +176,59 @@ def test_consistency_witness_is_the_dual_form_witness(tmp_path):
     lat = fix_a_lattice()
     rng = np.random.default_rng(11)
     Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(30)]
-    worst, (i, r, node) = dual_form_violation(DynamicRM(_fix_a_menu_structure(lat)), Xs)
+    worst, (i, r, node) = dual_form_violation(_fix_a_menu_structure(lat), Xs)
     assert results["max_violation"] == worst == report["max_violations"]["dual_form"]
     assert results["witness_node"] == [r, node]
     assert results["witness_X"] == Xs[i].values.tolist()
 
 
 def test_consistency_rejects_a_structure_beyond_the_expansion_cap(tmp_path, capsys):
-    # 17 choices at each of the 3 inner nodes: 17**3 = 4913 selections from 0 to 2
-    lat = fix_a_lattice()
-    menu = tuple((np.array([p, 1.0 - p]), 0.0) for p in np.linspace(0.1, 0.9, 17))
     structure = tmp_path / "structure.json"
-    structure.write_text(onestep_to_json(OneStepStructure(lat, ((menu,), (menu, menu)))))
+    write_wide_structure(structure)
     doc = {"task": "consistency", "structure": {"file": str(structure)}}
     code, out = run(tmp_path, doc)
     assert code == EXIT_CONFIG
-    assert "selection count 4913 exceeds cap 4096" in capsys.readouterr().err
+    assert "consistency: selection count 4913 exceeds cap 4096" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+def file_inputs(tmp_path):
+    """(file spec, built-in or inline spec) config pairs: a lattice file, a
+    penalty query file, a stability measures list and a skorokhod path file."""
+    lat = fix_a_lattice()
+
+    def spec(name, text):
+        (tmp_path / name).write_text(text)
+        return {"file": str(tmp_path / name)}
+
+    fair, biased = (spec(f"q{u}.json", measure_to_json(iid_binary_measure(lat, u)))
+                    for u in (0.5, 0.6))
+    path = spec("path.json", path_to_json(path_from_json(json.dumps(SKOROKHOD_PATH))))
+    other = {"domain": {"kind": "half_open", "t": 1.0},
+             "jumps": [{"time": 0.4, "value": [1.0]}]}
+    eval_doc = {"task": "eval", "position": {"values": [2.0, -1.0, 0.5, -2.0]}}
+    return {
+        "lattice": ({**eval_doc, "lattice": spec("lattice.json", lattice_to_json(lat))},
+                    eval_doc),
+        # a member of fix-a-coherent, priced at 0; a law off their mixtures is +inf
+        "query": ({"task": "penalty", "query": biased},
+                  {"task": "penalty", "query": {"iid_up": 0.6}}),
+        "measures": ({"task": "stability", "measures": [fair, biased], "use_hull": True},
+                     {"task": "stability", "measures": "fix-a", "use_hull": True}),
+        "path": ({"task": "skorokhod", "paths": [path, other]},
+                 {"task": "skorokhod", "paths": [SKOROKHOD_PATH, other]}),
+    }
+
+
+@pytest.mark.parametrize("name", ["lattice", "query", "measures", "path"])
+def test_file_inputs_match_their_built_in_specs(tmp_path, name):
+    from_file, built_in = file_inputs(tmp_path)[name]
+    code_file, out_file = run(tmp_path, from_file)
+    (out_file / "report.json").rename(tmp_path / "from-file.json")
+    code, out = run(tmp_path, built_in)
+    assert code_file == code
+    assert json.loads((tmp_path / "from-file.json").read_text())["results"] == \
+        read_report(out)["results"]
 
 
 def test_stability_task_and_hull_repair(tmp_path):

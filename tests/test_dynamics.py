@@ -6,10 +6,8 @@ import pytest
 
 from riskdesk.acceptance import _random_dynamic
 from riskdesk.dynamics import (
-    DynamicRM,
     OneStepStructure,
     acceptance_decompose,
-    build_dynamic,
     check_cocycle,
     dual_form_violation,
     expand_dual,
@@ -38,7 +36,7 @@ def menu_dynamic(root_shift=0.0, lat=None):
     menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
     shifted = tuple((w, a + root_shift) for w, a in menu)
     choices = ((shifted,), (menu, menu))
-    return lat, build_dynamic(OneStepStructure(lat, choices))
+    return lat, OneStepStructure(lat, choices)
 
 
 def sparse_kernel(rng, b):
@@ -94,7 +92,7 @@ def test_expand_dual_enumerates_selections():
     menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
     structure = OneStepStructure(deep, tuple((menu,) * deep.n_nodes(k) for k in range(7)))
     with pytest.raises(ValueError, match=f"count {2 ** 127} exceeds cap 4096"):
-        expand_dual(build_dynamic(structure), 0, 7)
+        expand_dual(structure, 0, 7)
 
 
 def test_expand_dual_penalties():
@@ -116,7 +114,7 @@ def test_expand_dual_infinite_penalty_behind_null_branch():
     choices = (((((np.array([0.0, 1.0]), 0.0),),),
                (((fair, 0.0), (np.array([0.75, 0.25]), np.inf)),
                 ((fair, 0.0), (np.array([0.25, 0.75]), 0.25)))))
-    dyn = build_dynamic(OneStepStructure(lat, choices))
+    dyn = OneStepStructure(lat, choices)
     rep = expand_dual(dyn, 0, 2)
     assert all(np.isfinite(alpha.values[0]) for _, alpha in rep.components)
     X = RandomVariable(lat, 2, np.array([1.0, -2.0, 3.0, 0.5]))
@@ -142,7 +140,7 @@ def test_rho_matches_expanded_dual_on_ragged_trees():
                 level.append(tuple(menu))
                 at += 1
             levels.append(tuple(level))
-        dyn = build_dynamic(OneStepStructure(lat, tuple(levels)))
+        dyn = OneStepStructure(lat, tuple(levels))
         for t in range(lat.n_times):
             X = random_rv(lat, t, rng)
             for s in range(t + 1):
@@ -200,10 +198,10 @@ def random_menu_dynamic(rng, normalized=False):
         levels.append(tuple(level))
     structure = OneStepStructure(lat, tuple(levels))
     P = Measure(lat, tuple(lat.per_node(k, w[0]) for k, w in enumerate(structure.flat_kernels)))
-    return lat, build_dynamic(structure), P
+    return lat, structure, P
 
 
-class BentDynamic(DynamicRM):
+class BentDynamic(OneStepStructure):
     """Not time consistent: every evaluation is bent by (t - s)^2 * 1e-3 * G^2."""
 
     def _rho(self, s, t, g):
@@ -211,21 +209,20 @@ class BentDynamic(DynamicRM):
         return out + 1e-3 * (t - s) ** 2 * out * out
 
 
-class RaisedPenaltyDynamic(DynamicRM):
+class RaisedPenaltyDynamic(OneStepStructure):
     """The recursion with the root's first menu penalty raised by 0.05; the
-    structure, which expand_dual reads, keeps the original penalty."""
+    stored penalties, which expand_dual reads, keep the original one."""
 
     def _rho(self, s, t, g):
-        st = self.structure
-        penalties = list(st.flat_penalties)
+        penalties = list(self.flat_penalties)
         penalties[0] = penalties[0] + np.eye(*penalties[0].shape)[:, :1] * 0.05
-        return _backward(self.lattice, s, g, st.flat_kernels[s:t], penalties[s:t])
+        return _backward(self.lattice, s, g, self.flat_kernels[s:t], penalties[s:t])
 
 
 def expandable_dates(dyn, cap=256):
     """The dates t whose expansion from r = 0, the largest, has at most
     ``cap`` selections, which keeps the reference loop fast."""
-    sizes = dyn.structure.sizes
+    sizes = dyn.sizes
     return [t for t in range(dyn.lattice.n_times)
             if prod(int(n) for u in range(t) for n in sizes[u]) <= cap]
 
@@ -263,20 +260,14 @@ def test_dual_form_violation_matches_the_per_position_loop():
         dual_form_violation(dyn, [random_rv(fix_a_lattice(), 2, rng)])
 
 
-def test_dynamic_rm_holds_only_its_structure():
-    lat, dyn = menu_dynamic()
-    assert DynamicRM(dyn.structure).lattice is dyn.structure.lattice is lat
-    with pytest.raises(TypeError):
-        DynamicRM(lat, dyn.structure)
-
-
 @pytest.mark.parametrize("kind", [BentDynamic, RaisedPenaltyDynamic])
 def test_dual_form_violation_flags_an_inconsistent_recursion(kind):
     lat, dyn = menu_dynamic()
     rng = np.random.default_rng(19)
     Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
     assert dual_form_violation(dyn, Xs)[0] <= 1e-12
-    worst, (i, r, node) = dual_form_violation(kind(dyn.structure), Xs)
+    bent = kind._from_flat(lat, dyn.flat_kernels, dyn.flat_penalties, dyn.sizes)
+    worst, (i, r, node) = dual_form_violation(bent, Xs)
     assert worst > 1e-3
     if kind is RaisedPenaltyDynamic:
         assert worst == pytest.approx(0.05, abs=1e-12)
@@ -385,8 +376,11 @@ def test_structure_validation():
         OneStepStructure(lat, ((((np.array([0.5, 0.5]), -0.1),),), (menu, menu)))
     with pytest.raises(ValueError, match="shape"):
         OneStepStructure(lat, ((((np.array([0.5, 0.3, 0.2]), 0.0),),), (menu, menu)))
-    assert not OneStepStructure(
-        lat, ((((np.array([0.5, 0.5]), 0.2),),), (menu, menu))).normalized
+    # a root whose least penalty is 0.2: no law is a zero-penalty selection
+    unnormalized = OneStepStructure(lat, ((((np.array([0.5, 0.5]), 0.2),),), (menu, menu)))
+    with pytest.raises(ValueError, match=r"zero-penalty selection at node \(0,0\)"):
+        supermartingale_check(unnormalized, coordinate_process(lat, 2),
+                              iid_binary_measure(lat, 0.5))
 
 
 def test_structure_rejects_negative_weights_and_nan_penalties():
@@ -408,10 +402,7 @@ def test_onestep_json_round_trip():
     back = onestep_from_json(onestep_to_json(structure), lat)
     assert np.isinf(back.flat_penalties[0][1, 0])
     B2 = coordinate_process(lat, 2)
-    assert np.array_equal(
-        DynamicRM(back).rho(0, 2, B2).values,
-        DynamicRM(structure).rho(0, 2, B2).values,
-    )
+    assert np.array_equal(back.rho(0, 2, B2).values, structure.rho(0, 2, B2).values)
 
 
 def test_onestep_json_golden():

@@ -192,7 +192,7 @@ def _identity_builders():
         "ReferenceMeasure": lambda: rd.reference_measure(fam),
         "DualWitness": lambda: rd.dual_witness(B2, fam),
         "DualRep": lambda: rd.DualRep(0, 2, ((q1, zeros), (q2, zeros))),
-        "DynamicRM": lambda: rd.build_dynamic(rd.rectangular_hull([q1, q2])),
+        "OneStepStructure": lambda: rd.rectangular_hull([q1, q2]),
         "VolatilityBand": lambda: rd.VolatilityBand(0.1, 0.2),
         "StepPath": lambda: rd.StepPath([0.5], [1.0]),
         "PLContinuousPath": lambda: rd.PLContinuousPath([0.0, 1.0], [0.0, 1.0]),

@@ -19,8 +19,6 @@ from riskdesk.measures import (
     check_restriction,
     conditional_expectation,
     dual_witness,
-    family_from_json,
-    family_to_json,
     measure_from_json,
     measure_to_json,
     mix_measures,
@@ -212,12 +210,10 @@ def test_stop_set_probabilities_sum_to_one():
 
 
 def test_measure_json_round_trip():
-    lat, _, q2, fam = fix_a_family()
+    lat, _, q2, _ = fix_a_family()
     back = measure_from_json(measure_to_json(q2), lat)
     for k in range(2):
         assert np.allclose(back.flat_kernels[k], q2.flat_kernels[k])
-    fam_back = family_from_json(family_to_json(fam), lat)
-    assert fam_back.p == fam.p and len(fam_back.members) == 2
 
 
 def test_kernel_validation():

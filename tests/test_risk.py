@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riskdesk import risk
-from riskdesk.dynamics import OneStepStructure, build_dynamic, expand_dual
+from riskdesk.dynamics import OneStepStructure, expand_dual
 from riskdesk.fixtures import (
     fix_a_family,
     fix_a_lattice,
@@ -541,7 +541,7 @@ def test_batched_penalty_matches_the_per_node_reference(monkeypatch):
 def test_reading_one_expanded_component_builds_one_measure(monkeypatch):
     lat = fix_a_lattice()
     menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
-    dyn = build_dynamic(OneStepStructure(lat, ((menu,), (menu, menu))))
+    dyn = OneStepStructure(lat, ((menu,), (menu, menu)))
     built = []
     from_flat, post_init = Measure._from_flat, Measure.__post_init__
     monkeypatch.setattr(Measure, "_from_flat",
@@ -579,6 +579,6 @@ def test_expanded_dualrep_json_golden():
     menus = ((((np.array([0.7, 0.4]), 0.0),),),
              (((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), np.inf)),
               ((np.array([0.7, 0.4]), 0.25),)))
-    rep = expand_dual(build_dynamic(OneStepStructure(lat, menus)), 1, 2)
+    rep = expand_dual(OneStepStructure(lat, menus), 1, 2)
     assert dualrep_to_json(rep) == EXPANDED_JSON
     assert dualrep_to_json(dualrep_from_json(EXPANDED_JSON, lat)) == EXPANDED_JSON

@@ -10,12 +10,7 @@ from riskdesk.fixtures import (
     random_rv,
 )
 from riskdesk.lattice import NodeRef, StoppingTime, coordinate_process
-from riskdesk.dynamics import (
-    OneStepStructure,
-    build_dynamic,
-    onestep_from_json,
-    onestep_to_json,
-)
+from riskdesk.dynamics import OneStepStructure, build_dynamic, onestep_from_json, onestep_to_json
 from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.stability import (
     all_stopping_times,
@@ -212,13 +207,13 @@ def test_robust_evaluate_is_the_zero_penalty_dynamic():
     for _ in range(20):
         lat = random_lattice(rng, max_periods=3, max_branch=3)
         hull = rectangular_hull(list(random_family(lat, rng, int(rng.integers(1, 4))).members))
-        assert hull.normalized
-        dyn = build_dynamic(hull)
+        assert all(np.all(a == 0.0) for a in hull.flat_penalties)
+        assert build_dynamic(hull) is hull
         for t in range(lat.n_times):
             X = random_rv(lat, t, rng)
             for s in range(t + 1):
                 assert np.array_equal(robust_evaluate(hull, X, s).values,
-                                      dyn.rho(s, t, X).values)
+                                      hull.rho(s, t, X).values)
 
 
 def test_robust_evaluate_reads_penalties():
@@ -230,7 +225,7 @@ def test_robust_evaluate_reads_penalties():
     B2 = coordinate_process(lat, 2)
     got = robust_evaluate(structure, -B2, 0)
     assert got.values[0] == pytest.approx(0.2, abs=1e-12)
-    assert np.array_equal(got.values, build_dynamic(structure).rho(0, 2, -B2).values)
+    assert np.array_equal(got.values, structure.rho(0, 2, -B2).values)
 
 
 def test_hull_json_round_trip():
