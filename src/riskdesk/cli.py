@@ -123,6 +123,14 @@ def _integer(value, name: str, least: int) -> int:
     return value
 
 
+def _real(value, name: str) -> float:
+    """value as a float when it is a finite JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:  # False for NaN
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _flag(config: Dict, name: str) -> bool:
     """config[name] when it is a JSON boolean; false when absent."""
     value = config.get(name, False)
@@ -151,7 +159,7 @@ def _task_penalty(config, seed):
     rep = _load_dualrep(config, lat)
     spec = config.get("query")
     if isinstance(spec, dict) and "iid_up" in spec:
-        Q = iid_binary_measure(lat, float(spec["iid_up"]))
+        Q = iid_binary_measure(lat, _real(spec["iid_up"], "iid_up"))
     elif isinstance(spec, dict) and "file" in spec:
         Q = measure_from_json(Path(spec["file"]).read_text(), lat)
     else:
@@ -181,7 +189,9 @@ def _task_consistency(config, seed):
         structure = onestep_from_json(Path(spec["file"]).read_text(), lat)
     else:
         raise ConfigError("structure must be 'fix-a-menu' or {'file': path}")
-    tol = float(config.get("tolerance", 1e-9))
+    tol = _real(config.get("tolerance", 1e-9), "tolerance")
+    if tol < 0:
+        raise ConfigError(f"tolerance must be >= 0, got {tol!r}")
     n = _integer(config.get("n_positions", 100), "n_positions", 1)
     rng = np.random.default_rng(seed)
     Xs = [random_rv(lat, int(rng.integers(1, lat.terminal + 1)), rng) for _ in range(n)]
@@ -235,7 +245,8 @@ _PAYOFFS = {"square": lambda x: np.asarray(x) ** 2,
 def _task_gexp(config, seed):
     band = VolatilityBand(config["band"]["sigma_low"], config["band"]["sigma_high"])
     g = config["grid"]
-    grid = GridSpec(float(g["dt"]), float(g["h"]), g["radius"], float(g["horizon"]))
+    grid = GridSpec(_real(g["dt"], "dt"), _real(g["h"], "h"), g["radius"],
+                    _real(g["horizon"], "horizon"))
     grid.check_cfl(band)
     payoff = config.get("payoff", {})
     if not isinstance(payoff, dict):
@@ -271,7 +282,10 @@ def _task_skorokhod(config, seed):
     if not isinstance(paths, list) or len(paths) != 2:
         raise ConfigError("skorokhod: exactly two paths are required")
     x, y = (_load_path(e) for e in paths)
-    t = float(config.get("t", x.horizon or 1.0))
+    t = _real(config.get("t", x.horizon or 1.0), "t")
+    if x.horizon != t or y.horizon != t:
+        raise ConfigError(f"skorokhod: both paths must live on [0, t) with t={t}, "
+                          f"got horizons {x.horizon} and {y.horizon}")
     M = _integer(config.get("M", 20), "M", 1)
 
     def run():

@@ -23,6 +23,8 @@ __all__ = [
     "random_rv",
 ]
 
+_MIN_WEIGHT = 0.05  # random_measure's floor on the kernel weights, before renormalising
+
 
 def fix_a_lattice() -> ScenarioLattice:
     """Times (0, 1, 2), binary +-1 increments everywhere."""
@@ -53,26 +55,27 @@ def trinomial_tree(h: float, steps: int, dt: float = 1.0) -> ScenarioLattice:
 
 
 def random_lattice(rng: np.random.Generator, max_periods: int = 3,
-                   max_branch: int = 3, dim: int = 1) -> ScenarioLattice:
-    """Random tree: 2..max_periods periods, 2..max_branch children per node."""
+                   max_branch: int = 3) -> ScenarioLattice:
+    """Random one-dimensional tree: 2..max_periods periods, 2..max_branch
+    children per node."""
     periods = int(rng.integers(2, max_periods + 1))
     incs, n = [], 1
     for _ in range(periods):
-        incs.append([rng.normal(size=(int(rng.integers(2, max_branch + 1)), dim))
+        incs.append([rng.normal(size=(int(rng.integers(2, max_branch + 1)), 1))
                      for _ in range(n)])
         n = sum(len(inc) for inc in incs[-1])
-    return build_lattice(tuple(float(k) for k in range(periods + 1)), incs, dimension=dim)
+    return build_lattice(tuple(float(k) for k in range(periods + 1)), incs, dimension=1)
 
 
-def random_measure(lattice: ScenarioLattice, rng: np.random.Generator,
-                   min_weight: float = 0.05) -> Measure:
-    """Random measure with kernels bounded away from zero (charges all nodes)."""
+def random_measure(lattice: ScenarioLattice, rng: np.random.Generator) -> Measure:
+    """Random measure with kernels bounded away from zero (charges all nodes):
+    each weight is at least _MIN_WEIGHT / (1 + b _MIN_WEIGHT) for b children."""
     kernels = []
     for k in range(lattice.n_times - 1):
         level = []
         for b in np.diff(lattice.offsets[k]):
             w = rng.dirichlet(np.ones(b))
-            w = (w + min_weight) / (1.0 + b * min_weight)
+            w = (w + _MIN_WEIGHT) / (1.0 + b * _MIN_WEIGHT)
             level.append(w)
         kernels.append(tuple(level))
     return Measure(lattice, tuple(kernels))
@@ -83,6 +86,6 @@ def random_family(lattice: ScenarioLattice, rng: np.random.Generator,
     return MeasureFamily(tuple(random_measure(lattice, rng) for _ in range(n_members)), p=p)
 
 
-def random_rv(lattice: ScenarioLattice, t: int, rng: np.random.Generator,
-              scale: float = 1.0) -> RandomVariable:
-    return RandomVariable(lattice, t, rng.normal(scale=scale, size=lattice.n_nodes(t)))
+def random_rv(lattice: ScenarioLattice, t: int, rng: np.random.Generator) -> RandomVariable:
+    """Standard normal values at the nodes of date t."""
+    return RandomVariable(lattice, t, rng.normal(size=lattice.n_nodes(t)))

@@ -91,6 +91,9 @@ class GridSpec:
     def __post_init__(self):
         if not isinstance(self.radius, (int, np.integer)):
             raise ValueError(f"radius must be an integer, got {self.radius!r}")
+        if not np.isfinite([self.dt, self.h, self.horizon]).all():
+            raise ValueError(f"grid dt={self.dt}, h={self.h} and horizon={self.horizon} "
+                             "must be finite")
         if self.dt <= 0 or self.h <= 0 or self.radius < 1 or self.horizon <= 0:
             raise ValueError("grid parameters must be positive")
         if abs(self.horizon - self.n_steps * self.dt) > 1e-9:

@@ -18,7 +18,10 @@ and the best matching is a minimax path through the DAG of jump pairs:
 polynomial in the jump counts, where enumerating matchings is exponential.
 The weighted sum over m yields the half-open-domain metric that makes the
 projection from [0, inf) continuous, in contrast with the undamped J1
-distance (also provided, for the contrast).
+distance (also provided, for the contrast).  As in Billingsley (1999, §16),
+d_m is the J1 distance of the g_m-damped paths, so the undamped gap is the
+damped gap at m = inf, where g is 1 everywhere: one evaluator (:func:`_gap`)
+serves both.
 """
 
 from __future__ import annotations
@@ -220,68 +223,59 @@ def _deviation(pc, upto: float) -> float:
     return dev
 
 
-def _sup_abs(xv, yv, a: float = 1.0, b: float = 1.0) -> float:
+def _sup_abs(xv, yv, a: float, b: float) -> float:
     return max(abs(a * p - b * q) for p, q in zip(xv, yv))
 
 
-def _damped_gap(X, Y, pc, m: int) -> float:
-    """sup over u in the piece of | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |.
+def _gap(X, Y, pc, m: float, upto: float, closed: bool) -> float:
+    """sup over u in the piece with u < upto (u <= upto when ``closed``) of
+    | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |.
 
-    Between breakpoints (jumps of either path, knots, and where either
-    damping bends) the path values are constant and the damping terms
-    affine, so the sup sits at interval ends, taken with the values inside.
-    Past max(m, lam^-1(m)) both damping terms vanish.
+    The undamped gap is this gap at m = inf: g_inf = 1, and 1.0 * p - 1.0 * q
+    is p - q bit for bit.  Between breakpoints (jumps of either path, knots,
+    and where either damping bends) the path values are constant and the
+    damping terms affine, so the sup sits at interval ends, taken with the
+    values inside; an interval whose two ends carry the same damping factors
+    (every interval at m = inf, and every one before the ramp [m-1, m]) is
+    evaluated once.  Past max(m, lam^-1(m)) both damping terms vanish, and
+    the piece is cut there.
     """
     (xt, xrows), (yt, yrows) = X, Y
     u0, v0, u1, v1 = pc[:4]
+    if u0 > upto:
+        return 0.0
     fm = float(m)
-    pts = {u0, u1}  # u1 = inf for the tail, which the cut below drops
-    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, u1)])
+    end = min(u1, upto)
+    pts = {u0, end}  # end = inf for the tail of d_m, which the cut below drops
+    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
     pts.update(_lam_inv(pc, v) for v in xt[bisect_left(xt, v0):bisect_left(xt, v1)])
     for c in (fm - 1.0, fm):
         if u0 <= c <= u1:
             pts.add(c)
         if v0 <= c < v1:
             pts.add(_lam_inv(pc, c))
-    if v1 <= fm:
-        cut = np.inf
-    elif v0 <= fm:
-        cut = max(fm, _lam_inv(pc, fm)) + _MATCH_TOL
-    else:
-        cut = fm + _MATCH_TOL
-    marks = [(b, min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0))
-             for b in sorted(b for b in pts if b <= cut)]
+    cut = min(end, np.inf if v1 <= fm else
+              (max(fm, _lam_inv(pc, fm)) if v0 <= fm else fm) + _MATCH_TOL)
+    bs = sorted(b for b in pts if b <= cut)
+    if closed and u0 <= upto < u1:
+        bs.append(upto)  # the point upto, as an interval of length 0
+    gs = [(min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0)) for b in bs]
     best = 0.0
-    for (b1, a1, c1), (b2, a2, c2) in zip(marks, marks[1:]):
+    for b1, b2, g1, g2 in zip(bs, bs[1:], gs, gs[1:]):
         mid = 0.5 * (b1 + b2)
         xv = xrows[bisect_right(xt, _lam(pc, mid))]
         yv = yrows[bisect_right(yt, mid)]
-        best = max(best, _sup_abs(xv, yv, a1, c1), _sup_abs(xv, yv, a2, c2))
+        best = max(best, _sup_abs(xv, yv, *g1))
+        if g2 != g1:
+            best = max(best, _sup_abs(xv, yv, *g2))
     return best
 
 
-def _plain_gap(X, Y, pc, upto: float, closed: bool) -> float:
-    """sup over u in the piece with u < upto (u <= upto when ``closed``) of
-    | X(lam(u)) - Y(u) |: both paths are constant between breakpoints."""
-    (xt, xrows), (yt, yrows) = X, Y
-    u0, v0, u1, v1 = pc[:4]
-    if u0 > upto:
-        return 0.0
-    end = min(u1, upto)
-    pts = {u0, end}
-    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
-    pts.update(b for b in (_lam_inv(pc, v) for v in
-                           xt[bisect_left(xt, v0):bisect_left(xt, v1)]) if b <= end)
-    pts = sorted(pts)
-    best = 0.0
-    for b1, b2 in zip(pts, pts[1:]):
-        mid = 0.5 * (b1 + b2)
-        best = max(best, _sup_abs(xrows[bisect_right(xt, _lam(pc, mid))],
-                                  yrows[bisect_right(yt, mid)]))
-    if closed and u0 <= upto < u1:
-        best = max(best, _sup_abs(xrows[bisect_right(xt, _lam(pc, upto))],
-                                  yrows[bisect_right(yt, upto)]))
-    return best
+def _pairs(X, Y, before: float, apart: float):
+    """The jump pairs (i, j), in lexicographic order, whose X time and Y time
+    both lie before ``before`` and at most ``apart`` apart."""
+    return [(i, j) for i, xu in enumerate(X[0]) if xu < before
+            for j, yu in enumerate(Y[0]) if yu < before and abs(xu - yu) <= apart]
 
 
 def _best_matching(X, Y, pairs, cost, end=None):
@@ -344,11 +338,9 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
     if y.sort_key() < x.sort_key():
         x, y = y, x
     X, Y = _prepared(x, y)
-    window = float(m) + _PAIR_WINDOW
-    pairs = [(i, j) for i, xu in enumerate(X[0]) if xu < window
-             for j, yu in enumerate(Y[0]) if yu < window and abs(xu - yu) <= _PAIR_WINDOW]
+    pairs = _pairs(X, Y, float(m) + _PAIR_WINDOW, _PAIR_WINDOW)
     value, knots = _best_matching(
-        X, Y, pairs, lambda pc: max(_deviation(pc, float(m)), _damped_gap(X, Y, pc, m)))
+        X, Y, pairs, lambda pc: max(_deviation(pc, float(m)), _gap(X, Y, pc, m, np.inf, False)))
     return value, TimeChange(tuple(knots))
 
 
@@ -373,10 +365,8 @@ def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
         x, y = y, x
     X, Y = _prepared(x, y)
     h = float(horizon)
-    pairs = [(i, j) for i, xu in enumerate(X[0]) if xu < h
-             for j, yu in enumerate(Y[0]) if yu < h]
-    value, _ = _best_matching(
-        X, Y, pairs, lambda pc: max(_deviation(pc, h), _plain_gap(X, Y, pc, h, False)))
+    value, _ = _best_matching(X, Y, _pairs(X, Y, h, np.inf),
+                              lambda pc: max(_deviation(pc, h), _gap(X, Y, pc, np.inf, h, False)))
     return value
 
 
@@ -462,12 +452,11 @@ def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int):
     deviation of x_n(gamma(u)) from x(u) on [0, t (1 - 1/(1+m))]."""
     X, Y = _prepared(x_n, x)
     t = float(t)
-    pairs = [(i, j) for i, v in enumerate(X[0]) if v < t
-             for j, u in enumerate(Y[0]) if u < t]
+    pairs = _pairs(X, Y, t, np.inf)
 
     def deviation(pieces, m):
         upto = t * (1.0 - 1.0 / (1.0 + m))
-        return max(_plain_gap(X, Y, pc, upto, True) for pc in pieces)
+        return max(_gap(X, Y, pc, np.inf, upto, True) for pc in pieces)
 
     # gamma maps x's timeline onto x_n's; it must be a bijection of [0, t),
     # so it is pinned at (t, t) past the matched knots

@@ -92,6 +92,27 @@ SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
                   "jumps": [{"time": 0.3, "value": [1.0]}]}
 
 
+def bad_real_config(name, value):
+    """A config whose real-valued field ``name`` is ``value``."""
+    if name == "tolerance":
+        return {"task": "consistency", "n_positions": 5, name: value}
+    if name == "iid_up":
+        return {"task": "penalty", "query": {name: value}}
+    if name == "t":
+        return {"task": "skorokhod", "paths": [SKOROKHOD_PATH] * 2, name: value}
+    # a grid on which dt = 1.0 meets the stability bound
+    return {**GEXP, "grid": {"dt": 0.25, "h": 1.0, "radius": 4, "horizon": 1.0, name: value}}
+
+
+# each must exit 1: bools, strings, NaN, infinities and a negative tolerance
+BAD_REALS = [(name, value) for name, values in (
+    ("tolerance", (True, float("nan"), -1, "1e-9", float("inf"))),
+    ("dt", (True,)), ("h", (float("nan"), float("inf"))), ("horizon", (True,)),
+    ("t", (True, float("nan"))), ("iid_up", (True, float("nan"), "0.6")),
+) for value in values]
+BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
+
+
 @pytest.mark.parametrize("doc, extra", [
     ({**GEXP, "payoff": {"kind": "put"}}, ()),
     ({"task": "eval"}, ()),
@@ -109,10 +130,13 @@ SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
     ({"task": "penalty", "query": {"iid_up": 0.9}, "require_feasible": "no"}, ()),
     ({"task": "stability", "use_hull": 1}, ()),
     ({"task": "consistency", "structure": {"file": WIDE_STRUCTURE}}, ()),
+    ({"task": "skorokhod", "t": 2.0, "paths": [SKOROKHOD_PATH] * 2}, ()),
+    *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
-        "use-hull-int", "expansion-cap"])
+        "use-hull-int", "expansion-cap", "t-off-horizon",
+        *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
     monkeypatch.chdir(tmp_path)
     write_wide_structure(tmp_path / WIDE_STRUCTURE)
@@ -123,6 +147,13 @@ def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, ext
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name, value", BAD_REALS, ids=BAD_REAL_IDS)
+def test_bad_real_fields_are_named(tmp_path, capsys, name, value):
+    cfg = write_config(tmp_path, bad_real_config(name, value))
+    assert main(["--config", cfg, "--validate-only"]) == EXIT_CONFIG
+    assert f"{name} must be" in capsys.readouterr().err
 
 
 def test_eval_task(tmp_path):

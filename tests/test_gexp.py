@@ -116,6 +116,16 @@ def test_grid_rejects_a_non_integral_radius():
         GridSpec(dt=0.005, h=0.05, radius=40.5, horizon=1.0)
 
 
+@pytest.mark.parametrize("dt, h, horizon", [
+    (0.005, np.nan, 1.0), (0.005, np.inf, 1.0), (np.nan, 0.05, 1.0),
+    (np.inf, 0.05, 1.0), (0.005, 0.05, np.nan), (0.005, 0.05, np.inf),
+])
+def test_grid_rejects_non_finite_parameters(dt, h, horizon):
+    # nan <= 0 is False: an h of NaN used to price bid = ask = nan
+    with pytest.raises(ValueError, match="must be finite"):
+        GridSpec(dt=dt, h=h, radius=40, horizon=horizon)
+
+
 def test_check_cfl_rejects_a_band_of_the_wrong_length():
     grid = GridSpec(dt=0.25, h=1.0, radius=4, horizon=1.0)
     grid.check_cfl(VolatilityBand([0.1] * 4, [0.2] * 4))

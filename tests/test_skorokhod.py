@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,39 @@ def test_convergence_witness_matches_the_enumeration_oracle():
         assert abs(report["gamma_sup"] - expected["gamma_sup"]) <= 1e-12
         for m, dev in expected["deviations"].items():
             assert abs(report["deviations"][m] - dev) <= 1e-12
+
+
+def _digest(values):
+    return hashlib.sha256(",".join(float(v).hex() for v in values).encode()).hexdigest()
+
+
+def test_skorokhod_outputs_match_golden_digests():
+    """Bit-exact outputs on a seeded set: d_m values and witness knots (jumps
+    near m and far from it), j1 at three horizons, convergence-witness
+    reports and d-hat at several M.  The digests were recorded with separate
+    damped and undamped gap evaluators, so they pin the bits that the
+    enumeration oracles check only to 1e-12."""
+    rng = np.random.default_rng(29)
+    dm, j1, witness, dhat = [], [], [], []
+    for case in range(36):
+        k1, k2 = SIZES[case % len(SIZES)]
+        dim = 2 if case % 4 == 0 else 1
+        m = case % 6 + 1
+        lo, hi = (0.05, 8.0) if case % 2 else (max(0.05, m - 1.5), m + 1.0)
+        value, lam = dm_distance(random_path(rng, k1, lo, hi, dim),
+                                 random_path(rng, k2, lo, hi, dim), m)
+        dm += [value] + [c for knot in lam.knots for c in knot]
+        x = random_path(rng, k1, 0.05, 0.95, dim, horizon=1.0)
+        y = random_path(rng, k2, 0.05, 0.95, dim, horizon=1.0)
+        j1 += [j1_distance(x, y, h) for h in (0.5, 0.8, 1.0)]
+        report = convergence_witness(x, y, 1.0, m)
+        witness += [report["gamma_sup"], *report["deviations"].values()]
+        witness += [c for knot in report["gamma"].knots for c in knot]
+        dhat += [dhat_distance(x, y, 1.0, M)[0] for M in (1, 4, 12)]
+    assert _digest(dm) == "e92ade0c93b2ee0c6e7bf48328a318b910b168153e0d900f049deeda99f37e67"
+    assert _digest(j1) == "a69269f73b1237eafac33f021d7ca6c7a91a179a8c41af5c2edba26b21a7b2d6"
+    assert _digest(witness) == "6197e6cbb266fda212794a3287cca13e62fbcb6391e4d5bd5d3a449ee84135aa"
+    assert _digest(dhat) == "b811e28c076ade5703f62555372c8fd448d332101b471762a7198a53c61a1cad"
 
 
 def test_dm_distance_nine_jumps():
