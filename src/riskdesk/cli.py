@@ -131,6 +131,17 @@ def _real(value, name: str) -> float:
     return float(value)
 
 
+def _reals(value, name: str) -> List[float]:
+    """value as a list of floats when it is a list of finite JSON numbers
+    (not bools)."""
+    if isinstance(value, list):
+        try:
+            return [_real(v, name) for v in value]
+        except ConfigError:
+            pass
+    raise ConfigError(f"{name} must be a list of finite numbers, got {value!r}")
+
+
 def _flag(config: Dict, name: str) -> bool:
     """config[name] when it is a JSON boolean; false when absent."""
     value = config.get(name, False)
@@ -145,7 +156,7 @@ def _task_eval(config, seed):
     pos = config.get("position")
     if pos is None:
         raise ConfigError("eval: a position {values: [...]} is required")
-    X = RandomVariable(lat, rep.t, np.asarray(pos["values"], dtype=float))
+    X = RandomVariable(lat, rep.t, np.array(_reals(pos["values"], "position.values")))
 
     def run():
         rho = rm_evaluate(rep, X)
@@ -243,7 +254,9 @@ _PAYOFFS = {"square": lambda x: np.asarray(x) ** 2,
 
 
 def _task_gexp(config, seed):
-    band = VolatilityBand(config["band"]["sigma_low"], config["band"]["sigma_high"])
+    spec = config["band"]  # each volatility is a number or a per-step list
+    band = VolatilityBand(*((_reals if isinstance(spec[n], list) else _real)(spec[n], n)
+                            for n in ("sigma_low", "sigma_high")))
     g = config["grid"]
     grid = GridSpec(_real(g["dt"], "dt"), _real(g["h"], "h"), g["radius"],
                     _real(g["horizon"], "horizon"))

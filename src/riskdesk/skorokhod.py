@@ -21,7 +21,10 @@ projection from [0, inf) continuous, in contrast with the undamped J1
 distance (also provided, for the contrast).  As in Billingsley (1999, §16),
 d_m is the J1 distance of the g_m-damped paths, so the undamped gap is the
 damped gap at m = inf, where g is 1 everywhere: one evaluator (:func:`_gap`)
-serves both.
+serves both.  The same fact shares work across m: a piece that ends before
+the ramp [m-1, m] costs at m what it costs at m = inf, so the M distances of
+the weighted sum come from one pass that prices such a piece once and, per
+m, only the pieces that reach the ramp (:func:`_dm_matchings`).
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ __all__ = [
 
 _MATCH_TOL = 1e-12
 _PAIR_WINDOW = 2.0  # how far apart d_m may pair jumps (see dm_distance)
+# relative slack on "before the ramp": just before a piece's end knot u1,
+# _lam can round a few ulps past v1
+_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +243,9 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool) -> float:
     damping terms affine, so the sup sits at interval ends, taken with the
     values inside; an interval whose two ends carry the same damping factors
     (every interval at m = inf, and every one before the ramp [m-1, m]) is
-    evaluated once.  Past max(m, lam^-1(m)) both damping terms vanish, and
-    the piece is cut there.
+    evaluated once, and at m = inf the factors are not computed at all.
+    Past max(m, lam^-1(m)) both damping terms vanish, and the piece is cut
+    there.
     """
     (xt, xrows), (yt, yrows) = X, Y
     u0, v0, u1, v1 = pc[:4]
@@ -259,7 +266,10 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool) -> float:
     bs = sorted(b for b in pts if b <= cut)
     if closed and u0 <= upto < u1:
         bs.append(upto)  # the point upto, as an interval of length 0
-    gs = [(min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0)) for b in bs]
+    if fm == np.inf:  # g_inf = 1 at every breakpoint
+        gs = [(1.0, 1.0)] * len(bs)
+    else:
+        gs = [(min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0)) for b in bs]
     best = 0.0
     for b1, b2, g1, g2 in zip(bs, bs[1:], gs, gs[1:]):
         mid = 0.5 * (b1 + b2)
@@ -322,6 +332,39 @@ def _best_matching(X, Y, pairs, cost, end=None):
     return value, [knots[a] for a in chain] + ([end] if end else [])
 
 
+def _dm_matchings(x: StepPath, y: StepPath, ms):
+    """(value, knots) of the best matching of d_m(x, y), for each m of ``ms``
+    in turn.
+
+    The paths are put in canonical order and prepared once.  A piece whose
+    end knot lies before the ramp [m-1, m] on both time axes sees damping
+    exactly 1.0, so its cost at m is its cost at m = inf: it is priced once,
+    kept under its four knot coordinates and reused for every later m.  Per
+    m only the pair set (its cutoff m + _PAIR_WINDOW moves) and the pieces
+    that reach the ramp are new.
+    """
+    if y.sort_key() < x.sort_key():
+        x, y = y, x
+    X, Y = _prepared(x, y)
+    flat = {}  # (u0, v0, u1, v1) -> cost at m = inf
+
+    def cost(pc, m):
+        return max(_deviation(pc, m), _gap(X, Y, pc, m, np.inf, False))
+
+    def shared_cost(pc, m):
+        if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > m - 1.0:
+            return cost(pc, m)
+        key = pc[:4]
+        if key not in flat:
+            flat[key] = cost(pc, np.inf)
+        return flat[key]
+
+    for m in ms:
+        fm = float(m)
+        yield _best_matching(X, Y, _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW),
+                             lambda pc: shared_cost(pc, fm))
+
+
 def dm_distance(x: StepPath, y: StepPath, m: int):
     """Damped distance d_m between paths on [0, inf).
 
@@ -335,25 +378,24 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
         raise ValueError("need m >= 1")
     if x.horizon is not None or y.horizon is not None:
         raise ValueError("d_m compares paths on [0, inf); transform first")
-    if y.sort_key() < x.sort_key():
-        x, y = y, x
-    X, Y = _prepared(x, y)
-    pairs = _pairs(X, Y, float(m) + _PAIR_WINDOW, _PAIR_WINDOW)
-    value, knots = _best_matching(
-        X, Y, pairs, lambda pc: max(_deviation(pc, float(m)), _gap(X, Y, pc, m, np.inf, False)))
+    (value, knots), = _dm_matchings(x, y, [m])
     return value, TimeChange(tuple(knots))
 
 
 def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
-    """Compact-uniform metric on [0, t): weighted damped distances after the
-    alpha_t transport.  Returns (value, tail bound 2^-M)."""
+    """Compact-uniform metric on [0, t): sum over m = 1..M of
+    2^-m min(1, d_m) after the alpha_t transport.  Returns (value, tail
+    bound 2^-M).
+
+    All M distances come from one pass (:func:`_dm_matchings`): a piece
+    that ends before the ramp of m is priced once and reused for every
+    later m, so only pieces that reach a ramp are priced per m.
+    """
     if M < 1:
         raise ValueError("need a truncation level M >= 1")
-    xr = transform_path(x, t)
-    yr = transform_path(y, t)
     total = 0.0
-    for m in range(1, M + 1):
-        dm, _ = dm_distance(xr, yr, m)
+    dms = _dm_matchings(transform_path(x, t), transform_path(y, t), range(1, M + 1))
+    for m, (dm, _) in enumerate(dms, start=1):
         total += 2.0 ** (-m) * min(1.0, dm)
     return total, 2.0 ** (-M)
 

@@ -100,8 +100,13 @@ def bad_real_config(name, value):
         return {"task": "penalty", "query": {name: value}}
     if name == "t":
         return {"task": "skorokhod", "paths": [SKOROKHOD_PATH] * 2, name: value}
-    # a grid on which dt = 1.0 meets the stability bound
-    return {**GEXP, "grid": {"dt": 0.25, "h": 1.0, "radius": 4, "horizon": 1.0, name: value}}
+    if name == "position.values":
+        return {"task": "eval", "position": {"values": value}}
+    # a grid on which dt = 1.0 and sigma = 1.0 meet the stability bound
+    grid = {"dt": 0.25, "h": 1.0, "radius": 4, "horizon": 1.0}
+    if name in ("sigma_low", "sigma_high"):
+        return {**GEXP, "grid": grid, "band": {**GEXP["band"], name: value}}
+    return {**GEXP, "grid": {**grid, name: value}}
 
 
 # each must exit 1: bools, strings, NaN, infinities and a negative tolerance
@@ -109,6 +114,8 @@ BAD_REALS = [(name, value) for name, values in (
     ("tolerance", (True, float("nan"), -1, "1e-9", float("inf"))),
     ("dt", (True,)), ("h", (float("nan"), float("inf"))), ("horizon", (True,)),
     ("t", (True, float("nan"))), ("iid_up", (True, float("nan"), "0.6")),
+    ("sigma_high", (True, [0.2, True])), ("sigma_low", ("0.1",)),
+    ("position.values", ([True, False, "2", 0], 1.0)),
 ) for value in values]
 BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
 

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from riskdesk import skorokhod
 from riskdesk.skorokhod import (
     PLContinuousPath,
     StepPath,
@@ -313,6 +314,46 @@ def test_convergence_witness_matches_the_enumeration_oracle():
         assert abs(report["gamma_sup"] - expected["gamma_sup"]) <= 1e-12
         for m, dev in expected["deviations"].items():
             assert abs(report["deviations"][m] - dev) <= 1e-12
+
+
+def dhat_by_enumeration(x, y, t, M):
+    xr, yr = transform_path(x, t), transform_path(y, t)
+    total = 0.0
+    for m in range(1, M + 1):
+        total += 2.0 ** (-m) * min(1.0, dm_enumeration_oracle(xr, yr, m)[0])
+    return total
+
+
+def test_dhat_matches_the_enumeration_oracle():
+    """d-hat shares piece costs across m; the oracle prices every matching
+    of every m from scratch.  A third of the cases put jumps in [0.7, 0.95],
+    at transformed times 2.3-19, so the pair set changes with m and ramps
+    cross knots."""
+    rng = np.random.default_rng(23)
+    for case in range(198):
+        lo, hi = (0.7, 0.95) if case % 3 == 0 else (0.05, 0.95)
+        dim = 2 if case % 4 == 0 else 1
+        x = random_path(rng, int(rng.integers(0, 5)), lo, hi, dim, horizon=1.0)
+        y = random_path(rng, int(rng.integers(0, 5)), lo, hi, dim, horizon=1.0)
+        M = (1, 5, 20)[case // 3 % 3]
+        assert dhat_distance(x, y, 1.0, M)[0] == dhat_by_enumeration(x, y, 1.0, M)
+
+
+def test_dhat_prices_pieces_before_the_ramp_once(monkeypatch):
+    rng = np.random.default_rng(31)
+    x = random_path(rng, 3, 0.05, 0.6, 1, horizon=1.0)
+    y = random_path(rng, 4, 0.05, 0.6, 1, horizon=1.0)
+    calls = []
+    gap = skorokhod._gap
+    monkeypatch.setattr(skorokhod, "_gap", lambda *args: calls.append(1) or gap(*args))
+    value, _ = dhat_distance(x, y, 1.0, M=20)
+    shared = len(calls)
+    xr, yr = transform_path(x, 1.0), transform_path(y, 1.0)
+    total = 0.0
+    for m in range(1, 21):
+        total += 2.0 ** (-m) * min(1.0, dm_distance(xr, yr, m)[0])
+    assert value == total
+    assert shared < 0.5 * (len(calls) - shared)
 
 
 def _digest(values):
