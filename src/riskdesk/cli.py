@@ -229,7 +229,7 @@ def _task_stability(config, seed):
         raise ConfigError("measures must be 'fix-a' or a list of {'file': path}")
     if _flag(config, "use_hull"):
         members = enumerate_selections(rectangular_hull(members),
-                                       cap=_integer(config.get("cap", 4096), "cap", 1))
+                                       cap=_integer(config.get("cap", _EXPANSION_CAP), "cap", 1))
 
     def run():
         stable, witness = is_stable(members, all_stopping_times(lat))
@@ -258,7 +258,7 @@ def _task_gexp(config, seed):
     band = VolatilityBand(*((_reals if isinstance(spec[n], list) else _real)(spec[n], n)
                             for n in ("sigma_low", "sigma_high")))
     g = config["grid"]
-    grid = GridSpec(_real(g["dt"], "dt"), _real(g["h"], "h"), g["radius"],
+    grid = GridSpec(_real(g["dt"], "dt"), _real(g["h"], "h"), _integer(g["radius"], "radius", 1),
                     _real(g["horizon"], "horizon"))
     grid.check_cfl(band)
     payoff = config.get("payoff", {})

@@ -157,15 +157,19 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     return DualRep(r, t, _Stacked(lat, r, kernels, acc))
 
 
+def _check_chain(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep) -> None:
+    if not (rep_rs.s == rep_rt.s and rep_rs.t == rep_st.s and rep_st.t == rep_rt.t):
+        raise ValueError("representation indices do not chain as r <= s <= t")
+
+
 def check_cocycle(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep, Q: Measure):
     """Residual of alpha_{r,t}(Q) = alpha_{r,s}(Q) + E_Q(alpha_{s,t}(Q) | B_r).
 
     Returns (residual at r, indeterminate mask); a node is indeterminate when
     the combination involves inf - inf.
     """
-    r, s, t = rep_rt.s, rep_st.s, rep_st.t
-    if not (rep_rs.s == r and rep_rs.t == s and rep_rt.t == t):
-        raise ValueError("representation indices do not chain as r <= s <= t")
+    _check_chain(rep_rt, rep_rs, rep_st)
+    r = rep_rt.s
     a_rt = minimal_penalty(rep_rt, Q).values
     a_rs = minimal_penalty(rep_rs, Q).values
     e_st = conditional_expectation(minimal_penalty(rep_st, Q), Q, r).values
@@ -179,6 +183,7 @@ def recursion_violation(rep_rt: DualRep, rep_rs: DualRep, rep_st: DualRep,
                         Xs: Sequence[RandomVariable]) -> float:
     """Max node-wise |rho_{r,t}(X) - rho_{r,s}(-rho_{s,t}(X))| over a test set,
     each rho evaluated from its dual representation."""
+    _check_chain(rep_rt, rep_rs, rep_st)
     worst = 0.0
     for X in Xs:
         composed = rm_evaluate(rep_rs, -rm_evaluate(rep_st, X)).values

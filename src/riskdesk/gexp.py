@@ -89,7 +89,7 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
-        if not isinstance(self.radius, (int, np.integer)):
+        if isinstance(self.radius, bool) or not isinstance(self.radius, (int, np.integer)):
             raise ValueError(f"radius must be an integer, got {self.radius!r}")
         if not np.isfinite([self.dt, self.h, self.horizon]).all():
             raise ValueError(f"grid dt={self.dt}, h={self.h} and horizon={self.horizon} "

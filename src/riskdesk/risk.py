@@ -10,20 +10,15 @@ a maximum of affine functions of X.  The minimal penalty of an arbitrary
 measure Q is the convex conjugate of that evaluator: at each time-s node it
 is the cheapest convex-combination cost of writing Q's conditional subtree
 law as a mixture of the components' laws (+inf when no mixture reaches it).
-That linear program is solved exactly without a solver: its optimum lies at
-a vertex of a bounded polytope, and every vertex is the basic solution of
-some basis of independent columns, so the nodes enumerate their bases in
-batched solves.  Only a node with more than ``_MAX_BASES`` bases goes to a
-HiGHS linear program.  A brute-force oracle over a growing box validates
-this in the tests.
+That linear program is solved exactly by a two-phase tableau simplex under
+Bland's pivot rule, batched over the nodes of one shape; the tests check it
+against a brute-force oracle over a growing box and against HiGHS.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
 from math import comb
 from typing import Optional
 
@@ -134,15 +129,10 @@ def _component_values(rep: DualRep, g) -> np.ndarray:
     return np.where(np.isinf(rep.penalties), -np.inf, ce - rep.penalties)
 
 
-# One tolerance decides rank, reach, non-negativity and residual of a node's
-# mixture problem; its entries are probabilities, so it is absolute.  HiGHS
-# takes it as its primal feasibility tolerance, so both paths draw the same
-# +inf boundary.
+# One tolerance decides rank, reach, non-negativity and optimality in a node's
+# mixture problem; its entries are probabilities, so it is absolute.  The tests
+# give it to HiGHS as primal feasibility tolerance: both draw one +inf boundary.
 _TOL = 1e-10
-# Above this many bases a node goes to HiGHS: near 1,000 the batched
-# enumeration takes as long as one HiGHS call, about 2.5 ms.
-_MAX_BASES = 1000
-_BATCH = 1 << 20  # entries of the basis matrices solved in one batch: 8 MB
 _ACCEPT_TOL = 1e-9  # how far above 0 a risk still counts as accepted
 
 
@@ -180,64 +170,68 @@ def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
     return RandomVariable(lat, s, out, allow_infinite=True)
 
 
-@lru_cache(maxsize=128)
-def _bases(k: int, r: int) -> np.ndarray:
-    """All r-subsets of k columns, one per row, in lexicographic order."""
-    out = np.array(list(combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
-    out.setflags(write=False)
-    return out
-
-
 def _node_penalties(M: np.ndarray, b: np.ndarray, c: np.ndarray, nodes) -> np.ndarray:
-    """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i (last
-    row: the simplex), +inf when infeasible.  With r the numerical rank of
-    M_i, b_i must lie in M_i's span; the optimum is then the cheapest
-    non-negative basic solution over all r-column bases, solved in the span
-    for all nodes of one rank at once.  Above ``_MAX_BASES`` bases: HiGHS."""
+    """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i (last row:
+    the simplex), +inf when infeasible.  With r the numerical rank of M_i, b_i
+    must lie in M_i's span; the problem is then restated on r independent rows
+    and solved by a two-phase tableau simplex, for all nodes of one rank at once."""
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
     rank = np.sum(sv > _TOL, axis=1)
-    out = np.full(len(M), np.inf)
+    out, k = np.full(len(M), np.inf), c.shape[1]
     for r in np.unique(rank).tolist():
-        at = np.flatnonzero(rank == r)
-        if comb(c.shape[1], r) > _MAX_BASES:
-            out[at] = [_highs_penalty(M[i], b[i], c[i], nodes[i]) for i in at]
-            continue
-        bases = _bases(c.shape[1], r)
-        for i in np.array_split(at, -(-at.size * bases.size * r // _BATCH)):
-            Ut = U[i, :, :r].transpose(0, 2, 1)
-            # (..., r, 1) right-hand sides: numpy 1 and 2 broadcast 2-D ones differently
-            b_r = np.matmul(Ut, b[i, :, None])
-            reach = np.abs(np.matmul(U[i, :, :r], b_r)[..., 0] - b[i]).max(axis=1) <= _TOL
-            B = np.matmul(Ut, M[i])[:, :, bases].transpose(0, 2, 1, 3)  # (i, bases, r, r)
-            # drop the singular bases, judged against M's own scale: by Cauchy-
-            # Binet the squared determinants of all bases sum to the product of
-            # the r squared singular values, so the best-conditioned one stays
-            regular = np.abs(np.linalg.det(B)) > _TOL * np.prod(sv[i, :r], axis=1)[:, None]
-            node, basis = np.nonzero(regular & reach[:, None])
-            lam = np.linalg.solve(B[node, basis], b_r[node])[..., 0]
-            cols, node = bases[basis], i[node]
-            resid = np.matmul(np.take_along_axis(M[node], cols[:, None, :], axis=2),
-                              lam[..., None])[..., 0] - b[node]
-            keep = (lam >= -_TOL).all(axis=1) & (np.abs(resid) <= _TOL).all(axis=1)
-            lam = np.where(lam[keep] <= _TOL, 0.0, lam[keep])
-            cost = np.sum(lam * np.take_along_axis(c[node[keep]], cols[keep], axis=1), axis=1)
-            np.minimum.at(out, node[keep], cost)
+        i = np.flatnonzero(rank == r)
+        Ut = U[i, :, :r].transpose(0, 2, 1)
+        b_r = np.matmul(Ut, b[i, :, None])
+        reach = np.abs(np.matmul(U[i, :, :r], b_r)[..., 0] - b[i]).max(axis=1) <= _TOL
+        i, b_r, sign = i[reach], b_r[reach], np.where(b_r[reach] < 0, -1.0, 1.0)
+        # rows: r constraints, signed so that b >= 0, then the reduced costs of phase 2
+        # (the penalty) and phase 1 (the artificials); columns: k components, r artificials, b
+        A = sign * np.concatenate([np.matmul(Ut[reach], M[i]), sign * np.eye(r), b_r], axis=2)
+        cost = np.concatenate([c[i], np.zeros((i.size, r + 1))], axis=1)
+        T = np.concatenate([A, cost[:, None], -A.sum(axis=1, keepdims=True)], axis=1)
+        basis, cap = np.arange(k, k + r)[None].repeat(i.size, axis=0), comb(k + r, r)
+        _simplex(T, basis, k, cap, [nodes[n] for n in i])  # phase 1
+        keep = np.sum(T[:, :r, -1], axis=1, where=basis >= k) <= _TOL
+        i, T, basis = i[keep], T[keep], basis[keep]
+        # pivot out the artificials left at 0: independent rows give each a non-zero entry
+        for row in np.flatnonzero((basis >= k).any(axis=0)):
+            at = np.flatnonzero(basis[:, row] >= k)
+            _pivot(T, basis, at, row, np.argmax(np.abs(T[at, row, :k]), axis=1))
+        _simplex(T[:, :-1], basis, k, cap, [nodes[n] for n in i])  # phase 2
+        # the cost of the basic solution, as the objective row would price a
+        # zero-penalty member at rounding error rather than 0.0
+        lam = np.where(T[:, :r, -1] <= _TOL, 0.0, T[:, :r, -1])
+        out[i] = np.sum(lam * c[i[:, None], basis], axis=1)
     return out
 
 
-def _highs_penalty(M: np.ndarray, b: np.ndarray, c: np.ndarray, node) -> float:
-    """The node's problem as one HiGHS linear program: +inf when it is
-    infeasible (status 2); any other failure raises."""
-    from scipy.optimize import linprog  # on first use: the heaviest import here
+def _simplex(T: np.ndarray, basis: np.ndarray, k: int, cap: int, names) -> None:
+    """Pivot the stacked tableaux T (last row: reduced costs, last column: b) in place
+    until no column below k prices below -_TOL.  Bland's rule (the lowest such column
+    enters; a ratio tie leaves by the lowest basic index) visits at most ``cap`` bases."""
+    r = basis.shape[1]
+    for pivots in range(cap + 1):
+        enter = T[:, -1, :k] < -_TOL
+        at = np.flatnonzero(enter.any(axis=1))
+        if not at.size:
+            return
+        col = np.argmax(enter[at], axis=1)
+        d = T[at, :r, col]
+        ratio = np.divide(T[at, :r, -1], d, out=np.full(d.shape, np.inf), where=d > _TOL)
+        best = ratio.min(axis=1, keepdims=True)
+        stuck = at[np.isinf(best[:, 0]) | (pivots == cap)]
+        if stuck.size:
+            raise RuntimeError(f"penalty LP at node {names[stuck[0]]}: no optimum in {cap} pivots")
+        row = np.argmin(np.where(ratio == best, basis[at], T.shape[2]), axis=1)
+        _pivot(T, basis, at, row, col)
 
-    res = linprog(c, A_eq=M, b_eq=b, bounds=[(0, None)] * c.size, method="highs",
-                  options={"primal_feasibility_tolerance": _TOL})
-    if res.status == 2:
-        return np.inf
-    if res.status != 0:
-        raise RuntimeError(f"penalty LP at node {node} failed with status "
-                           f"{res.status}: {res.message}")
-    return res.fun
+
+def _pivot(T: np.ndarray, basis: np.ndarray, at, row, col) -> None:
+    """Pivot tableaux ``at`` on their (row, col) entries: col enters the basis."""
+    piv = T[at, row] / T[at, row, col][:, None]
+    T[at] -= T[at, :, col][:, :, None] * piv[:, None, :]
+    T[at, row] = piv
+    basis[at, row] = col
 
 
 def partition_combine(lattice: ScenarioLattice, s: int,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .lattice import (RandomVariable, ScenarioLattice, StoppingTime,
                       validate_stopping_time)
-from .dynamics import OneStepStructure, expand_dual
+from .dynamics import _EXPANSION_CAP, OneStepStructure, expand_dual
 from .measures import Measure, _kernel_gap, charged_mask
 
 __all__ = [
@@ -142,7 +142,7 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
     return OneStepStructure._from_flat(lat, kernels, penalties, sizes)
 
 
-def enumerate_selections(structure: OneStepStructure, cap: int = 4096) -> List[Measure]:
+def enumerate_selections(structure: OneStepStructure, cap: int = _EXPANSION_CAP) -> List[Measure]:
     """All node-wise kernel choices as path-law measures (brute-force oracle)."""
     rep = expand_dual(structure, 0, structure.lattice.terminal, cap)
     return [Q for Q, _ in rep.components]

@@ -130,6 +130,7 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
     ({"task": "consistency", "structure": "fix-b-menu"}, ()),
     ({"task": "stability", "measures": "fix-b"}, ()),
     ({**GEXP, "grid": {**GEXP["grid"], "radius": 40.9}}, ()),
+    ({**GEXP, "grid": {**GEXP["grid"], "radius": True}}, ()),
     ({"task": "skorokhod", "M": 2.7, "paths": [SKOROKHOD_PATH] * 2}, ()),
     ({"task": "consistency", "seed": True}, ()),
     ({"task": "consistency"}, ("--seed", "-5")),
@@ -140,7 +141,7 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
     ({"task": "skorokhod", "t": 2.0, "paths": [SKOROKHOD_PATH] * 2}, ()),
     *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
-        "three-paths", "structure-spec", "measures-spec", "radius", "M",
+        "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
         "use-hull-int", "expansion-cap", "t-off-horizon",
         *BAD_REAL_IDS])

@@ -330,6 +330,21 @@ def test_recursion_violation_for_unstable_family():
     assert viol > 0.01
 
 
+@pytest.mark.parametrize("rt, rs, st", [((0, 2), (1, 2), (2, 2)), ((0, 2), (0, 1), (0, 2)),
+                                       ((0, 1), (0, 1), (1, 2))],
+                         ids=["rs-starts-after-r", "st-starts-off-s", "st-ends-off-t"])
+def test_representations_that_do_not_chain_are_rejected(rt, rs, st):
+    # recursion_violation used to broadcast a (1,)-array against a (2,)-array
+    lat, q1, q2, _ = fix_a_family()
+    reps = [DualRep(s, t, tuple((Q, RandomVariable(lat, s, np.zeros(lat.n_nodes(s))))
+                                for Q in (q1, q2))) for s, t in (rt, rs, st)]
+    X = RandomVariable(lat, rt[1], np.arange(lat.n_nodes(rt[1]), dtype=float))
+    with pytest.raises(ValueError, match="do not chain"):
+        recursion_violation(*reps, [X])
+    with pytest.raises(ValueError, match="do not chain"):
+        check_cocycle(*reps, q1)
+
+
 def test_acceptance_decompose():
     lat, dyn = menu_dynamic()
     rng = np.random.default_rng(25)

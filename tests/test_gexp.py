@@ -114,6 +114,9 @@ def test_grid_rejects_a_non_integral_radius():
     # a radius of 40.5 would build an 82-point grid with no cell at x = 0
     with pytest.raises(ValueError, match="radius must be an integer, got 40.5"):
         GridSpec(dt=0.005, h=0.05, radius=40.5, horizon=1.0)
+    # True is an int to Python: it would build a 3-cell grid
+    with pytest.raises(ValueError, match="radius must be an integer, got True"):
+        GridSpec(dt=0.005, h=0.05, radius=True, horizon=1.0)
 
 
 @pytest.mark.parametrize("dt, h, horizon", [

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from math import comb
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +16,8 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, coordinate_process, lift, uniform_tree
+from riskdesk.lattice import (RandomVariable, coordinate_process, lattice_to_json, lift,
+                              uniform_tree)
 from riskdesk.measures import (
     Measure,
     conditional_expectation,
@@ -143,11 +144,13 @@ def test_rm_evaluate_matches_per_component_expectations():
         assert np.array_equal(got.values, np.max(table, axis=0))
 
 
-def _no_highs(*args):
-    raise AssertionError("a node under the basis cap went to HiGHS")
+def _assert_same_penalties(got, ref, tol):
+    assert np.array_equal(np.isinf(got), np.isinf(ref))
+    fin = np.isfinite(ref)
+    assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= tol
 
 
-def test_enumeration_matches_highs(monkeypatch):
+def test_enumeration_matches_highs():
     rng = np.random.default_rng(29)
     for trial in range(60):
         lat, rep = _random_rep(rng, n_comp=2 + trial % 7)
@@ -158,15 +161,9 @@ def test_enumeration_matches_highs(monkeypatch):
                    mix_measures(members, rng.dirichlet(np.ones(len(members)))),
                    random_measure(lat, rng)]
         for Q in queries:
-            with monkeypatch.context() as m:
-                m.setattr(risk, "_highs_penalty", _no_highs)
-                got = minimal_penalty(rep, Q).values
-            with monkeypatch.context() as m:
-                m.setattr(risk, "_MAX_BASES", 0)
-                ref = minimal_penalty(rep, Q).values
-            assert np.array_equal(np.isinf(got), np.isinf(ref))
-            fin = np.isfinite(ref)
-            assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
+            got = minimal_penalty(rep, Q).values
+            _assert_same_penalties(got, _per_node_penalty(rep, Q), 1e-12)
+            _assert_same_penalties(got, _per_node_penalty(rep, Q, _highs_node_penalty), 1e-12)
         assert np.all(minimal_penalty(rep, members[0]).values == 0.0)
 
 
@@ -187,21 +184,22 @@ def test_face_of_the_simplex_is_finite():
 
 
 @pytest.mark.parametrize("nudge", [1e-8, 1e-6])
-@pytest.mark.parametrize("max_bases", [risk._MAX_BASES, 0])
-def test_query_just_off_the_span_is_inf(monkeypatch, nudge, max_bases):
+def test_query_just_off_the_span_is_inf(nudge):
     # between the pinned tolerance and HiGHS's default feasibility tolerance
-    # of 1e-7 too: enumeration and HiGHS draw the same +inf boundary
-    monkeypatch.setattr(risk, "_MAX_BASES", max_bases)
+    # of 1e-7 too: the simplex, the enumeration and HiGHS at the pinned
+    # tolerance draw the same +inf boundary
     lat, q1, q2, _ = fix_a_family()
     _, rep = sublinear_rep(s=0)
     mixed = mix_measures([q1, q2], [0.5, 0.5])
-    assert np.all(np.isfinite(minimal_penalty(rep, mixed).values))
     root, (up, down) = (lat.per_node(k, w) for k, w in enumerate(mixed.flat_kernels))
     nudged = Measure(lat, (root, (up + np.array([nudge, -nudge]), down)))
-    assert np.all(np.isinf(minimal_penalty(rep, nudged).values))
+    for Q, finite in ((mixed, True), (nudged, False)):
+        for alpha in (minimal_penalty(rep, Q).values, _per_node_penalty(rep, Q),
+                      _per_node_penalty(rep, Q, _highs_node_penalty)):
+            assert np.all(np.isfinite(alpha) == finite)
 
 
-def test_near_duplicate_components_match_highs(monkeypatch):
+def test_near_duplicate_components_match_highs():
     # clusters of three laws about 1e-5 apart: the product of the singular
     # values falls below the tolerance while each of them stays above it
     rng = np.random.default_rng(41)
@@ -220,20 +218,16 @@ def test_near_duplicate_components_match_highs(monkeypatch):
         queries = [members[0], members[2],
                    mix_measures(members, rng.dirichlet(np.ones(len(members))))]
         for Q in queries:
-            with monkeypatch.context() as m:
-                m.setattr(risk, "_highs_penalty", _no_highs)
-                got = minimal_penalty(rep, Q).values
-            with monkeypatch.context() as m:
-                m.setattr(risk, "_MAX_BASES", 0)
-                ref = minimal_penalty(rep, Q).values
-            assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
-            # the clusters' conditioning, about 1e5, amplifies the rounding
-            # of both paths
-            assert np.max(np.abs(got - ref)) <= 1e-8
+            got = minimal_penalty(rep, Q).values
+            for ref in (_per_node_penalty(rep, Q), _per_node_penalty(rep, Q, _highs_node_penalty)):
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+                # the clusters' conditioning, about 1e5, amplifies the rounding
+                # of every solver
+                assert np.max(np.abs(got - ref)) <= 1e-8
         assert np.all(minimal_penalty(rep, members[0]).values == 0.0)
 
 
-def test_above_the_basis_cap_falls_back_to_highs(monkeypatch):
+def test_many_bases_match_highs():
     # 16 random laws on the 4 leaves of a binary two-period tree have rank
     # 4, so the root has C(16, 4) bases
     rng = np.random.default_rng(37)
@@ -242,51 +236,63 @@ def test_above_the_basis_cap_falls_back_to_highs(monkeypatch):
     pens = np.concatenate([[0.0], rng.uniform(0.0, 1.0, 15)])
     rep = DualRep(0, 2, tuple((Q, RandomVariable(lat, 0, np.array([a])))
                               for Q, a in zip(members, pens)))
-    assert comb(16, 4) > risk._MAX_BASES
-    calls = []
-    highs = risk._highs_penalty
-    monkeypatch.setattr(risk, "_highs_penalty", lambda *a: calls.append(a) or highs(*a))
     queries = [members[3], mix_measures(members, rng.dirichlet(np.ones(16))),
                random_measure(lat, rng), iid_binary_measure(lat, 0.999)]
-    fallback = [minimal_penalty(rep, Q).values for Q in queries]
-    assert len(calls) == len(queries)
-    monkeypatch.setattr(risk, "_MAX_BASES", comb(16, 4))
-    enumerated = [minimal_penalty(rep, Q).values for Q in queries]
-    assert len(calls) == len(queries)
-    for got, ref in zip(enumerated, fallback):
-        assert np.array_equal(np.isinf(got), np.isinf(ref))
-        fin = np.isfinite(ref)
-        assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
-    assert np.isinf(fallback[-1][0])
+    for Q in queries:
+        got = minimal_penalty(rep, Q).values
+        _assert_same_penalties(got, _per_node_penalty(rep, Q), 1e-12)
+        _assert_same_penalties(got, _per_node_penalty(rep, Q, _highs_node_penalty), 1e-12)
+    assert np.isinf(got[0])
 
 
-def test_highs_failure_is_not_infeasibility(monkeypatch):
-    import scipy.optimize
+def test_identical_zero_penalty_components_price_exactly_zero():
+    # degenerate pivots: three copies of the query's own law at penalty 0
+    rng = np.random.default_rng(43)
+    lat, q1, q2, _ = fix_a_family()
+    fixtures = [(lat, [q2, q1, q1, q1])]
+    for _ in range(10):
+        lat = random_lattice(rng, max_periods=3, max_branch=3)
+        Q = random_measure(lat, rng)
+        fixtures.append((lat, [random_measure(lat, rng), Q, Q, Q, random_measure(lat, rng)]))
+    for lat, members in fixtures:
+        for s in range(lat.terminal):
+            pens = [rng.uniform(0.1, 1.0, lat.n_nodes(s)) if Qk is not members[1]
+                    else np.zeros(lat.n_nodes(s)) for Qk in members]
+            rep = DualRep(s, lat.terminal, tuple(
+                (Qk, RandomVariable(lat, s, a)) for Qk, a in zip(members, pens)))
+            assert np.all(minimal_penalty(rep, members[1]).values == 0.0)
+            assert np.all(_per_node_penalty(rep, members[1]) == 0.0)
 
-    class Failed:
-        status, message, fun = 4, "numerical difficulties", None
 
+def test_pivot_bound_raises_naming_the_node(monkeypatch):
+    # a simplex stopped by its pivot bound fails; it never reads as +inf
     _, rep = sublinear_rep(s=1)
     _, q1, _, _ = fix_a_family()
-    monkeypatch.setattr(risk, "_MAX_BASES", 0)
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: Failed())
-    with pytest.raises(RuntimeError, match=r"node \(1, 0\).*status 4"):
+    monkeypatch.setattr(risk, "comb", lambda *a: 0)
+    with pytest.raises(RuntimeError, match=r"node \(1, 0\).*no optimum in 0 pivots"):
         minimal_penalty(rep, q1)
 
 
-def test_penalty_under_the_cap_leaves_scipy_optimize_unloaded():
+def test_minimal_penalty_never_loads_scipy_optimize(tmp_path):
+    # the root of _capped_rep has C(16, 4) bases
+    lat, rep = _capped_rep(np.random.default_rng(37))
+    (tmp_path / "lattice.json").write_text(lattice_to_json(lat))
+    (tmp_path / "rep.json").write_text(dualrep_to_json(rep))
     code = ("import sys, riskdesk\n"
-            "from riskdesk.fixtures import fix_a_family\n"
-            "from riskdesk.lattice import RandomVariable\n"
-            "lat, q1, q2, _ = fix_a_family()\n"
-            "zero = RandomVariable(lat, 0, [0.0])\n"
-            "rep = riskdesk.DualRep(0, 2, ((q1, zero), (q2, zero)))\n"
-            "assert riskdesk.minimal_penalty(rep, q1).values[0] == 0.0\n"
+            "from pathlib import Path\n"
+            "from riskdesk.lattice import lattice_from_json\n"
+            "from riskdesk.risk import dualrep_from_json\n"
+            "lat = lattice_from_json(Path('lattice.json').read_text())\n"
+            "rep = dualrep_from_json(Path('rep.json').read_text(), lat)\n"
+            "members = [Q for Q, _ in rep.components]\n"
+            "assert riskdesk.minimal_penalty(rep, members[0]).values[0] == 0.0\n"
+            "mixed = riskdesk.mix_measures(members, [1 / 16] * 16)\n"
+            "assert 0.0 < riskdesk.minimal_penalty(rep, mixed).values[0] < 1.0\n"
             "print('scipy.optimize' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(risk.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
+                         check=True, env=env, cwd=tmp_path)
     assert out.stdout.strip() == "False"
 
 
@@ -455,9 +461,10 @@ def test_box_oracle_solves_two_lps_per_node(monkeypatch):
     assert len(calls) == 2 * lat.n_nodes(1)
 
 
-def _per_node_penalty(rep, Q):
-    """minimal_penalty node by node, one SVD and one basis enumeration per
-    node: the reference for the batched solve."""
+def _per_node_penalty(rep, Q, solve=None):
+    """minimal_penalty node by node, one problem per node, solved by
+    ``solve(M, b, c, node)``; by default one SVD and one basis enumeration:
+    the references for the batched simplex."""
     lat, s, t = rep.lattice, rep.s, rep.t
     laws = np.stack([Qk.subtree_laws(s, t) for Qk, _ in rep.components])
     pen = np.stack([alpha.values for _, alpha in rep.components])
@@ -468,21 +475,25 @@ def _per_node_penalty(rep, Q):
         finite = np.isfinite(pen[:, n])
         cols = laws[finite, sl]
         M = np.vstack([cols.T, np.ones((1, cols.shape[0]))])
-        out[n] = _one_node_penalty(M, np.append(target[sl], 1.0), pen[finite, n], (s, n))
+        out[n] = (solve or _one_node_penalty)(M, np.append(target[sl], 1.0), pen[finite, n],
+                                              (s, n))
     return out
 
 
 def _one_node_penalty(M, b, c, node):
+    """The cheapest non-negative basic solution over all bases of r = rank(M)
+    independent columns, solved in M's span; +inf when b lies off it."""
     U, sv, _ = np.linalg.svd(M, full_matrices=False)
     r = int(np.sum(sv > risk._TOL))
-    if comb(c.size, r) > risk._MAX_BASES:
-        return risk._highs_penalty(M, b, c, node)
     U = U[:, :r]
     b_r = U.T @ b
     if np.max(np.abs(U @ b_r - b)) > risk._TOL:
         return np.inf
-    bases = risk._bases(c.size, r)
+    bases = np.array(list(combinations(range(c.size), r))).reshape(-1, r)
     B = (U.T @ M)[:, bases].transpose(1, 0, 2)
+    # drop the singular bases, judged against M's own scale: by Cauchy-Binet
+    # the squared determinants of all bases sum to the product of the r
+    # squared singular values, so the best-conditioned one stays
     regular = np.abs(np.linalg.det(B)) > risk._TOL * np.prod(sv[:r])
     B, bases = B[regular], bases[regular]
     lam = np.linalg.solve(B, np.broadcast_to(b_r, (len(B), r))[..., None])[..., 0]
@@ -492,6 +503,17 @@ def _one_node_penalty(M, b, c, node):
         return np.inf
     lam = np.where(lam[keep] <= risk._TOL, 0.0, lam[keep])
     return float(np.min(np.sum(lam * c[bases[keep]], axis=1)))
+
+
+def _highs_node_penalty(M, b, c, node):
+    """The node's problem as one HiGHS linear program at the pinned primal
+    feasibility tolerance: +inf when it is infeasible (status 2)."""
+    from scipy.optimize import linprog
+
+    res = linprog(c, A_eq=M, b_eq=b, bounds=[(0, None)] * c.size, method="highs",
+                  options={"primal_feasibility_tolerance": risk._TOL})
+    assert res.status in (0, 2), f"HiGHS failed at node {node}: {res.message}"
+    return np.inf if res.status == 2 else res.fun
 
 
 def _point_mass(lat):
@@ -514,13 +536,10 @@ def _capped_rep(rng):
                                     for Q, a in zip(members, pens)))
 
 
-def test_batched_penalty_matches_the_per_node_reference(monkeypatch):
+def test_batched_penalty_matches_the_per_node_reference():
     rng = np.random.default_rng(53)
     fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(40)]
     fixtures += [sublinear_rep(s=0), sublinear_rep(s=1), _capped_rep(rng)]
-    highs = risk._highs_penalty
-    calls = []
-    monkeypatch.setattr(risk, "_highs_penalty", lambda *a: calls.append(a[-1]) or highs(*a))
     infinite = 0
     for lat, rep in fixtures:
         members = [Q for Q, _ in rep.components]
@@ -529,13 +548,10 @@ def test_batched_penalty_matches_the_per_node_reference(monkeypatch):
         for Q in queries:
             got = minimal_penalty(rep, Q).values
             ref = _per_node_penalty(rep, Q)
-            assert np.array_equal(np.isinf(got), np.isinf(ref))
-            fin = np.isfinite(ref)
-            assert np.max(np.abs(got[fin] - ref[fin]), initial=0.0) <= 1e-12
-            infinite += int(np.sum(~fin))
+            _assert_same_penalties(got, ref, 1e-12)
+            _assert_same_penalties(got, _per_node_penalty(rep, Q, _highs_node_penalty), 1e-12)
+            infinite += int(np.sum(np.isinf(ref)))
     assert infinite > 0
-    # only the capped node goes to HiGHS, once per query in each path
-    assert calls == [(1, 0)] * 8
 
 
 def test_reading_one_expanded_component_builds_one_measure(monkeypatch):
