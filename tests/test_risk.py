@@ -184,12 +184,14 @@ def test_face_of_the_simplex_is_finite():
 
 
 @pytest.mark.parametrize("nudge", [1e-8, 1e-6])
-def test_query_just_off_the_span_is_inf(nudge):
+@pytest.mark.parametrize("offset", [1000, 0])
+def test_query_just_off_the_span_is_inf(nudge, offset):
     # between the pinned tolerance and HiGHS's default feasibility tolerance
     # of 1e-7 too: the simplex, the enumeration and HiGHS at the pinned
-    # tolerance draw the same +inf boundary
+    # tolerance draw the same +inf boundary, whatever the penalties' size
     lat, q1, q2, _ = fix_a_family()
-    _, rep = sublinear_rep(s=0)
+    rep = DualRep(0, 2, ((q1, RandomVariable(lat, 0, np.zeros(1))),
+                         (q2, RandomVariable(lat, 0, np.full(1, float(offset))))))
     mixed = mix_measures([q1, q2], [0.5, 0.5])
     root, (up, down) = (lat.per_node(k, w) for k, w in enumerate(mixed.flat_kernels))
     nudged = Measure(lat, (root, (up + np.array([nudge, -nudge]), down)))
@@ -197,6 +199,8 @@ def test_query_just_off_the_span_is_inf(nudge):
         for alpha in (minimal_penalty(rep, Q).values, _per_node_penalty(rep, Q),
                       _per_node_penalty(rep, Q, _highs_node_penalty)):
             assert np.all(np.isfinite(alpha) == finite)
+            if finite:
+                assert np.all(alpha <= 0.5 * offset + 1e-9)
 
 
 def test_near_duplicate_components_match_highs():
