@@ -16,15 +16,16 @@ certified upper bound otherwise.  Such a time change is linear between
 knots, so its cost is a max over pieces that each depend on two knots only,
 and the best matching is a minimax path through the DAG of jump pairs:
 polynomial in the jump counts, where enumerating matchings is exponential.
+The search is bounded, as in early-abandoning DTW search: a piece is priced
+only as far as the best cost so far can still be met (:func:`_best_matching`).
 The weighted sum over m yields the half-open-domain metric that makes the
 projection from [0, inf) continuous, in contrast with the undamped J1
 distance (also provided, for the contrast).  As in Billingsley (1999, §16),
 d_m is the J1 distance of the g_m-damped paths, so the undamped gap is the
-damped gap at m = inf, where g is 1 everywhere: one evaluator (:func:`_gap`)
-serves both.  The same fact shares work across m: a piece that ends before
-the ramp [m-1, m] costs at m what it costs at m = inf, so the M distances of
-the weighted sum come from one pass that prices such a piece once and, per
-m, only the pieces that reach the ramp (:func:`_dm_matchings`).
+damped gap at m = inf: one evaluator (:func:`_gap`) serves both.  A piece
+that ends before the ramp [m-1, m] costs at m what it costs at m = inf, so
+the M distances of the weighted sum come from one pass that prices such a
+piece once (:func:`_dm_matchings`).
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class StepPath:
     """Cadlag step function: x(0) = 0, jumps at strictly increasing times.
 
     ``values[i]`` is the (vector) value on [times[i], times[i+1]); the value
-    before the first jump is 0.  ``horizon`` is t for domain [0, t) and None
-    for [0, inf).
+    before the first jump is 0.  ``horizon`` is t for domain [0, t), finite
+    and > 0, and None for [0, inf).
     """
 
     times: np.ndarray
@@ -86,7 +87,7 @@ class StepPath:
             raise ValueError("jump times and values must be finite")
         if times.size and (times[0] <= 0 or np.any(np.diff(times) <= 0)):
             raise ValueError("jump times must be strictly increasing and > 0")
-        if self.horizon is not None and times.size and times[-1] >= self.horizon:
+        if self.horizon is not None and np.any(times >= _positive(self.horizon, "the horizon")):
             raise ValueError("jump times must lie inside the domain [0, t)")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
@@ -117,10 +118,8 @@ class TimeChange:
         knots = tuple((float(u), float(v)) for u, v in self.knots)
         if not knots or knots[0] != (0.0, 0.0):
             raise ValueError("a time change must fix the origin")
-        us = [k[0] for k in knots]
-        vs = [k[1] for k in knots]
-        if np.any(np.diff(us) <= 0) or np.any(np.diff(vs) <= 0):
-            raise ValueError("time-change knots must be strictly increasing")
+        if not (np.isfinite(knots).all() and (np.diff(knots, axis=0) > 0).all()):
+            raise ValueError(f"time-change knots must be finite and strictly increasing: {knots}")
         object.__setattr__(self, "knots", knots)
 
     def __call__(self, u: float) -> float:
@@ -145,6 +144,12 @@ class TimeChange:
                 best = max(best, abs(v - u))
         best = max(best, abs(self(upto) - upto))
         return best
+
+
+def _positive(t, name: str) -> float:
+    if not (np.isfinite(t) and t > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {t}")
+    return float(t)
 
 
 def alpha_map(u: float, t: float) -> float:
@@ -219,6 +224,10 @@ def _lam_inv(pc, v: float) -> float:
     return pc[2] if v == pc[3] else pc[5] * (v - pc[1]) + pc[0]
 
 
+def _unit(w: float) -> float:
+    return 1.0 if w >= 1.0 else w if w > 0.0 else 0.0  # min(max(w, 0.0), 1.0), without calls
+
+
 def _deviation(pc, upto: float) -> float:
     """The piece's share of sup_{[0, upto]} |lam(u) - u|: its end knot and,
     if it holds upto, the point upto."""
@@ -229,23 +238,18 @@ def _deviation(pc, upto: float) -> float:
     return dev
 
 
-def _sup_abs(xv, yv, a: float, b: float) -> float:
-    return max(abs(a * p - b * q) for p, q in zip(xv, yv))
-
-
-def _gap(X, Y, pc, m: float, upto: float, closed: bool) -> float:
+def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     """sup over u in the piece with u < upto (u <= upto when ``closed``) of
-    | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |.
+    | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |, exact when at most ``stop``;
+    past ``stop`` the scan ends and returns a lower bound > stop.
 
-    The undamped gap is this gap at m = inf: g_inf = 1, and 1.0 * p - 1.0 * q
-    is p - q bit for bit.  Between breakpoints (jumps of either path, knots,
-    and where either damping bends) the path values are constant and the
-    damping terms affine, so the sup sits at interval ends, taken with the
-    values inside; an interval whose two ends carry the same damping factors
-    (every interval at m = inf, and every one before the ramp [m-1, m]) is
-    evaluated once, and at m = inf the factors are not computed at all.
-    Past max(m, lam^-1(m)) both damping terms vanish, and the piece is cut
-    there.
+    Between breakpoints (jumps of either path, knots, and where either
+    damping bends) the path values are constant and the damping terms
+    affine, so the sup sits at interval ends, taken with the values inside.
+    Each breakpoint's factors are computed once, and none at m = inf, where
+    g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an interval whose ends
+    share them is evaluated once.  Past max(m, lam^-1(m)) both damping terms
+    vanish, and the piece is cut there.
     """
     (xt, xrows), (yt, yrows) = X, Y
     u0, v0, u1, v1 = pc[:4]
@@ -266,19 +270,28 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool) -> float:
     bs = sorted(b for b in pts if b <= cut)
     if closed and u0 <= upto < u1:
         bs.append(upto)  # the point upto, as an interval of length 0
-    if fm == np.inf:  # g_inf = 1 at every breakpoint
-        gs = [(1.0, 1.0)] * len(bs)
-    else:
-        gs = [(min(max(fm - _lam(pc, b), 0.0), 1.0), min(max(fm - b, 0.0), 1.0)) for b in bs]
-    best = 0.0
-    for b1, b2, g1, g2 in zip(bs, bs[1:], gs, gs[1:]):
+    best, g2 = 0.0, (1.0, 1.0) if fm == np.inf else None
+    for b1, b2 in zip(bs, bs[1:]):
         mid = 0.5 * (b1 + b2)
         xv = xrows[bisect_right(xt, _lam(pc, mid))]
         yv = yrows[bisect_right(yt, mid)]
-        best = max(best, _sup_abs(xv, yv, *g1))
-        if g2 != g1:
-            best = max(best, _sup_abs(xv, yv, *g2))
+        g1 = g2 or (_unit(fm - _lam(pc, b1)), _unit(fm - b1))  # carried from the last interval
+        if fm != np.inf:
+            g2 = (_unit(fm - _lam(pc, b2)), _unit(fm - b2))
+        for a, b in ((g1,) if g1 == g2 else (g1, g2)):
+            for p, q in zip(xv, yv):
+                d = abs(a * p - b * q)
+                if d > best:
+                    best = d
+        if best > stop:
+            return best
     return best
+
+
+def _cost(X, Y, pc, m: float, reach: float, upto: float, closed: bool, stop: float):
+    """max(_deviation(pc, reach), _gap(...)); a deviation past ``stop`` skips the gap."""
+    dev = _deviation(pc, reach)
+    return dev if dev > stop else max(dev, _gap(X, Y, pc, m, upto, closed, stop))
 
 
 def _pairs(X, Y, before: float, apart: float):
@@ -295,30 +308,46 @@ def _best_matching(X, Y, pairs, cost, end=None):
     ``pairs`` lists the allowed (i, j) in lexicographic order.  A matching
     gives the time change with knots (0, 0) and (Y time j, X time i) per
     pair: linear between knots, then linear to the knot ``end`` or, when
-    ``end`` is None, of unit slope.  Its cost is the max of ``cost(piece)``
-    over its pieces, and each piece depends on its two end knots only, so
+    ``end`` is None, of unit slope.  Its cost is the max of its pieces'
+    costs, and each piece depends on its two end knots only, so
     best(b) = min over predecessors a of max(best(a), cost(a -> b)).  Among
     the matchings within _MATCH_TOL of the least cost, the one returned is
     the first in enumeration order: fewest pairs, then lexicographically
     least X indices, then Y indices.  Returns (its cost, its knots).
+
+    The search is bounded: ``cost(piece, stop)`` is exact up to ``stop``,
+    else any lower bound above it.  theta = least cost + _MATCH_TOL starts
+    at the empty matching's cost + _MATCH_TOL and is every piece's stop.
+    Edges are priced in increasing a, once best(a) is final, and none from
+    an a with best(a) > theta.  Closing pieces go in increasing best(k),
+    lowering theta, until best(k) > theta; the rest read inf.  A piece
+    dearer than theta lies on no matching within theta, so value, tie-break
+    and knots are those of the unbounded search, bit for bit.
     """
     xt, yt = X[0], Y[0]
     nodes = [(-1, -1)] + list(pairs)
     knots = [(0.0, 0.0)] + [(yt[j], xt[i]) for i, j in pairs]
+    close = [cost(_piece(knots[0], end), np.inf)] + [np.inf] * len(pairs)
+    theta = close[0] + _MATCH_TOL
+    best = [0.0] + [np.inf] * len(pairs)
     edges = {}  # (a, b) -> cost, in increasing a: a topological order
     for a, (ia, ja) in enumerate(nodes):
+        if best[a] > theta:
+            continue
         for b in range(a + 1, len(nodes)):
             if nodes[b][0] > ia and nodes[b][1] > ja:
-                edges[a, b] = cost(_piece(knots[a], knots[b]))
-    close = [cost(_piece(k, end)) for k in knots]
-    best = [0.0] + [np.inf] * len(pairs)
-    for (a, b), c in edges.items():
-        best[b] = min(best[b], max(best[a], c))
-    theta = min(map(max, best, close)) + _MATCH_TOL
+                c = edges[a, b] = cost(_piece(knots[a], knots[b]), theta)
+                best[b] = min(best[b], max(best[a], c))
+    for k in sorted(range(1, len(nodes)), key=best.__getitem__):
+        if best[k] > theta:
+            break
+        close[k] = cost(_piece(knots[k], end), theta)
+        theta = min(theta, max(best[k], close[k]) + _MATCH_TOL)  # least so far + _MATCH_TOL
     # least (X indices, Y indices) of a completion within theta from each
-    # node, by exactly r more pairs, for r = 0, 1, ... until the origin has one
+    # node, by exactly r more pairs, for r = 0, 1, ... until the origin has
+    # one; no completion has more than len(pairs), so all run out by len(nodes)
     tails = [((), ()) if c <= theta else None for c in close]
-    while tails[0] is None:
+    while tails[0] is None and any(tails):
         longer = [None] * len(nodes)
         for (a, b), c in edges.items():
             if c <= theta and tails[b] is not None:
@@ -326,6 +355,8 @@ def _best_matching(X, Y, pairs, cost, end=None):
                 if longer[a] is None or cand < longer[a]:
                     longer[a] = cand
         tails = longer
+    if tails[0] is None:
+        raise RuntimeError(f"no matching costs at most theta = {theta}")
     index = {pair: a for a, pair in enumerate(nodes)}
     chain = [0] + [index[pair] for pair in zip(*tails[0])]
     value = max([edges[a, b] for a, b in zip(chain, chain[1:])] + [close[chain[-1]]])
@@ -341,28 +372,27 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
     exactly 1.0, so its cost at m is its cost at m = inf: it is priced once,
     kept under its four knot coordinates and reused for every later m.  Per
     m only the pair set (its cutoff m + _PAIR_WINDOW moves) and the pieces
-    that reach the ramp are new.
+    that reach the ramp are new.  A cost cut short at its ``stop`` is reused
+    only while it stays above the new ``stop``.
     """
     if y.sort_key() < x.sort_key():
         x, y = y, x
     X, Y = _prepared(x, y)
-    flat = {}  # (u0, v0, u1, v1) -> cost at m = inf
+    flat = {}  # (u0, v0, u1, v1) -> (cost at m = inf, whether cut short)
 
-    def cost(pc, m):
-        return max(_deviation(pc, m), _gap(X, Y, pc, m, np.inf, False))
-
-    def shared_cost(pc, m):
+    def shared_cost(pc, m, stop):
         if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > m - 1.0:
-            return cost(pc, m)
+            return _cost(X, Y, pc, m, m, np.inf, False, stop)
         key = pc[:4]
-        if key not in flat:
-            flat[key] = cost(pc, np.inf)
-        return flat[key]
+        if key not in flat or flat[key][1] and flat[key][0] <= stop:
+            c = _cost(X, Y, pc, np.inf, np.inf, np.inf, False, stop)
+            flat[key] = (c, c > stop)
+        return flat[key][0]
 
     for m in ms:
         fm = float(m)
         yield _best_matching(X, Y, _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW),
-                             lambda pc: shared_cost(pc, fm))
+                             lambda pc, stop: shared_cost(pc, fm, stop))
 
 
 def dm_distance(x: StepPath, y: StepPath, m: int):
@@ -374,8 +404,8 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
     a minimax path over jump pairs (:func:`_best_matching`), polynomial in
     the jump counts.  Symmetric by construction (canonical argument order).
     """
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if not (np.isfinite(m) and m >= 1):
+        raise ValueError(f"need a finite m >= 1, got {m}")
     if x.horizon is not None or y.horizon is not None:
         raise ValueError("d_m compares paths on [0, inf); transform first")
     (value, knots), = _dm_matchings(x, y, [m])
@@ -403,12 +433,12 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
 def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
     """Undamped J1-style distance on [0, horizon): jump mismatches cannot be
     damped away.  Used for the projection-discontinuity contrast."""
+    h = _positive(horizon, "horizon")
     if y.sort_key() < x.sort_key():
         x, y = y, x
     X, Y = _prepared(x, y)
-    h = float(horizon)
     value, _ = _best_matching(X, Y, _pairs(X, Y, h, np.inf),
-                              lambda pc: max(_deviation(pc, h), _gap(X, Y, pc, np.inf, h, False)))
+                              lambda pc, stop: _cost(X, Y, pc, np.inf, h, h, False, stop))
     return value
 
 
@@ -492,19 +522,19 @@ def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int):
     """Best jump-matching time change of [0, t) and the two quantities of the
     convergence criterion: sup |gamma - id| and, per m <= m_max, the sup
     deviation of x_n(gamma(u)) from x(u) on [0, t (1 - 1/(1+m))]."""
+    t = _positive(t, "t")
     X, Y = _prepared(x_n, x)
-    t = float(t)
     pairs = _pairs(X, Y, t, np.inf)
 
     def deviation(pieces, m):
         upto = t * (1.0 - 1.0 / (1.0 + m))
-        return max(_gap(X, Y, pc, np.inf, upto, True) for pc in pieces)
+        return max(_gap(X, Y, pc, np.inf, upto, True, np.inf) for pc in pieces)
 
     # gamma maps x's timeline onto x_n's; it must be a bijection of [0, t),
     # so it is pinned at (t, t) past the matched knots
     big = t * (1.0 - 1.0 / (1.0 + m_max))
     _, knots = _best_matching(
-        X, Y, pairs, lambda pc: max(_deviation(pc, big), deviation([pc], m_max)),
+        X, Y, pairs, lambda pc, stop: _cost(X, Y, pc, np.inf, big, big, True, stop),
         end=(t, t))
     gamma = TimeChange(tuple(knots))
     pieces = [_piece(a, b) for a, b in zip(knots, knots[1:])]

@@ -159,6 +159,10 @@ def test_time_change_basics():
         TimeChange(((0.5, 0.5), (1.0, 1.0)))
     with pytest.raises(ValueError, match="increasing"):
         TimeChange(((0.0, 0.0), (1.0, 2.0), (1.0, 3.0)))
+    # np.diff(...) <= 0 is False for NaN, so a NaN knot passed as increasing
+    for knot in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            TimeChange(((0.0, 0.0), knot))
 
 
 def test_split_concat_linear_example():
@@ -235,6 +239,9 @@ def test_step_path_validation():
     for times, values in (([0.5, 0.8], [1.0, np.nan]), ([np.nan], [1.0])):
         with pytest.raises(ValueError, match="finite"):
             StepPath(np.array(times), np.array(values))
+    for horizon in (np.nan, -1.0, 0.0, np.inf):
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            jump_path([], np.zeros((0, 1)), horizon=horizon)
     x = jump_path([0.5], [2.0])
     assert np.array_equal(x.value(0.2), [0.0])
     assert np.array_equal(x.value(0.5), [2.0])
@@ -418,3 +425,90 @@ def test_empty_step_path_keeps_its_dimension():
     assert x.dimension == 3
     assert np.array_equal(x.value(1.0), np.zeros(3))
     assert np.array_equal(_values_at(x, np.array([0.0, 2.0])), np.zeros((2, 3)))
+
+
+# m = nan or inf, and a horizon or t of inf, made theta NaN (inf - inf in
+# _deviation), and the tie-break loop of _best_matching then never ended;
+# a negative horizon read 0.0 and a NaN one 1.0.
+@pytest.mark.parametrize("m", [np.nan, np.inf, 0.5])
+def test_dm_distance_rejects_an_m_that_is_not_finite_or_below_one(m):
+    x = jump_path([0.5], [1.0])
+    with pytest.raises(ValueError, match=f"m >= 1, got {m}"):
+        dm_distance(x, x, m)
+
+
+@pytest.mark.parametrize("horizon", [np.nan, np.inf, -1.0, 0.0])
+def test_j1_distance_rejects_a_horizon_that_is_not_finite_and_positive(horizon):
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    with pytest.raises(ValueError, match=f"horizon must be finite and > 0, got {horizon}"):
+        j1_distance(x, x, horizon)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0, 0.0])
+def test_convergence_witness_rejects_a_t_that_is_not_finite_and_positive(t):
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    with pytest.raises(ValueError, match=f"t must be finite and > 0, got {t}"):
+        convergence_witness(x, x, t, 3)
+
+
+def test_matching_search_raises_when_no_matching_is_within_theta():
+    # NaN costs compare false with everything, so no completion is ever
+    # within theta: the tie-break must give up instead of looping
+    X, Y = skorokhod._prepared(jump_path([0.3, 0.6], [1.0, 2.0]), jump_path([0.4], [1.0]))
+    pairs = skorokhod._pairs(X, Y, np.inf, np.inf)
+    with pytest.raises(RuntimeError, match="no matching"):
+        skorokhod._best_matching(X, Y, pairs, lambda pc, stop: np.nan)
+
+
+def test_gap_is_exact_up_to_stop_and_a_lower_bound_past_it():
+    """The stop contract on random pieces between jump-pair knots and on
+    unit-slope tails, damped (m = 1..6) and undamped, on [0, inf) and up to
+    a point upto: exact when the gap is at most stop, otherwise in
+    (stop, gap]."""
+    rng = np.random.default_rng(37)
+    cut_short = 0
+    for case in range(200):
+        dim = 2 if case % 4 == 0 else 1
+        x = random_path(rng, int(rng.integers(1, 6)), 0.05, 7.0, dim)
+        y = random_path(rng, int(rng.integers(1, 6)), 0.05, 7.0, dim)
+        X, Y = skorokhod._prepared(x, y)
+        knots = [(0.0, 0.0)] + [(yu, xu) for xu in X[0] for yu in Y[0]]
+        k0 = knots[int(rng.integers(len(knots)))]
+        later = [k for k in knots if k[0] > k0[0] and k[1] > k0[1]]
+        k1 = later[int(rng.integers(len(later)))] if later and case % 4 else None
+        pc = skorokhod._piece(k0, k1)
+        if case % 3:  # as d_m prices it
+            m, upto, closed = float(case % 6 + 1), np.inf, False
+        else:  # as j1_distance and convergence_witness price it
+            m, upto, closed = np.inf, float(rng.uniform(0.0, 8.0)), case % 2 == 0
+        exact = skorokhod._gap(X, Y, pc, m, upto, closed, np.inf)
+        for stop in (0.0, exact, 0.5 * exact, float(rng.uniform(0.0, 1.2)) * exact):
+            got = skorokhod._gap(X, Y, pc, m, upto, closed, stop)
+            if exact <= stop:
+                assert got == exact
+            else:
+                assert stop < got <= exact
+                cut_short += 1
+    assert cut_short > 200
+
+
+def test_dhat_search_prunes_pieces_past_the_bound(monkeypatch):
+    """The fixture of test_dhat_prices_pieces_before_the_ramp_once: the
+    unbounded search made 341 _gap calls for this d-hat."""
+    rng = np.random.default_rng(31)
+    x = random_path(rng, 3, 0.05, 0.6, 1, horizon=1.0)
+    y = random_path(rng, 4, 0.05, 0.6, 1, horizon=1.0)
+    calls = []
+    gap = skorokhod._gap
+    monkeypatch.setattr(skorokhod, "_gap", lambda *args: calls.append(1) or gap(*args))
+    dhat_distance(x, y, 1.0, M=20)
+    assert len(calls) < 0.85 * 341
+
+
+def test_dhat_prices_a_piece_again_once_its_cut_short_cost_is_within_the_stop():
+    """A piece before the ramp is cut short at an early m and is needed
+    again at a later m whose bound lies above that lower bound.  Reusing
+    the lower bound reads 0.41133 here, below the 0.41212 of the oracle."""
+    x = jump_path([0.34, 0.51, 0.89], [1.0, 1.0, 1.0], horizon=1.0)
+    y = jump_path([0.11, 0.81], [0.75, -0.13], horizon=1.0)
+    assert dhat_distance(x, y, 1.0, 20)[0] == dhat_by_enumeration(x, y, 1.0, 20)
