@@ -152,6 +152,13 @@ def _positive(t, name: str) -> float:
     return float(t)
 
 
+def _level(m, name: str) -> int:
+    """m itself when it is an integer (not a bool) >= 1."""
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {m!r}")
+    return int(m)
+
+
 def alpha_map(u: float, t: float) -> float:
     """alpha_t(u) = u / (t - u), mapping [0, t) onto [0, inf)."""
     if not 0 <= u < t:
@@ -421,8 +428,7 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
     that ends before the ramp of m is priced once and reused for every
     later m, so only pieces that reach a ramp are priced per m.
     """
-    if M < 1:
-        raise ValueError("need a truncation level M >= 1")
+    M = _level(M, "the truncation level M")
     total = 0.0
     dms = _dm_matchings(transform_path(x, t), transform_path(y, t), range(1, M + 1))
     for m, (dm, _) in enumerate(dms, start=1):
@@ -523,6 +529,7 @@ def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int):
     convergence criterion: sup |gamma - id| and, per m <= m_max, the sup
     deviation of x_n(gamma(u)) from x(u) on [0, t (1 - 1/(1+m))]."""
     t = _positive(t, "t")
+    m_max = _level(m_max, "m_max")
     X, Y = _prepared(x_n, x)
     pairs = _pairs(X, Y, t, np.inf)
 

@@ -177,6 +177,18 @@ def test_conditional_gexp_staged_consistency():
     assert np.max(np.abs(_evolve(mid, BAND, COARSE, k_mid, 0) - direct)) <= 1e-12
 
 
+def test_conditional_gexp_value_rejects_a_state_off_the_grid():
+    # x^2 with 0.5 left is about 25.02 at B_s = 5; the grid ends at 1.0,
+    # and interpolation read the edge value 1.0 there
+    grid = GridSpec(dt=0.005, h=0.05, radius=20, horizon=1.0)
+    surf, value = conditional_gexp(PayoffSpec("terminal", lambda x: x ** 2), BAND, grid, s=0.5)
+    assert value(-1.0) == surf[0] and value(1.0) == surf[-1]
+    for b_s in (5.0, -1.0001, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"B_s must be finite and within the space "
+                                             rf"grid \[-1.0, 1.0\], got {b_s}"):
+            value(b_s)
+
+
 def test_conditional_gexp_states_its_date_limit():
     # the limit of conditional_gexp is the one PayoffSpec enforces
     with pytest.raises(ValueError, match="3 monitoring dates .* at most 2 are supported"):
@@ -397,3 +409,61 @@ def test_conditional_gexp_is_bit_identical_to_the_reference(band, monkeypatch):
     monkeypatch.setattr(gexp, "_evolve", reference_evolve)
     for surf, (spec, s, obs) in zip(got, specs):
         assert_same_bits(surf, conditional_gexp(spec, band, COARSE, s, obs)[0])
+
+
+# Rows stacked along the leading axes share one flat buffer, in which the
+# second difference runs across the seams where rows meet; the seam cells
+# are re-zeroed each step.  Any leak across a seam shows up here.
+TINY = GridSpec(dt=0.01, h=0.1, radius=1, horizon=0.5)  # 3 cells: 2 of them seams
+
+
+def stepped(grid):
+    return VolatilityBand(np.linspace(0.05, 0.15, grid.n_steps),
+                          np.linspace(0.2, 0.3, grid.n_steps))
+
+
+@pytest.mark.parametrize("grid, band", [(TINY, BAND), (TINY, stepped(TINY)),
+                                        (COARSE, BAND), (COARSE, STEPPED)],
+                         ids=["3-cell-constant", "3-cell-per-step",
+                              "coarse-constant", "coarse-per-step"])
+def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band):
+    x, k = grid.x, grid.n_steps
+    rows = np.array([np.asarray(f(x), dtype=float) for f in PAYOFFS.values()]
+                    + [np.full(x.size, -0.0), np.where(np.arange(x.size) % 2, 1.0, -1.0)])
+    surfaces = []
+    for row in rows:
+        surfaces.append(np.empty((k + 1, x.size)))
+        surfaces[-1][k] = row
+    singles = np.array([_evolve(row, band, grid, k, 0, s) for row, s in zip(rows, surfaces)])
+    surfaces = np.array(surfaces)
+    assert_same_bits(_evolve(rows, band, grid, k, 0), singles)
+    assert_same_bits(_evolve(rows, band, grid, k, k // 2), [_evolve(row, band, grid, k, k // 2)
+                                                            for row in rows])
+
+    whole = np.empty((k + 1,) + rows.shape)
+    whole[k] = rows
+    assert_same_bits(_evolve(rows, band, grid, k, 0, whole), singles)
+    assert_same_bits(whole, surfaces.swapaxes(0, 1))
+    per_row = [np.empty((k + 1, x.size)) for _ in rows]
+    for s, row in zip(per_row, rows):
+        s[k] = row
+    assert_same_bits(_evolve(rows, band, grid, k, 0, per_row), singles)
+    assert_same_bits(per_row, surfaces)
+
+    cube = np.stack((rows, -rows[::-1]))  # (2, R, n)
+    expected = np.stack((singles, [_evolve(-row, band, grid, k, 0) for row in rows[::-1]]))
+    assert_same_bits(_evolve(cube, band, grid, k, 0), expected)
+    planes = [np.empty((k + 1,) + rows.shape) for _ in cube]
+    for s, plane in zip(planes, cube):
+        s[k] = plane
+    assert_same_bits(_evolve(cube, band, grid, k, 0, planes), expected)
+    assert_same_bits(planes[0], surfaces.swapaxes(0, 1))
+
+
+def test_bid_and_ask_surfaces_are_separate_arrays():
+    # a caller that keeps only the ask surface must not keep the bid's memory
+    # alive: each surface owns its buffer, and the two do not overlap
+    _, _, bid_surface, ask_surface = bid_ask(PAYOFFS["call"], BAND, COARSE)
+    assert not np.shares_memory(bid_surface, ask_surface)
+    assert bid_surface.base is None and ask_surface.base is None
+    assert bid_surface.shape == ask_surface.shape == (COARSE.n_steps + 1, COARSE.x.size)

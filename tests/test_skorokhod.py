@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +450,33 @@ def test_convergence_witness_rejects_a_t_that_is_not_finite_and_positive(t):
     x = jump_path([0.5], [1.0], horizon=1.0)
     with pytest.raises(ValueError, match=f"t must be finite and > 0, got {t}"):
         convergence_witness(x, x, t, 3)
+
+
+# M = 2.5 or nan raised TypeError from range, M = True was taken as 1;
+# m_max = -1 raised ZeroDivisionError and m_max = 0 gave no deviations.
+BAD_LEVELS = [2.5, np.nan, True, 0, -1, "3"]
+
+
+@pytest.mark.parametrize("M", BAD_LEVELS)
+def test_dhat_distance_rejects_a_truncation_level_that_is_not_an_integer_of_at_least_one(M):
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"M must be an integer >= 1, got {M!r}")):
+        dhat_distance(x, x, 1.0, M=M)
+
+
+@pytest.mark.parametrize("m_max", BAD_LEVELS)
+def test_convergence_witness_rejects_an_m_max_that_is_not_an_integer_of_at_least_one(m_max):
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"m_max must be an integer >= 1, got {m_max!r}")):
+        convergence_witness(x, x, 1.0, m_max)
+
+
+def test_numpy_integer_levels_are_accepted():
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    y = jump_path([0.6], [1.0], horizon=1.0)
+    assert dhat_distance(x, y, 1.0, M=np.int64(6)) == dhat_distance(x, y, 1.0, M=6)
+    assert convergence_witness(x, y, 1.0, np.int64(3))["deviations"].keys() == {1, 2, 3}
 
 
 def test_matching_search_raises_when_no_matching_is_within_theta():
