@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _per_parent, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
                    rm_evaluate)
@@ -88,7 +88,8 @@ class OneStepStructure:
             if free.any():
                 raise ValueError(
                     f"node ({k},{int(np.argmax(free))}) has no finite-penalty choice")
-        object.__setattr__(self, "flat_kernels", tuple(kernels))
+        # row-major, so the recursion's strided per-parent slices stay cheap
+        object.__setattr__(self, "flat_kernels", tuple(np.ascontiguousarray(w) for w in kernels))
         object.__setattr__(self, "flat_penalties", tuple(penalties))
         object.__setattr__(self, "sizes", tuple(sizes))
 
@@ -96,6 +97,8 @@ class OneStepStructure:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
         if not 0 <= s <= t <= self.lattice.terminal:
             raise ValueError("need 0 <= s <= t <= terminal")
+        if X.lattice is not self.lattice:
+            raise ValueError("structure and variable live on different lattices")
         if X.t != t:
             raise ValueError(f"X must live at time index {t}")
         return RandomVariable(self.lattice, s, self._rho(s, t, -X.values))
@@ -145,7 +148,7 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
         w = w[picks[u][:, par], np.arange(par.size)] if u in picks else w[0]
         chosen.append(w)
         # divided by its sums once more, as building a Measure would
-        sums = np.add.reduceat(w, lat.offsets[u][:-1], axis=-1)
+        sums = _per_parent(lat, u, w)
         kernels.append(np.broadcast_to(w / sums[..., par], (count, par.size)))
     penalties = [st.flat_penalties[u][picks[u], np.arange(lat.n_nodes(u))][:, None, :]
                  for u in range(r, t)]
@@ -223,6 +226,8 @@ def acceptance_decompose(X: RandomVariable, st: OneStepStructure, r: int, s: int
                          t: int, Q: Measure):
     """Split an accepted X in A_{r,t}(Q) as Z + Y with Z in A_{r,s}(Q) and
     Y in A_{s,t}; Y = X + lift(rho_{s,t}(X)), Z = -lift(rho_{s,t}(X))."""
+    if Q.lattice is not st.lattice:
+        raise ValueError("structure and measure live on different lattices")
     q_mask = charged_mask(Q, r)
     if np.any(st.rho(r, t, X).values[q_mask] > _ACCEPT_TOL):
         raise ValueError("X is not accepted between r and t under Q")
@@ -246,12 +251,24 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     structure is then normalized.
     """
     lat = st.lattice
-    for u in range(lat.n_times - 1):
-        gap = _kernel_gap(lat, u, st.flat_kernels[u], P.flat_kernels[u])
-        ok = np.any((st.flat_penalties[u] == 0.0) & (gap <= kernel_tol), axis=0)
-        if not np.all(ok):
-            raise ValueError(f"P is not a zero-penalty selection at node "
-                             f"({u},{int(np.argmin(ok))})")
+    if P.lattice is not lat or X.lattice is not lat:
+        raise ValueError("structure, variable and measure live on different lattices")
+    # the zero-penalty scan, every level at once
+    m = max(len(w) for w in st.flat_kernels)
+
+    def side_by_side(levels):
+        """The levels' (m_u, n) rows, each padded to m with its last row, a
+        copy of a choice already on the menu, in one (m, sum of n) array."""
+        return np.concatenate([a if len(a) == m else np.pad(a, ((0, m - len(a)), (0, 0)), "edge")
+                               for a in levels], axis=1)
+
+    gap = _kernel_gap(lat, None, side_by_side(st.flat_kernels), np.concatenate(P.flat_kernels))
+    ok = np.any((side_by_side(st.flat_penalties) == 0.0) & (gap <= kernel_tol), axis=0)
+    if not ok.all():
+        node = int(np.argmin(ok))
+        first = np.cumsum([0] + [lat.n_nodes(u) for u in range(lat.terminal)])
+        u = int(np.searchsorted(first, node, side="right")) - 1
+        raise ValueError(f"P is not a zero-penalty selection at node ({u},{node - first[u]})")
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     for a, s in enumerate(grid):

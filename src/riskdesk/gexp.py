@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, coordinate_process
+from .lattice import RandomVariable, ScenarioLattice, _per_parent, coordinate_process
 
 __all__ = [
     "VolatilityBand",
@@ -356,9 +356,9 @@ def band_membership(Q, band: VolatilityBand, dt: float) -> bool:
     lat = Q.lattice
     for k in range(lat.n_times - 1):
         lo, hi = band.at_step(k)
-        inc, off = lat.increments[k + 1][:, 0], lat.offsets[k][:-1]
-        mean = np.add.reduceat(Q.flat_kernels[k] * inc, off)
-        var = np.add.reduceat(Q.flat_kernels[k] * inc ** 2, off)
+        inc = lat.increments[k + 1][:, 0]
+        mean = _per_parent(lat, k, Q.flat_kernels[k] * inc)
+        var = _per_parent(lat, k, Q.flat_kernels[k] * inc ** 2)
         if np.any((np.abs(mean) > _MEAN_TOL) | (var < lo ** 2 * dt - _VAR_TOL)
                   | (var > hi ** 2 * dt + _VAR_TOL)):
             return False

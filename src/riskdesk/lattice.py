@@ -30,6 +30,14 @@ __all__ = [
 ]
 
 
+# The widest fan-out whose strided sum has reduceat's bits: reduceat adds a
+# segment's first entry to the sum of the rest, which numpy adds in order
+# below 8 entries and pairwise from 8.  Older numpy starts that sum at +0.0,
+# newer at -0.0, which differ only on a segment of -0.0 entries.
+_STRIDED_MAX = 8
+_SUM_FROM_PLUS_ZERO = not np.signbit(np.add.reduceat(np.array([-0.0, -0.0]), [0])[0])
+
+
 @dataclass(frozen=True)
 class NodeRef:
     """Reference to a node as (time index, node index)."""
@@ -50,10 +58,13 @@ class ScenarioLattice:
                     at 0)
 
     Derived: per time index the (n_nodes, d) path ``values`` and, for k < T,
-    ``offsets[k]``: each node's first-child offset, then n_nodes(k + 1).
-    The children of node (k, i) are ``offsets[k][i]:offsets[k][i + 1]``, so
-    a per-parent sum over a flat time-(k+1) array is one ``np.add.reduceat``
-    over ``offsets[k][:-1]``.  Lattices compare by identity.
+    ``offsets[k]``: each node's first-child offset, then n_nodes(k + 1), and
+    ``fanouts[k]``: the child count every time-k node shares, or 0 when the
+    counts differ or exceed 8.  The children of node (k, i) are
+    ``offsets[k][i]:offsets[k][i + 1]``, so a per-parent sum over a flat
+    time-(k+1) array adds ``fanouts[k]`` strided slices, or is one
+    ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).
+    Lattices compare by identity.
     """
 
     times: tuple
@@ -63,6 +74,7 @@ class ScenarioLattice:
 
     values: tuple = field(init=False)
     offsets: tuple = field(init=False, repr=False)
+    fanouts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         times = tuple(float(u) for u in self.times)
@@ -78,7 +90,7 @@ class ScenarioLattice:
 
         parents = tuple(np.asarray(p, dtype=int) for p in self.parents)
         object.__setattr__(self, "parents", parents)
-        offsets = []
+        offsets, fanouts = [], []
         for k in range(len(times) - 1):
             n_k, par = parents[k].size, parents[k + 1]
             j = int(np.argmax((par < 0) | (par >= n_k)))
@@ -91,7 +103,10 @@ class ScenarioLattice:
             if (par[1:] < par[:-1]).any():
                 raise ValueError("children must be contiguous per parent")
             offsets.append(np.concatenate(([0], np.cumsum(counts))))
+            b = int(counts[0])
+            fanouts.append(b if b <= _STRIDED_MAX and (counts == b).all() else 0)
         object.__setattr__(self, "offsets", tuple(offsets))
+        object.__setattr__(self, "fanouts", tuple(fanouts))
 
         incs = tuple(np.asarray(inc, dtype=float).reshape(-1, self.dimension)
                      for inc in self.increments)
@@ -215,24 +230,72 @@ class StoppingTime:
         return StoppingTime(frozenset(lattice.node_refs(t)))
 
 
+def _per_parent(lattice: ScenarioLattice, k, a, op=np.add) -> np.ndarray:
+    """``op`` (``np.add`` or ``np.maximum``) over each time-k node's children,
+    along the last axis of a (..., n_{k+1}) array; with k = None over the
+    children of every non-terminal node, a holding the levels' children in
+    time order.  The same bits as ``op.reduceat`` over first-child offsets: a
+    uniform fan-out b adds strided slices as reduceat does,
+    a_0 + ((a_1 + a_2) + ...); any order gives the same maximum."""
+    if k is None:
+        fanouts = set(lattice.fanouts)
+        b = fanouts.pop() if len(fanouts) == 1 else 0
+    else:
+        b = lattice.fanouts[k]
+    if not b:
+        if k is None:
+            bases = np.cumsum([0] + [off[-1] for off in lattice.offsets[:-1]])
+            starts = np.concatenate([off[:-1] + base
+                                     for off, base in zip(lattice.offsets, bases)])
+        else:
+            starts = lattice.offsets[k][:-1]
+        return op.reduceat(a, starts, axis=-1)
+    if b == 1:
+        return a.copy()
+    rest = a[..., 1::b]
+    if op is np.add and _SUM_FROM_PLUS_ZERO:
+        rest = 0.0 + rest
+    for j in range(2, b):
+        rest = op(rest, a[..., j::b])
+    return op(a[..., ::b], rest)
+
+
 def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None):
     """Backward induction from (..., n_t) ``values`` at t = s + len(weights)
     down to s: G_u = max_j (sum over children of w_j G_{u+1} - a_j), with
-    per u in s..t-1 weights (..., m_u, n_{u+1}) of m_u choices (1-D: one)
-    and optional penalties (..., m_u, n_u).  Zero-weight children never
-    count, so an infinite value there gives no 0 * inf = NaN."""
+    per u in s..t-1 weights (..., m_u, n_{u+1}) of m_u choices and optional
+    penalties (..., m_u, n_u), or 1-D weights of one choice and no
+    penalties.  Zero-weight children never count, so an infinite value there
+    gives no 0 * inf = NaN.
+
+    A finite input runs unguarded first.  Its result is exact when finite:
+    a non-finite value meets every choice's weights at its parent, as inf,
+    -inf or a NaN, which no sum, difference or max drops."""
     g = np.asarray(values, dtype=float)
+    if np.isfinite(g).all():
+        with np.errstate(invalid="ignore"):
+            out = _induct(lattice, s, g, weights, penalties, guard=False)
+        if np.isfinite(out).all():
+            return out
+    return _induct(lattice, s, g, weights, penalties, guard=True)
+
+
+def _induct(lattice, s, g, weights, penalties, guard):
+    """The steps of ``_backward``; with ``guard``, a level holding a
+    non-finite value takes zero-weight terms as 0."""
     for u in range(s + len(weights) - 1, s - 1, -1):
         w = weights[u - s]
-        if np.isfinite(g).all():
-            terms = w * g[..., None, :]
-        else:
+        v = g if w.ndim == 1 else g[..., None, :]
+        if guard and not np.isfinite(g).all():
             with np.errstate(invalid="ignore"):
-                terms = np.where(w > 0, w * g[..., None, :], 0.0)
-        g = np.add.reduceat(terms, lattice.offsets[u][:-1], axis=-1)
+                terms = np.where(w > 0, w * v, 0.0)
+        else:
+            terms = w * v
+        g = _per_parent(lattice, u, terms)
         if penalties is not None:
             g = g - penalties[u - s]
-        g = g.max(axis=-2)
+        if w.ndim > 1:
+            g = np.maximum.reduce(g, axis=-2)
     return g
 
 

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _per_parent, lift
 
 __all__ = [
     "Measure",
@@ -85,10 +85,10 @@ def _menus(lattice: ScenarioLattice, k: int, menus):
     return weights, pick, sizes
 
 
-def _kernel_gap(lattice: ScenarioLattice, k: int, a, b) -> np.ndarray:
+def _kernel_gap(lattice: ScenarioLattice, k, a, b) -> np.ndarray:
     """Per time-k node, the max |a - b| over its children; a and b are flat
-    (..., n_{k+1}) kernel arrays."""
-    return np.maximum.reduceat(np.abs(a - b), lattice.offsets[k][:-1], axis=-1)
+    (..., n_{k+1}) kernel arrays (k = None: every level, as ``_per_parent``)."""
+    return _per_parent(lattice, k, np.abs(a - b), np.maximum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,6 +210,8 @@ class ReferenceMeasure:
 
 def capacity(X: RandomVariable, family: MeasureFamily) -> float:
     """c(X) = max_n (E_{Q_n}|X|^p)^{1/p}; X is lifted to the terminal time."""
+    if X.lattice is not family.lattice:
+        raise ValueError("variable and family live on different lattices")
     T = family.lattice.terminal
     absp = np.abs(lift(X, T).values) ** family.p
     best = max(float(np.sum(Q.node_probabilities(T) * absp)) for Q in family.members)

@@ -20,7 +20,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, StoppingTime,
+from .lattice import (RandomVariable, ScenarioLattice, StoppingTime, _per_parent,
                       validate_stopping_time)
 from .dynamics import _EXPANSION_CAP, OneStepStructure, expand_dual
 from .measures import Measure, _kernel_gap, charged_mask
@@ -125,7 +125,7 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
     for k in range(lat.n_times - 1):
         par = lat.parents[k + 1]
         w = np.stack([Q.flat_kernels[k] for Q in measures])
-        w = w / np.add.reduceat(w, lat.offsets[k][:-1], axis=-1)[:, par]
+        w = w / _per_parent(lat, k, w)[:, par]
         keep = np.stack([charged_mask(Q, k) for Q in measures])
         keep |= ~keep.any(axis=0)
         for j in range(1, len(measures)):

@@ -24,9 +24,11 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, _backward, coordinate_process, lift, uniform_tree
+from riskdesk.lattice import (RandomVariable, _backward, _induct, coordinate_process, lift,
+                              uniform_tree)
 from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
+from riskdesk.stability import robust_evaluate
 
 
 def menu_dynamic(root_shift=0.0, lat=None):
@@ -380,6 +382,83 @@ def test_supermartingale_rejects_non_selection():
     biased = zero_penalty_member(lat, 0.6)
     with pytest.raises(ValueError):
         supermartingale_check(dyn, X, biased)
+
+
+def per_node_backward(lat, s, values, weights, penalties):
+    """``_backward`` node by node on 1-D values: per choice, the sum over
+    positive-weight children of weight times value, less the penalty."""
+    g = list(values)
+    for u in range(s + len(weights) - 1, s - 1, -1):
+        w, a, off = weights[u - s], penalties[u - s], lat.offsets[u]
+        g = [max(sum(w[j, c] * g[c] for c in range(off[i], off[i + 1]) if w[j, c] > 0)
+                 - a[j, i] for j in range(len(w))) for i in range(lat.n_nodes(u))]
+    return np.array(g, dtype=float)
+
+
+def test_backward_reruns_guarded_when_an_infinite_penalty_meets_a_zero_weight():
+    # dyadic weights and integer values, so both sums are exact: node (1,1)
+    # has only +inf penalties, and the root's choice 0 gives it weight 0
+    lat = uniform_tree([0, 1, 2], [1, -1])
+    weights = [np.array([[1.0, 0.0], [0.5, 0.5]]),
+               np.array([[0.5, 0.5, 0.25, 0.75], [0.75, 0.25, 0.5, 0.5]])]
+    penalties = [np.array([[0.0], [1.0]]), np.array([[0.0, np.inf], [0.5, np.inf]])]
+    values = np.array([[4.0, -2.0, 8.0, 1.0], [-3.0, 5.0, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+    with np.errstate(invalid="ignore"):  # the unguarded pass makes 0 * -inf = NaN
+        assert np.isnan(_induct(lat, 0, values, weights, penalties, guard=False)).all()
+    got = _backward(lat, 0, values, weights, penalties)
+    assert np.isfinite(got).all()
+    for row, g in zip(values, got):
+        assert g.tobytes() == per_node_backward(lat, 0, row, weights, penalties).tobytes()
+    # infinite inputs behind zero and positive weights: the guarded pass only
+    inf_values = np.array([[1.0, np.inf, -np.inf, 2.0], [3.0, 1.0, -np.inf, 2.0]])
+    weights[1] = np.array([[1.0, 0.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5]])
+    penalties[1] = np.array([[0.0, 0.0], [0.25, 1.0]])
+    for u in (0, 1):
+        got = _backward(lat, u, inf_values, weights[u:], penalties[u:])
+        for row, g in zip(inf_values, got):
+            assert g.tobytes() == per_node_backward(lat, u, row, weights[u:],
+                                                    penalties[u:]).tobytes()
+
+
+def test_supermartingale_check_names_a_deep_failing_node():
+    # menus of 1, 3 and 2 choices by level; P is fair wherever it is free
+    lat = uniform_tree([0, 1, 2, 3], [1, -1])
+    fair, up, down = np.array([0.5, 0.5]), np.array([0.75, 0.25]), np.array([0.25, 0.75])
+    menus = (((fair, 0.0),), ((fair, 0.0), (up, 0.1), (down, 0.0)), ((fair, 0.0), (up, 0.2)))
+    dyn = OneStepStructure(lat, tuple((menus[k],) * lat.n_nodes(k) for k in range(3)))
+    X = coordinate_process(lat, 3)
+
+    def law(**at):
+        return Measure(lat, tuple(tuple(at.get(f"n{k}{i}", fair) for i in range(lat.n_nodes(k)))
+                                  for k in range(3)))
+
+    assert supermartingale_check(dyn, X, law(n11=down)) <= 1e-9
+    with pytest.raises(ValueError, match=r"node \(2,3\)"):
+        supermartingale_check(dyn, X, law(n11=down, n23=up))
+    with pytest.raises(ValueError, match=r"node \(1,0\)"):
+        supermartingale_check(dyn, X, law(n10=up, n23=up))
+
+
+FOREIGN_CALLS = {
+    "rho": lambda dyn, X, Q: dyn.rho(0, 2, X),
+    "robust_evaluate": lambda dyn, X, Q: robust_evaluate(dyn, X, 0),
+    "supermartingale_check": lambda dyn, X, Q: supermartingale_check(dyn, X, Q),
+    "acceptance_decompose": lambda dyn, X, Q: acceptance_decompose(X, dyn, 0, 1, 2, Q),
+}
+
+
+@pytest.mark.parametrize("call, foreign", [("rho", "X"), ("robust_evaluate", "X"),
+                                           ("supermartingale_check", "X"),
+                                           ("supermartingale_check", "Q"),
+                                           ("acceptance_decompose", "Q")])
+def test_structure_inputs_from_another_lattice_are_rejected(call, foreign):
+    # a second lattice of the same shape, on which every array would broadcast
+    lat, dyn = menu_dynamic()
+    other = fix_a_lattice()
+    X = coordinate_process(other if foreign == "X" else lat, 2)
+    Q = zero_penalty_member(other if foreign == "Q" else lat, 0.5)
+    with pytest.raises(ValueError, match="different lattices"):
+        FOREIGN_CALLS[call](dyn, X, Q)
 
 
 def test_structure_validation():

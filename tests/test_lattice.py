@@ -13,6 +13,7 @@ from riskdesk.lattice import (
     lattice_from_json,
     lattice_to_json,
     ScenarioLattice,
+    _per_parent,
     lift,
     uniform_tree,
     validate_stopping_time,
@@ -157,7 +158,7 @@ def test_lattice_json_round_trip():
 def test_derived_lattice_fields_are_not_parameters():
     parents = (np.array([-1]), np.array([0, 0]))
     incs = (np.zeros((1, 1)), np.ones((2, 1)))
-    for derived in ("children", "values", "offsets"):
+    for derived in ("children", "values", "offsets", "fanouts"):
         with pytest.raises(TypeError):
             ScenarioLattice((0.0, 1.0), 1, parents, incs, **{derived: None})
 
@@ -219,3 +220,57 @@ def test_value_objects_keep_value_equality():
     assert GridSpec(0.1, 0.5, 4, 1.0) == GridSpec(0.1, 0.5, 4, 1.0)
     assert PayoffSpec("terminal", abs) == PayoffSpec("terminal", abs)
     assert TimeChange(((0, 0), (1, 2))) == TimeChange(((0.0, 0.0), (1.0, 2.0)))
+
+
+def spread_values(rng, shape, b):
+    """Signed values over six decades, with some zeros of either sign and
+    one per-parent segment of -0.0 per row."""
+    a = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    a[..., :b] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("b", range(1, 9))
+def test_per_parent_sums_and_maxima_are_reduceats_bits(b):
+    lat = uniform_tree((0.0, 1.0, 2.0, 3.0), np.linspace(1.0, -1.0, b))
+    rng = np.random.default_rng(b)
+    for k in range(lat.terminal):
+        assert lat.fanouts[k] == b
+        n, starts = lat.n_nodes(k + 1), lat.offsets[k][:-1]
+        for shape in ((n,), (3, n), (4, 3, n)):
+            a = spread_values(rng, shape, b)
+            got = _per_parent(lat, k, a)
+            assert got.shape == shape[:-1] + (lat.n_nodes(k),)
+            assert got.tobytes() == np.add.reduceat(a, starts, axis=-1).tobytes()
+            # the maximum on the absolute differences it serves: no -0.0
+            got = _per_parent(lat, k, np.abs(a), np.maximum)
+            assert got.tobytes() == np.maximum.reduceat(np.abs(a), starts, axis=-1).tobytes()
+
+
+def test_per_parent_takes_reduceat_past_eight_children_and_on_ragged_levels():
+    # a level of nine children per node, where numpy sums pairwise, then a
+    # ragged level; both take reduceat, and so does every level at once
+    lat = build_lattice((0.0, 1.0, 2.0), [[np.linspace(1.0, -1.0, 9)],
+                                          [np.arange(b, dtype=float) for b in range(1, 10)]],
+                        dimension=1)
+    assert lat.fanouts == (0, 0)
+    rng = np.random.default_rng(9)
+    for k in (0, 1, None):
+        n = 54 if k is None else lat.n_nodes(k + 1)
+        starts = lat.offsets[k][:-1] if k is not None else \
+            np.concatenate((lat.offsets[0][:-1], 9 + lat.offsets[1][:-1]))
+        for shape in ((n,), (2, n), (3, 2, n)):
+            a = spread_values(rng, shape, 9)
+            assert _per_parent(lat, k, a).tobytes() == \
+                np.add.reduceat(a, starts, axis=-1).tobytes()
+            assert _per_parent(lat, k, np.abs(a), np.maximum).tobytes() == \
+                np.maximum.reduceat(np.abs(a), starts, axis=-1).tobytes()
+
+
+def test_per_parent_over_every_level_of_a_uniform_tree():
+    lat = uniform_tree((0.0, 1.0, 2.0, 3.0), [1.0, 0.0, -1.0])
+    a = spread_values(np.random.default_rng(3), (2, 3 + 9 + 27), 3)
+    starts = np.arange(0, a.shape[-1], 3)
+    assert _per_parent(lat, None, a).tobytes() == np.add.reduceat(a, starts, axis=-1).tobytes()

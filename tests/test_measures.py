@@ -105,6 +105,14 @@ def test_capacity_fix_a():
     assert capacity(B2, single) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_capacity_rejects_a_variable_off_the_familys_lattice():
+    lat, q1, q2, _ = fix_a_family()
+    other = fix_a_lattice()
+    family = MeasureFamily((q1, q2), p=2.0)
+    with pytest.raises(ValueError, match="different lattices"):
+        capacity(RandomVariable(other, 2, np.array([1.0, 2.0, 3.0, 4.0])), family)
+
+
 def test_reference_measure_weights_and_root_kernel():
     _, q1, q2, fam = fix_a_family()
     ref = reference_measure(fam)
