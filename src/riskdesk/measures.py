@@ -230,8 +230,10 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
         raise ValueError("need one finite non-negative weight per member")
     if not w.sum() > 0:
         raise ValueError("the mixture weights sum to 0")
-    w = w / w.sum()
     lat = members[0].lattice
+    if any(m.lattice is not lat for m in members):
+        raise ValueError("measures live on different lattices")
+    w = w / w.sum()
     probs = [sum(wi * m.node_probabilities(t) for wi, m in zip(w, members))
              for t in range(lat.n_times)]
     levels = []

@@ -10,17 +10,22 @@ a maximum of affine functions of X.  The minimal penalty of an arbitrary
 measure Q is the convex conjugate of that evaluator: at each time-s node it
 is the cheapest convex-combination cost of writing Q's conditional subtree
 law as a mixture of the components' laws (+inf when no mixture reaches it).
-That linear program is solved exactly by a two-phase tableau simplex under
-Bland's pivot rule, batched over the nodes of one shape; the tests check it
-against a brute-force oracle over a growing box and against HiGHS.
+The part of that linear program that Q does not enter, the constraint
+matrices restated on their singular vectors, is factored once per
+representation.  A node whose components are linearly independent has at
+most one feasible point, found by one linear solve; the others are solved
+exactly by a two-phase tableau simplex under Bland's pivot rule.  Both are
+batched over the nodes of one shape; the tests check them against a
+brute-force oracle over a growing box, a basis enumeration and HiGHS.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import json
 import numpy as np
@@ -48,7 +53,9 @@ class DualRep:
     and the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
     ``components[k]`` is the k-th (Measure, penalty) pair, built on first
     read when ``expand_dual`` passes stacked arrays.  An optional reference
-    measure carries the restriction discipline for minimal penalties."""
+    measure carries the restriction discipline for minimal penalties.  The
+    stacked arrays are read-only: the factored penalty LPs are built from
+    them once."""
 
     s: int
     t: int
@@ -81,9 +88,45 @@ class DualRep:
             raise ValueError("penalties must be real or +inf")
         if np.any(np.all(np.isinf(pen), axis=0)):
             raise ValueError("every time-s node needs a finite-penalty component")
+        kernels = tuple(kernels)
+        for w in (pen, *kernels):
+            w.flags.writeable = False
         for name, value in (("components", comps), ("lattice", lat),
-                            ("kernels", tuple(kernels)), ("penalties", pen)):
+                            ("kernels", kernels), ("penalties", pen)):
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def _node_lps(self) -> tuple:
+        """The part of ``minimal_penalty`` that Q does not enter, built on first
+        use: the time-s nodes grouped by subtree width and finite components,
+        each group's constraint matrices factored by one batched SVD, as one
+        ``_NodeLPs`` per group and rank."""
+        lat, s = self.lattice, self.s
+        # every component's subtree laws; node n's time-t leaves are edge[n]:edge[n + 1]
+        laws, edge = np.ones(self.penalties.shape), np.arange(lat.n_nodes(s) + 1)
+        for u, w in enumerate(self.kernels, s):
+            laws, edge = laws[:, lat.parents[u + 1]] * w, lat.offsets[u][edge]
+        laws = np.hstack([laws, np.ones((len(laws), 1))])  # column -1: the simplex row
+        finite = np.isfinite(self.penalties)
+        groups = {}
+        for n in range(lat.n_nodes(s)):
+            groups.setdefault((int(edge[n + 1] - edge[n]), finite[:, n].tobytes()), []).append(n)
+        out = []
+        for (width, _), nodes in groups.items():
+            nodes = np.array(nodes)
+            rows = edge[nodes, None] + np.arange(width + 1)
+            rows[:, -1] = -1
+            fin = finite[:, nodes[0]]
+            M = laws[fin][:, rows].transpose(1, 2, 0)
+            U, sv, _ = np.linalg.svd(M, full_matrices=False)
+            rank = np.sum(sv > _TOL, axis=1)
+            c = self.penalties[fin][:, nodes].T
+            for r in np.unique(rank).tolist():
+                i = np.flatnonzero(rank == r)
+                Ur = U[i, :, :r]
+                out.append(_NodeLPs(nodes[i], rows[i], Ur,
+                                    np.matmul(Ur.transpose(0, 2, 1), M[i]), c[i]))
+        return tuple(out)
 
 
 class _Stacked(Sequence):
@@ -142,73 +185,87 @@ def minimal_penalty(rep: DualRep, Q: Measure) -> RandomVariable:
     At time-s node n, solves  min sum_k lam_k alpha_k(n)  subject to
     lam in the simplex and  sum_k lam_k q_k(n, .) = q(n, .)  on the time-t
     descendants; +inf when no such lam exists.  Components with infinite
-    penalty at n are excluded.  Nodes with the same subtree width and the
-    same finite components are solved together (see ``_node_penalties``).
+    penalty at n are excluded.  The part of these problems that does not
+    depend on Q is factored once per representation (``DualRep._node_lps``);
+    a call restates Q's subtree laws on it and solves (see ``_node_penalties``).
     """
+    if Q.lattice is not rep.lattice:
+        raise ValueError("measure and representation live on different lattices")
     if rep.reference is not None:
         status = check_restriction(Q, rep.reference, rep.s)
         if status != "equal":
             raise ValueError(f"restriction of Q to B_{rep.s} is {status}, "
                              "expected equal to the reference")
-    lat, s = rep.lattice, rep.s
-    # every component's subtree laws; node n's time-t leaves are edge[n]:edge[n + 1]
-    laws, edge = np.ones(rep.penalties.shape), np.arange(lat.n_nodes(s) + 1)
-    for u, w in enumerate(rep.kernels, s):
-        laws, edge = laws[:, lat.parents[u + 1]] * w, lat.offsets[u][edge]
-    laws = np.hstack([laws, np.ones((len(laws), 1))])  # column -1: the simplex row
-    target = np.append(Q.subtree_laws(s, rep.t), 1.0)
-    finite = np.isfinite(rep.penalties)
-    groups = {}
-    for n in range(lat.n_nodes(s)):
-        groups.setdefault((int(edge[n + 1] - edge[n]), finite[:, n].tobytes()), []).append(n)
-    out = np.empty(lat.n_nodes(s))
-    for (width, _), nodes in groups.items():
-        rows = np.c_[edge[nodes, None] + np.arange(width), np.full(len(nodes), -1)]
-        fin = finite[:, nodes[0]]
-        out[nodes] = _node_penalties(laws[fin][:, rows].transpose(1, 2, 0), target[rows],
-                                     rep.penalties[fin][:, nodes].T, [(s, n) for n in nodes])
-    return RandomVariable(lat, s, out, allow_infinite=True)
+    target = np.append(Q.subtree_laws(rep.s, rep.t), 1.0)  # entry -1: the simplex row
+    out = np.full(rep.lattice.n_nodes(rep.s), np.inf)
+    for lp in rep._node_lps:
+        out[lp.nodes] = _node_penalties(lp, target[lp.rows], rep.s)
+    return RandomVariable(rep.lattice, rep.s, out, allow_infinite=True)
 
 
-def _node_penalties(M: np.ndarray, b: np.ndarray, c: np.ndarray, nodes) -> np.ndarray:
-    """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i (last row:
-    the simplex), +inf when infeasible.  With r the numerical rank of M_i, b_i
-    must lie in M_i's span; the problem is then restated on r independent rows
-    and solved by a two-phase tableau simplex, for all nodes of one rank at once."""
-    U, sv, _ = np.linalg.svd(M, full_matrices=False)
-    rank = np.sum(sv > _TOL, axis=1)
-    out, k = np.full(len(M), np.inf), c.shape[1]
-    for r in np.unique(rank).tolist():
-        i = np.flatnonzero(rank == r)
-        Ut = U[i, :, :r].transpose(0, 2, 1)
-        b_r = np.matmul(Ut, b[i, :, None])
-        reach = np.abs(np.matmul(U[i, :, :r], b_r)[..., 0] - b[i]).max(axis=1) <= _TOL
-        i, b_r, sign = i[reach], b_r[reach], np.where(b_r[reach] < 0, -1.0, 1.0)
-        # rows: r constraints, signed so that b >= 0, then the reduced costs of phase 2
-        # (the penalty) and phase 1 (the artificials); columns: k components, r artificials, b
-        A = sign * np.concatenate([np.matmul(Ut[reach], M[i]), sign * np.eye(r), b_r], axis=2)
-        cost = np.concatenate([c[i], np.zeros((i.size, r + 1))], axis=1)
-        T = np.concatenate([A, cost[:, None], -A.sum(axis=1, keepdims=True)], axis=1)
-        basis, cap = np.arange(k, k + r)[None].repeat(i.size, axis=0), comb(k + r, r)
-        _simplex(T, basis, k, cap, [nodes[n] for n in i])  # phase 1
-        keep = np.sum(T[:, :r, -1], axis=1, where=basis >= k) <= _TOL
-        i, T, basis = i[keep], T[keep], basis[keep]
-        # pivot out the artificials left at 0: independent rows give each a non-zero entry
-        for row in np.flatnonzero((basis >= k).any(axis=0)):
-            at = np.flatnonzero(basis[:, row] >= k)
-            _pivot(T, basis, at, row, np.argmax(np.abs(T[at, row, :k]), axis=1))
-        _simplex(T[:, :-1], basis, k, cap, [nodes[n] for n in i])  # phase 2
-        # the cost of the basic solution, as the objective row would price a
-        # zero-penalty member at rounding error rather than 0.0
-        lam = np.where(T[:, :r, -1] <= _TOL, 0.0, T[:, :r, -1])
-        out[i] = np.sum(lam * c[i[:, None], basis], axis=1)
+class _NodeLPs(NamedTuple):
+    """The time-s nodes that share a subtree width w, a set of k finite
+    components and the rank r of their (w + 1, k) constraint matrices M (last
+    row: the simplex), with M's r leading left singular vectors U and M
+    restated on them."""
+
+    nodes: np.ndarray  # (G,) time-s nodes
+    rows: np.ndarray   # (G, w + 1) the target entries of each node's rows
+    U: np.ndarray      # (G, w + 1, r)
+    A: np.ndarray      # (G, r, k): U^T M
+    c: np.ndarray      # (G, k) the finite penalties
+
+
+def _node_penalties(lp: _NodeLPs, b: np.ndarray, s: int) -> np.ndarray:
+    """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i, +inf when
+    infeasible.  b_i must lie in M_i's span; the problem is then restated on
+    U_i's r independent rows.  At full column rank (r = k) its one solution is
+    solved for; otherwise a two-phase tableau simplex solves it."""
+    Ut = lp.U.transpose(0, 2, 1)
+    b_r = np.matmul(Ut, b[..., None])
+    reach = np.abs(np.matmul(lp.U, b_r)[..., 0] - b).max(axis=1) <= _TOL
+    out = np.full(len(b), np.inf)
+    if not reach.any():
+        return out
+    i = np.flatnonzero(reach)
+    A, b_r, c = lp.A[i], b_r[i], lp.c[i]
+    r, k = A.shape[1:]
+    if r == k:
+        # the one point M lam = b; snapped as the simplex reads a basic solution
+        lam = np.linalg.solve(A, b_r)[..., 0]
+        ok = (lam >= -_TOL).all(axis=1)
+        out[i[ok]] = np.sum(np.where(lam[ok] <= _TOL, 0.0, lam[ok]) * c[ok], axis=1)
+        return out
+    sign = np.where(b_r < 0, -1.0, 1.0)
+    # rows: r constraints, signed so that b >= 0, then the reduced costs of phase 2
+    # (the penalty) and phase 1 (the artificials); columns: k components, r artificials, b
+    A = sign * np.concatenate([A, sign * np.eye(r), b_r], axis=2)
+    cost = np.concatenate([c, np.zeros((i.size, r + 1))], axis=1)
+    T = np.concatenate([A, cost[:, None], -A.sum(axis=1, keepdims=True)], axis=1)
+    basis, cap = np.arange(k, k + r)[None].repeat(i.size, axis=0), comb(k + r, r)
+    nodes = lp.nodes[i]
+    _simplex(T, basis, k, cap, nodes, s)  # phase 1
+    keep = np.sum(T[:, :r, -1], axis=1, where=basis >= k) <= _TOL
+    if not keep.any():
+        return out
+    i, T, basis, nodes = i[keep], T[keep], basis[keep], nodes[keep]
+    # pivot out the artificials left at 0: independent rows give each a non-zero entry
+    for row in np.flatnonzero((basis >= k).any(axis=0)):
+        at = np.flatnonzero(basis[:, row] >= k)
+        _pivot(T, basis, at, row, np.argmax(np.abs(T[at, row, :k]), axis=1))
+    _simplex(T[:, :-1], basis, k, cap, nodes, s)  # phase 2
+    # the cost of the basic solution, as the objective row would price a
+    # zero-penalty member at rounding error rather than 0.0
+    lam = np.where(T[:, :r, -1] <= _TOL, 0.0, T[:, :r, -1])
+    out[i] = np.sum(lam * lp.c[i[:, None], basis], axis=1)
     return out
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, k: int, cap: int, names) -> None:
-    """Pivot the stacked tableaux T (last row: reduced costs, last column: b) in place
-    until no column below k prices below -_TOL.  Bland's rule (the lowest such column
-    enters; a ratio tie leaves by the lowest basic index) visits at most ``cap`` bases."""
+def _simplex(T: np.ndarray, basis: np.ndarray, k: int, cap: int, nodes, s: int) -> None:
+    """Pivot the stacked tableaux T (last row: reduced costs, last column: b) of
+    time-s ``nodes`` in place until no column below k prices below -_TOL.  Bland's
+    rule (the lowest such column enters; a ratio tie leaves by the lowest basic
+    index) visits at most ``cap`` bases."""
     r = basis.shape[1]
     for pivots in range(cap + 1):
         enter = T[:, -1, :k] < -_TOL
@@ -221,7 +278,8 @@ def _simplex(T: np.ndarray, basis: np.ndarray, k: int, cap: int, names) -> None:
         best = ratio.min(axis=1, keepdims=True)
         stuck = at[np.isinf(best[:, 0]) | (pivots == cap)]
         if stuck.size:
-            raise RuntimeError(f"penalty LP at node {names[stuck[0]]}: no optimum in {cap} pivots")
+            raise RuntimeError(f"penalty LP at node {(s, int(nodes[stuck[0]]))}: "
+                               f"no optimum in {cap} pivots")
         row = np.argmin(np.where(ratio == best, basis[at], T.shape[2]), axis=1)
         _pivot(T, basis, at, row, col)
 

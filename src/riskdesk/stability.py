@@ -121,6 +121,8 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
     there never enters a charged expectation).
     """
     lat = measures[0].lattice
+    if any(Q.lattice is not lat for Q in measures):
+        raise ValueError("measures live on different lattices")
     kernels, sizes = [], []
     for k in range(lat.n_times - 1):
         par = lat.parents[k + 1]

@@ -209,6 +209,14 @@ def test_mix_measures_rejects_bad_weights():
             mix_measures([q1, q2], w)
 
 
+
+def test_mix_measures_rejects_members_from_another_lattice():
+    # a second lattice of the same shape, on which every array would broadcast
+    lat = fix_a_lattice()
+    members = [iid_binary_measure(lat, 0.5), iid_binary_measure(fix_a_lattice(), 0.7)]
+    with pytest.raises(ValueError, match="different lattices"):
+        mix_measures(members, [0.5, 0.5])
+
 def test_stop_set_probabilities_sum_to_one():
     lat, q1, q2, _ = fix_a_family()
     for tau in all_stopping_times(lat):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from riskdesk import risk
-from riskdesk.dynamics import OneStepStructure, expand_dual
+from riskdesk.dynamics import OneStepStructure, check_cocycle, expand_dual
 from riskdesk.fixtures import (
     fix_a_family,
     fix_a_lattice,
@@ -72,7 +72,7 @@ def test_rm_evaluate_argmax_lowest_index_on_ties():
 
 def test_minimal_penalty_members_and_mixture():
     lat, rep = sublinear_rep(s=0)
-    _, q1, q2, _ = fix_a_family()
+    (q1, _), (q2, _) = rep.components
     assert np.all(minimal_penalty(rep, q1).values == 0.0)
     assert np.all(minimal_penalty(rep, q2).values == 0.0)
     mixed = mix_measures([q1, q2], [0.5, 0.5])
@@ -84,6 +84,23 @@ def test_minimal_penalty_unreachable_is_inf():
     lat, rep = sublinear_rep(s=0)
     assert np.all(np.isinf(minimal_penalty(rep, iid_binary_measure(lat, 0.9)).values))
 
+
+
+def test_minimal_penalty_rejects_a_measure_off_the_reps_lattice():
+    # a second lattice of the same shape, on which every array would broadcast
+    lat = fix_a_lattice()
+    members = [iid_binary_measure(lat, 0.5), iid_binary_measure(lat, 0.6)]
+
+    def rep(s, t):
+        zeros = RandomVariable(lat, s, np.zeros(lat.n_nodes(s)))
+        return DualRep(s, t, tuple((Q, zeros) for Q in members))
+
+    foreign = iid_binary_measure(fix_a_lattice(), 0.5)
+    with pytest.raises(ValueError, match="different lattices"):
+        minimal_penalty(rep(0, 2), foreign)
+    with pytest.raises(ValueError, match="different lattices"):
+        check_cocycle(rep(0, 2), rep(0, 1), rep(1, 2), foreign)
+    assert np.array_equal(minimal_penalty(rep(0, 2), members[0]).values, [0.0])
 
 def test_minimal_penalty_restriction_discipline():
     lat, q1, q2, fam = fix_a_family()
@@ -195,13 +212,27 @@ def test_query_just_off_the_span_is_inf(nudge, offset):
     mixed = mix_measures([q1, q2], [0.5, 0.5])
     root, (up, down) = (lat.per_node(k, w) for k, w in enumerate(mixed.flat_kernels))
     nudged = Measure(lat, (root, (up + np.array([nudge, -nudge]), down)))
-    for Q, finite in ((mixed, True), (nudged, False)):
+    # in the span but past the face lam_2 = 0 of the simplex: the root has
+    # full column rank, so the one solution of M lam = b decides, and a
+    # -1e-12 weight within the tolerance is read as 0
+    assert [lp.A.shape[1:] for lp in rep._node_lps] == [(2, 2)]
+    for Q, finite in ((mixed, True), (nudged, False), (_beyond(q1, q2, nudge), False),
+                      (_beyond(q1, q2, 1e-12), True)):
         for alpha in (minimal_penalty(rep, Q).values, _per_node_penalty(rep, Q),
                       _per_node_penalty(rep, Q, _highs_node_penalty)):
             assert np.all(np.isfinite(alpha) == finite)
             if finite:
                 assert np.all(alpha <= 0.5 * offset + 1e-9)
 
+
+
+def _beyond(q1, q2, eps):
+    """The path law (1 + eps) q1 - eps q2 of a two-period binary tree, as a
+    measure: a mixture weight of -eps on q2."""
+    lat = q1.lattice
+    p = (1 + eps) * q1.node_probabilities(2) - eps * q2.node_probabilities(2)
+    up = p.reshape(2, 2).sum(axis=1)
+    return Measure(lat, ((up,), tuple(p.reshape(2, 2) / up[:, None])))
 
 def test_near_duplicate_components_match_highs():
     # clusters of three laws about 1e-5 apart: the product of the singular
@@ -269,9 +300,13 @@ def test_identical_zero_penalty_components_price_exactly_zero():
 
 
 def test_pivot_bound_raises_naming_the_node(monkeypatch):
-    # a simplex stopped by its pivot bound fails; it never reads as +inf
-    _, rep = sublinear_rep(s=1)
-    _, q1, _, _ = fix_a_family()
+    # a simplex stopped by its pivot bound fails; it never reads as +inf.  The
+    # third component mixes the other two, so no node has full column rank and
+    # every node goes to the simplex
+    lat, q1, q2, _ = fix_a_family()
+    zeros = RandomVariable(lat, 1, np.zeros(2))
+    rep = DualRep(1, 2, ((q1, zeros), (q2, zeros), (mix_measures([q1, q2], [0.5, 0.5]), zeros)))
+    assert all(lp.A.shape[1] < lp.A.shape[2] for lp in rep._node_lps)
     monkeypatch.setattr(risk, "comb", lambda *a: 0)
     with pytest.raises(RuntimeError, match=r"node \(1, 0\).*no optimum in 0 pivots"):
         minimal_penalty(rep, q1)
@@ -544,9 +579,12 @@ def test_batched_penalty_matches_the_per_node_reference():
     rng = np.random.default_rng(53)
     fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(40)]
     fixtures += [sublinear_rep(s=0), sublinear_rep(s=1), _capped_rep(rng)]
-    infinite = 0
+    infinite, seen = 0, set()
     for lat, rep in fixtures:
         members = [Q for Q, _ in rep.components]
+        full = np.zeros(lat.n_nodes(rep.s), dtype=bool)
+        for lp in rep._node_lps:
+            full[lp.nodes] = lp.A.shape[1] == lp.A.shape[2]
         queries = [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
                    random_measure(lat, rng), _point_mass(lat)]
         for Q in queries:
@@ -555,7 +593,42 @@ def test_batched_penalty_matches_the_per_node_reference():
             _assert_same_penalties(got, ref, 1e-12)
             _assert_same_penalties(got, _per_node_penalty(rep, Q, _highs_node_penalty), 1e-12)
             infinite += int(np.sum(np.isinf(ref)))
+            seen.update(zip(full.tolist(), np.isinf(ref).tolist()))
     assert infinite > 0
+    # finite and +inf nodes both of full column rank (one linear solve) and
+    # rank deficient (the simplex)
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def _expanded_rep():
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), 0.1))
+    return lat, expand_dual(OneStepStructure(lat, ((menu,), (menu, menu))), 0, 2)
+
+
+def test_repeated_queries_match_a_fresh_rep_bit_for_bit():
+    rng = np.random.default_rng(59)
+    fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(12)]
+    fixtures += [_capped_rep(rng), _expanded_rep()]
+    for lat, rep in fixtures:
+        members = [Q for Q, _ in rep.components]
+        queries = [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
+                   random_measure(lat, rng), _point_mass(lat)]
+        lps = rep._node_lps
+        for Q in queries + queries[::-1]:
+            fresh = DualRep(rep.s, rep.t, rep.components)
+            assert np.array_equal(minimal_penalty(rep, Q).values,
+                                  minimal_penalty(fresh, Q).values)
+        assert rep._node_lps is lps
+
+
+def test_stacked_arrays_are_read_only():
+    for lat, rep in (sublinear_rep(s=1), _expanded_rep()):
+        with pytest.raises(ValueError, match="read-only"):
+            rep.penalties[0, 0] = 1.0
+        for w in rep.kernels:
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.5
 
 
 def test_reading_one_expanded_component_builds_one_measure(monkeypatch):

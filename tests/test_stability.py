@@ -128,6 +128,13 @@ def test_hull_uncharged_node_fallback():
     assert np.allclose(lat.per_node(1, uncharged.flat_kernels[1])[1], [[0.2, 0.8], [0.4, 0.6]])
 
 
+
+def test_hull_rejects_members_from_another_lattice():
+    # a second lattice of the same shape, on which every array would broadcast
+    members = [iid_binary_measure(fix_a_lattice(), 0.5), iid_binary_measure(fix_a_lattice(), 0.7)]
+    with pytest.raises(ValueError, match="different lattices"):
+        rectangular_hull(members)
+
 def test_hull_is_the_structure_of_its_member_kernels():
     # the flat hull against the menu constructor fed every member kernel at
     # 0.0: random members charge every node and never coincide
