@@ -7,7 +7,6 @@ and it supports an exact backward robust recursion.
 
 from riskdesk import (
     StoppingTime,
-    all_stopping_times,
     coordinate_process,
     enumerate_selections,
     fix_a_family,
@@ -27,15 +26,14 @@ print("pasted root kernel:", lat.per_node(0, R.flat_kernels[0])[0])
 print("pasted time-1 kernels:", [k.tolist() for k in lat.per_node(1, R.flat_kernels[1])])
 
 # The two-member family escapes under pasting ...
-taus = all_stopping_times(lat)
-stable, missing = is_stable([q1, q2], taus)
+stable, missing = is_stable([q1, q2])
 print("is {Q1, Q2} stable under pasting?", stable)
 
 # ... but the selections of its rectangular hull do not.
 hull = rectangular_hull([q1, q2])
 selections = enumerate_selections(hull)
 print("hull selections:", len(selections))
-print("are the selections stable?", is_stable(selections, taus)[0])
+print("are the selections stable?", is_stable(selections)[0])
 
 # Robust pricing over the hull by backward recursion.
 ask = robust_evaluate(hull, -B2, 0).values[0]

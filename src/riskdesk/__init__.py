@@ -58,7 +58,6 @@ from .dynamics import (
     supermartingale_check,
 )
 from .stability import (
-    all_stopping_times,
     enumerate_selections,
     is_stable,
     paste,

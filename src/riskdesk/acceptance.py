@@ -59,7 +59,6 @@ from .oracles import (
 from .risk import DualRep, minimal_penalty
 from .skorokhod import StepPath, dhat_distance, dm_distance, j1_distance
 from .stability import (
-    all_stopping_times,
     enumerate_selections,
     is_stable,
     paste,
@@ -247,8 +246,7 @@ def criterion_pasting(seed: int) -> Dict:
         float(np.max(np.abs(pasted.flat_kernels[0] - np.array([0.6, 0.4])))),
         float(np.max(np.abs(pasted.flat_kernels[1] - 0.5))),
     )
-    taus = all_stopping_times(lat)
-    pair_stable, _ = is_stable([q1, q2], taus)
+    pair_stable, _ = is_stable([q1, q2])
     ok = not pair_stable
     fixtures = [[q1, q2]]
     for _ in range(3):
@@ -257,7 +255,7 @@ def criterion_pasting(seed: int) -> Dict:
     for members in fixtures:
         hull = rectangular_hull(members)
         sels = enumerate_selections(hull, cap=256)
-        hull_stable, witness = is_stable(sels, all_stopping_times(members[0].lattice))
+        hull_stable, witness = is_stable(sels)
         ok &= hull_stable
     if not ok:
         worst = np.inf

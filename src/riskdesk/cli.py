@@ -43,8 +43,7 @@ from .lattice import RandomVariable, ScenarioLattice, lattice_from_json
 from .measures import measure_from_json
 from .risk import DualRep, dualrep_from_json, minimal_penalty, rm_evaluate
 from .skorokhod import StepPath, dhat_distance, path_from_json
-from .stability import all_stopping_times, enumerate_selections, is_stable, \
-    rectangular_hull
+from .stability import enumerate_selections, is_stable, rectangular_hull
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CHECK = 0, 1, 2, 3
 
@@ -232,7 +231,7 @@ def _task_stability(config, seed):
                                        cap=_integer(config.get("cap", _EXPANSION_CAP), "cap", 1))
 
     def run():
-        stable, witness = is_stable(members, all_stopping_times(lat))
+        stable, witness = is_stable(members)
         results = {"stable": bool(stable), "members": len(members)}
         return results, {}, {}, EXIT_OK if stable else EXIT_CHECK
     return run

@@ -3,19 +3,19 @@ rectangular hull with its robust backward recursion.
 
 Pasting glues one measure's kernels strictly before a stopping time to
 another's at and after it (density freezing).  A family closed under all
-such pastings is stable; the computable surrogate is the rectangular
-(node-wise kernel set) hull, whose selections are exactly the measures
-reachable by finitely many pastings on small lattices -- verified by
-enumeration in the tests rather than assumed.  The hull is a one-step
-structure (``dynamics.OneStepStructure``) whose menus are each node's member
-kernels at penalty 0, so its robust recursion is the structure's own
-``rho``: the sublinear, zero-penalty case of the convex dynamic risk
-measures, run by the one backward-induction helper.
+such pastings is stable, and pasting at one node at a time decides it.
+The computable surrogate is the rectangular (node-wise kernel set) hull,
+whose selections are exactly the measures reachable by finitely many
+pastings on small lattices -- verified by enumeration in the tests rather
+than assumed.  The hull is a one-step structure (``dynamics.OneStepStructure``)
+whose menus are each node's member kernels at penalty 0, so its robust
+recursion is the structure's own ``rho``: the sublinear, zero-penalty case
+of the convex dynamic risk measures, run by the one backward-induction helper.
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import compress
 from typing import List, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ __all__ = [
     "rectangular_hull",
     "enumerate_selections",
     "robust_evaluate",
-    "all_stopping_times",
 ]
 
 _SAME_KERNEL_TOL = 1e-12  # the largest gap between two kernels that count as one
@@ -47,22 +46,6 @@ def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
     return masks
 
 
-def _check_stopping_time(lattice: ScenarioLattice, tau: StoppingTime):
-    ok, witness = validate_stopping_time(lattice, tau.stops)
-    if not ok:
-        raise ValueError(f"invalid stopping time, witness path {witness}")
-
-
-def _not_dominated_at(Q: Measure, P: Measure):
-    """First node (t, i) that Q charges and P does not, or None when Q << P."""
-    for t in range(P.lattice.n_times):
-        bad = np.flatnonzero((Q.node_probabilities(t) > 0)
-                             & (P.node_probabilities(t) == 0))
-        if bad.size:
-            return (t, int(bad[0]))
-    return None
-
-
 def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     """Q's kernels strictly before tau, P's kernels at and after tau.
 
@@ -72,11 +55,13 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     lat = P.lattice
     if Q.lattice is not lat:
         raise ValueError("measures live on different lattices")
-    _check_stopping_time(lat, tau)
-    bad = _not_dominated_at(Q, P)
-    if bad is not None:
-        raise ValueError(
-            f"Q is not absolutely continuous w.r.t. P at node ({bad[0]},{bad[1]})")
+    ok, witness = validate_stopping_time(lat, tau.stops)
+    if not ok:
+        raise ValueError(f"invalid stopping time, witness path {witness}")
+    for t in range(lat.n_times):
+        bad = np.flatnonzero((Q.node_probabilities(t) > 0) & (P.node_probabilities(t) == 0))
+        if bad.size:
+            raise ValueError(f"Q is not absolutely continuous w.r.t. P at node ({t},{bad[0]})")
     masks = _stopped_mask(lat, tau)
     return Measure(lat, tuple(
         lat.per_node(k, np.where(masks[k][lat.parents[k + 1]],
@@ -84,32 +69,52 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
         for k in range(lat.n_times - 1)))
 
 
-def _same_at_charged(R: Measure, M: Measure) -> bool:
-    lat = R.lattice
-    return not any(
-        np.any(charged_mask(R, k) & (_kernel_gap(lat, k, R.flat_kernels[k],
-                                                 M.flat_kernels[k]) > _SAME_KERNEL_TOL))
-        for k in range(lat.n_times - 1))
+def _off_below(lat: ScenarioLattice, kernels, X: Measure) -> np.ndarray:
+    """Per member (rows of the stacked ``kernels``) and node (columns, every
+    time index in order): how many nodes of the node's subtree that X charges
+    hold a member kernel more than _SAME_KERNEL_TOL off X's."""
+    below = [np.zeros((kernels[0].shape[0], lat.n_nodes(lat.terminal)))]
+    for k in range(lat.terminal - 1, -1, -1):
+        off = _kernel_gap(lat, k, kernels[k], X.flat_kernels[k]) > _SAME_KERNEL_TOL
+        below.insert(0, (off & charged_mask(X, k)) + _per_parent(lat, k, below[0]))
+    return np.concatenate(below, axis=1)
 
 
-def is_stable(measures: Sequence[Measure], taus: Sequence[StoppingTime]):
+def is_stable(measures: Sequence[Measure]):
     """True iff every admissible pasting stays in the family.
 
-    For every ordered pair (P, Q) with Q << P node-wise and every given
-    stopping time, paste(P, Q, tau) must coincide kernel-wise at its charged
-    nodes with some member; pairs without Q << P are not constrained.
-    Returns (bool, missing pasted measure or None).  An invalid stopping time
-    raises ValueError naming its witness path.
+    Pasting at one node at a time decides it: a pasting at a stopping time
+    is a chain of pastings at its stop nodes, each link dominated by P and
+    so replaceable by the member it coincides with (m-stability, Delbaen
+    2006; rectangularity, Epstein & Schneider 2003).  So for every ordered
+    pair (P, Q) with Q << P node-wise and every node n, R_n = paste(P, Q,
+    tau_n), tau_n stopping at n on the paths through n and at T elsewhere,
+    must coincide at its charged nodes with a member M: M agrees with Q where
+    Q charges outside n's subtree and, if Q charges n, with P where P charges
+    inside it.  Pairs without Q << P are not constrained.  Returns (bool,
+    the first missing R_n or None).
     """
-    for tau in taus if measures else ():
-        _check_stopping_time(measures[0].lattice, tau)
-    for P, Q in itertools.product(measures, repeat=2):
-        if _not_dominated_at(Q, P) is not None:
-            continue
-        for tau in taus:
-            R = paste(P, Q, tau)
-            if not any(_same_at_charged(R, M) for M in measures):
-                return False, R
+    if not measures:
+        return True, None
+    lat = measures[0].lattice
+    if any(M.lattice is not lat for M in measures):
+        raise ValueError("measures live on different lattices")
+    T = lat.terminal
+    kernels = [np.stack([M.flat_kernels[k] for M in measures]) for k in range(T)]
+    nodes = [n for t in range(lat.n_times) for n in lat.node_refs(t)]
+    charged = np.stack([np.concatenate([charged_mask(M, t) for t in range(lat.n_times)])
+                        for M in measures])
+    for Q, charged_q in zip(measures, charged):
+        off_q = _off_below(lat, kernels, Q)
+        outside_q = off_q == off_q[:, :1]
+        for P in compress(measures, ~(charged_q & ~charged).any(axis=1)):  # Q << P
+            fits = outside_q & ((_off_below(lat, kernels, P) == 0) | ~charged_q)
+            missing = np.flatnonzero(~fits.any(axis=0))
+            if missing.size:  # tau_n: n on the paths through n, T on the others
+                n = nodes[missing[0]]
+                below = range(lat.n_nodes(T))[lat.descendant_slice(n.t, n.i, T)]
+                others = [m for m in lat.node_refs(T) if m.i not in below]
+                return False, paste(P, Q, StoppingTime(frozenset([n] + others)))
     return True, None
 
 
@@ -120,6 +125,8 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
     Falls back to all member kernels at a node no member charges (the value
     there never enters a charged expectation).
     """
+    if not measures:
+        raise ValueError("the rectangular hull needs at least one measure")
     lat = measures[0].lattice
     if any(Q.lattice is not lat for Q in measures):
         raise ValueError("measures live on different lattices")
@@ -156,20 +163,3 @@ def robust_evaluate(structure: OneStepStructure, X: RandomVariable, s: int) -> R
     node-wise, so it equals the enumeration oracle exactly.  Kept only because
     the benchmark calls it; library code calls ``rho``."""
     return structure.rho(s, X.t, X)
-
-
-def all_stopping_times(lattice: ScenarioLattice, cap: int = 10000) -> List[StoppingTime]:
-    """Every stopping time of a (small) lattice, by stop-or-continue recursion."""
-    from .lattice import NodeRef
-
-    def expand(t: int, i: int):
-        options = [[NodeRef(t, i)]]
-        if t < lattice.terminal:
-            child_sets = [expand(t + 1, j) for j in range(*lattice.offsets[t][i:i + 2])]
-            for combo in itertools.product(*child_sets):
-                options.append([n for sub in combo for n in sub])
-        if len(options) > cap:
-            raise ValueError("too many stopping times to enumerate")
-        return options
-
-    return [StoppingTime(frozenset(nodes)) for nodes in expand(0, 0)]

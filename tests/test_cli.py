@@ -17,7 +17,7 @@ from riskdesk.cli import (
 )
 from riskdesk.dynamics import OneStepStructure, dual_form_violation, onestep_to_json
 from riskdesk.fixtures import fix_a_lattice, iid_binary_measure, random_rv
-from riskdesk.lattice import RandomVariable, lattice_to_json
+from riskdesk.lattice import RandomVariable, lattice_to_json, uniform_tree
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
 from riskdesk.measures import measure_to_json
 from riskdesk.oracles import call_upper_value
@@ -281,6 +281,16 @@ def test_stability_task_and_hull_repair(tmp_path):
     report = read_report(out)
     assert report["results"]["stable"] is True
     assert report["results"]["members"] == 8
+
+
+def test_stability_task_on_a_five_period_lattice(tmp_path):
+    # more than 10,000 stopping times: the check pastes at one node at a time
+    lattice = tmp_path / "lattice.json"
+    lattice.write_text(lattice_to_json(uniform_tree(range(6), [1.0, -1.0])))
+    code, out = run(tmp_path, {"task": "stability", "measures": "fix-a",
+                               "lattice": {"file": str(lattice)}})
+    assert code == EXIT_CHECK
+    assert read_report(out)["results"] == {"members": 2, "stable": False}
 
 
 def test_gexp_task(tmp_path):

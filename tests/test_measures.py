@@ -24,7 +24,6 @@ from riskdesk.measures import (
     mix_measures,
     reference_measure,
 )
-from riskdesk.stability import all_stopping_times
 
 
 def sparse_kernel(rng, b):
@@ -216,13 +215,6 @@ def test_mix_measures_rejects_members_from_another_lattice():
     members = [iid_binary_measure(lat, 0.5), iid_binary_measure(fix_a_lattice(), 0.7)]
     with pytest.raises(ValueError, match="different lattices"):
         mix_measures(members, [0.5, 0.5])
-
-def test_stop_set_probabilities_sum_to_one():
-    lat, q1, q2, _ = fix_a_family()
-    for tau in all_stopping_times(lat):
-        for Q in (q1, q2):
-            total = sum(Q.node_probabilities(n.t)[n.i] for n in tau.stops)
-            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_measure_json_round_trip():
