@@ -38,7 +38,7 @@ print(f"call payoff:   bid {bid:.5f}, ask {ask:.5f} (target {target:.5f})")
 # The grid evolution and the robust recursion on the 7-step trinomial tree.
 tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)
 grid_val, _ = robust_lattice_price(lambda x: np.abs(x), band, tree_grid)
-tree_val = trinomial_band_oracle(lambda x: np.abs(x), band, tree_grid)
+tree_val = trinomial_band_oracle(PayoffSpec("terminal", lambda x: np.abs(x)), band, tree_grid)
 print(f"|x| payoff, 7 steps: grid {grid_val:.12f}, tree {tree_val:.12f}")
 
 # Conditional values of a two-date cylinder payoff.
@@ -47,6 +47,14 @@ cyl = PayoffSpec("cylinder", lambda a, b: a ** 2 + b ** 2,
                  monitoring_times=(0.5, 1.0))
 surf, value = conditional_gexp(cyl, band, coarse, s=0.0)
 print(f"cylinder B_0.5^2 + B_1^2 at the origin: {value(0.0):.5f} (target 0.06)")
+
+# A three-date cylinder payoff on the 7-step tree grid, and the tree oracle.
+cyl3 = PayoffSpec("cylinder", lambda a, b, c: np.maximum(c - a, 0.0) + np.sin(5.0 * b),
+                  monitoring_times=(0.1, 0.2, 0.35))
+_, value3 = conditional_gexp(cyl3, band, tree_grid, s=0.0)
+tree3 = trinomial_band_oracle(cyl3, band, tree_grid)
+print(f"cylinder (B_0.35 - B_0.1)+ + sin(5 B_0.2), 7 steps: grid {value3(0.0):.12f}, "
+      f"tree {tree3:.12f}")
 
 # Every in-band martingale law prices between bid and ask.
 rng = np.random.default_rng(0)

@@ -32,6 +32,7 @@ from .fixtures import (
 )
 from .gexp import (
     GridSpec,
+    PayoffSpec,
     VolatilityBand,
     _evolve,
     bid_ask,
@@ -285,8 +286,9 @@ def criterion_band_pricing(seed: int) -> Dict:
     tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps
     for payoff in (sq, call, cube):
         bid, ask, _, _ = bid_ask(payoff, band, tree_grid)
-        oracle_bid = -trinomial_band_oracle(lambda x: -payoff(x), band, tree_grid)
-        oracle_ask = trinomial_band_oracle(payoff, band, tree_grid)
+        oracle_bid = -trinomial_band_oracle(PayoffSpec("terminal", lambda x: -payoff(x)),
+                                            band, tree_grid)
+        oracle_ask = trinomial_band_oracle(PayoffSpec("terminal", payoff), band, tree_grid)
         checks += [(abs(bid - oracle_bid), 1e-12), (abs(ask - oracle_ask), 1e-12)]
 
     coarse = GridSpec(dt=0.01, h=0.05, radius=40, horizon=1.0)

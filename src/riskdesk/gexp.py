@@ -12,11 +12,11 @@ runs it for every price here.  It works in place on one flat buffer that
 holds every row of its input: the second difference runs across the whole
 buffer, and one strided fill re-zeroes the seam cells where rows meet
 (``_stencil``, which ``expectation_under_field`` shares).  So ``bid_ask``
-evolves -X and X in one pass, and a two-date cylinder payoff evolves its
-whole state grid at once.  ``oracles.trinomial_band_oracle`` recomputes the
-evolution on a scenario tree.  Bid = -ask(-X), so convex payoffs price at
-the upper volatility and concave ones at the lower (closed-form oracles in
-the tests).
+evolves -X and X in one pass, and a cylinder payoff phi(B_t1, ..., B_tk)
+evolves the mesh of its dates at once, one date at a time from the last
+(Peng 2007).  ``oracles.trinomial_band_oracle`` recomputes the evolution on
+a scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
+volatility and concave ones at the lower (closed-form oracles in the tests).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-_MAX_COORDS = 2  # monitoring dates a cylinder payoff may have
+_MAX_CELLS = 2 ** 24  # mesh cells of a cylinder payoff: n^k for k free dates, n space cells
 # how far a kernel's one-step mean and variance may stray from 0 and the band
 _MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
 
@@ -101,12 +101,20 @@ class GridSpec:
                              "must be finite")
         if self.dt <= 0 or self.h <= 0 or self.radius < 1 or self.horizon <= 0:
             raise ValueError("grid parameters must be positive")
-        if abs(self.horizon - self.n_steps * self.dt) > 1e-9:
-            raise ValueError(f"horizon={self.horizon} is not a multiple of dt={self.dt}")
+        self.step_of(self.horizon, "horizon")
 
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / self.dt))
+
+    def step_of(self, t: float, name: str) -> int:
+        """The step of the time ``name`` = t; raises off the grid or outside [0, horizon]."""
+        k = np.rint(t / self.dt)
+        if not abs(t - k * self.dt) <= 1e-9:  # also catches NaN and inf
+            raise ValueError(f"{name}={t} is not a multiple of dt={self.dt}")
+        if not 0 <= k <= self.n_steps:
+            raise ValueError(f"{name}={t} lies outside [0, {self.horizon}]")
+        return int(k)
 
     @property
     def x(self) -> np.ndarray:
@@ -126,24 +134,28 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PayoffSpec:
-    """Terminal payoff f(B_T) or cylinder payoff phi(B_t1, ..., B_tk)."""
+    """Terminal payoff f(B_T) or cylinder payoff phi(B_t1, ..., B_tk), element-wise."""
 
     kind: str  # "terminal" | "cylinder"
     fn: Callable
     monitoring_times: tuple = ()
 
     def __post_init__(self):
+        times = self.monitoring_times
         if self.kind not in ("terminal", "cylinder"):
             raise ValueError(f"unknown payoff kind {self.kind!r}")
-        if self.kind == "cylinder":
-            if not self.monitoring_times:
-                raise ValueError("cylinder payoffs need monitoring times")
-            if len(self.monitoring_times) > _MAX_COORDS:
-                raise ValueError(f"{len(self.monitoring_times)} monitoring dates exceed the "
-                                 f"limit: at most {_MAX_COORDS} are supported")
-            if any(b <= a for a, b in zip(self.monitoring_times,
-                                          self.monitoring_times[1:])):
-                raise ValueError("monitoring times must be strictly increasing")
+        if bool(times) != (self.kind == "cylinder"):
+            raise ValueError(f"cylinder payoffs need monitoring times and terminal payoffs "
+                             f"take none, got a {self.kind} payoff with {times}")
+        if not all(0 <= u < np.inf for u in times):  # False for NaN
+            raise ValueError(f"monitoring times must be finite and non-negative, got {times}")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("monitoring times must be strictly increasing")
+
+    def steps_on(self, grid: GridSpec) -> list:
+        """The grid step of each monitoring date; a terminal payoff's is the horizon."""
+        return [grid.step_of(u, f"monitoring time t_{i}")
+                for i, u in enumerate(self.monitoring_times or (grid.horizon,), 1)]
 
 
 def g_function(a: float, sigma_low: float, sigma_high: float):
@@ -273,50 +285,37 @@ def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice
 
 def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
                      s: float, observed: Sequence[float] = ()):
-    """Conditional band expectation of a cylinder payoff at time s.
-
-    Peels monitoring dates backward: between dates the running coordinate is
-    evolved with the band generator; at a date the observed (or frozen)
-    coordinate is substituted.  ``observed`` carries the values of the
-    monitoring coordinates with t_i <= s.  Returns (surface over the space
-    grid as a function of B_s, interpolating callable); the callable raises
-    for a B_s off the grid instead of reading the edge value.
-    """
+    """Conditional band expectation at time s, given the coordinates ``observed``
+    at the dates t_i <= s.  phi is evaluated on the mesh of the k later dates
+    (n^k cells); from the last back, the last axis is evolved to the date
+    before, where it is that date's coordinate: the diagonal of the last two
+    axes.  Returns (surface in B_s, interpolating callable that raises off the grid)."""
     grid.check_cfl(band)
-    times = (grid.horizon,) if payoff.kind == "terminal" else payoff.monitoring_times
-    fn = payoff.fn
-    steps = [int(round(u / grid.dt)) for u in times]
-    if any(abs(u - k * grid.dt) > 1e-9 for u, k in zip(times, steps)):
-        raise ValueError("monitoring times must lie on the time grid")
-    s_step = int(round(s / grid.dt))
-    if abs(s - s_step * grid.dt) > 1e-9:
-        raise ValueError("the conditioning time must lie on the time grid")
-    if not 0 <= s_step <= grid.n_steps:
-        raise ValueError(f"the conditioning time {s} lies outside [0, {grid.horizon}]")
-
-    x = grid.x
-    n_obs = sum(1 for u in times if u <= s + 1e-12)
+    steps = payoff.steps_on(grid)
+    s_step = grid.step_of(s, "conditioning time s")
+    n_obs = sum(k <= s_step for k in steps)
     if len(observed) != n_obs:
         raise ValueError(f"expected {n_obs} observed coordinates, got {len(observed)}")
-    fixed = list(observed)
-    free = list(times[n_obs:])
-    free_steps = steps[n_obs:]
+    fixed = []
+    for i, b in enumerate(observed, 1):
+        try:
+            fixed.append(float(b))
+        except (TypeError, ValueError, OverflowError):
+            fixed.append(np.nan)
+        if not np.isfinite(fixed[-1]):
+            raise ValueError(f"observed coordinate B(t_{i}) must be a finite number, got {b!r}")
+    free = steps[n_obs:]
+    x = grid.x
+    if x.size ** len(free) > _MAX_CELLS:
+        raise ValueError(f"{len(free)} free dates on {x.size} space cells need "
+                         f"{x.size ** len(free)} cells, above the limit of {_MAX_CELLS}")
 
-    if not free:
-        # fully observed: a deterministic value, constant in B_s
-        val = float(fn(*fixed))
-        surf = np.full(x.size, val)
-    elif len(free) == 1:
-        terminal = np.asarray(fn(*fixed, x), dtype=float)
-        surf = _evolve(terminal, band, grid, free_steps[0], s_step)
-    else:  # two free dates, the most a PayoffSpec has
-        k1, k2 = free_steps
-        # state augmentation: rows index the frozen first coordinate
-        yy, xx = np.meshgrid(x, x, indexing="ij")
-        w = np.asarray(fn(*fixed, yy, xx), dtype=float)
-        w = _evolve(w, band, grid, k2, k1)
-        # at t1 the running value is the coordinate
-        surf = _evolve(np.diagonal(w), band, grid, k1, s_step)
+    mesh = np.meshgrid(*[x] * len(free), indexing="ij", sparse=True)
+    w = np.broadcast_to(np.asarray(payoff.fn(*fixed, *mesh), dtype=float), (x.size,) * len(free))
+    for late, early in zip(free[:0:-1], free[-2::-1]):
+        w = np.diagonal(_evolve(w, band, grid, late, early), axis1=-2, axis2=-1)
+    # from the first free date, or from s itself when every date is observed
+    surf = _evolve(np.broadcast_to(w, x.shape), band, grid, (free + [s_step])[0], s_step)
 
     def value(b_s: float) -> float:
         if not x[0] <= b_s <= x[-1]:  # False for NaN

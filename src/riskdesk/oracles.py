@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .fixtures import trinomial_tree
-from .gexp import GridSpec, VolatilityBand
+from .gexp import GridSpec, PayoffSpec, VolatilityBand
 from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
 from .measures import Measure
@@ -288,10 +288,12 @@ def witness_enumeration_oracle(x_n: StepPath, x: StepPath, t: float, m_max: int)
     }
 
 
-def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float:
-    """Upper band price of a terminal payoff by the robust recursion on the full
-    trinomial tree of the grid (3^n_steps leaves), each node offering the two
-    band-endpoint kernels p_+- = sigma^2 dt / (2 h^2), p_0 = 1 - sigma^2 dt / h^2.
+def trinomial_band_oracle(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec) -> float:
+    """Upper band price at time 0 of a terminal or cylinder payoff by the
+    robust recursion on the full trinomial tree of the grid (3^n_steps
+    leaves), each node offering the two band-endpoint kernels
+    p_+- = sigma^2 dt / (2 h^2), p_0 = 1 - sigma^2 dt / h^2.  Each leaf's
+    path is read at the payoff's monitoring steps through its ancestors.
     The tree has no boundary, so the grid must have radius >= n_steps."""
     if grid.radius < grid.n_steps:
         raise ValueError(f"radius {grid.radius} < {grid.n_steps} steps")
@@ -305,7 +307,8 @@ def trinomial_band_oracle(payoff, band: VolatilityBand, grid: GridSpec) -> float
     levels = tuple((tuple((kernel(sigma), 0.0) for sigma in band.at_step(k)),) * lat.n_nodes(k)
                    for k in range(grid.n_steps))
     T = lat.terminal
-    X = RandomVariable(lat, T, -np.asarray(payoff(lat.values[T][:, 0]), dtype=float))
+    path = [lat.values[k][lat.ancestors_of_slice(T, k), 0] for k in payoff.steps_on(grid)]
+    X = RandomVariable(lat, T, -np.asarray(payoff.fn(*path), dtype=float))
     return float(OneStepStructure(lat, levels).rho(0, T, X).values[0])
 
 

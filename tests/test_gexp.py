@@ -56,15 +56,37 @@ def test_band_prices_match_the_trinomial_tree_oracle():
         for payoff in (lambda x: x ** 2, lambda x: np.maximum(x, 0.0),
                        lambda x: x ** 3, lambda x: np.abs(x - 0.07)):
             bid, ask, _, _ = bid_ask(payoff, band, tree_grid)
-            assert abs(ask - trinomial_band_oracle(payoff, band, tree_grid)) <= 1e-12
-            assert abs(bid + trinomial_band_oracle(lambda x: -payoff(x), band,
+            assert abs(ask - trinomial_band_oracle(PayoffSpec("terminal", payoff), band,
                                                    tree_grid)) <= 1e-12
+            negated = PayoffSpec("terminal", lambda x: -payoff(x))
+            assert abs(bid + trinomial_band_oracle(negated, band, tree_grid)) <= 1e-12
+
+
+@pytest.mark.parametrize("fn, times", [
+    (lambda a, b, c: np.maximum(c - a, 0.0) * np.cos(4.0 * b) + np.sin(7.0 * b) * c,
+     (0.1, 0.2, 0.35)),
+    (lambda a, b, c: np.abs(a - b) - c ** 2, (0.05, 0.15, 0.3)),
+    (lambda a, b, c, d: np.maximum(np.maximum(a, b), np.maximum(c, d)), (0.0, 0.1, 0.25, 0.35)),
+    (lambda a, b, c, d: np.sin(3.0 * a + b) * (d - c) ** 2 + np.abs(d - a), (0.05, 0.1, 0.2, 0.3)),
+], ids=["3-dates", "3-dates-before-the-horizon", "4-dates-from-0", "4-dates"])
+def test_cylinder_payoffs_match_the_tree_oracle(fn, times):
+    # the tree reads each leaf's path at the dates; the grid peels the dates
+    # off its mesh one at a time
+    tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps
+    stepped = VolatilityBand(np.linspace(0.05, 0.15, 7), np.linspace(0.2, 0.22, 7))
+    for band in (BAND, stepped):
+        for sign in (1.0, -1.0):
+            spec = PayoffSpec("cylinder", lambda *b: sign * fn(*b), monitoring_times=times)
+            # a date at 0 is observed at s = 0, where B_0 = 0
+            _, value = conditional_gexp(spec, band, tree_grid, s=0.0,
+                                        observed=(0.0,) * (times[0] == 0.0))
+            assert abs(value(0.0) - trinomial_band_oracle(spec, band, tree_grid)) <= 1e-12
 
 
 def test_trinomial_band_oracle_needs_the_grid_to_reach_every_leaf():
     short = GridSpec(dt=0.05, h=0.05, radius=6, horizon=0.35)
     with pytest.raises(ValueError, match="radius 6 < 7 steps"):
-        trinomial_band_oracle(lambda x: x ** 2, BAND, short)
+        trinomial_band_oracle(PayoffSpec("terminal", lambda x: x ** 2), BAND, short)
 
 
 def test_affine_payoff_exact():
@@ -189,15 +211,24 @@ def test_conditional_gexp_value_rejects_a_state_off_the_grid():
             value(b_s)
 
 
-def test_conditional_gexp_states_its_date_limit():
-    # the limit of conditional_gexp is the one PayoffSpec enforces
-    with pytest.raises(ValueError, match="3 monitoring dates .* at most 2 are supported"):
-        PayoffSpec("cylinder", lambda a, b, c: a + b + c, monitoring_times=(0.25, 0.5, 1.0))
+def test_conditional_gexp_states_its_cell_limit():
+    # five free dates on 41 cells need 41^5 cells: rejected before phi runs
+    grid = GridSpec(dt=0.25, h=1.0, radius=20, horizon=1.25)
+    calls = []
+    spec = PayoffSpec("cylinder", lambda *b: calls.append(b) or sum(b),
+                      monitoring_times=(0.25, 0.5, 0.75, 1.0, 1.25))
+    with pytest.raises(ValueError, match="5 free dates on 41 space cells need 115856201 "
+                                         "cells, above the limit of 16777216"):
+        conditional_gexp(spec, BAND, grid, s=0.0)
+    assert not calls
+    # the limit counts free dates: with the first observed, 41^4 cells run
+    surf, _ = conditional_gexp(spec, BAND, grid, s=0.25, observed=(0.5,))
+    assert len(calls) == 1 and np.allclose(surf, 0.5 + 4.0 * grid.x)
 
 
 def test_conditional_gexp_off_grid_times_rejected():
     cyl = PayoffSpec("cylinder", lambda b: b, monitoring_times=(0.5001,))
-    with pytest.raises(ValueError, match="time grid"):
+    with pytest.raises(ValueError, match="monitoring time t_1=0.5001 is not a multiple of dt"):
         conditional_gexp(cyl, BAND, COARSE, s=0.0)
     term = PayoffSpec("terminal", lambda x: x)
     with pytest.raises(ValueError, match="conditioning time"):
@@ -213,10 +244,36 @@ def test_payoff_spec_validation():
         PayoffSpec("asian", lambda x: x)
     with pytest.raises(ValueError, match="monitoring times"):
         PayoffSpec("cylinder", lambda x: x)
-    with pytest.raises(ValueError, match="exceed the"):
-        PayoffSpec("cylinder", lambda a, b, c: a, monitoring_times=(0.1, 0.2, 0.3))
     with pytest.raises(ValueError, match="strictly increasing"):
         PayoffSpec("cylinder", lambda a, b: a, monitoring_times=(0.5, 0.5))
+
+
+@pytest.mark.parametrize("kind, times, message", [
+    ("terminal", (0.5,), "terminal payoffs take none, got a terminal payoff with"),
+    ("cylinder", (-0.25, 0.5), r"finite and non-negative, got \(-0.25, 0.5\)"),
+    ("cylinder", (np.nan, 0.5), r"finite and non-negative, got \(nan, 0.5\)"),
+], ids=["terminal-with-dates", "negative-date", "nan-date"])
+def test_payoff_spec_rejects_bad_monitoring_dates(kind, times, message):
+    # a terminal payoff ignored its dates; a negative or NaN date was accepted
+    with pytest.raises(ValueError, match=message):
+        PayoffSpec(kind, lambda *b: b[0], monitoring_times=times)
+
+
+@pytest.mark.parametrize("band", [BAND, "per-step"], ids=["constant", "per-step"])
+def test_conditional_gexp_rejects_a_date_past_the_horizon(band):
+    # a constant band priced t = 1.5 past the grid, a per-step one raised IndexError
+    band = STEPPED if band == "per-step" else band
+    cyl = PayoffSpec("cylinder", lambda b: b ** 2, monitoring_times=(1.5,))
+    with pytest.raises(ValueError, match=r"monitoring time t_1=1.5 lies outside \[0, 1.0\]"):
+        conditional_gexp(cyl, band, COARSE, s=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, "x", None])
+def test_conditional_gexp_rejects_a_non_finite_observed_coordinate(bad):
+    cyl = PayoffSpec("cylinder", lambda a, b: a + b, monitoring_times=(0.25, 0.5))
+    with pytest.raises(ValueError, match=r"observed coordinate B\(t_2\) must be a finite "
+                                         rf"number, got {bad!r}"):
+        conditional_gexp(cyl, BAND, COARSE, s=0.5, observed=(0.3, bad))
 
 
 def test_quadratic_variation_fix_a():
@@ -404,6 +461,10 @@ def test_conditional_gexp_is_bit_identical_to_the_reference(band, monkeypatch):
                     monitoring_times=(0.4, 1.0)), 0.0, ()),
         (PayoffSpec("cylinder", lambda a, b: -np.maximum(b - a, 0.0),
                     monitoring_times=(0.4, 1.0)), 0.5, (0.1,)),
+        (PayoffSpec("cylinder", lambda a, b, c: np.cos(2.0 * a) * np.maximum(c - b, 0.0) + a * b,
+                    monitoring_times=(0.2, 0.5, 0.6)), 0.0, ()),
+        (PayoffSpec("cylinder", lambda a, b, c: np.sin(a + c) - b ** 2,
+                    monitoring_times=(0.2, 0.5, 0.6)), 0.3, (0.1,)),
     ]
     got = [conditional_gexp(spec, band, COARSE, s, obs)[0] for spec, s, obs in specs]
     monkeypatch.setattr(gexp, "_evolve", reference_evolve)
