@@ -14,13 +14,22 @@ buffer, and one strided fill re-zeroes the seam cells where rows meet
 (``_stencil``, which ``expectation_under_field`` shares).  So ``bid_ask``
 evolves -X and X in one pass, and a cylinder payoff phi(B_t1, ..., B_tk)
 evolves the mesh of its dates at once, one date at a time from the last
-(Peng 2007).  ``oracles.trinomial_band_oracle`` recomputes the evolution on
+(Peng 2007).  The rows of a mesh are independent, so a large one (at least
+2^14 cells per block and 8 steps) is split into blocks of rows, one thread
+per CPU of the process's affinity set, each in place on its part of one
+output buffer; small calls, such as the two rows of ``bid_ask``, stay on
+the calling thread.  Every output is bit-identical to the serial evolution.
+A payoff may return a scalar, which is broadcast to the grid, or an array
+that broadcasts to it (``_on_grid``); any other shape is rejected.
+``oracles.trinomial_band_oracle`` recomputes the evolution on
 a scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
 volatility and concave ones at the lower (closed-form oracles in the tests).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,6 +55,10 @@ __all__ = [
 
 
 _MAX_CELLS = 2 ** 24  # mesh cells of a cylinder payoff: n^k for k free dates, n space cells
+# an evolution is split into blocks of rows, one per thread, only with at
+# least this many cells per block and steps: on two CPUs, two blocks lost
+# below about 10^4 cells per block, or below 4 to 8 steps
+_BLOCK_CELLS, _BLOCK_STEPS = 2 ** 14, 8
 # how far a kernel's one-step mean and variance may stray from 0 and the band
 _MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
 
@@ -101,7 +114,8 @@ class GridSpec:
                              "must be finite")
         if self.dt <= 0 or self.h <= 0 or self.radius < 1 or self.horizon <= 0:
             raise ValueError("grid parameters must be positive")
-        self.step_of(self.horizon, "horizon")
+        if self.step_of(self.horizon, "horizon") == 0:
+            raise ValueError(f"horizon={self.horizon} spans no step of dt={self.dt}")
 
     @property
     def n_steps(self) -> int:
@@ -110,7 +124,7 @@ class GridSpec:
     def step_of(self, t: float, name: str) -> int:
         """The step of the time ``name`` = t; raises off the grid or outside [0, horizon]."""
         k = np.rint(t / self.dt)
-        if not abs(t - k * self.dt) <= 1e-9:  # also catches NaN and inf
+        if not abs(t - k * self.dt) <= 1e-9 * self.dt:  # also catches NaN and inf
             raise ValueError(f"{name}={t} is not a multiple of dt={self.dt}")
         if not 0 <= k <= self.n_steps:
             raise ValueError(f"{name}={t} lies outside [0, {self.horizon}]")
@@ -158,6 +172,18 @@ class PayoffSpec:
                 for i, u in enumerate(self.monitoring_times or (grid.horizon,), 1)]
 
 
+def _on_grid(values, shape: tuple) -> np.ndarray:
+    """A payoff's ``values`` as a float array of the grid shape ``shape``: a
+    scalar, or any array that broadcasts to ``shape``, is broadcast to it (a
+    read-only view); any other shape raises ``ValueError``."""
+    v = np.asarray(values, dtype=float)
+    try:
+        return np.broadcast_to(v, shape)
+    except ValueError:
+        raise ValueError(f"the payoff returned shape {v.shape}, which does not "
+                         f"broadcast to the grid shape {shape}") from None
+
+
 def g_function(a: float, sigma_low: float, sigma_high: float):
     """Band generator g(a) = (sigma_high^2 a+ - sigma_low^2 a-) / 2.
 
@@ -169,19 +195,16 @@ def g_function(a: float, sigma_low: float, sigma_high: float):
     return out if out.ndim else float(out)
 
 
-def _stencil(values, h: float):
+def _stencil(v: np.ndarray, n: int, h: float):
     """Set-up of the second difference (v[j+1] + v[j-1] - 2 v[j]) / h^2
-    along the last axis of ``values``, shape (..., n): returns (v, d2,
-    scratch, curvature).  ``v`` is a copy of ``values`` in one flat buffer,
-    ``d2`` and ``scratch`` are buffers of its size, and ``curvature()``
-    writes the second difference of the current ``v`` into ``d2``, using
-    ``scratch`` as workspace.  It runs on the whole flat buffer through
-    views built here once, then zeroes the seam cells -- the first and last
-    cell of every row, where one row meets the next -- with one strided
-    fill: zero curvature at the edges is the linear extrapolation
-    boundary."""
-    n = np.shape(values)[-1]
-    v = np.array(values, dtype=float).reshape(-1)
+    along the rows of the flat buffer ``v``, whole rows of ``n`` cells:
+    returns (d2, scratch, curvature).  ``d2`` and ``scratch`` are buffers of
+    the size of ``v``, and ``curvature()`` writes the second difference of
+    the current ``v`` into ``d2``, using ``scratch`` as workspace.  It runs
+    on the whole flat buffer through views built here once, then zeroes the
+    seam cells -- the first and last cell of every row, where one row meets
+    the next -- with one strided fill: zero curvature at the edges is the
+    linear extrapolation boundary."""
     d2 = np.zeros_like(v)
     scratch = np.empty_like(v)
     inner, twice = d2[1:-1], scratch[1:-1]
@@ -197,7 +220,7 @@ def _stencil(values, h: float):
         divide(inner, h2, out=inner)
         seams.fill(0.0)
 
-    return v, d2, scratch, curvature
+    return d2, scratch, curvature
 
 
 def _coefficients(sigma: np.ndarray, dt: float, steps: range) -> list:
@@ -207,6 +230,14 @@ def _coefficients(sigma: np.ndarray, dt: float, steps: range) -> list:
     return c * len(steps) if len(c) == 1 else [c[k] for k in steps]
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
             k_from: int, k_to: int, surface=None) -> np.ndarray:
     """Backward band evolution of a (..., n_space) array from step k_from
@@ -214,46 +245,88 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
     step-k array goes into ``surface[k]`` when ``surface`` is an array of
     shape (n_steps + 1,) + values.shape, and row r of it into
     ``surface[r][k]`` when ``surface`` is a sequence of arrays, one per row
-    of ``values``.
+    of ``values`` (along its first axis).
 
     One step takes, per state, the better of the two band-endpoint kernels
     p_+- = v/(2 h^2), p_0 = 1 - v/h^2 -- the sup over the band is attained
     there because the expectation is linear in v -- which is the update
     v + dt g(D2 v) = v + max(c_lo D2 v, c_hi D2 v), c = sigma^2 dt / 2.
     Rounding is monotone, so this equals max(v + c_lo D2 v, v + c_hi D2 v)
-    bit for bit.  Every row is evolved at once, in place on the flat buffer
-    of ``_stencil``.  Its views and the coefficient lists are built once per
-    call, so a step is the curvature (four ufunc calls and the seam fill),
-    four more ufunc calls and one copy per surface.
-    """
-    v, d2, scratch, curvature = _stencil(values, grid.h)
+    bit for bit.  The rows of a block are evolved at once, in place on its
+    flat buffer, through the views of ``_stencil``, built once per call: a
+    step is the curvature (four ufunc calls and the seam fill), four more
+    ufunc calls and one copy per surface.
+
+    Rows do not interact, so a call of at least ``_BLOCK_STEPS`` steps
+    splits a multi-row array along its first axis into contiguous blocks of
+    rows, one per CPU in the process's affinity set, capped by the row count
+    and by ``_BLOCK_CELLS`` cells per block.  Each block evolves its own row
+    range of the one output buffer, with its own curvature buffers and its
+    own part of ``surface``.  The calling thread takes the first block and
+    one thread each takes the others; they run in parallel because numpy
+    releases the GIL inside every ufunc call of this size.  Every thread is
+    joined before the call returns, and an exception raised in a block is
+    raised here.  A row sees the same operations in any split, so the output
+    is bit-identical for every CPU count, and all blocks together hold the
+    buffers of the serial path."""
+    out = np.array(values, dtype=float)
     steps = range(k_from - 1, k_to - 1, -1)
     c_lo = _coefficients(band.sigma_low, grid.dt, steps)
     c_hi = _coefficients(band.sigma_high, grid.dt, steps)
-    rows = v.reshape(np.shape(values))
-    if surface is None:
-        sinks = ()
-    elif isinstance(surface, np.ndarray):
-        sinks = ((surface, rows),)
-    else:
-        sinks = tuple(zip(surface, rows))
+    rows = len(out) if out.ndim > 1 else 1
+    blocks = 1
+    if len(steps) >= _BLOCK_STEPS:
+        blocks = min(_cpu_count(), rows, out.size // _BLOCK_CELLS)
+    parts = ([slice(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
+             if blocks > 1 else [slice(None)])
     multiply, maximum, add = np.multiply, np.maximum, np.add
-    for k, lo, hi in zip(steps, c_lo, c_hi):
-        curvature()
-        multiply(d2, lo, out=scratch)
-        multiply(d2, hi, out=d2)
-        maximum(scratch, d2, out=d2)
-        add(v, d2, out=v)
-        for sink, row in sinks:
-            sink[k] = row
-    return rows
+    errors = []
+
+    def run(part: slice):
+        v = out[part]
+        flat = v.reshape(-1)
+        d2, scratch, curvature = _stencil(flat, out.shape[-1], grid.h)
+        if surface is None:
+            sinks = ()
+        elif isinstance(surface, np.ndarray):
+            sinks = ((surface[:, part], v),)
+        else:
+            sinks = tuple(zip(surface[part], v))
+        for k, lo, hi in zip(steps, c_lo, c_hi):
+            curvature()
+            multiply(d2, lo, out=scratch)
+            multiply(d2, hi, out=d2)
+            maximum(scratch, d2, out=d2)
+            add(flat, d2, out=flat)
+            for sink, row in sinks:
+                sink[k] = row
+
+    def run_thread(part: slice):
+        try:
+            run(part)
+        except BaseException as exc:  # raised in the caller below
+            errors.append(exc)
+
+    started = []
+    try:
+        for part in parts[1:]:
+            thread = threading.Thread(target=run_thread, args=(part,))
+            thread.start()
+            started.append(thread)
+        run(parts[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def robust_lattice_price(payoff, band: VolatilityBand, grid: GridSpec):
     """Upper band price of a terminal payoff: (value at (0, 0), full surface
     of shape (n_steps + 1, n_space)).  The lower price is -price(-payoff)."""
     grid.check_cfl(band)
-    v = np.asarray(payoff(grid.x), dtype=float)
+    v = _on_grid(payoff(grid.x), grid.x.shape)
     surface = np.empty((grid.n_steps + 1, v.size))
     surface[grid.n_steps] = v
     v = _evolve(v, band, grid, grid.n_steps, 0, surface)
@@ -270,8 +343,8 @@ def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice
     if method not in ("lattice", "pde"):
         raise ValueError(f"method must be 'lattice' or 'pde', got {method!r}")
     grid.check_cfl(band)
-    f = np.asarray(payoff(grid.x))
-    values = np.array([-f, f], dtype=float)
+    f = _on_grid(payoff(grid.x), grid.x.shape)
+    values = np.array([-f, f])
     # ask first: a caller that keeps only the ask surface frees the bid's,
     # which then lies above it on the heap, where the allocator can reuse or
     # trim it whole; in the other order band-grid's peak RSS rose by 9 %
@@ -311,7 +384,7 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
                          f"{x.size ** len(free)} cells, above the limit of {_MAX_CELLS}")
 
     mesh = np.meshgrid(*[x] * len(free), indexing="ij", sparse=True)
-    w = np.broadcast_to(np.asarray(payoff.fn(*fixed, *mesh), dtype=float), (x.size,) * len(free))
+    w = _on_grid(payoff.fn(*fixed, *mesh), (x.size,) * len(free))
     for late, early in zip(free[:0:-1], free[-2::-1]):
         w = np.diagonal(_evolve(w, band, grid, late, early), axis1=-2, axis2=-1)
     # from the first free date, or from s itself when every date is observed
@@ -386,7 +459,8 @@ def expectation_under_field(payoff, vfield: np.ndarray, grid: GridSpec) -> float
         raise ValueError("variance field must be non-negative")
     if np.max(vfield) > grid.h ** 2 * (1 + 1e-12):
         raise CFLError("variance field violates the kernel positivity bound")
-    v, d2, scratch, curvature = _stencil(payoff(grid.x), grid.h)
+    v = np.array(_on_grid(payoff(grid.x), grid.x.shape))
+    d2, scratch, curvature = _stencil(v, v.size, grid.h)
     multiply, add = np.multiply, np.add
     for half_var in 0.5 * vfield[::-1]:
         curvature()

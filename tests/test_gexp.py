@@ -1,3 +1,8 @@
+import os
+import sys
+import threading
+import types
+
 import numpy as np
 import pytest
 
@@ -149,6 +154,25 @@ def test_grid_rejects_non_finite_parameters(dt, h, horizon):
     # nan <= 0 is False: an h of NaN used to price bid = ask = nan
     with pytest.raises(ValueError, match="must be finite"):
         GridSpec(dt=dt, h=h, radius=40, horizon=horizon)
+
+
+def test_grid_rejects_a_horizon_of_no_step():
+    # a horizon within the on-grid tolerance of 0 used to give n_steps == 0,
+    # and bid_ask of x^2 priced (0.0, 0.0) without one step
+    with pytest.raises(ValueError, match="horizon=5e-10 spans no step of dt=1.0"):
+        GridSpec(dt=1.0, h=1.0, radius=2, horizon=5e-10)
+    assert GridSpec(dt=1.0, h=1.0, radius=2, horizon=1.0).n_steps == 1
+
+
+def test_on_grid_tolerance_is_relative_to_the_step():
+    # an absolute tolerance of 1e-9 took t = 3.304e-7 as step 330 of dt = 1e-9
+    grid = GridSpec(dt=1e-9, h=1.0, radius=2, horizon=1e-6)
+    assert grid.n_steps == 1000
+    assert grid.step_of(3.3e-7, "t") == 330
+    with pytest.raises(ValueError, match="t=3.304e-07 is not a multiple of dt=1e-09"):
+        grid.step_of(3.304e-7, "t")
+    # the tolerance scales with dt: on dt = 1e3 an offset of 1e-7 is rounding
+    assert GridSpec(dt=1e3, h=1.0, radius=2, horizon=1e3 + 1e-7).n_steps == 1
 
 
 def test_check_cfl_rejects_a_band_of_the_wrong_length():
@@ -324,6 +348,35 @@ def test_band_membership():
     assert not band_membership(skewed, band, dt)
 
 
+def test_a_scalar_payoff_is_broadcast_to_the_grid():
+    # a constant claim prices at its value everywhere, as conditional_gexp did
+    one = lambda *coords: 1.0
+    bid, ask, bid_surf, ask_surf = bid_ask(one, BAND, COARSE)
+    assert bid == ask == 1.0 and np.all(bid_surf == 1.0) and np.all(ask_surf == 1.0)
+    price, surface = robust_lattice_price(one, BAND, COARSE)
+    assert price == 1.0 and surface.shape == (COARSE.n_steps + 1, COARSE.x.size)
+    vfield = random_inband_field(COARSE, BAND, np.random.default_rng(2))
+    assert expectation_under_field(one, vfield, COARSE) == 1.0
+    assert conditional_gexp(PayoffSpec("terminal", one), BAND, COARSE, 0.0)[1](0.0) == 1.0
+    assert conditional_gexp(PayoffSpec("cylinder", one, monitoring_times=(0.5, 1.0)),
+                            BAND, COARSE, 0.0)[1](0.0) == 1.0
+
+
+def test_a_payoff_of_the_wrong_shape_is_rejected():
+    short = lambda x: np.asarray(x)[:5]
+    vfield = random_inband_field(COARSE, BAND, np.random.default_rng(2))
+    message = r"payoff returned shape \(5,\), which does not broadcast to the grid shape \(81,\)"
+    for price in (lambda f: bid_ask(f, BAND, COARSE),
+                  lambda f: robust_lattice_price(f, BAND, COARSE),
+                  lambda f: expectation_under_field(f, vfield, COARSE)):
+        with pytest.raises(ValueError, match=message):
+            price(short)
+    with pytest.raises(ValueError, match=r"shape \(81, 5\), which does not broadcast to the "
+                                         r"grid shape \(81, 81\)"):
+        conditional_gexp(PayoffSpec("cylinder", lambda a, b: (a + b)[:, :5],
+                                    monitoring_times=(0.5, 1.0)), BAND, COARSE, 0.0)
+
+
 def test_field_expectations_dominated():
     rng = np.random.default_rng(29)
     payoff = lambda x: np.abs(x)
@@ -423,21 +476,53 @@ PAYOFFS = {
 }
 
 
+# An evolution splits a multi-row array into blocks of rows, one thread
+# each.  The fixture forces a split into up to 2 or 3 blocks whatever the
+# size (1 is the serial path), by faking the CPU count and lowering the gate.
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-block", "2-blocks", "3-blocks"])
+def blocks(request, monkeypatch):
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(gexp, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(gexp, "_BLOCK_STEPS", 1)
+    return request.param
+
+
+def record_threads(monkeypatch) -> list:
+    """The threads that ``_evolve`` starts from now on, in a list."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(gexp, "threading", types.SimpleNamespace(Thread=Recorded))
+    return started
+
+
 @pytest.mark.parametrize("band", [BAND, STEPPED], ids=["constant", "per-step"])
 @pytest.mark.parametrize("name", PAYOFFS)
-def test_band_step_is_bit_identical_to_the_reference(band, name):
+def test_band_step_is_bit_identical_to_the_reference(band, name, blocks):
     payoff = PAYOFFS[name]
-    x = COARSE.x
-    # 1-D and 2-D grids, with and without a surface; the input stays untouched
+    x, k = COARSE.x, COARSE.n_steps
+    # 1-D, 2-D and 3-D grids, all with odd row counts, without a surface,
+    # with one array surface and with one surface per row; the input stays
+    # untouched
     for values in (np.asarray(payoff(x), dtype=float),
-                   np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float)):
+                   np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float),
+                   np.asarray(payoff(x[::8, None, None] - 0.5 * x[None, ::10, None]
+                                     + 0.25 * x), dtype=float)):
         given = values.copy()
-        surface = np.empty((COARSE.n_steps + 1,) + values.shape)
+        surface = np.empty((k + 1,) + values.shape)
         expected_surface = np.empty_like(surface)
-        assert_same_bits(_evolve(values, band, COARSE, COARSE.n_steps, 3, surface),
-                         reference_evolve(values, band, COARSE, COARSE.n_steps, 3,
-                                          expected_surface))
+        expected = reference_evolve(values, band, COARSE, k, 3, expected_surface)
+        assert_same_bits(_evolve(values, band, COARSE, k, 3, surface), expected)
         assert_same_bits(surface[3:-1], expected_surface[3:-1])
+        if values.ndim > 1:
+            per_row = [np.empty((k + 1,) + row.shape) for row in values]
+            assert_same_bits(_evolve(values, band, COARSE, k, 3, per_row), expected)
+            assert_same_bits(np.array(per_row)[:, 3:-1], expected_surface[3:-1].swapaxes(0, 1))
         assert_same_bits(_evolve(values, band, COARSE, 150, 20),
                          reference_evolve(values, band, COARSE, 150, 20))
         assert_same_bits(values, given)
@@ -487,16 +572,19 @@ def stepped(grid):
                                         (COARSE, BAND), (COARSE, STEPPED)],
                          ids=["3-cell-constant", "3-cell-per-step",
                               "coarse-constant", "coarse-per-step"])
-def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band):
+def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band, blocks):
     x, k = grid.x, grid.n_steps
     rows = np.array([np.asarray(f(x), dtype=float) for f in PAYOFFS.values()]
-                    + [np.full(x.size, -0.0), np.where(np.arange(x.size) % 2, 1.0, -1.0)])
+                    + [np.full(x.size, -0.0), np.where(np.arange(x.size) % 2, 1.0, -1.0),
+                       np.cos(3.0 * x)])  # 7 rows: no split is even
+    given = rows.copy()
     surfaces = []
     for row in rows:
         surfaces.append(np.empty((k + 1, x.size)))
         surfaces[-1][k] = row
     singles = np.array([_evolve(row, band, grid, k, 0, s) for row, s in zip(rows, surfaces)])
     surfaces = np.array(surfaces)
+    assert_same_bits(singles, reference_evolve(rows, band, grid, k, 0))
     assert_same_bits(_evolve(rows, band, grid, k, 0), singles)
     assert_same_bits(_evolve(rows, band, grid, k, k // 2), [_evolve(row, band, grid, k, k // 2)
                                                             for row in rows])
@@ -511,14 +599,90 @@ def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band):
     assert_same_bits(_evolve(rows, band, grid, k, 0, per_row), singles)
     assert_same_bits(per_row, surfaces)
 
-    cube = np.stack((rows, -rows[::-1]))  # (2, R, n)
-    expected = np.stack((singles, [_evolve(-row, band, grid, k, 0) for row in rows[::-1]]))
+    cube = np.stack((rows, -rows[::-1], 0.5 * rows))  # (3, R, n): blocks of planes
+    expected = np.stack((singles, [_evolve(-row, band, grid, k, 0) for row in rows[::-1]],
+                         [_evolve(0.5 * row, band, grid, k, 0) for row in rows]))
+    assert_same_bits(expected, reference_evolve(cube, band, grid, k, 0))
     assert_same_bits(_evolve(cube, band, grid, k, 0), expected)
     planes = [np.empty((k + 1,) + rows.shape) for _ in cube]
     for s, plane in zip(planes, cube):
         s[k] = plane
     assert_same_bits(_evolve(cube, band, grid, k, 0, planes), expected)
     assert_same_bits(planes[0], surfaces.swapaxes(0, 1))
+    stacked = np.empty((k + 1,) + cube.shape)
+    stacked[k] = cube
+    assert_same_bits(_evolve(cube, band, grid, k, 0, stacked), expected)
+    assert_same_bits(stacked.swapaxes(0, 1), planes)
+    assert_same_bits(rows, given)
+
+
+def test_a_large_mesh_is_split_per_cpu_and_small_calls_stay_serial(monkeypatch):
+    started = record_threads(monkeypatch)
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: 2)
+    grid = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=0.05)  # 201 cells, 50 steps
+    mesh = np.subtract.outer(grid.x, grid.x) ** 2
+    split = _evolve(mesh, BAND, grid, grid.n_steps, 0)
+    assert len(started) == 1  # two blocks: the caller's and one thread
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: 1)
+    assert_same_bits(_evolve(mesh, BAND, grid, grid.n_steps, 0), split)
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: 2)
+    # too few steps, too few cells per block, a single row, the band prices
+    _evolve(mesh, BAND, grid, grid.n_steps, grid.n_steps - gexp._BLOCK_STEPS + 1)
+    _evolve(mesh[:(2 * gexp._BLOCK_CELLS - 1) // grid.x.size], BAND, grid, grid.n_steps, 0)
+    _evolve(np.tile(grid.x, 200), BAND, grid, grid.n_steps, 0)
+    wide = GridSpec(dt=1e-3, h=0.01, radius=200, horizon=0.05)
+    bid_ask(PAYOFFS["call"], BAND, wide)
+    robust_lattice_price(PAYOFFS["call"], BAND, wide)
+    vfield = random_inband_field(wide, BAND, np.random.default_rng(1))
+    expectation_under_field(PAYOFFS["call"], vfield, wide)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+
+
+def test_a_one_cpu_affinity_takes_the_serial_path(monkeypatch):
+    started = record_threads(monkeypatch)
+    monkeypatch.setattr(gexp.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert gexp._cpu_count() == 1
+    grid = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=0.05)
+    _evolve(np.subtract.outer(grid.x, grid.x) ** 2, BAND, grid, grid.n_steps, 0)
+    assert started == []
+    monkeypatch.setattr(gexp.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert gexp._cpu_count() == 3
+    monkeypatch.delattr(gexp.os, "sched_getaffinity")  # as on platforms without it
+    assert gexp._cpu_count() == (os.cpu_count() or 1)
+
+
+def test_blocks_stay_bit_identical_under_frequent_thread_switches(monkeypatch):
+    # three blocks, more than this machine may have CPUs, switching threads
+    # every microsecond: a block that wrote outside its rows would show
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(gexp, "_BLOCK_CELLS", 1)
+    x, k = COARSE.x, COARSE.n_steps
+    mesh = np.sin(7.0 * np.add.outer(x[::4], 0.5 * x))  # 21 rows
+    expected = reference_evolve(mesh, STEPPED, COARSE, k, 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert_same_bits(_evolve(mesh, STEPPED, COARSE, k, 0), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("bad_row", [0, 4], ids=["caller's-block", "thread's-block"])
+def test_an_error_in_a_block_reaches_the_caller_and_no_thread_outlives_it(monkeypatch,
+                                                                          bad_row):
+    monkeypatch.setattr(gexp, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(gexp, "_BLOCK_CELLS", 1)
+    started = record_threads(monkeypatch)
+    rows = np.array([PAYOFFS["sin"](COARSE.x)] * 5)  # blocks of rows 0, 1-2 and 3-4
+    per_row = [np.empty((COARSE.n_steps + 1, COARSE.x.size)) for _ in rows]
+    per_row[bad_row] = np.empty((COARSE.n_steps + 1, 3))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="could not broadcast"):
+        _evolve(rows, BAND, COARSE, COARSE.n_steps, 0, per_row)
+    assert len(started) == 2 and not any(t.is_alive() for t in started)
+    assert threading.active_count() == before
 
 
 def test_bid_and_ask_surfaces_are_separate_arrays():
