@@ -57,7 +57,8 @@ __all__ = [
 _MAX_CELLS = 2 ** 24  # mesh cells of a cylinder payoff: n^k for k free dates, n space cells
 # an evolution is split into blocks of rows, one per thread, only with at
 # least this many cells per block and steps: on two CPUs, two blocks lost
-# below about 10^4 cells per block, or below 4 to 8 steps
+# below about 10^4 cells per block, or below 4 to 8 steps.  The split was
+# measured on at most two CPUs; more blocks are bit-identical but untimed
 _BLOCK_CELLS, _BLOCK_STEPS = 2 ** 14, 8
 # how far a kernel's one-step mean and variance may stray from 0 and the band
 _MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
@@ -269,7 +270,9 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
     raised here.  A row sees the same operations in any split, so the output
     is bit-identical for every CPU count, and all blocks together hold the
     buffers of the serial path."""
-    out = np.array(values, dtype=float)
+    # C order whatever the input's layout, so that every block's flat view
+    # is its rows of ``out`` and not a copy
+    out = np.array(values, dtype=float, order="C")
     steps = range(k_from - 1, k_to - 1, -1)
     c_lo = _coefficients(band.sigma_low, grid.dt, steps)
     c_hi = _coefficients(band.sigma_high, grid.dt, steps)

@@ -73,10 +73,15 @@ def test_band_prices_match_the_trinomial_tree_oracle():
     (lambda a, b, c: np.abs(a - b) - c ** 2, (0.05, 0.15, 0.3)),
     (lambda a, b, c, d: np.maximum(np.maximum(a, b), np.maximum(c, d)), (0.0, 0.1, 0.25, 0.35)),
     (lambda a, b, c, d: np.sin(3.0 * a + b) * (d - c) ** 2 + np.abs(d - a), (0.05, 0.1, 0.2, 0.3)),
-], ids=["3-dates", "3-dates-before-the-horizon", "4-dates-from-0", "4-dates"])
-def test_cylinder_payoffs_match_the_tree_oracle(fn, times):
+    (lambda a, b, c: np.maximum(c - a, 0.0), (0.1, 0.2, 0.35)),
+    (lambda a, b: np.asfortranarray(np.abs(a - 0.5 * b) + b ** 2), (0.1, 0.35)),
+], ids=["3-dates", "3-dates-before-the-horizon", "4-dates-from-0", "4-dates",
+        "3-dates-one-left-out", "2-dates-fortran-ordered"])
+def test_cylinder_payoffs_match_the_tree_oracle(fn, times, blocks):
     # the tree reads each leaf's path at the dates; the grid peels the dates
-    # off its mesh one at a time
+    # off its mesh one at a time.  A payoff that leaves out a date broadcasts
+    # with a zero stride, and one may return a Fortran-ordered array: the
+    # evolution must not depend on the layout of its input
     tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps
     stepped = VolatilityBand(np.linspace(0.05, 0.15, 7), np.linspace(0.2, 0.22, 7))
     for band in (BAND, stepped):
@@ -507,10 +512,11 @@ def test_band_step_is_bit_identical_to_the_reference(band, name, blocks):
     payoff = PAYOFFS[name]
     x, k = COARSE.x, COARSE.n_steps
     # 1-D, 2-D and 3-D grids, all with odd row counts, without a surface,
-    # with one array surface and with one surface per row; the input stays
-    # untouched
-    for values in (np.asarray(payoff(x), dtype=float),
-                   np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float),
+    # with one array surface and with one surface per row; a Fortran-ordered
+    # and a transposed 2-D mesh as well; the input stays untouched
+    mesh = np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float)
+    for values in (np.asarray(payoff(x), dtype=float), mesh,
+                   np.asfortranarray(mesh[::3]), mesh[:, ::5].T,
                    np.asarray(payoff(x[::8, None, None] - 0.5 * x[None, ::10, None]
                                      + 0.25 * x), dtype=float)):
         given = values.copy()
