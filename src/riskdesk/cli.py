@@ -38,7 +38,7 @@ from .acceptance import run_all
 from .dynamics import (_EXPANSION_CAP, OneStepStructure, _selection_sizes,
                        dual_form_violation, onestep_from_json)
 from .fixtures import fix_a_lattice, iid_binary_measure, random_rv
-from .gexp import GridSpec, VolatilityBand, _evolve, bid_ask
+from .gexp import GridSpec, VolatilityBand, _evolve, _on_grid, bid_ask
 from .lattice import RandomVariable, ScenarioLattice, lattice_from_json
 from .measures import measure_from_json
 from .risk import DualRep, dualrep_from_json, minimal_penalty, rm_evaluate
@@ -243,7 +243,7 @@ def _refined_ask(payoff, band: VolatilityBand, grid: GridSpec) -> float:
     fine = GridSpec(grid.dt / 4, grid.h / 2, 2 * grid.radius, grid.horizon)
     if band.sigma_high.size > 1:  # a per-step band holds for 4 fine steps
         band = VolatilityBand(np.repeat(band.sigma_low, 4), np.repeat(band.sigma_high, 4))
-    v = _evolve(np.asarray(payoff(fine.x), dtype=float), band, fine, fine.n_steps, 0)
+    v = _evolve(_on_grid(payoff(fine.x), fine.x.shape), band, fine, fine.n_steps, 0)
     return float(v[fine.radius])
 
 
@@ -267,14 +267,11 @@ def _task_gexp(config, seed):
     if kind not in _PAYOFFS:
         raise ConfigError(f"gexp: unknown payoff kind {kind!r}")
     payoff = _PAYOFFS[kind]
-    method = config.get("method", "lattice")
-    if method not in ("lattice", "pde"):
-        raise ConfigError(f"gexp: method must be 'lattice' or 'pde', got {method!r}")
 
     def run():
-        bid, ask, _, ask_surface = bid_ask(payoff, band, grid, method=method)
+        bid, ask, _, ask_surface = bid_ask(payoff, band, grid)
         results = {
-            "bid": bid, "ask": ask, "value": ask, "method": method,
+            "bid": bid, "ask": ask, "value": ask,
             "grid": {"dt": grid.dt, "h": grid.h, "radius": grid.radius,
                      "horizon": grid.horizon},
             "error_estimate": abs(ask - _refined_ask(payoff, band, grid)),

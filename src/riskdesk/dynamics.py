@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _EXPANSION_CAP = 4096  # the most selections expand_dual enumerates unless told otherwise
+# how far a kernel of the supermartingale check's P may stray from a
+# zero-penalty choice of the menu at its node
+_ZERO_PENALTY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,12 +245,12 @@ def acceptance_decompose(X: RandomVariable, st: OneStepStructure, r: int, s: int
 
 
 def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
-                          s_grid: Optional[Sequence[int]] = None,
-                          kernel_tol: float = 1e-9) -> float:
+                          s_grid: Optional[Sequence[int]] = None) -> float:
     """Max over s < s' of node-wise E_P(rho_{s',T}(X) | B_s) - rho_{s,T}(X).
 
-    Requires P to be a zero-penalty selection at every node, the discrete
-    version of a zero total penalty for P; penalties are >= 0, so the
+    Requires P to be a zero-penalty selection at every node, within
+    ``_ZERO_PENALTY_TOL`` of a zero-penalty kernel: the discrete version of
+    a zero total penalty for P; penalties are >= 0, so the
     structure is then normalized.
     """
     lat = st.lattice
@@ -263,7 +266,7 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
                                for a in levels], axis=1)
 
     gap = _kernel_gap(lat, None, side_by_side(st.flat_kernels), np.concatenate(P.flat_kernels))
-    ok = np.any((side_by_side(st.flat_penalties) == 0.0) & (gap <= kernel_tol), axis=0)
+    ok = np.any((side_by_side(st.flat_penalties) == 0.0) & (gap <= _ZERO_PENALTY_TOL), axis=0)
     if not ok.all():
         node = int(np.argmin(ok))
         first = np.cumsum([0] + [lat.n_nodes(u) for u in range(lat.terminal)])

@@ -20,7 +20,8 @@ per CPU of the process's affinity set, each in place on its part of one
 output buffer; small calls, such as the two rows of ``bid_ask``, stay on
 the calling thread.  Every output is bit-identical to the serial evolution.
 A payoff may return a scalar, which is broadcast to the grid, or an array
-that broadcasts to it (``_on_grid``); any other shape is rejected.
+that broadcasts to it; any other shape is rejected.  ``_on_grid`` is that
+one rule, for every payoff evaluation of the package.
 ``oracles.trinomial_band_oracle`` recomputes the evolution on
 a scenario tree.  Bid = -ask(-X), so convex payoffs price at the upper
 volatility and concave ones at the lower (closed-form oracles in the tests).
@@ -242,11 +243,10 @@ def _cpu_count() -> int:
 def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
             k_from: int, k_to: int, surface=None) -> np.ndarray:
     """Backward band evolution of a (..., n_space) array from step k_from
-    down to k_to along the last axis; ``values`` is not modified.  The
-    step-k array goes into ``surface[k]`` when ``surface`` is an array of
-    shape (n_steps + 1,) + values.shape, and row r of it into
-    ``surface[r][k]`` when ``surface`` is a sequence of arrays, one per row
-    of ``values`` (along its first axis).
+    down to k_to along the last axis; ``values`` is not modified.  With a
+    ``surface``, a sequence of arrays, one per row of ``values`` along its
+    first axis, the step-k array of row r goes into ``surface[r][k]``; a
+    single row is evolved as ``values[None]`` with ``(surface,)``.
 
     One step takes, per state, the better of the two band-endpoint kernels
     p_+- = v/(2 h^2), p_0 = 1 - v/h^2 -- the sup over the band is attained
@@ -289,12 +289,7 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
         v = out[part]
         flat = v.reshape(-1)
         d2, scratch, curvature = _stencil(flat, out.shape[-1], grid.h)
-        if surface is None:
-            sinks = ()
-        elif isinstance(surface, np.ndarray):
-            sinks = ((surface[:, part], v),)
-        else:
-            sinks = tuple(zip(surface[part], v))
+        sinks = () if surface is None else tuple(zip(surface[part], v))
         for k, lo, hi in zip(steps, c_lo, c_hi):
             curvature()
             multiply(d2, lo, out=scratch)
@@ -332,17 +327,17 @@ def robust_lattice_price(payoff, band: VolatilityBand, grid: GridSpec):
     v = _on_grid(payoff(grid.x), grid.x.shape)
     surface = np.empty((grid.n_steps + 1, v.size))
     surface[grid.n_steps] = v
-    v = _evolve(v, band, grid, grid.n_steps, 0, surface)
+    v = _evolve(v[None], band, grid, grid.n_steps, 0, (surface,))[0]
     return float(v[grid.radius]), surface
 
 
 def bid_ask(payoff, band: VolatilityBand, grid: GridSpec, method: str = "lattice"):
     """(bid, ask) values and surfaces; bid = -ask(-X), bid <= ask node-wise.
 
-    ``method`` is "lattice" or "pde", two names of the same evolution.  The
-    payoff is evaluated once; -X and X are evolved as the two rows of one
-    array, each into its own surface, so a caller that keeps one surface
-    does not keep the other alive."""
+    ``method`` is "lattice" or "pde", two names of the same evolution, kept
+    only because perfbench passes it.  The payoff is evaluated once; -X and
+    X are evolved as the two rows of one array, each into its own surface,
+    so a caller that keeps one surface does not keep the other alive."""
     if method not in ("lattice", "pde"):
         raise ValueError(f"method must be 'lattice' or 'pde', got {method!r}")
     grid.check_cfl(band)
@@ -416,11 +411,10 @@ def integration_by_parts_residual(lattice: ScenarioLattice, t: int,
     which vanishes identically (discrete integration by parts)."""
     b = coordinate_process(lattice, t, coord).values
     stoch_int = np.zeros(1)
-    level = np.zeros(1)
     for u in range(1, t + 1):
         par = lattice.parents[u]
-        stoch_int = stoch_int[par] + level[par] * lattice.increments[u][:, coord]
-        level = level[par] + lattice.increments[u][:, coord]
+        stoch_int = (stoch_int[par]
+                     + lattice.values[u - 1][par, coord] * lattice.increments[u][:, coord])
     qv = quadratic_variation(lattice, t, coord).values
     return RandomVariable(lattice, t, b ** 2 - 2.0 * stoch_int - qv)
 
@@ -443,12 +437,10 @@ def band_membership(Q, band: VolatilityBand, dt: float) -> bool:
 def random_inband_field(grid: GridSpec, band: VolatilityBand,
                         rng: np.random.Generator) -> np.ndarray:
     """Random one-step variance field v(step, state) inside the band."""
-    lo = np.empty(grid.n_steps)
-    hi = np.empty(grid.n_steps)
-    for k in range(grid.n_steps):
-        lo[k], hi[k] = band.at_step(k)
+    lo, hi = (np.broadcast_to(sigma, grid.n_steps)[:, None]
+              for sigma in (band.sigma_low, band.sigma_high))
     u = rng.uniform(size=(grid.n_steps, grid.x.size))
-    return (lo[:, None] ** 2 + u * (hi[:, None] ** 2 - lo[:, None] ** 2)) * grid.dt
+    return (lo ** 2 + u * (hi ** 2 - lo ** 2)) * grid.dt
 
 
 def expectation_under_field(payoff, vfield: np.ndarray, grid: GridSpec) -> float:

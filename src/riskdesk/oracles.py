@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .fixtures import trinomial_tree
-from .gexp import GridSpec, PayoffSpec, VolatilityBand
+from .gexp import GridSpec, PayoffSpec, VolatilityBand, _on_grid
 from .risk import DualRep, rm_evaluate
 from .lattice import RandomVariable
 from .measures import Measure
@@ -293,7 +293,9 @@ def trinomial_band_oracle(payoff: PayoffSpec, band: VolatilityBand, grid: GridSp
     robust recursion on the full trinomial tree of the grid (3^n_steps
     leaves), each node offering the two band-endpoint kernels
     p_+- = sigma^2 dt / (2 h^2), p_0 = 1 - sigma^2 dt / h^2.  Each leaf's
-    path is read at the payoff's monitoring steps through its ancestors.
+    path is read at the payoff's monitoring steps through its ancestors,
+    and its values are shaped as on the grid (``gexp._on_grid``): a scalar
+    is broadcast to every leaf.
     The tree has no boundary, so the grid must have radius >= n_steps."""
     if grid.radius < grid.n_steps:
         raise ValueError(f"radius {grid.radius} < {grid.n_steps} steps")
@@ -308,7 +310,7 @@ def trinomial_band_oracle(payoff: PayoffSpec, band: VolatilityBand, grid: GridSp
                    for k in range(grid.n_steps))
     T = lat.terminal
     path = [lat.values[k][lat.ancestors_of_slice(T, k), 0] for k in payoff.steps_on(grid)]
-    X = RandomVariable(lat, T, -np.asarray(payoff.fn(*path), dtype=float))
+    X = RandomVariable(lat, T, -_on_grid(payoff.fn(*path), (lat.n_nodes(T),)))
     return float(OneStepStructure(lat, levels).rho(0, T, X).values[0])
 
 

@@ -511,11 +511,10 @@ def split_concat(x: PLContinuousPath, t: float):
 
 
 def concat(head: PLContinuousPath, tail: PLContinuousPath) -> PLContinuousPath:
-    """Rejoin a (head, shifted tail) pair: inverse of :func:`split_concat`."""
+    """Rejoin a (head, shifted tail) pair: inverse of :func:`split_concat`.
+    The tail vanishes at its start, as every ``PLContinuousPath`` does."""
     t = tail.start
     ht = float(head.value(t))
-    if abs(float(tail.value(t))) > 0:
-        raise ValueError("the tail must vanish at its starting time")
     times = np.concatenate([head.times[head.times < t], tail.times])
     values = np.concatenate(
         [head.values[head.times < t] + head.offset,

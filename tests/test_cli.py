@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from riskdesk import cli
 from riskdesk.cli import (
     EXIT_CHECK,
     EXIT_CONFIG,
@@ -308,6 +309,21 @@ def test_gexp_task(tmp_path):
     assert header == "t,x,value"
 
 
+def test_gexp_task_runs_a_config_that_names_a_method_unchanged(tmp_path):
+    # "lattice" and "pde" named the same evolution; a config may still carry
+    # the key, and the report no longer echoes it
+    doc = {"task": "gexp",
+           "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+           "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0},
+           "payoff": {"kind": "call"}}
+    reports = []
+    for extra in ({}, {"method": "lattice"}, {"method": "pde"}):
+        code, out = run(tmp_path, {**doc, **extra})
+        assert code == EXIT_OK
+        reports.append(read_report(out)["results"])
+    assert reports[0] == reports[1] == reports[2] and "method" not in reports[0]
+
+
 @pytest.mark.parametrize("grid", [
     {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0},
     {"dt": 1e-3, "h": 0.01, "radius": 100, "horizon": 1.0},
@@ -339,13 +355,17 @@ def test_gexp_error_estimate_refines_a_per_step_band(tmp_path):
     assert estimates[0] == estimates[1] > 0.0
 
 
-def test_gexp_validation_rejects_an_unknown_method(tmp_path, capsys):
-    doc = {"task": "gexp", "method": "fd",
-           "band": {"sigma_low": 0.1, "sigma_high": 0.2},
-           "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
+@pytest.mark.parametrize("doc, message", [
+    ([{"task": "eval"}], "a config must be a JSON object"),
+    ({"task": "gexp", "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}},
+     "gexp: missing key 'band'"),
+    ({"task": "eval", "dualrep": "bogus", "position": {"values": [0.0] * 4}},
+     "dualrep must be 'fix-a-coherent' or {'file': path}"),
+], ids=["not-an-object", "missing-key", "unknown-dualrep"])
+def test_malformed_configs_are_rejected(tmp_path, capsys, doc, message):
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only"]) == EXIT_CONFIG
-    assert "method must be 'lattice' or 'pde', got 'fd'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_gexp_cfl_guard(tmp_path, capsys):
@@ -394,6 +414,25 @@ def test_skorokhod_task(tmp_path):
     results = read_report(out)["results"]
     assert results["dhat"] == 0.0
     assert results["tail_bound"] == 2.0 ** -12
+
+
+def test_acceptance_suite_task_reports_each_criterion(tmp_path, monkeypatch, capsys):
+    def reports(seed):
+        return [{"name": "holds", "passed": True, "max_violation": 0.0, "tolerance": 1e-9,
+                 "details": {}, "runtime_seconds": 0.5},
+                {"name": "breaks", "passed": False, "max_violation": float("inf"),
+                 "tolerance": 1.0, "details": {"flag": False}, "runtime_seconds": 0.25}]
+
+    monkeypatch.setattr(cli, "run_all", reports)
+    code, out = run(tmp_path, {"task": "acceptance-suite"})
+    assert code == EXIT_CHECK
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["PASS", "FAIL"]
+    assert lines[1] == "FAIL breaks: max_violation=inf tolerance=1"
+    report = read_report(out)
+    assert report["max_violations"] == {"holds": 0.0, "breaks": float("inf")}
+    assert [c["name"] for c in report["results"]["criteria"]] == ["holds", "breaks"]
+    assert "runtime_seconds" not in (out / "report.json").read_text()
 
 
 def test_reports_are_byte_identical(tmp_path):

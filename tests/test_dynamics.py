@@ -4,6 +4,7 @@ from math import prod
 import numpy as np
 import pytest
 
+from riskdesk import dynamics
 from riskdesk.acceptance import _random_dynamic
 from riskdesk.dynamics import (
     OneStepStructure,
@@ -288,7 +289,7 @@ def pairwise_supermartingale(dyn, X, P, grid):
     return worst
 
 
-def test_supermartingale_check_matches_the_pairwise_passes():
+def test_supermartingale_check_matches_the_pairwise_passes(monkeypatch):
     rng = np.random.default_rng(89)
     for _ in range(30):
         lat, dyn, P = random_menu_dynamic(rng, normalized=True)
@@ -299,14 +300,16 @@ def test_supermartingale_check_matches_the_pairwise_passes():
                      (range(t + 1), [0, t], [1, t], [0, 1], [t - 1], [])]
             assert supermartingale_check(dyn, X, P) == \
                 pairwise_supermartingale(dyn, X, P, grids[0])
-            # kernel_tol = 1 admits any law, under which a gap over distant
-            # dates can exceed the gaps between neighbouring ones
+            # a tolerance of 1 admits any law, under which a gap over
+            # distant dates can exceed the gaps between neighbouring ones
             Q = random_measure(lat, rng)
             for grid in grids:
                 assert supermartingale_check(dyn, X, P, grid) == \
                     pairwise_supermartingale(dyn, X, P, grid)
-                assert supermartingale_check(dyn, X, Q, grid, kernel_tol=1.0) == \
-                    pairwise_supermartingale(dyn, X, Q, grid)
+                with monkeypatch.context() as m:
+                    m.setattr(dynamics, "_ZERO_PENALTY_TOL", 1.0)
+                    assert supermartingale_check(dyn, X, Q, grid) == \
+                        pairwise_supermartingale(dyn, X, Q, grid)
 
 
 @pytest.mark.parametrize("grid, date", [([0, 2, 1], 1), ([0, 1, 1], 1),
@@ -486,6 +489,24 @@ def test_structure_rejects_negative_weights_and_nan_penalties():
         OneStepStructure(lat, ((((np.array([0.5, 0.5]), np.nan),),), (menu, menu)))
     with_inf = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
     assert np.isinf(OneStepStructure(lat, ((with_inf,), (menu, menu))).flat_penalties[0][1, 0])
+
+
+MENU = ((np.array([0.5, 0.5]), 0.0),)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda lat: OneStepStructure(lat, ((MENU,),)),
+     "one choice level per non-terminal time index"),
+    (lambda lat: OneStepStructure(lat, ((MENU,), (MENU,))),
+     "time index 1: one menu per node required"),
+    (lambda lat: OneStepStructure(lat, ((((np.zeros(2), 0.0),),), (MENU, MENU))),
+     "kernel weights must have a positive sum"),
+    (lambda lat: menu_dynamic(lat=lat)[1].rho(0, 2, coordinate_process(lat, 1)),
+     "X must live at time index 2"),
+], ids=["level-count", "menu-count", "zero-kernel", "X-time"])
+def test_malformed_structures_and_queries_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(fix_a_lattice())
 
 
 def test_onestep_json_round_trip():

@@ -67,6 +67,24 @@ def test_band_prices_match_the_trinomial_tree_oracle():
             assert abs(bid + trinomial_band_oracle(negated, band, tree_grid)) <= 1e-12
 
 
+def test_the_tree_oracle_shapes_a_payoff_as_the_grid_does():
+    # a scalar payoff is broadcast to every leaf of the tree, as to the grid:
+    # a constant claim prices at its value, bid and ask; a payoff of the
+    # wrong shape is rejected with the grid's message
+    tree_grid = GridSpec(dt=0.05, h=0.05, radius=10, horizon=0.35)  # 7 steps, 3^7 leaves
+    for spec in (PayoffSpec("terminal", lambda x: 1.0),
+                 PayoffSpec("cylinder", lambda a, b: 1.0, monitoring_times=(0.1, 0.35))):
+        for sign in (1.0, -1.0):  # the ask, and the bid as -ask(-X)
+            signed = PayoffSpec(spec.kind, lambda *b: sign * spec.fn(*b), spec.monitoring_times)
+            assert trinomial_band_oracle(signed, BAND, tree_grid) == sign
+            assert conditional_gexp(signed, BAND, tree_grid, 0.0)[1](0.0) == sign
+    assert bid_ask(lambda x: 1.0, BAND, tree_grid)[:2] == (1.0, 1.0)
+    with pytest.raises(ValueError, match=r"payoff returned shape \(5,\), which does not "
+                                         r"broadcast to the grid shape \(2187,\)"):
+        trinomial_band_oracle(PayoffSpec("terminal", lambda x: np.asarray(x)[:5]), BAND,
+                              tree_grid)
+
+
 @pytest.mark.parametrize("fn, times", [
     (lambda a, b, c: np.maximum(c - a, 0.0) * np.cos(4.0 * b) + np.sin(7.0 * b) * c,
      (0.1, 0.2, 0.35)),
@@ -423,6 +441,21 @@ def test_band_validation():
     assert stepped.max_high == 0.25
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: VolatilityBand([0.1, 0.1], [0.2, 0.2, 0.2]), "must have the same shape"),
+    (lambda: GridSpec(dt=0.0, h=0.05, radius=40, horizon=1.0), "must be positive"),
+    (lambda: GridSpec(dt=0.005, h=-0.05, radius=40, horizon=1.0), "must be positive"),
+    (lambda: GridSpec(dt=0.005, h=0.05, radius=0, horizon=1.0), "must be positive"),
+    (lambda: GridSpec(dt=0.005, h=0.05, radius=40, horizon=-1.0), "must be positive"),
+    (lambda: expectation_under_field(np.abs, np.full((COARSE.n_steps, COARSE.x.size),
+                                                     1.01 * COARSE.h ** 2), COARSE),
+     "kernel positivity bound"),
+], ids=["band-shapes", "dt", "h", "radius", "horizon", "field-above-h2"])
+def test_malformed_bands_grids_and_fields_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # The band step as a fresh array per operation: the reference that the
 # in-place step must reproduce bit for bit.
 
@@ -511,24 +544,22 @@ def record_threads(monkeypatch) -> list:
 def test_band_step_is_bit_identical_to_the_reference(band, name, blocks):
     payoff = PAYOFFS[name]
     x, k = COARSE.x, COARSE.n_steps
-    # 1-D, 2-D and 3-D grids, all with odd row counts, without a surface,
-    # with one array surface and with one surface per row; a Fortran-ordered
-    # and a transposed 2-D mesh as well; the input stays untouched
+    # 1-D, 2-D and 3-D grids, all with odd row counts, without a surface
+    # and with one surface per row (a 1-D grid as one row); a
+    # Fortran-ordered and a transposed 2-D mesh as well; the input stays
+    # untouched
     mesh = np.asarray(payoff(x[:, None] - 0.5 * x[None, :]), dtype=float)
     for values in (np.asarray(payoff(x), dtype=float), mesh,
                    np.asfortranarray(mesh[::3]), mesh[:, ::5].T,
                    np.asarray(payoff(x[::8, None, None] - 0.5 * x[None, ::10, None]
                                      + 0.25 * x), dtype=float)):
         given = values.copy()
-        surface = np.empty((k + 1,) + values.shape)
-        expected_surface = np.empty_like(surface)
-        expected = reference_evolve(values, band, COARSE, k, 3, expected_surface)
-        assert_same_bits(_evolve(values, band, COARSE, k, 3, surface), expected)
-        assert_same_bits(surface[3:-1], expected_surface[3:-1])
-        if values.ndim > 1:
-            per_row = [np.empty((k + 1,) + row.shape) for row in values]
-            assert_same_bits(_evolve(values, band, COARSE, k, 3, per_row), expected)
-            assert_same_bits(np.array(per_row)[:, 3:-1], expected_surface[3:-1].swapaxes(0, 1))
+        rows = np.atleast_2d(values)
+        expected_surface = np.empty((k + 1,) + rows.shape)
+        expected = reference_evolve(rows, band, COARSE, k, 3, expected_surface)
+        per_row = [np.empty((k + 1,) + row.shape) for row in rows]
+        assert_same_bits(_evolve(rows, band, COARSE, k, 3, per_row), expected)
+        assert_same_bits(np.array(per_row)[:, 3:-1], expected_surface[3:-1].swapaxes(0, 1))
         assert_same_bits(_evolve(values, band, COARSE, 150, 20),
                          reference_evolve(values, band, COARSE, 150, 20))
         assert_same_bits(values, given)
@@ -588,17 +619,14 @@ def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band, blocks):
     for row in rows:
         surfaces.append(np.empty((k + 1, x.size)))
         surfaces[-1][k] = row
-    singles = np.array([_evolve(row, band, grid, k, 0, s) for row, s in zip(rows, surfaces)])
+    singles = np.array([_evolve(row[None], band, grid, k, 0, (s,))[0]
+                        for row, s in zip(rows, surfaces)])
     surfaces = np.array(surfaces)
     assert_same_bits(singles, reference_evolve(rows, band, grid, k, 0))
     assert_same_bits(_evolve(rows, band, grid, k, 0), singles)
     assert_same_bits(_evolve(rows, band, grid, k, k // 2), [_evolve(row, band, grid, k, k // 2)
                                                             for row in rows])
 
-    whole = np.empty((k + 1,) + rows.shape)
-    whole[k] = rows
-    assert_same_bits(_evolve(rows, band, grid, k, 0, whole), singles)
-    assert_same_bits(whole, surfaces.swapaxes(0, 1))
     per_row = [np.empty((k + 1, x.size)) for _ in rows]
     for s, row in zip(per_row, rows):
         s[k] = row
@@ -615,10 +643,6 @@ def test_stacked_rows_evolve_bit_for_bit_as_single_rows(grid, band, blocks):
         s[k] = plane
     assert_same_bits(_evolve(cube, band, grid, k, 0, planes), expected)
     assert_same_bits(planes[0], surfaces.swapaxes(0, 1))
-    stacked = np.empty((k + 1,) + cube.shape)
-    stacked[k] = cube
-    assert_same_bits(_evolve(cube, band, grid, k, 0, stacked), expected)
-    assert_same_bits(stacked.swapaxes(0, 1), planes)
     assert_same_bits(rows, given)
 
 

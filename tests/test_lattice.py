@@ -274,3 +274,40 @@ def test_per_parent_over_every_level_of_a_uniform_tree():
     a = spread_values(np.random.default_rng(3), (2, 3 + 9 + 27), 3)
     starts = np.arange(0, a.shape[-1], 3)
     assert _per_parent(lat, None, a).tobytes() == np.add.reduceat(a, starts, axis=-1).tobytes()
+
+
+def _fix_a_rv(t=2):
+    return coordinate_process(fix_a_lattice(), t)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ScenarioLattice((0.0,), 1, ([-1],), ([0.0],)), "at least 2 time points"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1],), ([0.0], [1.0])),
+     "one entry per time point"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1, -1], [0, 1]), ([0.0, 0.0], [1.0, -1.0])),
+     "unique root"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [0, 1]), ([0.0], [1.0, -1.0])),
+     r"node \(1,1\) has invalid parent 1"),
+    (lambda: ScenarioLattice((0.0, 1.0, 2.0), 1, ([-1], [0, 0], [0, 0]),
+                             ([0.0], [1.0, -1.0], [1.0, -1.0])),
+     r"non-terminal node \(1,1\) has no child"),
+    (lambda: build_lattice([0.0, 1.0, 2.0], [[[1.0, -1.0]], [[1.0, -1.0]]], dimension=1),
+     "time index 1: expected branching for 2 nodes, got 1"),
+    (lambda: coordinate_process(fix_a_lattice(), 3), "time index 3 out of range"),
+    (lambda: RandomVariable(fix_a_lattice(), 2, [1.0, np.nan, 0.0, 0.0]),
+     "non-finite values are only allowed for penalties"),
+    (lambda: _fix_a_rv() + _fix_a_rv(), "operands live on different lattices or times"),
+    (lambda: _fix_a_rv() - RandomVariable(fix_a_lattice(), 1, [0.0, 0.0]),
+     "operands live on different lattices or times"),
+], ids=["one-time", "parents-per-time", "two-roots", "invalid-parent", "childless-node",
+        "branching-count", "coordinate-range", "non-finite-values", "other-lattice",
+        "other-time"])
+def test_malformed_lattices_and_variables_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_number_minus_a_variable():
+    X = _fix_a_rv()
+    assert np.array_equal((5 - X).values, 5.0 - X.values)
+    assert np.array_equal((5 - X).values, (-X + 5).values)

@@ -261,3 +261,37 @@ def test_measure_json_golden_on_a_ragged_lattice():
         '{"node": [1, 0], "weights": [1.0]}, {"node": [1, 1], "weights": [0.7, 0.3]}, '
         '{"node": [1, 2], "weights": [0.10000000000000002, 0.6000000000000001, '
         '0.30000000000000004]}]}')
+
+
+def _fix_a_rv(t=2):
+    return coordinate_process(fix_a_lattice(), t)
+
+
+def _condition_after_the_variable():
+    X = _fix_a_rv(1)
+    return conditional_expectation(X, iid_binary_measure(X.lattice, 0.5), 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Measure(fix_a_lattice(), ((np.array([0.5, 0.5]),),)),
+     "one kernel level per non-terminal time index"),
+    (lambda: Measure(fix_a_lattice(), ((np.array([0.5, 0.5]),), (np.array([0.5, 0.5]),))),
+     "time index 1: one kernel per node required"),
+    (lambda: MeasureFamily(()), "at least one member"),
+    (lambda: MeasureFamily((iid_binary_measure(fix_a_lattice(), 0.5),
+                            iid_binary_measure(fix_a_lattice(), 0.5))),
+     "all members must live on the same lattice"),
+    (lambda: MeasureFamily(fix_a_family()[3].members, p=0.5), "exponent p must be >= 1"),
+    (lambda: measure_from_json('{"kernels": [{"node": [0, 0], "weights": [1, 1]}]}',
+                               fix_a_lattice()),
+     "missing kernel at time index 1"),
+    (lambda: conditional_expectation(_fix_a_rv(), fix_a_family()[1], 0),
+     "measure and variable live on different lattices"),
+    (_condition_after_the_variable, "need s <= t, got s=2 > t=1"),
+    (lambda: check_restriction(fix_a_family()[1], fix_a_family()[2], 1),
+     "measures live on different lattices"),
+], ids=["kernel-levels", "kernels-per-node", "empty-family", "mixed-family", "p-below-1",
+        "missing-kernel", "foreign-variable", "s-after-t", "restriction-across-lattices"])
+def test_malformed_measures_and_families_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -675,3 +675,33 @@ def test_expanded_dualrep_json_golden():
     rep = expand_dual(OneStepStructure(lat, menus), 1, 2)
     assert dualrep_to_json(rep) == EXPANDED_JSON
     assert dualrep_to_json(dualrep_from_json(EXPANDED_JSON, lat)) == EXPANDED_JSON
+
+
+def _fix_a_rep():
+    lat, q1, q2, _ = fix_a_family()
+    zeros = RandomVariable(lat, 0, np.zeros(1))
+    return lat, DualRep(0, 2, ((q1, zeros), (q2, zeros)))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda lat, rep: DualRep(0, 2, ()), "needs at least one component"),
+    (lambda lat, rep: DualRep(2, 1, ((rep.components[0][0],
+                                      RandomVariable(lat, 2, np.zeros(4))),)),
+     "need 0 <= s <= t"),
+    (lambda lat, rep: rm_evaluate(rep, coordinate_process(lat, 1)),
+     "X must live at time index 2, got 1"),
+    (lambda lat, rep: rm_evaluate(rep, coordinate_process(fix_a_lattice(), 2)),
+     "X lives on a different lattice"),
+    (lambda lat, rep: partition_combine(lat, 1, []), "need at least one piece"),
+    (lambda lat, rep: partition_combine(lat, 1, [(coordinate_process(lat, 2), [0]),
+                                                 (coordinate_process(lat, 1), [1])]),
+     "pieces must share the lattice and time index"),
+    (lambda lat, rep: strong_convexity_check(rep, coordinate_process(lat, 2),
+                                             coordinate_process(lat, 2),
+                                             RandomVariable(lat, 1, np.zeros(2))),
+     "the weight f must live at time s"),
+], ids=["no-components", "s-after-t", "wrong-time", "foreign-variable", "no-pieces",
+        "mixed-pieces", "weight-off-s"])
+def test_malformed_representations_and_queries_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build(*_fix_a_rep())

@@ -540,3 +540,21 @@ def test_dhat_prices_a_piece_again_once_its_cut_short_cost_is_within_the_stop():
     x = jump_path([0.34, 0.51, 0.89], [1.0, 1.0, 1.0], horizon=1.0)
     y = jump_path([0.11, 0.81], [0.75, -0.13], horizon=1.0)
     assert dhat_distance(x, y, 1.0, 20)[0] == dhat_by_enumeration(x, y, 1.0, 20)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PLContinuousPath(np.array([0.0, 1.0]), np.array([0.0])),
+     "need matching, non-empty knot arrays"),
+    (lambda: PLContinuousPath(np.zeros(0), np.zeros(0)), "need matching, non-empty knot arrays"),
+    (lambda: PLContinuousPath(np.array([0.0, 0.0]), np.array([0.0, 1.0])),
+     "knot times must be strictly increasing"),
+    # the tail that concat takes cannot fail to vanish where it starts
+    (lambda: concat(PLContinuousPath(np.array([0.0, 2.0]), np.array([0.0, 1.0])),
+                    PLContinuousPath(np.array([2.0, 3.0]), np.array([0.0, 1.0]), offset=1.0)),
+     "the path must vanish at its starting time"),
+    (lambda: dm_distance(jump_path([0.5], [[1.0, 2.0]]), jump_path([0.5], [[1.0, 2.0, 3.0]]), 2),
+     "cannot compare paths of dimensions 2 and 3"),
+], ids=["knot-counts", "no-knots", "repeated-knot", "concat-tail", "dimensions"])
+def test_malformed_continuous_paths_and_path_pairs_are_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

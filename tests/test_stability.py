@@ -97,6 +97,13 @@ def test_paste_requires_absolute_continuity():
         paste(q1, q1, StoppingTime(frozenset({NodeRef(1, 0)})))
 
 
+def test_paste_rejects_measures_from_another_lattice():
+    lat, q1, _, _ = fix_a_family()
+    other = iid_binary_measure(fix_a_lattice(), 0.5)
+    with pytest.raises(ValueError, match="measures live on different lattices"):
+        paste(q1, other, StoppingTime.deterministic(lat, 1))
+
+
 def test_singleton_family_is_stable():
     lat, q1, _, _ = fix_a_family()
     ok, missing = is_stable([q1])
