@@ -237,10 +237,10 @@ def acceptance_decompose(X: RandomVariable, st: OneStepStructure, r: int, s: int
     w = lift(st.rho(s, t, X), t)
     Y, Z = X + w, -w
     if np.any(st.rho(s, t, Y).values > _ACCEPT_TOL):
-        raise AssertionError("decomposition failed: Y not in the (s,t) acceptance set")
+        raise RuntimeError("decomposition failed: Y not in the (s,t) acceptance set")
     # rho_{r,t}(Z) equals rho_{r,s}(-rho_{s,t}(X)) by the recursion
     if np.any(st.rho(r, t, Z).values[q_mask] > _ACCEPT_TOL):
-        raise AssertionError("decomposition failed: Z not Q-accepted between r and s")
+        raise RuntimeError("decomposition failed: Z not Q-accepted between r and s")
     return Z, Y
 
 

@@ -273,6 +273,9 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
     # C order whatever the input's layout, so that every block's flat view
     # is its rows of ``out`` and not a copy
     out = np.array(values, dtype=float, order="C")
+    if surface is not None and len(surface) != len(out):
+        raise ValueError(f"{len(surface)} surfaces for {len(out)} rows of values: "
+                         f"one surface per row along the first axis")
     steps = range(k_from - 1, k_to - 1, -1)
     c_lo = _coefficients(band.sigma_low, grid.dt, steps)
     c_hi = _coefficients(band.sigma_high, grid.dt, steps)

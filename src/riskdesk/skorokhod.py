@@ -25,7 +25,9 @@ d_m is the J1 distance of the g_m-damped paths, so the undamped gap is the
 damped gap at m = inf: one evaluator (:func:`_gap`) serves both.  A piece
 that ends before the ramp [m-1, m] costs at m what it costs at m = inf, so
 the M distances of the weighted sum come from one pass that prices such a
-piece once (:func:`_dm_matchings`).
+piece once, prices the part of a unit-slope tail before the ramp once, and
+keeps the jump-pair search of a level whose pieces all end before its ramp
+for the later levels (:func:`_dm_matchings`).
 """
 
 from __future__ import annotations
@@ -252,13 +254,11 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
 
     Between breakpoints (jumps of either path, knots, and where either
     damping bends) the path values are constant and the damping terms
-    affine, so the sup sits at interval ends, taken with the values inside.
-    Each breakpoint's factors are computed once, and none at m = inf, where
-    g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an interval whose ends
-    share them is evaluated once.  Past max(m, lam^-1(m)) both damping terms
-    vanish, and the piece is cut there.
+    affine, so the sup sits at interval ends, taken with the values inside
+    (:func:`_scan`).  Past max(m, lam^-1(m)) both damping terms vanish, and
+    the piece is cut there.
     """
-    (xt, xrows), (yt, yrows) = X, Y
+    xt, yt = X[0], Y[0]
     u0, v0, u1, v1 = pc[:4]
     if u0 > upto:
         return 0.0
@@ -277,7 +277,20 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     bs = sorted(b for b in pts if b <= cut)
     if closed and u0 <= upto < u1:
         bs.append(upto)  # the point upto, as an interval of length 0
-    best, g2 = 0.0, (1.0, 1.0) if fm == np.inf else None
+    return _scan(X, Y, pc, fm, bs, 0.0, stop)
+
+
+def _scan(X, Y, pc, fm: float, bs, best: float, stop: float) -> float:
+    """max(best, the gap's sup over the intervals between consecutive
+    breakpoints ``bs``), exact when at most ``stop``; past ``stop`` the scan
+    ends and returns a lower bound > stop.
+
+    Each breakpoint's damping factors are computed once, and none at
+    m = inf, where g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an
+    interval whose ends share them is evaluated once.
+    """
+    (xt, xrows), (yt, yrows) = X, Y
+    g2 = (1.0, 1.0) if fm == np.inf else None
     for b1, b2 in zip(bs, bs[1:]):
         mid = 0.5 * (b1 + b2)
         xv = xrows[bisect_right(xt, _lam(pc, mid))]
@@ -331,20 +344,43 @@ def _best_matching(X, Y, pairs, cost, end=None):
     dearer than theta lies on no matching within theta, so value, tie-break
     and knots are those of the unbounded search, bit for bit.
     """
+    nodes, knots = _dag(X, Y, pairs)
+    close0 = cost(_piece(knots[0], end), np.inf)
+    best, edges = _chains(nodes, knots, cost, close0 + _MATCH_TOL)
+    return _close(nodes, knots, best, edges, close0, cost, end)
+
+
+def _dag(X, Y, pairs):
+    """The nodes of the matching DAG, the origin (-1, -1) and then ``pairs``,
+    and their knots (Y time, X time)."""
     xt, yt = X[0], Y[0]
-    nodes = [(-1, -1)] + list(pairs)
-    knots = [(0.0, 0.0)] + [(yt[j], xt[i]) for i, j in pairs]
-    close = [cost(_piece(knots[0], end), np.inf)] + [np.inf] * len(pairs)
-    theta = close[0] + _MATCH_TOL
-    best = [0.0] + [np.inf] * len(pairs)
+    return [(-1, -1)] + list(pairs), [(0.0, 0.0)] + [(yt[j], xt[i]) for i, j in pairs]
+
+
+def _chains(nodes, knots, cost, stop: float):
+    """best(b), the least max of piece costs over chains of knots from the
+    origin to node b, and the priced edges {(a, b): cost}, with every piece
+    priced at ``stop``: edges go in increasing a, once best(a) is final, and
+    none from an a with best(a) > stop.  best(b) is exact when at most
+    ``stop`` and above ``stop`` otherwise, and so is each edge's cost."""
+    best = [0.0] + [np.inf] * (len(nodes) - 1)
     edges = {}  # (a, b) -> cost, in increasing a: a topological order
     for a, (ia, ja) in enumerate(nodes):
-        if best[a] > theta:
+        if best[a] > stop:
             continue
         for b in range(a + 1, len(nodes)):
             if nodes[b][0] > ia and nodes[b][1] > ja:
-                c = edges[a, b] = cost(_piece(knots[a], knots[b]), theta)
+                c = edges[a, b] = cost(_piece(knots[a], knots[b]), stop)
                 best[b] = min(best[b], max(best[a], c))
+    return best, edges
+
+
+def _close(nodes, knots, best, edges, close0: float, cost, end):
+    """The closing phase and tie-break of :func:`_best_matching`, from the
+    output of :func:`_chains` priced at a stop of at least close0 +
+    _MATCH_TOL and the empty matching's cost close0."""
+    close = [close0] + [np.inf] * (len(nodes) - 1)
+    theta = close0 + _MATCH_TOL
     for k in sorted(range(1, len(nodes)), key=best.__getitem__):
         if best[k] > theta:
             break
@@ -370,26 +406,76 @@ def _best_matching(X, Y, pairs, cost, end=None):
     return value, [knots[a] for a in chain] + ([end] if end else [])
 
 
+def _canonical(x: StepPath, y: StepPath):
+    """The two paths prepared (:func:`_prepared`), in canonical order."""
+    return _prepared(x, y) if x.sort_key() <= y.sort_key() else _prepared(y, x)
+
+
 def _dm_matchings(x: StepPath, y: StepPath, ms):
-    """(value, knots) of the best matching of d_m(x, y), for each m of ``ms``
-    in turn.
+    """(value, knots) of the best matching of d_m(x, y), for each m of the
+    increasing sequence ``ms`` in turn, each bit for bit that of
+    :func:`dm_distance`, with the work that does not depend on m done once.
 
-    The paths are put in canonical order and prepared once.  A piece whose
-    end knot lies before the ramp [m-1, m] on both time axes sees damping
-    exactly 1.0, so its cost at m is its cost at m = inf: it is priced once,
-    kept under its four knot coordinates and reused for every later m.  Per
-    m only the pair set (its cutoff m + _PAIR_WINDOW moves) and the pieces
-    that reach the ramp are new.  A cost cut short at its ``stop`` is reused
-    only while it stays above the new ``stop``.
+    A piece whose end knot lies before the ramp [m-1, m] on both time axes
+    sees damping exactly 1.0, so its cost at m is its cost at m = inf: it is
+    priced once, kept under its four knot coordinates and reused for every
+    later m.  Per m only the pair set (its cutoff m + _PAIR_WINDOW moves)
+    and the pieces that reach the ramp are new.  Two more reuses make a
+    level past the last ramp crossing cheap:
+
+    - A closing piece (the unit-slope tail after knot (u0, v0)) is constant
+      past its last start-or-jump breakpoint J, the greatest of u0 and the
+      jumps of either path on it.  When every breakpoint up to J sees
+      damping exactly 1.0 (m - J >= 1 and m - lam(J) >= 1) and no ramp
+      breakpoint lies below J, the intervals up to J are those of the
+      m = inf scan up to J, with the same factors 1.0, so that scan is
+      priced once and kept under (u0, v0); each m scans only the intervals
+      from J through the ramp (:func:`_scan`).
+    - The pair DP (:func:`_chains`) is kept from a level whose edges all end
+      before the ramp (every pair knot (u, v) has max(u, v) <= m - 1, up to
+      _ROUNDING), with the stop S it was priced at, the level's theta.  A
+      later level with the same pair set prices every edge as it did, and
+      while its theta is at most S it reuses best and edges and runs only
+      the closing phase (:func:`_close`).  That is exact: priced at S, each
+      best(a) <= S is exact and each best(a) > S is above S, so the nodes
+      with best(a) <= theta and their values are those of a DP priced at
+      theta, and a node whose best exceeds theta lies on no chain within
+      theta.  The closing phase visits the former in the same order, and the
+      tie-break reads only edges between them, priced exactly where they are
+      within theta.
+
+    A cost cut short at its ``stop`` is reused only while it stays above
+    the new ``stop``.
     """
-    if y.sort_key() < x.sort_key():
-        x, y = y, x
-    X, Y = _prepared(x, y)
+    X, Y = _canonical(x, y)
+    xt, yt = X[0], Y[0]
     flat = {}  # (u0, v0, u1, v1) -> (cost at m = inf, whether cut short)
+    heads = {}  # (u0, v0) -> (J, m = inf scan up to J, whether cut short)
+    kept = None  # (pairs, S, best, edges) of a DP with no edge at the ramp
 
-    def shared_cost(pc, m, stop):
-        if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > m - 1.0:
-            return _cost(X, Y, pc, m, m, np.inf, False, stop)
+    def tail_cost(pc, fm, stop):
+        u0, v0 = key = pc[:2]
+        if key not in heads:
+            jumps = [u0] + [u for u in yt[-1:] if u >= u0] \
+                + [_lam_inv(pc, v) for v in xt[-1:] if v >= v0]
+            heads[key] = (max(jumps), 0.0, True)  # unpriced: cut short at 0.0
+        J, head, short = heads[key]
+        # where the damping bends, as in _gap with u1 = v1 = inf
+        ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
+            + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
+        if fm - J < 1.0 or fm - _lam(pc, J) < 1.0 or min(ramp) < J:
+            return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
+        if short and head <= stop:
+            head = _gap(X, Y, pc, np.inf, J, False, stop)
+            heads[key] = (J, head, head > stop)
+        return max(_deviation(pc, fm), head if head > stop else
+                   _scan(X, Y, pc, fm, sorted({J, *ramp}), head, stop))
+
+    def shared_cost(pc, fm, stop):
+        if pc[2] == np.inf:
+            return tail_cost(pc, fm, stop)
+        if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > fm - 1.0:
+            return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
         key = pc[:4]
         if key not in flat or flat[key][1] and flat[key][0] <= stop:
             c = _cost(X, Y, pc, np.inf, np.inf, np.inf, False, stop)
@@ -398,8 +484,18 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
 
     for m in ms:
         fm = float(m)
-        yield _best_matching(X, Y, _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW),
-                             lambda pc, stop: shared_cost(pc, fm, stop))
+        pairs = _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW)
+        nodes, knots = _dag(X, Y, pairs)
+        cost = lambda pc, stop: shared_cost(pc, fm, stop)
+        close0 = cost(_piece(knots[0], None), np.inf)
+        theta = close0 + _MATCH_TOL
+        if kept is not None and kept[0] == pairs and theta <= kept[1]:
+            best, edges = kept[2:]
+        else:
+            best, edges = _chains(nodes, knots, cost, theta)
+            if all(max(k) * (1.0 + _ROUNDING) <= fm - 1.0 for k in knots):
+                kept = (pairs, theta, best, edges)
+        yield _close(nodes, knots, best, edges, close0, cost, None)
 
 
 def dm_distance(x: StepPath, y: StepPath, m: int):
@@ -415,7 +511,10 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
         raise ValueError(f"need a finite m >= 1, got {m}")
     if x.horizon is not None or y.horizon is not None:
         raise ValueError("d_m compares paths on [0, inf); transform first")
-    (value, knots), = _dm_matchings(x, y, [m])
+    X, Y = _canonical(x, y)
+    fm = float(m)
+    value, knots = _best_matching(X, Y, _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW),
+                                  lambda pc, stop: _cost(X, Y, pc, fm, fm, np.inf, False, stop))
     return value, TimeChange(tuple(knots))
 
 
@@ -424,9 +523,16 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
     2^-m min(1, d_m) after the alpha_t transport.  Returns (value, tail
     bound 2^-M).
 
-    All M distances come from one pass (:func:`_dm_matchings`): a piece
-    that ends before the ramp of m is priced once and reused for every
-    later m, so only pieces that reach a ramp are priced per m.
+    All M distances come from one pass (:func:`_dm_matchings`), each bit
+    for bit the d_m of :func:`dm_distance`.  A piece that ends before the
+    ramp [m-1, m] is priced once and reused for every later m.  So is the
+    part of a unit-slope tail up to its last jump while that part sees no
+    damping (the jump at least 1 before m on both time axes and before
+    every point where the damping bends), and the jump-pair search of a
+    level whose pair knots all lie before its ramp: a later level with the
+    same pairs reuses it while the bound it was priced at is at least its
+    own, and prices only its tails.  Only pieces that reach a ramp are
+    priced per m.
     """
     M = _level(M, "the truncation level M")
     total = 0.0
@@ -440,9 +546,7 @@ def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
     """Undamped J1-style distance on [0, horizon): jump mismatches cannot be
     damped away.  Used for the projection-discontinuity contrast."""
     h = _positive(horizon, "horizon")
-    if y.sort_key() < x.sort_key():
-        x, y = y, x
-    X, Y = _prepared(x, y)
+    X, Y = _canonical(x, y)
     value, _ = _best_matching(X, Y, _pairs(X, Y, h, np.inf),
                               lambda pc, stop: _cost(X, Y, pc, np.inf, h, h, False, stop))
     return value

@@ -366,6 +366,31 @@ def test_acceptance_decompose():
         acceptance_decompose(bad, dyn, 0, 1, 2, Q)
 
 
+@pytest.mark.parametrize("bent_call, message", [
+    (2, r"decomposition failed: Y not in the \(s,t\) acceptance set"),
+    (3, "decomposition failed: Z not Q-accepted between r and s"),
+], ids=["Y", "Z"])
+def test_acceptance_decompose_raises_when_rho_breaks_the_decomposition(monkeypatch, bent_call,
+                                                                      message):
+    # rho is evaluated on X between r and t, on X between s and t, on Y and
+    # on Z, in that order; a rho that reads 1.0 high on one of the last two
+    # evaluations breaks the recursion the decomposition rests on
+    lat, dyn = menu_dynamic()
+    Q = zero_penalty_member(lat, 0.5)
+    X0 = random_rv(lat, 2, np.random.default_rng(25))
+    X = X0 + lift(dyn.rho(0, 2, X0), 2)
+    rho, calls = OneStepStructure.rho, []
+
+    def bent(self, s, t, V):
+        calls.append((s, t))
+        return rho(self, s, t, V) + (1.0 if len(calls) == bent_call + 1 else 0.0)
+
+    monkeypatch.setattr(OneStepStructure, "rho", bent)
+    with pytest.raises(RuntimeError, match=message):
+        acceptance_decompose(X, dyn, 0, 1, 2, Q)
+    assert calls == [(0, 2), (1, 2), (1, 2), (0, 2)][:bent_call + 1]
+
+
 def test_supermartingale_under_reference():
     lat, dyn = menu_dynamic()
     P = zero_penalty_member(lat, 0.5)

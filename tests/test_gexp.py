@@ -715,6 +715,19 @@ def test_an_error_in_a_block_reaches_the_caller_and_no_thread_outlives_it(monkey
     assert threading.active_count() == before
 
 
+def test_a_surface_count_other_than_the_row_count_is_rejected():
+    # a 1-D payoff is n_space rows of one cell: one surface for it was zipped
+    # with its cells and filled every step with the first cell's value, and
+    # two surfaces for one row were zipped down to one
+    x, k = COARSE.x, COARSE.n_steps
+    s, t = np.zeros((k + 1, x.size)), np.zeros((k + 1, x.size))
+    with pytest.raises(ValueError, match=f"1 surfaces for {x.size} rows of values"):
+        _evolve(x ** 2, BAND, COARSE, k, 0, (s,))
+    with pytest.raises(ValueError, match="2 surfaces for 1 rows of values"):
+        _evolve((x ** 2)[None], BAND, COARSE, k, 0, (s, t))
+    assert not s.any() and not t.any()
+
+
 def test_bid_and_ask_surfaces_are_separate_arrays():
     # a caller that keeps only the ask surface must not keep the bid's memory
     # alive: each surface owns its buffer, and the two do not overlap

@@ -500,6 +500,18 @@ def test_box_oracle_solves_two_lps_per_node(monkeypatch):
     assert len(calls) == 2 * lat.n_nodes(1)
 
 
+def test_box_oracle_raises_when_an_lp_fails(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog",
+                        lambda *a, **kw: scipy.optimize.OptimizeResult(status=2, fun=np.nan))
+    lat, q1, q2, _ = fix_a_family()
+    zeros = RandomVariable(lat, 1, np.zeros(2))
+    rep = DualRep(1, 2, ((q1, zeros), (q2, zeros)))
+    with pytest.raises(RuntimeError, match=r"box oracle LP failed at node \(1,0\)"):
+        conjugate_box_oracle(rep, q1)
+
+
 def _per_node_penalty(rep, Q, solve=None):
     """minimal_penalty node by node, one problem per node, solved by
     ``solve(M, b, c, node)``; by default one SVD and one basis enumeration:

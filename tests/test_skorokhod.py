@@ -332,11 +332,23 @@ def dhat_by_enumeration(x, y, t, M):
     return total
 
 
+# jumps at u = 0.5 and 0.75 are transported to 1.0 and 3.0 exactly, and one
+# at u = 0.8 to 4.000000000000001: the last jump J of a closing piece then
+# sits on the ramp's start m - 1 = J, or a few ulps past it
+RAMP_CASES = [(([0.3, 0.75], [1.0, -1.0]), ([0.5, 0.8], [2.0, 1.0])),
+              (([0.75], [1.0]), ([0.8], [1.0])),
+              (([0.2, 0.5, 0.8], [1.0, 2.0, 0.0]), ([0.75], [2.0])),
+              (([0.5], [1.0]), ([0.75, 0.8], [1.0, 0.5])),
+              (([0.5, 0.75], [[1.0, 0.0], [0.0, 1.0]]), ([0.75], [[1.0, 1.0]]))]
+
+
 def test_dhat_matches_the_enumeration_oracle():
     """d-hat shares piece costs across m; the oracle prices every matching
-    of every m from scratch.  A third of the cases put jumps in [0.7, 0.95],
-    at transformed times 2.3-19, so the pair set changes with m and ramps
-    cross knots."""
+    of every m from scratch.  A third of the random cases put jumps in
+    [0.7, 0.95], at transformed times 2.3-19, so the pair set changes with m
+    and ramps cross knots.  Then jumps in [0.9, 0.95], at 9-19, change the
+    pair set up to m = 17, past levels where the pair DP was kept; and jumps
+    at whole transformed times put a closing piece's last jump on a ramp."""
     rng = np.random.default_rng(23)
     for case in range(198):
         lo, hi = (0.7, 0.95) if case % 3 == 0 else (0.05, 0.95)
@@ -345,6 +357,15 @@ def test_dhat_matches_the_enumeration_oracle():
         y = random_path(rng, int(rng.integers(0, 5)), lo, hi, dim, horizon=1.0)
         M = (1, 5, 20)[case // 3 % 3]
         assert dhat_distance(x, y, 1.0, M)[0] == dhat_by_enumeration(x, y, 1.0, M)
+    for case in range(30):
+        dim = 2 if case % 4 == 0 else 1
+        x = random_path(rng, int(rng.integers(1, 5)), 0.9, 0.95, dim, horizon=1.0)
+        y = random_path(rng, int(rng.integers(0, 5)), 0.9, 0.95, dim, horizon=1.0)
+        assert dhat_distance(x, y, 1.0, 20)[0] == dhat_by_enumeration(x, y, 1.0, 20)
+    for x, y in RAMP_CASES:
+        x, y = jump_path(*x, horizon=1.0), jump_path(*y, horizon=1.0)
+        for M in (4, 5, 20):
+            assert dhat_distance(x, y, 1.0, M)[0] == dhat_by_enumeration(x, y, 1.0, M)
 
 
 def test_dhat_prices_pieces_before_the_ramp_once(monkeypatch):
@@ -362,6 +383,56 @@ def test_dhat_prices_pieces_before_the_ramp_once(monkeypatch):
         total += 2.0 ** (-m) * min(1.0, dm_distance(xr, yr, m)[0])
     assert value == total
     assert shared < 0.5 * (len(calls) - shared)
+
+
+@pytest.mark.parametrize("x, y, t", [(x, y, 1.0) for x, y in RAMP_CASES] + [
+    (([0.91, 0.93, 0.945], [1.0, 3.0, -2.0]),
+     ([0.9, 0.92, 0.94, 0.95], [1.0, 2.0, 1.0, 0.0]), 1.0),
+    (([0.1, 0.3, 0.92], [2.0, 0.0, 1.0]), ([0.2, 0.4, 0.6], [2.0, 1.0, 1.0]), 1.0),
+    # on [0, inf): closing pieces whose sup on the ramp sits where lam(u)
+    # is m - 1 or m, the first at m = 7 ...
+    (([2.33, 5.07], [-0.24, -0.6]), ([5.25], [-0.16]), None),
+    (([2.3], [2.0]), ([2.71], [1.0]), None),
+    # ... and, with d_m above the 1 at which d-hat clips it, a closing piece
+    # whose last jump lies past m - 1 while lam maps it before m - 1, and
+    # closing pieces cut short at one level and priced again at a later one
+    (([4.19], [1.0]), ([1.92, 2.43, 3.18], [1.0, 4.0, 0.0]), None),
+    (([0.34, 3.7, 4.9], [0.47, -1.86, -0.45]), ([1.83, 2.07, 2.29], [0.36, 0.64, 0.97]), None),
+    (([1.98, 2.65], [0.48, 1.95]), ([0.52, 4.55, 5.35, 5.98], [0.94, -0.22, -1.22, -0.14]), None)])
+def test_each_level_of_a_dhat_is_the_dm_distance_of_that_level(x, y, t):
+    """Values unclipped by min(1, d_m), and witness knots: jumps on a ramp,
+    a pair set that grows up to m = 17, one jump far past the others, and
+    the reuses' guards."""
+    xr, yr = jump_path(*x, horizon=t), jump_path(*y, horizon=t)
+    if t is not None:
+        xr, yr = transform_path(xr, t), transform_path(yr, t)
+    for m, (value, knots) in enumerate(skorokhod._dm_matchings(xr, yr, range(1, 21)), start=1):
+        expected, witness = dm_distance(xr, yr, m)
+        assert value == expected
+        assert tuple(knots) == witness.knots
+
+
+def test_dhat_prices_no_edge_after_the_last_ramp_crossing(monkeypatch):
+    """The fixture of test_dhat_prices_pieces_before_the_ramp_once.  From
+    the first level m at which every jump pair's knot lies before the ramp
+    [m-1, m], the pair DP is kept: no piece between two knots is priced,
+    cached or not, at a later level."""
+    rng = np.random.default_rng(31)
+    x = random_path(rng, 3, 0.05, 0.6, 1, horizon=1.0)
+    y = random_path(rng, 4, 0.05, 0.6, 1, horizon=1.0)
+    xr, yr = transform_path(x, 1.0), transform_path(y, 1.0)
+    last = max(xr.times.max(), yr.times.max())
+    assert last - min(xr.times.min(), yr.times.min()) <= skorokhod._PAIR_WINDOW  # all paired
+    first = next(m for m in range(1, 21) if last * (1.0 + skorokhod._ROUNDING) <= m - 1.0)
+    levels, edges = [], []  # edges built before each level starts; their end knots
+    pairs, piece = skorokhod._pairs, skorokhod._piece
+    monkeypatch.setattr(skorokhod, "_pairs", lambda *a: levels.append(len(edges)) or pairs(*a))
+    monkeypatch.setattr(skorokhod, "_piece",
+                        lambda k0, k1: (k1 is not None and edges.append(k1)) or piece(k0, k1))
+    dhat_distance(x, y, 1.0, M=20)
+    assert len(levels) == 20 and 3 <= first < 20
+    assert levels[first] > levels[first - 1]  # level `first` priced the DP
+    assert len(edges) == levels[first]
 
 
 def _digest(values):
