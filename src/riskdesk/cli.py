@@ -42,7 +42,7 @@ from .gexp import GridSpec, VolatilityBand, _evolve, _on_grid, bid_ask
 from .lattice import RandomVariable, ScenarioLattice, lattice_from_json
 from .measures import measure_from_json
 from .risk import DualRep, dualrep_from_json, minimal_penalty, rm_evaluate
-from .skorokhod import StepPath, dhat_distance, path_from_json
+from .skorokhod import StepPath, _prepared, dhat_distance, path_from_json
 from .stability import enumerate_selections, is_stable, rectangular_hull
 
 EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_CHECK = 0, 1, 2, 3
@@ -296,6 +296,7 @@ def _task_skorokhod(config, seed):
         raise ConfigError(f"skorokhod: both paths must live on [0, t) with t={t}, "
                           f"got horizons {x.horizon} and {y.horizon}")
     M = _integer(config.get("M", 20), "M", 1)
+    _prepared(x, y)  # raises on dimensions that do not broadcast
 
     def run():
         value, tail = dhat_distance(x, y, t, M=M)

@@ -27,7 +27,14 @@ that ends before the ramp [m-1, m] costs at m what it costs at m = inf, so
 the M distances of the weighted sum come from one pass that prices such a
 piece once, prices the part of a unit-slope tail before the ramp once, and
 keeps the jump-pair search of a level whose pieces all end before its ramp
-for the later levels (:func:`_dm_matchings`).
+for the later levels (:func:`_dm_matchings`).  The weighted sum reads d_m
+only through min(1, d_m), a bound known before the search starts, so each
+level's search is capped just above 1: below the cap every piece that counts
+is priced at a stop of at least the final bound, so the value keeps its
+bits, and past it any value returned is above 1, as d_m is.  A level far
+enough past the last jump has every matching's closing piece scan its last
+jump with no damping, so d_m is at least the gap between the paths' end
+values, and a level where that gap reaches 1 needs no search.
 """
 
 from __future__ import annotations
@@ -63,6 +70,7 @@ _PAIR_WINDOW = 2.0  # how far apart d_m may pair jumps (see dm_distance)
 # relative slack on "before the ramp": just before a piece's end knot u1,
 # _lam can round a few ulps past v1
 _ROUNDING = 1e-12
+_LAST_LEVEL = 1074  # 2.0 ** -m is 0.0 past it, so d-hat's later levels add 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,8 +354,9 @@ def _best_matching(X, Y, pairs, cost, end=None):
     """
     nodes, knots = _dag(X, Y, pairs)
     close0 = cost(_piece(knots[0], end), np.inf)
-    best, edges = _chains(nodes, knots, cost, close0 + _MATCH_TOL)
-    return _close(nodes, knots, best, edges, close0, cost, end)
+    theta = close0 + _MATCH_TOL
+    best, edges = _chains(nodes, knots, cost, theta)
+    return _close(nodes, knots, best, edges, close0, theta, cost, end)
 
 
 def _dag(X, Y, pairs):
@@ -375,12 +384,20 @@ def _chains(nodes, knots, cost, stop: float):
     return best, edges
 
 
-def _close(nodes, knots, best, edges, close0: float, cost, end):
+def _close(nodes, knots, best, edges, close0: float, theta: float, cost, end):
     """The closing phase and tie-break of :func:`_best_matching`, from the
-    output of :func:`_chains` priced at a stop of at least close0 +
-    _MATCH_TOL and the empty matching's cost close0."""
+    output of :func:`_chains` priced at a stop of at least ``theta``, the
+    empty matching's cost close0 (exact when at most ``theta``, above it
+    otherwise) and the starting theta.
+
+    A theta below close0 + _MATCH_TOL caps the search: the value and knots
+    are those of the uncapped search whenever its final theta is within the
+    cap, because until then the two thetas agree, and every piece that
+    counts is priced at a stop of at least the final theta.  Past the cap,
+    the value is the cost of a matching dearer than theta - _MATCH_TOL or,
+    when no matching lies within theta, theta itself with knots None.
+    """
     close = [close0] + [np.inf] * (len(nodes) - 1)
-    theta = close0 + _MATCH_TOL
     for k in sorted(range(1, len(nodes)), key=best.__getitem__):
         if best[k] > theta:
             break
@@ -399,7 +416,9 @@ def _close(nodes, knots, best, edges, close0: float, cost, end):
                     longer[a] = cand
         tails = longer
     if tails[0] is None:
-        raise RuntimeError(f"no matching costs at most theta = {theta}")
+        if not close0 > theta:  # uncapped, only NaN costs leave no matching within theta
+            raise RuntimeError(f"no matching costs at most theta = {theta}")
+        return theta, None
     index = {pair: a for a, pair in enumerate(nodes)}
     chain = [0] + [index[pair] for pair in zip(*tails[0])]
     value = max([edges[a, b] for a, b in zip(chain, chain[1:])] + [close[chain[-1]]])
@@ -411,10 +430,28 @@ def _canonical(x: StepPath, y: StepPath):
     return _prepared(x, y) if x.sort_key() <= y.sort_key() else _prepared(y, x)
 
 
-def _dm_matchings(x: StepPath, y: StepPath, ms):
+def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     """(value, knots) of the best matching of d_m(x, y), for each m of the
-    increasing sequence ``ms`` in turn, each bit for bit that of
-    :func:`dm_distance`, with the work that does not depend on m done once.
+    increasing sequence ``ms`` in turn, with the work that does not depend
+    on m done once.  min(clip, value) is bit for bit min(clip, d_m) of
+    :func:`dm_distance`, and wherever d_m < clip so are value and knots;
+    ``clip`` = inf pins every level to :func:`dm_distance`.
+
+    The clip caps each level's search at C = clip + 2 _MATCH_TOL: the empty
+    matching's closing piece is priced at stop C, and theta starts at
+    min(its cost + _MATCH_TOL, C) (:func:`_close`).  That is exact.  If the
+    least cost L is at most clip + _MATCH_TOL, every piece that counts is
+    priced at a stop of at least the final theta, so value, tie-break and
+    knots keep their bits.  Otherwise every value returned, a matching's
+    cost or C itself (knots None), is above clip, as d_m is.
+
+    A level m with m - 1 >= (latest jump + _PAIR_WINDOW) (1 + _ROUNDING) + 1
+    whose terminal gap max_d |x_end - y_end| is at least ``clip`` yields
+    that gap, with knots None, without a search.  Paired knots lie at most
+    _PAIR_WINDOW apart, so every closing piece's last jump J has J and
+    lam(J) at least 1 before m: its scan has an interval that starts at J,
+    where both damping factors are exactly 1.0 and the paths hold their end
+    values.  So d_m is at least that gap, bit for bit, and so at least clip.
 
     A piece whose end knot lies before the ramp [m-1, m] on both time axes
     sees damping exactly 1.0, so its cost at m is its cost at m = inf: it is
@@ -425,12 +462,14 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
 
     - A closing piece (the unit-slope tail after knot (u0, v0)) is constant
       past its last start-or-jump breakpoint J, the greatest of u0 and the
-      jumps of either path on it.  When every breakpoint up to J sees
-      damping exactly 1.0 (m - J >= 1 and m - lam(J) >= 1) and no ramp
-      breakpoint lies below J, the intervals up to J are those of the
-      m = inf scan up to J, with the same factors 1.0, so that scan is
-      priced once and kept under (u0, v0); each m scans only the intervals
-      from J through the ramp (:func:`_scan`).
+      jumps of either path on it.  When J sees damping exactly 1.0
+      (m - J >= 1 and m - lam(J) >= 1), so does every breakpoint below it,
+      as _lam is monotone under rounding, and the intervals up to J are
+      those of the m = inf scan up to J, with the same factors 1.0.  That
+      scan is priced once and kept under (u0, v0); each m scans only the
+      intervals from J through the ramp (:func:`_scan`).  A ramp point that
+      rounds below J only splits an interval on which both paths and both
+      factors are constant, so it adds no new term.
     - The pair DP (:func:`_chains`) is kept from a level whose edges all end
       before the ramp (every pair knot (u, v) has max(u, v) <= m - 1, up to
       _ROUNDING), with the stop S it was priced at, the level's theta.  A
@@ -449,6 +488,9 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
     """
     X, Y = _canonical(x, y)
     xt, yt = X[0], Y[0]
+    cap = clip + 2.0 * _MATCH_TOL
+    settled = (max(xt[-1:] + yt[-1:], default=0.0) + _PAIR_WINDOW) * (1.0 + _ROUNDING) + 1.0
+    terminal = max(abs(p - q) for p, q in zip(X[1][-1], Y[1][-1]))
     flat = {}  # (u0, v0, u1, v1) -> (cost at m = inf, whether cut short)
     heads = {}  # (u0, v0) -> (J, m = inf scan up to J, whether cut short)
     kept = None  # (pairs, S, best, edges) of a DP with no edge at the ramp
@@ -460,14 +502,14 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
                 + [_lam_inv(pc, v) for v in xt[-1:] if v >= v0]
             heads[key] = (max(jumps), 0.0, True)  # unpriced: cut short at 0.0
         J, head, short = heads[key]
-        # where the damping bends, as in _gap with u1 = v1 = inf
-        ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
-            + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
-        if fm - J < 1.0 or fm - _lam(pc, J) < 1.0 or min(ramp) < J:
+        if fm - J < 1.0 or fm - _lam(pc, J) < 1.0:
             return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
         if short and head <= stop:
             head = _gap(X, Y, pc, np.inf, J, False, stop)
             heads[key] = (J, head, head > stop)
+        # where the damping bends, as in _gap with u1 = v1 = inf
+        ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
+            + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
         return max(_deviation(pc, fm), head if head > stop else
                    _scan(X, Y, pc, fm, sorted({J, *ramp}), head, stop))
 
@@ -484,18 +526,21 @@ def _dm_matchings(x: StepPath, y: StepPath, ms):
 
     for m in ms:
         fm = float(m)
+        if fm - 1.0 >= settled and terminal >= clip:
+            yield terminal, None
+            continue
         pairs = _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW)
         nodes, knots = _dag(X, Y, pairs)
         cost = lambda pc, stop: shared_cost(pc, fm, stop)
-        close0 = cost(_piece(knots[0], None), np.inf)
-        theta = close0 + _MATCH_TOL
+        close0 = cost(_piece(knots[0], None), cap)
+        theta = min(close0 + _MATCH_TOL, cap)
         if kept is not None and kept[0] == pairs and theta <= kept[1]:
             best, edges = kept[2:]
         else:
             best, edges = _chains(nodes, knots, cost, theta)
             if all(max(k) * (1.0 + _ROUNDING) <= fm - 1.0 for k in knots):
                 kept = (pairs, theta, best, edges)
-        yield _close(nodes, knots, best, edges, close0, cost, None)
+        yield _close(nodes, knots, best, edges, close0, theta, cost, None)
 
 
 def dm_distance(x: StepPath, y: StepPath, m: int):
@@ -523,20 +568,26 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
     2^-m min(1, d_m) after the alpha_t transport.  Returns (value, tail
     bound 2^-M).
 
-    All M distances come from one pass (:func:`_dm_matchings`), each bit
-    for bit the d_m of :func:`dm_distance`.  A piece that ends before the
-    ramp [m-1, m] is priced once and reused for every later m.  So is the
-    part of a unit-slope tail up to its last jump while that part sees no
-    damping (the jump at least 1 before m on both time axes and before
-    every point where the damping bends), and the jump-pair search of a
-    level whose pair knots all lie before its ramp: a later level with the
-    same pairs reuses it while the bound it was priced at is at least its
-    own, and prices only its tails.  Only pieces that reach a ramp are
-    priced per m.
+    All M distances come from one pass (:func:`_dm_matchings`), each
+    min(1, d_m) bit for bit that of :func:`dm_distance`.  A piece that ends
+    before the ramp [m-1, m] is priced once and reused for every later m.
+    So is the part of a unit-slope tail up to its last jump while that part
+    sees no damping (the jump at least 1 before m on both time axes), and
+    the jump-pair search of a level whose pair knots all lie before its
+    ramp: a later level with the same pairs reuses it while the bound it
+    was priced at is at least its own, and prices only its tails.  Only
+    pieces that reach a ramp are priced per m.
+
+    d_m is read only through min(1, d_m), so each level's search stops at
+    1 + 2 _MATCH_TOL: below that its value keeps its bits, and above it any
+    value returned is above 1.  A level far enough past the last jump whose
+    paths end at least 1 apart is not searched: d_m is at least that
+    terminal gap.  2^-m is 0.0 past m = 1074, so the levels stop there.
     """
     M = _level(M, "the truncation level M")
     total = 0.0
-    dms = _dm_matchings(transform_path(x, t), transform_path(y, t), range(1, M + 1))
+    dms = _dm_matchings(transform_path(x, t), transform_path(y, t),
+                        range(1, min(M, _LAST_LEVEL) + 1), 1.0)
     for m, (dm, _) in enumerate(dms, start=1):
         total += 2.0 ** (-m) * min(1.0, dm)
     return total, 2.0 ** (-M)

@@ -142,11 +142,14 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
     ({"task": "skorokhod", "t": 2.0, "paths": [SKOROKHOD_PATH] * 2}, ()),
     ({"task": "skorokhod", "t": -1.0,
       "paths": [{"domain": {"kind": "half_open", "t": -1.0}, "jumps": []}] * 2}, ()),
+    ({"task": "skorokhod", "paths": [
+        {"domain": {"kind": "half_open", "t": 1.0}, "jumps": [{"time": 0.3, "value": [1.0] * d}]}
+        for d in (2, 3)]}, ()),
     *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
-        "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon",
+        "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon", "path-dimensions",
         *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
     monkeypatch.chdir(tmp_path)

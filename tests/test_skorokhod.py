@@ -385,7 +385,7 @@ def test_dhat_prices_pieces_before_the_ramp_once(monkeypatch):
     assert shared < 0.5 * (len(calls) - shared)
 
 
-@pytest.mark.parametrize("x, y, t", [(x, y, 1.0) for x, y in RAMP_CASES] + [
+LEVEL_CASES = [(x, y, 1.0) for x, y in RAMP_CASES] + [
     (([0.91, 0.93, 0.945], [1.0, 3.0, -2.0]),
      ([0.9, 0.92, 0.94, 0.95], [1.0, 2.0, 1.0, 0.0]), 1.0),
     (([0.1, 0.3, 0.92], [2.0, 0.0, 1.0]), ([0.2, 0.4, 0.6], [2.0, 1.0, 1.0]), 1.0),
@@ -398,18 +398,96 @@ def test_dhat_prices_pieces_before_the_ramp_once(monkeypatch):
     # closing pieces cut short at one level and priced again at a later one
     (([4.19], [1.0]), ([1.92, 2.43, 3.18], [1.0, 4.0, 0.0]), None),
     (([0.34, 3.7, 4.9], [0.47, -1.86, -0.45]), ([1.83, 2.07, 2.29], [0.36, 0.64, 0.97]), None),
-    (([1.98, 2.65], [0.48, 1.95]), ([0.52, 4.55, 5.35, 5.98], [0.94, -0.22, -1.22, -0.14]), None)])
+    (([1.98, 2.65], [0.48, 1.95]), ([0.52, 4.55, 5.35, 5.98], [0.94, -0.22, -1.22, -0.14]), None),
+    # jumps a few ulps off whole times: at m = 11 the ramp point
+    # lam^-1(m - 1) of the closing piece after knot (1.000000000000008, 3.0)
+    # rounds below its last jump J = 8.000000000000009
+    (([1.000000000000002, 3.0], [2.0, -1.0]),
+     ([1.000000000000008, 8.000000000000009], [-2.0, -1.0]), None)]
+
+
+def level_paths(x, y, t):
+    xr, yr = jump_path(*x, horizon=t), jump_path(*y, horizon=t)
+    if t is not None:
+        xr, yr = transform_path(xr, t), transform_path(yr, t)
+    return xr, yr
+
+
+@pytest.mark.parametrize("x, y, t", LEVEL_CASES)
 def test_each_level_of_a_dhat_is_the_dm_distance_of_that_level(x, y, t):
     """Values unclipped by min(1, d_m), and witness knots: jumps on a ramp,
     a pair set that grows up to m = 17, one jump far past the others, and
     the reuses' guards."""
-    xr, yr = jump_path(*x, horizon=t), jump_path(*y, horizon=t)
-    if t is not None:
-        xr, yr = transform_path(xr, t), transform_path(yr, t)
-    for m, (value, knots) in enumerate(skorokhod._dm_matchings(xr, yr, range(1, 21)), start=1):
+    xr, yr = level_paths(x, y, t)
+    for m, (value, knots) in enumerate(skorokhod._dm_matchings(xr, yr, range(1, 21), np.inf),
+                                       start=1):
         expected, witness = dm_distance(xr, yr, m)
         assert value == expected
         assert tuple(knots) == witness.knots
+
+
+@pytest.mark.parametrize("x, y, t", LEVEL_CASES)
+def test_each_clipped_level_of_a_dhat_is_the_dm_distance_up_to_the_clip(x, y, t):
+    """Clipped at 1, as d-hat reads d_m: min(1, value) is min(1, d_m) bit
+    for bit, and below 1 the value and the knots are those of d_m."""
+    xr, yr = level_paths(x, y, t)
+    for m, (value, knots) in enumerate(skorokhod._dm_matchings(xr, yr, range(1, 21), 1.0),
+                                       start=1):
+        expected, witness = dm_distance(xr, yr, m)
+        assert min(1.0, value) == min(1.0, expected)
+        if expected < 1.0:
+            assert value == expected
+            assert tuple(knots) == witness.knots
+
+
+def test_a_clipped_level_with_no_matching_within_the_cap_returns_the_cap():
+    """On [0, inf), jumps at 2.3 and 2.71 whose values differ by 1: at
+    m = 3..6 every matching costs more than 1 + 2 _MATCH_TOL, so the search
+    finds none within its cap and returns the cap itself, without knots."""
+    xr, yr = level_paths(([2.3], [2.0]), ([2.71], [1.0]), None)
+    cap = 1.0 + 2.0 * skorokhod._MATCH_TOL
+    levels = list(skorokhod._dm_matchings(xr, yr, range(1, 7), 1.0))
+    for m in range(3, 7):
+        assert levels[m - 1] == (cap, None)
+        assert dm_distance(xr, yr, m)[0] > cap
+
+
+def test_a_level_whose_terminal_gap_reaches_the_clip_prices_no_piece(monkeypatch):
+    """On [0, inf), the last jump at 4.19 and end values 1 apart: from the
+    first m with m - 1 >= (4.19 + _PAIR_WINDOW) (1 + _ROUNDING) + 1, m = 9,
+    each level yields the terminal gap 1.0 and prices no piece."""
+    xr, yr = level_paths(([4.19], [1.0]), ([1.92, 2.43, 3.18], [1.0, 4.0, 0.0]), None)
+    pieces, per_level = [], []
+    piece = skorokhod._piece
+    monkeypatch.setattr(skorokhod, "_piece", lambda *a: pieces.append(1) or piece(*a))
+    for value, knots in skorokhod._dm_matchings(xr, yr, range(1, 21), 1.0):
+        per_level.append((len(pieces), value, knots))
+        pieces.clear()
+    assert all(count > 0 for count, _, _ in per_level[:8])
+    assert per_level[8:] == [(0, 1.0, None)] * 12
+    assert dm_distance(xr, yr, 9)[0] >= 1.0
+
+
+def test_dhat_stops_at_the_last_level_whose_weight_is_not_zero(monkeypatch):
+    """2^-m is 0.0 past m = 1074: M = 10**9 prices 1,074 levels, and its
+    value is that of M = 1,074 bit for bit."""
+    x = jump_path([0.5], [1.0], horizon=1.0)
+    y = jump_path([0.6], [0.5], horizon=1.0)
+    expected, last_weight = dhat_distance(x, y, 1.0, M=1074)
+    assert last_weight == 2.0 ** -1074
+    levels = [0]
+    dm_matchings = skorokhod._dm_matchings
+
+    def counted(*args):
+        for level in dm_matchings(*args):
+            levels[0] += 1
+            assert levels[0] <= 1074, "a level of weight 0.0 was priced"  # fail fast
+            yield level
+
+    monkeypatch.setattr(skorokhod, "_dm_matchings", counted)
+    value, bound = dhat_distance(x, y, 1.0, M=10**9)
+    assert levels == [1074] and bound == 0.0
+    assert value == expected
 
 
 def test_dhat_prices_no_edge_after_the_last_ramp_crossing(monkeypatch):
