@@ -31,10 +31,15 @@ for the later levels (:func:`_dm_matchings`).  The weighted sum reads d_m
 only through min(1, d_m), a bound known before the search starts, so each
 level's search is capped just above 1: below the cap every piece that counts
 is priced at a stop of at least the final bound, so the value keeps its
-bits, and past it any value returned is above 1, as d_m is.  A level far
-enough past the last jump has every matching's closing piece scan its last
-jump with no damping, so d_m is at least the gap between the paths' end
-values, and a level where that gap reaches 1 needs no search.
+bits, and past it any value returned is above 1, as d_m is.  Before its
+search, each level takes a floor that no matching can beat, as DTW search
+checks a cheap lower bound (LB_Kim) before the costly alignment.  A time
+change only reparametrizes a damped path, which keeps its sup and inf, and
+sup and inf are 1-Lipschitz, so d_m is at least the gap between the damped
+paths' sups and between their infs, per coordinate (less a slack for
+rounding); far enough past the last jump it is also at least the gap between
+their end values.  A level whose floor reaches 1 needs no search
+(:func:`_floors`).
 """
 
 from __future__ import annotations
@@ -42,6 +47,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from numbers import Real
+from operator import sub
 from typing import Optional
 
 import numpy as np
@@ -430,6 +437,81 @@ def _canonical(x: StepPath, y: StepPath):
     return _prepared(x, y) if x.sort_key() <= y.sort_key() else _prepared(y, x)
 
 
+def _extrema(P):
+    """Per coordinate, (max, min) of the 0 and the values of a prepared
+    path's first n jumps, for n = 0, 1, ..."""
+    hi = lo = P[1][0]  # the 0 at the origin
+    out = [(hi, lo)]
+    for row in P[1][1:]:
+        hi, lo = tuple(map(max, hi, row)), tuple(map(min, lo, row))
+        out.append((hi, lo))
+    return out
+
+
+def _damped_range(P, extrema, fm: float):
+    """Per coordinate, (sup, inf) over [0, inf) of g_m times a prepared
+    path, with g_m evaluated as :func:`_scan` evaluates it.
+
+    The rows that start by m - 1 hold their value undamped at their start
+    (``extrema``).  At each jump inside the ramp (m - 1, m) the row that
+    ends there and the row that starts there are visited damped.  From m on
+    the path is damped to the 0 that ``extrema`` holds.
+    """
+    times, rows = P
+    n, e = bisect_right(times, fm - 1.0), bisect_left(times, fm)
+    if n == e:
+        return extrema[n]
+    hi, lo = extrema[n]
+    for r in range(n, e):
+        g = _unit(fm - times[r])  # the end of row r, the start of row r + 1
+        for row in (rows[r], rows[r + 1]):
+            damped = [g * v for v in row]
+            hi, lo = tuple(map(max, hi, damped)), tuple(map(min, lo, damped))
+    return hi, lo
+
+
+def _floors(X, Y):
+    """fm -> a lower bound on d_m of the canonical prepared paths X and Y,
+    as :func:`dm_distance` computes d_m: the floor of the level.
+
+    The range gap.  Every time change is a bijection of [0, inf), so
+    g_m X(lam(.)) takes the values that g_m X takes, and sup and inf are
+    1-Lipschitz in the sup norm: the sup over u of
+    |g_m X(lam(u)) - g_m Y(u)| is at least, per coordinate, the gap between
+    the damped sups of the two paths and the gap between their damped infs
+    (:func:`_damped_range`).  The scan takes the sup at the ends of the
+    intervals between breakpoints, with the values inside, and every jump
+    of either path is a breakpoint.  It damps Y at Y's jump times as
+    :func:`_damped_range` does, and X at lam of the breakpoint of an X jump
+    t, which _lam rounds off t by at most _ROUNDING t, as "before the ramp"
+    assumes.  Damping is 0 from m on, so a factor that counts is off by at
+    most _ROUNDING m and an ulp, and the scan's max falls short of the
+    range gap by less than 2 _ROUNDING m times the largest |value|: the
+    slack taken off the range gap.
+
+    The terminal gap.  A settled level, with m - 1 >= (latest jump +
+    _PAIR_WINDOW) (1 + _ROUNDING) + 1, has a second bound, the terminal
+    gap max_d |x_end - y_end|.  Paired knots lie at most _PAIR_WINDOW apart,
+    so every closing piece's last jump J has J and lam(J) at least 1 before
+    m: its scan has an interval that starts at J, where both damping
+    factors are exactly 1.0 and the paths hold their end values, so d_m is
+    at least that gap bit for bit.
+    """
+    xt, yt = X[0], Y[0]
+    settled = (max(xt[-1:] + yt[-1:], default=0.0) + _PAIR_WINDOW) * (1.0 + _ROUNDING) + 1.0
+    terminal = max(abs(p - q) for p, q in zip(X[1][-1], Y[1][-1]))
+    xext, yext = _extrema(X), _extrema(Y)
+    slack = 2.0 * _ROUNDING * max(abs(v) for P in (X, Y) for row in P[1] for v in row)
+
+    def floor(fm: float) -> float:
+        xhi, xlo = _damped_range(X, xext, fm)
+        yhi, ylo = _damped_range(Y, yext, fm)
+        bound = max(map(abs, map(sub, xhi + xlo, yhi + ylo))) - slack * fm
+        return max(bound, terminal) if fm - 1.0 >= settled else bound
+
+    return floor
+
+
 def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     """(value, knots) of the best matching of d_m(x, y), for each m of the
     increasing sequence ``ms`` in turn, with the work that does not depend
@@ -445,13 +527,11 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     knots keep their bits.  Otherwise every value returned, a matching's
     cost or C itself (knots None), is above clip, as d_m is.
 
-    A level m with m - 1 >= (latest jump + _PAIR_WINDOW) (1 + _ROUNDING) + 1
-    whose terminal gap max_d |x_end - y_end| is at least ``clip`` yields
-    that gap, with knots None, without a search.  Paired knots lie at most
-    _PAIR_WINDOW apart, so every closing piece's last jump J has J and
-    lam(J) at least 1 before m: its scan has an interval that starts at J,
-    where both damping factors are exactly 1.0 and the paths hold their end
-    values.  So d_m is at least that gap, bit for bit, and so at least clip.
+    Before its search, each level takes its floor (:func:`_floors`): the
+    larger of the range gap, less a slack for rounding, and, on a level
+    settled past the last jump, the terminal gap.  Both are at most d_m, so
+    a level whose floor is at least ``clip`` yields the floor, with knots
+    None, without a search: min(clip, floor) = clip = min(clip, d_m).
 
     A piece whose end knot lies before the ramp [m-1, m] on both time axes
     sees damping exactly 1.0, so its cost at m is its cost at m = inf: it is
@@ -489,8 +569,7 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     X, Y = _canonical(x, y)
     xt, yt = X[0], Y[0]
     cap = clip + 2.0 * _MATCH_TOL
-    settled = (max(xt[-1:] + yt[-1:], default=0.0) + _PAIR_WINDOW) * (1.0 + _ROUNDING) + 1.0
-    terminal = max(abs(p - q) for p, q in zip(X[1][-1], Y[1][-1]))
+    floor = _floors(X, Y)
     flat = {}  # (u0, v0, u1, v1) -> (cost at m = inf, whether cut short)
     heads = {}  # (u0, v0) -> (J, m = inf scan up to J, whether cut short)
     kept = None  # (pairs, S, best, edges) of a DP with no edge at the ramp
@@ -526,8 +605,9 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
 
     for m in ms:
         fm = float(m)
-        if fm - 1.0 >= settled and terminal >= clip:
-            yield terminal, None
+        bound = floor(fm)
+        if bound >= clip:
+            yield bound, None
             continue
         pairs = _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW)
         nodes, knots = _dag(X, Y, pairs)
@@ -552,7 +632,7 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
     a minimax path over jump pairs (:func:`_best_matching`), polynomial in
     the jump counts.  Symmetric by construction (canonical argument order).
     """
-    if not (np.isfinite(m) and m >= 1):
+    if isinstance(m, bool) or not isinstance(m, Real) or not (np.isfinite(m) and m >= 1):
         raise ValueError(f"need a finite m >= 1, got {m}")
     if x.horizon is not None or y.horizon is not None:
         raise ValueError("d_m compares paths on [0, inf); transform first")
@@ -580,9 +660,12 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
 
     d_m is read only through min(1, d_m), so each level's search stops at
     1 + 2 _MATCH_TOL: below that its value keeps its bits, and above it any
-    value returned is above 1.  A level far enough past the last jump whose
-    paths end at least 1 apart is not searched: d_m is at least that
-    terminal gap.  2^-m is 0.0 past m = 1074, so the levels stop there.
+    value returned is above 1.  A level whose floor reaches 1 is not
+    searched at all.  The floor is the larger of the gap between the ranges
+    of the two damped paths, which every time change keeps, less a slack
+    for rounding, and, on a level far enough past the last jump, the gap
+    between the paths' end values (:func:`_floors`).  2^-m is 0.0 past
+    m = 1074, so the levels stop there.
     """
     M = _level(M, "the truncation level M")
     total = 0.0

@@ -441,22 +441,28 @@ def test_each_clipped_level_of_a_dhat_is_the_dm_distance_up_to_the_clip(x, y, t)
 
 
 def test_a_clipped_level_with_no_matching_within_the_cap_returns_the_cap():
-    """On [0, inf), jumps at 2.3 and 2.71 whose values differ by 1: at
-    m = 3..6 every matching costs more than 1 + 2 _MATCH_TOL, so the search
-    finds none within its cap and returns the cap itself, without knots."""
-    xr, yr = level_paths(([2.3], [2.0]), ([2.71], [1.0]), None)
+    """On [0, inf), the same bump of height 1.5 at [1.0, 1.1) and at
+    [3.0, 3.1): the damped ranges agree from m = 4 on, so the floor stays
+    below the clip, yet aligning the bumps moves time by 2 and leaving them
+    apart costs 1.5.  Every matching costs more than 1 + 2 _MATCH_TOL, so
+    the search finds none within its cap and returns the cap itself,
+    without knots."""
+    xr, yr = level_paths(([1.0, 1.1], [1.5, 0.0]), ([3.0, 3.1], [1.5, 0.0]), None)
     cap = 1.0 + 2.0 * skorokhod._MATCH_TOL
-    levels = list(skorokhod._dm_matchings(xr, yr, range(1, 7), 1.0))
-    for m in range(3, 7):
+    floor = skorokhod._floors(*skorokhod._canonical(xr, yr))
+    levels = list(skorokhod._dm_matchings(xr, yr, range(1, 21), 1.0))
+    for m in range(4, 21):
+        assert floor(float(m)) < 1.0
         assert levels[m - 1] == (cap, None)
         assert dm_distance(xr, yr, m)[0] > cap
 
 
 def test_a_level_whose_terminal_gap_reaches_the_clip_prices_no_piece(monkeypatch):
-    """On [0, inf), the last jump at 4.19 and end values 1 apart: from the
-    first m with m - 1 >= (4.19 + _PAIR_WINDOW) (1 + _ROUNDING) + 1, m = 9,
-    each level yields the terminal gap 1.0 and prices no piece."""
-    xr, yr = level_paths(([4.19], [1.0]), ([1.92, 2.43, 3.18], [1.0, 4.0, 0.0]), None)
+    """On [0, inf), the last jump at 4.19 and end values 1 apart, while the
+    damped ranges stay less than 1 apart: from the first m with
+    m - 1 >= (4.19 + _PAIR_WINDOW) (1 + _ROUNDING) + 1, m = 9, each level
+    yields the terminal gap 1.0 and prices no piece."""
+    xr, yr = level_paths(([4.19], [1.0]), ([1.92, 2.43, 3.18], [1.0, 0.5, 0.0]), None)
     pieces, per_level = [], []
     piece = skorokhod._piece
     monkeypatch.setattr(skorokhod, "_piece", lambda *a: pieces.append(1) or piece(*a))
@@ -466,6 +472,53 @@ def test_a_level_whose_terminal_gap_reaches_the_clip_prices_no_piece(monkeypatch
     assert all(count > 0 for count, _, _ in per_level[:8])
     assert per_level[8:] == [(0, 1.0, None)] * 12
     assert dm_distance(xr, yr, 9)[0] >= 1.0
+
+
+def test_the_floor_of_a_level_is_never_above_its_dm_distance():
+    """Seeded pairs on [0, inf) with 0-5 jumps, 1-D, 2-D and 1-D against
+    2-D, a third of them with jumps on whole times, so at m - 1 and at m,
+    and values up to about 1e8.  Without its slack the range gap exceeds
+    d_m at some of these levels, by the rounding of the damping factors."""
+    rng = np.random.default_rng(47)
+    unslacked = 0
+    for case in range(160):
+        lo = rng.uniform(0.0, 17.0)
+        paths = []
+        for dim in ((1, 1), (2, 2), (1, 2), (2, 1))[case % 4]:
+            times = lo + rng.uniform(0.05, 4.0, int(rng.integers(0, 6)))
+            if case % 3 == 0:
+                times = np.round(times)
+            times = np.unique(times[times > 0.0])
+            values = rng.normal(size=(times.size, dim)) * 10.0 ** rng.integers(0, 9)
+            paths.append(StepPath(times, np.round(values) if case % 5 == 0 else values))
+        X, Y = skorokhod._canonical(*paths)
+        floor = skorokhod._floors(X, Y)
+        for m in range(1, 21):
+            expected = dm_distance(*paths, m)[0]
+            assert floor(float(m)) <= expected
+            (xhi, xlo), (yhi, ylo) = (skorokhod._damped_range(P, skorokhod._extrema(P), float(m))
+                                      for P in (X, Y))
+            unslacked += max(abs(p - q) for p, q in zip(xhi + xlo, yhi + ylo)) > expected
+    assert unslacked > 0
+
+
+def test_a_level_whose_range_gap_reaches_the_clip_prices_no_piece(monkeypatch):
+    """On [0, inf), jumps at 2.3 to 2.5 and at 2.71 to 1: at m = 3 the
+    damped sups are 1.75 and 0.29, and from m = 4 on 2.5 and 1.  Levels
+    3-6 lie before the terminal gap applies, and each yields its floor, at
+    least 1, without pricing a piece."""
+    xr, yr = level_paths(([2.3], [2.5]), ([2.71], [1.0]), None)
+    floor = skorokhod._floors(*skorokhod._canonical(xr, yr))
+    pieces, per_level = [], []
+    piece = skorokhod._piece
+    monkeypatch.setattr(skorokhod, "_piece", lambda *a: pieces.append(1) or piece(*a))
+    for value, knots in skorokhod._dm_matchings(xr, yr, range(1, 7), 1.0):
+        per_level.append((len(pieces), value, knots))
+        pieces.clear()
+    assert all(count > 0 for count, _, _ in per_level[:2])
+    assert per_level[2:] == [(0, floor(float(m)), None) for m in range(3, 7)]
+    assert all(1.0 <= value <= dm_distance(xr, yr, m)[0]
+               for m, (_, value, _) in enumerate(per_level, start=1) if m >= 3)
 
 
 def test_dhat_stops_at_the_last_level_whose_weight_is_not_zero(monkeypatch):
@@ -491,13 +544,14 @@ def test_dhat_stops_at_the_last_level_whose_weight_is_not_zero(monkeypatch):
 
 
 def test_dhat_prices_no_edge_after_the_last_ramp_crossing(monkeypatch):
-    """The fixture of test_dhat_prices_pieces_before_the_ramp_once.  From
-    the first level m at which every jump pair's knot lies before the ramp
-    [m-1, m], the pair DP is kept: no piece between two knots is priced,
-    cached or not, at a later level."""
+    """The fixture of test_dhat_prices_pieces_before_the_ramp_once with its
+    values scaled by 1/4, so that d_m = 0.5 from m = 2 on and no level's
+    floor reaches 1.  From the first level m at which every jump pair's
+    knot lies before the ramp [m-1, m], the pair DP is kept: no piece
+    between two knots is priced, cached or not, at a later level."""
     rng = np.random.default_rng(31)
-    x = random_path(rng, 3, 0.05, 0.6, 1, horizon=1.0)
-    y = random_path(rng, 4, 0.05, 0.6, 1, horizon=1.0)
+    x, y = (random_path(rng, k, 0.05, 0.6, 1, horizon=1.0) for k in (3, 4))
+    x, y = (StepPath(p.times, 0.25 * p.values, horizon=1.0) for p in (x, y))
     xr, yr = transform_path(x, 1.0), transform_path(y, 1.0)
     last = max(xr.times.max(), yr.times.max())
     assert last - min(xr.times.min(), yr.times.min()) <= skorokhod._PAIR_WINDOW  # all paired
@@ -546,6 +600,21 @@ def test_skorokhod_outputs_match_golden_digests():
     assert _digest(dhat) == "b811e28c076ade5703f62555372c8fd448d332101b471762a7198a53c61a1cad"
 
 
+def test_dhat_matches_its_golden_digest_on_benchmark_like_pairs():
+    """Bit-exact d-hat on 312 seeded pairs drawn as perfbench's path-metric
+    draws its d-hat jobs: 0-5 jumps in [0.05, 0.6), N(0, 1) values and
+    M = 8..20.  Recorded before the per-level floor skipped any search."""
+    rng = np.random.default_rng(41)
+    values = []
+    for case in range(312):
+        paths = []
+        for k in rng.integers(0, 6, size=2):
+            times = np.sort(rng.uniform(0.05, 0.6, k))
+            paths.append(StepPath(times, rng.normal(size=k), horizon=1.0))
+        values.append(dhat_distance(*paths, 1.0, M=8 + case % 13)[0])
+    assert _digest(values) == "dfac3b5cb0ec94bb25844982d4f5b3ca8976c82f8f19e474b15ac204e163f950"
+
+
 def test_dm_distance_nine_jumps():
     rng = np.random.default_rng(9)
     x = random_path(rng, 9, 0.1, 1.9, 1)
@@ -580,11 +649,17 @@ def test_empty_step_path_keeps_its_dimension():
 # m = nan or inf, and a horizon or t of inf, made theta NaN (inf - inf in
 # _deviation), and the tie-break loop of _best_matching then never ended;
 # a negative horizon read 0.0 and a NaN one 1.0.
-@pytest.mark.parametrize("m", [np.nan, np.inf, 0.5])
+# m = True was taken as 1, and m = "3" or None raised numpy's TypeError
+@pytest.mark.parametrize("m", [np.nan, np.inf, 0.5, True, "3", None])
 def test_dm_distance_rejects_an_m_that_is_not_finite_or_below_one(m):
     x = jump_path([0.5], [1.0])
     with pytest.raises(ValueError, match=f"m >= 1, got {m}"):
         dm_distance(x, x, m)
+
+
+def test_dm_distance_takes_a_real_m_of_at_least_one():
+    x, y = jump_path([0.5], [1.0]), jump_path([1.8], [2.0])
+    assert dm_distance(x, y, 2.5)[0] == dm_distance(x, y, np.float32(2.5))[0] > 0.0
 
 
 @pytest.mark.parametrize("horizon", [np.nan, np.inf, -1.0, 0.0])
