@@ -296,12 +296,26 @@ def measure_to_json(Q: Measure) -> str:
 
 
 def measure_from_json(text: str, lattice: ScenarioLattice) -> Measure:
+    """The measure that :func:`measure_to_json` writes: one kernel per
+    non-terminal node, renormalized on load.  An entry for a node that is
+    not a non-terminal node of ``lattice``, a second entry for a node, and
+    weights whose sum is not finite and positive raise ValueError naming
+    the node."""
     doc = json.loads(text)
     levels = [[None] * lattice.n_nodes(k) for k in range(lattice.n_times - 1)]
     for entry in doc["kernels"]:
         k, i = entry["node"]
+        if not (type(k) is int and type(i) is int
+                and 0 <= k < len(levels) and 0 <= i < len(levels[k])):
+            raise ValueError(f"kernel at node ({k},{i}): no such non-terminal node")
+        if levels[k][i] is not None:
+            raise ValueError(f"kernel at node ({k},{i}) given twice")
         w = np.asarray(entry["weights"], dtype=float)
-        levels[k][i] = w / w.sum()  # renormalized on load
+        total = w.sum()
+        if not 0.0 < total < np.inf:
+            raise ValueError(f"kernel at node ({k},{i}): weights sum to {total}, "
+                             f"need a finite positive sum")
+        levels[k][i] = w / total
     for k, level in enumerate(levels):
         if any(w is None for w in level):
             raise ValueError(f"missing kernel at time index {k}")

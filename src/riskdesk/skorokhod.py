@@ -22,24 +22,25 @@ The weighted sum over m yields the half-open-domain metric that makes the
 projection from [0, inf) continuous, in contrast with the undamped J1
 distance (also provided, for the contrast).  As in Billingsley (1999, §16),
 d_m is the J1 distance of the g_m-damped paths, so the undamped gap is the
-damped gap at m = inf: one evaluator (:func:`_gap`) serves both.  A piece
-that ends before the ramp [m-1, m] costs at m what it costs at m = inf, so
-the M distances of the weighted sum come from one pass that prices such a
-piece once, prices the part of a unit-slope tail before the ramp once, and
-keeps the jump-pair search of a level whose pieces all end before its ramp
-for the later levels (:func:`_dm_matchings`).  The weighted sum reads d_m
-only through min(1, d_m), a bound known before the search starts, so each
-level's search is capped just above 1: below the cap every piece that counts
-is priced at a stop of at least the final bound, so the value keeps its
-bits, and past it any value returned is above 1, as d_m is.  Before its
-search, each level takes a floor that no matching can beat, as DTW search
-checks a cheap lower bound (LB_Kim) before the costly alignment.  A time
-change only reparametrizes a damped path, which keeps its sup and inf, and
-sup and inf are 1-Lipschitz, so d_m is at least the gap between the damped
-paths' sups and between their infs, per coordinate (less a slack for
-rounding); far enough past the last jump it is also at least the gap between
-their end values.  A level whose floor reaches 1 needs no search
-(:func:`_floors`).
+damped gap at m = inf: one evaluator (:func:`_gap`) serves both.  The
+weighted sum reads d_m only through min(1, d_m), a bound known before the
+search starts, so each level's search is capped just above 1: below the cap
+every piece that counts is priced at a stop of at least the final bound, so
+the value keeps its bits, and past it any value returned is above 1, as d_m
+is.  A piece that ends before the ramp [m-1, m] costs at m what it costs at
+m = inf, and no level prices past the cap, so the M distances of the
+weighted sum come from one pass that prices such a piece, and the part of a
+unit-slope tail before the ramp, once, at the cap.  Past the last ramp
+crossing every level has the same jump pairs and edge costs, so one pair
+search serves them all, and each runs only its closing phase
+(:func:`_dm_matchings`).  Before its search, each level takes a floor that
+no matching can beat, as DTW search checks a cheap lower bound (LB_Kim)
+before the costly alignment.  A time change only reparametrizes a damped
+path, which keeps its sup and inf, and sup and inf are 1-Lipschitz, so d_m
+is at least the gap between the damped paths' sups and between their infs,
+per coordinate (less a slack for rounding); far enough past the last jump
+it is also at least the gap between their end values.  A level whose floor
+reaches 1 needs no search (:func:`_floors`).
 """
 
 from __future__ import annotations
@@ -336,7 +337,7 @@ def _pairs(X, Y, before: float, apart: float):
             for j, yu in enumerate(Y[0]) if yu < before and abs(xu - yu) <= apart]
 
 
-def _best_matching(X, Y, pairs, cost, end=None):
+def _best_matching(X, Y, pairs, cost, end=None, cap=np.inf):
     """Least-cost monotone matching of X's and Y's jumps, as a minimax path
     through the DAG of allowed jump pairs.
 
@@ -358,10 +359,17 @@ def _best_matching(X, Y, pairs, cost, end=None):
     lowering theta, until best(k) > theta; the rest read inf.  A piece
     dearer than theta lies on no matching within theta, so value, tie-break
     and knots are those of the unbounded search, bit for bit.
+
+    A finite ``cap`` bounds the search further: the empty matching's
+    closing piece is priced at stop ``cap`` and theta starts at
+    min(its cost + _MATCH_TOL, cap), so no piece is priced past ``cap``.
+    Value and knots keep their bits whenever the least cost is within
+    cap - _MATCH_TOL; otherwise the value is above cap - _MATCH_TOL, with
+    knots None when no matching lies within theta (:func:`_close`).
     """
     nodes, knots = _dag(X, Y, pairs)
-    close0 = cost(_piece(knots[0], end), np.inf)
-    theta = close0 + _MATCH_TOL
+    close0 = cost(_piece(knots[0], end), cap)
+    theta = min(close0 + _MATCH_TOL, cap)
     best, edges = _chains(nodes, knots, cost, theta)
     return _close(nodes, knots, best, edges, close0, theta, cost, end)
 
@@ -519,89 +527,84 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     :func:`dm_distance`, and wherever d_m < clip so are value and knots;
     ``clip`` = inf pins every level to :func:`dm_distance`.
 
-    The clip caps each level's search at C = clip + 2 _MATCH_TOL: the empty
-    matching's closing piece is priced at stop C, and theta starts at
-    min(its cost + _MATCH_TOL, C) (:func:`_close`).  That is exact.  If the
-    least cost L is at most clip + _MATCH_TOL, every piece that counts is
-    priced at a stop of at least the final theta, so value, tie-break and
-    knots keep their bits.  Otherwise every value returned, a matching's
-    cost or C itself (knots None), is above clip, as d_m is.
+    The clip caps each level's search at C = clip + 2 _MATCH_TOL
+    (:func:`_best_matching`).  If the least cost is at most
+    clip + _MATCH_TOL, value, tie-break and knots keep their bits;
+    otherwise every value returned, a matching's cost or C itself (knots
+    None), is above clip, as d_m is.  Before its search, each level takes
+    its floor (:func:`_floors`): the larger of the range gap, less a slack
+    for rounding, and, on a level settled past the last jump, the terminal
+    gap.  Both are at most d_m, so a level whose floor is at least ``clip``
+    yields the floor, with knots None, without a search:
+    min(clip, floor) = clip = min(clip, d_m).
 
-    Before its search, each level takes its floor (:func:`_floors`): the
-    larger of the range gap, less a slack for rounding, and, on a level
-    settled past the last jump, the terminal gap.  Both are at most d_m, so
-    a level whose floor is at least ``clip`` yields the floor, with knots
-    None, without a search: min(clip, floor) = clip = min(clip, d_m).
+    No level prices a piece at a stop above C, so a cost kept across levels
+    is priced once, at stop C: exact when at most C, and above every later
+    stop otherwise.  Two costs are kept:
 
-    A piece whose end knot lies before the ramp [m-1, m] on both time axes
-    sees damping exactly 1.0, so its cost at m is its cost at m = inf: it is
-    priced once, kept under its four knot coordinates and reused for every
-    later m.  Per m only the pair set (its cutoff m + _PAIR_WINDOW moves)
-    and the pieces that reach the ramp are new.  Two more reuses make a
-    level past the last ramp crossing cheap:
-
+    - A piece whose end knot lies before the ramp [m-1, m] on both time axes
+      (up to _ROUNDING) sees damping exactly 1.0, so its cost at m is its
+      cost at m = inf, kept under its four knot coordinates.
     - A closing piece (the unit-slope tail after knot (u0, v0)) is constant
       past its last start-or-jump breakpoint J, the greatest of u0 and the
       jumps of either path on it.  When J sees damping exactly 1.0
       (m - J >= 1 and m - lam(J) >= 1), so does every breakpoint below it,
       as _lam is monotone under rounding, and the intervals up to J are
       those of the m = inf scan up to J, with the same factors 1.0.  That
-      scan is priced once and kept under (u0, v0); each m scans only the
-      intervals from J through the ramp (:func:`_scan`).  A ramp point that
-      rounds below J only splits an interval on which both paths and both
-      factors are constant, so it adds no new term.
-    - The pair DP (:func:`_chains`) is kept from a level whose edges all end
-      before the ramp (every pair knot (u, v) has max(u, v) <= m - 1, up to
-      _ROUNDING), with the stop S it was priced at, the level's theta.  A
-      later level with the same pair set prices every edge as it did, and
-      while its theta is at most S it reuses best and edges and runs only
-      the closing phase (:func:`_close`).  That is exact: priced at S, each
-      best(a) <= S is exact and each best(a) > S is above S, so the nodes
-      with best(a) <= theta and their values are those of a DP priced at
-      theta, and a node whose best exceeds theta lies on no chain within
-      theta.  The closing phase visits the former in the same order, and the
-      tie-break reads only edges between them, priced exactly where they are
-      within theta.
+      scan is kept under (u0, v0); each m scans only the intervals from J
+      through the ramp (:func:`_scan`).  A ramp point that rounds below J
+      only splits an interval on which both paths and both factors are
+      constant, so it adds no new term.
 
-    A cost cut short at its ``stop`` is reused only while it stays above
-    the new ``stop``.
+    The levels fall in two regimes, split at the last ramp crossing, the
+    first m with m - 1 >= (latest jump) (1 + _ROUNDING).  Before it, each
+    level is one search capped at C.  From it on, every jump lies before
+    m + _PAIR_WINDOW, so the pair set is every pair at most _PAIR_WINDOW
+    apart, and every piece between two knots sees damping 1.0: the pair DP
+    (:func:`_chains`) is the same at every such level.  It is priced once,
+    at stop C, and each level runs only the closing phase (:func:`_close`).
+    That is exact: priced at C, at least theta, each best(a) <= theta and
+    each edge within theta is exact, and a node with best(a) > theta lies
+    on no chain within theta, so the closing phase visits the nodes of a DP
+    priced at theta, in the same order, and the tie-break reads the same
+    edges within theta.
     """
     X, Y = _canonical(x, y)
     xt, yt = X[0], Y[0]
     cap = clip + 2.0 * _MATCH_TOL
     floor = _floors(X, Y)
-    flat = {}  # (u0, v0, u1, v1) -> (cost at m = inf, whether cut short)
-    heads = {}  # (u0, v0) -> (J, m = inf scan up to J, whether cut short)
-    kept = None  # (pairs, S, best, edges) of a DP with no edge at the ramp
+    crossed = max(xt[-1:] + yt[-1:], default=0.0) * (1.0 + _ROUNDING)
+    flat = {}  # (u0, v0, u1, v1) -> cost at m = inf
+    heads = {}  # (u0, v0) -> [J, m = inf scan up to J, or None until needed]
+    dp = None  # (nodes, knots, best, edges) from the last ramp crossing on
 
-    def tail_cost(pc, fm, stop):
+    # both price a piece at the current level fm
+    def tail_cost(pc, stop):
         u0, v0 = key = pc[:2]
         if key not in heads:
             jumps = [u0] + [u for u in yt[-1:] if u >= u0] \
                 + [_lam_inv(pc, v) for v in xt[-1:] if v >= v0]
-            heads[key] = (max(jumps), 0.0, True)  # unpriced: cut short at 0.0
-        J, head, short = heads[key]
+            heads[key] = [max(jumps), None]
+        J, head = heads[key]
         if fm - J < 1.0 or fm - _lam(pc, J) < 1.0:
             return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
-        if short and head <= stop:
-            head = _gap(X, Y, pc, np.inf, J, False, stop)
-            heads[key] = (J, head, head > stop)
+        if head is None:
+            head = heads[key][1] = _gap(X, Y, pc, np.inf, J, False, cap)
         # where the damping bends, as in _gap with u1 = v1 = inf
         ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
             + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
         return max(_deviation(pc, fm), head if head > stop else
                    _scan(X, Y, pc, fm, sorted({J, *ramp}), head, stop))
 
-    def shared_cost(pc, fm, stop):
+    def cost(pc, stop):
         if pc[2] == np.inf:
-            return tail_cost(pc, fm, stop)
+            return tail_cost(pc, stop)
         if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > fm - 1.0:
             return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
         key = pc[:4]
-        if key not in flat or flat[key][1] and flat[key][0] <= stop:
-            c = _cost(X, Y, pc, np.inf, np.inf, np.inf, False, stop)
-            flat[key] = (c, c > stop)
-        return flat[key][0]
+        if key not in flat:
+            flat[key] = _cost(X, Y, pc, np.inf, np.inf, np.inf, False, cap)
+        return flat[key]
 
     for m in ms:
         fm = float(m)
@@ -609,18 +612,15 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
         if bound >= clip:
             yield bound, None
             continue
-        pairs = _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW)
-        nodes, knots = _dag(X, Y, pairs)
-        cost = lambda pc, stop: shared_cost(pc, fm, stop)
-        close0 = cost(_piece(knots[0], None), cap)
-        theta = min(close0 + _MATCH_TOL, cap)
-        if kept is not None and kept[0] == pairs and theta <= kept[1]:
-            best, edges = kept[2:]
-        else:
-            best, edges = _chains(nodes, knots, cost, theta)
-            if all(max(k) * (1.0 + _ROUNDING) <= fm - 1.0 for k in knots):
-                kept = (pairs, theta, best, edges)
-        yield _close(nodes, knots, best, edges, close0, theta, cost, None)
+        if fm - 1.0 < crossed:
+            pairs = _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW)
+            yield _best_matching(X, Y, pairs, cost, cap=cap)
+            continue
+        if dp is None:
+            nodes, knots = _dag(X, Y, _pairs(X, Y, np.inf, _PAIR_WINDOW))
+            dp = (nodes, knots, *_chains(nodes, knots, cost, cap))
+        close0 = cost(_piece((0.0, 0.0), None), cap)
+        yield _close(*dp, close0, min(close0 + _MATCH_TOL, cap), cost, None)
 
 
 def dm_distance(x: StepPath, y: StepPath, m: int):
@@ -650,13 +650,13 @@ def dhat_distance(x: StepPath, y: StepPath, t: float, M: int = 20):
 
     All M distances come from one pass (:func:`_dm_matchings`), each
     min(1, d_m) bit for bit that of :func:`dm_distance`.  A piece that ends
-    before the ramp [m-1, m] is priced once and reused for every later m.
-    So is the part of a unit-slope tail up to its last jump while that part
-    sees no damping (the jump at least 1 before m on both time axes), and
-    the jump-pair search of a level whose pair knots all lie before its
-    ramp: a later level with the same pairs reuses it while the bound it
-    was priced at is at least its own, and prices only its tails.  Only
-    pieces that reach a ramp are priced per m.
+    before the ramp [m-1, m] is priced once, at m = inf, and reused for
+    every later m.  So is the part of a unit-slope tail up to its last jump
+    while that part sees no damping (the jump at least 1 before m on both
+    time axes).  From the last ramp crossing on (m - 1 at or past the
+    latest jump) the jump-pair search is the same at every level: it runs
+    once, and each level prices only its tails.  Only pieces that reach a
+    ramp are priced per m.
 
     d_m is read only through min(1, d_m), so each level's search stops at
     1 + 2 _MATCH_TOL: below that its value keeps its bits, and above it any

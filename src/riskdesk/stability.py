@@ -104,11 +104,12 @@ def is_stable(measures: Sequence[Measure]):
     nodes = [n for t in range(lat.n_times) for n in lat.node_refs(t)]
     charged = np.stack([np.concatenate([charged_mask(M, t) for t in range(lat.n_times)])
                         for M in measures])
-    for Q, charged_q in zip(measures, charged):
-        off_q = _off_below(lat, kernels, Q)
+    off = [_off_below(lat, kernels, M) for M in measures]
+    for Q, charged_q, off_q in zip(measures, charged, off):
         outside_q = off_q == off_q[:, :1]
-        for P in compress(measures, ~(charged_q & ~charged).any(axis=1)):  # Q << P
-            fits = outside_q & ((_off_below(lat, kernels, P) == 0) | ~charged_q)
+        dominating = ~(charged_q & ~charged).any(axis=1)  # Q << P
+        for P, off_p in compress(zip(measures, off), dominating):
+            fits = outside_q & ((off_p == 0) | ~charged_q)
             missing = np.flatnonzero(~fits.any(axis=0))
             if missing.size:  # tau_n: n on the paths through n, T on the others
                 n = nodes[missing[0]]

@@ -84,8 +84,12 @@ def write_wide_structure(path):
     path.write_text(onestep_to_json(OneStepStructure(lat, ((menu,), (menu, menu)))))
 
 
-# a path relative to the working directory, which the test sets to tmp_path
+# paths relative to the working directory, which the test sets to tmp_path
 WIDE_STRUCTURE = "wide-structure.json"
+# a fix-a query measure with a kernel at node (1, 2), past the end of time 1
+BAD_QUERY = "bad-query.json"
+BAD_QUERY_TEXT = json.dumps({"kernels": [{"node": node, "weights": [1, 1]}
+                                         for node in ([0, 0], [1, 0], [1, 1], [1, 2])]})
 
 GEXP = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
         "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
@@ -145,15 +149,17 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
     ({"task": "skorokhod", "paths": [
         {"domain": {"kind": "half_open", "t": 1.0}, "jumps": [{"time": 0.3, "value": [1.0] * d}]}
         for d in (2, 3)]}, ()),
+    ({"task": "penalty", "query": {"file": BAD_QUERY}}, ()),
     *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
         "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon", "path-dimensions",
-        *BAD_REAL_IDS])
+        "query-node-past-the-end", *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
     monkeypatch.chdir(tmp_path)
     write_wide_structure(tmp_path / WIDE_STRUCTURE)
+    (tmp_path / BAD_QUERY).write_text(BAD_QUERY_TEXT)
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,26 @@ def test_measure_json_round_trip():
     back = measure_from_json(measure_to_json(q2), lat)
     for k in range(2):
         assert np.allclose(back.flat_kernels[k], q2.flat_kernels[k])
+
+
+# an index past the end raised IndexError, a negative one and a second
+# entry for a node were taken silently, a row of zeros divided 0 by 0 and
+# an infinite weight inf by inf
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entries, message", [
+    ([([0, 1], [1, 1])], r"node \(0,1\): no such non-terminal node"),
+    ([([2, 0], [1, 1])], r"node \(2,0\): no such non-terminal node"),
+    ([([1, -1], [1, 1])], r"node \(1,-1\): no such non-terminal node"),
+    ([([1, True], [1, 1])], r"node \(1,True\): no such non-terminal node"),
+    ([([1, 0], [1, 3])], r"node \(1,0\) given twice"),
+    ([([1, 1], [0, 0])], r"node \(1,1\): weights sum to 0.0"),
+    ([([1, 1], [float("inf"), 1.0])], r"node \(1,1\): weights sum to inf"),
+], ids=["past-the-end", "terminal", "negative", "bool", "twice", "zero-row", "infinite-sum"])
+def test_measure_from_json_rejects_a_bad_node_entry(entries, message):
+    kernels = [{"node": node, "weights": w} for node, w in [([0, 0], [1, 1]), ([1, 0], [1, 1])]
+               + entries]
+    with pytest.raises(ValueError, match=message):
+        measure_from_json(json.dumps({"kernels": kernels}), fix_a_lattice())
 
 
 def test_kernel_validation():

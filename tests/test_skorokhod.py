@@ -403,7 +403,12 @@ LEVEL_CASES = [(x, y, 1.0) for x, y in RAMP_CASES] + [
     # lam^-1(m - 1) of the closing piece after knot (1.000000000000008, 3.0)
     # rounds below its last jump J = 8.000000000000009
     (([1.000000000000002, 3.0], [2.0, -1.0]),
-     ([1.000000000000008, 8.000000000000009], [-2.0, -1.0]), None)]
+     ([1.000000000000008, 8.000000000000009], [-2.0, -1.0]), None),
+    # on [0, 1): 5 x 5 late jumps, at transformed times 2.4-16, so every
+    # level up to the last ramp crossing at m = 17 is searched, and half of
+    # them lie below 1
+    (([0.702, 0.769, 0.861, 0.88, 0.909], [0.25, 1.22, -0.3, -0.81, 0.75]),
+     ([0.754, 0.77, 0.86, 0.901, 0.941], [0.25, 0.9, -0.35, -1.48, -0.11]), 1.0)]
 
 
 def level_paths(x, y, t):
@@ -556,15 +561,46 @@ def test_dhat_prices_no_edge_after_the_last_ramp_crossing(monkeypatch):
     last = max(xr.times.max(), yr.times.max())
     assert last - min(xr.times.min(), yr.times.min()) <= skorokhod._PAIR_WINDOW  # all paired
     first = next(m for m in range(1, 21) if last * (1.0 + skorokhod._ROUNDING) <= m - 1.0)
-    levels, edges = [], []  # edges built before each level starts; their end knots
-    pairs, piece = skorokhod._pairs, skorokhod._piece
-    monkeypatch.setattr(skorokhod, "_pairs", lambda *a: levels.append(len(edges)) or pairs(*a))
+    levels, edges = [], []  # edges built by the end of each level; their end knots
+    dm_matchings, piece = skorokhod._dm_matchings, skorokhod._piece
+
+    def counted(*args):
+        for level in dm_matchings(*args):
+            levels.append(len(edges))
+            yield level
+
+    monkeypatch.setattr(skorokhod, "_dm_matchings", counted)
     monkeypatch.setattr(skorokhod, "_piece",
                         lambda k0, k1: (k1 is not None and edges.append(k1)) or piece(k0, k1))
     dhat_distance(x, y, 1.0, M=20)
     assert len(levels) == 20 and 3 <= first < 20
-    assert levels[first] > levels[first - 1]  # level `first` priced the DP
-    assert len(edges) == levels[first]
+    assert levels[first - 1] > levels[first - 2]  # level `first` priced the DP
+    assert len(edges) == levels[first - 1]
+
+
+def test_dhat_keeps_no_pair_dp_priced_on_the_start_of_a_ramp(monkeypatch):
+    """Jumps at u = 0.75 and 0.5 are transported to 3.0 and 1.0 exactly, so
+    the last jump sits on the start m - 1 of level 4's ramp, where _lam can
+    round a few ulps past it: level 4 prices its edges at m = 4, and the
+    pair DP is kept only from level 5 on, which prices its edges afresh."""
+    x = jump_path([0.3, 0.75], [0.25, -0.25], horizon=1.0)
+    y = jump_path([0.5, 0.7], [0.5, -0.25], horizon=1.0)
+    levels, edges = [], []  # edges built by the end of each level
+    dm_matchings, piece = skorokhod._dm_matchings, skorokhod._piece
+
+    def counted(*args):
+        for level in dm_matchings(*args):
+            levels.append(len(edges))
+            yield level
+
+    monkeypatch.setattr(skorokhod, "_dm_matchings", counted)
+    monkeypatch.setattr(skorokhod, "_piece",
+                        lambda k0, k1: (k1 is not None and edges.append(k1)) or piece(k0, k1))
+    value, _ = dhat_distance(x, y, 1.0, M=8)
+    assert value == dhat_by_enumeration(x, y, 1.0, 8)
+    assert 3.0 in (k[1] for k in edges)  # an edge ends at the jump at 3.0
+    assert levels[4] > levels[3] > levels[2]  # levels 4 and 5 price edges
+    assert levels[4:] == [len(edges)] * 4
 
 
 def _digest(values):
@@ -764,6 +800,44 @@ def test_dhat_prices_a_piece_again_once_its_cut_short_cost_is_within_the_stop():
     x = jump_path([0.34, 0.51, 0.89], [1.0, 1.0, 1.0], horizon=1.0)
     y = jump_path([0.11, 0.81], [0.75, -0.13], horizon=1.0)
     assert dhat_distance(x, y, 1.0, 20)[0] == dhat_by_enumeration(x, y, 1.0, 20)
+
+
+def test_dhat_prices_no_piece_at_m_inf_twice(monkeypatch):
+    """Each cost that d-hat keeps across levels, a piece before the ramp or
+    the head of a closing piece up to its last jump, is priced at m = inf
+    once, at the cap: the fixture of
+    test_dhat_prices_a_piece_again_once_its_cut_short_cost_is_within_the_stop,
+    where a later level needs a piece past the bound of the level that
+    first priced it, and seeded pairs with jumps early and late."""
+    priced = []  # per pricing at m = inf, the piece and how far it is scanned
+    cost, gap = skorokhod._cost, skorokhod._gap
+
+    # a piece before the ramp goes to _cost, which may skip _gap, and a head,
+    # scanned up to a finite upto, to _gap alone
+    def counted_cost(X, Y, pc, m, reach, upto, *rest):
+        if m == np.inf:
+            priced.append((pc, upto))
+        return cost(X, Y, pc, m, reach, upto, *rest)
+
+    def counted_gap(X, Y, pc, m, upto, *rest):
+        if m == np.inf and upto < np.inf:
+            priced.append((pc, upto))
+        return gap(X, Y, pc, m, upto, *rest)
+
+    monkeypatch.setattr(skorokhod, "_cost", counted_cost)
+    monkeypatch.setattr(skorokhod, "_gap", counted_gap)
+    pairs = [(jump_path([0.34, 0.51, 0.89], [1.0, 1.0, 1.0], horizon=1.0),
+              jump_path([0.11, 0.81], [0.75, -0.13], horizon=1.0))]
+    rng = np.random.default_rng(53)
+    for lo, hi in ((0.05, 0.6), (0.05, 0.95), (0.7, 0.95)) * 4:
+        pairs.append(tuple(random_path(rng, k, lo, hi, 1, horizon=1.0) for k in (3, 4)))
+    total = 0
+    for x, y in pairs:
+        priced.clear()
+        dhat_distance(x, y, 1.0, M=20)
+        assert len(set(priced)) == len(priced)
+        total += len(priced)
+    assert total > 100
 
 
 @pytest.mark.parametrize("build, message", [
