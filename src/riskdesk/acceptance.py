@@ -143,8 +143,6 @@ def _random_dynamic(rng: np.random.Generator, normalized: bool = False):
                 w = (w + 0.05) / (1.0 + b * 0.05)
                 a = 0.0 if (normalized and j == 0) else float(rng.uniform(0.0, 0.5))
                 menu.append((w, a))
-            if normalized and all(a > 0 for _, a in menu):
-                menu[0] = (menu[0][0], 0.0)
             level.append(tuple(menu))
         levels.append(tuple(level))
     return lat, OneStepStructure(lat, tuple(levels))

@@ -237,14 +237,22 @@ def _task_stability(config, seed):
     return run
 
 
-def _refined_ask(payoff, band: VolatilityBand, grid: GridSpec) -> float:
-    """The ask on the grid (h/2, dt/4) of the same extent and CFL ratio,
-    evolved without recording a surface."""
+def _error_terms(payoff, band: VolatilityBand, grid: GridSpec, ask: float) -> dict:
+    """How far the ask moves on two other grids, each evolved without
+    recording a surface: "refinement" on (h/2, dt/4) over the same extent
+    and CFL ratio, and "extent" on the same dt and h with the radius
+    doubled.  Refinement at the same extent cannot see the error of the
+    zero-curvature boundary; doubling the extent moves the boundary away."""
     fine = GridSpec(grid.dt / 4, grid.h / 2, 2 * grid.radius, grid.horizon)
+    wide = GridSpec(grid.dt, grid.h, 2 * grid.radius, grid.horizon)
+    fine_band = band
     if band.sigma_high.size > 1:  # a per-step band holds for 4 fine steps
-        band = VolatilityBand(np.repeat(band.sigma_low, 4), np.repeat(band.sigma_high, 4))
-    v = _evolve(_on_grid(payoff(fine.x), fine.x.shape), band, fine, fine.n_steps, 0)
-    return float(v[fine.radius])
+        fine_band = VolatilityBand(np.repeat(band.sigma_low, 4), np.repeat(band.sigma_high, 4))
+    terms = {}
+    for name, g, b in (("refinement", fine, fine_band), ("extent", wide, band)):
+        v = _evolve(_on_grid(payoff(g.x), g.x.shape), b, g, g.n_steps, 0)
+        terms[name] = abs(ask - float(v[g.radius]))
+    return terms
 
 
 _PAYOFFS = {"square": lambda x: np.asarray(x) ** 2,
@@ -274,8 +282,9 @@ def _task_gexp(config, seed):
             "bid": bid, "ask": ask, "value": ask,
             "grid": {"dt": grid.dt, "h": grid.h, "radius": grid.radius,
                      "horizon": grid.horizon},
-            "error_estimate": abs(ask - _refined_ask(payoff, band, grid)),
         }
+        terms = results["error_terms"] = _error_terms(payoff, band, grid, ask)
+        results["error_estimate"] = terms["refinement"] + terms["extent"]
         return results, {}, {"surface.csv": _surface_table(ask_surface, grid)}, EXIT_OK
     return run
 

@@ -8,10 +8,12 @@ with one-step variance in a band [lo, hi] reduces, step by step, to
 because the one-step expectation is linear in the variance choice and the
 sup is attained at a band endpoint.  This is also the explicit
 finite-difference scheme for the nonlinear PDE.  One evolution, ``_evolve``,
-runs it for every price here.  It works in place on one flat buffer that
-holds every row of its input: the second difference runs across the whole
-buffer, and one strided fill re-zeroes the seam cells where rows meet
-(``_stencil``, which ``expectation_under_field`` shares).  So ``bid_ask``
+is the only loop over grid steps here: it runs every price, and the linear
+recursion of ``expectation_under_field`` under one in-band variance field,
+whose step has one per-cell coefficient where the band's has two.  It works
+in place on one flat buffer that holds every row of its input: the second
+difference runs across the whole buffer, and one strided fill re-zeroes the
+seam cells where rows meet.  So ``bid_ask``
 evolves -X and X in one pass, and a cylinder payoff phi(B_t1, ..., B_tk)
 evolves the mesh of its dates at once, one date at a time from the last
 (Peng 2007).  The rows of a mesh are independent, so a large one (at least
@@ -197,41 +199,6 @@ def g_function(a: float, sigma_low: float, sigma_high: float):
     return out if out.ndim else float(out)
 
 
-def _stencil(v: np.ndarray, n: int, h: float):
-    """Set-up of the second difference (v[j+1] + v[j-1] - 2 v[j]) / h^2
-    along the rows of the flat buffer ``v``, whole rows of ``n`` cells:
-    returns (d2, scratch, curvature).  ``d2`` and ``scratch`` are buffers of
-    the size of ``v``, and ``curvature()`` writes the second difference of
-    the current ``v`` into ``d2``, using ``scratch`` as workspace.  It runs
-    on the whole flat buffer through views built here once, then zeroes the
-    seam cells -- the first and last cell of every row, where one row meets
-    the next -- with one strided fill: zero curvature at the edges is the
-    linear extrapolation boundary."""
-    d2 = np.zeros_like(v)
-    scratch = np.empty_like(v)
-    inner, twice = d2[1:-1], scratch[1:-1]
-    left, mid, right = v[:-2], v[1:-1], v[2:]
-    seams = d2.reshape(-1, n)[:, ::n - 1]
-    two, h2 = np.array(2.0), np.array(h ** 2)
-    multiply, add, subtract, divide = np.multiply, np.add, np.subtract, np.divide
-
-    def curvature():
-        multiply(mid, two, out=twice)
-        add(right, left, out=inner)
-        subtract(inner, twice, out=inner)
-        divide(inner, h2, out=inner)
-        seams.fill(0.0)
-
-    return d2, scratch, curvature
-
-
-def _coefficients(sigma: np.ndarray, dt: float, steps: range) -> list:
-    """sigma^2 dt / 2 at each step of ``steps``, as 0-d arrays: a ufunc
-    takes these faster than Python floats."""
-    c = [np.array(0.5 * s ** 2 * dt) for s in sigma.tolist()]
-    return c * len(steps) if len(c) == 1 else [c[k] for k in steps]
-
-
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     try:
@@ -248,15 +215,25 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
     first axis, the step-k array of row r goes into ``surface[r][k]``; a
     single row is evolved as ``values[None]`` with ``(surface,)``.
 
-    One step takes, per state, the better of the two band-endpoint kernels
-    p_+- = v/(2 h^2), p_0 = 1 - v/h^2 -- the sup over the band is attained
-    there because the expectation is linear in v -- which is the update
-    v + dt g(D2 v) = v + max(c_lo D2 v, c_hi D2 v), c = sigma^2 dt / 2.
+    Step k is v <- v + max_j c_j D2 v over that step's curvature
+    coefficients c_j.  A ``VolatilityBand`` has two 0-d entries,
+    c = sigma^2 dt / 2 at the band's ends: one step takes, per state, the
+    better of the two band-endpoint kernels p_+- = v/(2 h^2),
+    p_0 = 1 - v/h^2 -- the sup over the band is attained there because the
+    expectation is linear in the variance -- which is v + dt g(D2 v).
     Rounding is monotone, so this equals max(v + c_lo D2 v, v + c_hi D2 v)
-    bit for bit.  The rows of a block are evolved at once, in place on its
-    flat buffer, through the views of ``_stencil``, built once per call: a
-    step is the curvature (four ufunc calls and the seam fill), four more
-    ufunc calls and one copy per surface.
+    bit for bit.  ``band`` may instead be a variance field, an
+    (n_steps, n_space) array of one-step variances, for a single row: its
+    one entry per step is the per-cell v(k, .)/2, the linear recursion of
+    that one kernel per state (``expectation_under_field``).
+
+    D2 v = (v[j+1] + v[j-1] - 2 v[j]) / h^2 runs across a block's whole
+    flat buffer, in place, through views built once per call; one strided
+    fill then zeroes the seam cells -- the first and last cell of every
+    row, where one row meets the next -- since zero curvature at the edges
+    is the linear extrapolation boundary.  A band step is four ufunc calls
+    and the seam fill for D2 v, four more ufunc calls and one copy per
+    surface; a field step takes two ufunc calls fewer.
 
     Rows do not interact, so a call of at least ``_BLOCK_STEPS`` steps
     splits a multi-row array along its first axis into contiguous blocks of
@@ -277,27 +254,47 @@ def _evolve(values: np.ndarray, band: VolatilityBand, grid: GridSpec,
         raise ValueError(f"{len(surface)} surfaces for {len(out)} rows of values: "
                          f"one surface per row along the first axis")
     steps = range(k_from - 1, k_to - 1, -1)
-    c_lo = _coefficients(band.sigma_low, grid.dt, steps)
-    c_hi = _coefficients(band.sigma_high, grid.dt, steps)
+    if isinstance(band, VolatilityBand):
+        # 0-d arrays: a ufunc takes these faster than Python floats
+        c_lo, c_hi = ([np.array(0.5 * s ** 2 * grid.dt) for s in sigma.tolist()]
+                      for sigma in (band.sigma_low, band.sigma_high))
+        c_lo, c_hi = (c * len(steps) if len(c) == 1 else [c[k] for k in steps]
+                      for c in (c_lo, c_hi))
+    else:  # a variance field: one entry per step, v/2 per cell
+        half = 0.5 * band
+        c_lo, c_hi = [None] * len(steps), [half[k] for k in steps]
+    n = out.shape[-1]
     rows = len(out) if out.ndim > 1 else 1
     blocks = 1
     if len(steps) >= _BLOCK_STEPS:
         blocks = min(_cpu_count(), rows, out.size // _BLOCK_CELLS)
     parts = ([slice(rows * b // blocks, rows * (b + 1) // blocks) for b in range(blocks)]
              if blocks > 1 else [slice(None)])
-    multiply, maximum, add = np.multiply, np.maximum, np.add
+    two, h2 = np.array(2.0), np.array(grid.h ** 2)
+    multiply, maximum, add, subtract, divide = (np.multiply, np.maximum, np.add,
+                                                np.subtract, np.divide)
     errors = []
 
     def run(part: slice):
         v = out[part]
         flat = v.reshape(-1)
-        d2, scratch, curvature = _stencil(flat, out.shape[-1], grid.h)
+        d2, scratch = np.zeros_like(flat), np.empty_like(flat)
+        inner, twice = d2[1:-1], scratch[1:-1]
+        left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+        seams = d2.reshape(-1, n)[:, ::n - 1]
         sinks = () if surface is None else tuple(zip(surface[part], v))
         for k, lo, hi in zip(steps, c_lo, c_hi):
-            curvature()
-            multiply(d2, lo, out=scratch)
-            multiply(d2, hi, out=d2)
-            maximum(scratch, d2, out=d2)
+            multiply(mid, two, out=twice)
+            add(right, left, out=inner)
+            subtract(inner, twice, out=inner)
+            divide(inner, h2, out=inner)
+            seams.fill(0.0)
+            if lo is None:
+                multiply(d2, hi, out=d2)
+            else:
+                multiply(d2, lo, out=scratch)
+                multiply(d2, hi, out=d2)
+                maximum(scratch, d2, out=d2)
             add(flat, d2, out=flat)
             for sink, row in sinks:
                 sink[k] = row
@@ -457,11 +454,5 @@ def expectation_under_field(payoff, vfield: np.ndarray, grid: GridSpec) -> float
         raise ValueError("variance field must be non-negative")
     if np.max(vfield) > grid.h ** 2 * (1 + 1e-12):
         raise CFLError("variance field violates the kernel positivity bound")
-    v = np.array(_on_grid(payoff(grid.x), grid.x.shape))
-    d2, scratch, curvature = _stencil(v, v.size, grid.h)
-    multiply, add = np.multiply, np.add
-    for half_var in 0.5 * vfield[::-1]:
-        curvature()
-        multiply(half_var, d2, out=scratch)
-        add(v, scratch, out=v)
-    return float(v[grid.radius])
+    v = _on_grid(payoff(grid.x), grid.x.shape)
+    return float(_evolve(v[None], vfield, grid, grid.n_steps, 0)[0, grid.radius])

@@ -139,9 +139,7 @@ def dm_grid_oracle(x: StepPath, y: StepPath, m: int) -> float:
     knot_grid = np.array(sorted(set(np.linspace(0.05, float(m) + 1.0, 40)) | set(jumps)))
     best = dense_timechange_cost(x, y, TimeChange(((0.0, 0.0),)), m)
     for u in jumps:
-        for v in knot_grid:
-            if v <= 0:
-                continue
+        for v in knot_grid:  # every knot lies above 0
             lam = TimeChange(((0.0, 0.0), (float(u), float(v))))
             best = min(best, dense_timechange_cost(x, y, lam, m))
     for u1, u2 in itertools.combinations(jumps, 2):

@@ -12,10 +12,13 @@ where g_m is 1 up to m-1, decays linearly to 0 at m, and vanishes after.
 The infimum is taken over piecewise-linear time changes with knots at
 monotone matchings of the two jump sequences, of unit slope after the last
 knot; the result is an exact value whenever the optimum aligns jumps and a
-certified upper bound otherwise.  Such a time change is linear between
-knots, so its cost is a max over pieces that each depend on two knots only,
-and the best matching is a minimax path through the DAG of jump pairs:
-polynomial in the jump counts, where enumerating matchings is exponential.
+certified upper bound otherwise.  A piece so steep that floating point
+cannot place an X jump inside it is left out (:func:`_inner`): its scan
+would skip rows of X and read less than the witness costs.  Such a time
+change is linear between knots, so its cost is a max over pieces that each
+depend on two knots only, and the best matching is a minimax path through
+the DAG of jump pairs: polynomial in the jump counts, where enumerating
+matchings is exponential.
 The search is bounded, as in early-abandoning DTW search: a piece is priced
 only as far as the best cost so far can still be met (:func:`_best_matching`).
 The weighted sum over m yields the half-open-domain metric that makes the
@@ -263,6 +266,23 @@ def _deviation(pc, upto: float) -> float:
     return dev
 
 
+def _inner(xt, pc):
+    """The breakpoints lam^-1(t) of X's jump times t inside the piece, or None
+    when floating point cannot place them: unless they rise strictly from u0
+    to u1, an X row between two jumps whose breakpoints coincide lies on no
+    interval of the scan, and unless _lam maps each back to within
+    _ROUNDING t of t, X is damped far from its jump.  Only a steep piece,
+    one that crosses whole X rows within a few ulps of u, fails either."""
+    u0, v0, u1, v1 = pc[:4]
+    out = []
+    for t in xt[bisect_right(xt, v0):bisect_left(xt, v1)]:
+        b = _lam_inv(pc, t)
+        if not (out[-1] if out else u0) < b < u1 or abs(_lam(pc, b) - t) > _ROUNDING * t:
+            return None
+        out.append(b)
+    return out
+
+
 def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     """sup over u in the piece with u < upto (u <= upto when ``closed``) of
     | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |, exact when at most ``stop``;
@@ -273,16 +293,22 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     affine, so the sup sits at interval ends, taken with the values inside
     (:func:`_scan`).  Past max(m, lam^-1(m)) both damping terms vanish, and
     the piece is cut there.
+
+    A piece whose X jumps floating point cannot place (:func:`_inner`) is
+    not priced: its gap reads inf.
     """
     xt, yt = X[0], Y[0]
     u0, v0, u1, v1 = pc[:4]
     if u0 > upto:
         return 0.0
+    inner = _inner(xt, pc)
+    if inner is None:
+        return np.inf
     fm = float(m)
     end = min(u1, upto)
     pts = {u0, end}  # end = inf for the tail of d_m, which the cut below drops
     pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
-    pts.update(_lam_inv(pc, v) for v in xt[bisect_left(xt, v0):bisect_left(xt, v1)])
+    pts.update(inner)
     for c in (fm - 1.0, fm):
         if u0 <= c <= u1:
             pts.add(c)
@@ -293,24 +319,32 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     bs = sorted(b for b in pts if b <= cut)
     if closed and u0 <= upto < u1:
         bs.append(upto)  # the point upto, as an interval of length 0
-    return _scan(X, Y, pc, fm, bs, 0.0, stop)
+    return _scan(X, Y, pc, fm, bs, inner, 0.0, stop)
 
 
-def _scan(X, Y, pc, fm: float, bs, best: float, stop: float) -> float:
+def _scan(X, Y, pc, fm: float, bs, inner, best: float, stop: float) -> float:
     """max(best, the gap's sup over the intervals between consecutive
     breakpoints ``bs``), exact when at most ``stop``; past ``stop`` the scan
-    ends and returns a lower bound > stop.
+    ends and returns a lower bound > stop.  ``inner`` holds the breakpoints
+    of X's jumps inside the piece, strictly increasing.
 
     Each breakpoint's damping factors are computed once, and none at
     m = inf, where g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an
     interval whose ends share them is evaluated once.
+
+    The paths' values inside an interval are read by counting jumps, not by
+    evaluating the paths at a point inside: no jump of either path lies
+    inside an interval, so Y holds its value at the start, and X the value
+    after the X jumps up to v0 and those whose breakpoints lie at or before
+    the start.  A point inside could round onto an end, or lam of it past
+    an X jump, when the ends lie a few ulps apart.
     """
     (xt, xrows), (yt, yrows) = X, Y
+    base = bisect_right(xt, pc[1])
     g2 = (1.0, 1.0) if fm == np.inf else None
     for b1, b2 in zip(bs, bs[1:]):
-        mid = 0.5 * (b1 + b2)
-        xv = xrows[bisect_right(xt, _lam(pc, mid))]
-        yv = yrows[bisect_right(yt, mid)]
+        xv = xrows[base + bisect_right(inner, b1)]
+        yv = yrows[bisect_right(yt, b1)]
         g1 = g2 or (_unit(fm - _lam(pc, b1)), _unit(fm - b1))  # carried from the last interval
         if fm != np.inf:
             g2 = (_unit(fm - _lam(pc, b2)), _unit(fm - b2))
@@ -491,11 +525,11 @@ def _floors(X, Y):
     intervals between breakpoints, with the values inside, and every jump
     of either path is a breakpoint.  It damps Y at Y's jump times as
     :func:`_damped_range` does, and X at lam of the breakpoint of an X jump
-    t, which _lam rounds off t by at most _ROUNDING t, as "before the ramp"
-    assumes.  Damping is 0 from m on, so a factor that counts is off by at
-    most _ROUNDING m and an ulp, and the scan's max falls short of the
-    range gap by less than 2 _ROUNDING m times the largest |value|: the
-    slack taken off the range gap.
+    t, which _lam maps to within _ROUNDING t of t on every piece it prices
+    (:func:`_inner`), as "before the ramp" assumes.  Damping is 0 from m on,
+    so a factor that counts is off by at most _ROUNDING m and an ulp, and
+    the scan's max falls short of the range gap by less than 2 _ROUNDING m
+    times the largest |value|: the slack taken off the range gap.
 
     The terminal gap.  A settled level, with m - 1 >= (latest jump +
     _PAIR_WINDOW) (1 + _ROUNDING) + 1, has a second bound, the terminal
@@ -575,26 +609,27 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
     floor = _floors(X, Y)
     crossed = max(xt[-1:] + yt[-1:], default=0.0) * (1.0 + _ROUNDING)
     flat = {}  # (u0, v0, u1, v1) -> cost at m = inf
-    heads = {}  # (u0, v0) -> [J, m = inf scan up to J, or None until needed]
+    heads = {}  # (u0, v0) -> [J, X's inner breakpoints, m = inf scan up to J or None]
     dp = None  # (nodes, knots, best, edges) from the last ramp crossing on
 
     # both price a piece at the current level fm
     def tail_cost(pc, stop):
         u0, v0 = key = pc[:2]
         if key not in heads:
-            jumps = [u0] + [u for u in yt[-1:] if u >= u0] \
-                + [_lam_inv(pc, v) for v in xt[-1:] if v >= v0]
-            heads[key] = [max(jumps), None]
-        J, head = heads[key]
+            inner = _inner(xt, pc)
+            J = max([u0] + [u for u in yt[-1:] if u >= u0] + inner[-1:]) \
+                if inner is not None else np.inf  # unplaceable: _cost reads inf at every m
+            heads[key] = [J, inner, None]
+        J, inner, head = heads[key]
         if fm - J < 1.0 or fm - _lam(pc, J) < 1.0:
             return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
         if head is None:
-            head = heads[key][1] = _gap(X, Y, pc, np.inf, J, False, cap)
+            head = heads[key][2] = _gap(X, Y, pc, np.inf, J, False, cap)
         # where the damping bends, as in _gap with u1 = v1 = inf
         ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
             + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
         return max(_deviation(pc, fm), head if head > stop else
-                   _scan(X, Y, pc, fm, sorted({J, *ramp}), head, stop))
+                   _scan(X, Y, pc, fm, sorted({J, *ramp}), inner, head, stop))
 
     def cost(pc, stop):
         if pc[2] == np.inf:

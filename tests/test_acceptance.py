@@ -108,3 +108,14 @@ def test_a_planted_defect_fails_its_criterion(criterion, name, defect, flag, mon
     # the guard fired, and its flag in the details shows why
     (key, value), = flag.items()
     assert rep["details"][key] is value
+
+
+def test_minimal_penalty_fails_where_the_lp_and_the_box_oracle_disagree_on_inf(monkeypatch):
+    # the box oracle planted to read +inf at every node, where the LP is
+    # mostly finite: no flag is off, the gap itself is infinite
+    monkeypatch.setattr(acceptance, "conjugate_box_oracle",
+                        lambda rep, Q: np.full(rep.lattice.n_nodes(rep.s), np.inf))
+    rep = acceptance.criterion_minimal_penalty(SEED)
+    assert rep["passed"] is False and rep["max_violation"] == np.inf
+    assert rep["details"]["zero_penalty_exact"] is True
+    assert rep["details"]["unreachable_is_inf"] is True

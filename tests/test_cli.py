@@ -21,7 +21,7 @@ from riskdesk.fixtures import fix_a_lattice, iid_binary_measure, random_rv
 from riskdesk.lattice import RandomVariable, lattice_to_json, uniform_tree
 from riskdesk.gexp import GridSpec, VolatilityBand, robust_lattice_price
 from riskdesk.measures import measure_to_json
-from riskdesk.oracles import call_upper_value
+from riskdesk.oracles import call_upper_value, square_band_values
 from riskdesk.skorokhod import path_from_json, path_to_json
 
 
@@ -345,11 +345,32 @@ def test_gexp_error_estimate_tracks_the_closed_form_error(tmp_path, grid):
     results = read_report(out)["results"]
     error = abs(results["ask"] - call_upper_value(0.2, 1.0))
     assert 0.5 * error <= results["error_estimate"] <= error
-    # refined to h/2 and dt/4 over the same extent
+    # refined to h/2 and dt/4 over the same extent, and widened to twice the
+    # radius at the same dt and h; the estimate is their sum
     fine = GridSpec(grid["dt"] / 4, grid["h"] / 2, 2 * grid["radius"], 1.0)
-    refined, _ = robust_lattice_price(lambda x: np.maximum(x, 0.0),
-                                      VolatilityBand(0.1, 0.2), fine)
-    assert results["error_estimate"] == abs(results["ask"] - refined)
+    wide = GridSpec(grid["dt"], grid["h"], 2 * grid["radius"], 1.0)
+    refined, widened = (robust_lattice_price(lambda x: np.maximum(x, 0.0),
+                                             VolatilityBand(0.1, 0.2), g)[0] for g in (fine, wide))
+    terms = results["error_terms"]
+    assert terms == {"refinement": abs(results["ask"] - refined),
+                     "extent": abs(results["ask"] - widened)}
+    assert results["error_estimate"] == terms["refinement"] + terms["extent"]
+
+
+def test_gexp_error_estimate_sees_the_boundary_error(tmp_path):
+    """On radius 100 the zero-curvature boundary reaches the origin of the
+    square payoff: refining at the same extent moves the ask by 3.7e-11,
+    against a true error of 3.05e-9, which the doubled radius sees."""
+    doc = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
+           "grid": {"dt": 1e-3, "h": 0.01, "radius": 100, "horizon": 1.0},
+           "payoff": {"kind": "square"}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_OK
+    results = read_report(out)["results"]
+    error = abs(results["ask"] - square_band_values(0.1, 0.2, 1.0)[1])
+    assert error > 3e-9
+    assert results["error_terms"]["refinement"] < 0.05 * error
+    assert 0.5 * error <= results["error_estimate"] <= 2.0 * error
 
 
 def test_gexp_error_estimate_refines_a_per_step_band(tmp_path):

@@ -141,6 +141,9 @@ def test_stopping_time_validation():
     double = {NodeRef(1, 0), NodeRef(2, 0), NodeRef(2, 2), NodeRef(2, 3)}
     ok, witness = validate_stopping_time(lat, double)
     assert not ok and witness is not None
+    # a node outside the lattice is its own witness
+    for node in (NodeRef(3, 0), NodeRef(-1, 0), NodeRef(1, 2), NodeRef(2, -1)):
+        assert validate_stopping_time(lat, {NodeRef(1, 0), node}) == (False, [node])
 
 
 def test_lattice_json_round_trip():

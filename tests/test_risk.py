@@ -451,6 +451,18 @@ def test_dualrep_json_round_trip_with_inf():
     assert np.array_equal(rm_evaluate(back, B2).values, rm_evaluate(rep, B2).values)
 
 
+def test_box_oracle_skips_a_component_priced_at_inf():
+    # at the second time-1 node only q1 is on offer, so q2 is unreachable
+    # there; the oracle must leave the +inf component out of its LP
+    lat, q1, q2, _ = fix_a_family()
+    pen = RandomVariable(lat, 1, np.array([0.25, np.inf]), allow_infinite=True)
+    zeros = RandomVariable(lat, 1, np.zeros(2))
+    rep = DualRep(1, 2, ((q1, zeros), (q2, pen)))
+    for Q, expected in ((q1, [0.0, 0.0]), (q2, [0.25, np.inf])):
+        np.testing.assert_allclose(conjugate_box_oracle(rep, Q), expected, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(minimal_penalty(rep, Q).values, expected, rtol=0, atol=1e-9)
+
+
 def test_dualrep_requires_finite_component_per_node():
     lat, q1, q2, _ = fix_a_family()
     inf1 = RandomVariable(lat, 1, np.array([np.inf, 0.0]), allow_infinite=True)

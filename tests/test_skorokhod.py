@@ -507,6 +507,63 @@ def test_the_floor_of_a_level_is_never_above_its_dm_distance():
     assert unslacked > 0
 
 
+def test_dm_distance_reaches_the_range_floor_on_a_steep_witness():
+    """The knots (1 - 2^-53, 0.132) and (1.0, 0.761) of y and x make a
+    piece that crosses x's jump at 0.455 within one ulp of u.  Its scan
+    read none of x's values on [0.132, 0.761), so d_1 read 0.868, below
+    the range floor 1.7715 that bounds every time change, and min(1, d_1)
+    disagreed with d-hat's level 1, which takes the floor."""
+    rng = np.random.default_rng(3)
+    x = jump_path([0.132, 0.455, 0.761, 0.999999999999999, 0.9999999999999999],
+                  rng.normal(size=5))
+    y = jump_path([0.770, 0.845, 0.9999999999999918, 0.9999999999999999, 1.0],
+                  rng.normal(size=5))
+    X, Y = skorokhod._canonical(x, y)
+    floor = skorokhod._floors(X, Y)(1.0)
+    value = dm_distance(x, y, 1)[0]
+    assert value >= floor > 1.77
+    ((capped, _),) = skorokhod._dm_matchings(x, y, [1], 1.0)
+    assert min(1.0, capped) == min(1.0, value) == 1.0
+    steep = skorokhod._piece((0.9999999999999999, 0.132), (1.0, 0.761))
+    assert skorokhod._inner(X[0], steep) is None
+    assert skorokhod._gap(X, Y, steep, 1.0, np.inf, False, np.inf) == np.inf
+
+
+@pytest.mark.parametrize("a", [0.3, np.nextafter(0.3, 1.0), 0.7, np.nextafter(0.7, 1.0)])
+def test_a_value_held_for_one_ulp_is_priced(a):
+    """A path that holds 5 between jumps at adjacent floats, against one
+    that holds 1, as X and as Y.  The midpoint of the two jump times
+    rounds onto one of them, the later one for half of these a, where the
+    scan read the value after the second jump and missed the 5."""
+    short = jump_path([0.2, a, np.nextafter(a, 1.0)], [1.0, 5.0, 1.0])
+    for other in (jump_path([0.1], [1.0]), jump_path([0.21], [1.0])):  # short as Y, then X
+        assert dm_distance(short, other, 3)[0] == 4.0
+        assert j1_distance(short, other, 2.0) == 4.0
+
+
+def near_one_path(rng):
+    n = int(rng.integers(1, 6))
+    times = np.unique(np.concatenate((rng.uniform(0.05, 1.0, n // 2 + 1),
+                                      1.0 - 2.0 ** -53 * rng.integers(0, 20, n - n // 2))))
+    return jump_path(times, rng.normal(size=times.size))
+
+
+def test_no_dm_distance_falls_below_its_floor_on_jumps_ulps_apart():
+    """Seeded pairs with about half their jumps a few ulps below 1.0, so
+    that pieces between such knots are steep.  A piece on which floating
+    point cannot place an X jump is not priced; scanned as before, 43
+    of these levels read d_m below the range floor, and 19 pairs' d-hat
+    levels disagreed with min(1, d_m)."""
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        x, y = near_one_path(rng), near_one_path(rng)
+        floor = skorokhod._floors(*skorokhod._canonical(x, y))
+        dms = [dm_distance(x, y, m)[0] for m in (1, 2)]
+        assert all(floor(float(m)) <= dm for m, dm in zip((1, 2), dms))
+        levels = skorokhod._dm_matchings(x, y, [1, 2], 1.0)
+        assert [min(1.0, v) for v, _ in levels] == [min(1.0, dm) for dm in dms]
+
+
 def test_a_level_whose_range_gap_reaches_the_clip_prices_no_piece(monkeypatch):
     """On [0, inf), jumps at 2.3 to 2.5 and at 2.71 to 1: at m = 3 the
     damped sups are 1.75 and 0.29, and from m = 4 on 2.5 and 1.  Levels
