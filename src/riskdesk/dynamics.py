@@ -2,21 +2,24 @@
 certify (or refute) consistency for externally supplied representations.
 
 A dynamic risk measure is determined by its one-step data: per-node menus
-of (kernel, penalty) choices, stored per time index as flat (choices, nodes)
-arrays in a ``OneStepStructure``, whose ``rho`` runs the backward recursion;
-with all penalties 0, as in a rectangular hull, it is sublinear.  The
-dual-form check compares that recursion with a different code path, the max
-over all expanded selections of E_Q(-X) less the accumulated penalty; with
-the penalty cocycle check, and the recursion check on external
-representations, it is the executable equivalence between the two
-characterizations, and the supermartingale check covers the zero-penalty
-reference case.
+of (kernel, penalty) choices, stored per time index as flat, read-only
+(choices, nodes) arrays in a ``OneStepStructure``, whose ``rho`` runs the
+backward recursion; with all penalties 0, as in a rectangular hull, it is
+sublinear, and the recursion subtracts no penalty.  The dual-form check
+compares that recursion with a different code path, the max over all
+expanded selections of E_Q(-X) less the accumulated penalty; with the
+penalty cocycle check, and the recursion check on external representations,
+it is the executable equivalence between the two characterizations, and the
+supermartingale check covers the zero-penalty reference case.  Its scan
+reads every level's menus side by side, a layout that a structure builds on
+first use and keeps, as a measure keeps its kernels joined in one array.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
 
@@ -51,8 +54,9 @@ class OneStepStructure:
     """Per non-terminal node: a finite menu of (kernel weights, penalty),
     stored flat, padded with each node's last choice: per time index k,
     (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
-    menu ``sizes``.  It is the dynamic risk measure these menus generate:
-    ``rho`` runs its recursion.  Compares by identity."""
+    menu ``sizes``, all read-only, so nothing derived from them goes stale.
+    It is the dynamic risk measure these menus generate: ``rho`` runs its
+    recursion.  Compares by identity."""
 
     lattice: ScenarioLattice
     choices: InitVar[tuple]  # per time index < T: tuple per node of ((weights, penalty), ...)
@@ -92,9 +96,35 @@ class OneStepStructure:
                 raise ValueError(
                     f"node ({k},{int(np.argmax(free))}) has no finite-penalty choice")
         # row-major, so the recursion's strided per-parent slices stay cheap
-        object.__setattr__(self, "flat_kernels", tuple(np.ascontiguousarray(w) for w in kernels))
+        kernels = tuple(np.ascontiguousarray(w) for w in kernels)
+        for a in (*kernels, *penalties, *sizes):
+            a.setflags(write=False)
+        object.__setattr__(self, "flat_kernels", kernels)
         object.__setattr__(self, "flat_penalties", tuple(penalties))
         object.__setattr__(self, "sizes", tuple(sizes))
+
+    @cached_property
+    def _recursion_penalties(self) -> Optional[tuple]:
+        """The penalties the recursion subtracts: ``flat_penalties``, or None
+        when every penalty is +0.0, as on a hull (x - 0.0 is x, bit for bit)."""
+        if any(a.any() or np.signbit(a).any() for a in self.flat_penalties):
+            return self.flat_penalties
+        return None
+
+    @cached_property
+    def _side_by_side(self) -> tuple:
+        """Every level's menus side by side, built on first use: the
+        (m, sum of n_{k+1}) kernels and the (m, sum of n_k) mask of zero
+        penalties, each level's rows padded to the longest menu m with its
+        last row, a copy of a choice already on the menu.  Read-only."""
+        m = max(len(w) for w in self.flat_kernels)
+        kernels, free = (np.concatenate([np.pad(a, ((0, m - len(a)), (0, 0)), "edge")
+                                         for a in levels], axis=1)
+                         for levels in (self.flat_kernels, self.flat_penalties))
+        free = free == 0.0
+        kernels.setflags(write=False)
+        free.setflags(write=False)
+        return kernels, free
 
     def rho(self, s: int, t: int, X: RandomVariable) -> RandomVariable:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
@@ -108,7 +138,11 @@ class OneStepStructure:
 
     def _rho(self, s: int, t: int, g) -> np.ndarray:
         """The recursion from (..., n_t) values G_t = -X down to G_s."""
-        return _backward(self.lattice, s, g, self.flat_kernels[s:t], self.flat_penalties[s:t])
+        if s == t:
+            return np.asarray(g, dtype=float)
+        penalties = self._recursion_penalties
+        return _backward(self.lattice, s, g, self.flat_kernels[s:t],
+                         None if penalties is None else penalties[s:t])
 
 
 def build_dynamic(structure: OneStepStructure) -> OneStepStructure:
@@ -251,22 +285,18 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     Requires P to be a zero-penalty selection at every node, within
     ``_ZERO_PENALTY_TOL`` of a zero-penalty kernel: the discrete version of
     a zero total penalty for P; penalties are >= 0, so the
-    structure is then normalized.
+    structure is then normalized.  Every call scans all levels at once: P's
+    joined kernels (``Measure._kernel_buffer``) against the structure's
+    menus side by side (``OneStepStructure._side_by_side``), at the
+    tolerance as it reads at call time.  Both layouts are built once per
+    object and read-only, so no call joins or pads them again.
     """
     lat = st.lattice
     if P.lattice is not lat or X.lattice is not lat:
         raise ValueError("structure, variable and measure live on different lattices")
-    # the zero-penalty scan, every level at once
-    m = max(len(w) for w in st.flat_kernels)
-
-    def side_by_side(levels):
-        """The levels' (m_u, n) rows, each padded to m with its last row, a
-        copy of a choice already on the menu, in one (m, sum of n) array."""
-        return np.concatenate([a if len(a) == m else np.pad(a, ((0, m - len(a)), (0, 0)), "edge")
-                               for a in levels], axis=1)
-
-    gap = _kernel_gap(lat, None, side_by_side(st.flat_kernels), np.concatenate(P.flat_kernels))
-    ok = np.any((side_by_side(st.flat_penalties) == 0.0) & (gap <= _ZERO_PENALTY_TOL), axis=0)
+    # the zero-penalty scan, every level at once, on the stored layouts
+    kernels, free = st._side_by_side
+    ok = (free & (_kernel_gap(lat, None, kernels, P._kernel_buffer) <= _ZERO_PENALTY_TOL)).any(0)
     if not ok.all():
         node = int(np.argmin(ok))
         first = np.cumsum([0] + [lat.n_nodes(u) for u in range(lat.terminal)])
@@ -281,12 +311,13 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     # E_P(rho_{s',T} | B_s) for every later grid date s' as one stacked array
     t = grid[-1] if grid else T
     g = st._rho(t, T, -X.values)
-    later = np.empty((0, g.size))
+    later = None
     worst = -np.inf
     for s in reversed(grid[:-1]):
-        later = _backward(lat, s, np.vstack([later, g]), P.flat_kernels[s:t])
+        rows = g[None] if later is None else np.concatenate((later, g[None]))
+        later = _backward(lat, s, rows, P.flat_kernels[s:t])
         g = st._rho(s, t, g)
-        worst = max(worst, float(np.max(later - g)))
+        worst = max(worst, float((later - g).max()))
         t = s
     return worst
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -124,6 +125,16 @@ class ScenarioLattice:
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "values", tuple(values))
 
+    @cached_property
+    def _chain(self) -> tuple:
+        """The children of every non-terminal node, level after level, as
+        ``_per_parent`` reads them with k = None: the fan-out every level
+        shares (0 if none), and the first-child starts for ``reduceat``."""
+        fanouts = set(self.fanouts)
+        bases = np.cumsum([0] + [off[-1] for off in self.offsets[:-1]])
+        starts = np.concatenate([off[:-1] + base for off, base in zip(self.offsets, bases)])
+        return (fanouts.pop() if len(fanouts) == 1 else 0), starts
+
     @property
     def n_times(self) -> int:
         return len(self.times)
@@ -184,7 +195,7 @@ class RandomVariable:
                 f"expected {self.lattice.n_nodes(self.t)} values at time index "
                 f"{self.t}, got shape {v.shape}"
             )
-        if not self.allow_infinite and not np.all(np.isfinite(v)):
+        if not self.allow_infinite and not np.isfinite(v).all():
             raise ValueError("non-finite values are only allowed for penalties")
         object.__setattr__(self, "values", v)
 
@@ -236,28 +247,23 @@ def _per_parent(lattice: ScenarioLattice, k, a, op=np.add) -> np.ndarray:
     children of every non-terminal node, a holding the levels' children in
     time order.  The same bits as ``op.reduceat`` over first-child offsets: a
     uniform fan-out b adds strided slices as reduceat does,
-    a_0 + ((a_1 + a_2) + ...); any order gives the same maximum."""
-    if k is None:
-        fanouts = set(lattice.fanouts)
-        b = fanouts.pop() if len(fanouts) == 1 else 0
-    else:
-        b = lattice.fanouts[k]
+    a_0 + ((a_1 + a_2) + ...), into one fresh array; any order gives the same
+    maximum."""
+    b = lattice.fanouts[k] if k is not None else lattice._chain[0]
     if not b:
-        if k is None:
-            bases = np.cumsum([0] + [off[-1] for off in lattice.offsets[:-1]])
-            starts = np.concatenate([off[:-1] + base
-                                     for off, base in zip(lattice.offsets, bases)])
-        else:
-            starts = lattice.offsets[k][:-1]
+        starts = lattice.offsets[k][:-1] if k is not None else lattice._chain[1]
         return op.reduceat(a, starts, axis=-1)
     if b == 1:
         return a.copy()
-    rest = a[..., 1::b]
     if op is np.add and _SUM_FROM_PLUS_ZERO:
-        rest = 0.0 + rest
-    for j in range(2, b):
-        rest = op(rest, a[..., j::b])
-    return op(a[..., ::b], rest)
+        rest, j = 0.0 + a[..., 1::b], 2
+    elif b == 2:
+        return op(a[..., ::2], a[..., 1::2])
+    else:
+        rest, j = op(a[..., 1::b], a[..., 2::b]), 3
+    for i in range(j, b):
+        op(rest, a[..., i::b], out=rest)
+    return op(a[..., ::b], rest, out=rest)
 
 
 def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None):
@@ -268,21 +274,23 @@ def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None)
     penalties.  Zero-weight children never count, so an infinite value there
     gives no 0 * inf = NaN.
 
-    A finite input runs unguarded first.  Its result is exact when finite:
-    a non-finite value meets every choice's weights at its parent, as inf,
-    -inf or a NaN, which no sum, difference or max drops."""
+    The pass runs unguarded first and tests finiteness once, on its output.
+    A finite output is exact: a non-finite value, given or made by 0 * inf,
+    meets every choice's weights at its parent, as inf, -inf or a NaN, which
+    no sum, difference or max drops, so it reaches the output.  A non-finite
+    output reruns guarded."""
     g = np.asarray(values, dtype=float)
-    if np.isfinite(g).all():
-        with np.errstate(invalid="ignore"):
-            out = _induct(lattice, s, g, weights, penalties, guard=False)
-        if np.isfinite(out).all():
-            return out
+    with np.errstate(invalid="ignore"):
+        out = _induct(lattice, s, g, weights, penalties, guard=False)
+    if np.isfinite(out).all():
+        return out
     return _induct(lattice, s, g, weights, penalties, guard=True)
 
 
 def _induct(lattice, s, g, weights, penalties, guard):
     """The steps of ``_backward``; with ``guard``, a level holding a
-    non-finite value takes zero-weight terms as 0."""
+    non-finite value takes zero-weight terms as 0.  A level's penalties are
+    subtracted in the array its per-parent sum made."""
     for u in range(s + len(weights) - 1, s - 1, -1):
         w = weights[u - s]
         v = g if w.ndim == 1 else g[..., None, :]
@@ -293,9 +301,14 @@ def _induct(lattice, s, g, weights, penalties, guard):
             terms = w * v
         g = _per_parent(lattice, u, terms)
         if penalties is not None:
-            g = g - penalties[u - s]
+            g -= penalties[u - s]
         if w.ndim > 1:
-            g = np.maximum.reduce(g, axis=-2)
+            # the max over choices, pairwise in order, into a new array, so a
+            # result that a caller keeps does not hold every choice's sums
+            best = g[..., 0, :]
+            for j in range(1, g.shape[-2]):
+                best = np.maximum(best, g[..., j, :], out=None if j == 1 else best)
+            g = best
     return g
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from math import isfinite
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +90,8 @@ def _menus(lattice: ScenarioLattice, k: int, menus):
 def _kernel_gap(lattice: ScenarioLattice, k, a, b) -> np.ndarray:
     """Per time-k node, the max |a - b| over its children; a and b are flat
     (..., n_{k+1}) kernel arrays (k = None: every level, as ``_per_parent``)."""
-    return _per_parent(lattice, k, np.abs(a - b), np.maximum)
+    gap = a - b
+    return _per_parent(lattice, k, np.abs(gap, out=gap), np.maximum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +99,9 @@ class Measure:
     """Probability measure given by one kernel per non-terminal node;
     ``kernels[k][i]`` weighs the children of node (k, i).  Only the
     normalized ``flat_kernels[k]`` over the time-(k+1) nodes is stored, and
-    ``lattice.per_node(k, flat_kernels[k])`` splits it per node.  Measures
-    compare by identity."""
+    ``lattice.per_node(k, flat_kernels[k])`` splits it per node.  Kernels
+    and node probabilities are read-only, so nothing derived from them, such
+    as ``_kernel_buffer``, goes stale.  Measures compare by identity."""
 
     lattice: ScenarioLattice
     kernels: InitVar[tuple]  # per time index < T: tuple of weight arrays, one per node
@@ -129,11 +133,21 @@ class Measure:
         return Q
 
     def _store(self, flats):
-        object.__setattr__(self, "flat_kernels", tuple(flats))
         probs = [np.ones(1)]
         for k, w in enumerate(flats):
             probs.append(probs[k][self.lattice.parents[k + 1]] * w)
+        for a in (*flats, *probs):
+            a.setflags(write=False)
+        object.__setattr__(self, "flat_kernels", tuple(flats))
         object.__setattr__(self, "_node_probs", tuple(probs))
+
+    @cached_property
+    def _kernel_buffer(self) -> np.ndarray:
+        """Every level's flat kernels in time order as one read-only array,
+        joined on first use."""
+        buffer = np.concatenate(self.flat_kernels)
+        buffer.setflags(write=False)
+        return buffer
 
     def node_probabilities(self, t: int) -> np.ndarray:
         return self._node_probs[t]
@@ -186,6 +200,8 @@ class MeasureFamily:
         lat = members[0].lattice
         if any(m.lattice is not lat for m in members):
             raise ValueError("all members must live on the same lattice")
+        if not isfinite(self.p):
+            raise ValueError(f"exponent p must be finite, got {self.p}")
         if self.p < 1:
             raise ValueError("exponent p must be >= 1")
         object.__setattr__(self, "members", members)

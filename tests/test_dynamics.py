@@ -29,7 +29,7 @@ from riskdesk.lattice import (RandomVariable, _backward, _induct, coordinate_pro
                               uniform_tree)
 from riskdesk.measures import Measure, conditional_expectation
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
-from riskdesk.stability import robust_evaluate
+from riskdesk.stability import rectangular_hull, robust_evaluate
 
 
 def menu_dynamic(root_shift=0.0, lat=None):
@@ -514,6 +514,24 @@ def test_structure_rejects_negative_weights_and_nan_penalties():
         OneStepStructure(lat, ((((np.array([0.5, 0.5]), np.nan),),), (menu, menu)))
     with_inf = ((np.array([0.5, 0.5]), 0.0), (np.array([1.0, 0.0]), np.inf))
     assert np.isinf(OneStepStructure(lat, ((with_inf,), (menu, menu))).flat_penalties[0][1, 0])
+
+
+def test_structure_arrays_are_read_only():
+    # the scan's side-by-side layouts are built once from the stored menus,
+    # so an edit in place would leave them apart
+    lat, dyn = menu_dynamic()
+    hull = rectangular_hull([zero_penalty_member(lat, 0.5), zero_penalty_member(lat, 0.6)])
+    X, P = coordinate_process(lat, 2), zero_penalty_member(lat, 0.5)
+    for st in (dyn, hull):
+        gap = supermartingale_check(st, X, P)
+        for a in (*st.flat_kernels, *st.flat_penalties, *st.sizes, *st._side_by_side):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+        assert supermartingale_check(st, X, P) == gap
+    assert hull._recursion_penalties is None and dyn._recursion_penalties is dyn.flat_penalties
+    # -0.0 - (-0.0) is +0.0, so a -0.0 penalty is still subtracted
+    signed = ((np.array([0.5, 0.5]), -0.0),)
+    assert OneStepStructure(lat, ((signed,), (signed, signed)))._recursion_penalties is not None
 
 
 MENU = ((np.array([0.5, 0.5]), 0.0),)

@@ -273,6 +273,25 @@ def test_measure_stores_only_its_flat_kernels():
     assert np.array_equal(Q.flat_kernels[1], [0.6, 0.4, 0.6, 0.4])
 
 
+def test_measure_arrays_are_read_only():
+    # an edit in place would leave the node probabilities, which capacity
+    # reads, and the kernels, which conditional_expectation reads, apart
+    lat, q1, _, family = fix_a_family()
+    X = coordinate_process(lat, 2)
+    cap, mean = capacity(X, family), conditional_expectation(X, q1, 0).values
+    stored = (*q1.flat_kernels, *(q1.node_probabilities(t) for t in range(3)),
+              q1._kernel_buffer)
+    for a in stored:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.9
+    with pytest.raises(ValueError, match="read-only"):
+        q1.flat_kernels[0][:] = [0.9, 0.1]
+    assert np.array_equal(q1.node_probabilities(1), [0.5, 0.5])
+    assert capacity(X, family) == cap
+    assert np.array_equal(conditional_expectation(X, q1, 0).values, mean)
+    assert np.array_equal(q1._kernel_buffer, np.concatenate(q1.flat_kernels))
+
+
 def test_measure_json_golden_on_a_ragged_lattice():
     lat = build_lattice((0.0, 1.0, 2.0), [[[1.0, 0.0, -1.0]],
                                           [[2.0], [0.5, -0.5], [1.0, 0.0, -1.0]]],
@@ -304,6 +323,12 @@ def _condition_after_the_variable():
                             iid_binary_measure(fix_a_lattice(), 0.5))),
      "all members must live on the same lattice"),
     (lambda: MeasureFamily(fix_a_family()[3].members, p=0.5), "exponent p must be >= 1"),
+    (lambda: MeasureFamily(fix_a_family()[3].members, p=np.inf),
+     "exponent p must be finite, got inf"),
+    (lambda: MeasureFamily(fix_a_family()[3].members, p=np.nan),
+     "exponent p must be finite, got nan"),
+    (lambda: MeasureFamily(fix_a_family()[3].members, p=-np.inf),
+     "exponent p must be finite, got -inf"),
     (lambda: measure_from_json('{"kernels": [{"node": [0, 0], "weights": [1, 1]}]}',
                                fix_a_lattice()),
      "missing kernel at time index 1"),
@@ -313,7 +338,8 @@ def _condition_after_the_variable():
     (lambda: check_restriction(fix_a_family()[1], fix_a_family()[2], 1),
      "measures live on different lattices"),
 ], ids=["kernel-levels", "kernels-per-node", "empty-family", "mixed-family", "p-below-1",
-        "missing-kernel", "foreign-variable", "s-after-t", "restriction-across-lattices"])
+        "p-inf", "p-nan", "p-minus-inf", "missing-kernel", "foreign-variable", "s-after-t",
+        "restriction-across-lattices"])
 def test_malformed_measures_and_families_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
