@@ -11,6 +11,7 @@ from riskdesk import (
     DualRep,
     RandomVariable,
     capacity,
+    charged_mask,
     coordinate_process,
     dual_witness,
     fix_a_family,
@@ -29,10 +30,11 @@ print("terminal values of the coordinate process:", B2.values)
 # The capacity is the worst-case L^p norm over the family.
 print("capacity of B2 (p = 1):", capacity(B2, fam))
 
-# A single reference measure that charges every node any member charges.
+# A single reference measure, the equal-weight mixture, that charges
+# exactly the nodes some member charges.
 ref = reference_measure(fam)
-print("reference mixture weights:", ref.weights)
-print("reference root kernel:", lat.per_node(0, ref.measure.flat_kernels[0])[0])
+print("reference charges at time 2:", charged_mask(ref, 2))
+print("reference root kernel:", lat.per_node(0, ref.flat_kernels[0])[0])
 
 # At p = 2 the duality is attained by a closed-form witness.
 lat2, _, _, fam2 = fix_a_family(p=2.0)

@@ -21,7 +21,6 @@ from .lattice import (
 from .measures import (
     Measure,
     MeasureFamily,
-    ReferenceMeasure,
     capacity,
     charged_mask,
     check_restriction,

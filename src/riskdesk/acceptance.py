@@ -371,7 +371,7 @@ def criterion_capacity(seed: int) -> Dict:
                           tuple(np.array([0.7, 0.3]) for _ in range(2))))
     fam0 = MeasureFamily((skew, skew2), p=1.0)
     P = reference_measure(fam0)
-    mask = charged_mask(P.measure, 2)
+    mask = charged_mask(P, 2)
     X = RandomVariable(lat, 2, np.array([1.0, 2.0, 3.0, 4.0]))
     null_bump = RandomVariable(lat, 2, np.where(mask, 0.0, 5.0))
     charged_bump = RandomVariable(lat, 2, np.where(mask, 5.0, 0.0))

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _per_parent, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _check_time, _per_parent, lift
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
                    rm_evaluate)
@@ -171,6 +171,8 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     built when its component is read.  Evaluating it reproduces the recursion.
     """
     lat = st.lattice
+    _check_time(lat, r)
+    _check_time(lat, t)
     sizes, count = _selection_sizes(st, r, t, cap)
 
     # picks[c, n]: the choice of selection c at the n-th node of [r, t), in

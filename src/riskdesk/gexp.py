@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _per_parent, coordinate_process
+from .lattice import RandomVariable, ScenarioLattice, _check_time, _per_parent, coordinate_process
 
 __all__ = [
     "VolatilityBand",
@@ -399,6 +399,7 @@ def conditional_gexp(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec,
 
 def quadratic_variation(lattice: ScenarioLattice, t: int, coord: int = 0) -> RandomVariable:
     """Accumulated squared increments sum (Delta B)^2 along the ancestry."""
+    _check_time(lattice, t)
     vals = np.zeros(1)
     for u in range(1, t + 1):
         vals = vals[lattice.parents[u]] + lattice.increments[u][:, coord] ** 2

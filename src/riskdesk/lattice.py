@@ -177,6 +177,13 @@ class ScenarioLattice:
         return list(reversed(idx))
 
 
+def _check_time(lattice: ScenarioLattice, t: int) -> None:
+    """Raise ValueError naming t unless it is one of the lattice's time
+    indices; a negative index would otherwise read a level from the end."""
+    if not 0 <= t <= lattice.terminal:
+        raise ValueError(f"time index {t} outside [0, {lattice.terminal}]")
+
+
 @dataclass(frozen=True, eq=False)
 class RandomVariable:
     """Adapted variable: one real value per node at a given time index."""
@@ -187,8 +194,7 @@ class RandomVariable:
     allow_infinite: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.t <= self.lattice.terminal:
-            raise ValueError(f"time index {self.t} outside [0, {self.lattice.terminal}]")
+        _check_time(self.lattice, self.t)
         v = np.asarray(self.values, dtype=float)
         if v.shape != (self.lattice.n_nodes(self.t),):
             raise ValueError(
@@ -238,6 +244,7 @@ class StoppingTime:
 
     @staticmethod
     def deterministic(lattice: ScenarioLattice, t: int) -> "StoppingTime":
+        _check_time(lattice, t)
         return StoppingTime(frozenset(lattice.node_refs(t)))
 
 
@@ -289,14 +296,19 @@ def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None)
 
 def _induct(lattice, s, g, weights, penalties, guard):
     """The steps of ``_backward``; with ``guard``, a level holding a
-    non-finite value takes zero-weight terms as 0.  A level's penalties are
-    subtracted in the array its per-parent sum made."""
+    non-finite value takes zero-weight terms as 0 and a +inf-penalty choice's
+    terms as -inf, so that choice never attains the max.  A level's penalties
+    are subtracted in the array its per-parent sum made."""
     for u in range(s + len(weights) - 1, s - 1, -1):
         w = weights[u - s]
         v = g if w.ndim == 1 else g[..., None, :]
         if guard and not np.isfinite(g).all():
             with np.errstate(invalid="ignore"):
                 terms = np.where(w > 0, w * v, 0.0)
+            if penalties is not None:
+                # a +inf-penalty choice sums to -inf: never +inf - +inf = NaN
+                at_child = penalties[u - s][..., lattice.parents[u + 1]]
+                terms = np.where(at_child < np.inf, terms, -np.inf)
         else:
             terms = w * v
         g = _per_parent(lattice, u, terms)
@@ -364,6 +376,7 @@ def uniform_tree(times: Sequence[float], step_increments) -> ScenarioLattice:
 
 def lift(X: RandomVariable, t: int) -> RandomVariable:
     """Inclusion of time-s variables among time-t variables (s <= t)."""
+    _check_time(X.lattice, t)
     if t < X.t:
         raise ValueError(f"cannot lift from time index {X.t} down to {t}")
     if t == X.t:

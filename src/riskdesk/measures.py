@@ -9,10 +9,11 @@ dominated) uncertainty set and defines the capacity
 
     c(X) = max_n ( E_{Q_n} |X|^p )^{1/p}.
 
-The reference measure mixes the family with dyadic weights (renormalized
-over the finite family); it charges every node charged by some member, which
-is the desk-scale version of the canonical class property: c(X - Y) = 0 iff
-X = Y at all reference-charged nodes.
+The reference measure is the family's equal-weight mixture.  It charges
+exactly the nodes that some member charges, which is the desk-scale version
+of the canonical class property: c(X - Y) = 0 iff X = Y at all
+reference-charged nodes, at every family size (weights of 1/N cannot
+underflow where the countable construction's 2^-(n+1) would).
 """
 
 from __future__ import annotations
@@ -25,12 +26,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _per_parent, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _check_time, _per_parent, lift
 
 __all__ = [
     "Measure",
     "MeasureFamily",
-    "ReferenceMeasure",
     "DualWitness",
     "conditional_expectation",
     "charged_mask",
@@ -150,12 +150,15 @@ class Measure:
         return buffer
 
     def node_probabilities(self, t: int) -> np.ndarray:
+        _check_time(self.lattice, t)
         return self._node_probs[t]
 
     def subtree_laws(self, s: int, t: int) -> np.ndarray:
         """Per time-t node, the conditional path probability from its time-s
         ancestor, computed from the kernels (defined at null nodes too);
         ``descendant_slice(s, i, t)`` cuts out node (s, i)'s subtree law."""
+        _check_time(self.lattice, s)
+        _check_time(self.lattice, t)
         probs = np.ones(self.lattice.n_nodes(s))
         for u in range(s, t):
             probs = probs[self.lattice.parents[u + 1]] * self.flat_kernels[u]
@@ -188,7 +191,9 @@ def charged_mask(Q: Measure, t: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasureFamily:
-    """Finite ordered family (Q_0, ..., Q_{N-1}) with exponent p >= 1."""
+    """Finite family (Q_0, ..., Q_{N-1}) with exponent p >= 1.  The members
+    weigh equally: their order changes no capacity, and the reference
+    measure only in rounding."""
 
     members: tuple
     p: float = 1.0
@@ -214,14 +219,6 @@ class MeasureFamily:
     def q(self) -> float:
         """Conjugate exponent (inf for p = 1)."""
         return np.inf if self.p == 1 else self.p / (self.p - 1)
-
-
-@dataclass(frozen=True, eq=False)
-class ReferenceMeasure:
-    """Mixture P = sum w_n Q_n with dyadic weights, renormalized."""
-
-    measure: Measure
-    weights: np.ndarray
 
 
 def capacity(X: RandomVariable, family: MeasureFamily) -> float:
@@ -261,11 +258,10 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
     return Measure(lat, tuple(levels))
 
 
-def reference_measure(family: MeasureFamily) -> ReferenceMeasure:
-    """P = sum w_n Q_n with w_n proportional to 2^-(n+1), renormalized."""
-    w = 0.5 ** (np.arange(len(family.members)) + 1)
-    w = w / w.sum()
-    return ReferenceMeasure(mix_measures(family.members, w), w)
+def reference_measure(family: MeasureFamily) -> Measure:
+    """The equal-weight mixture P = (1/N) sum Q_n of the family; any positive
+    weights give the same null sets."""
+    return mix_measures(family.members, np.ones(len(family.members)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,11 +286,10 @@ def dual_witness(X: RandomVariable, family: MeasureFamily) -> DualWitness:
     return DualWitness(RandomVariable(X.lattice, X.t, g0), c, degenerate=degenerate)
 
 
-def check_restriction(Q: Measure, P, s: int) -> str:
+def check_restriction(Q: Measure, P: Measure, s: int) -> str:
     """Compare restrictions to B_s: 'equal', 'absolutely_continuous' or
-    'neither'.  P may be a Measure or a ReferenceMeasure."""
-    if isinstance(P, ReferenceMeasure):
-        P = P.measure
+    'neither'."""
+    _check_time(Q.lattice, s)
     if Q.lattice is not P.lattice:
         raise ValueError("measures live on different lattices")
     q = np.concatenate([Q.node_probabilities(t) for t in range(s + 1)])

@@ -448,6 +448,18 @@ def test_backward_reruns_guarded_when_an_infinite_penalty_meets_a_zero_weight():
                                                     penalties[u:]).tobytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_infinite_value_never_meets_a_plus_inf_penalty_as_nan():
+    # +inf - +inf would be NaN and win the max over choices; a +inf-penalty
+    # choice never attains it, so node (1,0) keeps choice 0's +inf
+    lat = fix_a_lattice()
+    menu = ((np.array([0.5, 0.5]), 0.0), (np.array([0.6, 0.4]), np.inf))
+    st = OneStepStructure(lat, ((menu,), (menu, menu)))
+    assert np.array_equal(st._rho(1, 2, np.array([np.inf, 1.0, 2.0, 3.0])), [np.inf, 2.5])
+    assert np.array_equal(st._rho(0, 2, np.array([np.inf, 1.0, 2.0, 3.0])), [np.inf])
+    assert np.array_equal(st._rho(0, 2, np.array([-np.inf, 1.0, 2.0, 3.0])), [-np.inf])
+
+
 def test_supermartingale_check_names_a_deep_failing_node():
     # menus of 1, 3 and 2 choices by level; P is fair wherever it is free
     lat = uniform_tree([0, 1, 2, 3], [1, -1])

@@ -1,9 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from riskdesk.fixtures import fix_a_lattice, random_lattice, trinomial_tree
+from riskdesk.dynamics import expand_dual
+from riskdesk.fixtures import fix_a_family, fix_a_lattice, random_lattice, trinomial_tree
+from riskdesk.gexp import quadratic_variation
 from riskdesk.lattice import (
     NodeRef,
     RandomVariable,
@@ -18,6 +21,8 @@ from riskdesk.lattice import (
     uniform_tree,
     validate_stopping_time,
 )
+from riskdesk.measures import charged_mask, check_restriction
+from riskdesk.stability import rectangular_hull
 
 
 def test_fix_a_node_counts():
@@ -130,6 +135,41 @@ def test_random_variable_rejects_time_index_out_of_range():
         RandomVariable(lat, 3, np.zeros(4))
 
 
+def _fix_a_members():
+    return fix_a_family()[1:3]
+
+
+def _fix_a_hull():
+    return rectangular_hull(list(_fix_a_members()))
+
+
+@pytest.mark.parametrize("call, t", [
+    (lambda: charged_mask(_fix_a_members()[0], -1), -1),
+    (lambda: charged_mask(_fix_a_members()[0], 3), 3),
+    (lambda: _fix_a_members()[0].node_probabilities(-1), -1),
+    (lambda: _fix_a_members()[0].subtree_laws(-1, 2), -1),
+    (lambda: _fix_a_members()[0].subtree_laws(0, 3), 3),
+    (lambda: check_restriction(*_fix_a_members(), 5), 5),
+    (lambda: check_restriction(*_fix_a_members(), -1), -1),
+    (lambda: lift(_fix_a_rv(), 5), 5),
+    (lambda: lift(_fix_a_rv(1), -1), -1),
+    (lambda: expand_dual(_fix_a_hull(), -1, 2), -1),
+    (lambda: expand_dual(_fix_a_hull(), 0, 3), 3),
+    (lambda: quadratic_variation(fix_a_lattice(), 5), 5),
+    (lambda: quadratic_variation(fix_a_lattice(), -1), -1),
+    (lambda: StoppingTime.deterministic(fix_a_lattice(), 5), 5),
+    (lambda: StoppingTime.deterministic(fix_a_lattice(), -1), -1),
+], ids=["charged-mask-neg", "charged-mask-past", "node-probabilities-neg", "subtree-laws-s",
+        "subtree-laws-t", "restriction-past", "restriction-neg", "lift-past", "lift-neg",
+        "expand-dual-r", "expand-dual-t", "quadratic-variation-past",
+        "quadratic-variation-neg", "stopping-time-past", "stopping-time-neg"])
+def test_time_indices_outside_the_lattice_are_rejected(call, t):
+    # a negative index must not read a level from the end, nor one past the
+    # terminal index raise IndexError
+    with pytest.raises(ValueError, match=re.escape(f"time index {t} outside [0, 2]")):
+        call()
+
+
 def test_stopping_time_validation():
     lat = fix_a_lattice()
     ok, _ = validate_stopping_time(lat, StoppingTime.deterministic(lat, 1).stops)
@@ -193,7 +233,6 @@ def _identity_builders():
         "RandomVariable": lambda: RandomVariable(lat, 1, [1.0, -1.0]),
         "Measure": lambda: rd.iid_binary_measure(lat, 0.5),
         "MeasureFamily": lambda: rd.MeasureFamily((q1, q2), p=2.0),
-        "ReferenceMeasure": lambda: rd.reference_measure(fam),
         "DualWitness": lambda: rd.dual_witness(B2, fam),
         "DualRep": lambda: rd.DualRep(0, 2, ((q1, zeros), (q2, zeros))),
         "OneStepStructure": lambda: rd.rectangular_hull([q1, q2]),
@@ -250,6 +289,26 @@ def test_per_parent_sums_and_maxima_are_reduceats_bits(b):
             # the maximum on the absolute differences it serves: no -0.0
             got = _per_parent(lat, k, np.abs(a), np.maximum)
             assert got.tobytes() == np.maximum.reduceat(np.abs(a), starts, axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("b", range(2, 9))
+def test_per_parent_sums_from_plus_zero_as_on_numpy_1(b, monkeypatch):
+    # the branch that numpy < 2 takes, run on any numpy: it differs from this
+    # numpy's reduceat only in the sign of zero, on segments of -0.0 alone
+    monkeypatch.setattr("riskdesk.lattice._SUM_FROM_PLUS_ZERO", True)
+    lat = uniform_tree((0.0, 1.0, 2.0, 3.0), np.linspace(1.0, -1.0, b))
+    rng = np.random.default_rng(100 + b)
+    for k in range(lat.terminal):
+        starts = lat.offsets[k][:-1]
+        for shape in ((lat.n_nodes(k + 1),), (3, lat.n_nodes(k + 1))):
+            a = spread_values(rng, shape, b)
+            got = _per_parent(lat, k, a)
+            minus_zero = np.logical_and.reduceat(np.signbit(a) & (a == 0.0), starts, axis=-1)
+            assert minus_zero.any()
+            want = np.add.reduceat(a, starts, axis=-1)
+            assert got[~minus_zero].tobytes() == want[~minus_zero].tobytes()
+            assert np.array_equal(want[minus_zero], got[minus_zero])
+            assert not np.signbit(got[minus_zero]).any()
 
 
 def test_per_parent_takes_reduceat_past_eight_children_and_on_ragged_levels():

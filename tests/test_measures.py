@@ -12,7 +12,7 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import RandomVariable, build_lattice, coordinate_process
+from riskdesk.lattice import RandomVariable, build_lattice, coordinate_process, uniform_tree
 from riskdesk.measures import (
     Measure,
     MeasureFamily,
@@ -26,6 +26,7 @@ from riskdesk.measures import (
     mix_measures,
     reference_measure,
 )
+from riskdesk.stability import enumerate_selections, rectangular_hull
 
 
 def sparse_kernel(rng, b):
@@ -117,19 +118,21 @@ def test_capacity_rejects_a_variable_off_the_familys_lattice():
 def test_reference_measure_weights_and_root_kernel():
     _, q1, q2, fam = fix_a_family()
     ref = reference_measure(fam)
-    assert np.allclose(ref.weights, [2.0 / 3.0, 1.0 / 3.0])
-    expected_up = (2.0 / 3.0) * 0.5 + (1.0 / 3.0) * 0.6
-    assert ref.measure.flat_kernels[0][0] == pytest.approx(expected_up, abs=1e-12)
+    assert type(ref) is Measure
+    assert ref.flat_kernels[0][0] == pytest.approx(0.5 * 0.5 + 0.5 * 0.6, abs=1e-12)
 
 
 def test_reference_measure_degenerate_and_three_members():
     lat, q1, q2, _ = fix_a_family()
     single = reference_measure(MeasureFamily((q1,), p=1.0))
-    assert np.allclose(single.weights, [1.0])
-    assert np.allclose(single.measure.flat_kernels[0], q1.flat_kernels[0])
+    assert np.allclose(single.flat_kernels[0], q1.flat_kernels[0])
     q3 = iid_binary_measure(lat, 0.3)
-    three = reference_measure(MeasureFamily((q1, q2, q3), p=1.0))
-    assert np.allclose(three.weights, [4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0])
+    members = (q1, q2, q3)
+    three = reference_measure(MeasureFamily(members, p=1.0))
+    mixed = mix_measures(members, np.ones(3))
+    for a, b in zip(three.flat_kernels, mixed.flat_kernels):
+        assert a.tobytes() == b.tobytes()
+    assert three.flat_kernels[0][0] == pytest.approx((0.5 + 0.6 + 0.3) / 3, abs=1e-12)
 
 
 def test_reference_charges_all_member_charged_nodes():
@@ -141,7 +144,47 @@ def test_reference_charges_all_member_charged_nodes():
         for t in range(lat.n_times):
             member_charged = np.any(
                 [charged_mask(Q, t) for Q in fam.members], axis=0)
-            assert np.all(charged_mask(ref.measure, t) | ~member_charged)
+            assert np.all(charged_mask(ref, t) | ~member_charged)
+
+
+def _underflow_family(n):
+    """n - 1 copies of the up-only law, then the fair coin: weights of
+    2^-(n+1) lose the fair coin's nodes from about 1,070 members on."""
+    lat = fix_a_lattice()
+    up = iid_binary_measure(lat, 1.0)
+    return MeasureFamily((up,) * (n - 1) + (iid_binary_measure(lat, 0.5),))
+
+
+def _hull_selections():
+    """The 3^7 = 2,187 selections of a 3-member hull on a depth-3 binary
+    tree; at each last-level node the members take one each of three
+    kernels, two of them with a zero weight."""
+    rng = np.random.default_rng(11)
+    lat = uniform_tree((0.0, 1.0, 2.0, 3.0), [1.0, -1.0])
+    last = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.7]])
+    picks = [rng.permutation(3) for _ in range(lat.n_nodes(2))]
+    members = []
+    for j in range(3):
+        early = [tuple(rng.dirichlet(np.ones(2)) for _ in range(lat.n_nodes(k)))
+                 for k in range(2)]
+        members.append(Measure(lat, (*early, tuple(last[p[j]] for p in picks))))
+    selections = enumerate_selections(rectangular_hull(members))
+    assert len(selections) == 2187
+    return MeasureFamily(tuple(selections))
+
+
+@pytest.mark.parametrize("family", [
+    lambda: _underflow_family(1072),
+    lambda: _underflow_family(1073),
+    lambda: _underflow_family(4096),
+    _hull_selections,
+], ids=["1072-members", "1073-members", "4096-members", "hull-selections"])
+def test_reference_charges_exactly_the_members_nodes_at_every_size(family):
+    fam = family()
+    ref = reference_measure(fam)
+    for t in range(fam.lattice.n_times):
+        union = np.any([charged_mask(Q, t) for Q in fam.members], axis=0)
+        assert np.array_equal(charged_mask(ref, t), union)
 
 
 def test_dual_witness_p2():

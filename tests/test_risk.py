@@ -106,10 +106,10 @@ def test_minimal_penalty_restriction_discipline():
     lat, q1, q2, fam = fix_a_family()
     ref = reference_measure(fam)
     zeros = RandomVariable(lat, 1, np.zeros(2))
-    rep = DualRep(1, 2, ((q1, zeros), (q2, zeros)), reference=ref.measure)
+    rep = DualRep(1, 2, ((q1, zeros), (q2, zeros)), reference=ref)
     with pytest.raises(ValueError, match="restriction"):
         minimal_penalty(rep, q2)
-    assert np.all(minimal_penalty(rep, ref.measure).values <= 1e-9)
+    assert np.all(minimal_penalty(rep, ref).values <= 1e-9)
 
 
 def test_minimal_penalty_against_oracles():
