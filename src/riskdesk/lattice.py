@@ -151,6 +151,9 @@ class ScenarioLattice:
 
     def ancestors_of_slice(self, t: int, s: int) -> np.ndarray:
         """Array mapping every time-t node to its time-s ancestor index."""
+        _check_time(self, t)
+        if not 0 <= s <= t:
+            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
         idx = np.arange(self.n_nodes(t))
         for u in range(t, s, -1):
             idx = self.parents[u][idx]
@@ -388,8 +391,7 @@ def lift(X: RandomVariable, t: int) -> RandomVariable:
 
 def coordinate_process(lattice: ScenarioLattice, s: int, coord: int = 0) -> RandomVariable:
     """The coordinate process at time index s: accumulated increments."""
-    if not 0 <= s < lattice.n_times:
-        raise ValueError(f"time index {s} out of range")
+    _check_time(lattice, s)
     return RandomVariable(lattice, s, lattice.values[s][:, coord])
 
 

@@ -159,6 +159,8 @@ class Measure:
         ``descendant_slice(s, i, t)`` cuts out node (s, i)'s subtree law."""
         _check_time(self.lattice, s)
         _check_time(self.lattice, t)
+        if s > t:
+            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
         probs = np.ones(self.lattice.n_nodes(s))
         for u in range(s, t):
             probs = probs[self.lattice.parents[u + 1]] * self.flat_kernels[u]

@@ -7,7 +7,11 @@ such pastings is stable, and pasting at one node at a time decides it.
 The computable surrogate is the rectangular (node-wise kernel set) hull,
 whose selections are exactly the measures reachable by finitely many
 pastings on small lattices -- verified by enumeration in the tests rather
-than assumed.  The hull is a one-step structure (``dynamics.OneStepStructure``)
+than assumed.  ``is_stable`` reads each member as its selection of hull
+menu rows, so the hull's rule for kernels that count as one (the first
+kept kernel within 1e-12, in member order) is the only such rule, and it
+compares interned selections per node instead of visiting member pairs.
+The hull is a one-step structure (``dynamics.OneStepStructure``)
 whose menus are each node's member kernels at penalty 0, so its robust
 recursion is the structure's own ``rho``: the sublinear, zero-penalty case
 of the convex dynamic risk measures, run by the one backward-induction helper.
@@ -15,12 +19,11 @@ of the convex dynamic risk measures, run by the one backward-induction helper.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, StoppingTime, _per_parent,
+from .lattice import (NodeRef, RandomVariable, ScenarioLattice, StoppingTime, _per_parent,
                       validate_stopping_time)
 from .dynamics import _EXPANSION_CAP, OneStepStructure, expand_dual
 from .measures import Measure, _kernel_gap, charged_mask
@@ -69,53 +72,58 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
         for k in range(lat.n_times - 1)))
 
 
-def _off_below(lat: ScenarioLattice, kernels, X: Measure) -> np.ndarray:
-    """Per member (rows of the stacked ``kernels``) and node (columns, every
-    time index in order): how many nodes of the node's subtree that X charges
-    hold a member kernel more than _SAME_KERNEL_TOL off X's."""
-    below = [np.zeros((kernels[0].shape[0], lat.n_nodes(lat.terminal)))]
-    for k in range(lat.terminal - 1, -1, -1):
-        off = _kernel_gap(lat, k, kernels[k], X.flat_kernels[k]) > _SAME_KERNEL_TOL
-        below.insert(0, (off & charged_mask(X, k)) + _per_parent(lat, k, below[0]))
-    return np.concatenate(below, axis=1)
-
-
 def is_stable(measures: Sequence[Measure]):
     """True iff every admissible pasting stays in the family.
 
     Pasting at one node at a time decides it: a pasting at a stopping time
     is a chain of pastings at its stop nodes, each link dominated by P and
     so replaceable by the member it coincides with (m-stability, Delbaen
-    2006; rectangularity, Epstein & Schneider 2003).  So for every ordered
-    pair (P, Q) with Q << P node-wise and every node n, R_n = paste(P, Q,
-    tau_n), tau_n stopping at n on the paths through n and at T elsewhere,
-    must coincide at its charged nodes with a member M: M agrees with Q where
-    Q charges outside n's subtree and, if Q charges n, with P where P charges
-    inside it.  Pairs without Q << P are not constrained.  Returns (bool,
-    the first missing R_n or None).
+    2006; rectangularity, Epstein & Schneider 2003).  Kernels count as one
+    by the hull's rule, which follows member order: each member is its
+    selection of ``rectangular_hull(measures)`` menu rows, per non-terminal
+    node the first row within 1e-12 of its kernel, or -1 where it leaves
+    the node null.  For Q << P node-wise and Q charging node n,
+    R_n = paste(P, Q, tau_n), tau_n stopping at n on the paths through n
+    and at T elsewhere, selects Q's rows outside n's subtree and P's inside
+    it, and some member must select both.  So per node, members are
+    interned by their outside and inside selections, and every (outside of
+    Q, inside of P) pair must be some member's.  Returns (bool, the first
+    missing R_n or None).
     """
     if not measures:
         return True, None
-    lat = measures[0].lattice
-    if any(M.lattice is not lat for M in measures):
-        raise ValueError("measures live on different lattices")
-    T = lat.terminal
-    kernels = [np.stack([M.flat_kernels[k] for M in measures]) for k in range(T)]
-    nodes = [n for t in range(lat.n_times) for n in lat.node_refs(t)]
-    charged = np.stack([np.concatenate([charged_mask(M, t) for t in range(lat.n_times)])
-                        for M in measures])
-    off = [_off_below(lat, kernels, M) for M in measures]
-    for Q, charged_q, off_q in zip(measures, charged, off):
-        outside_q = off_q == off_q[:, :1]
-        dominating = ~(charged_q & ~charged).any(axis=1)  # Q << P
-        for P, off_p in compress(zip(measures, off), dominating):
-            fits = outside_q & ((off_p == 0) | ~charged_q)
-            missing = np.flatnonzero(~fits.any(axis=0))
-            if missing.size:  # tau_n: n on the paths through n, T on the others
-                n = nodes[missing[0]]
-                below = range(lat.n_nodes(T))[lat.descendant_slice(n.t, n.i, T)]
-                others = [m for m in lat.node_refs(T) if m.i not in below]
-                return False, paste(P, Q, StoppingTime(frozenset([n] + others)))
+    hull = rectangular_hull(measures)
+    lat, T = hull.lattice, hull.lattice.terminal
+    charged = np.stack([np.concatenate(M._node_probs) > 0.0 for M in measures])
+    # per member and non-terminal node, in time order: its selection
+    picks = np.where(charged[:, :-lat.n_nodes(T)], np.hstack([np.argmax(
+        _kernel_gap(lat, k, np.stack([M.flat_kernels[k] for M in measures])[:, None], rows)
+        <= _SAME_KERNEL_TOL, axis=1) for k, rows in enumerate(hull.flat_kernels)]), -1)
+    patterns, pattern = np.unique(charged, axis=0, return_inverse=True)
+    pattern = pattern.reshape(-1)  # numpy 2.0 changed the inverse's shape
+    dominates = ~(patterns @ ~patterns.T)  # [a, b]: pattern a << pattern b
+    # col: n's column in charged and picks; at the root, R_n is P
+    for col, n in enumerate([n for k in range(T) for n in lat.node_refs(k)][1:], 1):
+        inside = np.concatenate([lat.ancestors_of_slice(u, n.t) == n.i if u >= n.t
+                                 else np.zeros(lat.n_nodes(u), dtype=bool) for u in range(T)])
+        o_ids, i_ids = (np.unique(picks[:, side], axis=0, return_inverse=True)[1].reshape(-1)
+                        for side in (~inside, inside))
+        # has[o, i]: a member selects o outside and i inside; holds[a, i]: a
+        # member of charge pattern a selects i inside
+        has = np.zeros((o_ids.max() + 1, i_ids.max() + 1), dtype=bool)
+        has[o_ids, i_ids] = True
+        holds = np.zeros((len(patterns), has.shape[1]))
+        holds[pattern, i_ids] = 1.0
+        # per distinct (pattern, outside) of a Q charging n: the insides of
+        # every P with Q << P that no member pairs with Q's outside
+        keys, first = np.unique((pattern * len(has) + o_ids)[charged[:, col]], return_index=True)
+        missing = (dominates @ holds > 0)[keys // len(has)] & ~has[keys % len(has)]
+        if missing.any():  # tau_n: n on the paths through n, T on the others
+            j, i = np.argwhere(missing)[0]
+            q = np.flatnonzero(charged[:, col])[first[j]]
+            p = np.flatnonzero(dominates[pattern[q], pattern] & (i_ids == i))[0]
+            stops = [NodeRef(T, m) for m in np.flatnonzero(lat.ancestors_of_slice(T, n.t) != n.i)]
+            return False, paste(measures[p], measures[q], StoppingTime(frozenset([n] + stops)))
     return True, None
 
 

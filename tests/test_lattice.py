@@ -143,30 +143,35 @@ def _fix_a_hull():
     return rectangular_hull(list(_fix_a_members()))
 
 
-@pytest.mark.parametrize("call, t", [
-    (lambda: charged_mask(_fix_a_members()[0], -1), -1),
-    (lambda: charged_mask(_fix_a_members()[0], 3), 3),
-    (lambda: _fix_a_members()[0].node_probabilities(-1), -1),
-    (lambda: _fix_a_members()[0].subtree_laws(-1, 2), -1),
-    (lambda: _fix_a_members()[0].subtree_laws(0, 3), 3),
-    (lambda: check_restriction(*_fix_a_members(), 5), 5),
-    (lambda: check_restriction(*_fix_a_members(), -1), -1),
-    (lambda: lift(_fix_a_rv(), 5), 5),
-    (lambda: lift(_fix_a_rv(1), -1), -1),
-    (lambda: expand_dual(_fix_a_hull(), -1, 2), -1),
-    (lambda: expand_dual(_fix_a_hull(), 0, 3), 3),
-    (lambda: quadratic_variation(fix_a_lattice(), 5), 5),
-    (lambda: quadratic_variation(fix_a_lattice(), -1), -1),
-    (lambda: StoppingTime.deterministic(fix_a_lattice(), 5), 5),
-    (lambda: StoppingTime.deterministic(fix_a_lattice(), -1), -1),
+@pytest.mark.parametrize("call, message", [
+    (lambda: charged_mask(_fix_a_members()[0], -1), "time index -1 outside [0, 2]"),
+    (lambda: charged_mask(_fix_a_members()[0], 3), "time index 3 outside [0, 2]"),
+    (lambda: _fix_a_members()[0].node_probabilities(-1), "time index -1 outside [0, 2]"),
+    (lambda: _fix_a_members()[0].subtree_laws(-1, 2), "time index -1 outside [0, 2]"),
+    (lambda: _fix_a_members()[0].subtree_laws(0, 3), "time index 3 outside [0, 2]"),
+    (lambda: check_restriction(*_fix_a_members(), 5), "time index 5 outside [0, 2]"),
+    (lambda: check_restriction(*_fix_a_members(), -1), "time index -1 outside [0, 2]"),
+    (lambda: lift(_fix_a_rv(), 5), "time index 5 outside [0, 2]"),
+    (lambda: lift(_fix_a_rv(1), -1), "time index -1 outside [0, 2]"),
+    (lambda: expand_dual(_fix_a_hull(), -1, 2), "time index -1 outside [0, 2]"),
+    (lambda: expand_dual(_fix_a_hull(), 0, 3), "time index 3 outside [0, 2]"),
+    (lambda: quadratic_variation(fix_a_lattice(), 5), "time index 5 outside [0, 2]"),
+    (lambda: quadratic_variation(fix_a_lattice(), -1), "time index -1 outside [0, 2]"),
+    (lambda: StoppingTime.deterministic(fix_a_lattice(), 5), "time index 5 outside [0, 2]"),
+    (lambda: StoppingTime.deterministic(fix_a_lattice(), -1), "time index -1 outside [0, 2]"),
+    (lambda: _fix_a_members()[0].subtree_laws(2, 1), "need 0 <= s <= t, got s=2, t=1"),
+    (lambda: fix_a_lattice().ancestors_of_slice(1, 2), "need 0 <= s <= t, got s=2, t=1"),
+    (lambda: fix_a_lattice().ancestors_of_slice(3, 0), "time index 3 outside [0, 2]"),
 ], ids=["charged-mask-neg", "charged-mask-past", "node-probabilities-neg", "subtree-laws-s",
         "subtree-laws-t", "restriction-past", "restriction-neg", "lift-past", "lift-neg",
         "expand-dual-r", "expand-dual-t", "quadratic-variation-past",
-        "quadratic-variation-neg", "stopping-time-past", "stopping-time-neg"])
-def test_time_indices_outside_the_lattice_are_rejected(call, t):
+        "quadratic-variation-neg", "stopping-time-past", "stopping-time-neg",
+        "subtree-laws-order", "ancestors-order", "ancestors-past"])
+def test_time_indices_outside_the_lattice_are_rejected(call, message):
     # a negative index must not read a level from the end, nor one past the
-    # terminal index raise IndexError
-    with pytest.raises(ValueError, match=re.escape(f"time index {t} outside [0, 2]")):
+    # terminal index raise IndexError; a later time before an earlier one
+    # must not read a law or an ancestor map of the wrong size
+    with pytest.raises(ValueError, match=re.escape(message)):
         call()
 
 
@@ -355,7 +360,7 @@ def _fix_a_rv(t=2):
      r"non-terminal node \(1,1\) has no child"),
     (lambda: build_lattice([0.0, 1.0, 2.0], [[[1.0, -1.0]], [[1.0, -1.0]]], dimension=1),
      "time index 1: expected branching for 2 nodes, got 1"),
-    (lambda: coordinate_process(fix_a_lattice(), 3), "time index 3 out of range"),
+    (lambda: coordinate_process(fix_a_lattice(), 3), re.escape("time index 3 outside [0, 2]")),
     (lambda: RandomVariable(fix_a_lattice(), 2, [1.0, np.nan, 0.0, 0.0]),
      "non-finite values are only allowed for penalties"),
     (lambda: _fix_a_rv() + _fix_a_rv(), "operands live on different lattices or times"),

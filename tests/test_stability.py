@@ -11,9 +11,9 @@ from riskdesk.fixtures import (
     random_lattice,
     random_rv,
 )
-from riskdesk.lattice import NodeRef, StoppingTime, coordinate_process, uniform_tree
+from riskdesk.lattice import NodeRef, StoppingTime, _per_parent, coordinate_process, uniform_tree
 from riskdesk.dynamics import OneStepStructure, build_dynamic, onestep_from_json, onestep_to_json
-from riskdesk.measures import Measure, conditional_expectation
+from riskdesk.measures import Measure, _kernel_gap, charged_mask, conditional_expectation
 from riskdesk.stability import (
     enumerate_selections,
     is_stable,
@@ -62,6 +62,39 @@ def oracle_is_stable(measures):
         for tau in taus:
             R = paste(P, Q, tau)
             if not any(coincide_at_charged(R, M) for M in measures):
+                return False
+    return True
+
+
+def _off_below(lat, kernels, X):
+    """Per member (rows of the stacked ``kernels``) and node (columns, every
+    time index in order): how many nodes of the node's subtree that X charges
+    hold a member kernel more than 1e-12 off X's."""
+    below = [np.zeros((kernels[0].shape[0], lat.n_nodes(lat.terminal)))]
+    for k in range(lat.terminal - 1, -1, -1):
+        off = _kernel_gap(lat, k, kernels[k], X.flat_kernels[k]) > 1e-12
+        below.insert(0, (off & charged_mask(X, k)) + _per_parent(lat, k, below[0]))
+    return np.concatenate(below, axis=1)
+
+
+def pair_loop_is_stable(measures):
+    """Second oracle, for families too large for the stopping-time one: for
+    every ordered pair (P, Q) with Q << P node-wise and every node n, some
+    member agrees within 1e-12 with Q where Q charges outside n's subtree
+    and, if Q charges n, with P where P charges inside it.  Kernels are
+    compared pairwise, not by the hull's classes."""
+    if not measures:
+        return True
+    lat = measures[0].lattice
+    kernels = [np.stack([M.flat_kernels[k] for M in measures]) for k in range(lat.terminal)]
+    charged = np.stack([np.concatenate([charged_mask(M, t) for t in range(lat.n_times)])
+                        for M in measures])
+    off = [_off_below(lat, kernels, M) for M in measures]
+    for charged_q, off_q in zip(charged, off):
+        outside_q = off_q == off_q[:, :1]
+        dominating = ~(charged_q & ~charged).any(axis=1)  # Q << P
+        for off_p in itertools.compress(off, dominating):
+            if not (outside_q & ((off_p == 0) | ~charged_q)).any(axis=0).all():
                 return False
     return True
 
@@ -179,9 +212,9 @@ def moved_at(P, rng, n_nodes, zeros):
 
 
 def test_is_stable_agrees_with_the_all_stopping_times_oracle():
-    # random pairs, hull selections and hull selections less one, with and
-    # without zero kernel weights, on binary trees of 2 or 3 periods and
-    # trees of 2 periods with up to 3 children per node
+    # random pairs, hull selections, hull selections less one and random 80 %
+    # subsets of them, with and without zero kernel weights, on binary trees
+    # of 2 or 3 periods and trees of 2 periods with up to 3 children per node
     rng = np.random.default_rng(61)
     verdicts = []
     for case in range(24):
@@ -193,15 +226,67 @@ def test_is_stable_agrees_with_the_all_stopping_times_oracle():
             [P, moved_at(P, rng, int(rng.integers(1, 3)), zeros)]))
         drop = int(rng.integers(len(selections)))
         less_one = selections[:drop] + selections[drop + 1:]
-        for family in (pair, selections, less_one):
+        subset = list(itertools.compress(selections, rng.random(len(selections)) < 0.8))
+        for family in (pair, selections, less_one, subset):
             ok, missing = is_stable(family)
-            assert ok == oracle_is_stable(family)
+            assert ok == oracle_is_stable(family) == pair_loop_is_stable(family)
             # a witness is a pasting that no member matches
             assert ok if missing is None else not any(
                 coincide_at_charged(missing, M) for M in family)
             verdicts.append(ok)
         assert is_stable(selections)[0]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_is_stable_agrees_with_the_pair_loop_on_three_member_hulls():
+    # 3-member hulls on depth-3 binary trees, with and without zero kernel
+    # weights, whole, less one selection and in random 80 % subsets: too
+    # many stopping times and members for the stopping-time oracle
+    lat = uniform_tree(range(4), [1.0, -1.0])
+    rng = np.random.default_rng(73)
+    unstable = 0
+    for case in range(120):
+        zeros = case % 2 == 1
+        P = Measure(lat, tuple(map(tuple, random_kernels(lat, rng, zeros))))
+        members = [P] + [moved_at(P, rng, int(rng.integers(1, 3)), zeros) for _ in range(2)]
+        selections = enumerate_selections(rectangular_hull(members))
+        drop = int(rng.integers(len(selections)))
+        families = [selections, selections[:drop] + selections[drop + 1:]] + [
+            list(itertools.compress(selections, rng.random(len(selections)) < 0.8))
+            for _ in range(3)]
+        for family in families:
+            ok, missing = is_stable(family)
+            assert ok == pair_loop_is_stable(family)
+            assert ok if missing is None else not any(
+                coincide_at_charged(missing, M) for M in family)
+            unstable += not ok
+    assert unstable >= 200
+
+
+def test_kernels_count_as_one_by_the_hull_rule():
+    # a member moved by ulps keeps the verdict of the family without the move
+    lat, q1, q2, _ = fix_a_family()
+    selections = enumerate_selections(rectangular_hull([q1, q2]))
+    for family in (selections, selections[1:]):
+        verdict = is_stable(family)[0]
+        for j, M in enumerate(family):
+            nudged = Measure(lat, tuple(tuple(w + np.array([1e-14, -1e-14])
+                                              for w in lat.per_node(k, M.flat_kernels[k]))
+                                        for k in range(lat.terminal)))
+            assert is_stable(family[:j] + [nudged] + family[j + 1:])[0] == verdict
+            assert is_stable(family + [nudged])[0] == verdict
+    # a chain of root kernels 0.8e-12 apart: the hull keeps A's and C's, and
+    # B falls in A's class, so pasting B's kernel at (1,0) below C's root
+    # kernel matches no member; compared pairwise, B matches that pasting
+    def member(up, below):
+        return Measure(lat, ((np.array([0.5 + up, 0.5 - up]),),
+                             (np.array(below), np.array([0.5, 0.5]))))
+    A, B, C = member(0.0, [0.5, 0.5]), member(0.8e-12, [0.9, 0.1]), member(1.6e-12, [0.5, 0.5])
+    ok, missing = is_stable([A, B, C])
+    assert not ok and coincide_at_charged(missing, B)
+    assert pair_loop_is_stable([A, B, C]) and oracle_is_stable([A, B, C])
+    # with B first, the hull keeps only B's root kernel: one class, stable
+    assert is_stable([B, A, C]) == (True, None)
 
 
 def test_dropping_a_hull_selection_is_flagged():
