@@ -13,6 +13,12 @@ it is the executable equivalence between the two characterizations, and the
 supermartingale check covers the zero-penalty reference case.  Its scan
 reads every level's menus side by side, a layout that a structure builds on
 first use and keeps, as a measure keeps its kernels joined in one array.
+
+By time consistency, rho_{s,T}(X) = rho_{s,u}(-rho_{u,T}(X)), so one backward
+pass from T gives rho_{u,T}(X) at every date u.  A structure keeps the process
+of its last single-position pass, and a later call inside it on the same
+values at its end date (``rho`` at a later date, the supermartingale walk's
+steps) reads the kept level instead of running the recursion again.
 """
 
 from __future__ import annotations
@@ -56,7 +62,12 @@ class OneStepStructure:
     (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
     menu ``sizes``, all read-only, so nothing derived from them goes stale.
     It is the dynamic risk measure these menus generate: ``rho`` runs its
-    recursion.  Compares by identity."""
+    recursion.  It keeps one process, every level G_s, ..., G_t of its last
+    1-D recursion with a finite output (``_process``): a 1-D call inside
+    [s, t] whose input is the kept level at its end date bit for bit returns
+    a copy of the kept level at its start date, and any other call runs the
+    recursion and replaces what is kept.  Batches, s = t and non-finite
+    outputs neither read nor replace it.  Compares by identity."""
 
     lattice: ScenarioLattice
     choices: InitVar[tuple]  # per time index < T: tuple per node of ((weights, penalty), ...)
@@ -64,6 +75,9 @@ class OneStepStructure:
     flat_kernels: tuple = field(default=None, init=False, repr=False)
     flat_penalties: tuple = field(default=None, init=False, repr=False)
     sizes: tuple = field(default=None, init=False, repr=False)
+    # (s, t, (G_s, ..., G_{t-1}), bytes of G_t) of the last kept 1-D
+    # recursion, or None
+    _process: tuple = field(default=None, init=False, repr=False)
 
     def __post_init__(self, choices):
         lat = self.lattice
@@ -137,12 +151,33 @@ class OneStepStructure:
         return RandomVariable(self.lattice, s, self._rho(s, t, -X.values))
 
     def _rho(self, s: int, t: int, g) -> np.ndarray:
-        """The recursion from (..., n_t) values G_t = -X down to G_s."""
+        """The recursion from (..., n_t) values G_t = -X down to G_s.
+
+        A 1-D call with s < t and a finite output keeps its process in
+        ``_process``, replacing the one kept before: copies of G_s, ...,
+        G_{t-1} and the bytes of G_t.  A 1-D call inside the kept [s, t]
+        whose g is the kept level at its t bit for bit (compared as bytes, so
+        -0.0 is not +0.0) returns a copy of the kept level at its s: the bits
+        that the same steps produce."""
+        g = np.asarray(g, dtype=float)
         if s == t:
-            return np.asarray(g, dtype=float)
+            return g
         penalties = self._recursion_penalties
-        return _backward(self.lattice, s, g, self.flat_kernels[s:t],
-                         None if penalties is None else penalties[s:t])
+        args = (self.lattice, s, g, self.flat_kernels[s:t],
+                None if penalties is None else penalties[s:t])
+        if g.ndim > 1:
+            return _backward(*args)
+        top, kept = g.tobytes(), self._process
+        if kept is not None:
+            s0, t0, levels, top0 = kept
+            if s0 <= s and t <= t0 and top == (top0 if t == t0 else levels[t - s0].tobytes()):
+                return levels[s - s0].copy()
+        sink = []
+        out = _backward(*args, sink)
+        if sink:
+            # the pass's own levels; the output is a copy, as the caller gets it
+            object.__setattr__(self, "_process", (s, t, (out.copy(), *sink[-2::-1]), top))
+        return out
 
 
 def build_dynamic(structure: OneStepStructure) -> OneStepStructure:
@@ -176,9 +211,14 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     sizes, count = _selection_sizes(st, r, t, cap)
 
     # picks[c, n]: the choice of selection c at the n-th node of [r, t), in
-    # the order of itertools.product; nodes outside [r, t) take choice 0
-    picks = np.stack(np.unravel_index(np.arange(count), sizes), axis=-1) if sizes \
-        else np.zeros((1, 0), dtype=int)
+    # the order of itertools.product; nodes outside [r, t), and nodes with a
+    # one-choice menu, take choice 0, so only the others are unravelled (an
+    # array has at most 64 dimensions, 32 on numpy 1.x)
+    picks = np.zeros((count, len(sizes)), dtype=np.intp)
+    many = [n for n, size in enumerate(sizes) if size > 1]
+    if many:
+        for n, col in zip(many, np.unravel_index(np.arange(count), [sizes[n] for n in many])):
+            picks[:, n] = col
     splits = np.cumsum([lat.n_nodes(u) for u in range(r, t)])[:-1]
     picks = dict(zip(range(r, t), np.split(picks, splits, axis=1)))
     chosen, kernels = [], []
@@ -291,7 +331,12 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     joined kernels (``Measure._kernel_buffer``) against the structure's
     menus side by side (``OneStepStructure._side_by_side``), at the
     tolerance as it reads at call time.  Both layouts are built once per
-    object and read-only, so no call joins or pads them again.
+    object and read-only, so no call joins or pads them again.  The scan
+    runs on every call; the walk's ``rho`` steps read the structure's kept
+    process, so after ``st.rho(s, T, X)`` with s at or before the grid's
+    first date they run no recursion of the structure, only P's passes.
+    Grid dates must be integers (not bools), strictly increasing inside
+    [0, X.t].
     """
     lat = st.lattice
     if P.lattice is not lat or X.lattice is not lat:
@@ -307,6 +352,8 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     for a, s in enumerate(grid):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
+            raise ValueError(f"grid date {s!r} is not an integer time index")
         if not (grid[a - 1] if a else -1) < s <= T:
             raise ValueError(f"grid date {s} is not strictly increasing inside [0, {T}]")
     # one walk down the grid: rho_{s,T} = rho_{s,s_next}(-rho_{s_next,T}), and

@@ -276,7 +276,7 @@ def _per_parent(lattice: ScenarioLattice, k, a, op=np.add) -> np.ndarray:
     return op(a[..., ::b], rest, out=rest)
 
 
-def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None):
+def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None, levels=None):
     """Backward induction from (..., n_t) ``values`` at t = s + len(weights)
     down to s: G_u = max_j (sum over children of w_j G_{u+1} - a_j), with
     per u in s..t-1 weights (..., m_u, n_{u+1}) of m_u choices and optional
@@ -288,20 +288,26 @@ def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None)
     A finite output is exact: a non-finite value, given or made by 0 * inf,
     meets every choice's weights at its parent, as inf, -inf or a NaN, which
     no sum, difference or max drops, so it reaches the output.  A non-finite
-    output reruns guarded."""
+    output reruns guarded.  An optional ``levels`` list receives the arrays
+    G_{t-1}, ..., G_s in that order, the last being the output, when the
+    unguarded pass is exact (every level is then finite), and stays empty
+    otherwise."""
     g = np.asarray(values, dtype=float)
     with np.errstate(invalid="ignore"):
-        out = _induct(lattice, s, g, weights, penalties, guard=False)
+        out = _induct(lattice, s, g, weights, penalties, guard=False, levels=levels)
     if np.isfinite(out).all():
         return out
+    if levels is not None:
+        levels.clear()
     return _induct(lattice, s, g, weights, penalties, guard=True)
 
 
-def _induct(lattice, s, g, weights, penalties, guard):
+def _induct(lattice, s, g, weights, penalties, guard, levels=None):
     """The steps of ``_backward``; with ``guard``, a level holding a
     non-finite value takes zero-weight terms as 0 and a +inf-penalty choice's
     terms as -inf, so that choice never attains the max.  A level's penalties
-    are subtracted in the array its per-parent sum made."""
+    are subtracted in the array its per-parent sum made; each finished level
+    goes to ``levels`` when given, and no later step writes to it."""
     for u in range(s + len(weights) - 1, s - 1, -1):
         w = weights[u - s]
         v = g if w.ndim == 1 else g[..., None, :]
@@ -324,6 +330,8 @@ def _induct(lattice, s, g, weights, penalties, guard):
             for j in range(1, g.shape[-2]):
                 best = np.maximum(best, g[..., j, :], out=None if j == 1 else best)
             g = best
+        if levels is not None:
+            levels.append(g)
     return g
 
 

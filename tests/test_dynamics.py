@@ -313,12 +313,157 @@ def test_supermartingale_check_matches_the_pairwise_passes(monkeypatch):
 
 
 @pytest.mark.parametrize("grid, date", [([0, 2, 1], 1), ([0, 1, 1], 1),
-                                        ([0, 3], 3), ([-1, 2], -1)])
+                                        ([0, 3], 3), ([-1, 2], -1), ([0, 1.5, 2], 1.5),
+                                        ([0, 1.0, 2], 1.0), ([0, True, 2], True)])
 def test_supermartingale_check_rejects_bad_grids(grid, date):
     lat, dyn = menu_dynamic()
     X = coordinate_process(lat, 2)
-    with pytest.raises(ValueError, match=f"grid date {date} is not strictly increasing"):
+    problem = "is not strictly increasing" if type(date) is int else "is not an integer"
+    with pytest.raises(ValueError, match=f"grid date {date!r} {problem}"):
         supermartingale_check(dyn, X, zero_penalty_member(lat, 0.5), grid)
+    # numpy integers are integer dates
+    assert supermartingale_check(dyn, X, zero_penalty_member(lat, 0.5), np.arange(3)) == \
+        supermartingale_check(dyn, X, zero_penalty_member(lat, 0.5), [0, 1, 2])
+
+
+def fresh_copy(dyn):
+    """The same menus in a structure that keeps no process yet."""
+    return OneStepStructure._from_flat(dyn.lattice, dyn.flat_kernels, dyn.flat_penalties,
+                                       dyn.sizes)
+
+
+def process_queries(rng, lat, P):
+    """Queries on a structure, each a function of ``make``, which returns the
+    structure for each call, and returning bytes: ``rho`` on sub-ranges of
+    two positions per date, ``_rho`` from an interior level of a process,
+    the supermartingale check, inputs and outputs changed in place between
+    calls, inputs that differ only in the sign of zero, infinite inputs and
+    2-D batches."""
+    T = lat.terminal
+    pos = {t: [random_rv(lat, t, rng) for _ in range(2)] for t in range(T + 1)}
+    queries = []
+    for t in range(T + 1):
+        for X in pos[t]:
+            for s in range(t + 1):
+                queries.append(lambda make, s=s, t=t, X=X: make().rho(s, t, X).values.tobytes())
+            for u in range(t + 1):
+                for s in range(u + 1):
+                    # the process level at u, computed by a structure of its own
+                    def interior(make, s=s, u=u, t=t, X=X):
+                        level = fresh_copy(make())._rho(u, t, -X.values)
+                        return make()._rho(s, u, level).tobytes()
+                    queries.append(interior)
+            grid = sorted(int(d) for d in rng.choice(t + 1, int(rng.integers(1, t + 2)),
+                                                     replace=False))
+            queries.append(lambda make, t=t, X=X, grid=grid: np.float64(
+                supermartingale_check(make(), X, P, grid)).tobytes())
+
+            def moved_input(make, t=t, X=X):
+                g = -X.values  # a fresh array the caller owns
+                first = make()._rho(0, t, g)
+                g += 0.5
+                return first.tobytes() + make()._rho(0, t, g).tobytes()
+
+            def moved_output(make, t=t, X=X):
+                first = make().rho(0, t, X)
+                first.values[:] = 7.0
+                return make().rho(0, t, X).values.tobytes()
+
+            def batch(make, t=t, X=X):
+                rows = np.stack([-X.values, -X.values + 1.0])
+                return make()._rho(0, t, rows).tobytes()
+
+            queries += [moved_input, moved_output, batch]
+        for sign in (1.0, -1.0):
+            queries.append(lambda make, t=t, sign=sign: make()._rho(
+                0, t, sign * np.zeros(lat.n_nodes(t))).tobytes())
+        infinite = np.zeros(lat.n_nodes(t))
+        infinite[int(rng.integers(infinite.size))] = float(rng.choice([np.inf, -np.inf]))
+        queries.append(lambda make, t=t, g=infinite: make()._rho(0, t, g).tobytes())
+    return queries
+
+
+def test_kept_process_answers_as_a_fresh_structure(monkeypatch):
+    passes = {"kept": 0, "fresh": 0}
+    side = ["kept"]
+
+    def counted(*args, **kwargs):
+        passes[side[0]] += 1
+        return _backward(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_backward", counted)
+    rng = np.random.default_rng(101)
+    for _ in range(15):
+        lat, dyn, P = random_menu_dynamic(rng, normalized=True)
+        queries = process_queries(rng, lat, P)
+        rng.shuffle(queries)
+        for query in queries:
+            side[0] = "kept"
+            got = query(lambda: dyn)
+            side[0] = "fresh"
+            assert got == query(lambda: fresh_copy(dyn))
+    # the kept process served calls that a fresh structure ran
+    assert passes["kept"] < passes["fresh"]
+
+
+def test_kept_process_tells_signed_zeros_apart():
+    # one child per node: a product with weight 1.0 and a one-term sum keep
+    # the sign of zero on every numpy version
+    lat = uniform_tree([0, 1, 2, 3], [0.0])
+    one = ((np.array([1.0]), 0.0),)
+    st = OneStepStructure(lat, ((one,),) * 3)
+    plus, minus = np.array([0.0]), np.array([-0.0])
+    assert not np.signbit(st._rho(0, 3, plus)).any()
+    for s in (0, 1, 2):
+        assert np.signbit(st._rho(s, 3, minus)).all()
+        assert not np.signbit(st._rho(s, 3, plus)).any()
+
+
+def test_kept_process_skips_batches_and_non_finite_passes():
+    rng = np.random.default_rng(103)
+    lat, dyn, _ = random_menu_dynamic(rng)
+    T = lat.terminal
+    X = random_rv(lat, T, rng)
+    dyn.rho(0, T, X)
+    kept = dyn._process
+    assert kept[:2] == (0, T)
+    g = -X.values
+    g[0] = np.inf
+    dyn._rho(0, T, g)
+    dyn._rho(0, T, np.stack([-X.values, -X.values]))
+    dyn._rho(T, T, -X.values)
+    assert dyn._process is kept
+    # what is kept shares no memory with the caller's input or the output
+    out = dyn.rho(1, T, X)
+    assert all(not np.shares_memory(level, a) for level in dyn._process[2]
+               for a in (X.values, out.values))
+
+
+def test_a_position_runs_only_the_recursions_it_needs(monkeypatch):
+    # after rho(0, T), rho(half, T) and the check on [0, half, T] read the kept
+    # process: the check runs only its two passes under P
+    rng = np.random.default_rng(107)
+    lat, dyn, P = random_menu_dynamic(rng, normalized=True)
+    T = lat.terminal
+    half = T // 2
+    X = random_rv(lat, T, rng)
+    weights = []
+
+    def counted(lattice, s, values, w, *args):
+        weights.append(w)
+        return _backward(lattice, s, values, w, *args)
+
+    monkeypatch.setattr(dynamics, "_backward", counted)
+    rho_0 = dyn.rho(0, T, X)
+    rho_half = dyn.rho(half, T, X)
+    gap = supermartingale_check(dyn, X, P, [0, half, T])
+    assert len(weights) == 3
+    assert all(w is dyn.flat_kernels[u] for u, w in enumerate(weights[0]))
+    assert all(w is P.flat_kernels[u] for u, w in enumerate(weights[1], half))
+    assert all(w is P.flat_kernels[u] for u, w in enumerate(weights[2]))
+    assert rho_half.values.tobytes() == fresh_copy(dyn).rho(half, T, X).values.tobytes()
+    assert rho_0.values.tobytes() == fresh_copy(dyn).rho(0, T, X).values.tobytes()
+    assert gap == supermartingale_check(fresh_copy(dyn), X, P, [0, half, T])
 
 
 def test_recursion_violation_for_unstable_family():

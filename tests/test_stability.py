@@ -183,6 +183,35 @@ def test_hull_selections_are_stable():
     assert ok, missing
 
 
+def test_enumerate_selections_past_64_nodes():
+    # 127 inner nodes, two-choice menus at three of them: only those take a
+    # dimension of the selection table, in the order of itertools.product
+    lat = uniform_tree(range(8), [1, -1])
+    rng = np.random.default_rng(109)
+    base = [lat.per_node(k, rng.dirichlet(np.ones(2), lat.n_nodes(k)).ravel())
+            for k in range(lat.terminal)]
+    P = Measure(lat, tuple(base))
+    nodes = ((1, 0), (3, 5), (6, 40))
+    moved = [list(level) for level in base]
+    for k, i in nodes:
+        moved[k][i] = np.array([0.25, 0.75])
+    Q = Measure(lat, tuple(map(tuple, moved)))
+    only_root = [list(level) for level in base]
+    only_root[1][0] = moved[1][0]
+    pair = enumerate_selections(rectangular_hull([P, Measure(lat, tuple(map(tuple, only_root)))]))
+    assert len(pair) == 2
+    assert np.allclose(pair[0].flat_kernels[1][:2], P.flat_kernels[1][:2], rtol=0, atol=1e-15)
+    assert np.allclose(pair[1].flat_kernels[1][:2], [0.25, 0.75], rtol=0, atol=1e-15)
+    selections = enumerate_selections(rectangular_hull([P, Q]))
+    assert len(selections) == 8
+    for S, picks in zip(selections, itertools.product((P, Q), repeat=3)):
+        for (k, i), member in zip(nodes, picks):
+            assert np.allclose(lat.per_node(k, S.flat_kernels[k])[i],
+                               lat.per_node(k, member.flat_kernels[k])[i], rtol=0, atol=1e-15)
+        assert all(np.allclose(S.flat_kernels[k], P.flat_kernels[k], rtol=0, atol=1e-15)
+                   for k in (0, 2, 4, 5))
+
+
 def random_kernels(lat, rng, zeros):
     """Random kernels per node; with zeros, each weight is 0 with chance 0.3."""
     levels = []
