@@ -61,6 +61,8 @@ class OneStepStructure:
     stored flat, padded with each node's last choice: per time index k,
     (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
     menu ``sizes``, all read-only, so nothing derived from them goes stale.
+    Each level's padded menus are joined and checked at once (``_menus``); a
+    kernel that does not fit its node is named kernel by kernel.
     It is the dynamic risk measure these menus generate: ``rho`` runs its
     recursion.  It keeps one process, every level G_s, ..., G_t of its last
     1-D recursion with a finite output (``_process``): a 1-D call inside
@@ -88,8 +90,9 @@ class OneStepStructure:
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one menu per node required")
             w, pick, size = _menus(lat, k, [[w for w, _ in menu] for menu in level])
+            alphas = [a for menu in level for _, a in menu]
             kernels.append(w)
-            penalties.append(np.array([a for menu in level for _, a in menu], dtype=float)[pick])
+            penalties.append(np.array([alphas[e] for e in pick], dtype=float).reshape(len(w), -1))
             sizes.append(size)
         self._store(kernels, penalties, sizes)
 
@@ -124,6 +127,18 @@ class OneStepStructure:
         if any(a.any() or np.signbit(a).any() for a in self.flat_penalties):
             return self.flat_penalties
         return None
+
+    @cached_property
+    def _renormalized(self) -> tuple:
+        """Per level, every choice's kernels divided by their sums once more,
+        as building a ``Measure`` from them would divide them: the kernels
+        that ``expand_dual`` picks, built on first use.  Read-only."""
+        lat, out = self.lattice, []
+        for k, w in enumerate(self.flat_kernels):
+            w = w / _per_parent(lat, k, w)[:, lat.parents[k + 1]]
+            w.setflags(write=False)
+            out.append(w)
+        return tuple(out)
 
     @cached_property
     def _side_by_side(self) -> tuple:
@@ -189,7 +204,7 @@ def build_dynamic(structure: OneStepStructure) -> OneStepStructure:
 def _selection_sizes(st: OneStepStructure, r: int, t: int, cap: int):
     """The menu sizes of the nodes of [r, t) in order, and their product, the
     number of selections; a count above ``cap`` raises ValueError."""
-    sizes = [int(n) for u in range(r, t) for n in st.sizes[u]]
+    sizes = [n for u in range(r, t) for n in st.sizes[u].tolist()]
     count = prod(sizes)  # exact: an int64 product wraps to 0 past 63 binary nodes
     if count > cap:
         raise ValueError(f"selection count {count} exceeds cap {cap}")
@@ -204,6 +219,9 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     of the chosen one-step penalties along [r, t).  The representation holds
     the selections' kernels and penalties stacked; a selection's Measure is
     built when its component is read.  Evaluating it reproduces the recursion.
+    The kernels are picked from the structure's renormalized choices
+    (``OneStepStructure._renormalized``), which every expansion shares, and a
+    level outside [r, t) is its one (1, n) row of choice 0.
     """
     lat = st.lattice
     _check_time(lat, r)
@@ -211,31 +229,29 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     sizes, count = _selection_sizes(st, r, t, cap)
 
     # picks[c, n]: the choice of selection c at the n-th node of [r, t), in
-    # the order of itertools.product; nodes outside [r, t), and nodes with a
-    # one-choice menu, take choice 0, so only the others are unravelled (an
-    # array has at most 64 dimensions, 32 on numpy 1.x)
+    # the order of itertools.product; nodes with a one-choice menu take
+    # choice 0, so only the others are unravelled (an array has at most 64
+    # dimensions, 32 on numpy 1.x)
     picks = np.zeros((count, len(sizes)), dtype=np.intp)
     many = [n for n, size in enumerate(sizes) if size > 1]
     if many:
         for n, col in zip(many, np.unravel_index(np.arange(count), [sizes[n] for n in many])):
             picks[:, n] = col
-    splits = np.cumsum([lat.n_nodes(u) for u in range(r, t)])[:-1]
-    picks = dict(zip(range(r, t), np.split(picks, splits, axis=1)))
-    chosen, kernels = [], []
-    for u in range(lat.n_times - 1):
-        par, w = lat.parents[u + 1], st.flat_kernels[u]
-        w = w[picks[u][:, par], np.arange(par.size)] if u in picks else w[0]
-        chosen.append(w)
-        # divided by its sums once more, as building a Measure would
-        sums = _per_parent(lat, u, w)
-        kernels.append(np.broadcast_to(w / sums[..., par], (count, par.size)))
-    penalties = [st.flat_penalties[u][picks[u], np.arange(lat.n_nodes(u))][:, None, :]
-                 for u in range(r, t)]
+    kernels, chosen, penalties, at = [], [], [], 0
+    for u, w in enumerate(st._renormalized):
+        if not r <= u < t:
+            kernels.append(w[:1])
+            continue
+        n, par = lat.n_nodes(u), lat.parents[u + 1]
+        pick, at = picks[:, at:at + n], at + n
+        rows, cols = pick[:, par], np.arange(par.size)
+        kernels.append(w[rows, cols])
+        chosen.append(st.flat_kernels[u][rows, cols][:, None, :])
+        penalties.append(st.flat_penalties[u][pick, np.arange(n)][:, None, :])
     # expected accumulated penalty along [r, t) under each selection,
     # all selections at once: acc_u = a + E(acc_{u+1}) is -G_u of the helper
     # (0.0 - G rather than -G keeps zero penalties free of a negative sign)
-    acc = 0.0 - _backward(lat, r, np.zeros((count, lat.n_nodes(t))),
-                          [w[:, None, :] for w in chosen[r:t]], penalties)
+    acc = 0.0 - _backward(lat, r, np.zeros((count, lat.n_nodes(t))), chosen, penalties)
     return DualRep(r, t, _Stacked(lat, r, kernels, acc))
 
 

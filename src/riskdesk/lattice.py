@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import accumulate
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ class NodeRef:
 class ScenarioLattice:
     """Finite scenario tree.
 
-    times        -- strictly increasing time points t0=0 < ... < tT
+    times        -- finite, strictly increasing time points t0=0 < ... < tT
     dimension    -- d >= 1, the dimension of the increments
     parents      -- per time index, int array of parent node indices (root: -1)
     increments   -- per time index, finite float array (n_nodes, d) of
@@ -64,7 +65,8 @@ class ScenarioLattice:
     counts differ or exceed 8.  The children of node (k, i) are
     ``offsets[k][i]:offsets[k][i + 1]``, so a per-parent sum over a flat
     time-(k+1) array adds ``fanouts[k]`` strided slices, or is one
-    ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).
+    ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).  Every
+    level's parents are checked at once, and that pass lays out ``_chain``.
     Lattices compare by identity.
     """
 
@@ -76,12 +78,19 @@ class ScenarioLattice:
     values: tuple = field(init=False)
     offsets: tuple = field(init=False, repr=False)
     fanouts: tuple = field(init=False, repr=False)
+    # the children of every non-terminal node, level after level, as
+    # _per_parent reads them with k = None: the fan-out every level shares
+    # (0 if none), the first-child starts for reduceat, the child counts, and
+    # where each level's children end
+    _chain: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         times = tuple(float(u) for u in self.times)
         if len(times) < 2:
             raise ValueError("a lattice needs at least 2 time points")
-        if np.any(np.diff(times) <= 0):
+        if not all(map(isfinite, times)):
+            raise ValueError("time points must be finite")
+        if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time points must be strictly increasing (no duplicates)")
         if len(self.parents) != len(times) or len(self.increments) != len(times):
             raise ValueError("parents/increments must have one entry per time point")
@@ -91,49 +100,46 @@ class ScenarioLattice:
 
         parents = tuple(np.asarray(p, dtype=int) for p in self.parents)
         object.__setattr__(self, "parents", parents)
-        offsets, fanouts = [], []
-        for k in range(len(times) - 1):
-            n_k, par = parents[k].size, parents[k + 1]
-            j = int(np.argmax((par < 0) | (par >= n_k)))
-            if not 0 <= par[j] < n_k:
-                raise ValueError(f"node ({k + 1},{j}) has invalid parent {par[j]}")
-            counts = np.bincount(par, minlength=n_k)
-            if not counts.all():
-                raise ValueError(f"non-terminal node ({k},{int(np.argmin(counts))}) has no child")
-            # children of consecutive parents must be contiguous and ordered
-            if (par[1:] < par[:-1]).any():
-                raise ValueError("children must be contiguous per parent")
-            offsets.append(np.concatenate(([0], np.cumsum(counts))))
-            b = int(counts[0])
-            fanouts.append(b if b <= _STRIDED_MAX and (counts == b).all() else 0)
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "fanouts", tuple(fanouts))
+        # every level at once: node i of level k is non-terminal node base[k] + i,
+        # so the children of consecutive parents are contiguous and ordered in
+        # every level, and every parent lies in its level, iff up is sorted and
+        # each level's first and last parents lie in it
+        sizes = [p.size for p in parents]
+        base = np.cumsum([0] + sizes[:-2])
+        up = np.concatenate(parents[1:]) + np.repeat(base, sizes[1:])
+        ok = (all(p.size and p[0] >= 0 and p[-1] < n for p, n in zip(parents[1:], sizes))
+              and (up[1:] >= up[:-1]).all())
+        counts = np.bincount(up, minlength=sum(sizes[:-1])) if ok else None
+        if not (ok and counts.all()):
+            _check_parents(parents)  # raises, naming the node
+        ends = np.cumsum(counts)
+        lo, hi = np.minimum.reduceat(counts, base), np.maximum.reduceat(counts, base)
+        fanouts = tuple(b if a == b <= _STRIDED_MAX else 0
+                        for a, b in zip(lo.tolist(), hi.tolist()))
+        ends0 = np.concatenate(([0], ends))
+        object.__setattr__(self, "offsets", tuple(ends0[a:a + n + 1] - ends0[a]
+                                                  for a, n in zip(base.tolist(), sizes)))
+        object.__setattr__(self, "fanouts", fanouts)
+        shared = set(fanouts)
+        object.__setattr__(self, "_chain", (shared.pop() if len(shared) == 1 else 0,
+                                            ends - counts, counts, tuple(accumulate(sizes[1:]))))
 
         incs = tuple(np.asarray(inc, dtype=float).reshape(-1, self.dimension)
                      for inc in self.increments)
-        values = [np.zeros((1, self.dimension))]
-        for k, (par, inc) in enumerate(zip(parents, incs)):
-            if inc.shape[0] != par.size:
+        for k, (p, inc) in enumerate(zip(parents, incs)):
+            if inc.shape[0] != p.size:
                 raise ValueError(f"time index {k}: {inc.shape[0]} increment rows "
-                                 f"for {par.size} nodes")
-            if not np.isfinite(inc).all():
-                raise ValueError(f"time index {k}: increments must be finite")
-            if k:
-                values.append(values[k - 1][par] + inc)
-            elif inc.any():  # paths start at 0
-                raise ValueError(f"the root increment must be zero, got {inc[0].tolist()}")
+                                 f"for {p.size} nodes")
+        if not np.isfinite(np.concatenate(incs)).all():
+            k = next(k for k, inc in enumerate(incs) if not np.isfinite(inc).all())
+            raise ValueError(f"time index {k}: increments must be finite")
+        if incs[0].any():  # paths start at 0
+            raise ValueError(f"the root increment must be zero, got {incs[0][0].tolist()}")
+        values = [np.zeros((1, self.dimension))]
+        for k in range(1, len(times)):
+            values.append(values[k - 1][parents[k]] + incs[k])
         object.__setattr__(self, "increments", incs)
         object.__setattr__(self, "values", tuple(values))
-
-    @cached_property
-    def _chain(self) -> tuple:
-        """The children of every non-terminal node, level after level, as
-        ``_per_parent`` reads them with k = None: the fan-out every level
-        shares (0 if none), and the first-child starts for ``reduceat``."""
-        fanouts = set(self.fanouts)
-        bases = np.cumsum([0] + [off[-1] for off in self.offsets[:-1]])
-        starts = np.concatenate([off[:-1] + base for off, base in zip(self.offsets, bases)])
-        return (fanouts.pop() if len(fanouts) == 1 else 0), starts
 
     @property
     def n_times(self) -> int:
@@ -180,9 +186,28 @@ class ScenarioLattice:
         return list(reversed(idx))
 
 
+def _check_parents(parents) -> None:
+    """The parent checks level by level, which name the first faulty node:
+    raise ValueError on a parent outside its level, a non-terminal node
+    without a child, or a level whose children are not contiguous per parent."""
+    for k in range(len(parents) - 1):
+        n_k, par = parents[k].size, parents[k + 1]
+        j = int(np.argmax((par < 0) | (par >= n_k)))
+        if not 0 <= par[j] < n_k:
+            raise ValueError(f"node ({k + 1},{j}) has invalid parent {par[j]}")
+        counts = np.bincount(par, minlength=n_k)
+        if not counts.all():
+            raise ValueError(f"non-terminal node ({k},{int(np.argmin(counts))}) has no child")
+        if (par[1:] < par[:-1]).any():
+            raise ValueError("children must be contiguous per parent")
+
+
 def _check_time(lattice: ScenarioLattice, t: int) -> None:
     """Raise ValueError naming t unless it is one of the lattice's time
-    indices; a negative index would otherwise read a level from the end."""
+    indices: an integer (a numpy one too, not a bool) in [0, T]; a negative
+    index would otherwise read a level from the end."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"time index {t!r} is not an integer")
     if not 0 <= t <= lattice.terminal:
         raise ValueError(f"time index {t} outside [0, {lattice.terminal}]")
 
@@ -338,38 +363,65 @@ def _induct(lattice, s, g, weights, penalties, guard, levels=None):
 def build_lattice(times: Sequence[float], increments, dimension: int = None) -> ScenarioLattice:
     """Build a lattice from time points and per-node branching increments.
 
-    ``increments[k][i]`` is the list of child increment vectors of node
-    (k, i); one entry per time index 0..T-1.  Path values accumulate from
-    the root, so every path starts at 0.
+    ``increments[k][i]`` holds the child increments of node (k, i), one
+    (children, d) block per node and one level per time index 0..T-1; on a
+    1-dimensional lattice a 1-D block holds one scalar per child (and a
+    scalar one child), and on a d-dimensional one a 1-D block of d entries
+    is one child.  Without ``dimension``, the width of the first block sets
+    it.  Path values accumulate from the root, so every path starts at 0.
+    A level is built by one ``concatenate`` and one ``repeat``; one whose
+    blocks do not join as (children, d) rows is read node by node, which
+    names a malformed block.
     """
     times = tuple(float(u) for u in times)
     if len(times) < 2:
         raise ValueError("a lattice needs at least 2 time points")
-    if dimension is None:
-        first = np.atleast_2d(np.asarray(increments[0][0], dtype=float))
-        dimension = first.shape[-1]
+    T = len(times) - 1
+    if len(increments) < T:
+        raise ValueError(f"time index {len(increments)}: no branching given, "
+                         f"need one level per time index 0..{T - 1}")
+    if len(increments) > T:
+        raise ValueError(f"time index {T} is terminal, but branching is given for it")
 
-    parents = [np.array([-1], dtype=int)]
-    incs = [np.zeros((1, dimension))]
-    n_prev = 1
-    for k in range(len(times) - 1):
-        if len(increments[k]) != n_prev:
+    parents, incs, n_prev = [np.array([-1], dtype=int)], [], 1
+    for k, level in enumerate(increments):
+        if len(level) != n_prev:
             raise ValueError(
-                f"time index {k}: expected branching for {n_prev} nodes, "
-                f"got {len(increments[k])}"
-            )
-        par, inc = [], []
-        for i in range(n_prev):
-            node_inc = np.asarray(increments[k][i], dtype=float).reshape(-1, dimension)
-            if node_inc.shape[0] < 1:
-                raise ValueError(f"node ({k},{i}) has empty branching")
-            for row in node_inc:
-                par.append(i)
-                inc.append(row)
-        parents.append(np.array(par, dtype=int))
-        incs.append(np.array(inc, dtype=float))
-        n_prev = len(par)
-    return ScenarioLattice(times, dimension, tuple(parents), tuple(incs))
+                f"time index {k}: expected branching for {n_prev} nodes, got {len(level)}")
+        if dimension is None:
+            dimension = np.atleast_2d(np.asarray(level[0], dtype=float)).shape[-1]
+        try:
+            inc, counts = np.concatenate(level, dtype=float), [len(block) for block in level]
+        except (TypeError, ValueError):
+            inc = counts = None
+        if inc is not None and inc.ndim == 1 and dimension == 1:
+            inc = inc[:, None]
+        if inc is None or inc.shape[1:] != (dimension,) or not min(counts):
+            counts, inc = _node_blocks(k, level, dimension)
+        parents.append(np.repeat(np.arange(n_prev), counts))
+        incs.append(inc)
+        n_prev = len(inc)
+    return ScenarioLattice(times, dimension, tuple(parents),
+                           (np.zeros((1, dimension)), *incs))
+
+
+def _node_blocks(k: int, level, d: int):
+    """Time-k increment blocks node by node, as ``build_lattice`` reads them:
+    the child counts and the joined (children, d) rows; raise ValueError
+    naming the first node whose block has no child or is not (children, d)."""
+    counts, rows = [], []
+    for i, block in enumerate(level):
+        a = np.asarray(block, dtype=float)
+        if a.ndim == 0 and d == 1 or a.ndim == 1 and (d == 1 or a.size == d):
+            a = a.reshape(-1, d)
+        if a.ndim != 2 or a.shape[1] != d:
+            raise ValueError(f"node ({k},{i}): increments of shape {a.shape} "
+                             f"do not fit a {d}-dimensional lattice")
+        if not len(a):
+            raise ValueError(f"node ({k},{i}) has empty branching")
+        counts.append(len(a))
+        rows.append(a)
+    return counts, np.concatenate(rows)
 
 
 def uniform_tree(times: Sequence[float], step_increments) -> ScenarioLattice:

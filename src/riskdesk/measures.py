@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from itertools import accumulate
 from math import isfinite
 from typing import Sequence
 
@@ -47,10 +47,22 @@ _KERNEL_TOL = 1e-12
 _RESTRICTION_TOL = 1e-12  # node-probability gap up to which restrictions are equal
 
 
-def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
-    """Time-k kernels, in node order, as one checked flat array; kernel e
-    belongs to node ``node_of[e]`` (default: one per node).  Returns it with
-    the start and the sum of every kernel."""
+def _joined(kernels, sizes: list):
+    """The kernels as one float array by one ``concatenate``, when each is
+    1-D and its length is the entry of ``sizes`` at its place; None
+    otherwise, for the per-kernel path (``_kernel_rows``) to name one."""
+    try:
+        flat = np.concatenate(kernels, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return flat if flat.ndim == 1 and [len(w) for w in kernels] == sizes else None
+
+
+def _kernel_rows(lattice: ScenarioLattice, k: int, kernels, node_of=None) -> list:
+    """The per-kernel path: time-k kernels, in node order, each as a float
+    array; kernel e belongs to node ``node_of[e]`` (default: one per node).
+    Raises ValueError naming the first kernel that is not a 1-D array of
+    its node's child count."""
     sizes = np.diff(lattice.offsets[k])
     sizes = sizes if node_of is None else sizes[node_of]
     arrs = [np.asarray(w, dtype=float) for w in kernels]
@@ -59,32 +71,55 @@ def _flat_kernels(lattice: ScenarioLattice, k: int, kernels, node_of=None):
             node = e if node_of is None else node_of[e]
             raise ValueError(f"kernel at node ({k},{node}) needs {b} weights, "
                              f"got shape {w.shape}")
-    flat = np.concatenate(arrs)
+    return arrs
+
+
+def _checked(flat: np.ndarray) -> np.ndarray:
+    """Joined kernel weights, checked finite and non-negative once, with the
+    negatives within ``_KERNEL_TOL`` of 0 raised to 0."""
     if not np.isfinite(flat).all():
         raise ValueError("kernel weights must be finite")
     if (flat < -_KERNEL_TOL).any():
         raise ValueError("kernel weights must be non-negative")
-    flat = np.maximum(flat, 0.0)
-    starts = np.cumsum(sizes) - sizes
-    return flat, starts, np.add.reduceat(flat, starts)
+    return np.maximum(flat, 0.0)
+
+
+def _normalized(lattice: ScenarioLattice, flat: np.ndarray) -> np.ndarray:
+    """Every level's kernels, joined in time order as ``_per_parent`` reads
+    them with k = None, checked and divided by their sums; a sum more than
+    1e-9 from 1 raises ValueError."""
+    flat = _checked(flat)
+    sums = _per_parent(lattice, None, flat)
+    bad = np.abs(sums - 1.0) > 1e-9
+    if bad.any():
+        raise ValueError(f"kernel weights sum to {sums[np.argmax(bad)]}, expected 1")
+    return flat / np.repeat(sums, lattice._chain[2])
 
 
 def _menus(lattice: ScenarioLattice, k: int, menus):
     """Per-node menus of time-k kernels as one normalized (m, n_{k+1}) array,
-    a shorter menu padded with its last kernel; also returns ``pick`` (row j
-    at node i is kernel pick[j, i] in node order) and the menu sizes."""
-    sizes = np.array([len(menu) for menu in menus], dtype=int)
-    if not sizes.all():
-        raise ValueError(f"empty menu at node ({k},{int(np.argmin(sizes))})")
-    pick = np.cumsum(sizes) - sizes + np.minimum(np.arange(sizes.max())[:, None], sizes - 1)
-    flat, starts, sums = _flat_kernels(lattice, k, [w for menu in menus for w in menu],
-                                       np.repeat(np.arange(sizes.size), sizes))
+    a shorter menu padded with its last kernel; also returns ``pick``, the
+    m * n_k kernel indices in node order that fill it row by row (row j at
+    node i is kernel pick[j * n_k + i]), and the menu sizes.  The padded
+    rows are joined and checked at once, and each kernel's sum is its row's
+    per-parent sum."""
+    sizes = [len(menu) for menu in menus]
+    if not min(sizes):
+        raise ValueError(f"empty menu at node ({k},{sizes.index(0)})")
+    first = list(accumulate(sizes, initial=0))
+    pick = [f + min(j, n - 1) for j in range(max(sizes)) for f, n in zip(first, sizes)]
+    kernels = [w for menu in menus for w in menu]
+    off = lattice.offsets[k]
+    counts = (off[1:] - off[:-1]).tolist()
+    flat = _joined([kernels[e] for e in pick], counts * max(sizes))
+    if flat is None:
+        arrs = _kernel_rows(lattice, k, kernels, np.repeat(np.arange(len(sizes)), sizes))
+        flat = np.concatenate([arrs[e] for e in pick])
+    rows = _checked(flat).reshape(max(sizes), -1)
+    sums = _per_parent(lattice, k, rows)
     if not (sums > 0).all():
         raise ValueError("kernel weights must have a positive sum")
-    par = lattice.parents[k + 1]
-    row = pick[:, par]
-    weights = flat[starts[row] + np.arange(par.size) - lattice.offsets[k][par]] / sums[row]
-    return weights, pick, sizes
+    return rows / sums[:, lattice.parents[k + 1]], pick, np.array(sizes)
 
 
 def _kernel_gap(lattice: ScenarioLattice, k, a, b) -> np.ndarray:
@@ -98,56 +133,63 @@ def _kernel_gap(lattice: ScenarioLattice, k, a, b) -> np.ndarray:
 class Measure:
     """Probability measure given by one kernel per non-terminal node;
     ``kernels[k][i]`` weighs the children of node (k, i).  Only the
-    normalized ``flat_kernels[k]`` over the time-(k+1) nodes is stored, and
-    ``lattice.per_node(k, flat_kernels[k])`` splits it per node.  Kernels
-    and node probabilities are read-only, so nothing derived from them, such
-    as ``_kernel_buffer``, goes stale.  Measures compare by identity."""
+    normalized kernels are stored: ``_kernel_buffer`` joins every level's
+    in time order (as ``_per_parent`` reads them with k = None), and
+    ``flat_kernels[k]``, its view over the time-(k+1) nodes, is split per
+    node by ``lattice.per_node(k, flat_kernels[k])``.  Node probabilities
+    are views of one joined array as well.  The kernels are joined by one
+    ``concatenate`` and checked once; a kernel that does not fit its node
+    is named level by level.  Everything stored is read-only, so nothing
+    derived from it goes stale.  Measures compare by identity."""
 
     lattice: ScenarioLattice
     kernels: InitVar[tuple]  # per time index < T: tuple of weight arrays, one per node
 
     flat_kernels: tuple = field(init=False, repr=False)
     _node_probs: tuple = field(init=False, repr=False)
+    # every level's flat kernels, and every level's node probabilities, in
+    # time order: the arrays that flat_kernels and _node_probs view
+    _kernel_buffer: np.ndarray = field(init=False, repr=False)
+    _prob_buffer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, kernels):
         lat = self.lattice
         if len(kernels) != lat.n_times - 1:
             raise ValueError("one kernel level per non-terminal time index")
-        flats = []
         for k, level in enumerate(kernels):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one kernel per node required")
-            flat, _, sums = _flat_kernels(lat, k, level)
-            bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-            if bad.size:
-                raise ValueError(f"kernel weights sum to {sums[bad[0]]}, expected 1")
-            flats.append(flat / sums[lat.parents[k + 1]])
-        self._store(flats)
+        flat = _joined([w for level in kernels for w in level], lat._chain[2].tolist())
+        if flat is None:
+            flat = np.concatenate([w for k, level in enumerate(kernels)
+                                   for w in _kernel_rows(lat, k, level)])
+        self._store(_normalized(lat, flat))
 
     @classmethod
-    def _from_flat(cls, lattice: ScenarioLattice, flats):
-        """A measure from normalized flat kernels laid out as the stored ones."""
+    def _from_flat(cls, lattice: ScenarioLattice, buffer):
+        """A measure from normalized kernels joined as ``_kernel_buffer``."""
         Q = object.__new__(cls)
         object.__setattr__(Q, "lattice", lattice)
-        Q._store(flats)
+        Q._store(buffer)
         return Q
 
-    def _store(self, flats):
-        probs = [np.ones(1)]
-        for k, w in enumerate(flats):
-            probs.append(probs[k][self.lattice.parents[k + 1]] * w)
-        for a in (*flats, *probs):
-            a.setflags(write=False)
-        object.__setattr__(self, "flat_kernels", tuple(flats))
-        object.__setattr__(self, "_node_probs", tuple(probs))
-
-    @cached_property
-    def _kernel_buffer(self) -> np.ndarray:
-        """Every level's flat kernels in time order as one read-only array,
-        joined on first use."""
-        buffer = np.concatenate(self.flat_kernels)
+    def _store(self, buffer):
+        lat = self.lattice
+        cuts = tuple(zip((0, *lat._chain[3]), lat._chain[3]))
+        # node probabilities level by level, a forward product along the kernels
+        probs = np.empty(1 + buffer.size)
+        probs[0] = 1.0
+        up = probs[:1]
+        for k, (a, b) in enumerate(cuts):
+            up = np.multiply(up[lat.parents[k + 1]], buffer[a:b], out=probs[1 + a:1 + b])
+        # views of the read-only buffers are read-only
         buffer.setflags(write=False)
-        return buffer
+        probs.setflags(write=False)
+        for name, value in (
+                ("flat_kernels", tuple(buffer[a:b] for a, b in cuts)),
+                ("_node_probs", (probs[:1], *(probs[1 + a:1 + b] for a, b in cuts))),
+                ("_kernel_buffer", buffer), ("_prob_buffer", probs)):
+            object.__setattr__(self, name, value)
 
     def node_probabilities(self, t: int) -> np.ndarray:
         _check_time(self.lattice, t)
@@ -180,6 +222,7 @@ def conditional_expectation(X: RandomVariable, Q: Measure, s: int) -> RandomVari
     """
     if Q.lattice is not X.lattice:
         raise ValueError("measure and variable live on different lattices")
+    _check_time(X.lattice, s)
     if s > X.t:
         raise ValueError(f"need s <= t, got s={s} > t={X.t}")
     vals = _backward(X.lattice, s, X.values, Q.flat_kernels[s:X.t])
@@ -237,7 +280,9 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
     """Path-probability mixture of measures, re-expressed through kernels.
 
     At mixture-null nodes the kernel is the unweighted average of the member
-    kernels (the value there never enters any expectation).
+    kernels (the value there never enters any expectation).  Every level is
+    mixed at once, on the members' joined node probabilities and kernels,
+    and normalized as ``Measure`` normalizes its kernels.
     """
     members = list(members)
     w = np.asarray(weights, dtype=float)
@@ -249,15 +294,16 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
     if any(m.lattice is not lat for m in members):
         raise ValueError("measures live on different lattices")
     w = w / w.sum()
-    probs = [sum(wi * m.node_probabilities(t) for wi, m in zip(w, members))
-             for t in range(lat.n_times)]
-    levels = []
-    for k in range(lat.n_times - 1):
-        up = probs[k][lat.parents[k + 1]]
-        mean = np.mean([m.flat_kernels[k] for m in members], axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            levels.append(lat.per_node(k, np.where(up > 0, probs[k + 1] / up, mean)))
-    return Measure(lat, tuple(levels))
+    probs = sum(wi * m._prob_buffer for wi, m in zip(w, members))
+    sizes = lat._chain[2]
+    up = np.repeat(probs[:sizes.size], sizes)  # each non-root node's parent
+    # the members' mean kernels, every level at once: axis 0 is summed member
+    # by member, as a per-level mean sums it, except where a level holds one
+    # weight, which is 1.0 in every member and so sums exactly in any order
+    mean = np.mean([m._kernel_buffer for m in members], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = np.where(up > 0, probs[1:] / up, mean)
+    return Measure._from_flat(lat, _normalized(lat, flat))
 
 
 def reference_measure(family: MeasureFamily) -> Measure:
@@ -294,8 +340,8 @@ def check_restriction(Q: Measure, P: Measure, s: int) -> str:
     _check_time(Q.lattice, s)
     if Q.lattice is not P.lattice:
         raise ValueError("measures live on different lattices")
-    q = np.concatenate([Q.node_probabilities(t) for t in range(s + 1)])
-    p = np.concatenate([P.node_probabilities(t) for t in range(s + 1)])
+    n = sum(Q.lattice.n_nodes(t) for t in range(s + 1))  # the nodes up to time s
+    q, p = Q._prob_buffer[:n], P._prob_buffer[:n]
     if not np.any(np.abs(q - p) > _RESTRICTION_TOL):
         return "equal"
     return "neither" if np.any((q > 0) & (p == 0)) else "absolutely_continuous"

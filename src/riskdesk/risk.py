@@ -52,10 +52,11 @@ class DualRep:
     stored stacked: per time index u in [s, t) the (K, n_{u+1}) ``kernels``,
     and the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
     ``components[k]`` is the k-th (Measure, penalty) pair, built on first
-    read when ``expand_dual`` passes stacked arrays.  An optional reference
-    measure carries the restriction discipline for minimal penalties.  The
-    stacked arrays are read-only: the factored penalty LPs are built from
-    them once."""
+    read when ``expand_dual`` passes stacked arrays.  Given components, the
+    members' joined kernels are stacked once and each level is a view of
+    its columns.  An optional reference measure carries the restriction
+    discipline for minimal penalties.  The stacked arrays are read-only:
+    the factored penalty LPs are built from them once."""
 
     s: int
     t: int
@@ -78,8 +79,12 @@ class DualRep:
             for Q, a in comps:
                 if Q.lattice is not lat or a.lattice is not lat or a.t != self.s:
                     raise ValueError("components must share the lattice; penalties at time s")
-            pen = np.stack([a.values for _, a in comps])
-            kernels = map(np.stack, zip(*(Q.flat_kernels[self.s:self.t] for Q, _ in comps)))
+            pen = np.array([a.values for _, a in comps])
+            # every level at once: each level's (K, n_{u+1}) columns of the
+            # members' joined kernels, read after the index checks below
+            stacked, ends = np.array([Q._kernel_buffer for Q, _ in comps]), (0, *lat._chain[3])
+            kernels = (stacked[:, a:b] for a, b in zip(ends[self.s:self.t],
+                                                          ends[self.s + 1:self.t + 1]))
         if not 0 <= self.s <= self.t:
             raise ValueError("need 0 <= s <= t")
         if self.t > lat.terminal:
@@ -130,8 +135,9 @@ class DualRep:
 
 
 class _Stacked(Sequence):
-    """Components as (K, n_{u+1}) normalized kernels at every time index u and
-    (K, n_s) penalties; the k-th (Measure, penalty) pair is built on first read."""
+    """Components as (K, n_{u+1}) normalized kernels at every time index u,
+    or one (1, n_{u+1}) row that every component shares, and (K, n_s)
+    penalties; the k-th (Measure, penalty) pair is built on first read."""
 
     def __init__(self, lattice: ScenarioLattice, s: int, kernels, penalties):
         self.lattice, self.s, self.kernels, self.penalties = lattice, s, kernels, penalties
@@ -143,7 +149,8 @@ class _Stacked(Sequence):
     def __getitem__(self, k):
         k = range(len(self))[k]
         if k not in self._built:
-            self._built[k] = (Measure._from_flat(self.lattice, [w[k] for w in self.kernels]),
+            joined = np.concatenate([w[min(k, len(w) - 1)] for w in self.kernels])
+            self._built[k] = (Measure._from_flat(self.lattice, joined),
                               RandomVariable(self.lattice, self.s, self.penalties[k],
                                              allow_infinite=True))
         return self._built[k]

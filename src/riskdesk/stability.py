@@ -94,7 +94,7 @@ def is_stable(measures: Sequence[Measure]):
         return True, None
     hull = rectangular_hull(measures)
     lat, T = hull.lattice, hull.lattice.terminal
-    charged = np.stack([np.concatenate(M._node_probs) > 0.0 for M in measures])
+    charged = np.stack([M._prob_buffer > 0.0 for M in measures])
     # per member and non-terminal node, in time order: its selection
     picks = np.where(charged[:, :-lat.n_nodes(T)], np.hstack([np.argmax(
         _kernel_gap(lat, k, np.stack([M.flat_kernels[k] for M in measures])[:, None], rows)

@@ -91,6 +91,17 @@ BAD_QUERY = "bad-query.json"
 BAD_QUERY_TEXT = json.dumps({"kernels": [{"node": node, "weights": [1, 1]}
                                          for node in ([0, 0], [1, 0], [1, 1], [1, 2])]})
 
+# fix-a lattices whose second and third time points are not finite
+NAN_TIME, INF_TIME = "nan-time-lattice.json", "inf-time-lattice.json"
+
+
+def write_bad_time_lattices(tmp_path):
+    doc = json.loads(lattice_to_json(fix_a_lattice()))
+    for name, times in ((NAN_TIME, [0.0, float("nan"), 2.0]),
+                        (INF_TIME, [0.0, 1.0, float("inf")])):
+        (tmp_path / name).write_text(json.dumps({**doc, "times": times}))
+
+
 GEXP = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
         "grid": {"dt": 0.005, "h": 0.05, "radius": 40, "horizon": 1.0}}
 SKOROKHOD_PATH = {"domain": {"kind": "half_open", "t": 1.0},
@@ -150,16 +161,19 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
         {"domain": {"kind": "half_open", "t": 1.0}, "jumps": [{"time": 0.3, "value": [1.0] * d}]}
         for d in (2, 3)]}, ()),
     ({"task": "penalty", "query": {"file": BAD_QUERY}}, ()),
+    *(({"task": "eval", "lattice": {"file": name}, "position": {"values": [0.0] * 4}}, ())
+      for name in (NAN_TIME, INF_TIME)),
     *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
         "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon", "path-dimensions",
-        "query-node-past-the-end", *BAD_REAL_IDS])
+        "query-node-past-the-end", "lattice-nan-time", "lattice-inf-time", *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
     monkeypatch.chdir(tmp_path)
     write_wide_structure(tmp_path / WIDE_STRUCTURE)
     (tmp_path / BAD_QUERY).write_text(BAD_QUERY_TEXT)
+    write_bad_time_lattices(tmp_path)
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
@@ -167,6 +181,18 @@ def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, ext
     assert code == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("name", [NAN_TIME, INF_TIME])
+def test_a_lattice_file_with_a_non_finite_time_is_a_config_error(tmp_path, capsys, name):
+    # the node tables would otherwise write the time as nan or inf
+    write_bad_time_lattices(tmp_path)
+    doc = {"task": "eval", "lattice": {"file": str(tmp_path / name)},
+           "position": {"values": [0.0] * 4}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert "eval: time points must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name, value", BAD_REALS, ids=BAD_REAL_IDS)

@@ -21,7 +21,7 @@ from riskdesk.lattice import (
     uniform_tree,
     validate_stopping_time,
 )
-from riskdesk.measures import charged_mask, check_restriction
+from riskdesk.measures import charged_mask, check_restriction, conditional_expectation
 from riskdesk.stability import rectangular_hull
 
 
@@ -127,6 +127,14 @@ def test_coordinate_process_values():
     assert np.array_equal(coordinate_process(lat, 2).values, [2.0, 0.0, 0.0, -2.0])
 
 
+def test_numpy_integer_time_indices_are_accepted():
+    lat, Q, _, _ = fix_a_family()
+    X = RandomVariable(lat, np.int64(2), coordinate_process(lat, 2).values)
+    assert np.array_equal(lift(_fix_a_rv(1), np.int32(2)).values, lift(_fix_a_rv(1), 2).values)
+    assert Q.node_probabilities(np.int64(1)) is Q.node_probabilities(1)
+    assert conditional_expectation(X, Q, np.int64(0)).values[0] == 0.0
+
+
 def test_random_variable_rejects_time_index_out_of_range():
     lat = fix_a_lattice()
     with pytest.raises(ValueError, match="time index -1 outside"):
@@ -137,6 +145,11 @@ def test_random_variable_rejects_time_index_out_of_range():
 
 def _fix_a_members():
     return fix_a_family()[1:3]
+
+
+def _fix_a_conditional(s):
+    lat, q1, _, _ = fix_a_family()
+    return conditional_expectation(coordinate_process(lat, 2), q1, s)
 
 
 def _fix_a_hull():
@@ -162,11 +175,21 @@ def _fix_a_hull():
     (lambda: _fix_a_members()[0].subtree_laws(2, 1), "need 0 <= s <= t, got s=2, t=1"),
     (lambda: fix_a_lattice().ancestors_of_slice(1, 2), "need 0 <= s <= t, got s=2, t=1"),
     (lambda: fix_a_lattice().ancestors_of_slice(3, 0), "time index 3 outside [0, 2]"),
+    # a bool is no time index, nor is a float (numpy integers are)
+    (lambda: _fix_a_members()[0].node_probabilities(True), "time index True is not an integer"),
+    (lambda: _fix_a_conditional(True),
+     "time index True is not an integer"),
+    (lambda: RandomVariable(fix_a_lattice(), True, [1.0, -1.0]),
+     "time index True is not an integer"),
+    (lambda: lift(_fix_a_rv(1), 2.0), "time index 2.0 is not an integer"),
+    (lambda: _fix_a_members()[0].subtree_laws(0, 1.0),
+     "time index 1.0 is not an integer"),
 ], ids=["charged-mask-neg", "charged-mask-past", "node-probabilities-neg", "subtree-laws-s",
         "subtree-laws-t", "restriction-past", "restriction-neg", "lift-past", "lift-neg",
         "expand-dual-r", "expand-dual-t", "quadratic-variation-past",
         "quadratic-variation-neg", "stopping-time-past", "stopping-time-neg",
-        "subtree-laws-order", "ancestors-order", "ancestors-past"])
+        "subtree-laws-order", "ancestors-order", "ancestors-past", "probabilities-bool",
+        "conditional-bool", "variable-bool", "lift-float", "subtree-laws-float"])
 def test_time_indices_outside_the_lattice_are_rejected(call, message):
     # a negative index must not read a level from the end, nor one past the
     # terminal index raise IndexError; a later time before an earlier one
@@ -360,6 +383,9 @@ def _fix_a_rv(t=2):
      r"non-terminal node \(1,1\) has no child"),
     (lambda: build_lattice([0.0, 1.0, 2.0], [[[1.0, -1.0]], [[1.0, -1.0]]], dimension=1),
      "time index 1: expected branching for 2 nodes, got 1"),
+    (lambda: ScenarioLattice((0.0, np.nan), 1, ([-1], [0]), ([0.0], [1.0])),
+     "time points must be finite"),
+    (lambda: uniform_tree((0.0, 1.0, np.inf), [1.0, -1.0]), "time points must be finite"),
     (lambda: coordinate_process(fix_a_lattice(), 3), re.escape("time index 3 outside [0, 2]")),
     (lambda: RandomVariable(fix_a_lattice(), 2, [1.0, np.nan, 0.0, 0.0]),
      "non-finite values are only allowed for penalties"),
@@ -367,11 +393,42 @@ def _fix_a_rv(t=2):
     (lambda: _fix_a_rv() - RandomVariable(fix_a_lattice(), 1, [0.0, 0.0]),
      "operands live on different lattices or times"),
 ], ids=["one-time", "parents-per-time", "two-roots", "invalid-parent", "childless-node",
-        "branching-count", "coordinate-range", "non-finite-values", "other-lattice",
+        "branching-count", "nan-time", "inf-time", "coordinate-range", "non-finite-values", "other-lattice",
         "other-time"])
 def test_malformed_lattices_and_variables_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("times, increments, message", [
+    ((0.0, 1.0), [[[1.0]], [[1.0], [1.0]]],
+     "time index 1 is terminal, but branching is given for it"),
+    ((0.0, 1.0, 2.0), [[[1.0, -1.0]]], "time index 1: no branching given"),
+    ((0.0, 1.0, 2.0), [[[1.0, -1.0]], [np.ones((2, 2)), [1.0, -1.0]]],
+     r"node \(1,0\): increments of shape \(2, 2\) do not fit a 1-dimensional lattice"),
+    ((0.0, 1.0, 2.0), [[[1.0, -1.0]], [[1.0, -1.0], np.ones((1, 2, 1))]],
+     r"node \(1,1\): increments of shape \(1, 2, 1\) do not fit"),
+    ((0.0, 1.0), [[np.zeros((0, 1))]], r"node \(0,0\) has empty branching"),
+    ((0.0, np.nan), [[[1.0, -1.0]]], "time points must be finite"),
+    ((0.0, 1.0, np.inf), [[[1.0, -1.0]], [[1.0], [1.0]]], "time points must be finite"),
+], ids=["extra-level", "missing-level", "block-width", "block-ndim", "empty-block",
+        "nan-time", "inf-time"])
+def test_malformed_increments_are_named(times, increments, message):
+    with pytest.raises(ValueError, match=message):
+        build_lattice(times, increments, dimension=1)
+
+
+def test_increment_blocks_of_one_level_may_differ_in_form():
+    # 1-D blocks are one scalar per child on a 1-dimensional lattice, as (b, 1)
+    # blocks and scalars are; a block of width d is read as its rows
+    rows = build_lattice((0.0, 1.0, 2.0), [[[[1.0], [-1.0]]], [[[2.0]], [[0.5], [-0.5]]]])
+    mixed = build_lattice((0.0, 1.0, 2.0), [[[1.0, -1.0]], [2.0, np.array([0.5, -0.5])]],
+                          dimension=1)
+    assert all(np.array_equal(p, q) for p, q in zip(rows.parents, mixed.parents))
+    assert all(np.array_equal(p, q) for p, q in zip(rows.values, mixed.values))
+    assert [v.ravel().tolist() for v in mixed.values] == [[0.0], [1.0, -1.0], [3.0, -0.5, -1.5]]
+    plane = build_lattice((0.0, 1.0), [[np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])]])
+    assert plane.dimension == 2 and plane.n_nodes(1) == 3
 
 
 def test_a_number_minus_a_variable():
