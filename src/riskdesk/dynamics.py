@@ -2,17 +2,18 @@
 certify (or refute) consistency for externally supplied representations.
 
 A dynamic risk measure is determined by its one-step data: per-node menus
-of (kernel, penalty) choices, stored per time index as flat, read-only
-(choices, nodes) arrays in a ``OneStepStructure``, whose ``rho`` runs the
-backward recursion; with all penalties 0, as in a rectangular hull, it is
-sublinear, and the recursion subtracts no penalty.  The dual-form check
-compares that recursion with a different code path, the max over all
-expanded selections of E_Q(-X) less the accumulated penalty; with the
-penalty cocycle check, and the recursion check on external representations,
-it is the executable equivalence between the two characterizations, and the
-supermartingale check covers the zero-penalty reference case.  Its scan
-reads every level's menus side by side, a layout that a structure builds on
-first use and keeps, as a measure keeps its kernels joined in one array.
+of (kernel, penalty) choices, stored in a ``OneStepStructure`` as one joined,
+read-only (choices, nodes) array each for the kernels and the penalties,
+every node in time order as a measure joins its kernels, and cut from them
+per time index; its ``rho`` runs the backward recursion on the per-level
+arrays.  With all penalties 0, as in a rectangular hull, it is sublinear,
+and the recursion subtracts no penalty.  The dual-form check compares that
+recursion with a different code path, the max over all expanded selections
+of E_Q(-X) less the accumulated penalty; with the penalty cocycle check, and
+the recursion check on external representations, it is the executable
+equivalence between the two characterizations, and the supermartingale
+check covers the zero-penalty reference case.  Its scan reads the joined
+arrays stored at build against the measure's joined kernels.
 
 By time consistency, rho_{s,T}(X) = rho_{s,u}(-rho_{u,T}(X)), so one backward
 pass from T gives rho_{u,T}(X) at every date u.  A structure keeps the process
@@ -31,7 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _check_time, _per_parent, lift
+from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_time, _levels, _node_at,
+                      _per_child, _per_parent, lift)
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
                    rm_evaluate)
@@ -57,12 +59,18 @@ _ZERO_PENALTY_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class OneStepStructure:
-    """Per non-terminal node: a finite menu of (kernel weights, penalty),
-    stored flat, padded with each node's last choice: per time index k,
-    (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k) ``flat_penalties`` and (n_k,)
-    menu ``sizes``, all read-only, so nothing derived from them goes stale.
-    Each level's padded menus are joined and checked at once (``_menus``); a
-    kernel that does not fit its node is named kernel by kernel.
+    """Per non-terminal node: a finite menu of (kernel weights, penalty).
+    Every node's menu is stored at once, in time order, padded to the
+    longest menu m with the node's last choice: the (m, sum of n_{k+1})
+    ``_kernel_buffer``, laid out as a measure's joined kernels, the
+    (m, sum of n_k) ``_penalty_buffer`` and its zero mask ``_zero_penalty``.
+    The menus are joined and checked at once (``_menus``), the penalties
+    checked once; a kernel that does not fit its node is named kernel by
+    kernel.  Per time index k, (m_k, n_{k+1}) ``flat_kernels``, (m_k, n_k)
+    ``flat_penalties`` and (n_k,) menu ``sizes``, m_k the level's longest
+    menu, are row-major copies cut from them, which the recursion reads
+    faster than views.  Everything stored is read-only, so nothing derived
+    from it goes stale.
     It is the dynamic risk measure these menus generate: ``rho`` runs its
     recursion.  It keeps one process, every level G_s, ..., G_t of its last
     1-D recursion with a finite output (``_process``): a 1-D call inside
@@ -77,6 +85,9 @@ class OneStepStructure:
     flat_kernels: tuple = field(default=None, init=False, repr=False)
     flat_penalties: tuple = field(default=None, init=False, repr=False)
     sizes: tuple = field(default=None, init=False, repr=False)
+    _kernel_buffer: np.ndarray = field(default=None, init=False, repr=False)
+    _penalty_buffer: np.ndarray = field(default=None, init=False, repr=False)
+    _zero_penalty: np.ndarray = field(default=None, init=False, repr=False)
     # (s, t, (G_s, ..., G_{t-1}), bytes of G_t) of the last kept 1-D
     # recursion, or None
     _process: tuple = field(default=None, init=False, repr=False)
@@ -85,75 +96,64 @@ class OneStepStructure:
         lat = self.lattice
         if len(choices) != lat.n_times - 1:
             raise ValueError("one choice level per non-terminal time index")
-        kernels, penalties, sizes = [], [], []
         for k, level in enumerate(choices):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one menu per node required")
-            w, pick, size = _menus(lat, k, [[w for w, _ in menu] for menu in level])
-            alphas = [a for menu in level for _, a in menu]
-            kernels.append(w)
-            penalties.append(np.array([alphas[e] for e in pick], dtype=float).reshape(len(w), -1))
-            sizes.append(size)
+        menus = [menu for level in choices for menu in level]
+        kernels, pick, sizes = _menus(lat, [[w for w, _ in menu] for menu in menus])
+        alphas = [a for menu in menus for _, a in menu]
+        penalties = np.array([alphas[e] for e in pick], dtype=float).reshape(len(kernels), -1)
         self._store(kernels, penalties, sizes)
 
     @classmethod
     def _from_flat(cls, lattice: ScenarioLattice, kernels, penalties, sizes):
-        """A structure from normalized flat arrays laid out as the stored ones."""
+        """A structure from normalized menus joined and padded as the stored
+        ones: (m, sum of n_{k+1}) kernels, (m, sum of n_k) penalties and the
+        (sum of n_k,) menu sizes."""
         st = object.__new__(cls)
         object.__setattr__(st, "lattice", lattice)
         st._store(kernels, penalties, sizes)
         return st
 
     def _store(self, kernels, penalties, sizes):
-        for k, a in enumerate(penalties):
-            if not (a >= 0).all():
-                raise ValueError("one-step penalties must be >= 0 (or +inf)")
-            free = np.isinf(a).all(axis=0)
-            if free.any():
-                raise ValueError(
-                    f"node ({k},{int(np.argmax(free))}) has no finite-penalty choice")
-        # row-major, so the recursion's strided per-parent slices stay cheap
-        kernels = tuple(np.ascontiguousarray(w) for w in kernels)
-        for a in (*kernels, *penalties, *sizes):
+        if not (penalties >= 0).all():
+            raise ValueError("one-step penalties must be >= 0 (or +inf)")
+        free = np.isinf(penalties).all(axis=0)
+        if free.any():
+            k, i = _node_at(self.lattice, int(np.argmax(free)))
+            raise ValueError(f"node ({k},{i}) has no finite-penalty choice")
+        object.__setattr__(self, "sizes", tuple(n.copy() for n in _levels(self.lattice, sizes)))
+        for name, value in (("_kernel_buffer", kernels), ("_penalty_buffer", penalties),
+                            ("_zero_penalty", penalties == 0.0),
+                            ("flat_kernels", self._cut(kernels)),
+                            ("flat_penalties", self._cut(penalties))):
+            object.__setattr__(self, name, value)
+        for a in (kernels, penalties, self._zero_penalty, *self.sizes):
             a.setflags(write=False)
-        object.__setattr__(self, "flat_kernels", kernels)
-        object.__setattr__(self, "flat_penalties", tuple(penalties))
-        object.__setattr__(self, "sizes", tuple(sizes))
+
+    def _cut(self, a) -> tuple:
+        """A joined array cut into time indices (``lattice._levels``), each
+        level's rows up to its longest menu, as read-only row-major copies."""
+        out = tuple(x[:n.max()].copy() for x, n in zip(_levels(self.lattice, a), self.sizes))
+        for x in out:
+            x.setflags(write=False)
+        return out
 
     @cached_property
     def _recursion_penalties(self) -> Optional[tuple]:
         """The penalties the recursion subtracts: ``flat_penalties``, or None
         when every penalty is +0.0, as on a hull (x - 0.0 is x, bit for bit)."""
-        if any(a.any() or np.signbit(a).any() for a in self.flat_penalties):
-            return self.flat_penalties
-        return None
+        a = self._penalty_buffer
+        return self.flat_penalties if a.any() or np.signbit(a).any() else None
 
     @cached_property
     def _renormalized(self) -> tuple:
         """Per level, every choice's kernels divided by their sums once more,
         as building a ``Measure`` from them would divide them: the kernels
-        that ``expand_dual`` picks, built on first use.  Read-only."""
-        lat, out = self.lattice, []
-        for k, w in enumerate(self.flat_kernels):
-            w = w / _per_parent(lat, k, w)[:, lat.parents[k + 1]]
-            w.setflags(write=False)
-            out.append(w)
-        return tuple(out)
-
-    @cached_property
-    def _side_by_side(self) -> tuple:
-        """Every level's menus side by side, built on first use: the
-        (m, sum of n_{k+1}) kernels and the (m, sum of n_k) mask of zero
-        penalties, each level's rows padded to the longest menu m with its
-        last row, a copy of a choice already on the menu.  Read-only."""
-        m = max(len(w) for w in self.flat_kernels)
-        kernels, free = (np.concatenate([np.pad(a, ((0, m - len(a)), (0, 0)), "edge")
-                                         for a in levels], axis=1)
-                         for levels in (self.flat_kernels, self.flat_penalties))
-        free = free == 0.0
-        kernels.setflags(write=False)
-        free.setflags(write=False)
-        return kernels, free
+        that ``expand_dual`` picks, built on first use by one division over
+        the joined kernels.  Read-only."""
+        lat, w = self.lattice, self._kernel_buffer
+        return self._cut(w / _per_child(lat, _per_parent(lat, None, w)))
 
     def rho(self, s: int, t: int, X: RandomVariable) -> RandomVariable:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
@@ -345,26 +345,24 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     a zero total penalty for P; penalties are >= 0, so the
     structure is then normalized.  Every call scans all levels at once: P's
     joined kernels (``Measure._kernel_buffer``) against the structure's
-    menus side by side (``OneStepStructure._side_by_side``), at the
-    tolerance as it reads at call time.  Both layouts are built once per
-    object and read-only, so no call joins or pads them again.  The scan
-    runs on every call; the walk's ``rho`` steps read the structure's kept
-    process, so after ``st.rho(s, T, X)`` with s at or before the grid's
-    first date they run no recursion of the structure, only P's passes.
-    Grid dates must be integers (not bools), strictly increasing inside
-    [0, X.t].
+    joined menus (``OneStepStructure._kernel_buffer`` and
+    ``_zero_penalty``), at the tolerance as it reads at call time.  Both
+    layouts are stored at build and read-only, so no call joins or pads
+    them.  The scan runs on every call; the walk's ``rho`` steps read the
+    structure's kept process, so after ``st.rho(s, T, X)`` with s at or
+    before the grid's first date they run no recursion of the structure,
+    only P's passes.  Grid dates must be integers (not bools), strictly
+    increasing inside [0, X.t].
     """
     lat = st.lattice
     if P.lattice is not lat or X.lattice is not lat:
         raise ValueError("structure, variable and measure live on different lattices")
     # the zero-penalty scan, every level at once, on the stored layouts
-    kernels, free = st._side_by_side
-    ok = (free & (_kernel_gap(lat, None, kernels, P._kernel_buffer) <= _ZERO_PENALTY_TOL)).any(0)
+    gap = _kernel_gap(lat, st._kernel_buffer, P._kernel_buffer)
+    ok = (st._zero_penalty & (gap <= _ZERO_PENALTY_TOL)).any(0)
     if not ok.all():
-        node = int(np.argmin(ok))
-        first = np.cumsum([0] + [lat.n_nodes(u) for u in range(lat.terminal)])
-        u = int(np.searchsorted(first, node, side="right")) - 1
-        raise ValueError(f"P is not a zero-penalty selection at node ({u},{node - first[u]})")
+        k, i = _node_at(lat, int(np.argmin(ok)))
+        raise ValueError(f"P is not a zero-penalty selection at node ({k},{i})")
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     for a, s in enumerate(grid):

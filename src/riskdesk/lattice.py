@@ -10,6 +10,7 @@ represented as trees with equal node values, keeping the filtration exact.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import isfinite
@@ -65,8 +66,12 @@ class ScenarioLattice:
     counts differ or exceed 8.  The children of node (k, i) are
     ``offsets[k][i]:offsets[k][i + 1]``, so a per-parent sum over a flat
     time-(k+1) array adds ``fanouts[k]`` strided slices, or is one
-    ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).  Every
-    level's parents are checked at once, and that pass lays out ``_chain``.
+    ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).  The
+    dimension is an integer >= 1 and the parents integers (numpy ones too,
+    not bools).  Every level's parents are checked at once, on the joined
+    parents, and that pass lays out ``_chain``, the joined layout that only
+    this module reads (``_per_parent``, ``_per_child``, ``_child_counts``,
+    ``_levels``).
     Lattices compare by identity.
     """
 
@@ -80,8 +85,9 @@ class ScenarioLattice:
     fanouts: tuple = field(init=False, repr=False)
     # the children of every non-terminal node, level after level, as
     # _per_parent reads them with k = None: the fan-out every level shares
-    # (0 if none), the first-child starts for reduceat, the child counts, and
-    # where each level's children end
+    # (0 if none), the first-child starts for reduceat and the child counts;
+    # then each time index's slice of all nodes in time order, and of the
+    # children of every non-terminal node (the nodes of times 1..T)
     _chain: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -92,37 +98,57 @@ class ScenarioLattice:
             raise ValueError("time points must be finite")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time points must be strictly increasing (no duplicates)")
+        d = self.dimension
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
         if len(self.parents) != len(times) or len(self.increments) != len(times):
             raise ValueError("parents/increments must have one entry per time point")
         if len(self.parents[0]) != 1 or self.parents[0][0] != -1:
             raise ValueError("there must be a unique root at time index 0")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "dimension", int(d))
 
-        parents = tuple(np.asarray(p, dtype=int) for p in self.parents)
+        parents = tuple(map(np.asarray, self.parents))
+        for k, p in enumerate(parents):
+            if p.size and p.dtype.kind not in "iu":
+                raise ValueError(f"time index {k}: parents must be integers, got {p.dtype}")
+        parents = tuple(p.astype(int, copy=False) for p in parents)
         object.__setattr__(self, "parents", parents)
-        # every level at once: node i of level k is non-terminal node base[k] + i,
-        # so the children of consecutive parents are contiguous and ordered in
-        # every level, and every parent lies in its level, iff up is sorted and
-        # each level's first and last parents lie in it
+        # every level at once: node i of level k is node starts[k] + i in time
+        # order, and up holds each child's parent in that order; the children
+        # of consecutive parents are contiguous and ordered in every level,
+        # and every parent lies in its level, iff up is sorted and each
+        # level's first and last parents lie in it.  A fault is named from
+        # these joined arrays
         sizes = [p.size for p in parents]
-        base = np.cumsum([0] + sizes[:-2])
-        up = np.concatenate(parents[1:]) + np.repeat(base, sizes[1:])
+        starts = list(accumulate(sizes, initial=0))
+        base, par = np.array(starts[:-2]), np.concatenate(parents[1:])
+        up = par + np.repeat(base, sizes[1:])
         ok = (all(p.size and p[0] >= 0 and p[-1] < n for p, n in zip(parents[1:], sizes))
               and (up[1:] >= up[:-1]).all())
-        counts = np.bincount(up, minlength=sum(sizes[:-1])) if ok else None
-        if not (ok and counts.all()):
-            _check_parents(parents)  # raises, naming the node
-        ends = np.cumsum(counts)
-        lo, hi = np.minimum.reduceat(counts, base), np.maximum.reduceat(counts, base)
+        bad = None if ok else (par < 0) | (par >= np.repeat(sizes[:-1], sizes[1:]))
+        if not ok and bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError("node ({},{}) has invalid parent {}".format(
+                *_node_at(self, 1 + j), par[j]))
+        counts = np.bincount(up, minlength=starts[-2])
+        if not counts.all():
+            raise ValueError("non-terminal node ({},{}) has no child".format(
+                *_node_at(self, int(np.argmin(counts)))))
+        if not ok:
+            k, _ = _node_at(self, 2 + int(np.argmax(up[1:] < up[:-1])))
+            raise ValueError(f"time index {k}: children must be contiguous per parent")
+        ends = np.concatenate(([0], np.cumsum(counts)))
+        lo, hi = (op.reduceat(counts, base) for op in (np.minimum, np.maximum))
         fanouts = tuple(b if a == b <= _STRIDED_MAX else 0
                         for a, b in zip(lo.tolist(), hi.tolist()))
-        ends0 = np.concatenate(([0], ends))
-        object.__setattr__(self, "offsets", tuple(ends0[a:a + n + 1] - ends0[a]
-                                                  for a, n in zip(base.tolist(), sizes)))
+        object.__setattr__(self, "offsets", tuple(ends[a:a + n + 1] - ends[a]
+                                                  for a, n in zip(starts, sizes[:-1])))
         object.__setattr__(self, "fanouts", fanouts)
-        shared = set(fanouts)
-        object.__setattr__(self, "_chain", (shared.pop() if len(shared) == 1 else 0,
-                                            ends - counts, counts, tuple(accumulate(sizes[1:]))))
+        shared, child = set(fanouts), [n - 1 for n in starts[1:]]
+        object.__setattr__(self, "_chain", (
+            shared.pop() if len(shared) == 1 else 0, ends[:-1], counts,
+            tuple(map(slice, starts[:-1], starts[1:])), tuple(map(slice, child[:-1], child[1:]))))
 
         incs = tuple(np.asarray(inc, dtype=float).reshape(-1, self.dimension)
                      for inc in self.increments)
@@ -186,20 +212,12 @@ class ScenarioLattice:
         return list(reversed(idx))
 
 
-def _check_parents(parents) -> None:
-    """The parent checks level by level, which name the first faulty node:
-    raise ValueError on a parent outside its level, a non-terminal node
-    without a child, or a level whose children are not contiguous per parent."""
-    for k in range(len(parents) - 1):
-        n_k, par = parents[k].size, parents[k + 1]
-        j = int(np.argmax((par < 0) | (par >= n_k)))
-        if not 0 <= par[j] < n_k:
-            raise ValueError(f"node ({k + 1},{j}) has invalid parent {par[j]}")
-        counts = np.bincount(par, minlength=n_k)
-        if not counts.all():
-            raise ValueError(f"non-terminal node ({k},{int(np.argmin(counts))}) has no child")
-        if (par[1:] < par[:-1]).any():
-            raise ValueError("children must be contiguous per parent")
+def _node_at(lattice: ScenarioLattice, j: int) -> tuple:
+    """(k, i) of the node at index j of all nodes in time order, the root
+    being 0: the one rule by which messages name a node of a joined array."""
+    starts = list(accumulate((p.size for p in lattice.parents), initial=0))
+    k = bisect_right(starts, j) - 1
+    return k, j - starts[k]
 
 
 def _check_time(lattice: ScenarioLattice, t: int) -> None:
@@ -299,6 +317,30 @@ def _per_parent(lattice: ScenarioLattice, k, a, op=np.add) -> np.ndarray:
     for i in range(j, b):
         op(rest, a[..., i::b], out=rest)
     return op(a[..., ::b], rest, out=rest)
+
+
+def _per_child(lattice: ScenarioLattice, a) -> np.ndarray:
+    """Each entry of a (..., sum of n_k for k < T) per-parent array, every
+    non-terminal node in time order, repeated over that node's children: the
+    inverse of ``_per_parent(lattice, None, ·)``, child-aligned."""
+    return np.repeat(a, lattice._chain[2], axis=-1)
+
+
+def _child_counts(lattice: ScenarioLattice) -> list:
+    """The child count of every non-terminal node, in time order."""
+    return lattice._chain[2].tolist()
+
+
+def _levels(lattice: ScenarioLattice, a) -> tuple:
+    """A joined (..., n) array cut into one view per time index along its
+    last axis, which holds in time order all nodes, the non-terminal nodes
+    or their children (the nodes of times 1..T), as n says.  The last two
+    have one length only on a lattice of one node per time index, whose
+    cuts are then the same."""
+    cuts, children = lattice._chain[3:]
+    n, total = a.shape[-1], cuts[-1].stop
+    return tuple(a[..., c] for c in (cuts if n == total else children if n == total - 1
+                                     else cuts[:-1]))
 
 
 def _backward(lattice: ScenarioLattice, s: int, values, weights, penalties=None, levels=None):
@@ -491,11 +533,16 @@ def lattice_to_json(lattice: ScenarioLattice) -> str:
 
 
 def lattice_from_json(text: str) -> ScenarioLattice:
+    """The lattice that :func:`lattice_to_json` writes; ``ScenarioLattice``
+    checks the fields as read, so a dimension or a parent that is not an
+    integer raises ValueError instead of being truncated."""
     doc = json.loads(text)
     times = tuple(float(u) for u in doc["times"])
-    d = int(doc["dimension"])
     parents, incs = [], []
     for level in doc["nodes"]:
-        parents.append(np.array([n["parent"] for n in level], dtype=int))
-        incs.append(np.array([n["increment"] for n in level], dtype=float).reshape(-1, d))
-    return ScenarioLattice(times, d, tuple(parents), tuple(incs))
+        # numpy would read a bool among integers as an integer: a level that
+        # holds one is read as bools, which ScenarioLattice rejects
+        ps = [n["parent"] for n in level]
+        parents.append(np.array(ps, dtype=bool if bool in map(type, ps) else None))
+        incs.append(np.array([n["increment"] for n in level], dtype=float))
+    return ScenarioLattice(times, doc["dimension"], tuple(parents), tuple(incs))

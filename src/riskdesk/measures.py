@@ -26,7 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _check_time, _per_parent, lift
+from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_time, _child_counts,
+                      _levels, _node_at, _per_child, _per_parent, lift)
 
 __all__ = [
     "Measure",
@@ -58,18 +59,17 @@ def _joined(kernels, sizes: list):
     return flat if flat.ndim == 1 and [len(w) for w in kernels] == sizes else None
 
 
-def _kernel_rows(lattice: ScenarioLattice, k: int, kernels, node_of=None) -> list:
-    """The per-kernel path: time-k kernels, in node order, each as a float
-    array; kernel e belongs to node ``node_of[e]`` (default: one per node).
-    Raises ValueError naming the first kernel that is not a 1-D array of
-    its node's child count."""
-    sizes = np.diff(lattice.offsets[k])
-    sizes = sizes if node_of is None else sizes[node_of]
+def _kernel_rows(lattice: ScenarioLattice, kernels, node_of) -> list:
+    """The per-kernel path: kernels of the non-terminal nodes, each as a
+    float array; kernel e belongs to the node at index ``node_of[e]`` of
+    all nodes in time order.  Raises ValueError naming the first kernel
+    that is not a 1-D array of its node's child count."""
+    sizes = np.array(_child_counts(lattice))[node_of]
     arrs = [np.asarray(w, dtype=float) for w in kernels]
     for e, (w, b) in enumerate(zip(arrs, sizes)):
         if w.shape != (b,):
-            node = e if node_of is None else node_of[e]
-            raise ValueError(f"kernel at node ({k},{node}) needs {b} weights, "
+            k, i = _node_at(lattice, int(node_of[e]))
+            raise ValueError(f"kernel at node ({k},{i}) needs {b} weights, "
                              f"got shape {w.shape}")
     return arrs
 
@@ -93,40 +93,41 @@ def _normalized(lattice: ScenarioLattice, flat: np.ndarray) -> np.ndarray:
     bad = np.abs(sums - 1.0) > 1e-9
     if bad.any():
         raise ValueError(f"kernel weights sum to {sums[np.argmax(bad)]}, expected 1")
-    return flat / np.repeat(sums, lattice._chain[2])
+    return flat / _per_child(lattice, sums)
 
 
-def _menus(lattice: ScenarioLattice, k: int, menus):
-    """Per-node menus of time-k kernels as one normalized (m, n_{k+1}) array,
-    a shorter menu padded with its last kernel; also returns ``pick``, the
-    m * n_k kernel indices in node order that fill it row by row (row j at
-    node i is kernel pick[j * n_k + i]), and the menu sizes.  The padded
-    rows are joined and checked at once, and each kernel's sum is its row's
-    per-parent sum."""
+def _menus(lattice: ScenarioLattice, menus):
+    """The menus of kernels of every non-terminal node, in time order, as
+    one normalized (m, sum of n_{k+1}) array laid out as a measure's joined
+    kernels, m the longest menu, a shorter menu padded with its last
+    kernel; also returns ``pick``, the m * N kernel indices (N nodes) that
+    fill it row by row (row j at node e is kernel pick[j * N + e]), and the
+    (N,) menu sizes.  The padded rows are joined and checked at once, and
+    each kernel's sum is its row's per-parent sum."""
     sizes = [len(menu) for menu in menus]
     if not min(sizes):
-        raise ValueError(f"empty menu at node ({k},{sizes.index(0)})")
-    first = list(accumulate(sizes, initial=0))
-    pick = [f + min(j, n - 1) for j in range(max(sizes)) for f, n in zip(first, sizes)]
+        k, i = _node_at(lattice, sizes.index(0))
+        raise ValueError(f"empty menu at node ({k},{i})")
+    m, first = max(sizes), list(accumulate(sizes, initial=0))
+    pick = [f + min(j, n - 1) for j in range(m) for f, n in zip(first, sizes)]
     kernels = [w for menu in menus for w in menu]
-    off = lattice.offsets[k]
-    counts = (off[1:] - off[:-1]).tolist()
-    flat = _joined([kernels[e] for e in pick], counts * max(sizes))
+    flat = _joined([kernels[e] for e in pick], _child_counts(lattice) * m)
     if flat is None:
-        arrs = _kernel_rows(lattice, k, kernels, np.repeat(np.arange(len(sizes)), sizes))
+        arrs = _kernel_rows(lattice, kernels, np.repeat(np.arange(len(sizes)), sizes))
         flat = np.concatenate([arrs[e] for e in pick])
-    rows = _checked(flat).reshape(max(sizes), -1)
-    sums = _per_parent(lattice, k, rows)
+    rows = _checked(flat).reshape(m, -1)
+    sums = _per_parent(lattice, None, rows)
     if not (sums > 0).all():
         raise ValueError("kernel weights must have a positive sum")
-    return rows / sums[:, lattice.parents[k + 1]], pick, np.array(sizes)
+    return rows / _per_child(lattice, sums), pick, np.array(sizes)
 
 
-def _kernel_gap(lattice: ScenarioLattice, k, a, b) -> np.ndarray:
-    """Per time-k node, the max |a - b| over its children; a and b are flat
-    (..., n_{k+1}) kernel arrays (k = None: every level, as ``_per_parent``)."""
+def _kernel_gap(lattice: ScenarioLattice, a, b) -> np.ndarray:
+    """Per non-terminal node, in time order, the max |a - b| over its
+    children; a and b are (..., sum of n_{k+1}) arrays laid out as a
+    measure's joined kernels."""
     gap = a - b
-    return _per_parent(lattice, k, np.abs(gap, out=gap), np.maximum)
+    return _per_parent(lattice, None, np.abs(gap, out=gap), np.maximum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +140,9 @@ class Measure:
     node by ``lattice.per_node(k, flat_kernels[k])``.  Node probabilities
     are views of one joined array as well.  The kernels are joined by one
     ``concatenate`` and checked once; a kernel that does not fit its node
-    is named level by level.  Everything stored is read-only, so nothing
-    derived from it goes stale.  Measures compare by identity."""
+    is named by the per-kernel path (``_kernel_rows``).  Everything stored
+    is read-only, so nothing derived from it goes stale.  Measures compare
+    by identity."""
 
     lattice: ScenarioLattice
     kernels: InitVar[tuple]  # per time index < T: tuple of weight arrays, one per node
@@ -159,10 +161,10 @@ class Measure:
         for k, level in enumerate(kernels):
             if len(level) != lat.n_nodes(k):
                 raise ValueError(f"time index {k}: one kernel per node required")
-        flat = _joined([w for level in kernels for w in level], lat._chain[2].tolist())
+        kernels = [w for level in kernels for w in level]
+        flat = _joined(kernels, _child_counts(lat))
         if flat is None:
-            flat = np.concatenate([w for k, level in enumerate(kernels)
-                                   for w in _kernel_rows(lat, k, level)])
+            flat = np.concatenate(_kernel_rows(lat, kernels, np.arange(len(kernels))))
         self._store(_normalized(lat, flat))
 
     @classmethod
@@ -175,20 +177,18 @@ class Measure:
 
     def _store(self, buffer):
         lat = self.lattice
-        cuts = tuple(zip((0, *lat._chain[3]), lat._chain[3]))
-        # node probabilities level by level, a forward product along the kernels
-        probs = np.empty(1 + buffer.size)
-        probs[0] = 1.0
-        up = probs[:1]
-        for k, (a, b) in enumerate(cuts):
-            up = np.multiply(up[lat.parents[k + 1]], buffer[a:b], out=probs[1 + a:1 + b])
-        # views of the read-only buffers are read-only
+        # views taken of a read-only buffer are read-only
         buffer.setflags(write=False)
+        kernels = _levels(lat, buffer)
+        # node probabilities level by level, a forward product along the
+        # kernels, written through views taken before the buffer is frozen
+        probs = np.ones(1 + buffer.size)
+        levels = _levels(lat, probs)
+        for k, w in enumerate(kernels):
+            np.multiply(levels[k][lat.parents[k + 1]], w, out=levels[k + 1])
         probs.setflags(write=False)
-        for name, value in (
-                ("flat_kernels", tuple(buffer[a:b] for a, b in cuts)),
-                ("_node_probs", (probs[:1], *(probs[1 + a:1 + b] for a, b in cuts))),
-                ("_kernel_buffer", buffer), ("_prob_buffer", probs)):
+        for name, value in (("flat_kernels", kernels), ("_node_probs", _levels(lat, probs)),
+                            ("_kernel_buffer", buffer), ("_prob_buffer", probs)):
             object.__setattr__(self, name, value)
 
     def node_probabilities(self, t: int) -> np.ndarray:
@@ -295,8 +295,7 @@ def mix_measures(members: Sequence[Measure], weights) -> Measure:
         raise ValueError("measures live on different lattices")
     w = w / w.sum()
     probs = sum(wi * m._prob_buffer for wi, m in zip(w, members))
-    sizes = lat._chain[2]
-    up = np.repeat(probs[:sizes.size], sizes)  # each non-root node's parent
+    up = _per_child(lat, probs[:-lat.n_nodes(lat.terminal)])  # each non-root node's parent
     # the members' mean kernels, every level at once: axis 0 is summed member
     # by member, as a per-level mean sums it, except where a level holds one
     # weight, which is 1.0 in every member and so sums exactly in any order

@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import json
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _levels, lift
 from .measures import (Measure, charged_mask, check_restriction, measure_from_json,
                        measure_to_json)
 
@@ -81,10 +81,8 @@ class DualRep:
                     raise ValueError("components must share the lattice; penalties at time s")
             pen = np.array([a.values for _, a in comps])
             # every level at once: each level's (K, n_{u+1}) columns of the
-            # members' joined kernels, read after the index checks below
-            stacked, ends = np.array([Q._kernel_buffer for Q, _ in comps]), (0, *lat._chain[3])
-            kernels = (stacked[:, a:b] for a, b in zip(ends[self.s:self.t],
-                                                          ends[self.s + 1:self.t + 1]))
+            # members' joined kernels
+            kernels = _levels(lat, np.array([Q._kernel_buffer for Q, _ in comps]))[self.s:self.t]
         if not 0 <= self.s <= self.t:
             raise ValueError("need 0 <= s <= t")
         if self.t > lat.terminal:

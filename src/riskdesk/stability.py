@@ -23,10 +23,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import (NodeRef, RandomVariable, ScenarioLattice, StoppingTime, _per_parent,
-                      validate_stopping_time)
+from .lattice import (NodeRef, RandomVariable, ScenarioLattice, StoppingTime, _per_child,
+                      _per_parent, validate_stopping_time)
 from .dynamics import _EXPANSION_CAP, OneStepStructure, expand_dual
-from .measures import Measure, _kernel_gap, charged_mask
+from .measures import Measure, _kernel_gap
 
 __all__ = [
     "paste",
@@ -82,23 +82,25 @@ def is_stable(measures: Sequence[Measure]):
     by the hull's rule, which follows member order: each member is its
     selection of ``rectangular_hull(measures)`` menu rows, per non-terminal
     node the first row within 1e-12 of its kernel, or -1 where it leaves
-    the node null.  For Q << P node-wise and Q charging node n,
-    R_n = paste(P, Q, tau_n), tau_n stopping at n on the paths through n
-    and at T elsewhere, selects Q's rows outside n's subtree and P's inside
-    it, and some member must select both.  So per node, members are
-    interned by their outside and inside selections, and every (outside of
-    Q, inside of P) pair must be some member's.  Returns (bool, the first
-    missing R_n or None).
+    the node null; every member's picks come from one ``_kernel_gap`` of
+    the members' joined kernels against the hull's joined menus.  For
+    Q << P node-wise and Q charging node n, R_n = paste(P, Q, tau_n),
+    tau_n stopping at n on the paths through n and at T elsewhere, selects
+    Q's rows outside n's subtree and P's inside it, and some member must
+    select both.  So per node, members are interned by their outside and
+    inside selections, and every (outside of Q, inside of P) pair must be
+    some member's.  Returns (bool, the first missing R_n or None).
     """
     if not measures:
         return True, None
     hull = rectangular_hull(measures)
     lat, T = hull.lattice, hull.lattice.terminal
     charged = np.stack([M._prob_buffer > 0.0 for M in measures])
-    # per member and non-terminal node, in time order: its selection
-    picks = np.where(charged[:, :-lat.n_nodes(T)], np.hstack([np.argmax(
-        _kernel_gap(lat, k, np.stack([M.flat_kernels[k] for M in measures])[:, None], rows)
-        <= _SAME_KERNEL_TOL, axis=1) for k, rows in enumerate(hull.flat_kernels)]), -1)
+    # per member and non-terminal node, in time order: its selection, every
+    # level at once on the joined kernels
+    near = _kernel_gap(lat, np.stack([M._kernel_buffer for M in measures])[:, None],
+                       hull._kernel_buffer) <= _SAME_KERNEL_TOL
+    picks = np.where(charged[:, :-lat.n_nodes(T)], np.argmax(near, axis=1), -1)
     patterns, pattern = np.unique(charged, axis=0, return_inverse=True)
     pattern = pattern.reshape(-1)  # numpy 2.0 changed the inverse's shape
     dominates = ~(patterns @ ~patterns.T)  # [a, b]: pattern a << pattern b
@@ -132,32 +134,30 @@ def rectangular_hull(measures: Sequence[Measure]) -> OneStepStructure:
     within 1e-12 of an earlier kept one, as a one-step structure at penalty 0.
 
     Falls back to all member kernels at a node no member charges (the value
-    there never enters a charged expectation).
+    there never enters a charged expectation).  Every level is built at
+    once, on the members' joined kernels and node probabilities, into the
+    joined menus that the structure stores; duplicates are still dropped
+    member by member, each against every earlier one.
     """
     if not measures:
         raise ValueError("the rectangular hull needs at least one measure")
     lat = measures[0].lattice
     if any(Q.lattice is not lat for Q in measures):
         raise ValueError("measures live on different lattices")
-    kernels, sizes = [], []
-    for k in range(lat.n_times - 1):
-        par = lat.parents[k + 1]
-        w = np.stack([Q.flat_kernels[k] for Q in measures])
-        w = w / _per_parent(lat, k, w)[:, par]
-        keep = np.stack([charged_mask(Q, k) for Q in measures])
-        keep |= ~keep.any(axis=0)
-        for j in range(1, len(measures)):
-            dup = _kernel_gap(lat, k, w[:j], w[j]) <= _SAME_KERNEL_TOL
-            keep[j] &= ~np.any(keep[:j] & dup, axis=0)
-        size = keep.sum(axis=0)
-        # per node the kept members first, in order, padded with the last
-        first = np.argsort(~keep, axis=0, kind="stable")
-        rows = np.take_along_axis(first, np.minimum(np.arange(size.max())[:, None],
-                                                    size - 1), axis=0)
-        kernels.append(w[rows[:, par], np.arange(par.size)])
-        sizes.append(size)
-    penalties = [np.zeros((w.shape[0], lat.n_nodes(k))) for k, w in enumerate(kernels)]
-    return OneStepStructure._from_flat(lat, kernels, penalties, sizes)
+    # every level at once, on the members' joined kernels and node probabilities
+    w = np.stack([Q._kernel_buffer for Q in measures])
+    w = w / _per_child(lat, _per_parent(lat, None, w))
+    keep = np.stack([Q._prob_buffer[:-lat.n_nodes(lat.terminal)] > 0.0 for Q in measures])
+    keep |= ~keep.any(axis=0)
+    for j in range(1, len(measures)):
+        dup = _kernel_gap(lat, w[:j], w[j]) <= _SAME_KERNEL_TOL
+        keep[j] &= ~np.any(keep[:j] & dup, axis=0)
+    size = keep.sum(axis=0)
+    # per node the kept members first, in order, padded with the last
+    first = np.argsort(~keep, axis=0, kind="stable")
+    rows = np.take_along_axis(first, np.minimum(np.arange(size.max())[:, None], size - 1), axis=0)
+    kernels = w[_per_child(lat, rows), np.arange(w.shape[1])]
+    return OneStepStructure._from_flat(lat, kernels, np.zeros(rows.shape), size)
 
 
 def enumerate_selections(structure: OneStepStructure, cap: int = _EXPANSION_CAP) -> List[Measure]:

@@ -8,7 +8,10 @@ hashed bit for bit, so a builder that checks and normalizes whole levels
 must reproduce the recorded bits.  The inputs cover fan-outs 1-8, a fan-out
 of 10 and ragged levels, kernels with zero weights (so that mixtures have
 null nodes), kernels given as lists, and increment blocks given as 1-D and
-2-D arrays side by side in one level.
+2-D arrays side by side in one level.  So are the stored arrays of
+``rectangular_hull`` (flat kernels, penalties, menu sizes), and the verdicts
+of ``is_stable`` with the kernels of its witnesses, on members that leave
+nodes null, coincide within 1e-12 or differ only at some levels.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ from riskdesk.fixtures import random_measure
 from riskdesk.lattice import RandomVariable, build_lattice, uniform_tree
 from riskdesk.measures import Measure, MeasureFamily, mix_measures, reference_measure
 from riskdesk.risk import DualRep, minimal_penalty, rm_evaluate
-from riskdesk.stability import rectangular_hull
+from riskdesk.stability import enumerate_selections, is_stable, rectangular_hull
 
 
 def sparse_kernel(rng, b):
@@ -273,8 +276,7 @@ def test_well_formed_inputs_never_take_the_per_kernel_path(monkeypatch):
     def named(*args):
         raise AssertionError("a well-formed input took the per-kernel path")
 
-    for module, name in ((measures, "_kernel_rows"), (lattice, "_node_blocks"),
-                         (lattice, "_check_parents")):
+    for module, name in ((measures, "_kernel_rows"), (lattice, "_node_blocks")):
         monkeypatch.setattr(module, name, named)
     rng = np.random.default_rng(5)
     lat, q1, q2, family = fixtures.fix_a_family(p=2.0)
@@ -292,7 +294,72 @@ def test_well_formed_inputs_never_take_the_per_kernel_path(monkeypatch):
                     penalty_lp_inputs(rng, T, b, s, n_comp)
     # and a malformed input does reach each of them
     for build in (lambda: Measure(ragged_lattice(), ((ROOT,), (ROOT, ROOT))),
-                  lambda: build_lattice((0.0, 1.0), [[np.ones((2, 2))]], dimension=1),
-                  lambda: lattice.ScenarioLattice((0.0, 1.0), 1, ([-1], [1]), ([0.0], [1.0]))):
+                  lambda: build_lattice((0.0, 1.0), [[np.ones((2, 2))]], dimension=1)):
         with pytest.raises(AssertionError, match="per-kernel path"):
             build()
+
+
+def levels_of(Q):
+    """Q's kernels as ``Measure`` takes them: per time index, one per node."""
+    lat = Q.lattice
+    return [list(lat.per_node(k, Q.flat_kernels[k])) for k in range(lat.terminal)]
+
+
+def hull_digests(case, seed):
+    rng = np.random.default_rng(seed)
+    lat = case_lattice(case, rng)
+    T = lat.terminal
+    out = {name: hashlib.sha256() for name in ("hull", "stable")}
+
+    def put(name, *arrays):
+        for a in arrays:
+            out[name].update(np.ascontiguousarray(a).tobytes())
+
+    def build(levels):
+        return Measure(lat, tuple(tuple(level) for level in levels))
+
+    # base leaves nodes null; near is base within 1e-12 at every node; late
+    # differs from base only at time index T - 1, so the levels' longest menus
+    # differ; two differs from base at the first and last non-terminal nodes
+    base = build(kernel_levels(lat, rng, sparse=True))
+    near = build([[w * (1.0 + 2e-13 * rng.uniform(-1.0, 1.0, w.size)) for w in level]
+                  for level in levels_of(base)])
+    late = build(levels_of(base)[:-1] + [kernel_levels(lat, rng, sparse=True)[-1]])
+    levels = levels_of(base)
+    for k, i in ((0, 0), (T - 1, lat.n_nodes(T - 1) - 1)):
+        levels[k][i] = rng.dirichlet(np.ones(len(levels[k][i])))
+    two = build(levels)
+    dense = [build(kernel_levels(lat, rng, sparse=False)) for _ in range(2)]
+    for members in ([base], [near, base], [base, near, late], [base, near, late, *dense],
+                    [dense[0], base, dense[1], late, near], [base, two], [two, late, base]):
+        hull = rectangular_hull(members)
+        put("hull", *hull.flat_kernels, *hull.flat_penalties, *hull.sizes)
+
+    selections = enumerate_selections(rectangular_hull([base, near, two]))
+    for family in ([base, near, late, *dense], [base, late], [late, two, base], selections,
+                   selections[:-1], selections[1:], [base, near]):
+        verdict, witness = is_stable(family)
+        put("stable", np.array([verdict]))
+        if witness is not None:
+            put("stable", *witness.flat_kernels)
+    return {name: h.hexdigest()[:16] for name, h in out.items()}
+
+
+# recorded when rectangular_hull and is_stable still built their menus level by level
+HULL_GOLDEN = {
+    "b1": {"hull": "942a72ed2e48712a", "stable": "c36336f242c655c5"},
+    "b2": {"hull": "046618c28cf9c6b8", "stable": "124fb321385bdb87"},
+    "b3": {"hull": "418915d0078a28c0", "stable": "7dbe4e527a2ffc12"},
+    "b4": {"hull": "3fc18b09b2af5142", "stable": "eab9f1bb6aa1f046"},
+    "b5": {"hull": "367899aa09531a1e", "stable": "44ee7df36f388781"},
+    "b6": {"hull": "387d47139136622b", "stable": "ce8070ce8fddbc76"},
+    "b7": {"hull": "554afdacfd7bbeed", "stable": "3480f4643e4fbe39"},
+    "b8": {"hull": "d929b59ddaec1a94", "stable": "9c7dac3ffb47974c"},
+    "b10": {"hull": "02859d6aafd3ceff", "stable": "e15ffdbe09a93033"},
+    "ragged": {"hull": "12952fa462577dac", "stable": "d0df62637aeb9c97"},
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_hulls_and_stability_verdicts_match_their_golden_digests(case):
+    assert hull_digests(case, CASES.index(case)) == HULL_GOLDEN[case]

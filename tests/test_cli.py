@@ -93,6 +93,7 @@ BAD_QUERY_TEXT = json.dumps({"kernels": [{"node": node, "weights": [1, 1]}
 
 # fix-a lattices whose second and third time points are not finite
 NAN_TIME, INF_TIME = "nan-time-lattice.json", "inf-time-lattice.json"
+HALF_DIMENSION, HALF_PARENT = "half-dimension-lattice.json", "half-parent-lattice.json"
 
 
 def write_bad_time_lattices(tmp_path):
@@ -100,6 +101,15 @@ def write_bad_time_lattices(tmp_path):
     for name, times in ((NAN_TIME, [0.0, float("nan"), 2.0]),
                         (INF_TIME, [0.0, 1.0, float("inf")])):
         (tmp_path / name).write_text(json.dumps({**doc, "times": times}))
+
+
+def write_bad_shape_lattices(tmp_path):
+    """fix-a with dimension 1.5, and with node (2, 3)'s parent 1 written as
+    1.5: truncated to integers, each would run on fix-a."""
+    doc = json.loads(lattice_to_json(fix_a_lattice()))
+    (tmp_path / HALF_DIMENSION).write_text(json.dumps({**doc, "dimension": 1.5}))
+    doc["nodes"][2][3]["parent"] = 1.5
+    (tmp_path / HALF_PARENT).write_text(json.dumps(doc))
 
 
 GEXP = {"task": "gexp", "band": {"sigma_low": 0.1, "sigma_high": 0.2},
@@ -162,18 +172,20 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
         for d in (2, 3)]}, ()),
     ({"task": "penalty", "query": {"file": BAD_QUERY}}, ()),
     *(({"task": "eval", "lattice": {"file": name}, "position": {"values": [0.0] * 4}}, ())
-      for name in (NAN_TIME, INF_TIME)),
+      for name in (NAN_TIME, INF_TIME, HALF_DIMENSION, HALF_PARENT)),
     *((bad_real_config(name, value), ()) for name, value in BAD_REALS),
 ], ids=["payoff-kind", "no-position", "short-position", "fix-b", "no-query",
         "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
         "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon", "path-dimensions",
-        "query-node-past-the-end", "lattice-nan-time", "lattice-inf-time", *BAD_REAL_IDS])
+        "query-node-past-the-end", "lattice-nan-time", "lattice-inf-time",
+        "lattice-half-dimension", "lattice-half-parent", *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):
     monkeypatch.chdir(tmp_path)
     write_wide_structure(tmp_path / WIDE_STRUCTURE)
     (tmp_path / BAD_QUERY).write_text(BAD_QUERY_TEXT)
     write_bad_time_lattices(tmp_path)
+    write_bad_shape_lattices(tmp_path)
     cfg = write_config(tmp_path, doc)
     assert main(["--config", cfg, "--validate-only", *extra]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
@@ -192,6 +204,20 @@ def test_a_lattice_file_with_a_non_finite_time_is_a_config_error(tmp_path, capsy
     code, out = run(tmp_path, doc)
     assert code == EXIT_CONFIG
     assert "eval: time points must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    (HALF_DIMENSION, "dimension must be an integer >= 1, got 1.5"),
+    (HALF_PARENT, "time index 2: parents must be integers, got float64")])
+def test_a_lattice_file_with_a_non_integer_shape_is_a_config_error(tmp_path, capsys, name,
+                                                                   message):
+    write_bad_shape_lattices(tmp_path)
+    doc = {"task": "eval", "lattice": {"file": str(tmp_path / name)},
+           "position": {"values": [0.0] * 4}}
+    code, out = run(tmp_path, doc)
+    assert code == EXIT_CONFIG
+    assert f"eval: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

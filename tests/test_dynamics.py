@@ -269,7 +269,7 @@ def test_dual_form_violation_flags_an_inconsistent_recursion(kind):
     rng = np.random.default_rng(19)
     Xs = [random_rv(lat, t, rng) for t in (0, 1, 2) for _ in range(5)]
     assert dual_form_violation(dyn, Xs)[0] <= 1e-12
-    bent = kind._from_flat(lat, dyn.flat_kernels, dyn.flat_penalties, dyn.sizes)
+    bent = kind._from_flat(lat, dyn._kernel_buffer, dyn._penalty_buffer, np.concatenate(dyn.sizes))
     worst, (i, r, node) = dual_form_violation(bent, Xs)
     assert worst > 1e-3
     if kind is RaisedPenaltyDynamic:
@@ -328,8 +328,8 @@ def test_supermartingale_check_rejects_bad_grids(grid, date):
 
 def fresh_copy(dyn):
     """The same menus in a structure that keeps no process yet."""
-    return OneStepStructure._from_flat(dyn.lattice, dyn.flat_kernels, dyn.flat_penalties,
-                                       dyn.sizes)
+    return OneStepStructure._from_flat(dyn.lattice, dyn._kernel_buffer, dyn._penalty_buffer,
+                                       np.concatenate(dyn.sizes))
 
 
 def process_queries(rng, lat, P):
@@ -674,14 +674,20 @@ def test_structure_rejects_negative_weights_and_nan_penalties():
 
 
 def test_structure_arrays_are_read_only():
-    # the scan's side-by-side layouts are built once from the stored menus,
-    # so an edit in place would leave them apart
+    # the per-level arrays are cut from the joined ones, which the scan
+    # reads, so an edit in place would leave them apart; the recursion reads
+    # the per-level arrays, which are row-major copies, not strided views
     lat, dyn = menu_dynamic()
     hull = rectangular_hull([zero_penalty_member(lat, 0.5), zero_penalty_member(lat, 0.6)])
     X, P = coordinate_process(lat, 2), zero_penalty_member(lat, 0.5)
-    for st in (dyn, hull):
+    copy = OneStepStructure._from_flat(lat, dyn._kernel_buffer, dyn._penalty_buffer,
+                                       np.concatenate(dyn.sizes))
+    for st in (dyn, hull, copy):
         gap = supermartingale_check(st, X, P)
-        for a in (*st.flat_kernels, *st.flat_penalties, *st.sizes, *st._side_by_side):
+        for a in (*st.flat_kernels, *st.flat_penalties, *st._renormalized):
+            assert a.flags.c_contiguous and a.base is None
+        for a in (*st.flat_kernels, *st.flat_penalties, *st.sizes, *st._renormalized,
+                  st._kernel_buffer, st._penalty_buffer, st._zero_penalty):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[-1]
         assert supermartingale_check(st, X, P) == gap

@@ -366,6 +366,25 @@ def test_per_parent_over_every_level_of_a_uniform_tree():
     assert _per_parent(lat, None, a).tobytes() == np.add.reduceat(a, starts, axis=-1).tobytes()
 
 
+def fix_a_json(dimension=None, parent=None):
+    """fix-a as ``lattice_to_json`` writes it, with the dimension, or the
+    parent of node (2, 3), replaced when given."""
+    doc = json.loads(lattice_to_json(fix_a_lattice()))
+    if dimension is not None:
+        doc["dimension"] = dimension
+    if parent is not None:
+        doc["nodes"][2][3]["parent"] = parent
+    return json.dumps(doc)
+
+
+def test_lattice_shapes_may_be_numpy_integers():
+    lat = ScenarioLattice((0.0, 1.0), np.int64(1), ([-1], np.array([0, 0], dtype=np.uint8)),
+                          ([0.0], [1.0, -1.0]))
+    assert lat.dimension == 1 and type(lat.dimension) is int
+    assert lat.parents[1].tolist() == [0, 0]
+    assert lattice_from_json(fix_a_json()).parents[2].tolist() == [0, 0, 1, 1]
+
+
 def _fix_a_rv(t=2):
     return coordinate_process(fix_a_lattice(), t)
 
@@ -381,6 +400,27 @@ def _fix_a_rv(t=2):
     (lambda: ScenarioLattice((0.0, 1.0, 2.0), 1, ([-1], [0, 0], [0, 0]),
                              ([0.0], [1.0, -1.0], [1.0, -1.0])),
      r"non-terminal node \(1,1\) has no child"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], []), ([0.0], np.zeros((0, 1)))),
+     r"non-terminal node \(0,0\) has no child"),
+    (lambda: ScenarioLattice((0.0, 1.0, 2.0), 1, ([-1], [0, 0], [1, 0, 1]),
+                             ([0.0], [1.0, -1.0], [1.0, 0.0, -1.0])),
+     "time index 2: children must be contiguous per parent"),
+    (lambda: ScenarioLattice((0.0, 1.0), 0, ([-1], [0, 0]), ([0.0], [1.0, -1.0])),
+     "dimension must be an integer >= 1, got 0"),
+    (lambda: ScenarioLattice((0.0, 1.0), True, ([-1], [0, 0]), ([0.0], [1.0, -1.0])),
+     "dimension must be an integer >= 1, got True"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1.0, ([-1], [0, 0]), ([0.0], [1.0, -1.0])),
+     "dimension must be an integer >= 1, got 1.0"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [0.7, 0.2]), ([0.0], [1.0, -1.0])),
+     "time index 1: parents must be integers, got float64"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [False, False]), ([0.0], [1.0, -1.0])),
+     "time index 1: parents must be integers, got bool"),
+    (lambda: lattice_from_json(fix_a_json(dimension=1.5)),
+     "dimension must be an integer >= 1, got 1.5"),
+    (lambda: lattice_from_json(fix_a_json(parent=1.5)),
+     "time index 2: parents must be integers, got float64"),
+    (lambda: lattice_from_json(fix_a_json(parent=True)),
+     "time index 2: parents must be integers, got bool"),
     (lambda: build_lattice([0.0, 1.0, 2.0], [[[1.0, -1.0]], [[1.0, -1.0]]], dimension=1),
      "time index 1: expected branching for 2 nodes, got 1"),
     (lambda: ScenarioLattice((0.0, np.nan), 1, ([-1], [0]), ([0.0], [1.0])),
@@ -393,8 +433,10 @@ def _fix_a_rv(t=2):
     (lambda: _fix_a_rv() - RandomVariable(fix_a_lattice(), 1, [0.0, 0.0]),
      "operands live on different lattices or times"),
 ], ids=["one-time", "parents-per-time", "two-roots", "invalid-parent", "childless-node",
-        "branching-count", "nan-time", "inf-time", "coordinate-range", "non-finite-values", "other-lattice",
-        "other-time"])
+        "empty-level", "non-contiguous-children", "dimension-zero", "dimension-bool",
+        "dimension-float", "float-parents", "bool-parents", "json-fractional-dimension",
+        "json-fractional-parent", "json-bool-parent", "branching-count", "nan-time", "inf-time",
+        "coordinate-range", "non-finite-values", "other-lattice", "other-time"])
 def test_malformed_lattices_and_variables_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

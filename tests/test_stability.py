@@ -13,7 +13,7 @@ from riskdesk.fixtures import (
 )
 from riskdesk.lattice import NodeRef, StoppingTime, _per_parent, coordinate_process, uniform_tree
 from riskdesk.dynamics import OneStepStructure, build_dynamic, onestep_from_json, onestep_to_json
-from riskdesk.measures import Measure, _kernel_gap, charged_mask, conditional_expectation
+from riskdesk.measures import Measure, charged_mask, conditional_expectation
 from riskdesk.stability import (
     enumerate_selections,
     is_stable,
@@ -72,7 +72,7 @@ def _off_below(lat, kernels, X):
     hold a member kernel more than 1e-12 off X's."""
     below = [np.zeros((kernels[0].shape[0], lat.n_nodes(lat.terminal)))]
     for k in range(lat.terminal - 1, -1, -1):
-        off = _kernel_gap(lat, k, kernels[k], X.flat_kernels[k]) > 1e-12
+        off = _per_parent(lat, k, np.abs(kernels[k] - X.flat_kernels[k]), np.maximum) > 1e-12
         below.insert(0, (off & charged_mask(X, k)) + _per_parent(lat, k, below[0]))
     return np.concatenate(below, axis=1)
 
