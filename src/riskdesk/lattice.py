@@ -109,9 +109,13 @@ class ScenarioLattice:
         object.__setattr__(self, "dimension", int(d))
 
         parents = tuple(map(np.asarray, self.parents))
-        for k, p in enumerate(parents):
-            if p.size and p.dtype.kind not in "iu":
-                raise ValueError(f"time index {k}: parents must be integers, got {p.dtype}")
+        for k, (level, p) in enumerate(zip(self.parents, parents)):
+            # numpy would read a bool among integers as an integer
+            mixed = not isinstance(level, np.ndarray) and any(
+                isinstance(v, (bool, np.bool_)) for v in level)
+            if mixed or p.size and p.dtype.kind not in "iu":
+                raise ValueError(f"time index {k}: parents must be integers, "
+                                 f"got {'bool' if mixed else p.dtype}")
         parents = tuple(p.astype(int, copy=False) for p in parents)
         object.__setattr__(self, "parents", parents)
         # every level at once: node i of level k is node starts[k] + i in time
@@ -220,12 +224,18 @@ def _node_at(lattice: ScenarioLattice, j: int) -> tuple:
     return k, j - starts[k]
 
 
-def _check_time(lattice: ScenarioLattice, t: int) -> None:
-    """Raise ValueError naming t unless it is one of the lattice's time
-    indices: an integer (a numpy one too, not a bool) in [0, T]; a negative
-    index would otherwise read a level from the end."""
+def _check_integer(t) -> None:
+    """Raise ValueError naming t unless it is an integer (a numpy one too, not
+    a bool), as a time index must be."""
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
         raise ValueError(f"time index {t!r} is not an integer")
+
+
+def _check_time(lattice: ScenarioLattice, t: int) -> None:
+    """Raise ValueError naming t unless it is one of the lattice's time
+    indices: an integer (``_check_integer``) in [0, T]; a negative index would
+    otherwise read a level from the end."""
+    _check_integer(t)
     if not 0 <= t <= lattice.terminal:
         raise ValueError(f"time index {t} outside [0, {lattice.terminal}]")
 
@@ -540,9 +550,6 @@ def lattice_from_json(text: str) -> ScenarioLattice:
     times = tuple(float(u) for u in doc["times"])
     parents, incs = [], []
     for level in doc["nodes"]:
-        # numpy would read a bool among integers as an integer: a level that
-        # holds one is read as bools, which ScenarioLattice rejects
-        ps = [n["parent"] for n in level]
-        parents.append(np.array(ps, dtype=bool if bool in map(type, ps) else None))
+        parents.append([n["parent"] for n in level])
         incs.append(np.array([n["increment"] for n in level], dtype=float))
     return ScenarioLattice(times, doc["dimension"], tuple(parents), tuple(incs))

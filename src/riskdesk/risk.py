@@ -14,9 +14,12 @@ The part of that linear program that Q does not enter, the constraint
 matrices restated on their singular vectors, is factored once per
 representation.  A node whose components are linearly independent has at
 most one feasible point, found by one linear solve; the others are solved
-exactly by a two-phase tableau simplex under Bland's pivot rule.  Both are
-batched over the nodes of one shape; the tests check them against a
-brute-force oracle over a growing box, a basis enumeration and HiGHS.
+exactly by a two-phase tableau simplex under Bland's pivot rule.  The SVD and
+the linear solve are batched over the nodes of one shape; the simplex sets up
+their tableaux together and pivots each node's own in Python floats, which
+at these sizes costs less than numpy's per-call overhead.  The tests check
+them against a brute-force oracle over a growing box, a basis enumeration and
+HiGHS, and the simplex bit for bit against the batched one it replaced.
 """
 
 from __future__ import annotations
@@ -24,13 +27,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import comb
+from math import comb, inf
 from typing import NamedTuple, Optional
 
 import json
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _levels, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _check_integer, _levels, lift
 from .measures import (Measure, charged_mask, check_restriction, measure_from_json,
                        measure_to_json)
 
@@ -48,7 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DualRep:
-    """Conditional risk measure rho_{s,t} as (measure, penalty) components,
+    """Conditional risk measure rho_{s,t} as (measure, penalty) components, for
+    integer time indices 0 <= s <= t <= T (numpy integers too, not bools),
     stored stacked: per time index u in [s, t) the (K, n_{u+1}) ``kernels``,
     and the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
     ``components[k]`` is the k-th (Measure, penalty) pair, built on first
@@ -68,6 +72,8 @@ class DualRep:
     penalties: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        _check_integer(self.s)
+        _check_integer(self.t)
         comps = self.components
         if isinstance(comps, _Stacked):
             lat, pen, kernels = comps.lattice, comps.penalties, comps.kernels[self.s:self.t]
@@ -225,7 +231,8 @@ def _node_penalties(lp: _NodeLPs, b: np.ndarray, s: int) -> np.ndarray:
     """Per node i, min c_i.lam subject to lam >= 0 and M_i lam = b_i, +inf when
     infeasible.  b_i must lie in M_i's span; the problem is then restated on
     U_i's r independent rows.  At full column rank (r = k) its one solution is
-    solved for; otherwise a two-phase tableau simplex solves it."""
+    solved for, batched over the nodes; otherwise their tableaux are set up
+    together and each node's is solved on its own (``_two_phase``)."""
     Ut = lp.U.transpose(0, 2, 1)
     b_r = np.matmul(Ut, b[..., None])
     reach = np.abs(np.matmul(lp.U, b_r)[..., 0] - b).max(axis=1) <= _TOL
@@ -243,58 +250,84 @@ def _node_penalties(lp: _NodeLPs, b: np.ndarray, s: int) -> np.ndarray:
         return out
     sign = np.where(b_r < 0, -1.0, 1.0)
     # rows: r constraints, signed so that b >= 0, then the reduced costs of phase 2
-    # (the penalty) and phase 1 (the artificials); columns: k components, r artificials, b
-    A = sign * np.concatenate([A, sign * np.eye(r), b_r], axis=2)
-    cost = np.concatenate([c, np.zeros((i.size, r + 1))], axis=1)
+    # (the penalty) and phase 1 (the artificials); columns: k components and b.
+    # No pivot reads an artificial's column, so the tableau leaves them out
+    A = sign * np.concatenate([A, b_r], axis=2)
+    cost = np.concatenate([c, np.zeros((i.size, 1))], axis=1)
     T = np.concatenate([A, cost[:, None], -A.sum(axis=1, keepdims=True)], axis=1)
-    basis, cap = np.arange(k, k + r)[None].repeat(i.size, axis=0), comb(k + r, r)
-    nodes = lp.nodes[i]
-    _simplex(T, basis, k, cap, nodes, s)  # phase 1
-    keep = np.sum(T[:, :r, -1], axis=1, where=basis >= k) <= _TOL
-    if not keep.any():
+    cap = comb(k + r, r)
+    solved = [_two_phase(tableau, k, cap, (s, n))
+              for n, tableau in zip(lp.nodes[i].tolist(), T.tolist())]
+    keep = [j for j, sol in enumerate(solved) if sol]
+    if not keep:
         return out
-    i, T, basis, nodes = i[keep], T[keep], basis[keep], nodes[keep]
-    # pivot out the artificials left at 0: independent rows give each a non-zero entry
-    for row in np.flatnonzero((basis >= k).any(axis=0)):
-        at = np.flatnonzero(basis[:, row] >= k)
-        _pivot(T, basis, at, row, np.argmax(np.abs(T[at, row, :k]), axis=1))
-    _simplex(T[:, :-1], basis, k, cap, nodes, s)  # phase 2
+    i, basis = i[keep], np.array([solved[j][0] for j in keep])
+    x = np.array([solved[j][1] for j in keep])
     # the cost of the basic solution, as the objective row would price a
     # zero-penalty member at rounding error rather than 0.0
-    lam = np.where(T[:, :r, -1] <= _TOL, 0.0, T[:, :r, -1])
+    lam = np.where(x <= _TOL, 0.0, x)
     out[i] = np.sum(lam * lp.c[i[:, None], basis], axis=1)
     return out
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, k: int, cap: int, nodes, s: int) -> None:
-    """Pivot the stacked tableaux T (last row: reduced costs, last column: b) of
-    time-s ``nodes`` in place until no column below k prices below -_TOL.  Bland's
-    rule (the lowest such column enters; a ratio tie leaves by the lowest basic
-    index) visits at most ``cap`` bases."""
-    r = basis.shape[1]
+def _two_phase(T: list, k: int, cap: int, node: tuple):
+    """Solve one node's tableau T, rows of Python floats (r constraints, then the
+    reduced costs of phases 2 and 1; columns: k components, then b), from the
+    basis of artificials k, ..., k + r - 1.  Returns the optimal basis and its b
+    column, or None when no lam >= 0 solves the constraints."""
+    r = len(T) - 2
+    basis = list(range(k, k + r))
+    _simplex(T, basis, k, cap, node)  # phase 1
+    left = 0.0  # the artificials still basic, summed in row order
+    for row, j in zip(T, basis):
+        if j >= k:
+            left += row[-1]
+    if left > _TOL:
+        return None
+    # pivot out the artificials left at 0: independent rows give each a non-zero entry
+    for row, j in enumerate(basis):
+        if j >= k:
+            a = [abs(v) for v in T[row][:k]]
+            _pivot(T, basis, row, a.index(max(a)))
+    del T[-1]  # phase 2 prices by the penalty's reduced costs alone
+    _simplex(T, basis, k, cap, node)  # phase 2
+    return basis, [row[-1] for row in T[:r]]
+
+
+def _simplex(T: list, basis: list, k: int, cap: int, node: tuple) -> None:
+    """Pivot one node's tableau T (last row: reduced costs, last column: b) in
+    place until no column below k prices below -_TOL.  Bland's rule (the lowest
+    such column enters; a ratio tie leaves by the lowest basic index) visits at
+    most ``cap`` bases."""
     for pivots in range(cap + 1):
-        enter = T[:, -1, :k] < -_TOL
-        at = np.flatnonzero(enter.any(axis=1))
-        if not at.size:
+        cost = T[-1]
+        for col in range(k):
+            if cost[col] < -_TOL:
+                break
+        else:
             return
-        col = np.argmax(enter[at], axis=1)
-        d = T[at, :r, col]
-        ratio = np.divide(T[at, :r, -1], d, out=np.full(d.shape, np.inf), where=d > _TOL)
-        best = ratio.min(axis=1, keepdims=True)
-        stuck = at[np.isinf(best[:, 0]) | (pivots == cap)]
-        if stuck.size:
-            raise RuntimeError(f"penalty LP at node {(s, int(nodes[stuck[0]]))}: "
-                               f"no optimum in {cap} pivots")
-        row = np.argmin(np.where(ratio == best, basis[at], T.shape[2]), axis=1)
-        _pivot(T, basis, at, row, col)
+        row, best = None, inf
+        for i, j in enumerate(basis):
+            d = T[i][col]
+            if d > _TOL:
+                ratio = T[i][-1] / d
+                if ratio < best or ratio == best and (row is None or j < basis[row]):
+                    row, best = i, ratio
+        if best == inf or pivots == cap:
+            raise RuntimeError(f"penalty LP at node {node}: no optimum in {cap} pivots")
+        _pivot(T, basis, row, col)
 
 
-def _pivot(T: np.ndarray, basis: np.ndarray, at, row, col) -> None:
-    """Pivot tableaux ``at`` on their (row, col) entries: col enters the basis."""
-    piv = T[at, row] / T[at, row, col][:, None]
-    T[at] -= T[at, :, col][:, :, None] * piv[:, None, :]
-    T[at, row] = piv
-    basis[at, row] = col
+def _pivot(T: list, basis: list, row: int, col: int) -> None:
+    """Pivot T on its (row, col) entry: col enters the basis."""
+    d = T[row][col]
+    piv = [v / d for v in T[row]]
+    for i, t in enumerate(T):
+        if i != row:
+            f = t[col]
+            T[i] = [v - f * p for v, p in zip(t, piv)]
+    T[row] = piv
+    basis[row] = col
 
 
 def partition_combine(lattice: ScenarioLattice, s: int,

@@ -415,6 +415,8 @@ def _fix_a_rv(t=2):
      "time index 1: parents must be integers, got float64"),
     (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [False, False]), ([0.0], [1.0, -1.0])),
      "time index 1: parents must be integers, got bool"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [0, False]), ([0.0], [1.0, -1.0])),
+     "time index 1: parents must be integers, got bool"),
     (lambda: lattice_from_json(fix_a_json(dimension=1.5)),
      "dimension must be an integer >= 1, got 1.5"),
     (lambda: lattice_from_json(fix_a_json(parent=1.5)),
@@ -434,7 +436,8 @@ def _fix_a_rv(t=2):
      "operands live on different lattices or times"),
 ], ids=["one-time", "parents-per-time", "two-roots", "invalid-parent", "childless-node",
         "empty-level", "non-contiguous-children", "dimension-zero", "dimension-bool",
-        "dimension-float", "float-parents", "bool-parents", "json-fractional-dimension",
+        "dimension-float", "float-parents", "bool-parents", "mixed-bool-parents",
+        "json-fractional-dimension",
         "json-fractional-parent", "json-bool-parent", "branching-count", "nan-time", "inf-time",
         "coordinate-range", "non-finite-values", "other-lattice", "other-time"])
 def test_malformed_lattices_and_variables_are_rejected(build, message):

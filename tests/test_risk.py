@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -599,19 +600,26 @@ def _capped_rep(rng):
                                     for Q, a in zip(members, pens)))
 
 
+def _batched_fixtures(rng):
+    return [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(40)] + [
+        sublinear_rep(s=0), sublinear_rep(s=1), _capped_rep(rng)]
+
+
+def _queries(lat, rep, rng):
+    """A member, a mixture of the members, a random law and a point mass."""
+    members = [Q for Q, _ in rep.components]
+    return [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
+            random_measure(lat, rng), _point_mass(lat)]
+
+
 def test_batched_penalty_matches_the_per_node_reference():
     rng = np.random.default_rng(53)
-    fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(40)]
-    fixtures += [sublinear_rep(s=0), sublinear_rep(s=1), _capped_rep(rng)]
     infinite, seen = 0, set()
-    for lat, rep in fixtures:
-        members = [Q for Q, _ in rep.components]
+    for lat, rep in _batched_fixtures(rng):
         full = np.zeros(lat.n_nodes(rep.s), dtype=bool)
         for lp in rep._node_lps:
             full[lp.nodes] = lp.A.shape[1] == lp.A.shape[2]
-        queries = [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
-                   random_measure(lat, rng), _point_mass(lat)]
-        for Q in queries:
+        for Q in _queries(lat, rep, rng):
             got = minimal_penalty(rep, Q).values
             ref = _per_node_penalty(rep, Q)
             _assert_same_penalties(got, ref, 1e-12)
@@ -630,20 +638,159 @@ def _expanded_rep():
     return lat, expand_dual(OneStepStructure(lat, ((menu,), (menu, menu))), 0, 2)
 
 
+def _repeated_fixtures(rng):
+    return [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(12)] + [
+        _capped_rep(rng), _expanded_rep()]
+
+
 def test_repeated_queries_match_a_fresh_rep_bit_for_bit():
     rng = np.random.default_rng(59)
-    fixtures = [_random_rep(rng, n_comp=1 + trial % 8) for trial in range(12)]
-    fixtures += [_capped_rep(rng), _expanded_rep()]
-    for lat, rep in fixtures:
-        members = [Q for Q, _ in rep.components]
-        queries = [members[0], mix_measures(members, rng.dirichlet(np.ones(len(members)))),
-                   random_measure(lat, rng), _point_mass(lat)]
+    for lat, rep in _repeated_fixtures(rng):
+        queries = _queries(lat, rep, rng)
         lps = rep._node_lps
         for Q in queries + queries[::-1]:
             fresh = DualRep(rep.s, rep.t, rep.components)
             assert np.array_equal(minimal_penalty(rep, Q).values,
                                   minimal_penalty(fresh, Q).values)
         assert rep._node_lps is lps
+
+
+def batched_tableau_penalties(rep, Q):
+    """``minimal_penalty(rep, Q).values`` with each rank-deficient group's nodes
+    solved together, on stacked tableaux pivoted in place by fancy indexing:
+    the batched simplex that the library ran before it pivoted each node's own
+    tableau, kept as an oracle for the same pivots and bits.  A group of full
+    column rank takes the library's linear solve."""
+    target = np.append(Q.subtree_laws(rep.s, rep.t), 1.0)
+    out = np.full(rep.lattice.n_nodes(rep.s), np.inf)
+    for lp in rep._node_lps:
+        r, k = lp.A.shape[1:]
+        solve = risk._node_penalties if r == k else _batched_rank_deficient
+        out[lp.nodes] = solve(lp, target[lp.rows], rep.s)
+    return out
+
+
+def _batched_rank_deficient(lp, b, s):
+    Ut = lp.U.transpose(0, 2, 1)
+    b_r = np.matmul(Ut, b[..., None])
+    reach = np.abs(np.matmul(lp.U, b_r)[..., 0] - b).max(axis=1) <= risk._TOL
+    out = np.full(len(b), np.inf)
+    if not reach.any():
+        return out
+    i = np.flatnonzero(reach)
+    A, b_r, c = lp.A[i], b_r[i], lp.c[i]
+    r, k = A.shape[1:]
+    sign = np.where(b_r < 0, -1.0, 1.0)
+    # rows: r constraints, signed so that b >= 0, then the reduced costs of phase 2
+    # (the penalty) and phase 1 (the artificials); columns: k components, r artificials, b
+    A = sign * np.concatenate([A, sign * np.eye(r), b_r], axis=2)
+    cost = np.concatenate([c, np.zeros((i.size, r + 1))], axis=1)
+    T = np.concatenate([A, cost[:, None], -A.sum(axis=1, keepdims=True)], axis=1)
+    basis, cap = np.arange(k, k + r)[None].repeat(i.size, axis=0), comb(k + r, r)
+    nodes = lp.nodes[i]
+    _batched_simplex(T, basis, k, cap, nodes, s)  # phase 1
+    keep = np.sum(T[:, :r, -1], axis=1, where=basis >= k) <= risk._TOL
+    if not keep.any():
+        return out
+    i, T, basis, nodes = i[keep], T[keep], basis[keep], nodes[keep]
+    # pivot out the artificials left at 0: independent rows give each a non-zero entry
+    for row in np.flatnonzero((basis >= k).any(axis=0)):
+        at = np.flatnonzero(basis[:, row] >= k)
+        _batched_pivot(T, basis, at, row, np.argmax(np.abs(T[at, row, :k]), axis=1))
+    _batched_simplex(T[:, :-1], basis, k, cap, nodes, s)  # phase 2
+    lam = np.where(T[:, :r, -1] <= risk._TOL, 0.0, T[:, :r, -1])
+    out[i] = np.sum(lam * lp.c[i[:, None], basis], axis=1)
+    return out
+
+
+def _batched_simplex(T, basis, k, cap, nodes, s):
+    """Pivot the stacked tableaux T (last row: reduced costs, last column: b) in
+    place until no column below k prices below -_TOL, by Bland's rule."""
+    r = basis.shape[1]
+    for pivots in range(cap + 1):
+        enter = T[:, -1, :k] < -risk._TOL
+        at = np.flatnonzero(enter.any(axis=1))
+        if not at.size:
+            return
+        col = np.argmax(enter[at], axis=1)
+        d = T[at, :r, col]
+        ratio = np.divide(T[at, :r, -1], d, out=np.full(d.shape, np.inf), where=d > risk._TOL)
+        best = ratio.min(axis=1, keepdims=True)
+        stuck = at[np.isinf(best[:, 0]) | (pivots == cap)]
+        if stuck.size:
+            raise RuntimeError(f"penalty LP at node {(s, int(nodes[stuck[0]]))}: "
+                               f"no optimum in {cap} pivots")
+        row = np.argmin(np.where(ratio == best, basis[at], T.shape[2]), axis=1)
+        _batched_pivot(T, basis, at, row, col)
+
+
+def _batched_pivot(T, basis, at, row, col):
+    """Pivot tableaux ``at`` on their (row, col) entries: col enters the basis."""
+    piv = T[at, row] / T[at, row, col][:, None]
+    T[at] -= T[at, :, col][:, :, None] * piv[:, None, :]
+    T[at, row] = piv
+    basis[at, row] = col
+
+
+def _cocycle_reps(rng):
+    """(lattice, the three expansions (0, T), (0, u), (u, T) that check_cocycle
+    reads) for each 0 < u < T of seeded one-step structures on uniform trees of
+    2-3 periods and 2-3 children: one kernel per node, two at four nodes spread
+    over the tree (up to 16 selections), penalties in [0, 0.5)."""
+    out = []
+    for T in (2, 3):
+        for b in (2, 3):
+            lat = uniform_tree(np.arange(T + 1) / T, np.linspace(1.0, -1.0, b))
+            inner = [lat.n_nodes(u) for u in range(T)]
+            split = set(np.linspace(0, sum(inner) - 1, 4).round().astype(int).tolist())
+            menus = [tuple((rng.dirichlet(np.ones(b)), float(rng.uniform(0.0, 0.5)))
+                           for _ in range(2 if n in split else 1))
+                     for n in range(sum(inner))]
+            levels = tuple(tuple(menus[sum(inner[:u]):sum(inner[:u + 1])]) for u in range(T))
+            st = OneStepStructure(lat, levels)
+            for u in range(1, T):
+                out.append((lat, [expand_dual(st, r, t) for r, t in ((0, T), (0, u), (u, T))]))
+    return out
+
+
+def _degenerate_lps(rng):
+    """Batches of 8 node LPs on U = I with r = 4 or 5 rows of small integers,
+    of full row rank, and k in r + 1 .. r + 9 components, costs in thirds, the
+    targets integer mixtures with many zero weights: degenerate pivots and
+    ratio ties, also between rows whose basic indices are out of row order."""
+    out = []
+    for _ in range(60):
+        r = int(rng.integers(4, 6))
+        k = int(rng.integers(r + 1, r + 10))
+        A = rng.integers(0, 4, (8, r, k)).astype(float)
+        while (np.linalg.matrix_rank(A) < r).any():
+            A = rng.integers(0, 4, (8, r, k)).astype(float)
+        b = np.einsum("grk,gk->gr", A, rng.integers(0, 2, (8, k)).astype(float))
+        U = np.broadcast_to(np.eye(r), (8, r, r))
+        out.append((risk._NodeLPs(np.arange(8), np.broadcast_to(np.arange(r), (8, r)), U, A,
+                                  rng.integers(0, 3, (8, k)) / 3.0), b))
+    return out
+
+
+def test_minimal_penalty_matches_the_batched_tableau_oracle_bit_for_bit():
+    rng = np.random.default_rng(61)
+    cases = [(rep, _queries(lat, rep, rng))
+             for lat, rep in (_batched_fixtures(np.random.default_rng(53))
+                              + _repeated_fixtures(np.random.default_rng(59)))]
+    for lat, reps in _cocycle_reps(rng):
+        # and the query that check_cocycle prices on all three
+        cases += [(rep, [reps[0].components[0][0], *_queries(lat, rep, rng)]) for rep in reps]
+    deficient = 0
+    for rep, queries in cases:
+        deficient += sum(lp.A.shape[1] < lp.A.shape[2] for lp in rep._node_lps)
+        for Q in queries:
+            got, ref = minimal_penalty(rep, Q).values, batched_tableau_penalties(rep, Q)
+            assert np.array_equal(np.isinf(got), np.isinf(ref))
+            assert got.tobytes() == ref.tobytes()
+    assert deficient > 0
+    for lp, b in _degenerate_lps(rng):
+        got, ref = risk._node_penalties(lp, b, 0), _batched_rank_deficient(lp, b, 0)
+        assert np.isfinite(got).all() and got.tobytes() == ref.tobytes()
 
 
 def test_stacked_arrays_are_read_only():
@@ -724,8 +871,14 @@ def _fix_a_rep():
                                              coordinate_process(lat, 2),
                                              RandomVariable(lat, 1, np.zeros(2))),
      "the weight f must live at time s"),
+    (lambda lat, rep: DualRep(0, True, rep.components), "time index True is not an integer"),
+    (lambda lat, rep: DualRep(True, 2, sublinear_rep(s=1)[1].components),
+     "time index True is not an integer"),
+    (lambda lat, rep: DualRep(0, 2.0, rep.components), "time index 2.0 is not an integer"),
+    (lambda lat, rep: DualRep(1.0, 2, sublinear_rep(s=1)[1].components),
+     "time index 1.0 is not an integer"),
 ], ids=["no-components", "s-after-t", "wrong-time", "foreign-variable", "no-pieces",
-        "mixed-pieces", "weight-off-s"])
+        "mixed-pieces", "weight-off-s", "bool-t", "bool-s", "float-t", "float-s"])
 def test_malformed_representations_and_queries_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build(*_fix_a_rep())
