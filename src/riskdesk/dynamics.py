@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_time, _levels, _node_at,
+from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_span, _levels, _node_at,
                       _per_child, _per_parent, lift)
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
@@ -157,8 +157,7 @@ class OneStepStructure:
 
     def rho(self, s: int, t: int, X: RandomVariable) -> RandomVariable:
         """Backward recursion: G_t = -X, G_u(n) = max_j (<k_j, G_{u+1}> - a_j)."""
-        if not 0 <= s <= t <= self.lattice.terminal:
-            raise ValueError("need 0 <= s <= t <= terminal")
+        _check_span(self.lattice, s, t)
         if X.lattice is not self.lattice:
             raise ValueError("structure and variable live on different lattices")
         if X.t != t:
@@ -224,8 +223,7 @@ def expand_dual(st: OneStepStructure, r: int, t: int, cap: int = _EXPANSION_CAP)
     level outside [r, t) is its one (1, n) row of choice 0.
     """
     lat = st.lattice
-    _check_time(lat, r)
-    _check_time(lat, t)
+    _check_span(lat, r, t)
     sizes, count = _selection_sizes(st, r, t, cap)
 
     # picks[c, n]: the choice of selection c at the n-th node of [r, t), in
@@ -323,6 +321,8 @@ def acceptance_decompose(X: RandomVariable, st: OneStepStructure, r: int, s: int
     Y in A_{s,t}; Y = X + lift(rho_{s,t}(X)), Z = -lift(rho_{s,t}(X))."""
     if Q.lattice is not st.lattice:
         raise ValueError("structure and measure live on different lattices")
+    _check_span(st.lattice, r, s)
+    _check_span(st.lattice, s, t)
     q_mask = charged_mask(Q, r)
     if np.any(st.rho(r, t, X).values[q_mask] > _ACCEPT_TOL):
         raise ValueError("X is not accepted between r and t under Q")

@@ -73,15 +73,19 @@ class CFLError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class VolatilityBand:
-    """Lower/upper volatility, constant or sampled once per step of the grid
-    it runs on (``GridSpec.check_cfl`` checks the length)."""
+    """Lower/upper volatility, constant (a number) or sampled once per step
+    of the grid it runs on (a 1-D array; ``GridSpec.check_cfl`` checks the
+    length)."""
 
     sigma_low: np.ndarray
     sigma_high: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.sigma_low, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.sigma_high, dtype=float))
+        lo, hi = (np.asarray(v, dtype=float) for v in (self.sigma_low, self.sigma_high))
+        if lo.ndim > 1 or hi.ndim > 1:
+            raise ValueError(f"volatilities must be numbers or 1-D arrays, got shapes "
+                             f"{lo.shape} and {hi.shape}")
+        lo, hi = np.atleast_1d(lo, hi)
         if lo.shape != hi.shape:
             raise ValueError("sigma_low and sigma_high must have the same shape")
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):

@@ -68,10 +68,10 @@ class ScenarioLattice:
     time-(k+1) array adds ``fanouts[k]`` strided slices, or is one
     ``np.add.reduceat`` over ``offsets[k][:-1]`` (``_per_parent``).  The
     dimension is an integer >= 1 and the parents integers (numpy ones too,
-    not bools).  Every level's parents are checked at once, on the joined
-    parents, and that pass lays out ``_chain``, the joined layout that only
-    this module reads (``_per_parent``, ``_per_child``, ``_child_counts``,
-    ``_levels``).
+    not bools), one 1-D level per time index.  Every level's parents are
+    checked at once, on the joined parents, and that pass lays out
+    ``_chain``, the joined layout that only this module reads
+    (``_per_parent``, ``_per_child``, ``_child_counts``, ``_levels``).
     Lattices compare by identity.
     """
 
@@ -103,19 +103,21 @@ class ScenarioLattice:
             raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
         if len(self.parents) != len(times) or len(self.increments) != len(times):
             raise ValueError("parents/increments must have one entry per time point")
-        if len(self.parents[0]) != 1 or self.parents[0][0] != -1:
-            raise ValueError("there must be a unique root at time index 0")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "dimension", int(d))
 
         parents = tuple(map(np.asarray, self.parents))
         for k, (level, p) in enumerate(zip(self.parents, parents)):
+            if p.ndim != 1:
+                raise ValueError(f"time index {k}: parents must be 1-D, got shape {p.shape}")
             # numpy would read a bool among integers as an integer
             mixed = not isinstance(level, np.ndarray) and any(
                 isinstance(v, (bool, np.bool_)) for v in level)
             if mixed or p.size and p.dtype.kind not in "iu":
                 raise ValueError(f"time index {k}: parents must be integers, "
                                  f"got {'bool' if mixed else p.dtype}")
+        if parents[0].tolist() != [-1]:
+            raise ValueError("there must be a unique root at time index 0")
         parents = tuple(p.astype(int, copy=False) for p in parents)
         object.__setattr__(self, "parents", parents)
         # every level at once: node i of level k is node starts[k] + i in time
@@ -187,9 +189,7 @@ class ScenarioLattice:
 
     def ancestors_of_slice(self, t: int, s: int) -> np.ndarray:
         """Array mapping every time-t node to its time-s ancestor index."""
-        _check_time(self, t)
-        if not 0 <= s <= t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+        _check_span(self, s, t)
         idx = np.arange(self.n_nodes(t))
         for u in range(t, s, -1):
             idx = self.parents[u][idx]
@@ -197,6 +197,7 @@ class ScenarioLattice:
 
     def descendant_slice(self, s: int, i: int, t: int) -> slice:
         """Contiguous index range of time-t descendants of node (s, i)."""
+        _check_span(self, s, t)
         lo, hi = i, i + 1
         for u in range(s, t):
             lo, hi = int(self.offsets[u][lo]), int(self.offsets[u][hi])
@@ -224,20 +225,31 @@ def _node_at(lattice: ScenarioLattice, j: int) -> tuple:
     return k, j - starts[k]
 
 
-def _check_integer(t) -> None:
-    """Raise ValueError naming t unless it is an integer (a numpy one too, not
-    a bool), as a time index must be."""
-    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-        raise ValueError(f"time index {t!r} is not an integer")
+def _check_integer(v, name: str) -> None:
+    """Raise ValueError naming v, a ``name`` such as "time index", unless it
+    is an integer (a numpy one too, not a bool), as a time or node index
+    must be."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} {v!r} is not an integer")
 
 
 def _check_time(lattice: ScenarioLattice, t: int) -> None:
     """Raise ValueError naming t unless it is one of the lattice's time
     indices: an integer (``_check_integer``) in [0, T]; a negative index would
     otherwise read a level from the end."""
-    _check_integer(t)
+    _check_integer(t, "time index")
     if not 0 <= t <= lattice.terminal:
         raise ValueError(f"time index {t} outside [0, {lattice.terminal}]")
+
+
+def _check_span(lattice: ScenarioLattice, s: int, t: int) -> None:
+    """Raise ValueError unless s and t are time indices of the lattice
+    (``_check_time``, s first) with s <= t: the one rule for a date pair,
+    such as the dates of rho_{s,t} or of a conditional expectation."""
+    _check_time(lattice, s)
+    _check_time(lattice, t)
+    if s > t:
+        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -491,9 +503,7 @@ def uniform_tree(times: Sequence[float], step_increments) -> ScenarioLattice:
 
 def lift(X: RandomVariable, t: int) -> RandomVariable:
     """Inclusion of time-s variables among time-t variables (s <= t)."""
-    _check_time(X.lattice, t)
-    if t < X.t:
-        raise ValueError(f"cannot lift from time index {X.t} down to {t}")
+    _check_span(X.lattice, X.t, t)
     if t == X.t:
         return X
     anc = X.lattice.ancestors_of_slice(t, X.t)
@@ -510,10 +520,14 @@ def coordinate_process(lattice: ScenarioLattice, s: int, coord: int = 0) -> Rand
 def validate_stopping_time(lattice: ScenarioLattice, stops: Iterable[NodeRef]):
     """Check the antichain-cover invariant.
 
-    Returns (True, None) or (False, first violating root-to-leaf path).
+    Returns (True, None) or (False, first violating root-to-leaf path); a
+    stop outside the lattice is its own path.  A stop's date and node index
+    must be integers (``_check_integer``), or ValueError names them.
     """
     masks = [np.zeros(lattice.n_nodes(t), dtype=int) for t in range(lattice.n_times)]
     for n in stops:
+        _check_integer(n.t, "time index")
+        _check_integer(n.i, "node index")
         if not (0 <= n.t < lattice.n_times and 0 <= n.i < lattice.n_nodes(n.t)):
             return False, [NodeRef(n.t, n.i)]
         masks[n.t][n.i] = 1

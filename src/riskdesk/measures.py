@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_time, _child_counts,
-                      _levels, _node_at, _per_child, _per_parent, lift)
+from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_span, _check_time,
+                      _child_counts, _levels, _node_at, _per_child, _per_parent, lift)
 
 __all__ = [
     "Measure",
@@ -199,10 +199,7 @@ class Measure:
         """Per time-t node, the conditional path probability from its time-s
         ancestor, computed from the kernels (defined at null nodes too);
         ``descendant_slice(s, i, t)`` cuts out node (s, i)'s subtree law."""
-        _check_time(self.lattice, s)
-        _check_time(self.lattice, t)
-        if s > t:
-            raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
+        _check_span(self.lattice, s, t)
         probs = np.ones(self.lattice.n_nodes(s))
         for u in range(s, t):
             probs = probs[self.lattice.parents[u + 1]] * self.flat_kernels[u]
@@ -222,9 +219,7 @@ def conditional_expectation(X: RandomVariable, Q: Measure, s: int) -> RandomVari
     """
     if Q.lattice is not X.lattice:
         raise ValueError("measure and variable live on different lattices")
-    _check_time(X.lattice, s)
-    if s > X.t:
-        raise ValueError(f"need s <= t, got s={s} > t={X.t}")
+    _check_span(X.lattice, s, X.t)
     vals = _backward(X.lattice, s, X.values, Q.flat_kernels[s:X.t])
     return RandomVariable(X.lattice, s, vals, allow_infinite=X.allow_infinite)
 

@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional
 import json
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _check_integer, _levels, lift
+from .lattice import RandomVariable, ScenarioLattice, _backward, _check_span, _levels, lift
 from .measures import (Measure, charged_mask, check_restriction, measure_from_json,
                        measure_to_json)
 
@@ -52,9 +52,9 @@ __all__ = [
 @dataclass(frozen=True, eq=False)
 class DualRep:
     """Conditional risk measure rho_{s,t} as (measure, penalty) components, for
-    integer time indices 0 <= s <= t <= T (numpy integers too, not bools),
-    stored stacked: per time index u in [s, t) the (K, n_{u+1}) ``kernels``,
-    and the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
+    time indices s <= t of the lattice (``lattice._check_span``), stored
+    stacked: per time index u in [s, t) the (K, n_{u+1}) ``kernels``, and
+    the (K, n_s) ``penalties``, real or +inf, one finite per time-s node.
     ``components[k]`` is the k-th (Measure, penalty) pair, built on first
     read when ``expand_dual`` passes stacked arrays.  Given components, the
     members' joined kernels are stacked once and each level is a view of
@@ -72,11 +72,9 @@ class DualRep:
     penalties: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        _check_integer(self.s)
-        _check_integer(self.t)
         comps = self.components
         if isinstance(comps, _Stacked):
-            lat, pen, kernels = comps.lattice, comps.penalties, comps.kernels[self.s:self.t]
+            lat, pen, kernels = comps.lattice, comps.penalties, comps.kernels
         else:
             comps = tuple(comps)
             if not comps:
@@ -88,16 +86,13 @@ class DualRep:
             pen = np.array([a.values for _, a in comps])
             # every level at once: each level's (K, n_{u+1}) columns of the
             # members' joined kernels
-            kernels = _levels(lat, np.array([Q._kernel_buffer for Q, _ in comps]))[self.s:self.t]
-        if not 0 <= self.s <= self.t:
-            raise ValueError("need 0 <= s <= t")
-        if self.t > lat.terminal:
-            raise ValueError(f"time index t={self.t} beyond the terminal index {lat.terminal}")
+            kernels = _levels(lat, np.array([Q._kernel_buffer for Q, _ in comps]))
+        _check_span(lat, self.s, self.t)
+        kernels = tuple(kernels[self.s:self.t])
         if not np.all(pen > -np.inf):
             raise ValueError("penalties must be real or +inf")
         if np.any(np.all(np.isinf(pen), axis=0)):
             raise ValueError("every time-s node needs a finite-penalty component")
-        kernels = tuple(kernels)
         for w in (pen, *kernels):
             w.flags.writeable = False
         for name, value in (("components", comps), ("lattice", lat),
@@ -341,6 +336,7 @@ def partition_combine(lattice: ScenarioLattice, s: int,
     if not pieces:
         raise ValueError("need at least one piece")
     t = pieces[0][0].t
+    _check_span(lattice, s, t)
     seen = np.full(lattice.n_nodes(s), -1, dtype=int)
     for idx, (X, nodes) in enumerate(pieces):
         if X.t != t or X.lattice is not lattice:

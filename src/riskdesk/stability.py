@@ -23,10 +23,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .lattice import (NodeRef, RandomVariable, ScenarioLattice, StoppingTime, _per_child,
-                      _per_parent, validate_stopping_time)
+from .lattice import (NodeRef, RandomVariable, ScenarioLattice, StoppingTime, _levels, _node_at,
+                      _per_child, _per_parent, validate_stopping_time)
 from .dynamics import _EXPANSION_CAP, OneStepStructure, expand_dual
-from .measures import Measure, _kernel_gap
+from .measures import Measure, _kernel_gap, _normalized
 
 __all__ = [
     "paste",
@@ -39,21 +39,26 @@ __all__ = [
 _SAME_KERNEL_TOL = 1e-12  # the largest gap between two kernels that count as one
 
 
-def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime):
-    """Per node: True iff the node is at or after the stopping time."""
-    masks = [np.zeros(lattice.n_nodes(t), dtype=bool) for t in range(lattice.n_times)]
+def _stopped_mask(lattice: ScenarioLattice, tau: StoppingTime) -> np.ndarray:
+    """Per node, every node in time order: True iff the node is at or after
+    the stopping time."""
+    mask = np.zeros(sum(p.size for p in lattice.parents), dtype=bool)
+    levels = _levels(lattice, mask)
     for n in tau.stops:
-        masks[n.t][n.i] = True
-    for t in range(1, lattice.n_times):
-        masks[t] |= masks[t - 1][lattice.parents[t]]
-    return masks
+        levels[n.t][n.i] = True
+    for t, (above, level) in enumerate(zip(levels, levels[1:]), 1):
+        level |= above[lattice.parents[t]]
+    return mask
 
 
 def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     """Q's kernels strictly before tau, P's kernels at and after tau.
 
     Requires Q << P node-wise; equivalently the density process of the
-    result w.r.t. P is that of Q frozen at tau.
+    result w.r.t. P is that of Q frozen at tau.  Every level at once: the
+    absolute continuity on the joined node probabilities, the choice of
+    kernel by one ``np.where`` over the joined kernels, normalized as
+    ``Measure`` normalizes them.
     """
     lat = P.lattice
     if Q.lattice is not lat:
@@ -61,15 +66,13 @@ def paste(P: Measure, Q: Measure, tau: StoppingTime) -> Measure:
     ok, witness = validate_stopping_time(lat, tau.stops)
     if not ok:
         raise ValueError(f"invalid stopping time, witness path {witness}")
-    for t in range(lat.n_times):
-        bad = np.flatnonzero((Q.node_probabilities(t) > 0) & (P.node_probabilities(t) == 0))
-        if bad.size:
-            raise ValueError(f"Q is not absolutely continuous w.r.t. P at node ({t},{bad[0]})")
-    masks = _stopped_mask(lat, tau)
-    return Measure(lat, tuple(
-        lat.per_node(k, np.where(masks[k][lat.parents[k + 1]],
-                                 P.flat_kernels[k], Q.flat_kernels[k]))
-        for k in range(lat.n_times - 1)))
+    bad = (Q._prob_buffer > 0) & (P._prob_buffer == 0)
+    if bad.any():
+        raise ValueError("Q is not absolutely continuous w.r.t. P at node ({},{})".format(
+            *_node_at(lat, int(np.argmax(bad)))))
+    stopped = _stopped_mask(lat, tau)[:-lat.n_nodes(lat.terminal)]  # the non-terminal nodes
+    flat = np.where(_per_child(lat, stopped), P._kernel_buffer, Q._kernel_buffer)
+    return Measure._from_flat(lat, _normalized(lat, flat))
 
 
 def is_stable(measures: Sequence[Measure]):

@@ -439,6 +439,21 @@ def test_kept_process_skips_batches_and_non_finite_passes():
                for a in (X.values, out.values))
 
 
+def test_a_rejected_rho_call_leaves_the_kept_process():
+    # the dates are checked before the recursion runs, so a call that is
+    # rejected neither reads nor replaces what is kept
+    rng = np.random.default_rng(109)
+    lat, dyn, _ = random_menu_dynamic(rng)
+    T = lat.terminal
+    X, Y = random_rv(lat, T, rng), random_rv(lat, 1, rng)
+    dyn.rho(0, T, X)
+    kept = dyn._process
+    for s, t, V in ((0, True, Y), (1.0, T, X), (np.float64(0.0), T, X), (T, 1, Y)):
+        with pytest.raises(ValueError):
+            dyn.rho(s, t, V)
+        assert dyn._process is kept
+
+
 def test_a_position_runs_only_the_recursions_it_needs(monkeypatch):
     # after rho(0, T), rho(half, T) and the check on [0, half, T] read the kept
     # process: the check runs only its two passes under P

@@ -443,6 +443,13 @@ def test_band_validation():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: VolatilityBand([0.1, 0.1], [0.2, 0.2, 0.2]), "must have the same shape"),
+    # a 2-D array built, and bid_ask died with a bare TypeError in _evolve
+    (lambda: VolatilityBand(np.full((4, 1), 0.1), np.full((4, 1), 0.2)),
+     r"must be numbers or 1-D arrays, got shapes \(4, 1\) and \(4, 1\)"),
+    (lambda: VolatilityBand([[0.1]], [[0.2]]),
+     r"must be numbers or 1-D arrays, got shapes \(1, 1\) and \(1, 1\)"),
+    (lambda: VolatilityBand(0.1, np.full((2, 2), 0.2)),
+     r"must be numbers or 1-D arrays, got shapes \(\) and \(2, 2\)"),
     (lambda: GridSpec(dt=0.0, h=0.05, radius=40, horizon=1.0), "must be positive"),
     (lambda: GridSpec(dt=0.005, h=-0.05, radius=40, horizon=1.0), "must be positive"),
     (lambda: GridSpec(dt=0.005, h=0.05, radius=0, horizon=1.0), "must be positive"),
@@ -450,7 +457,8 @@ def test_band_validation():
     (lambda: expectation_under_field(np.abs, np.full((COARSE.n_steps, COARSE.x.size),
                                                      1.01 * COARSE.h ** 2), COARSE),
      "kernel positivity bound"),
-], ids=["band-shapes", "dt", "h", "radius", "horizon", "field-above-h2"])
+], ids=["band-shapes", "band-column", "band-1x1", "band-2x2", "dt", "h", "radius", "horizon",
+        "field-above-h2"])
 def test_malformed_bands_grids_and_fields_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from riskdesk.dynamics import expand_dual
+from riskdesk.dynamics import acceptance_decompose, expand_dual
 from riskdesk.fixtures import fix_a_family, fix_a_lattice, random_lattice, trinomial_tree
 from riskdesk.gexp import quadratic_variation
 from riskdesk.lattice import (
@@ -22,7 +22,7 @@ from riskdesk.lattice import (
     validate_stopping_time,
 )
 from riskdesk.measures import charged_mask, check_restriction, conditional_expectation
-from riskdesk.stability import rectangular_hull
+from riskdesk.stability import paste, rectangular_hull
 
 
 def test_fix_a_node_counts():
@@ -156,6 +156,23 @@ def _fix_a_hull():
     return rectangular_hull(list(_fix_a_members()))
 
 
+def _fix_a_stops(*stops):
+    # the stops complete at time 2 on the paths they leave open
+    lat = fix_a_lattice()
+    return lat, frozenset(stops) | {NodeRef(2, 2), NodeRef(2, 3)}
+
+
+def _fix_a_rho(s, t):
+    hull = _fix_a_hull()
+    return hull.rho(s, t, coordinate_process(hull.lattice, 2 if t == 2 else 1))
+
+
+def _fix_a_decompose(r, s, t):
+    members = _fix_a_members()
+    X = coordinate_process(members[0].lattice, 2) - 10.0
+    return acceptance_decompose(X, rectangular_hull(list(members)), r, s, t, members[0])
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: charged_mask(_fix_a_members()[0], -1), "time index -1 outside [0, 2]"),
     (lambda: charged_mask(_fix_a_members()[0], 3), "time index 3 outside [0, 2]"),
@@ -184,12 +201,33 @@ def _fix_a_hull():
     (lambda: lift(_fix_a_rv(1), 2.0), "time index 2.0 is not an integer"),
     (lambda: _fix_a_members()[0].subtree_laws(0, 1.0),
      "time index 1.0 is not an integer"),
+    # one date-pair rule: rho_{s,t} read t=True as 1 and died slicing a
+    # float s, an ancestor map read s=True as 1, a descendant range took any
+    # dates, and a decomposition with r > s reported X as not accepted
+    (lambda: _fix_a_rho(0, True), "time index True is not an integer"),
+    (lambda: _fix_a_rho(1.0, 2), "time index 1.0 is not an integer"),
+    (lambda: fix_a_lattice().ancestors_of_slice(2, True), "time index True is not an integer"),
+    (lambda: fix_a_lattice().descendant_slice(2, 0, 1), "need 0 <= s <= t, got s=2, t=1"),
+    (lambda: fix_a_lattice().descendant_slice(0, 0, 9), "time index 9 outside [0, 2]"),
+    (lambda: _fix_a_decompose(1, 0, 2), "need 0 <= s <= t, got s=1, t=0"),
+    # a stop's date and node index are integers: True was read as time 1
+    (lambda: validate_stopping_time(*_fix_a_stops(NodeRef(True, 0))),
+     "time index True is not an integer"),
+    (lambda: validate_stopping_time(*_fix_a_stops(NodeRef(1.0, 0))),
+     "time index 1.0 is not an integer"),
+    (lambda: validate_stopping_time(*_fix_a_stops(NodeRef(1, 0.0))),
+     "node index 0.0 is not an integer"),
+    (lambda: paste(*_fix_a_members(), StoppingTime(_fix_a_stops(NodeRef(True, 0))[1])),
+     "time index True is not an integer"),
 ], ids=["charged-mask-neg", "charged-mask-past", "node-probabilities-neg", "subtree-laws-s",
         "subtree-laws-t", "restriction-past", "restriction-neg", "lift-past", "lift-neg",
         "expand-dual-r", "expand-dual-t", "quadratic-variation-past",
         "quadratic-variation-neg", "stopping-time-past", "stopping-time-neg",
         "subtree-laws-order", "ancestors-order", "ancestors-past", "probabilities-bool",
-        "conditional-bool", "variable-bool", "lift-float", "subtree-laws-float"])
+        "conditional-bool", "variable-bool", "lift-float", "subtree-laws-float", "rho-bool-t",
+        "rho-float-s", "ancestors-bool", "descendants-order", "descendants-past",
+        "decompose-order", "stop-bool-time", "stop-float-time", "stop-float-node",
+        "paste-bool-time"])
 def test_time_indices_outside_the_lattice_are_rejected(call, message):
     # a negative index must not read a level from the end, nor one past the
     # terminal index raise IndexError; a later time before an earlier one
@@ -417,6 +455,10 @@ def _fix_a_rv(t=2):
      "time index 1: parents must be integers, got bool"),
     (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [0, False]), ([0.0], [1.0, -1.0])),
      "time index 1: parents must be integers, got bool"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], 0), ([0.0], [1.0, -1.0])),
+     r"time index 1: parents must be 1-D, got shape \(\)"),
+    (lambda: ScenarioLattice((0.0, 1.0), 1, ([-1], [[0, 0]]), ([0.0], [1.0, -1.0])),
+     r"time index 1: parents must be 1-D, got shape \(1, 2\)"),
     (lambda: lattice_from_json(fix_a_json(dimension=1.5)),
      "dimension must be an integer >= 1, got 1.5"),
     (lambda: lattice_from_json(fix_a_json(parent=1.5)),
@@ -437,6 +479,7 @@ def _fix_a_rv(t=2):
 ], ids=["one-time", "parents-per-time", "two-roots", "invalid-parent", "childless-node",
         "empty-level", "non-contiguous-children", "dimension-zero", "dimension-bool",
         "dimension-float", "float-parents", "bool-parents", "mixed-bool-parents",
+        "scalar-parents", "2-d-parents",
         "json-fractional-dimension",
         "json-fractional-parent", "json-bool-parent", "branching-count", "nan-time", "inf-time",
         "coordinate-range", "non-finite-values", "other-lattice", "other-time"])

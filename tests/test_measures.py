@@ -377,7 +377,7 @@ def _condition_after_the_variable():
      "missing kernel at time index 1"),
     (lambda: conditional_expectation(_fix_a_rv(), fix_a_family()[1], 0),
      "measure and variable live on different lattices"),
-    (_condition_after_the_variable, "need s <= t, got s=2 > t=1"),
+    (_condition_after_the_variable, "need 0 <= s <= t, got s=2, t=1"),
     (lambda: check_restriction(fix_a_family()[1], fix_a_family()[2], 1),
      "measures live on different lattices"),
 ], ids=["kernel-levels", "kernels-per-node", "empty-family", "mixed-family", "p-below-1",

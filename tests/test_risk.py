@@ -487,7 +487,7 @@ def test_dualrep_rejects_nan_and_minus_inf_penalties():
 
 def test_dualrep_rejects_t_beyond_terminal():
     lat, q1, _, _ = fix_a_family()
-    with pytest.raises(ValueError, match="t=5 beyond"):
+    with pytest.raises(ValueError, match=r"time index 5 outside \[0, 2\]"):
         DualRep(0, 5, ((q1, RandomVariable(lat, 0, np.zeros(1))),))
 
 
@@ -877,8 +877,11 @@ def _fix_a_rep():
     (lambda lat, rep: DualRep(0, 2.0, rep.components), "time index 2.0 is not an integer"),
     (lambda lat, rep: DualRep(1.0, 2, sublinear_rep(s=1)[1].components),
      "time index 1.0 is not an integer"),
+    (lambda lat, rep: partition_combine(lat, 1.0, [(coordinate_process(lat, 2), [0, 1])]),
+     "time index 1.0 is not an integer"),
 ], ids=["no-components", "s-after-t", "wrong-time", "foreign-variable", "no-pieces",
-        "mixed-pieces", "weight-off-s", "bool-t", "bool-s", "float-t", "float-s"])
+        "mixed-pieces", "weight-off-s", "bool-t", "bool-s", "float-t", "float-s",
+        "partition-float"])
 def test_malformed_representations_and_queries_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build(*_fix_a_rep())
