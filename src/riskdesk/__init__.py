@@ -41,11 +41,8 @@ from .fixtures import (
 )
 from .risk import (
     DualRep,
-    acceptance_check,
     minimal_penalty,
-    partition_combine,
     rm_evaluate,
-    strong_convexity_check,
 )
 from .dynamics import (
     OneStepStructure,
@@ -68,13 +65,10 @@ from .gexp import (
     GridSpec,
     PayoffSpec,
     VolatilityBand,
-    band_membership,
     bid_ask,
     conditional_gexp,
     expectation_under_field,
-    g_function,
     random_inband_field,
-    integration_by_parts_residual,
     quadratic_variation,
     robust_lattice_price,
 )

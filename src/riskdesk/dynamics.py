@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_span, _levels, _node_at,
-                      _per_child, _per_parent, lift)
+from .lattice import (RandomVariable, ScenarioLattice, _backward, _check_integer, _check_span,
+                      _levels, _node_at, _per_child, _per_parent, lift)
 from .measures import Measure, _kernel_gap, _menus, charged_mask, conditional_expectation
 from .risk import (_ACCEPT_TOL, DualRep, _component_values, _Stacked, minimal_penalty,
                    rm_evaluate)
@@ -351,7 +351,7 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     them.  The scan runs on every call; the walk's ``rho`` steps read the
     structure's kept process, so after ``st.rho(s, T, X)`` with s at or
     before the grid's first date they run no recursion of the structure,
-    only P's passes.  Grid dates must be integers (not bools), strictly
+    only P's passes.  Grid dates must be integers (``_check_integer``), strictly
     increasing inside [0, X.t].
     """
     lat = st.lattice
@@ -366,8 +366,7 @@ def supermartingale_check(st: OneStepStructure, X: RandomVariable, P: Measure,
     T = X.t
     grid = list(s_grid) if s_grid is not None else list(range(T + 1))
     for a, s in enumerate(grid):
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)):
-            raise ValueError(f"grid date {s!r} is not an integer time index")
+        _check_integer(s, "grid date")
         if not (grid[a - 1] if a else -1) < s <= T:
             raise ValueError(f"grid date {s} is not strictly increasing inside [0, {T}]")
     # one walk down the grid: rho_{s,T} = rho_{s,s_next}(-rho_{s_next,T}), and

@@ -38,20 +38,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _check_time, _per_parent, coordinate_process
+from .lattice import RandomVariable, ScenarioLattice, _check_time
 
 __all__ = [
     "VolatilityBand",
     "GridSpec",
     "PayoffSpec",
     "CFLError",
-    "g_function",
     "robust_lattice_price",
     "bid_ask",
     "conditional_gexp",
     "quadratic_variation",
-    "integration_by_parts_residual",
-    "band_membership",
     "random_inband_field",
     "expectation_under_field",
 ]
@@ -63,8 +60,6 @@ _MAX_CELLS = 2 ** 24  # mesh cells of a cylinder payoff: n^k for k free dates, n
 # below about 10^4 cells per block, or below 4 to 8 steps.  The split was
 # measured on at most two CPUs; more blocks are bit-identical but untimed
 _BLOCK_CELLS, _BLOCK_STEPS = 2 ** 14, 8
-# how far a kernel's one-step mean and variance may stray from 0 and the band
-_MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
 
 
 class CFLError(ValueError):
@@ -190,17 +185,6 @@ def _on_grid(values, shape: tuple) -> np.ndarray:
     except ValueError:
         raise ValueError(f"the payoff returned shape {v.shape}, which does not "
                          f"broadcast to the grid shape {shape}") from None
-
-
-def g_function(a: float, sigma_low: float, sigma_high: float):
-    """Band generator g(a) = (sigma_high^2 a+ - sigma_low^2 a-) / 2.
-
-    Monotone and positively homogeneous in a; g(0) = 0.
-    """
-    a = np.asarray(a, dtype=float)
-    out = 0.5 * (sigma_high ** 2 * np.maximum(a, 0.0)
-                 - sigma_low ** 2 * np.maximum(-a, 0.0))
-    return out if out.ndim else float(out)
 
 
 def _cpu_count() -> int:
@@ -408,35 +392,6 @@ def quadratic_variation(lattice: ScenarioLattice, t: int, coord: int = 0) -> Ran
     for u in range(1, t + 1):
         vals = vals[lattice.parents[u]] + lattice.increments[u][:, coord] ** 2
     return RandomVariable(lattice, t, vals)
-
-
-def integration_by_parts_residual(lattice: ScenarioLattice, t: int,
-                                  coord: int = 0) -> RandomVariable:
-    """Node-wise residual of B_t^2 - 2 sum B_u Delta B_{u+1} = sum (Delta B)^2,
-    which vanishes identically (discrete integration by parts)."""
-    b = coordinate_process(lattice, t, coord).values
-    stoch_int = np.zeros(1)
-    for u in range(1, t + 1):
-        par = lattice.parents[u]
-        stoch_int = (stoch_int[par]
-                     + lattice.values[u - 1][par, coord] * lattice.increments[u][:, coord])
-    qv = quadratic_variation(lattice, t, coord).values
-    return RandomVariable(lattice, t, b ** 2 - 2.0 * stoch_int - qv)
-
-
-def band_membership(Q, band: VolatilityBand, dt: float) -> bool:
-    """True iff every kernel of Q has zero mean and one-step variance inside
-    [sigma_low^2 dt, sigma_high^2 dt] (martingale measure within the band)."""
-    lat = Q.lattice
-    for k in range(lat.n_times - 1):
-        lo, hi = band.at_step(k)
-        inc = lat.increments[k + 1][:, 0]
-        mean = _per_parent(lat, k, Q.flat_kernels[k] * inc)
-        var = _per_parent(lat, k, Q.flat_kernels[k] * inc ** 2)
-        if np.any((np.abs(mean) > _MEAN_TOL) | (var < lo ** 2 * dt - _VAR_TOL)
-                  | (var > hi ** 2 * dt + _VAR_TOL)):
-            return False
-    return True
 
 
 def random_inband_field(grid: GridSpec, band: VolatilityBand,

@@ -196,8 +196,12 @@ class ScenarioLattice:
         return idx
 
     def descendant_slice(self, s: int, i: int, t: int) -> slice:
-        """Contiguous index range of time-t descendants of node (s, i)."""
+        """Contiguous index range of time-t descendants of node (s, i); i must
+        be an integer (``_check_integer``) in [0, n_s)."""
         _check_span(self, s, t)
+        _check_integer(i, "node index")
+        if not 0 <= i < self.n_nodes(s):
+            raise ValueError(f"time-{s} node {i} outside [0, {self.n_nodes(s)})")
         lo, hi = i, i + 1
         for u in range(s, t):
             lo, hi = int(self.offsets[u][lo]), int(self.offsets[u][hi])

@@ -1,37 +1,34 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles that the acceptance battery, the benchmark's checks,
+demo 04 and the tests call.
 
 Each oracle recomputes a quantity from its raw definition, avoiding the code
 path under test: the convex conjugate by optimizing over test positions
-directly (growing box), literal grid search on tiny fixtures, dense-sampled
-Skorokhod costs over candidate time changes, Skorokhod distances by
-evaluating every monotone jump matching as one whole time change, band
-prices by the robust recursion on a trinomial scenario tree, and closed
-forms for the band prices of standard payoffs.
+directly (growing box), dense-sampled Skorokhod costs over candidate time
+changes and a grid search over them, band prices by the robust recursion on
+a trinomial scenario tree, and closed forms for the band prices of standard
+payoffs.  The oracles that only the tests use live in the tests: the literal
+conjugate grid search in ``tests/test_risk.py`` and the Skorokhod distances
+by enumerating every monotone jump matching in ``tests/test_skorokhod.py``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
 
 import numpy as np
 
 from .fixtures import trinomial_tree
 from .gexp import GridSpec, PayoffSpec, VolatilityBand, _on_grid
-from .risk import DualRep, rm_evaluate
+from .risk import DualRep
 from .lattice import RandomVariable
 from .measures import Measure
-from .skorokhod import _PAIR_WINDOW, StepPath, TimeChange, g_damping
+from .skorokhod import StepPath, TimeChange, g_damping
 from .dynamics import OneStepStructure
 
 __all__ = [
     "conjugate_box_oracle",
-    "conjugate_grid_oracle",
     "dense_timechange_cost",
     "dm_grid_oracle",
-    "dm_enumeration_oracle",
-    "j1_enumeration_oracle",
-    "witness_enumeration_oracle",
     "trinomial_band_oracle",
     "call_upper_value",
     "square_band_values",
@@ -90,26 +87,6 @@ def conjugate_box_oracle(rep: DualRep, Q: Measure) -> np.ndarray:
     return out
 
 
-def conjugate_grid_oracle(rep: DualRep, Q: Measure, node: int,
-                          grid: Sequence[float]) -> float:
-    """Literal grid search for the conjugate at one time-s node: enumerate
-    positions taking grid values on the node's descendants.  Exponential;
-    tiny fixtures only."""
-    lat = rep.lattice
-    s, t = rep.s, rep.t
-    sl = lat.descendant_slice(s, node, t)
-    width = sl.stop - sl.start
-    best = -np.inf
-    base = np.zeros(lat.n_nodes(t))
-    q = Q.subtree_laws(s, t)[sl]
-    for combo in itertools.product(grid, repeat=width):
-        base[sl] = combo
-        X = RandomVariable(lat, t, base)
-        ce = float(np.dot(q, -np.asarray(combo)))
-        best = max(best, ce - float(rm_evaluate(rep, X).values[node]))
-    return best
-
-
 def _values_at(p: StepPath, ts: np.ndarray) -> np.ndarray:
     table = np.vstack([np.zeros((1, p.dimension)), p.values])
     return table[np.searchsorted(p.times, ts, side="right")]
@@ -151,139 +128,6 @@ def dm_grid_oracle(x: StepPath, y: StepPath, m: int) -> float:
                                   (float(u2), float(v2))))
                 best = min(best, dense_timechange_cost(x, y, lam, m))
     return best
-
-
-def _monotone_matchings(p: int, q: int, allowed):
-    """All monotone matchings between index sets of sizes p and q whose pairs
-    are all in ``allowed`` (a set of (i, j)), fewest pairs first, then in
-    lexicographic order of the i and then the j indices."""
-    out = [()]
-    for k in range(1, min(p, q) + 1):
-        for xi in itertools.combinations(range(p), k):
-            for yj in itertools.combinations(range(q), k):
-                pairs = tuple(zip(xi, yj))
-                if all(pr in allowed for pr in pairs):
-                    out.append(pairs)
-    return out
-
-
-def _time_change(x: StepPath, y: StepPath, pairs, end=()) -> TimeChange:
-    """Piecewise-linear time change mapping y's matched jump times onto x's."""
-    return TimeChange(((0.0, 0.0),)
-                      + tuple((float(y.times[j]), float(x.times[i])) for i, j in pairs)
-                      + tuple(end))
-
-
-def _sup_damped_gap(x: StepPath, y: StepPath, lam: TimeChange, m: int) -> float:
-    """Exact sup over u of | g_m(lam(u)) x(lam(u)) - g_m(u) y(u) |.
-
-    Both terms are affine between breakpoints (path values constant, damping
-    and lam piecewise linear), so the sup is attained at interval endpoints.
-    """
-    end = max(float(m), lam.inverse(float(m)))
-    pts = {0.0, end, float(m - 1), float(m),
-           lam.inverse(float(m - 1)), lam.inverse(float(m))}
-    pts.update(float(u) for u in y.times)
-    pts.update(lam.inverse(float(u)) for u in x.times)
-    pts.update(u for u, _ in lam.knots)
-    pts = sorted(u for u in pts if 0.0 <= u <= end + 1e-12)
-    best = 0.0
-    for b1, b2 in zip(pts, pts[1:]):
-        mid = 0.5 * (b1 + b2)
-        xv = x.value(lam(mid))
-        yv = y.value(mid)
-        for b in (b1, b2):
-            gap = g_damping(lam(b), m) * xv - g_damping(b, m) * yv
-            best = max(best, float(np.max(np.abs(gap))))
-    return best
-
-
-def _sup_plain_gap(x: StepPath, y: StepPath, lam: TimeChange, upto: float,
-                   closed: bool) -> float:
-    """sup over u < upto (u <= upto when ``closed``) of | x(lam(u)) - y(u) |."""
-    pts = {0.0, upto}
-    pts.update(float(u) for u in y.times if u < upto)
-    pts.update(v for v in (lam.inverse(float(u)) for u in x.times) if v < upto)
-    pts.update(u for u, _ in lam.knots if u < upto)
-    pts = sorted(pts)
-    gap = 0.0
-    for b1, b2 in zip(pts, pts[1:]):
-        mid = 0.5 * (b1 + b2)
-        gap = max(gap, float(np.max(np.abs(x.value(lam(mid)) - y.value(mid)))))
-    if closed:
-        gap = max(gap, float(np.max(np.abs(x.value(lam(upto)) - y.value(upto)))))
-    return gap
-
-
-def _first_best(candidates):
-    """The first (cost, item) whose cost beats every earlier one by more
-    than 1e-12, in the given order."""
-    best_cost, best = np.inf, None
-    for cost, item in candidates:
-        if cost < best_cost - 1e-12:
-            best_cost, best = cost, item
-    return best_cost, best
-
-
-def dm_enumeration_oracle(x: StepPath, y: StepPath, m: int):
-    """d_m and its witness by evaluating every monotone matching of the jumps
-    (see ``skorokhod.dm_distance``) as one whole time change.  Exponential
-    in the jump count: up to about 5 jumps per path."""
-    if y.sort_key() < x.sort_key():
-        x, y = y, x
-    window = float(m) + _PAIR_WINDOW
-    xi = [i for i, u in enumerate(x.times) if u < window]
-    yj = [j for j, u in enumerate(y.times) if u < window]
-    allowed = {(a, b) for a in range(len(xi)) for b in range(len(yj))
-               if abs(x.times[xi[a]] - y.times[yj[b]]) <= _PAIR_WINDOW}
-
-    def candidates():
-        for pairs in _monotone_matchings(len(xi), len(yj), allowed):
-            lam = _time_change(x, y, [(xi[a], yj[b]) for a, b in pairs])
-            yield max(lam.sup_deviation(float(m)), _sup_damped_gap(x, y, lam, m)), lam
-
-    return _first_best(candidates())
-
-
-def j1_enumeration_oracle(x: StepPath, y: StepPath, horizon: float) -> float:
-    """The undamped distance of ``skorokhod.j1_distance`` by evaluating
-    every monotone matching of the jumps before the horizon."""
-    if y.sort_key() < x.sort_key():
-        x, y = y, x
-    p = int(np.sum(x.times < horizon))
-    q = int(np.sum(y.times < horizon))
-    allowed = {(a, b) for a in range(p) for b in range(q)}
-
-    def candidates():
-        for pairs in _monotone_matchings(p, q, allowed):
-            lam = _time_change(x, y, pairs)
-            yield max(lam.sup_deviation(horizon),
-                      _sup_plain_gap(x, y, lam, horizon, False)), lam
-
-    return _first_best(candidates())[0]
-
-
-def witness_enumeration_oracle(x_n: StepPath, x: StepPath, t: float, m_max: int):
-    """The report of ``skorokhod.convergence_witness`` with gamma found by
-    evaluating every monotone matching of the jumps before t."""
-    p = int(np.sum(x_n.times < t))
-    q = int(np.sum(x.times < t))
-    allowed = {(a, b) for a in range(p) for b in range(q)}
-    big = t * (1.0 - 1.0 / (1.0 + m_max))
-
-    def candidates():
-        for pairs in _monotone_matchings(p, q, allowed):
-            lam = _time_change(x_n, x, pairs, end=[(t, t)])
-            yield max(lam.sup_deviation(big),
-                      _sup_plain_gap(x_n, x, lam, big, True)), lam
-
-    _, gamma = _first_best(candidates())
-    return {
-        "gamma_sup": gamma.sup_deviation(t * (1 - 1e-12)),
-        "deviations": {m: _sup_plain_gap(x_n, x, gamma, t * (1.0 - 1.0 / (1.0 + m)), True)
-                       for m in range(1, m_max + 1)},
-        "gamma": gamma,
-    }
 
 
 def trinomial_band_oracle(payoff: PayoffSpec, band: VolatilityBand, grid: GridSpec) -> float:

@@ -33,17 +33,13 @@ from typing import NamedTuple, Optional
 import json
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _backward, _check_span, _levels, lift
-from .measures import (Measure, charged_mask, check_restriction, measure_from_json,
-                       measure_to_json)
+from .lattice import RandomVariable, ScenarioLattice, _backward, _check_span, _levels
+from .measures import Measure, check_restriction, measure_from_json, measure_to_json
 
 __all__ = [
     "DualRep",
     "rm_evaluate",
     "minimal_penalty",
-    "partition_combine",
-    "acceptance_check",
-    "strong_convexity_check",
     "dualrep_to_json",
     "dualrep_from_json",
 ]
@@ -323,62 +319,6 @@ def _pivot(T: list, basis: list, row: int, col: int) -> None:
             T[i] = [v - f * p for v, p in zip(t, piv)]
     T[row] = piv
     basis[row] = col
-
-
-def partition_combine(lattice: ScenarioLattice, s: int,
-                      pieces: Sequence) -> RandomVariable:
-    """Glue time-t variables along a partition of the time-s nodes.
-
-    ``pieces`` is a list of (X_i, iterable of time-s node indices); the sets
-    must partition the time-s slice.  The result takes X_i's value at every
-    leaf whose time-s ancestor lies in A_i.
-    """
-    if not pieces:
-        raise ValueError("need at least one piece")
-    t = pieces[0][0].t
-    _check_span(lattice, s, t)
-    seen = np.full(lattice.n_nodes(s), -1, dtype=int)
-    for idx, (X, nodes) in enumerate(pieces):
-        if X.t != t or X.lattice is not lattice:
-            raise ValueError("pieces must share the lattice and time index")
-        for n in nodes:
-            if not 0 <= n < seen.size:
-                raise ValueError(f"time-{s} node {n} outside [0, {seen.size})")
-            if seen[n] != -1:
-                raise ValueError(f"time-{s} node {n} covered twice")
-            seen[n] = idx
-    if np.any(seen == -1):
-        raise ValueError("partition does not cover all time-s nodes")
-    leaves = np.arange(lattice.n_nodes(t))
-    vals = np.stack([X.values for X, _ in pieces])[seen[lattice.ancestors_of_slice(t, s)], leaves]
-    return RandomVariable(lattice, t, vals)
-
-
-def acceptance_check(rep: DualRep, X: RandomVariable, Q: Optional[Measure] = None):
-    """Membership in the acceptance set: rho(X) <= 0 node-wise.
-
-    Without Q, checks every node charged by the representation's reference
-    (every node when no reference is attached).  With Q, checks only the
-    Q-charged time-s nodes.  Returns (overall, per-node booleans).
-    """
-    ok = rm_evaluate(rep, X).values <= _ACCEPT_TOL
-    P = rep.reference if Q is None else Q
-    return bool(np.all(ok if P is None else ok[charged_mask(P, rep.s)])), ok
-
-
-def strong_convexity_check(rep: DualRep, X: RandomVariable, Y: RandomVariable,
-                           f: RandomVariable) -> float:
-    """Max node-wise violation of rho(fX + (1-f)Y) <= f rho(X) + (1-f) rho(Y)
-    for a time-s weight 0 <= f <= 1; non-positive up to rounding for any
-    dual representation."""
-    if f.t != rep.s:
-        raise ValueError("the weight f must live at time s")
-    if np.any(f.values < 0) or np.any(f.values > 1):
-        raise ValueError("the weight f must take values in [0, 1]")
-    w = lift(f, rep.t).values
-    lhs = rm_evaluate(rep, RandomVariable(rep.lattice, rep.t, w * X.values + (1.0 - w) * Y.values))
-    rhs = f.values * rm_evaluate(rep, X).values + (1.0 - f.values) * rm_evaluate(rep, Y).values
-    return float(np.max(lhs.values - rhs))
 
 
 def dualrep_to_json(rep: DualRep) -> str:

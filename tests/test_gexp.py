@@ -13,23 +13,32 @@ from riskdesk.gexp import (
     GridSpec,
     PayoffSpec,
     VolatilityBand,
-    band_membership,
     bid_ask,
     conditional_gexp,
     expectation_under_field,
-    g_function,
-    integration_by_parts_residual,
     _evolve,
     quadratic_variation,
     random_inband_field,
     robust_lattice_price,
 )
+from riskdesk.lattice import RandomVariable, ScenarioLattice, _per_parent, coordinate_process
 from riskdesk.measures import Measure
 from riskdesk.oracles import call_upper_value, square_band_values, trinomial_band_oracle
 
 BAND = VolatilityBand(0.1, 0.2)
 FINE = GridSpec(dt=1e-3, h=0.01, radius=100, horizon=1.0)
 COARSE = GridSpec(dt=0.005, h=0.05, radius=40, horizon=1.0)
+
+
+def g_function(a: float, sigma_low: float, sigma_high: float):
+    """Band generator g(a) = (sigma_high^2 a+ - sigma_low^2 a-) / 2.
+
+    Monotone and positively homogeneous in a; g(0) = 0.
+    """
+    a = np.asarray(a, dtype=float)
+    out = 0.5 * (sigma_high ** 2 * np.maximum(a, 0.0)
+                 - sigma_low ** 2 * np.maximum(-a, 0.0))
+    return out if out.ndim else float(out)
 
 
 def test_g_function_hand_values():
@@ -329,6 +338,20 @@ def test_quadratic_variation_fix_a():
     assert np.array_equal(quadratic_variation(lat, 0).values, [0.0])
 
 
+def integration_by_parts_residual(lattice: ScenarioLattice, t: int,
+                                  coord: int = 0) -> RandomVariable:
+    """Node-wise residual of B_t^2 - 2 sum B_u Delta B_{u+1} = sum (Delta B)^2,
+    which vanishes identically (discrete integration by parts)."""
+    b = coordinate_process(lattice, t, coord).values
+    stoch_int = np.zeros(1)
+    for u in range(1, t + 1):
+        par = lattice.parents[u]
+        stoch_int = (stoch_int[par]
+                     + lattice.values[u - 1][par, coord] * lattice.increments[u][:, coord])
+    qv = quadratic_variation(lattice, t, coord).values
+    return RandomVariable(lattice, t, b ** 2 - 2.0 * stoch_int - qv)
+
+
 def test_integration_by_parts_exact():
     lat = fix_a_lattice()
     assert np.all(integration_by_parts_residual(lat, 2).values == 0.0)
@@ -341,6 +364,25 @@ def test_integration_by_parts_exact():
 
 def band_kernel(inc, v, h):
     return np.where(inc == 0.0, 1.0 - v / h ** 2, v / (2.0 * h ** 2))
+
+
+# how far a kernel's one-step mean and variance may stray from 0 and the band
+_MEAN_TOL, _VAR_TOL = 1e-10, 1e-12
+
+
+def band_membership(Q, band: VolatilityBand, dt: float) -> bool:
+    """True iff every kernel of Q has zero mean and one-step variance inside
+    [sigma_low^2 dt, sigma_high^2 dt] (martingale measure within the band)."""
+    lat = Q.lattice
+    for k in range(lat.n_times - 1):
+        lo, hi = band.at_step(k)
+        inc = lat.increments[k + 1][:, 0]
+        mean = _per_parent(lat, k, Q.flat_kernels[k] * inc)
+        var = _per_parent(lat, k, Q.flat_kernels[k] * inc ** 2)
+        if np.any((np.abs(mean) > _MEAN_TOL) | (var < lo ** 2 * dt - _VAR_TOL)
+                  | (var > hi ** 2 * dt + _VAR_TOL)):
+            return False
+    return True
 
 
 def test_band_membership():

@@ -209,6 +209,12 @@ def _fix_a_decompose(r, s, t):
     (lambda: fix_a_lattice().ancestors_of_slice(2, True), "time index True is not an integer"),
     (lambda: fix_a_lattice().descendant_slice(2, 0, 1), "need 0 <= s <= t, got s=2, t=1"),
     (lambda: fix_a_lattice().descendant_slice(0, 0, 9), "time index 9 outside [0, 2]"),
+    # a node index is an integer of its level: -1 gave the empty range
+    # slice(4, 0), 5 and 1.0 raised IndexError and True a bare TypeError
+    (lambda: fix_a_lattice().descendant_slice(1, -1, 2), "time-1 node -1 outside [0, 2)"),
+    (lambda: fix_a_lattice().descendant_slice(1, 5, 2), "time-1 node 5 outside [0, 2)"),
+    (lambda: fix_a_lattice().descendant_slice(1, 1.0, 2), "node index 1.0 is not an integer"),
+    (lambda: fix_a_lattice().descendant_slice(1, True, 2), "node index True is not an integer"),
     (lambda: _fix_a_decompose(1, 0, 2), "need 0 <= s <= t, got s=1, t=0"),
     # a stop's date and node index are integers: True was read as time 1
     (lambda: validate_stopping_time(*_fix_a_stops(NodeRef(True, 0))),
@@ -226,8 +232,9 @@ def _fix_a_decompose(r, s, t):
         "subtree-laws-order", "ancestors-order", "ancestors-past", "probabilities-bool",
         "conditional-bool", "variable-bool", "lift-float", "subtree-laws-float", "rho-bool-t",
         "rho-float-s", "ancestors-bool", "descendants-order", "descendants-past",
-        "decompose-order", "stop-bool-time", "stop-float-time", "stop-float-node",
-        "paste-bool-time"])
+        "descendants-neg-node", "descendants-past-node", "descendants-float-node",
+        "descendants-bool-node", "decompose-order", "stop-bool-time", "stop-float-time",
+        "stop-float-node", "paste-bool-time"])
 def test_time_indices_outside_the_lattice_are_rejected(call, message):
     # a negative index must not read a level from the end, nor one past the
     # terminal index raise IndexError; a later time before an earlier one

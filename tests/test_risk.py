@@ -1,8 +1,11 @@
+import itertools
 import os
 import subprocess
 import sys
+from collections.abc import Sequence
 from itertools import combinations
 from math import comb
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -17,24 +20,23 @@ from riskdesk.fixtures import (
     random_measure,
     random_rv,
 )
-from riskdesk.lattice import (RandomVariable, coordinate_process, lattice_to_json, lift,
-                              uniform_tree)
+from riskdesk.lattice import (RandomVariable, ScenarioLattice, _check_integer, _check_span,
+                              coordinate_process, lattice_to_json, lift, uniform_tree)
 from riskdesk.measures import (
     Measure,
+    charged_mask,
     conditional_expectation,
     mix_measures,
     reference_measure,
 )
-from riskdesk.oracles import conjugate_box_oracle, conjugate_grid_oracle
+from riskdesk.oracles import conjugate_box_oracle
 from riskdesk.risk import (
+    _ACCEPT_TOL,
     DualRep,
-    acceptance_check,
     dualrep_from_json,
     dualrep_to_json,
     minimal_penalty,
-    partition_combine,
     rm_evaluate,
-    strong_convexity_check,
 )
 
 
@@ -111,6 +113,26 @@ def test_minimal_penalty_restriction_discipline():
     with pytest.raises(ValueError, match="restriction"):
         minimal_penalty(rep, q2)
     assert np.all(minimal_penalty(rep, ref).values <= 1e-9)
+
+
+def conjugate_grid_oracle(rep: DualRep, Q: Measure, node: int,
+                          grid: Sequence[float]) -> float:
+    """Literal grid search for the conjugate at one time-s node: enumerate
+    positions taking grid values on the node's descendants.  Exponential;
+    tiny fixtures only."""
+    lat = rep.lattice
+    s, t = rep.s, rep.t
+    sl = lat.descendant_slice(s, node, t)
+    width = sl.stop - sl.start
+    best = -np.inf
+    base = np.zeros(lat.n_nodes(t))
+    q = Q.subtree_laws(s, t)[sl]
+    for combo in itertools.product(grid, repeat=width):
+        base[sl] = combo
+        X = RandomVariable(lat, t, base)
+        ce = float(np.dot(q, -np.asarray(combo)))
+        best = max(best, ce - float(rm_evaluate(rep, X).values[node]))
+    return best
 
 
 def test_minimal_penalty_against_oracles():
@@ -334,6 +356,63 @@ def test_minimal_penalty_never_loads_scipy_optimize(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env, cwd=tmp_path)
     assert out.stdout.strip() == "False"
+
+
+def partition_combine(lattice: ScenarioLattice, s: int,
+                      pieces: Sequence) -> RandomVariable:
+    """Glue time-t variables along a partition of the time-s nodes.
+
+    ``pieces`` is a list of (X_i, iterable of time-s node indices); the sets
+    must partition the time-s slice.  The result takes X_i's value at every
+    leaf whose time-s ancestor lies in A_i.
+    """
+    if not pieces:
+        raise ValueError("need at least one piece")
+    t = pieces[0][0].t
+    _check_span(lattice, s, t)
+    seen = np.full(lattice.n_nodes(s), -1, dtype=int)
+    for idx, (X, nodes) in enumerate(pieces):
+        if X.t != t or X.lattice is not lattice:
+            raise ValueError("pieces must share the lattice and time index")
+        for n in nodes:
+            _check_integer(n, "node index")
+            if not 0 <= n < seen.size:
+                raise ValueError(f"time-{s} node {n} outside [0, {seen.size})")
+            if seen[n] != -1:
+                raise ValueError(f"time-{s} node {n} covered twice")
+            seen[n] = idx
+    if np.any(seen == -1):
+        raise ValueError("partition does not cover all time-s nodes")
+    leaves = np.arange(lattice.n_nodes(t))
+    vals = np.stack([X.values for X, _ in pieces])[seen[lattice.ancestors_of_slice(t, s)], leaves]
+    return RandomVariable(lattice, t, vals)
+
+
+def acceptance_check(rep: DualRep, X: RandomVariable, Q: Optional[Measure] = None):
+    """Membership in the acceptance set: rho(X) <= 0 node-wise.
+
+    Without Q, checks every node charged by the representation's reference
+    (every node when no reference is attached).  With Q, checks only the
+    Q-charged time-s nodes.  Returns (overall, per-node booleans).
+    """
+    ok = rm_evaluate(rep, X).values <= _ACCEPT_TOL
+    P = rep.reference if Q is None else Q
+    return bool(np.all(ok if P is None else ok[charged_mask(P, rep.s)])), ok
+
+
+def strong_convexity_check(rep: DualRep, X: RandomVariable, Y: RandomVariable,
+                           f: RandomVariable) -> float:
+    """Max node-wise violation of rho(fX + (1-f)Y) <= f rho(X) + (1-f) rho(Y)
+    for a time-s weight 0 <= f <= 1; non-positive up to rounding for any
+    dual representation."""
+    if f.t != rep.s:
+        raise ValueError("the weight f must live at time s")
+    if np.any(f.values < 0) or np.any(f.values > 1):
+        raise ValueError("the weight f must take values in [0, 1]")
+    w = lift(f, rep.t).values
+    lhs = rm_evaluate(rep, RandomVariable(rep.lattice, rep.t, w * X.values + (1.0 - w) * Y.values))
+    rhs = f.values * rm_evaluate(rep, X).values + (1.0 - f.values) * rm_evaluate(rep, Y).values
+    return float(np.max(lhs.values - rhs))
 
 
 def test_partition_combine_gluing():
@@ -879,9 +958,13 @@ def _fix_a_rep():
      "time index 1.0 is not an integer"),
     (lambda lat, rep: partition_combine(lat, 1.0, [(coordinate_process(lat, 2), [0, 1])]),
      "time index 1.0 is not an integer"),
+    (lambda lat, rep: partition_combine(lat, 1, [(coordinate_process(lat, 2), [0, True])]),
+     "node index True is not an integer"),
+    (lambda lat, rep: partition_combine(lat, 1, [(coordinate_process(lat, 2), [0, 1.0])]),
+     "node index 1.0 is not an integer"),
 ], ids=["no-components", "s-after-t", "wrong-time", "foreign-variable", "no-pieces",
         "mixed-pieces", "weight-off-s", "bool-t", "bool-s", "float-t", "float-s",
-        "partition-float"])
+        "partition-float", "partition-bool-node", "partition-float-node"])
 def test_malformed_representations_and_queries_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build(*_fix_a_rep())
