@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import RandomVariable, ScenarioLattice, _check_time
+from .lattice import RandomVariable, ScenarioLattice, _check_time, _is_integer
 
 __all__ = [
     "VolatilityBand",
@@ -110,7 +110,7 @@ class GridSpec:
     horizon: float
 
     def __post_init__(self):
-        if isinstance(self.radius, bool) or not isinstance(self.radius, (int, np.integer)):
+        if not _is_integer(self.radius):
             raise ValueError(f"radius must be an integer, got {self.radius!r}")
         if not np.isfinite([self.dt, self.h, self.horizon]).all():
             raise ValueError(f"grid dt={self.dt}, h={self.h} and horizon={self.horizon} "

@@ -99,7 +99,7 @@ class ScenarioLattice:
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("time points must be strictly increasing (no duplicates)")
         d = self.dimension
-        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        if not _is_integer(d) or d < 1:
             raise ValueError(f"dimension must be an integer >= 1, got {d!r}")
         if len(self.parents) != len(times) or len(self.increments) != len(times):
             raise ValueError("parents/increments must have one entry per time point")
@@ -229,11 +229,16 @@ def _node_at(lattice: ScenarioLattice, j: int) -> tuple:
     return k, j - starts[k]
 
 
+def _is_integer(v) -> bool:
+    """Whether v is an integer, a numpy one too, but not a bool: the one
+    integer rule, for indices, counts and levels alike."""
+    return not isinstance(v, bool) and isinstance(v, (int, np.integer))
+
+
 def _check_integer(v, name: str) -> None:
     """Raise ValueError naming v, a ``name`` such as "time index", unless it
-    is an integer (a numpy one too, not a bool), as a time or node index
-    must be."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+    is an integer (``_is_integer``), as a time or node index must be."""
+    if not _is_integer(v):
         raise ValueError(f"{name} {v!r} is not an integer")
 
 

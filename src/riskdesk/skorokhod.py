@@ -18,7 +18,10 @@ would skip rows of X and read less than the witness costs.  Such a time
 change is linear between knots, so its cost is a max over pieces that each
 depend on two knots only, and the best matching is a minimax path through
 the DAG of jump pairs: polynomial in the jump counts, where enumerating
-matchings is exponential.
+matchings is exponential.  A piece's cost is one pass over its breakpoints
+(:func:`_cost`, :func:`_gap`, :func:`_scan`): lam, its inverse and both
+damping factors are written out inline, each breakpoint's factors serve the
+two intervals that meet there, and at m = inf, where g = 1, none are taken.
 The search is bounded, as in early-abandoning DTW search: a piece is priced
 only as far as the best cost so far can still be met (:func:`_best_matching`).
 The weighted sum over m yields the half-open-domain metric that makes the
@@ -51,11 +54,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import isfinite
 from numbers import Real
 from operator import sub
 from typing import Optional
 
 import numpy as np
+
+from .lattice import _is_integer
 
 __all__ = [
     "StepPath",
@@ -79,9 +85,10 @@ __all__ = [
 _MATCH_TOL = 1e-12
 _PAIR_WINDOW = 2.0  # how far apart d_m may pair jumps (see dm_distance)
 # relative slack on "before the ramp": just before a piece's end knot u1,
-# _lam can round a few ulps past v1
+# lam can round a few ulps past v1
 _ROUNDING = 1e-12
 _LAST_LEVEL = 1074  # 2.0 ** -m is 0.0 past it, so d-hat's later levels add 0.0
+_INF = float("inf")  # one global read in the pricing loops, where np.inf is two lookups
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,8 +96,10 @@ class StepPath:
     """Cadlag step function: x(0) = 0, jumps at strictly increasing times.
 
     ``values[i]`` is the (vector) value on [times[i], times[i+1]); the value
-    before the first jump is 0.  ``horizon`` is t for domain [0, t), finite
-    and > 0, and None for [0, inf).
+    before the first jump is 0.  ``times`` is one-dimensional, and
+    ``values`` holds one number or one row of at least one coordinate per
+    jump.  ``horizon`` is t for domain [0, t), finite and > 0, and None for
+    [0, inf).
     """
 
     times: np.ndarray
@@ -98,18 +107,34 @@ class StepPath:
     horizon: Optional[float] = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).reshape(-1)
+        times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
+        if times.ndim != 1:
+            if times.ndim:
+                raise ValueError(f"jump times must be one-dimensional, got shape {times.shape}")
+            times = times.reshape(1)
+        if values.ndim != 2:
+            if values.ndim != 1:
+                raise ValueError("values must be one number or one row per jump time, "
+                                 f"got shape {values.shape}")
             values = values.reshape(-1, 1)
-        if values.shape[0] != times.size:
+        n, d = values.shape
+        if n != times.size:
             raise ValueError("one value per jump time required")
-        if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        if not d:
+            raise ValueError(f"values must have at least one coordinate, got shape {values.shape}")
+        if not np.isfinite(values).all():
             raise ValueError("jump times and values must be finite")
-        if times.size and (times[0] <= 0 or np.any(np.diff(times) <= 0)):
+        # one shifted comparison: times that pass it are finite, and a NaN fails it
+        if n and not (times[0] > 0.0 and times[-1] < _INF
+                      and (n == 1 or (times[1:] > times[:-1]).all())):
+            if not np.isfinite(times).all():
+                raise ValueError("jump times and values must be finite")
             raise ValueError("jump times must be strictly increasing and > 0")
-        if self.horizon is not None and np.any(times >= _positive(self.horizon, "the horizon")):
-            raise ValueError("jump times must lie inside the domain [0, t)")
+        if self.horizon is not None:
+            horizon = _positive(self.horizon, "the horizon")
+            if n and times[-1] >= horizon:
+                raise ValueError("jump times must lie inside the domain [0, t)")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -139,7 +164,9 @@ class TimeChange:
         knots = tuple((float(u), float(v)) for u, v in self.knots)
         if not knots or knots[0] != (0.0, 0.0):
             raise ValueError("a time change must fix the origin")
-        if not (np.isfinite(knots).all() and (np.diff(knots, axis=0) > 0).all()):
+        # knots that rise from (0, 0) and stay below inf are finite; a NaN fails it
+        if not (all(u0 < u1 and v0 < v1 for (u0, v0), (u1, v1) in zip(knots, knots[1:]))
+                and knots[-1][0] < _INF and knots[-1][1] < _INF):
             raise ValueError(f"time-change knots must be finite and strictly increasing: {knots}")
         object.__setattr__(self, "knots", knots)
 
@@ -168,14 +195,18 @@ class TimeChange:
 
 
 def _positive(t, name: str) -> float:
-    if not (np.isfinite(t) and t > 0):
+    try:
+        ok = isfinite(t) and t > 0
+    except TypeError:  # not a real number: a string, None, a complex
+        raise ValueError(f"{name} must be a real number, got {t!r}") from None
+    if not ok:
         raise ValueError(f"{name} must be finite and > 0, got {t}")
     return float(t)
 
 
 def _level(m, name: str) -> int:
     """m itself when it is an integer (not a bool) >= 1."""
-    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_integer(m) or m < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {m!r}")
     return int(m)
 
@@ -198,8 +229,7 @@ def transform_path(x: StepPath, t: float) -> StepPath:
     """Transport a path on [0, t) to [0, inf) through alpha_t."""
     if x.horizon != t:
         raise ValueError("the path must live on [0, t)")
-    new_times = np.array([alpha_map(u, t) for u in x.times])
-    return StepPath(new_times, x.values, horizon=None)
+    return StepPath([alpha_map(u, t) for u in x.times.tolist()], x.values, horizon=None)
 
 
 def project_path(x: StepPath, t: float) -> StepPath:
@@ -237,49 +267,33 @@ def _piece(k0, k1):
     (u0, v0, u1, v1, slope, inverse slope)."""
     u0, v0 = k0
     if k1 is None:
-        return (u0, v0, np.inf, np.inf, 1.0, 1.0)
+        return (u0, v0, _INF, _INF, 1.0, 1.0)
     u1, v1 = k1
     return (u0, v0, u1, v1, (v1 - v0) / (u1 - u0), (u1 - u0) / (v1 - v0))
 
 
-# Both maps repeat np.interp's arithmetic and are exact at the knots, so a
-# cost taken piece by piece is, bit for bit, the cost of the whole TimeChange.
-def _lam(pc, u: float) -> float:
-    return pc[3] if u == pc[2] else pc[4] * (u - pc[0]) + pc[1]
-
-
-def _lam_inv(pc, v: float) -> float:
-    return pc[2] if v == pc[3] else pc[5] * (v - pc[1]) + pc[0]
-
-
-def _unit(w: float) -> float:
-    return 1.0 if w >= 1.0 else w if w > 0.0 else 0.0  # min(max(w, 0.0), 1.0), without calls
-
-
-def _deviation(pc, upto: float) -> float:
-    """The piece's share of sup_{[0, upto]} |lam(u) - u|: its end knot and,
-    if it holds upto, the point upto."""
-    u0, _, u1, v1 = pc[:4]
-    dev = abs(v1 - u1) if u1 <= upto else 0.0
-    if u0 <= upto < u1:
-        dev = max(dev, abs(_lam(pc, upto) - upto))
-    return dev
-
-
+# The pricing below takes lam(u) = v1 if u == u1 else slope (u - u0) + v0 and
+# lam^-1(v) = u1 if v == v1 else inverse slope (v - v0) + u0.  Both repeat
+# np.interp's arithmetic and are exact at the knots, so a cost taken piece by
+# piece is, bit for bit, the cost of the whole TimeChange.  Each function
+# writes out only the branch that its argument can take, and the damping
+# factor g_m(w) = min(max(m - w, 0.0), 1.0) as comparisons, without calls.
 def _inner(xt, pc):
     """The breakpoints lam^-1(t) of X's jump times t inside the piece, or None
     when floating point cannot place them: unless they rise strictly from u0
     to u1, an X row between two jumps whose breakpoints coincide lies on no
-    interval of the scan, and unless _lam maps each back to within
+    interval of the scan, and unless lam maps each back to within
     _ROUNDING t of t, X is damped far from its jump.  Only a steep piece,
     one that crosses whole X rows within a few ulps of u, fails either."""
-    u0, v0, u1, v1 = pc[:4]
+    u0, v0, u1, v1, slope, inv = pc
     out = []
+    last = u0
     for t in xt[bisect_right(xt, v0):bisect_left(xt, v1)]:
-        b = _lam_inv(pc, t)
-        if not (out[-1] if out else u0) < b < u1 or abs(_lam(pc, b) - t) > _ROUNDING * t:
+        b = inv * (t - v0) + u0  # lam^-1(t), as t < v1
+        if not last < b < u1 or abs(slope * (b - u0) + v0 - t) > _ROUNDING * t:
             return None
         out.append(b)
+        last = b
     return out
 
 
@@ -292,32 +306,38 @@ def _gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
     damping bends) the path values are constant and the damping terms
     affine, so the sup sits at interval ends, taken with the values inside
     (:func:`_scan`).  Past max(m, lam^-1(m)) both damping terms vanish, and
-    the piece is cut there.
+    the piece is cut there.  At m = inf nothing bends and nothing is cut.
 
     A piece whose X jumps floating point cannot place (:func:`_inner`) is
     not priced: its gap reads inf.
     """
-    xt, yt = X[0], Y[0]
-    u0, v0, u1, v1 = pc[:4]
+    u0, v0, u1, v1, _, inv = pc
     if u0 > upto:
         return 0.0
-    inner = _inner(xt, pc)
+    inner = _inner(X[0], pc)
     if inner is None:
-        return np.inf
+        return _INF
+    yt = Y[0]
     fm = float(m)
-    end = min(u1, upto)
+    end = upto if upto < u1 else u1
     pts = {u0, end}  # end = inf for the tail of d_m, which the cut below drops
     pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
     pts.update(inner)
-    for c in (fm - 1.0, fm):
-        if u0 <= c <= u1:
-            pts.add(c)
-        if v0 <= c < v1:
-            pts.add(_lam_inv(pc, c))
-    cut = min(end, np.inf if v1 <= fm else
-              (max(fm, _lam_inv(pc, fm)) if v0 <= fm else fm) + _MATCH_TOL)
-    bs = sorted(b for b in pts if b <= cut)
-    if closed and u0 <= upto < u1:
+    cut = end
+    if fm != _INF:
+        for c in (fm - 1.0, fm):
+            if u0 <= c <= u1:
+                pts.add(c)
+            if v0 <= c < v1:
+                pts.add(inv * (c - v0) + u0)
+        if fm < v1:  # cut at max(m, lam^-1(m)) + _MATCH_TOL, if before end
+            c = inv * (fm - v0) + u0 if v0 <= fm else fm
+            c = (c if c > fm else fm) + _MATCH_TOL
+            if c < end:
+                cut = c
+    bs = sorted(pts)
+    del bs[bisect_right(bs, cut):]
+    if closed and upto < u1:
         bs.append(upto)  # the point upto, as an interval of length 0
     return _scan(X, Y, pc, fm, bs, inner, 0.0, stop)
 
@@ -328,9 +348,10 @@ def _scan(X, Y, pc, fm: float, bs, inner, best: float, stop: float) -> float:
     ends and returns a lower bound > stop.  ``inner`` holds the breakpoints
     of X's jumps inside the piece, strictly increasing.
 
-    Each breakpoint's damping factors are computed once, and none at
-    m = inf, where g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an
-    interval whose ends share them is evaluated once.
+    Each breakpoint's damping factors are computed once, as the end factors
+    of one interval and the start factors of the next, and none at m = inf,
+    where g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an interval
+    whose ends share them is evaluated once.
 
     The paths' values inside an interval are read by counting jumps, not by
     evaluating the paths at a point inside: no jump of either path lies
@@ -340,28 +361,60 @@ def _scan(X, Y, pc, fm: float, bs, inner, best: float, stop: float) -> float:
     an X jump, when the ends lie a few ulps apart.
     """
     (xt, xrows), (yt, yrows) = X, Y
-    base = bisect_right(xt, pc[1])
-    g2 = (1.0, 1.0) if fm == np.inf else None
+    u0, v0, u1, v1, slope, _ = pc
+    base = bisect_right(xt, v0)
+    if fm == _INF:
+        for b1 in bs[:-1]:
+            for p, q in zip(xrows[base + bisect_right(inner, b1)], yrows[bisect_right(yt, b1)]):
+                d = abs(p - q)
+                if d > best:
+                    best = d
+            if best > stop:
+                return best
+        return best
+    if len(bs) < 2:
+        return best
+    b1 = bs[0]
+    w = fm - (v1 if b1 == u1 else slope * (b1 - u0) + v0)
+    gx = 1.0 if w >= 1.0 else w if w > 0.0 else 0.0
+    w = fm - b1
+    gy = 1.0 if w >= 1.0 else w if w > 0.0 else 0.0
     for b1, b2 in zip(bs, bs[1:]):
         xv = xrows[base + bisect_right(inner, b1)]
         yv = yrows[bisect_right(yt, b1)]
-        g1 = g2 or (_unit(fm - _lam(pc, b1)), _unit(fm - b1))  # carried from the last interval
-        if fm != np.inf:
-            g2 = (_unit(fm - _lam(pc, b2)), _unit(fm - b2))
-        for a, b in ((g1,) if g1 == g2 else (g1, g2)):
+        w = fm - (v1 if b2 == u1 else slope * (b2 - u0) + v0)
+        hx = 1.0 if w >= 1.0 else w if w > 0.0 else 0.0
+        w = fm - b2
+        hy = 1.0 if w >= 1.0 else w if w > 0.0 else 0.0
+        for p, q in zip(xv, yv):
+            d = abs(gx * p - gy * q)
+            if d > best:
+                best = d
+        if hx != gx or hy != gy:
             for p, q in zip(xv, yv):
-                d = abs(a * p - b * q)
+                d = abs(hx * p - hy * q)
                 if d > best:
                     best = d
         if best > stop:
             return best
+        gx, gy = hx, hy
     return best
 
 
 def _cost(X, Y, pc, m: float, reach: float, upto: float, closed: bool, stop: float):
-    """max(_deviation(pc, reach), _gap(...)); a deviation past ``stop`` skips the gap."""
-    dev = _deviation(pc, reach)
-    return dev if dev > stop else max(dev, _gap(X, Y, pc, m, upto, closed, stop))
+    """max(the piece's share of sup_{[0, reach]} |lam(u) - u| (its end knot
+    and, if it holds reach, the point reach), _gap(...)); a deviation past
+    ``stop`` skips the gap."""
+    u0, v0, u1, v1, slope, _ = pc
+    dev = abs(v1 - u1) if u1 <= reach else 0.0
+    if u0 <= reach < u1:
+        d = abs(slope * (reach - u0) + v0 - reach)
+        if d > dev:
+            dev = d
+    if dev > stop:
+        return dev
+    gap = _gap(X, Y, pc, m, upto, closed, stop)
+    return gap if gap > dev else dev
 
 
 def _pairs(X, Y, before: float, apart: float):
@@ -371,7 +424,7 @@ def _pairs(X, Y, before: float, apart: float):
             for j, yu in enumerate(Y[0]) if yu < before and abs(xu - yu) <= apart]
 
 
-def _best_matching(X, Y, pairs, cost, end=None, cap=np.inf):
+def _best_matching(X, Y, pairs, cost, end=None, cap=_INF):
     """Least-cost monotone matching of X's and Y's jumps, as a minimax path
     through the DAG of allowed jump pairs.
 
@@ -421,7 +474,7 @@ def _chains(nodes, knots, cost, stop: float):
     priced at ``stop``: edges go in increasing a, once best(a) is final, and
     none from an a with best(a) > stop.  best(b) is exact when at most
     ``stop`` and above ``stop`` otherwise, and so is each edge's cost."""
-    best = [0.0] + [np.inf] * (len(nodes) - 1)
+    best = [0.0] + [_INF] * (len(nodes) - 1)
     edges = {}  # (a, b) -> cost, in increasing a: a topological order
     for a, (ia, ja) in enumerate(nodes):
         if best[a] > stop:
@@ -446,7 +499,7 @@ def _close(nodes, knots, best, edges, close0: float, theta: float, cost, end):
     the value is the cost of a matching dearer than theta - _MATCH_TOL or,
     when no matching lies within theta, theta itself with knots None.
     """
-    close = [close0] + [np.inf] * (len(nodes) - 1)
+    close = [close0] + [_INF] * (len(nodes) - 1)
     for k in sorted(range(1, len(nodes)), key=best.__getitem__):
         if best[k] > theta:
             break
@@ -490,6 +543,10 @@ def _extrema(P):
     return out
 
 
+def _unit(w: float) -> float:
+    return 1.0 if w >= 1.0 else w if w > 0.0 else 0.0  # min(max(w, 0.0), 1.0), without calls
+
+
 def _damped_range(P, extrema, fm: float):
     """Per coordinate, (sup, inf) over [0, inf) of g_m times a prepared
     path, with g_m evaluated as :func:`_scan` evaluates it.
@@ -505,7 +562,7 @@ def _damped_range(P, extrema, fm: float):
         return extrema[n]
     hi, lo = extrema[n]
     for r in range(n, e):
-        g = _unit(fm - times[r])  # the end of row r, the start of row r + 1
+        g = _unit(fm - times[r])  # at the end of row r, the start of row r + 1
         for row in (rows[r], rows[r + 1]):
             damped = [g * v for v in row]
             hi, lo = tuple(map(max, hi, damped)), tuple(map(min, lo, damped))
@@ -525,7 +582,7 @@ def _floors(X, Y):
     intervals between breakpoints, with the values inside, and every jump
     of either path is a breakpoint.  It damps Y at Y's jump times as
     :func:`_damped_range` does, and X at lam of the breakpoint of an X jump
-    t, which _lam maps to within _ROUNDING t of t on every piece it prices
+    t, which lam maps to within _ROUNDING t of t on every piece it prices
     (:func:`_inner`), as "before the ramp" assumes.  Damping is 0 from m on,
     so a factor that counts is off by at most _ROUNDING m and an ulp, and
     the scan's max falls short of the range gap by less than 2 _ROUNDING m
@@ -583,7 +640,7 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
       past its last start-or-jump breakpoint J, the greatest of u0 and the
       jumps of either path on it.  When J sees damping exactly 1.0
       (m - J >= 1 and m - lam(J) >= 1), so does every breakpoint below it,
-      as _lam is monotone under rounding, and the intervals up to J are
+      as lam is monotone under rounding, and the intervals up to J are
       those of the m = inf scan up to J, with the same factors 1.0.  That
       scan is kept under (u0, v0); each m scans only the intervals from J
       through the ramp (:func:`_scan`).  A ramp point that rounds below J
@@ -618,27 +675,31 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
         if key not in heads:
             inner = _inner(xt, pc)
             J = max([u0] + [u for u in yt[-1:] if u >= u0] + inner[-1:]) \
-                if inner is not None else np.inf  # unplaceable: _cost reads inf at every m
+                if inner is not None else _INF  # unplaceable: _cost reads inf at every m
             heads[key] = [J, inner, None]
         J, inner, head = heads[key]
-        if fm - J < 1.0 or fm - _lam(pc, J) < 1.0:
-            return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
+        # lam(u) = u - u0 + v0 on the tail, J finite once the first test fails
+        if fm - J < 1.0 or fm - (J - u0 + v0) < 1.0:
+            return _cost(X, Y, pc, fm, fm, _INF, False, stop)
         if head is None:
-            head = heads[key][2] = _gap(X, Y, pc, np.inf, J, False, cap)
+            head = heads[key][2] = _gap(X, Y, pc, _INF, J, False, cap)
+        dev = abs(fm - u0 + v0 - fm)  # u0 <= J < fm, as in _cost
+        if head > stop:
+            return head if head > dev else dev
         # where the damping bends, as in _gap with u1 = v1 = inf
         ramp = [c for c in (fm - 1.0, fm) if u0 <= c] \
-            + [_lam_inv(pc, c) for c in (fm - 1.0, fm) if v0 <= c]
-        return max(_deviation(pc, fm), head if head > stop else
-                   _scan(X, Y, pc, fm, sorted({J, *ramp}), inner, head, stop))
+            + [c - v0 + u0 for c in (fm - 1.0, fm) if v0 <= c]
+        gap = _scan(X, Y, pc, fm, sorted({J, *ramp}), inner, head, stop)
+        return gap if gap > dev else dev
 
     def cost(pc, stop):
-        if pc[2] == np.inf:
+        if pc[2] == _INF:
             return tail_cost(pc, stop)
         if max(pc[2], pc[3]) * (1.0 + _ROUNDING) > fm - 1.0:
-            return _cost(X, Y, pc, fm, fm, np.inf, False, stop)
+            return _cost(X, Y, pc, fm, fm, _INF, False, stop)
         key = pc[:4]
         if key not in flat:
-            flat[key] = _cost(X, Y, pc, np.inf, np.inf, np.inf, False, cap)
+            flat[key] = _cost(X, Y, pc, _INF, _INF, _INF, False, cap)
         return flat[key]
 
     for m in ms:
@@ -652,7 +713,7 @@ def _dm_matchings(x: StepPath, y: StepPath, ms, clip: float):
             yield _best_matching(X, Y, pairs, cost, cap=cap)
             continue
         if dp is None:
-            nodes, knots = _dag(X, Y, _pairs(X, Y, np.inf, _PAIR_WINDOW))
+            nodes, knots = _dag(X, Y, _pairs(X, Y, _INF, _PAIR_WINDOW))
             dp = (nodes, knots, *_chains(nodes, knots, cost, cap))
         close0 = cost(_piece((0.0, 0.0), None), cap)
         yield _close(*dp, close0, min(close0 + _MATCH_TOL, cap), cost, None)
@@ -674,7 +735,7 @@ def dm_distance(x: StepPath, y: StepPath, m: int):
     X, Y = _canonical(x, y)
     fm = float(m)
     value, knots = _best_matching(X, Y, _pairs(X, Y, fm + _PAIR_WINDOW, _PAIR_WINDOW),
-                                  lambda pc, stop: _cost(X, Y, pc, fm, fm, np.inf, False, stop))
+                                  lambda pc, stop: _cost(X, Y, pc, fm, fm, _INF, False, stop))
     return value, TimeChange(tuple(knots))
 
 
@@ -716,8 +777,8 @@ def j1_distance(x: StepPath, y: StepPath, horizon: float) -> float:
     damped away.  Used for the projection-discontinuity contrast."""
     h = _positive(horizon, "horizon")
     X, Y = _canonical(x, y)
-    value, _ = _best_matching(X, Y, _pairs(X, Y, h, np.inf),
-                              lambda pc, stop: _cost(X, Y, pc, np.inf, h, h, False, stop))
+    value, _ = _best_matching(X, Y, _pairs(X, Y, h, _INF),
+                              lambda pc, stop: _cost(X, Y, pc, _INF, h, h, False, stop))
     return value
 
 
@@ -803,17 +864,17 @@ def convergence_witness(x_n: StepPath, x: StepPath, t: float, m_max: int):
     t = _positive(t, "t")
     m_max = _level(m_max, "m_max")
     X, Y = _prepared(x_n, x)
-    pairs = _pairs(X, Y, t, np.inf)
+    pairs = _pairs(X, Y, t, _INF)
 
     def deviation(pieces, m):
         upto = t * (1.0 - 1.0 / (1.0 + m))
-        return max(_gap(X, Y, pc, np.inf, upto, True, np.inf) for pc in pieces)
+        return max(_gap(X, Y, pc, _INF, upto, True, _INF) for pc in pieces)
 
     # gamma maps x's timeline onto x_n's; it must be a bijection of [0, t),
     # so it is pinned at (t, t) past the matched knots
     big = t * (1.0 - 1.0 / (1.0 + m_max))
     _, knots = _best_matching(
-        X, Y, pairs, lambda pc, stop: _cost(X, Y, pc, np.inf, big, big, True, stop),
+        X, Y, pairs, lambda pc, stop: _cost(X, Y, pc, _INF, big, big, True, stop),
         end=(t, t))
     gamma = TimeChange(tuple(knots))
     pieces = [_piece(a, b) for a, b in zip(knots, knots[1:])]

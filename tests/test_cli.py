@@ -170,6 +170,11 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
     ({"task": "skorokhod", "paths": [
         {"domain": {"kind": "half_open", "t": 1.0}, "jumps": [{"time": 0.3, "value": [1.0] * d}]}
         for d in (2, 3)]}, ()),
+    # a value of shape (1, 1) made a path that passed --validate-only and
+    # that the run could not price
+    ({"task": "skorokhod", "paths": [
+        {"domain": {"kind": "half_open", "t": 1.0}, "jumps": [{"time": 0.3, "value": [[1.0]]}]}
+    ] * 2}, ()),
     ({"task": "penalty", "query": {"file": BAD_QUERY}}, ()),
     *(({"task": "eval", "lattice": {"file": name}, "position": {"values": [0.0] * 4}}, ())
       for name in (NAN_TIME, INF_TIME, HALF_DIMENSION, HALF_PARENT)),
@@ -178,6 +183,7 @@ BAD_REAL_IDS = [f"{name}-{value!r}" for name, value in BAD_REALS]
         "three-paths", "structure-spec", "measures-spec", "radius", "radius-true", "M",
         "seed-true", "seed-override", "payoff-string", "require-feasible-string",
         "use-hull-int", "expansion-cap", "t-off-horizon", "negative-horizon", "path-dimensions",
+        "path-nested-value",
         "query-node-past-the-end", "lattice-nan-time", "lattice-inf-time",
         "lattice-half-dimension", "lattice-half-parent", *BAD_REAL_IDS])
 def test_validate_only_agrees_with_a_run(tmp_path, monkeypatch, capsys, doc, extra):

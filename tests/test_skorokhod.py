@@ -1,13 +1,16 @@
 import hashlib
 import itertools
 import re
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
 from riskdesk import skorokhod
 from riskdesk.skorokhod import (
+    _MATCH_TOL,
     _PAIR_WINDOW,
+    _ROUNDING,
     PLContinuousPath,
     StepPath,
     TimeChange,
@@ -869,7 +872,7 @@ def test_empty_step_path_keeps_its_dimension():
 
 
 # m = nan or inf, and a horizon or t of inf, made theta NaN (inf - inf in
-# _deviation), and the tie-break loop of _best_matching then never ended;
+# the deviation of _cost), and the tie-break loop of _best_matching then never ended;
 # a negative horizon read 0.0 and a NaN one 1.0.
 # m = True was taken as 1, and m = "3" or None raised numpy's TypeError
 @pytest.mark.parametrize("m", [np.nan, np.inf, 0.5, True, "3", None])
@@ -966,6 +969,212 @@ def test_gap_is_exact_up_to_stop_and_a_lower_bound_past_it():
     assert cut_short > 200
 
 
+# The piece pricing of riskdesk.skorokhod as it stood before it priced each
+# piece in one pass: one helper call per breakpoint for lam, lam^-1 and the
+# damping clamp, and the deviation in its own function.  It is kept as an
+# oracle for the same values and bits (test_pricing_matches_the_stepwise_oracle).
+
+# Both maps repeat np.interp's arithmetic and are exact at the knots, so a
+# cost taken piece by piece is, bit for bit, the cost of the whole TimeChange.
+def _stepwise_lam(pc, u: float) -> float:
+    return pc[3] if u == pc[2] else pc[4] * (u - pc[0]) + pc[1]
+
+
+def _stepwise_lam_inv(pc, v: float) -> float:
+    return pc[2] if v == pc[3] else pc[5] * (v - pc[1]) + pc[0]
+
+
+def _stepwise_unit(w: float) -> float:
+    return 1.0 if w >= 1.0 else w if w > 0.0 else 0.0  # min(max(w, 0.0), 1.0), without calls
+
+
+def _stepwise_deviation(pc, upto: float) -> float:
+    """The piece's share of sup_{[0, upto]} |lam(u) - u|: its end knot and,
+    if it holds upto, the point upto."""
+    u0, _, u1, v1 = pc[:4]
+    dev = abs(v1 - u1) if u1 <= upto else 0.0
+    if u0 <= upto < u1:
+        dev = max(dev, abs(_stepwise_lam(pc, upto) - upto))
+    return dev
+
+
+def _stepwise_inner(xt, pc):
+    """The breakpoints lam^-1(t) of X's jump times t inside the piece, or None
+    when floating point cannot place them: unless they rise strictly from u0
+    to u1, an X row between two jumps whose breakpoints coincide lies on no
+    interval of the scan, and unless _stepwise_lam maps each back to within
+    _ROUNDING t of t, X is damped far from its jump.  Only a steep piece,
+    one that crosses whole X rows within a few ulps of u, fails either."""
+    u0, v0, u1, v1 = pc[:4]
+    out = []
+    for t in xt[bisect_right(xt, v0):bisect_left(xt, v1)]:
+        b = _stepwise_lam_inv(pc, t)
+        if not (out[-1] if out else u0) < b < u1 \
+                or abs(_stepwise_lam(pc, b) - t) > _ROUNDING * t:
+            return None
+        out.append(b)
+    return out
+
+
+def _stepwise_gap(X, Y, pc, m: float, upto: float, closed: bool, stop: float) -> float:
+    """sup over u in the piece with u < upto (u <= upto when ``closed``) of
+    | g_m(lam(u)) X(lam(u)) - g_m(u) Y(u) |, exact when at most ``stop``;
+    past ``stop`` the scan ends and returns a lower bound > stop.
+
+    Between breakpoints (jumps of either path, knots, and where either
+    damping bends) the path values are constant and the damping terms
+    affine, so the sup sits at interval ends, taken with the values inside
+    (:func:`_stepwise_scan`).  Past max(m, lam^-1(m)) both damping terms
+    vanish, and the piece is cut there.
+
+    A piece whose X jumps floating point cannot place
+    (:func:`_stepwise_inner`) is not priced: its gap reads inf.
+    """
+    xt, yt = X[0], Y[0]
+    u0, v0, u1, v1 = pc[:4]
+    if u0 > upto:
+        return 0.0
+    inner = _stepwise_inner(xt, pc)
+    if inner is None:
+        return np.inf
+    fm = float(m)
+    end = min(u1, upto)
+    pts = {u0, end}  # end = inf for the tail of d_m, which the cut below drops
+    pts.update(yt[bisect_left(yt, u0):bisect_right(yt, end)])
+    pts.update(inner)
+    for c in (fm - 1.0, fm):
+        if u0 <= c <= u1:
+            pts.add(c)
+        if v0 <= c < v1:
+            pts.add(_stepwise_lam_inv(pc, c))
+    cut = min(end, np.inf if v1 <= fm else
+              (max(fm, _stepwise_lam_inv(pc, fm)) if v0 <= fm else fm) + _MATCH_TOL)
+    bs = sorted(b for b in pts if b <= cut)
+    if closed and u0 <= upto < u1:
+        bs.append(upto)  # the point upto, as an interval of length 0
+    return _stepwise_scan(X, Y, pc, fm, bs, inner, 0.0, stop)
+
+
+def _stepwise_scan(X, Y, pc, fm: float, bs, inner, best: float, stop: float) -> float:
+    """max(best, the gap's sup over the intervals between consecutive
+    breakpoints ``bs``), exact when at most ``stop``; past ``stop`` the scan
+    ends and returns a lower bound > stop.  ``inner`` holds the breakpoints
+    of X's jumps inside the piece, strictly increasing.
+
+    Each breakpoint's damping factors are computed once, and none at
+    m = inf, where g = 1 and 1.0 * p - 1.0 * q is p - q bit for bit; an
+    interval whose ends share them is evaluated once.
+
+    The paths' values inside an interval are read by counting jumps, not by
+    evaluating the paths at a point inside: no jump of either path lies
+    inside an interval, so Y holds its value at the start, and X the value
+    after the X jumps up to v0 and those whose breakpoints lie at or before
+    the start.  A point inside could round onto an end, or lam of it past
+    an X jump, when the ends lie a few ulps apart.
+    """
+    (xt, xrows), (yt, yrows) = X, Y
+    base = bisect_right(xt, pc[1])
+    g2 = (1.0, 1.0) if fm == np.inf else None
+    for b1, b2 in zip(bs, bs[1:]):
+        xv = xrows[base + bisect_right(inner, b1)]
+        yv = yrows[bisect_right(yt, b1)]
+        g1 = g2 or (_stepwise_unit(fm - _stepwise_lam(pc, b1)),  # carried from the last interval
+                    _stepwise_unit(fm - b1))
+        if fm != np.inf:
+            g2 = (_stepwise_unit(fm - _stepwise_lam(pc, b2)), _stepwise_unit(fm - b2))
+        for a, b in ((g1,) if g1 == g2 else (g1, g2)):
+            for p, q in zip(xv, yv):
+                d = abs(a * p - b * q)
+                if d > best:
+                    best = d
+        if best > stop:
+            return best
+    return best
+
+
+def _stepwise_cost(X, Y, pc, m: float, reach: float, upto: float, closed: bool, stop: float):
+    """max(_stepwise_deviation(pc, reach), _stepwise_gap(...)); a deviation
+    past ``stop`` skips the gap."""
+    dev = _stepwise_deviation(pc, reach)
+    return dev if dev > stop else max(dev, _stepwise_gap(X, Y, pc, m, upto, closed, stop))
+
+
+def _bits(v):
+    """A float, or a list of floats, as the bytes of each value."""
+    return None if v is None else float(v).hex() if np.isscalar(v) else [b.hex() for b in v]
+
+
+def _oracle_piece(rng, X, Y, case):
+    """A piece of a time change between jump-pair knots or a unit-slope
+    tail, every 11th one steep: one ulp wide in u across at least one
+    jump of X, so that _inner refuses it."""
+    knots = [(0.0, 0.0)] + [(yu, xu) for xu in X[0] for yu in Y[0]]
+    k0 = knots[int(rng.integers(len(knots)))]
+    if case % 11 == 0:
+        past = [xu for xu in X[0] if xu > k0[1]]
+        if past:
+            return skorokhod._piece(k0, (float(np.nextafter(k0[0], np.inf)),
+                                         past[int(rng.integers(len(past)))] + 0.01))
+    later = [k for k in knots if k[0] > k0[0] and k[1] > k0[1]]
+    k1 = later[int(rng.integers(len(later)))] if later and case % 3 else None
+    return skorokhod._piece(k0, k1)
+
+
+def test_pricing_matches_the_stepwise_oracle():
+    """_inner, _gap, _cost and _scan against the per-breakpoint pricing that
+    they replace, compared as bytes on 3,000 seeded pieces: every stop from
+    0 through the exact gap to inf, levels m on and between the integers
+    and m = inf, scans up to inf and up to a point, open and closed, and
+    _scan alone on breakpoints such as d-hat's tails take, from a best
+    already found.  The counts make sure that the set holds steep pieces
+    that _inner refuses, pieces cut before their first interval, a closed
+    upto at the piece's start u0, tails at m = inf and at finite m, and
+    pieces across a ramp [m - 1, m]."""
+    rng = np.random.default_rng(61)
+    seen = dict.fromkeys(["refused", "cut-before", "closed-at-u0", "tail-inf", "tail-finite",
+                          "ramp"], 0)
+    for case in range(3000):
+        dim = 2 if case % 5 == 0 else 1
+        x = random_path(rng, int(rng.integers(0, 6)), 0.05, 7.0, dim)
+        y = random_path(rng, int(rng.integers(0, 6)), 0.05, 7.0, dim)
+        X, Y = skorokhod._prepared(x, y)
+        pc = _oracle_piece(rng, X, Y, case)
+        u0, v0, u1, v1 = pc[:4]
+        m = np.inf if case % 4 == 0 else float(rng.choice([1.0, 2.0, 3.0, 4.0, 6.0,
+                                                            rng.uniform(1.0, 8.0)]))
+        if case % 7 == 0:
+            upto, closed = u0, True
+        else:
+            upto = np.inf if case % 2 else float(rng.uniform(0.0, 8.0))
+            closed = bool(rng.integers(2))
+        reach = m if m < np.inf else float(rng.uniform(0.0, 8.0))
+        inner = skorokhod._inner(X[0], pc)
+        assert _bits(inner) == _bits(_stepwise_inner(X[0], pc))
+        seen["refused"] += inner is None
+        seen["cut-before"] += v0 > m and m + skorokhod._MATCH_TOL < u0 <= upto
+        seen["closed-at-u0"] += closed and upto == u0
+        seen["tail-inf" if m == np.inf else "tail-finite"] += u1 == np.inf
+        seen["ramp"] += any(u0 < c < u1 or v0 < c < v1 for c in (m - 1.0, m) if c < np.inf)
+        exact = _stepwise_gap(X, Y, pc, m, upto, closed, np.inf)
+        for stop in (np.inf, 0.0, exact, 0.5 * exact, float(rng.uniform(0.0, 1.2)) * exact):
+            assert _bits(skorokhod._gap(X, Y, pc, m, upto, closed, stop)) \
+                == _bits(_stepwise_gap(X, Y, pc, m, upto, closed, stop))
+            assert _bits(skorokhod._cost(X, Y, pc, m, reach, upto, closed, stop)) \
+                == _bits(_stepwise_cost(X, Y, pc, m, reach, upto, closed, stop))
+        if inner is None:
+            continue
+        # breakpoints as a tail's scan past its last jump takes them: a few
+        # points of the piece and the ramp, in order, from a best found before
+        top = min(u1, 9.0)
+        bs = sorted({u0, *rng.choice([u0, top, m - 1.0, m, *inner, *rng.uniform(u0, top, 3)],
+                                     size=int(rng.integers(0, 5))).tolist()})
+        best = float(rng.uniform(0.0, 1.0)) * exact if exact < np.inf else 0.0
+        for stop in (np.inf, best, exact):
+            assert _bits(skorokhod._scan(X, Y, pc, m, bs, inner, best, stop)) \
+                == _bits(_stepwise_scan(X, Y, pc, m, bs, inner, best, stop))
+    assert min(seen.values()) >= 50, seen
+
+
 def test_dhat_search_prunes_pieces_past_the_bound(monkeypatch):
     """The fixture of test_dhat_prices_pieces_before_the_ramp_once: the
     unbounded search made 341 _gap calls for this d-hat."""
@@ -1038,7 +1247,19 @@ def test_dhat_prices_no_piece_at_m_inf_twice(monkeypatch):
      "the path must vanish at its starting time"),
     (lambda: dm_distance(jump_path([0.5], [[1.0, 2.0]]), jump_path([0.5], [[1.0, 2.0, 3.0]]), 2),
      "cannot compare paths of dimensions 2 and 3"),
-], ids=["knot-counts", "no-knots", "repeated-knot", "concat-tail", "dimensions"])
+    # a path of dimension 1 whose d_m died with a bare TypeError
+    (lambda: StepPath([0.5], np.zeros((1, 1, 1))),
+     r"values must be one number or one row per jump time, got shape \(1, 1, 1\)"),
+    (lambda: StepPath([0.5], 1.0), r"values must be one number .*, got shape \(\)"),  # IndexError
+    # a path of dimension 0, whose d_m compared nothing and read 0.0
+    (lambda: StepPath([0.5], np.zeros((1, 0))),
+     r"values must have at least one coordinate, got shape \(1, 0\)"),
+    (lambda: StepPath([0.5], [1.0], horizon="1"), "the horizon must be a real number, got '1'"),
+    # times that were flattened
+    (lambda: StepPath([[0.5, 0.7]], [1.0, 2.0]),
+     r"jump times must be one-dimensional, got shape \(1, 2\)"),
+], ids=["knot-counts", "no-knots", "repeated-knot", "concat-tail", "dimensions",
+        "nested-values", "scalar-value", "no-coordinates", "string-horizon", "nested-times"])
 def test_malformed_continuous_paths_and_path_pairs_are_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
